@@ -1538,10 +1538,6 @@ def _metric_verdicts(mc, ctx):
 # ------------------------------------------------------------- verification
 
 
-def _field_char(coeffs):
-    return 0 if coeffs == "q" else int(coeffs.split(":", 1)[1])
-
-
 def _verification(complex_, cover, fields, dim_cap):
     """Profiles of the five complexes of the cover square plus induced maps."""
     parts = {
@@ -1593,7 +1589,7 @@ def _soundness(verdicts, profiles, induced, fields, dim_cap):
         surj_at = v.claim.get("surj_at")
         exclude = v.claim.get("exclude_char")
         for coeffs, recs in by_field.items():
-            if exclude is not None and _field_char(coeffs) == exclude:
+            if exclude is not None and linalg.field_of(coeffs).char == exclude:
                 continue
             for degree, rec in recs.items():
                 want_iso = iso_upto == "all" or (

@@ -11,8 +11,9 @@ import json
 import sys
 
 from . import corpus as corpus_mod
+from . import linalg
 from .analyzer import analyze, analyze_metric
-from .errors import RipsDecompError
+from .errors import InvalidInput, RipsDecompError
 from .homology import homology
 from .io import cover_for_labels, load_cover, load_input
 from .metric import MetricCover, parse_distance, vietoris_rips
@@ -33,11 +34,12 @@ def _add_common(parser):
 
 
 def _check_field(value):
-    if value in ("q", "z"):
-        return value
-    if value.startswith("zp:") and value[3:].isdigit():
-        return value
-    raise argparse.ArgumentTypeError(f"bad field {value!r}; try q, z, or zp:<p>")
+    try:
+        if value != "z":
+            linalg.field_of(value)
+    except InvalidInput as exc:
+        raise argparse.ArgumentTypeError(f"bad field {value!r}: {exc}") from None
+    return value
 
 
 def build_parser():

@@ -1,10 +1,17 @@
 """Exact simplicial homology and contractibility certificates.
 
-Integral homology comes from Smith normal form over unbounded ints; field
-homology (rationals, prime fields) from exact elimination.  Reduced homology
-uses the augmented chain complex, so the empty complex has rank one in
-degree -1; that convention makes the suspension-shift bookkeeping of the
-analyzer hold verbatim, empty obstructions included.
+Every number is a rank of an integer boundary matrix, counted from its
+invariant factors (``linalg.sparse_invariants``): over a field of
+characteristic p (0 for q) the rank is the number of factors p does not
+divide, as the Smith transforms stay invertible mod p; integral torsion comes
+from the factors above 1.  For L in K, let d(K, L) be d(K) without the rows
+of L's n-simplices; Z_n(L) meets B_n(K) in its kernel on B_n(K), so
+
+    rank(H_n L -> H_n K) = dim Z_n(L) - rank d_{n+1}(K) + rank d_{n+1}(K, L).
+
+Reduced homology uses the augmented chain complex, so the empty complex has
+rank one in degree -1; that convention makes the suspension-shift
+bookkeeping of the analyzer hold verbatim, empty obstructions included.
 
 "Contractible" is always a sufficient certificate here: a central simplex or
 a collapse sequence down to a vertex.  Trivial homology without a
@@ -43,21 +50,28 @@ smith_normal_form = linalg.smith_invariants
 # ----------------------------------------------------------------- chains
 
 
-def incidence(rows, cols):
-    """Alternating-sign incidence matrix between simplex lists.
+def boundary_columns(rows, cols):
+    """Alternating-sign incidence between simplex lists, as sparse columns
+    ``{row index: +-1}``.
 
     Faces absent from ``rows`` contribute nothing, which is exactly the
     boundary of a quotient (relative) chain complex.  The empty simplex
     ``()`` may appear as a row to augment the complex.
     """
     index = {s: i for i, s in enumerate(rows)}
-    m = [[0] * len(cols) for _ in rows]
-    for j, s in enumerate(cols):
+    out = []
+    for s in cols:
+        col = {}
         for i in range(len(s)):
             r = index.get(s[:i] + s[i + 1 :])
             if r is not None:
-                m[r][j] += 1 if i % 2 == 0 else -1
-    return m
+                col[r] = -1 if i % 2 else 1
+        out.append(col)
+    return out
+
+
+def _dense(columns, nrows):
+    return [[col.get(r, 0) for col in columns] for r in range(nrows)]
 
 
 def simplex_levels(complex_, need):
@@ -106,7 +120,7 @@ def boundary_matrix(complex_, n, dim_cap=None):
             raise EnumerationRefused(f"degree {n} above the cap {cap}")
     rows = complex_.n_simplices(n - 1)
     cols = complex_.n_simplices(n)
-    return BoundaryMatrix(n, rows, cols, incidence(rows, cols))
+    return BoundaryMatrix(n, rows, cols, _dense(boundary_columns(rows, cols), len(rows)))
 
 
 # ----------------------------------------------------------------- profiles
@@ -171,10 +185,29 @@ class HomologyProfile:
         )
 
 
-def _coeff_kind(coeffs):
-    if coeffs == "z":
-        return "z", None
-    return "field", linalg.field_of(coeffs)
+def _rank(invariants, char):
+    """Rank in characteristic ``char`` (0 for q and z): the factors p does not divide."""
+    return sum(1 for d in invariants if d % char) if char else len(invariants)
+
+
+def _profile(bases, coeffs, reduced, lo, max_deg):
+    """Betti numbers, and torsion over z, of chains ``bases[lo..max_deg]``."""
+    char = 0 if coeffs == "z" else linalg.field_of(coeffs).char
+    invariants = {
+        n: linalg.sparse_invariants(boundary_columns(bases[n - 1], bases[n]))
+        for n in range(lo + 1, max_deg + 2)
+    }
+    ranks = {n: _rank(inv, char) for n, inv in invariants.items()}
+    betti = {}
+    torsion = {}
+    for n in range(lo, max_deg + 1):
+        betti[n] = len(bases[n]) - ranks.get(n, 0) - ranks[n + 1]
+        if coeffs == "z":
+            torsion[n] = sorted(
+                q for d in invariants[n + 1] if d > 1
+                for q in linalg.prime_power_factors(d)
+            )
+    return HomologyProfile(coeffs, reduced, range(lo, max_deg + 1), betti, torsion)
 
 
 def homology(complex_, coeffs="z", max_deg=None, reduced=True):
@@ -185,34 +218,9 @@ def homology(complex_, coeffs="z", max_deg=None, reduced=True):
     """
     if max_deg is None:
         max_deg = max(complex_.dim(), 0)
-    levels = simplex_levels(complex_, max_deg + 1)
-    bases = {n: levels[n] for n in range(max_deg + 2)}
-    lo = -1 if reduced else 0
-    if reduced:
-        bases[-1] = [()]
-    kind, field = _coeff_kind(coeffs)
-    ranks = {}
-    invariants = {}
-    for n in range(lo + 1, max_deg + 2):
-        mat = incidence(bases[n - 1], bases[n])
-        if kind == "z":
-            inv = linalg.smith_invariants(mat)
-            invariants[n] = inv
-            ranks[n] = len(inv)
-        else:
-            ranks[n] = linalg.rank(mat, field)
-    betti = {}
-    torsion = {}
-    for n in range(lo, max_deg + 1):
-        betti[n] = len(bases[n]) - ranks.get(n, 0) - ranks.get(n + 1, 0)
-        if kind == "z":
-            powers = []
-            for d in invariants.get(n + 1, ()):
-                if d > 1:
-                    powers.extend(linalg.prime_power_factors(d))
-            if powers:
-                torsion[n] = sorted(powers)
-    return HomologyProfile(coeffs, reduced, range(lo, max_deg + 1), betti, torsion)
+    bases = dict(enumerate(simplex_levels(complex_, max_deg + 1)))
+    bases[-1] = [()] if reduced else []
+    return _profile(bases, coeffs, reduced, -1 if reduced else 0, max_deg)
 
 
 def is_subcomplex(sub, ambient):
@@ -243,29 +251,7 @@ def relative_homology(complex_, sub, coeffs="z", max_deg=None):
         n: [s for s in levels[n] if s not in sub] for n in range(max_deg + 2)
     }
     bases[-1] = []
-    kind, field = _coeff_kind(coeffs)
-    ranks = {}
-    invariants = {}
-    for n in range(0, max_deg + 2):
-        mat = incidence(bases[n - 1], bases[n])
-        if kind == "z":
-            inv = linalg.smith_invariants(mat)
-            invariants[n] = inv
-            ranks[n] = len(inv)
-        else:
-            ranks[n] = linalg.rank(mat, field)
-    betti = {}
-    torsion = {}
-    for n in range(0, max_deg + 1):
-        betti[n] = len(bases[n]) - ranks.get(n, 0) - ranks.get(n + 1, 0)
-        if kind == "z":
-            powers = []
-            for d in invariants.get(n + 1, ()):
-                if d > 1:
-                    powers.extend(linalg.prime_power_factors(d))
-            if powers:
-                torsion[n] = sorted(powers)
-    return HomologyProfile(coeffs, False, range(0, max_deg + 1), betti, torsion)
+    return _profile(bases, coeffs, False, 0, max_deg)
 
 
 # -------------------------------------------------------------- induced maps
@@ -274,15 +260,23 @@ def relative_homology(complex_, sub, coeffs="z", max_deg=None):
 class InducedMap:
     """A map on field homology induced by a subcomplex inclusion."""
 
-    __slots__ = ("field", "degree", "matrix", "rank", "dim_source", "dim_target")
+    __slots__ = ("field", "degree", "rank", "dim_source", "dim_target", "_build", "_matrix")
 
-    def __init__(self, field, degree, matrix, rank, dim_source, dim_target):
+    def __init__(self, field, degree, rank, dim_source, dim_target, build):
         self.field = field
         self.degree = degree
-        self.matrix = matrix
         self.rank = rank
         self.dim_source = dim_source
         self.dim_target = dim_target
+        self._build = build
+        self._matrix = None
+
+    @property
+    def matrix(self):
+        """``dim_target`` x ``dim_source``, built by dense elimination when read."""
+        if self._matrix is None:
+            self._matrix = self._build()
+        return self._matrix
 
     @property
     def injective(self):
@@ -309,13 +303,12 @@ def _homology_reps(bases, deg, field):
     Returns (span over boundaries, representative cycle vectors); vectors are
     coordinates over ``bases[deg]``.
     """
-    d_n = incidence(bases[deg - 1], bases[deg])
+    d_n = _dense(boundary_columns(bases[deg - 1], bases[deg]), len(bases[deg - 1]))
     cycles = linalg.kernel_basis(d_n, field, ncols=len(bases[deg]))
-    d_up = incidence(bases[deg], bases[deg + 1])
     span = linalg.Span(field)
     boundary_cols = []
-    for j in range(len(bases[deg + 1])):
-        col = [field.of(d_up[i][j]) for i in range(len(bases[deg]))]
+    for up in boundary_columns(bases[deg], bases[deg + 1]):
+        col = [field.of(up.get(i, 0)) for i in range(len(bases[deg]))]
         if span.add(col):
             boundary_cols.append(col)
     reps = []
@@ -323,6 +316,29 @@ def _homology_reps(bases, deg, field):
         if span.add(z):
             reps.append(z)
     return boundary_cols, reps
+
+
+def _induced_matrix(bases_l, bases_k, degree, field):
+    """Dense matrix of the induced map in bases of representative cycles."""
+    _, reps_l = _homology_reps(bases_l, degree, field)
+    boundary_k, reps_k = _homology_reps(bases_k, degree, field)
+    position = {s: i for i, s in enumerate(bases_k[degree])}
+    mapped = []
+    for rep in reps_l:
+        vec = [field.zero] * len(bases_k[degree])
+        for value, s in zip(rep, bases_l[degree]):
+            if value != field.zero:
+                vec[position[s]] = value
+        mapped.append(vec)
+    if reps_k or boundary_k:
+        coords = linalg.solve_in_span(boundary_k + reps_k, mapped, field)
+    else:
+        coords = [[] for _ in mapped]
+    nb = len(boundary_k)
+    return [
+        [coords[j][nb + i] if coords[j] else field.zero for j in range(len(mapped))]
+        for i in range(len(reps_k))
+    ]
 
 
 def induced_map(sub, ambient, degree, coeffs="q", reduced=False):
@@ -338,32 +354,28 @@ def induced_map(sub, ambient, degree, coeffs="q", reduced=False):
     if degree < lo:
         raise InvalidInput(f"degree {degree} below {lo}")
     need = degree + 1
-    bases_l = {n: lvl for n, lvl in enumerate(simplex_levels(sub, need))}
-    bases_k = {n: lvl for n, lvl in enumerate(simplex_levels(ambient, need))}
+    bases_l = dict(enumerate(simplex_levels(sub, need)))
+    bases_k = dict(enumerate(simplex_levels(ambient, need)))
     for b in (bases_l, bases_k):
         b[-1] = [()] if reduced else []
         b.setdefault(-2, [])
-    boundary_l, reps_l = _homology_reps(bases_l, degree, field)
-    boundary_k, reps_k = _homology_reps(bases_k, degree, field)
-    position = {s: i for i, s in enumerate(bases_k[degree])}
-    mapped = []
-    for rep in reps_l:
-        vec = [field.zero] * len(bases_k[degree])
-        for value, s in zip(rep, bases_l[degree]):
-            if value != field.zero:
-                vec[position[s]] = value
-        mapped.append(vec)
-    if reps_k or boundary_k:
-        coords = linalg.solve_in_span(boundary_k + reps_k, mapped, field)
-    else:
-        coords = [[] for _ in mapped]
-    nb = len(boundary_k)
-    matrix = [
-        [coords[j][nb + i] if coords[j] else field.zero for j in range(len(mapped))]
-        for i in range(len(reps_k))
-    ]
-    rk = linalg.rank(matrix, field) if matrix and matrix[0] else 0
-    return InducedMap(coeffs, degree, matrix, rk, len(reps_l), len(reps_k))
+
+    def rank(rows, cols):
+        invariants = linalg.sparse_invariants(boundary_columns(rows, cols))
+        return _rank(invariants, field.char)
+
+    in_sub = set(bases_l[degree])
+    outside = [s for s in bases_k[degree] if s not in in_sub]
+    cycles_l = len(bases_l[degree]) - rank(bases_l[degree - 1], bases_l[degree])
+    up_k = rank(bases_k[degree], bases_k[degree + 1])
+    return InducedMap(
+        coeffs,
+        degree,
+        cycles_l - up_k + rank(outside, bases_k[degree + 1]),
+        cycles_l - rank(bases_l[degree], bases_l[degree + 1]),
+        len(bases_k[degree]) - rank(bases_k[degree - 1], bases_k[degree]) - up_k,
+        lambda: _induced_matrix(bases_l, bases_k, degree, field),
+    )
 
 
 # --------------------------------------------------------------- certificates

@@ -1,12 +1,19 @@
-"""Exact linear algebra on small dense matrices.
+"""Exact linear algebra: sparse integral invariants, small dense matrices.
 
-Integer work (Smith normal form) runs on Python's unbounded ints with a
-smallest-magnitude pivot rule, the standard guard against coefficient
-blow-up.  Field work runs on ``fractions.Fraction`` or on ints mod p.
-Matrices are lists of row lists.
+``sparse_invariants`` finds the invariant factors of an integer matrix given
+by sparse columns ``{row: value}``, after Dumas, Heckenbach, Saunders &
+Welker (2003).  A lowest-row column reduction uses unit (+-1) pivots only, so
+every step is unimodular; columns whose lowest entry is not a unit are
+cleared on the unit pivot rows and the small remainder goes to the dense
+``smith_invariants`` (smallest-magnitude pivots against coefficient blow-up).
+The unit block is triangular with a +-1 diagonal, so each unit pivot gives
+one factor 1.  Dense field elimination on ``Fraction`` or ints mod p (lists
+of row lists) only builds explicit induced-map matrices.
 """
 
 from fractions import Fraction
+
+from .errors import InvalidInput
 
 __all__ = [
     "GF",
@@ -18,6 +25,7 @@ __all__ = [
     "rank",
     "smith_invariants",
     "solve_in_span",
+    "sparse_invariants",
 ]
 
 
@@ -110,6 +118,44 @@ def smith_invariants(mat):
     return invs
 
 
+def _subtract(col, pivot, c):
+    """col -= c * pivot, in place, dropping zeros."""
+    for r, v in pivot.items():
+        w = col.get(r, 0) - c * v
+        if w:
+            col[r] = w
+        else:
+            del col[r]
+
+
+def sparse_invariants(columns):
+    """``smith_invariants`` of the matrix with these sparse columns, which
+    are left unmodified."""
+    pivots = {}             # lowest row -> reduced column with a unit there
+    residual = []
+    for col in columns:
+        col = dict(col)
+        while col:
+            low = max(col)
+            pivot = pivots.get(low)
+            if pivot is None:
+                break
+            _subtract(col, pivot, col[low] * pivot[low])
+        if col and col[low] in (1, -1):
+            pivots[low] = col
+        elif col:
+            residual.append(col)
+    # clearing a pivot row only fills rows above it, so one downward pass
+    # leaves the set-aside columns zero on every unit pivot row
+    for row in sorted(pivots, reverse=True):
+        for col in residual:
+            if row in col:
+                _subtract(col, pivots[row], col[row] * pivots[row][row])
+    rows = sorted(set().union(*residual))
+    dense = [[col.get(r, 0) for col in residual] for r in rows]
+    return [1] * len(pivots) + smith_invariants(dense)
+
+
 def prime_power_factors(n):
     """Prime-power decomposition of |n| > 1 as a sorted list, e.g. 12 -> [3, 4]."""
     n = abs(n)
@@ -135,6 +181,7 @@ class QQ:
     """The rationals."""
 
     name = "q"
+    char = 0
 
     @staticmethod
     def of(n):
@@ -165,8 +212,8 @@ class GF:
 
     def __init__(self, p):
         if p < 2 or any(p % q == 0 for q in range(2, int(p**0.5) + 1)):
-            raise ValueError(f"{p} is not prime")
-        self.p = p
+            raise InvalidInput(f"{p} is not prime")
+        self.p = self.char = p
         self.name = f"zp:{p}"
         self.zero = 0
         self.one = 1 % p
@@ -188,12 +235,14 @@ class GF:
 
 
 def field_of(name):
-    """Field object from a coefficient descriptor ("q" or "zp:<p>")."""
+    """Field of a descriptor, "q" or "zp:<p>" with p prime, else InvalidInput;
+    its ``char`` is the characteristic that ranks are counted in."""
     if name == "q":
         return QQ
-    if name.startswith("zp:"):
-        return GF(int(name.split(":", 1)[1]))
-    raise ValueError(f"not a field descriptor: {name!r}")
+    digits = name[3:] if name.startswith("zp:") else ""
+    if not (digits.isascii() and digits.isdigit()):
+        raise InvalidInput(f"not a field descriptor: {name!r}")
+    return GF(int(digits))
 
 
 def _convert(mat, field):

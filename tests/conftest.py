@@ -6,6 +6,12 @@ from itertools import combinations
 
 from ripsdecomp import Complex, Cover, DistanceSpace
 
+# the standard 6-vertex triangulation of the real projective plane
+PROJECTIVE_PLANE = [
+    [0, 1, 4], [0, 1, 5], [0, 2, 3], [0, 2, 4], [0, 3, 5],
+    [1, 2, 3], [1, 2, 5], [1, 3, 4], [2, 4, 5], [3, 4, 5],
+]
+
 
 def rng_for(seed):
     return random.Random(seed)
@@ -85,6 +91,48 @@ def rank_oracle(mat):
                 m[i] = [a - factor * b for a, b in zip(m[i], m[rank])]
         rank += 1
     return rank
+
+
+def rank_mod_p_oracle(mat, p):
+    """Rank over the prime field with p elements, by plain forward
+    elimination on ints mod p; the twin of ``rank_oracle``."""
+    m = [[v % p for v in row] for row in mat]
+    rows = len(m)
+    cols = len(m[0]) if m else 0
+    rank = 0
+    for c in range(cols):
+        pivot = None
+        for i in range(rank, rows):
+            if m[i][c]:
+                pivot = i
+                break
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        inv = pow(m[rank][c], -1, p)
+        for i in range(rows):
+            if i != rank and m[i][c]:
+                factor = m[i][c] * inv % p
+                m[i] = [(a - factor * b) % p for a, b in zip(m[i], m[rank])]
+        rank += 1
+    return rank
+
+
+def rank_over(mat, coeffs):
+    """Oracle rank over "q" or "zp:<p>"."""
+    return rank_oracle(mat) if coeffs == "q" else rank_mod_p_oracle(mat, int(coeffs[3:]))
+
+
+def boundary_oracle(rows, cols):
+    """Dense alternating-sign boundary between simplex lists (sorted
+    tuples; ``()`` may be a row), written out independently of the package."""
+    m = [[0] * len(cols) for _ in rows]
+    for j, s in enumerate(cols):
+        for i in range(len(s)):
+            face = s[:i] + s[i + 1 :]
+            if face in rows:
+                m[rows.index(face)][j] = (-1) ** i
+    return m
 
 
 def brute_force_membership(simplices, sigma):

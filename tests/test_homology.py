@@ -24,14 +24,13 @@ from ripsdecomp.corpus import case_by_name, space_for
 from ripsdecomp.homology import central_vertex, replay_collapses
 from ripsdecomp.linalg import GF, QQ, rank
 
-from conftest import random_complex, random_flag, rank_oracle, rng_for
-
-# the standard 6-vertex triangulation of the real projective plane
-PROJECTIVE_PLANE = [
-    [0, 1, 4], [0, 1, 5], [0, 2, 3], [0, 2, 4], [0, 3, 5],
-    [1, 2, 3], [1, 2, 5], [1, 3, 4], [2, 4, 5], [3, 4, 5],
-]
-
+from conftest import (
+    PROJECTIVE_PLANE,
+    random_complex,
+    random_flag,
+    rank_oracle,
+    rng_for,
+)
 
 def hollow_triangle():
     return Complex.from_facets([[1, 2], [2, 3], [1, 3]])
