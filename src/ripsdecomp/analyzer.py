@@ -248,6 +248,8 @@ class _Obstruction:
 
 class _Context:
     def __init__(self, complex_, cover, dim_cap):
+        if dim_cap < 1:
+            raise InvalidInput("the dimension cap must be at least 1")
         cover.validate(complex_)
         self.complex = complex_
         self.cover = cover
@@ -1682,22 +1684,27 @@ def _clique_shortcut_audit(ctx, samples=5):
                     )
 
 
-def analyze(complex_, cover, dim_cap=None, fields=("q", "z"), verify=True, kind="simplicial", radius=None, extra_verdicts=None, extra_notes=None):
+def analyze(complex_, cover, dim_cap=None, fields=("q", "z"), verify=True):
     """Evaluate every decomposition criterion for a complex with a cover.
 
     When ``verify`` is set the report also carries exact homology profiles of
     the five complexes in the cover square, the induced maps of the union
     inclusion over each requested field, and a soundness block that
-    cross-checks every certified conclusion against them.
+    cross-checks every certified conclusion against them.  The report is
+    built from one analysis context: the cross simplices are enumerated and
+    their obstructions certified once.
     """
     if dim_cap is None:
         dim_cap = complex_.dim_cap if complex_.is_flag else 4
-    if dim_cap < 1:
-        raise InvalidInput("the dimension cap must be at least 1")
+    return _analyze(_Context(complex_, cover, dim_cap), fields, verify)
+
+
+def _analyze(ctx, fields, verify, kind="simplicial", radius=None, verdicts=(), notes=()):
+    """The report for a built context; ``verdicts`` and ``notes`` lead."""
     fields = list(fields)
-    ctx = _Context(complex_, cover, dim_cap)
+    complex_, cover, dim_cap = ctx.complex, ctx.cover, ctx.dim_cap
     _clique_shortcut_audit(ctx)
-    verdicts = [] if extra_verdicts is None else list(extra_verdicts)
+    verdicts = list(verdicts)
     for crit in CRITERIA:
         verdicts.append(_CRITERION_FUNCS[crit](ctx))
     profiles = None
@@ -1722,30 +1729,19 @@ def analyze(complex_, cover, dim_cap=None, fields=("q", "z"), verify=True, kind=
         profiles=profiles,
         induced=induced,
         soundness={"ok": not failures, "failures": failures},
-        notes=list(extra_notes or []),
+        notes=list(notes),
     )
     return report
 
 
 def analyze_metric(mc, dim_cap=4, fields=("q", "z"), verify=True):
     """Build the Vietoris-Rips complex of a metric cover and analyze it,
-    together with the distance-level criteria."""
-    mc.space.require_valid()
+    together with the distance-level criteria.  One analysis context serves
+    both the distance-level and the combinatorial criteria."""
     complex_ = metric_mod.vietoris_rips(mc.space, mc.r, dim_cap)
-    cover = Cover(mc.x, mc.y)
-    ctx = _Context(complex_, cover, dim_cap)
+    ctx = _Context(complex_, Cover(mc.x, mc.y), dim_cap)
     metric_verdicts, notes = _metric_verdicts(mc, ctx)
-    return analyze(
-        complex_,
-        cover,
-        dim_cap=dim_cap,
-        fields=fields,
-        verify=verify,
-        kind="metric",
-        radius=str(mc.r),
-        extra_verdicts=metric_verdicts,
-        extra_notes=notes,
-    )
+    return _analyze(ctx, fields, verify, "metric", str(mc.r), metric_verdicts, notes)
 
 
 # ------------------------------------------------- independent theorem checks

@@ -53,6 +53,10 @@ def _label_key(label):
     return (1, str(label))
 
 
+def _list_of(kinds, value):
+    return isinstance(value, list) and all(isinstance(v, kinds) for v in value)
+
+
 def intern_facets(facets):
     """Dense integer ids for facet labels, in sorted label order."""
     labels = sorted({v for f in facets for v in f}, key=_label_key)
@@ -68,6 +72,8 @@ def parse_distance_json(obj):
         rows = obj["distances"]
     except (KeyError, TypeError) as exc:
         raise InvalidInput("distance JSON needs 'points' and 'distances'") from exc
+    if not isinstance(points, list) or not _list_of(list, rows):
+        raise InvalidInput("'points' must be a list and 'distances' a list of lists")
     return DistanceSpace([str(p) for p in points], rows)
 
 
@@ -78,6 +84,8 @@ def parse_facets_json(obj):
         raise InvalidInput("facet JSON needs 'facets'") from exc
     if not isinstance(facets, list) or not facets:
         raise InvalidInput("'facets' must be a nonempty list")
+    if not all(_list_of((str, int, float), f) for f in facets):
+        raise InvalidInput("each facet must be a list of vertex labels")
     return facets
 
 
@@ -131,8 +139,8 @@ def load_cover(path):
         raise InvalidInput(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InvalidInput(f"{path}: not valid JSON: {exc}") from exc
-    if not isinstance(obj, dict) or "X" not in obj or "Y" not in obj:
-        raise InvalidInput("cover JSON needs 'X' and 'Y'")
+    if not isinstance(obj, dict) or not all(isinstance(obj.get(s), list) for s in "XY"):
+        raise InvalidInput("cover JSON needs lists 'X' and 'Y'")
     return [str(p) for p in obj["X"]], [str(p) for p in obj["Y"]]
 
 

@@ -208,9 +208,12 @@ class QQ:
 
 
 class GF:
-    """The prime field with p elements, carried on ints in [0, p)."""
+    """The prime field with p elements, carried on ints in [0, p), for
+    p < 2**31 so that the trial-division primality test stays quick."""
 
     def __init__(self, p):
+        if p >= 2**31:
+            raise InvalidInput("prime fields need p < 2**31")
         if p < 2 or any(p % q == 0 for q in range(2, int(p**0.5) + 1)):
             raise InvalidInput(f"{p} is not prime")
         self.p = self.char = p

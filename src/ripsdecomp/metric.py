@@ -5,11 +5,17 @@ Distances are exact rationals by default (``fractions.Fraction``), with
 comparison tolerance ``tol`` for the closed threshold test ``d <= r``; the
 exact default is ``tol = 0``, which every shipped example uses.
 
+The triangle inequality is checked on ints: the finite entries are scaled
+once by their least common denominator, and ``inf`` stands in as the
+sentinel 2 * max + 1, larger than any sum of two finite entries, which is
+exact because distances are never negative.
+
 All predicates are pure functions of immutable inputs.  Failed predicates
 report the first counterexample in the order the points were listed.
 """
 
 import math
+import operator
 import warnings
 from fractions import Fraction
 from itertools import combinations
@@ -56,7 +62,7 @@ def parse_distance(value):
         if math.isnan(value):
             raise InvalidInput("NaN is not a distance")
         out = Fraction(str(value))
-    elif isinstance(value, (int, Fraction)):
+    elif isinstance(value, (int, Fraction)) and not isinstance(value, bool):
         out = Fraction(value)
     else:
         raise InvalidInput(f"cannot parse distance {value!r}")
@@ -132,14 +138,28 @@ def validate(space):
 
 def is_pseudometric(space):
     """None when the triangle inequality holds; else the first witness triple
-    of labels (x, y, z) with d(x, z) > d(x, y) + d(y, z)."""
-    n = len(space)
-    m = space.matrix
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if m[i][k] > m[i][j] + m[j][k]:
-                    return (space.labels[i], space.labels[j], space.labels[k])
+    of labels (x, y, z), in label order, with d(x, z) > d(x, y) + d(y, z).
+
+    Runs on ints: finite entries are scaled by their least common
+    denominator and ``inf`` becomes S = 2 * max + 1.  S exceeds every sum of
+    two finite entries and no sum containing S is below a finite entry or S,
+    so each comparison agrees with the extended rationals.  A pair (x, y) is
+    scanned over z only when some d(x, z) - d(y, z) exceeds d(x, y).
+    """
+    finite = [v for row in space.matrix for v in row if v is not INF]
+    scale = math.lcm(*{v.denominator for v in finite})
+    sentinel = 2 * int(max(finite, default=0) * scale) + 1
+    rows = [
+        [sentinel if v is INF else v.numerator * (scale // v.denominator) for v in row]
+        for row in space.matrix
+    ]
+    for i, row_i in enumerate(rows):
+        for j, row_j in enumerate(rows):
+            d_ij = row_i[j]
+            if max(map(operator.sub, row_i, row_j)) > d_ij:
+                for k, d_ik in enumerate(row_i):
+                    if d_ik > d_ij + row_j[k]:
+                        return (space.labels[i], space.labels[j], space.labels[k])
     return None
 
 

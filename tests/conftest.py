@@ -51,13 +51,16 @@ def random_cover(rng, complex_):
     return Cover(x, y)
 
 
-def random_pseudometric(rng, labels, max_whole=6):
-    """Random finite pseudometric via shortest paths over a random weighting."""
+def random_pseudometric(rng, labels, max_whole=6, denominators=None):
+    """Random finite pseudometric via shortest paths over a random weighting;
+    each weight is divided by a draw from ``denominators`` when given."""
     n = len(labels)
     weight = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
             w = Fraction(rng.randint(1, max_whole))
+            if denominators:
+                w /= rng.choice(denominators)
             weight[i][j] = weight[j][i] = w
     # Floyd-Warshall closure makes the triangle inequality hold
     dist = [row[:] for row in weight]
@@ -68,6 +71,19 @@ def random_pseudometric(rng, labels, max_whole=6):
                 if i != j and via < dist[i][j]:
                     dist[i][j] = via
     return DistanceSpace(labels, dist)
+
+
+def pseudometric_oracle(space):
+    """First (x, y, z) in label order with d(x, z) > d(x, y) + d(y, z),
+    by the plain triple loop over the extended rationals; else None."""
+    n = len(space)
+    m = space.matrix
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                if m[i][k] > m[i][j] + m[j][k]:
+                    return (space.labels[i], space.labels[j], space.labels[k])
+    return None
 
 
 def rank_oracle(mat):

@@ -2,18 +2,21 @@
 
 Each file under ``tests/golden/`` is the ``render_json`` output of one
 instance, recorded from the dense rational engine: every corpus case, plus
-seeded explicit and metric instances verified over q, z, zp:2 and zp:3.
+seeded explicit and metric instances verified over q, z, zp:2 and zp:3,
+and three metric instances whose distances break the triangle inequality,
+reach "inf", or have mixed denominators.
 Rebuild them only from a commit whose outputs are trusted:
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import math
 import os
 from fractions import Fraction
 
 import pytest
 
-from ripsdecomp import Complex, MetricCover, analyze, analyze_metric
+from ripsdecomp import Complex, DistanceSpace, MetricCover, analyze, analyze_metric
 from ripsdecomp.corpus import CASES, run_case
 from ripsdecomp.reporting import render_json
 
@@ -39,14 +42,45 @@ def _explicit(seed):
     return analyze(complex_, random_cover(rng, complex_), dim_cap=4, fields=FIELDS)
 
 
+def _metric_report(rng, space, radius):
+    """Report for a seeded cover of ``space``; ``radius(rng)`` draws r last."""
+    labels = space.labels
+    x = [p for p in labels if rng.random() < 0.6]
+    y = [p for p in labels if p not in x or rng.random() < 0.4]
+    mc = MetricCover(space, x, y, radius(rng))
+    return analyze_metric(mc, dim_cap=3, fields=FIELDS)
+
+
 def _metric(seed):
     rng = rng_for(2000 + seed)
     labels = [f"p{i}" for i in range(rng.randint(5, 8))]
     space = random_pseudometric(rng, labels, max_whole=4)
-    x = [p for p in labels if rng.random() < 0.6]
-    y = [p for p in labels if p not in x or rng.random() < 0.4]
-    mc = MetricCover(space, x, y, Fraction(rng.randint(2, 4)))
-    return analyze_metric(mc, dim_cap=3, fields=FIELDS)
+    return _metric_report(rng, space, lambda rng: Fraction(rng.randint(2, 4)))
+
+
+ODD_METRICS = ("triangle", "inf", "rational")
+
+
+def _odd_metric(kind):
+    """"triangle": one distance raised past a two-step path; "inf": two
+    clusters at infinite distance; "rational": denominators 1, 2, 3, 5, 7."""
+    rng = rng_for(3000 + ODD_METRICS.index(kind))
+    labels = [f"p{i}" for i in range(rng.randint(6, 8))]
+    if kind == "inf":
+        cut = rng.randint(2, len(labels) - 2)
+        left = random_pseudometric(rng, labels[:cut], max_whole=4).matrix
+        right = random_pseudometric(rng, labels[cut:], max_whole=4).matrix
+        matrix = [list(row) + [math.inf] * len(right) for row in left]
+        matrix += [[math.inf] * cut + list(row) for row in right]
+        return _metric_report(rng, DistanceSpace(labels, matrix), lambda rng: 3)
+    denominators = (1, 2, 3, 5, 7) if kind == "rational" else None
+    space = random_pseudometric(rng, labels, max_whole=4, denominators=denominators)
+    if kind == "triangle":
+        i, j, k = rng.sample(range(len(labels)), 3)
+        matrix = [list(row) for row in space.matrix]
+        matrix[i][k] = matrix[k][i] = matrix[i][j] + matrix[j][k] + 1
+        space = DistanceSpace(labels, matrix)
+    return _metric_report(rng, space, lambda rng: Fraction(rng.randint(3, 9), 2))
 
 
 def golden_reports():
@@ -54,6 +88,7 @@ def golden_reports():
     out = [(f"corpus-{c.name}", lambda c=c: run_case(c)[0]) for c in CASES]
     out += [(f"explicit-{s}", lambda s=s: _explicit(s)) for s in SEEDS]
     out += [(f"metric-{s}", lambda s=s: _metric(s)) for s in SEEDS]
+    out += [(f"metric-{k}", lambda k=k: _odd_metric(k)) for k in ODD_METRICS]
     return out
 
 

@@ -1,6 +1,7 @@
 """Distance spaces, Vietoris-Rips construction, gluings, and the metric
 hypotheses as decidable predicates."""
 
+import math
 from fractions import Fraction
 from itertools import combinations
 
@@ -11,6 +12,8 @@ from ripsdecomp import (
     GluingMismatch,
     InvalidInput,
     MetricCover,
+    analyze_metric,
+    analyzer,
     check_cross_domination,
     check_shared_witness,
     check_simplex_assumption,
@@ -24,7 +27,12 @@ from ripsdecomp import (
 )
 from ripsdecomp.corpus import case_by_name, space_for
 
-from conftest import label_simplices, random_pseudometric, rng_for
+from conftest import (
+    label_simplices,
+    pseudometric_oracle,
+    random_pseudometric,
+    rng_for,
+)
 
 
 def mc_for(name, r=None):
@@ -80,6 +88,43 @@ class TestPseudometric:
                 continue
             glued = glue(dx, dy, shared)
             assert is_pseudometric(glued) is None
+
+    def test_matches_the_rational_oracle_with_its_first_witness(self):
+        rng = rng_for(211)
+        violating = 0
+        for trial in range(400):
+            n = trial % 7
+            labels = [f"p{i}" for i in range(n)]
+            if rng.random() < 0.5:
+                space = random_pseudometric(rng, labels, 4, (1, 2, 3, 7))
+                base = [list(row) for row in space.matrix]
+            else:
+                # unvalidated: asymmetric, nonzero diagonal
+                base = [
+                    [Fraction(rng.randint(0, 9), rng.choice((1, 2, 5, 6))) for _ in labels]
+                    for _ in labels
+                ]
+            for _ in range(rng.randint(0, 3) if n else 0):
+                i, j = rng.randrange(n), rng.randrange(n)
+                base[i][j] = rng.choice(
+                    [math.inf, Fraction(rng.randint(0, 30), rng.randint(1, 11))]
+                )
+                if rng.random() < 0.7:
+                    base[j][i] = base[i][j]
+            space = DistanceSpace(labels, base)
+            expected = pseudometric_oracle(space)
+            assert is_pseudometric(space) == expected, base
+            violating += expected is not None
+        assert 100 < violating < 300
+
+    def test_infinity_against_finite_sums(self):
+        inf = math.inf
+        split = DistanceSpace("abc", [[0, 1, inf], [1, 0, inf], [inf, inf, 0]])
+        assert is_pseudometric(split) is None
+        bridged = DistanceSpace("abc", [[0, 1, inf], [1, 0, 1], [inf, 1, 0]])
+        assert is_pseudometric(bridged) == pseudometric_oracle(bridged) == ("a", "b", "c")
+        assert is_pseudometric(DistanceSpace([], [])) is None
+        assert is_pseudometric(DistanceSpace(["a"], [[inf]])) is None
 
 
 class TestDiam:
@@ -356,3 +401,17 @@ class TestCoverValidation:
 
         with pytest.raises(CoverError):
             MetricCover(space, ["x"], ["y"], 1)
+
+
+class TestAnalyzeMetric:
+    def test_one_enumeration_per_report(self, monkeypatch):
+        calls = []
+        enumerate_p_complement = analyzer.enumerate_p_complement
+
+        def counted(*args):
+            calls.append(args)
+            return enumerate_p_complement(*args)
+
+        monkeypatch.setattr(analyzer, "enumerate_p_complement", counted)
+        report = analyze_metric(mc_for("nine-pt-circle"), dim_cap=3)
+        assert len(calls) == 1 and report.census["total"] > 0

@@ -1,13 +1,16 @@
 """The verification layer: independent theorem checks, the soundness gate,
-and the decompose path's freedom from rational elimination."""
+and the decompose path's freedom from rational elimination; the command
+line's refusal of bad fields and malformed documents."""
 
 import json
+import time
 
 import pytest
 
 from ripsdecomp import (
     Complex,
     CriterionVerdict,
+    InvalidInput,
     analyzer,
     check_cofiber_shift,
     cli,
@@ -15,6 +18,7 @@ from ripsdecomp import (
     mv_check,
 )
 from ripsdecomp.corpus import case_by_name, space_for
+from ripsdecomp.io import load_cover, load_input
 
 from conftest import (
     PROJECTIVE_PLANE,
@@ -163,3 +167,63 @@ class TestFieldOption:
         argv = write_facet_case(tmp_path, [[1, 2], [2, 3], [1, 3]], [1, 2], [2, 3])
         assert cli.main(["homology", argv[0], "--field", "zp:7", "--format", "json"]) == 0
         assert json.loads(capsys.readouterr().out)["zp:7"]["betti"]["1"] == 1
+
+    @pytest.mark.parametrize(
+        "field", ["zp:" + "7" * 402, "zp:1000000000000000003"], ids=["402-digits", "19-digits"]
+    )
+    def test_huge_prime_refused_quickly(self, tmp_path, capsys, field):
+        argv = write_facet_case(tmp_path, [[1, 2], [2, 3], [1, 3]], [1, 2], [2, 3])
+        start = time.perf_counter()
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["homology", argv[0], "--field", field])
+        assert time.perf_counter() - start < 1
+        assert exc.value.code == 2
+        assert "2**31" in capsys.readouterr().err
+
+    def test_largest_prime_below_the_limit_accepted(self, tmp_path, capsys):
+        argv = write_facet_case(tmp_path, [[1, 2], [2, 3], [1, 3]], [1, 2], [2, 3])
+        argv = ["homology", argv[0], "--field", "zp:2147483647", "--format", "json"]
+        assert cli.main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["zp:2147483647"]["betti"]["1"] == 1
+
+
+class TestMalformedDocuments:
+    @pytest.mark.parametrize(
+        "document,cover",
+        [
+            ({"points": ["a", "b"], "distances": 5}, {"X": ["a"], "Y": ["b"]}),
+            ({"points": ["a", "b"], "distances": [[0, 1], 5]}, {"X": ["a"], "Y": ["b"]}),
+            ({"facets": [5]}, {"X": [1], "Y": [1]}),
+            ({"facets": [[1, 2], [2, [3]]]}, {"X": [1, 2], "Y": [2]}),
+            ({"facets": [[1, 2], [2, 3], [1, 3]]}, {"X": 5, "Y": [2, 3]}),
+            ({"points": ["a", "b"], "distances": [[0, 1], [1, 0]]}, {"X": "ab", "Y": ["b"]}),
+            ({"points": "ab", "distances": [[0, 1], [1, 0]]}, {"X": ["a"], "Y": ["b"]}),
+            ({"points": ["a", "b"], "distances": ["01", "10"]}, {"X": ["a"], "Y": ["b"]}),
+            ({"facets": [{"1": 0, "2": 0}]}, {"X": ["1"], "Y": ["2"]}),
+            (
+                {"points": ["a", "b"], "distances": [[False, True], [True, False]]},
+                {"X": ["a"], "Y": ["b"]},
+            ),
+        ],
+        ids=[
+            "distances-a-number",
+            "row-a-number",
+            "facet-a-number",
+            "vertex-a-list",
+            "cover-set-a-number",
+            "cover-set-a-string",
+            "points-a-string",
+            "rows-strings",
+            "facet-a-dict",
+            "booleans-as-distances",
+        ],
+    )
+    def test_invalid_input_exits_two(self, tmp_path, capsys, document, cover):
+        (tmp_path / "input.json").write_text(json.dumps(document))
+        (tmp_path / "cover.json").write_text(json.dumps(cover))
+        paths = [str(tmp_path / "input.json"), "--cover", str(tmp_path / "cover.json")]
+        with pytest.raises(InvalidInput):
+            load_input(paths[0])
+            load_cover(paths[2])
+        assert cli.main(["decompose", *paths, "-r", "1"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
