@@ -226,24 +226,38 @@ class DecompositionReport:
 
 
 class _Obstruction:
-    """A cross simplex with its classified obstruction complex."""
+    """One distinct obstruction complex of a report, classified once.
 
-    __slots__ = ("simplex", "complex", "status", "certificate", "profile")
+    Cross simplices with equal obstructions point to the same record, so its
+    certificate, integral profile and connectivity are computed once.
+    """
 
-    def __init__(self, simplex, complex_, status, certificate):
-        self.simplex = simplex
+    __slots__ = ("complex", "status", "certificate", "profile", "conn")
+
+    def __init__(self, complex_, status, certificate):
         self.complex = complex_
         self.status = status
         self.certificate = certificate      # ContractibilityCertificate or None
         self.profile = None                 # reduced integral profile, on demand
-
-    @property
-    def dim(self):
-        return len(self.simplex) - 1
+        self.conn = None                    # see _Context.connectivity, on demand
 
     @property
     def certified(self):
         return self.certificate is not None
+
+
+class _Cross:
+    """A cross simplex and the record of its obstruction complex."""
+
+    __slots__ = ("simplex", "obs")
+
+    def __init__(self, simplex, obs):
+        self.simplex = simplex
+        self.obs = obs
+
+    @property
+    def dim(self):
+        return len(self.simplex) - 1
 
 
 class _Context:
@@ -257,33 +271,19 @@ class _Context:
         self.a = cover.a
         self.x_only = cover.x - cover.a
         self.y_only = cover.y - cover.a
-        self.items = []
-        for raw in enumerate_p_complement(complex_, cover, dim_cap):
-            if raw.status == STATUS_EMPTY:
-                info = _Obstruction(raw.simplex, raw.obstruction, STATUS_EMPTY, None)
-            elif raw.status == STATUS_CONE:
-                cert = ContractibilityCertificate(
-                    ContractibilityCertificate.CENTRAL, central=raw.certificate
-                )
-                info = _Obstruction(raw.simplex, raw.obstruction, STATUS_CONE, cert)
-            else:
-                cert = contractibility_certificate(raw.obstruction)
-                if cert is not None:
-                    info = _Obstruction(
-                        raw.simplex, raw.obstruction, STATUS_COLLAPSE, cert
-                    )
-                else:
-                    info = _Obstruction(
-                        raw.simplex, raw.obstruction, STATUS_HOMOLOGY_ONLY, None
-                    )
-            self.items.append(info)
+        # Obstruction records by Complex.content_key, a full key here: every
+        # complex recorded is a subcomplex of complex_, a full subcomplex when
+        # complex_ is a flag complex.
+        self._records = {}
+        self.items = [
+            _Cross(raw.simplex, self.record(raw.obstruction, raw.certificate))
+            for raw in enumerate_p_complement(complex_, cover, dim_cap)
+        ]
         self.edge_items = [it for it in self.items if it.dim == 1]
-        kdim = complex_.dim()
-        self.full_coverage = kdim <= dim_cap and not (
-            complex_.is_flag and kdim == complex_.dim_cap == dim_cap
-        )
-        # connectivity cache keyed by obstruction identity
-        self._conn = {}
+        # Full coverage: no simplex above dim_cap and, when dim_cap is a flag
+        # complex's own cap, none at it, as cliques past the cap go unseen.
+        top = dim_cap if complex_.is_flag and dim_cap == complex_.dim_cap else dim_cap + 1
+        self.full_coverage = not complex_.has_simplex_of_dim(top)
 
     def label(self, v):
         return str(self.complex.label_of(v))
@@ -291,26 +291,53 @@ class _Context:
     def label_simplex(self, sigma):
         return "{" + ",".join(self.label(v) for v in sigma) + "}"
 
-    def obstruction_profile(self, item):
-        if item.profile is None and item.status != STATUS_EMPTY:
-            item.profile = homology(
-                item.complex.to_explicit(full=True), "z", reduced=True
-            )
-        return item.profile
+    def find(self, complex_):
+        """The record of a complex already seen in this report, or None."""
+        return self._records.get(complex_.content_key())
 
-    def connectivity(self, item):
+    def record(self, complex_, central=None):
+        """The one record of a complex, classified on first sight: empty, a
+        cone on ``central`` when enumeration found it, else by certificate
+        search (a cone or a collapse, or homology-only when none is found)."""
+        key = complex_.content_key()
+        obs = self._records.get(key)
+        if obs is None:
+            if complex_.is_empty:
+                obs = _Obstruction(complex_, STATUS_EMPTY, None)
+            elif central is not None:
+                cert = ContractibilityCertificate(
+                    ContractibilityCertificate.CENTRAL, central=central
+                )
+                obs = _Obstruction(complex_, STATUS_CONE, cert)
+            else:
+                cert = contractibility_certificate(complex_)
+                if cert is None:
+                    status = STATUS_HOMOLOGY_ONLY
+                elif cert.kind == ContractibilityCertificate.CENTRAL:
+                    status = STATUS_CONE
+                else:
+                    status = STATUS_COLLAPSE
+                obs = _Obstruction(complex_, status, cert)
+            self._records[key] = obs
+        return obs
+
+    def obstruction_profile(self, obs):
+        if obs.profile is None and obs.status != STATUS_EMPTY:
+            obs.profile = homology(obs.complex.to_explicit(full=True), "z", reduced=True)
+        return obs.profile
+
+    def connectivity(self, obs):
         """(certified contractible, homological connectivity) of an obstruction.
 
         Homological connectivity is the largest n with trivial reduced
         integral homology through degree n ("all" when it is trivial in
         every degree, -1 when already disconnected, None when empty).
         """
-        key = id(item)
-        if key not in self._conn:
-            if item.status == STATUS_EMPTY:
-                self._conn[key] = (False, None)
+        if obs.conn is None:
+            if obs.status == STATUS_EMPTY:
+                obs.conn = (False, None)
             else:
-                profile = self.obstruction_profile(item)
+                profile = self.obstruction_profile(obs)
                 top = profile.degrees[-1]
                 n = -1
                 for d in range(0, top + 1):
@@ -318,17 +345,16 @@ class _Context:
                         n = d
                     else:
                         break
-                conn = "all" if n == top else n
-                self._conn[key] = (item.certified, conn)
-        return self._conn[key]
+                obs.conn = (obs.certified, "all" if n == top else n)
+        return obs.conn
 
-    def certain_connectivity(self, item):
+    def certain_connectivity(self, obs):
         """Largest n for which "the obstruction is n-connected" is certified.
 
         Certificates give every n ("all"); otherwise only degree 0 can be
         certified homologically, and anything beyond is inconclusive.
         """
-        certified, conn = self.connectivity(item)
+        certified, conn = self.connectivity(obs)
         if conn is None:
             return None
         if certified:
@@ -337,8 +363,8 @@ class _Context:
             return -1
         return 0
 
-    def shadow_connectivity(self, item):
-        return self.connectivity(item)[1]
+    def shadow_connectivity(self, obs):
+        return self.connectivity(obs)[1]
 
 
 def _conn_at_least(value, n):
@@ -413,7 +439,7 @@ def _crit_contractible(ctx):
             verified_up_to=vut,
         )
     for it in ctx.items:
-        if it.status == STATUS_EMPTY:
+        if it.obs.status == STATUS_EMPTY:
             return CriterionVerdict(
                 "contractible-obstructions",
                 FAILS,
@@ -421,7 +447,7 @@ def _crit_contractible(ctx):
                 detail="empty obstruction complex",
                 verified_up_to=vut,
             )
-    bad = [it for it in ctx.items if not it.certified]
+    bad = [it for it in ctx.items if not it.obs.certified]
     if not bad:
         return CriterionVerdict(
             "contractible-obstructions",
@@ -432,7 +458,7 @@ def _crit_contractible(ctx):
             verified_up_to=vut,
         )
     it = bad[0]
-    if ctx.shadow_connectivity(it) == "all":
+    if ctx.shadow_connectivity(it.obs) == "all":
         return CriterionVerdict(
             "contractible-obstructions",
             INCONCLUSIVE,
@@ -452,7 +478,7 @@ def _crit_contractible(ctx):
 def _crit_acyclic(ctx):
     vut = None if ctx.full_coverage else ctx.dim_cap
     for it in ctx.items:
-        if it.status == STATUS_EMPTY:
+        if it.obs.status == STATUS_EMPTY:
             return CriterionVerdict(
                 "acyclic-obstructions",
                 FAILS,
@@ -460,7 +486,7 @@ def _crit_acyclic(ctx):
                 detail="empty obstruction complex",
                 verified_up_to=vut,
             )
-        if ctx.shadow_connectivity(it) != "all":
+        if ctx.shadow_connectivity(it.obs) != "all":
             return CriterionVerdict(
                 "acyclic-obstructions",
                 FAILS,
@@ -483,7 +509,7 @@ def _crit_torsion(ctx):
     vut = None if ctx.full_coverage else ctx.dim_cap
     primes = set()
     for it in ctx.items:
-        if it.status == STATUS_EMPTY:
+        if it.obs.status == STATUS_EMPTY:
             return CriterionVerdict(
                 "torsion-obstructions",
                 FAILS,
@@ -491,7 +517,7 @@ def _crit_torsion(ctx):
                 detail="empty obstruction complex",
                 verified_up_to=vut,
             )
-        profile = ctx.obstruction_profile(it)
+        profile = ctx.obstruction_profile(it.obs)
         for powers in profile.torsion.values():
             for q in powers:
                 p = q
@@ -517,7 +543,7 @@ def _crit_torsion(ctx):
     p = primes.pop()
     best = None
     for it in ctx.items:
-        profile = ctx.obstruction_profile(it)
+        profile = ctx.obstruction_profile(it.obs)
         if profile.betti.get(0, 0) != 0 or profile.betti.get(-1, 0) != 0:
             return CriterionVerdict(
                 "torsion-obstructions",
@@ -550,9 +576,9 @@ def _crit_torsion(ctx):
 def _connectivity_over(ctx, items, n):
     """Status of "every obstruction in items is n-connected"."""
     for it in items:
-        if it.status == STATUS_EMPTY:
+        if it.obs.status == STATUS_EMPTY:
             return FAILS, ctx.label_simplex(it.simplex), "empty obstruction complex"
-        if not _conn_at_least(ctx.shadow_connectivity(it), n):
+        if not _conn_at_least(ctx.shadow_connectivity(it.obs), n):
             return (
                 FAILS,
                 ctx.label_simplex(it.simplex),
@@ -560,7 +586,7 @@ def _connectivity_over(ctx, items, n):
             )
     if n >= 1:
         for it in items:
-            if not it.certified:
+            if not it.obs.certified:
                 return (
                     INCONCLUSIVE,
                     ctx.label_simplex(it.simplex),
@@ -576,7 +602,7 @@ def _crit_obstruction_connectivity(ctx):
         return CriterionVerdict(
             crit, NOT_APPLICABLE, detail="no cross simplices", verified_up_to=vut
         )
-    certain = [ctx.certain_connectivity(it) for it in ctx.items]
+    certain = [ctx.certain_connectivity(it.obs) for it in ctx.items]
     if any(c is None for c in certain):
         it = ctx.items[[c is None for c in certain].index(True)]
         return CriterionVerdict(
@@ -600,7 +626,7 @@ def _crit_obstruction_connectivity(ctx):
     else:
         n = 0
     shadow = min(
-        (ctx.shadow_connectivity(it) for it in ctx.items),
+        (ctx.shadow_connectivity(it.obs) for it in ctx.items),
         key=lambda v: 10**6 if v == "all" else v,
     )
     detail = None
@@ -644,9 +670,9 @@ def _crit_edge_intersection(ctx):
     crit = "edge-intersection-nonempty"
     if not ctx.edge_items:
         return CriterionVerdict(crit, NOT_APPLICABLE, detail="no cross edges")
-    common = set(ctx.edge_items[0].complex.vertices)
+    common = set(ctx.edge_items[0].obs.complex.vertices)
     for it in ctx.edge_items[1:]:
-        common &= set(it.complex.vertices)
+        common &= set(it.obs.complex.vertices)
     if common:
         v = min(common)
         return CriterionVerdict(
@@ -664,32 +690,14 @@ def _crit_edge_intersection(ctx):
     )
 
 
-def _constant_family(ctx, items):
-    """The common obstruction complex, or None when they differ."""
+def _constant_family(items):
+    """The obstruction record every item shares, or None when they differ."""
     if not items:
         return None
-    first = items[0].complex
-    for it in items[1:]:
-        if it.complex != first:
-            return None
+    first = items[0].obs
+    if any(it.obs is not first for it in items[1:]):
+        return None
     return first
-
-
-def _complex_connectivity(ctx, complex_):
-    """(certified, homological connectivity) for an arbitrary complex."""
-    if complex_.is_empty:
-        return (False, None)
-    profile = homology(complex_.to_explicit(full=True), "z", reduced=True)
-    top = profile.degrees[-1]
-    n = -1
-    for d in range(0, top + 1):
-        if profile.betti.get(d, 0) == 0 and not profile.torsion_at(d):
-            n = d
-        else:
-            break
-    conn = "all" if n == top else n
-    cert = contractibility_certificate(complex_) is not None
-    return (cert, conn)
 
 
 def _status_for_target(cert, conn, n):
@@ -711,10 +719,10 @@ def _crit_constant_obstruction(ctx):
         items = [it for it in ctx.items if it.dim <= n + 1]
         if not items:
             return NOT_APPLICABLE, None, "no cross simplices in range"
-        common = _constant_family(ctx, items)
+        common = _constant_family(items)
         if common is None:
             return FAILS, None, "obstruction complexes differ across cross simplices"
-        cert, conn = _complex_connectivity(ctx, common)
+        cert, conn = ctx.connectivity(common)
         status, why = _status_for_target(cert, conn, n)
         return status, None, why
 
@@ -734,23 +742,23 @@ def _crit_full_intersection(ctx):
     crit = "full-intersection-obstruction"
     if not ctx.items:
         return CriterionVerdict(crit, NOT_APPLICABLE, detail="no cross simplices")
-    ka = ctx.complex.restrict(ctx.a)
-    cert, conn = (None, None) if ka.is_empty else _complex_connectivity(ctx, ka)
+    # None when no cross simplex has K[A] as its obstruction
+    ka = ctx.find(ctx.complex.restrict(ctx.a))
 
     def holds_at(n):
         items = [it for it in ctx.items if it.dim <= n + 1]
         if not items:
             return NOT_APPLICABLE, None, "no cross simplices in range"
         for it in items:
-            if it.complex != ka:
+            if it.obs is not ka:
                 return (
                     FAILS,
                     ctx.label_simplex(it.simplex),
                     "obstruction differs from the full intersection restriction",
                 )
-        if ka.is_empty:
+        if ka.status == STATUS_EMPTY:
             return FAILS, None, "the intersection restriction is empty"
-        status, why = _status_for_target(cert, conn, n)
+        status, why = _status_for_target(*ctx.connectivity(ka), n)
         return status, None, why
 
     n, status, witness, detail = _scan_best_n(ctx, holds_at)
@@ -888,7 +896,7 @@ def _crit_edge_standard(ctx):
     if not ctx.edge_items:
         return CriterionVerdict(crit, NOT_APPLICABLE, detail="no cross edges")
     for it in ctx.edge_items:
-        if not _is_standard(it.complex):
+        if not _is_standard(it.obs.complex):
             return CriterionVerdict(
                 crit,
                 FAILS,
@@ -899,7 +907,7 @@ def _crit_edge_standard(ctx):
     def holds_at(n):
         items = [it for it in ctx.items if it.dim <= n + 1]
         for it in items:
-            if it.status == STATUS_EMPTY:
+            if it.obs.status == STATUS_EMPTY:
                 return FAILS, ctx.label_simplex(it.simplex), "empty obstruction"
         return HOLDS, None, None
 
@@ -922,12 +930,12 @@ def _crit_edge_constant(ctx):
         return _not_clique(crit)
     if not ctx.edge_items:
         return CriterionVerdict(crit, NOT_APPLICABLE, detail="no cross edges")
-    common = _constant_family(ctx, ctx.edge_items)
+    common = _constant_family(ctx.edge_items)
     if common is None:
         return CriterionVerdict(
             crit, FAILS, detail="edge obstruction complexes differ"
         )
-    cert, conn = _complex_connectivity(ctx, common)
+    cert, conn = ctx.connectivity(common)
     if conn is None:
         return CriterionVerdict(crit, FAILS, detail="the common edge obstruction is empty")
     if conn == -1:
@@ -966,8 +974,7 @@ def _crit_edge_full_intersection(ctx):
                     witness=f"{ctx.label_simplex(it.simplex)}+{ctx.label(v)}",
                     detail="a cross edge fails to extend by an intersection vertex",
                 )
-    ka = ctx.complex.restrict(ctx.a)
-    cert, conn = _complex_connectivity(ctx, ka)
+    cert, conn = ctx.connectivity(ctx.record(ctx.complex.restrict(ctx.a)))
     if conn is None or conn == -1:
         return CriterionVerdict(
             crit, FAILS, detail="the intersection restriction is empty or disconnected"
@@ -1039,7 +1046,7 @@ def _crit_edge_singleton_extension(ctx):
 def _edge_obstruction_common_vertices(ctx):
     common = None
     for it in ctx.edge_items:
-        verts = set(it.complex.vertices)
+        verts = set(it.obs.complex.vertices)
         common = verts if common is None else common & verts
     return common or set()
 
@@ -1053,7 +1060,7 @@ def _crit_clique_entry_adjacent(ctx):
     for v in sorted(_edge_obstruction_common_vertices(ctx)):
         ok = True
         for it in ctx.edge_items:
-            for w in it.complex.vertices:
+            for w in it.obs.complex.vertices:
                 if w != v and make_simplex((v, w)) not in ctx.complex:
                     ok = False
                     break
@@ -1081,7 +1088,7 @@ def _crit_clique_entry_central(ctx):
     if not ctx.edge_items:
         return CriterionVerdict(crit, NOT_APPLICABLE, detail="no cross edges")
     for v in sorted(_edge_obstruction_common_vertices(ctx)):
-        if all(it.complex.is_central((v,)) for it in ctx.edge_items):
+        if all(it.obs.complex.is_central((v,)) for it in ctx.edge_items):
             return CriterionVerdict(
                 crit,
                 HOLDS,
@@ -1360,7 +1367,7 @@ def _metric_verdicts(mc, ctx):
     if not ctx.edge_items:
         verdicts.append(CriterionVerdict(crit, NOT_APPLICABLE, detail="no cross edges"))
     else:
-        common = _constant_family(ctx, ctx.edge_items)
+        common = _constant_family(ctx.edge_items)
         if common is None:
             verdicts.append(
                 CriterionVerdict(
@@ -1368,7 +1375,7 @@ def _metric_verdicts(mc, ctx):
                 )
             )
         else:
-            cert, conn = _complex_connectivity(ctx, common)
+            cert, conn = ctx.connectivity(common)
             status, why = _status_for_target(cert, conn, 0)
             if status == HOLDS:
                 n = "all" if cert else 0
@@ -1409,8 +1416,7 @@ def _metric_verdicts(mc, ctx):
                 CriterionVerdict(crit, FAILS, detail="the intersection is empty")
             )
         else:
-            ka = ctx.complex.restrict(ctx.a)
-            cert, conn = _complex_connectivity(ctx, ka)
+            cert, conn = ctx.connectivity(ctx.record(ctx.complex.restrict(ctx.a)))
             status, why = _status_for_target(cert, conn, 0)
             if status == HOLDS:
                 n = "all" if cert else 0
@@ -1472,7 +1478,7 @@ def _metric_verdicts(mc, ctx):
         )
     elif simplex_check.ok:
         for it in ctx.edge_items:
-            if it.status == STATUS_EMPTY or not _is_standard(it.complex):
+            if it.obs.status == STATUS_EMPTY or not _is_standard(it.obs.complex):
                 raise AssertionError(
                     "simplex condition certified but an edge obstruction is not a "
                     f"nonempty standard simplex at {ctx.label_simplex(it.simplex)}"
@@ -1505,7 +1511,8 @@ def _metric_verdicts(mc, ctx):
                 len(set(it.simplex) & ctx.x_only) == len(set(it.simplex) & mc.x) == 1
                 or len(set(it.simplex) & ctx.y_only) == len(set(it.simplex) & mc.y) == 1
             )
-            if one_sided and (it.status == STATUS_EMPTY or not _is_standard(it.complex)):
+            standard = it.obs.status != STATUS_EMPTY and _is_standard(it.obs.complex)
+            if one_sided and not standard:
                 raise AssertionError(
                     "strong simplex condition certified but a one-sided cross simplex "
                     f"has a bad obstruction at {ctx.label_simplex(it.simplex)}"
@@ -1626,7 +1633,7 @@ def _census(ctx):
     by_status = {}
     for it in ctx.items:
         by_dim[str(it.dim)] = by_dim.get(str(it.dim), 0) + 1
-        by_status[it.status] = by_status.get(it.status, 0) + 1
+        by_status[it.obs.status] = by_status.get(it.obs.status, 0) + 1
     return {"total": len(ctx.items), "by_dim": by_dim, "by_status": by_status}
 
 
@@ -1636,24 +1643,24 @@ def _item_records(ctx, include_profiles):
         rec = {
             "simplex": [ctx.label(v) for v in it.simplex],
             "dim": it.dim,
-            "status": it.status,
-            "obstruction_vertices": [ctx.label(v) for v in it.complex.vertices],
+            "status": it.obs.status,
+            "obstruction_vertices": [ctx.label(v) for v in it.obs.complex.vertices],
             "certificate": None,
             "profile": None,
         }
-        if it.certificate is not None:
-            if it.certificate.kind == ContractibilityCertificate.CENTRAL:
+        if it.obs.certificate is not None:
+            if it.obs.certificate.kind == ContractibilityCertificate.CENTRAL:
                 rec["certificate"] = {
                     "kind": "central",
-                    "simplex": [ctx.label(v) for v in it.certificate.central],
+                    "simplex": [ctx.label(v) for v in it.obs.certificate.central],
                 }
             else:
                 rec["certificate"] = {
                     "kind": "collapse",
-                    "steps": len(it.certificate.collapses),
+                    "steps": len(it.obs.certificate.collapses),
                 }
-        if include_profiles and it.status == STATUS_HOMOLOGY_ONLY:
-            rec["profile"] = ctx.obstruction_profile(it).to_dict()
+        if include_profiles and it.obs.status == STATUS_HOMOLOGY_ONLY:
+            rec["profile"] = ctx.obstruction_profile(it.obs).to_dict()
         records.append(rec)
     return records
 
@@ -1670,14 +1677,14 @@ def _clique_shortcut_audit(ctx, samples=5):
             for v in sorted(ctx.a)
             if make_simplex(sigma + (v,)) in ctx.complex
         ]
-        if list(it.complex.vertices) != direct_vertices:
+        if list(it.obs.complex.vertices) != direct_vertices:
             raise AssertionError(
                 f"obstruction vertices disagree with the definition at {sigma}"
             )
         for i, u in enumerate(direct_vertices):
             for w in direct_vertices[i + 1 :]:
                 expected = make_simplex(sigma + (u, w)) in ctx.complex
-                got = (u, w) in it.complex
+                got = (u, w) in it.obs.complex
                 if expected != got:
                     raise AssertionError(
                         f"obstruction edge ({u},{w}) disagrees with the definition at {sigma}"
@@ -1691,8 +1698,9 @@ def analyze(complex_, cover, dim_cap=None, fields=("q", "z"), verify=True):
     the five complexes in the cover square, the induced maps of the union
     inclusion over each requested field, and a soundness block that
     cross-checks every certified conclusion against them.  The report is
-    built from one analysis context: the cross simplices are enumerated and
-    their obstructions certified once.
+    built from one analysis context: the cross simplices are enumerated once,
+    and each distinct obstruction complex among them is certified and
+    profiled once, however many cross simplices share it.
     """
     if dim_cap is None:
         dim_cap = complex_.dim_cap if complex_.is_flag else 4

@@ -36,6 +36,7 @@ __all__ = [
     "STATUS_CONE",
     "STATUS_EMPTY",
     "STATUS_HOMOLOGY_ONLY",
+    "central_vertex",
     "cover_union",
     "enumerate_p_complement",
     "make_simplex",
@@ -225,6 +226,32 @@ class Complex:
         if self.is_flag:
             return len(self._clique_levels(self.dim_cap)) - 1
         return max(len(s) for s in self._simplices) - 1
+
+    def has_simplex_of_dim(self, d):
+        """True when the complex has a simplex of dimension ``d`` (d >= 0).
+
+        A flag complex searches its cliques depth first and stops at the
+        first one found; membership is exact, so the cap does not apply.
+        """
+        if not self.is_flag:
+            return any(len(s) == d + 1 for s in self._simplices)
+        adj = self._adj
+
+        def extend(size, candidates):
+            if size == d + 1:
+                return True
+            return any(
+                extend(size + 1, {w for w in candidates & adj[v] if w > v})
+                for v in candidates
+            )
+
+        return extend(0, set(self._vertices))
+
+    def content_key(self):
+        """Hashable content: the simplex set of an explicit complex, the vertex
+        set of a flag one.  Two full subcomplexes of one flag complex are equal
+        exactly when their vertex sets are, so among those it is a full key."""
+        return self._vertices if self.is_flag else self._simplices
 
     def has_simplices_above_cap(self):
         """True when a flag complex owns cliques it refuses to enumerate.
@@ -465,26 +492,28 @@ STATUS_HOMOLOGY_ONLY = "homology-only"
 
 
 class PComplementItem:
-    """One cross simplex (outside the cover's poset) with its obstruction."""
+    """One cross simplex (outside the cover's poset) with its obstruction.
 
-    __slots__ = ("simplex", "obstruction", "status", "certificate", "profile")
+    Cross simplices with the same obstruction share one ``Complex`` object,
+    status and certificate.
+    """
 
-    def __init__(self, simplex, obstruction, status, certificate=None, profile=None):
+    __slots__ = ("simplex", "obstruction", "status", "certificate")
+
+    def __init__(self, simplex, obstruction, status, certificate=None):
         self.simplex = simplex
         self.obstruction = obstruction
         self.status = status
         self.certificate = certificate   # a central simplex when status == "cone"
-        self.profile = profile           # filled in by homology-aware callers
 
     def __repr__(self):
         return f"PComplementItem({self.simplex}, {self.status})"
 
 
-def _central_vertex(complex_):
-    """Smallest central vertex, or None.  Complete for cone detection since
-    any central simplex makes each of its vertices central."""
-    if complex_.is_empty:
-        return None
+def central_vertex(complex_):
+    """Smallest central vertex, or None.  Complete for cone detection: a
+    complex has a central simplex exactly when it has a central vertex,
+    since any central simplex makes each of its vertices central."""
     for v in complex_.vertices:
         if complex_.is_central((v,)):
             return v
@@ -497,25 +526,54 @@ def enumerate_p_complement(complex_, cover, dim_cap):
     Each simplex of dimension <= dim_cap is paired with its obstruction
     complex over the intersection and a status: ``empty``, ``cone`` (with a
     central vertex as certificate), or ``homology-only`` (undecided here).
-    Deterministic (dimension, lexicographic) order.
+    Items whose obstructions are equal share one obstruction object, status
+    and certificate, classified once.  Deterministic (dimension,
+    lexicographic) order.
+
+    The obstruction of sigma is the set of simplices tau of K[A] with
+    sigma + tau in K.  For a flag complex that is the full subcomplex on the
+    intersection vertices adjacent to every vertex of sigma.
     """
     cover.validate(complex_)
     a = cover.a
     outside = complex_.restrict(set(complex_.vertices) - a)
     x_only = cover.x - a
     y_only = cover.y - a
+    if complex_.is_flag:
+        adj = complex_._adj
+
+        def obstruction_key(sigma):
+            return tuple(sorted(a.intersection(*(adj[u] for u in sigma))))
+
+        build = complex_.restrict
+    else:
+        ka = complex_.restrict(a)._simplices
+        whole = complex_._simplices
+
+        def obstruction_key(sigma):
+            return frozenset(t for t in ka if tuple(sorted(t + sigma)) in whole)
+
+        def build(simplices):
+            vertices = {v for t in simplices for v in t}
+            return Complex(simplices=simplices, vertices=vertices, labels=complex_.labels)
+
+    classified = {}
     items = []
     for sigma in outside.simplices(max_dim=dim_cap):
         sset = set(sigma)
         if sset & x_only and sset & y_only:
-            obs = complex_.obstruction(sigma, a)
-            if obs.is_empty:
-                items.append(PComplementItem(sigma, obs, STATUS_EMPTY))
-            else:
-                v = _central_vertex(obs)
-                if v is not None:
-                    items.append(PComplementItem(sigma, obs, STATUS_CONE, certificate=(v,)))
+            key = obstruction_key(sigma)
+            shared = classified.get(key)
+            if shared is None:
+                obs = build(key)
+                v = central_vertex(obs)
+                if obs.is_empty:
+                    shared = (obs, STATUS_EMPTY, None)
+                elif v is None:
+                    shared = (obs, STATUS_HOMOLOGY_ONLY, None)
                 else:
-                    items.append(PComplementItem(sigma, obs, STATUS_HOMOLOGY_ONLY))
+                    shared = (obs, STATUS_CONE, (v,))
+                classified[key] = shared
+            items.append(PComplementItem(sigma, *shared))
     items.sort(key=lambda it: (len(it.simplex), it.simplex))
     return items

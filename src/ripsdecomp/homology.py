@@ -18,10 +18,11 @@ a collapse sequence down to a vertex.  Trivial homology without a
 certificate is reported as acyclic, never as contractible.
 """
 
+import heapq
 from itertools import combinations
 
 from . import linalg
-from .complexes import Complex, make_simplex
+from .complexes import Complex, central_vertex, make_simplex
 from .errors import (
     EmptyComplex,
     EnumerationRefused,
@@ -401,34 +402,47 @@ class ContractibilityCertificate:
         return f"ContractibilityCertificate(collapses={len(self.collapses)})"
 
 
-def central_vertex(complex_):
-    """Smallest central vertex, or None.  Complete for cone detection: a
-    complex has a central simplex exactly when it has a central vertex."""
-    for v in complex_.vertices:
-        if complex_.is_central((v,)):
-            return v
-    return None
-
-
 def _greedy_collapse(simplices):
-    """Greedy elementary collapses; returns the pair sequence or None."""
+    """Greedy elementary collapses of a downward-closed family; returns the
+    pair sequence or None when no free face is left.
+
+    Each step removes the smallest free face in (size, lexicographic) order
+    with its one proper coface.  In a simplicial complex a face is free
+    exactly when it has one cofacet (a second coface would contain two), so
+    removing a pair changes the freeness only of the facets of the pair.
+    Those are pushed again; stale heap entries are skipped when popped.
+    """
     current = set(simplices)
+    cofacets = {s: set() for s in current}
+    for t in current:
+        for s in _facets(t):
+            cofacets[s].add(t)
+    heap = [(len(s), s) for s in current if len(cofacets[s]) == 1]
+    heapq.heapify(heap)
     seq = []
     while len(current) > 1:
-        found = None
-        for s in sorted(current, key=lambda t: (len(t), t)):
-            cofaces = [
-                t for t in current if len(t) > len(s) and set(s) < set(t)
-            ]
-            if len(cofaces) == 1:
-                found = (s, cofaces[0])
+        while heap:
+            s = heapq.heappop(heap)[1]
+            if s in current and len(cofacets[s]) == 1:
                 break
-        if found is None:
+        else:
             return None
-        current.discard(found[0])
-        current.discard(found[1])
-        seq.append(found)
+        t = next(iter(cofacets[s]))
+        seq.append((s, t))
+        for u in (s, t):
+            current.discard(u)
+            for f in _facets(u):
+                cofacets[f].discard(u)
+                if f in current and len(cofacets[f]) == 1:
+                    heapq.heappush(heap, (len(f), f))
     return seq
+
+
+def _facets(s):
+    """The codimension-one faces of a simplex (none for a vertex)."""
+    if len(s) == 1:
+        return ()
+    return [s[:i] + s[i + 1 :] for i in range(len(s))]
 
 
 def contractibility_certificate(complex_):

@@ -245,6 +245,8 @@ def field_of(name):
     digits = name[3:] if name.startswith("zp:") else ""
     if not (digits.isascii() and digits.isdigit()):
         raise InvalidInput(f"not a field descriptor: {name!r}")
+    if len(digits) > 10:    # 2**31 has 10 digits; int() refuses past 4,300
+        raise InvalidInput("prime fields need p < 2**31")
     return GF(int(digits))
 
 

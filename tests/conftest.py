@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
-from ripsdecomp import Complex, Cover, DistanceSpace
+from ripsdecomp import Complex, Cover, DistanceSpace, MetricCover
 
 # the standard 6-vertex triangulation of the real projective plane
 PROJECTIVE_PLANE = [
@@ -73,6 +73,31 @@ def random_pseudometric(rng, labels, max_whole=6, denominators=None):
     return DistanceSpace(labels, dist)
 
 
+def circle_cover(n):
+    """Circle metric d(i, j) = min(|i-j|, n-|i-j|) at r = n/4, with
+    X = {i mod 3 != 2} and Y = {i mod 3 != 1}."""
+    labels = [f"c{i}" for i in range(n)]
+    dist = [[min(abs(i - j), n - abs(i - j)) for j in range(n)] for i in range(n)]
+    x = [labels[i] for i in range(n) if i % 3 != 2]
+    y = [labels[i] for i in range(n) if i % 3 != 1]
+    return MetricCover(DistanceSpace(labels, dist), x, y, Fraction(n, 4))
+
+
+def grid_cover(seed, n, side, radius):
+    """n distinct points of a side x side grid under the L-inf distance, with
+    a shuffled i mod 3 cover (a third X only, a third Y only, a third both)."""
+    rng = rng_for(4000 + seed)
+    cells = [(x, y) for x in range(side) for y in range(side)]
+    pts = rng.sample(cells, n)
+    dist = [[max(abs(p[0] - q[0]), abs(p[1] - q[1])) for q in pts] for p in pts]
+    labels = [f"g{i}" for i in range(n)]
+    role = [i % 3 for i in range(n)]
+    rng.shuffle(role)
+    x = [lab for lab, r in zip(labels, role) if r != 2]
+    y = [lab for lab, r in zip(labels, role) if r != 1]
+    return MetricCover(DistanceSpace(labels, dist), x, y, radius)
+
+
 def pseudometric_oracle(space):
     """First (x, y, z) in label order with d(x, z) > d(x, y) + d(y, z),
     by the plain triple loop over the extended rationals; else None."""
@@ -84,6 +109,27 @@ def pseudometric_oracle(space):
                 if m[i][k] > m[i][j] + m[j][k]:
                     return (space.labels[i], space.labels[j], space.labels[k])
     return None
+
+
+def greedy_collapse_oracle(simplices):
+    """Greedy elementary collapses by the plain rescan: each step sorts the
+    survivors by (size, lexicographic) and takes the first with exactly one
+    proper coface; returns the pair sequence, or None when stuck."""
+    current = set(simplices)
+    seq = []
+    while len(current) > 1:
+        found = None
+        for s in sorted(current, key=lambda t: (len(t), t)):
+            cofaces = [t for t in current if len(t) > len(s) and set(s) < set(t)]
+            if len(cofaces) == 1:
+                found = (s, cofaces[0])
+                break
+        if found is None:
+            return None
+        current.discard(found[0])
+        current.discard(found[1])
+        seq.append(found)
+    return seq
 
 
 def rank_oracle(mat):

@@ -279,6 +279,24 @@ class TestFlagRepresentation:
                             assert face in simplices
 
 
+class TestSimplexOfDim:
+    def test_flag_search_agrees_with_clique_levels(self):
+        rng = rng_for(112)
+        for _ in range(80):
+            k = random_flag(rng, max_vertices=9, edge_p=rng.choice((0.3, 0.6, 0.9)), dim_cap=4)
+            top = len(k._clique_levels(k.dim_cap)) - 1
+            for d in range(k.dim_cap + 1):
+                assert k.has_simplex_of_dim(d) == (top >= d)
+
+    def test_flag_search_ignores_the_cap(self):
+        capped = Complex.flag(range(5), Complex.simplex_on(range(5)).edges(), dim_cap=2)
+        assert capped.has_simplex_of_dim(4) and not capped.has_simplex_of_dim(5)
+
+    def test_explicit(self):
+        k = Complex.from_facets([[1, 2, 3], [3, 4]])
+        assert [k.has_simplex_of_dim(d) for d in range(4)] == [True, True, True, False]
+
+
 class TestPComplement:
     def test_square_single_edge(self):
         case = case_by_name("square-4pt")
@@ -300,6 +318,24 @@ class TestPComplement:
         items = enumerate_p_complement(k, cover, 1)
         labels = [tuple(space.labels[v] for v in it.simplex) for it in items]
         assert labels == [("x1", "y"), ("x2", "y")]
+
+    def test_obstructions_match_the_definition_and_are_shared(self):
+        rng = rng_for(111)
+        shared = 0
+        for i in range(60):
+            k = random_flag(rng, max_vertices=9, dim_cap=3) if i % 2 else random_complex(rng)
+            cover = random_cover(rng, k)
+            items = enumerate_p_complement(k, cover, 3)
+            by_key = {}
+            for it in items:
+                expected = k.obstruction(it.simplex, cover.a)
+                assert it.obstruction == expected, (it.simplex, k.simplices())
+                assert it.obstruction.labels is k.labels
+                first = by_key.setdefault(expected.content_key(), it)
+                assert it.obstruction is first.obstruction
+                assert (it.status, it.certificate) == (first.status, first.certificate)
+                shared += it is not first
+        assert shared > 20
 
     def test_absorbing_intersection_gives_empty(self):
         k = Complex.from_facets([[0, 1], [1, 2]])

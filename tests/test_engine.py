@@ -213,6 +213,11 @@ class TestFieldDescriptor:
         with pytest.raises(InvalidInput):
             field_of(name)
 
+    @pytest.mark.parametrize("digits", ["9" * 11, "9" * 5000])
+    def test_long_digit_strings_refused_before_conversion(self, digits):
+        with pytest.raises(InvalidInput, match="2\\*\\*31"):
+            field_of("zp:" + digits)
+
     def test_composite_prime_field_rejected(self):
         with pytest.raises(InvalidInput):
             GF(9)

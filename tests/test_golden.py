@@ -1,10 +1,13 @@
 """Byte identity of rendered decomposition reports.
 
 Each file under ``tests/golden/`` is the ``render_json`` output of one
-instance, recorded from the dense rational engine: every corpus case, plus
+instance, recorded before the code it guards was changed (the first ones
+from the dense rational engine): every corpus case, plus
 seeded explicit and metric instances verified over q, z, zp:2 and zp:3,
-and three metric instances whose distances break the triangle inequality,
-reach "inf", or have mixed denominators.
+three metric instances whose distances break the triangle inequality,
+reach "inf", or have mixed denominators, and two Vietoris-Rips instances
+whose cross simplices share obstruction complexes (a circle and an L-inf
+grid cloud, verified over q and z).
 Rebuild them only from a commit whose outputs are trusted:
 
     PYTHONPATH=src python tests/test_golden.py
@@ -20,7 +23,14 @@ from ripsdecomp import Complex, DistanceSpace, MetricCover, analyze, analyze_met
 from ripsdecomp.corpus import CASES, run_case
 from ripsdecomp.reporting import render_json
 
-from conftest import PROJECTIVE_PLANE, random_cover, random_pseudometric, rng_for
+from conftest import (
+    PROJECTIVE_PLANE,
+    circle_cover,
+    grid_cover,
+    random_cover,
+    random_pseudometric,
+    rng_for,
+)
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 FIELDS = ["q", "z", "zp:2", "zp:3"]
@@ -89,6 +99,11 @@ def golden_reports():
     out += [(f"explicit-{s}", lambda s=s: _explicit(s)) for s in SEEDS]
     out += [(f"metric-{s}", lambda s=s: _metric(s)) for s in SEEDS]
     out += [(f"metric-{k}", lambda k=k: _odd_metric(k)) for k in ODD_METRICS]
+    # 84 cross simplices over 21 distinct obstructions
+    out.append(("metric-circle-21", lambda: analyze_metric(circle_cover(21), 3)))
+    # one collapse obstruction shared by 9 cross simplices, one homology-only
+    # obstruction shared by 10
+    out.append(("metric-grid-16", lambda: analyze_metric(grid_cover(1, 16, 8, 3), 3)))
     return out
 
 

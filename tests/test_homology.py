@@ -21,11 +21,12 @@ from ripsdecomp import (
     vietoris_rips,
 )
 from ripsdecomp.corpus import case_by_name, space_for
-from ripsdecomp.homology import central_vertex, replay_collapses
+from ripsdecomp.homology import _greedy_collapse, central_vertex, replay_collapses
 from ripsdecomp.linalg import GF, QQ, rank
 
 from conftest import (
     PROJECTIVE_PLANE,
+    greedy_collapse_oracle,
     random_complex,
     random_flag,
     rank_oracle,
@@ -304,6 +305,20 @@ class TestCertificates:
                 profile = homology(k, coeffs, max_deg=k.dim())
                 assert profile.is_trivial(), (coeffs, k.simplices())
         assert certified > 5
+
+    def test_greedy_collapse_matches_the_rescan_oracle(self):
+        rng = rng_for(311)
+        outcomes = {"collapsed": 0, "stuck": 0}
+        for i in range(150):
+            if i % 2:
+                k = random_flag(rng, max_vertices=8, edge_p=rng.choice((0.4, 0.6, 0.8)))
+            else:
+                k = random_complex(rng, max_vertices=8, max_facets=7, max_facet_size=5)
+            simplices = k.to_explicit(full=True).simplices()
+            seq = _greedy_collapse(simplices)
+            assert seq == greedy_collapse_oracle(simplices), simplices
+            outcomes["stuck" if seq is None else "collapsed"] += 1
+        assert min(outcomes.values()) > 20, outcomes
 
     def test_flag_certificates_match_explicit(self):
         rng = rng_for(309)

@@ -169,7 +169,9 @@ class TestFieldOption:
         assert json.loads(capsys.readouterr().out)["zp:7"]["betti"]["1"] == 1
 
     @pytest.mark.parametrize(
-        "field", ["zp:" + "7" * 402, "zp:1000000000000000003"], ids=["402-digits", "19-digits"]
+        "field",
+        ["zp:" + "7" * 402, "zp:1000000000000000003", "zp:" + "9" * 5000],
+        ids=["402-digits", "19-digits", "5000-digits"],
     )
     def test_huge_prime_refused_quickly(self, tmp_path, capsys, field):
         argv = write_facet_case(tmp_path, [[1, 2], [2, 3], [1, 3]], [1, 2], [2, 3])
@@ -178,7 +180,8 @@ class TestFieldOption:
             cli.main(["homology", argv[0], "--field", field])
         assert time.perf_counter() - start < 1
         assert exc.value.code == 2
-        assert "2**31" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "bad field" in err and "2**31" in err
 
     def test_largest_prime_below_the_limit_accepted(self, tmp_path, capsys):
         argv = write_facet_case(tmp_path, [[1, 2], [2, 3], [1, 3]], [1, 2], [2, 3])
