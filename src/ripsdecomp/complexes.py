@@ -60,9 +60,15 @@ def _close_downward(simplices):
 
 
 class Complex:
-    """Immutable finite abstract simplicial complex."""
+    """Immutable finite abstract simplicial complex.
 
-    __slots__ = ("_simplices", "_adj", "_vertices", "dim_cap", "labels")
+    ``_memo`` is a cache that ``homology`` fills lazily (simplex levels and
+    the invariant factors of each boundary matrix).  Every entry is a
+    function of the complex's content, so the complex stays immutable and
+    thread-safe: fills that race write equal values.
+    """
+
+    __slots__ = ("_simplices", "_adj", "_vertices", "dim_cap", "labels", "_memo")
 
     def __init__(self, *, simplices=None, adj=None, vertices=(), dim_cap=None, labels=None):
         self._simplices = simplices          # frozenset of tuples, or None
@@ -70,6 +76,7 @@ class Complex:
         self._vertices = tuple(sorted(vertices))
         self.dim_cap = dim_cap               # enumeration cap (flag only)
         self.labels = labels                 # optional dict id -> label
+        self._memo = {}                      # filled by homology only
 
     # ---------------------------------------------------------------- build
 

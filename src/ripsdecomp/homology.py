@@ -9,6 +9,12 @@ of L's n-simplices; Z_n(L) meets B_n(K) in its kernel on B_n(K), so
 
     rank(H_n L -> H_n K) = dim Z_n(L) - rank d_{n+1}(K) + rank d_{n+1}(K, L).
 
+Each complex reduces each d_n once: its simplex levels and the invariants of
+every d_n it was asked for are kept in its memo, and every field and degree
+reads those same invariants.  d(K, L) is kept in K's memo per subcomplex and
+degree.  The checks of a call (subcomplex, field, degree, flag cap) still
+run on every call.
+
 Reduced homology uses the augmented chain complex, so the empty complex has
 rank one in degree -1; that convention makes the suspension-shift
 bookkeeping of the analyzer hold verbatim, empty obstructions included.
@@ -19,7 +25,7 @@ certificate is reported as acyclic, never as contractible.
 """
 
 import heapq
-from itertools import combinations
+from itertools import combinations, groupby
 
 from . import linalg
 from .complexes import Complex, central_vertex, make_simplex
@@ -80,19 +86,28 @@ def simplex_levels(complex_, need):
 
     A flag complex refuses when simplices beyond its cap are needed; when
     the level at the cap is already empty, downward closure guarantees all
-    higher levels are empty too and they are padded in.
+    higher levels are empty too and they are padded in.  The levels are
+    enumerated once per complex and shared: callers must not modify them.
+    The refusal is decided on every call.
     """
+    memo = complex_._memo
     cap = complex_.dim_cap if complex_.is_flag else None
     top = need if cap is None else min(need, cap)
-    buckets = [[] for _ in range(top + 1)]
-    for s in complex_.simplices(max_dim=top):
-        buckets[len(s) - 1].append(s)
+    levels, complete = memo.get("levels", ((), False))
+    if len(levels) <= top and not complete:
+        if cap is None:
+            levels = [list(level) for _, level in groupby(complex_.simplices(), len)]
+        else:
+            levels = complex_._clique_levels(top)
+        # fewer levels than asked for: every higher level is empty
+        complete = cap is None or len(levels) <= top
+        memo["levels"] = (levels, complete)
+    buckets = [levels[n] if n < len(levels) else [] for n in range(need + 1)]
     if cap is not None and need > cap:
         if buckets[cap] and complex_.has_simplices_above_cap():
             raise EnumerationRefused(
                 f"need simplices of dimension {need}, flag complex capped at {cap}"
             )
-        buckets.extend([] for _ in range(need - cap))
     return buckets
 
 
@@ -188,25 +203,60 @@ class HomologyProfile:
 
 def _rank(invariants, char):
     """Rank in characteristic ``char`` (0 for q and z): the factors p does not divide."""
-    return sum(1 for d in invariants if d % char) if char else len(invariants)
+    rank, factors = invariants
+    return rank - sum(1 for d in factors if d % char == 0) if char else rank
 
 
-def _profile(bases, coeffs, reduced, lo, max_deg):
-    """Betti numbers, and torsion over z, of chains ``bases[lo..max_deg]``."""
+def _invariants(rows, cols):
+    """(rank, invariant factors above 1) of the boundary between simplex lists."""
+    factors = linalg.sparse_invariants(boundary_columns(rows, cols))
+    return len(factors), tuple(d for d in factors if d > 1)
+
+
+def _boundary(complex_, bases, n):
+    """Invariants of d_n on the chains ``bases`` of a complex.
+
+    d_n for n >= 1 is reduced once per complex and kept in its memo; the
+    augmentation d_0 is not reduced, its rank is one when both of its
+    chain groups are nonzero.
+    """
+    if n < 1:
+        return (1, ()) if n == 0 and bases[-1] and bases[0] else (0, ())
+    invariants = complex_._memo.get(n)
+    if invariants is None:
+        invariants = complex_._memo[n] = _invariants(bases[n - 1], bases[n])
+    return invariants
+
+
+def _relative(ambient, sub, bases, n):
+    """Invariants of d_n(K, L), d_n of K without the rows of L's simplices.
+
+    The columns of L's simplices vanish there, so these are also the
+    invariants of the quotient chain complex.  Kept in K's memo per (L, n);
+    the entry holds L, so its id cannot be reused while the entry lives.
+    """
+    if n < 1:
+        return (0, ())
+    key = ("relative", id(sub), n)
+    hit = ambient._memo.get(key)
+    if hit is None:
+        rows = [s for s in bases[n - 1] if s not in sub]
+        hit = ambient._memo[key] = (sub, _invariants(rows, bases[n]))
+    return hit[1]
+
+
+def _profile(sizes, invariants, coeffs, reduced, lo, max_deg):
+    """Betti numbers, and torsion over z, of chain groups of ranks ``sizes``
+    and boundaries of ``invariants`` in degrees lo..max_deg."""
     char = 0 if coeffs == "z" else linalg.field_of(coeffs).char
-    invariants = {
-        n: linalg.sparse_invariants(boundary_columns(bases[n - 1], bases[n]))
-        for n in range(lo + 1, max_deg + 2)
-    }
     ranks = {n: _rank(inv, char) for n, inv in invariants.items()}
     betti = {}
     torsion = {}
     for n in range(lo, max_deg + 1):
-        betti[n] = len(bases[n]) - ranks.get(n, 0) - ranks[n + 1]
+        betti[n] = sizes[n] - ranks.get(n, 0) - ranks[n + 1]
         if coeffs == "z":
             torsion[n] = sorted(
-                q for d in invariants[n + 1] if d > 1
-                for q in linalg.prime_power_factors(d)
+                q for d in invariants[n + 1][1] for q in linalg.prime_power_factors(d)
             )
     return HomologyProfile(coeffs, reduced, range(lo, max_deg + 1), betti, torsion)
 
@@ -221,7 +271,15 @@ def homology(complex_, coeffs="z", max_deg=None, reduced=True):
         max_deg = max(complex_.dim(), 0)
     bases = dict(enumerate(simplex_levels(complex_, max_deg + 1)))
     bases[-1] = [()] if reduced else []
-    return _profile(bases, coeffs, reduced, -1 if reduced else 0, max_deg)
+    lo = -1 if reduced else 0
+    return _profile(
+        {n: len(bases[n]) for n in range(lo, max_deg + 1)},
+        {n: _boundary(complex_, bases, n) for n in range(lo + 1, max_deg + 2)},
+        coeffs,
+        reduced,
+        lo,
+        max_deg,
+    )
 
 
 def is_subcomplex(sub, ambient):
@@ -230,6 +288,8 @@ def is_subcomplex(sub, ambient):
         return set(sub.vertices) <= set(ambient.vertices) and all(
             e in ambient for e in sub.edges()
         )
+    if not sub.is_flag and not ambient.is_flag:
+        return sub._simplices <= ambient._simplices
     for s in sub.to_explicit(full=True).simplices():
         if s not in ambient:
             return False
@@ -248,11 +308,14 @@ def relative_homology(complex_, sub, coeffs="z", max_deg=None):
     if max_deg is None:
         max_deg = max(complex_.dim(), 0)
     levels = simplex_levels(complex_, max_deg + 1)
-    bases = {
-        n: [s for s in levels[n] if s not in sub] for n in range(max_deg + 2)
-    }
-    bases[-1] = []
-    return _profile(bases, coeffs, False, 0, max_deg)
+    return _profile(
+        {n: sum(1 for s in levels[n] if s not in sub) for n in range(max_deg + 1)},
+        {n: _relative(complex_, sub, levels, n) for n in range(1, max_deg + 2)},
+        coeffs,
+        False,
+        0,
+        max_deg,
+    )
 
 
 # -------------------------------------------------------------- induced maps
@@ -361,20 +424,18 @@ def induced_map(sub, ambient, degree, coeffs="q", reduced=False):
         b[-1] = [()] if reduced else []
         b.setdefault(-2, [])
 
-    def rank(rows, cols):
-        invariants = linalg.sparse_invariants(boundary_columns(rows, cols))
-        return _rank(invariants, field.char)
+    def rank(complex_, bases, n):
+        return _rank(_boundary(complex_, bases, n), field.char)
 
-    in_sub = set(bases_l[degree])
-    outside = [s for s in bases_k[degree] if s not in in_sub]
-    cycles_l = len(bases_l[degree]) - rank(bases_l[degree - 1], bases_l[degree])
-    up_k = rank(bases_k[degree], bases_k[degree + 1])
+    cycles_l = len(bases_l[degree]) - rank(sub, bases_l, degree)
+    up_k = rank(ambient, bases_k, degree + 1)
+    relative = _rank(_relative(ambient, sub, bases_k, degree + 1), field.char)
     return InducedMap(
         coeffs,
         degree,
-        cycles_l - up_k + rank(outside, bases_k[degree + 1]),
-        cycles_l - rank(bases_l[degree], bases_l[degree + 1]),
-        len(bases_k[degree]) - rank(bases_k[degree - 1], bases_k[degree]) - up_k,
+        cycles_l - up_k + relative,
+        cycles_l - rank(sub, bases_l, degree + 1),
+        len(bases_k[degree]) - rank(ambient, bases_k, degree) - up_k,
         lambda: _induced_matrix(bases_l, bases_k, degree, field),
     )
 

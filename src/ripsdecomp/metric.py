@@ -198,7 +198,7 @@ def vietoris_rips(space, r, dim_cap):
 class MetricCover:
     """A distance space with a two-set cover of its points and a radius."""
 
-    __slots__ = ("space", "x", "y", "r")
+    __slots__ = ("space", "x", "y", "r", "_cross_pairs")
 
     def __init__(self, space, x, y, r):
         self.space = space
@@ -207,6 +207,7 @@ class MetricCover:
         if self.x | self.y != set(range(len(space))):
             raise CoverError("cover must use every point of the space")
         self.r = parse_distance(r)
+        self._cross_pairs = None
 
     @property
     def a(self):
@@ -216,14 +217,21 @@ class MetricCover:
         return [i for i in range(len(self.space)) if i in idx_set]
 
     def cross_pairs_within(self):
-        """Cross pairs (x outside Y, y outside X) at distance <= r, in order."""
-        sp = self.space
-        out = []
-        for i in self._ordered(self.x - self.a):
-            for j in self._ordered(self.y - self.a):
-                if sp.within(sp.matrix[i][j], self.r):
-                    out.append((i, j))
-        return out
+        """Cross pairs (x outside Y, y outside X) at distance <= r, in order.
+
+        Computed on the first call; every call returns that same list, which
+        callers must not modify.
+        """
+        if self._cross_pairs is None:
+            sp = self.space
+            ys = self._ordered(self.y - self.a)
+            self._cross_pairs = [
+                (i, j)
+                for i in self._ordered(self.x - self.a)
+                for j in ys
+                if sp.within(sp.matrix[i][j], self.r)
+            ]
+        return self._cross_pairs
 
     def labels_of(self, idx):
         return tuple(self.space.labels[i] for i in idx)

@@ -5,7 +5,9 @@ import pytest
 
 from ripsdecomp import (
     Complex,
+    EnumerationRefused,
     InvalidInput,
+    NotASubcomplex,
     cover_union,
     homology,
     induced_map,
@@ -201,6 +203,70 @@ class TestInducedRanks:
         rec = induced_map(k.skeleton(1), k, 1, "zp:2")
         assert built == [] and rec.rank == 1
         assert rec.matrix == rec.matrix and len(built) == 2
+
+
+def fresh(k):
+    """A copy of a complex with an empty memo."""
+    if k.is_flag:
+        return Complex.flag(k.vertices, k.edges(), k.dim_cap)
+    return Complex.from_simplices(k.simplices())
+
+
+class TestMemo:
+    def test_shared_complex_answers_like_fresh_copies_and_the_oracle(self):
+        """One complex, asked over fields in shuffled order and for small
+        degrees before large ones, answers as fresh copies and the dense
+        oracles do; a flag complex still refuses past its cap afterwards."""
+        rng = rng_for(4401)
+        refused = 0
+        for i in range(100):
+            if i % 2:
+                k = random_flag(rng, max_vertices=8, edge_p=0.6, dim_cap=rng.randint(1, 3))
+                top = k.dim_cap - 1
+            else:
+                k = random_complex(rng, max_vertices=7, max_facets=6, max_facet_size=4)
+                top = k.dim() + 1
+            half = set(rng.sample(k.vertices, len(k.vertices) // 2))
+            subs = (cover_union(k, random_cover(rng, k)), k.restrict(half))
+            fields = list(FIELDS + ("z",))
+            rng.shuffle(fields)
+            for max_deg in range(top + 1):
+                for coeffs in fields:
+                    reduced = rng.random() < 0.5
+                    got = homology(k, coeffs, max_deg=max_deg, reduced=reduced)
+                    want = homology(fresh(k), coeffs, max_deg=max_deg, reduced=reduced)
+                    assert got == want
+                    if coeffs == "z":
+                        continue
+                    assert got.betti == betti_oracle(k, coeffs, max_deg, reduced)
+                    sub = rng.choice(subs)
+                    rec = induced_map(sub, k, max_deg, coeffs, reduced=reduced)
+                    again = induced_map(fresh(sub), fresh(k), max_deg, coeffs, reduced=reduced)
+                    dims = (rec.rank, rec.dim_source, rec.dim_target)
+                    assert dims == (again.rank, again.dim_source, again.dim_target)
+                    assert rec.rank == rank_over(again.matrix, coeffs)
+            if k.is_flag and k.has_simplices_above_cap():
+                with pytest.raises(EnumerationRefused):
+                    homology(k, fields[0], max_deg=k.dim_cap)
+                with pytest.raises(EnumerationRefused):
+                    induced_map(subs[0], k, k.dim_cap, "q")
+                refused += 1
+        assert refused > 10, refused
+
+    def test_per_call_checks_survive_a_filled_memo(self):
+        rp2 = Complex.from_facets(PROJECTIVE_PLANE)
+        sub = rp2.skeleton(1)
+        for coeffs in FIELDS:
+            homology(rp2, coeffs, max_deg=2)
+            induced_map(sub, rp2, 1, coeffs, reduced=True)
+        with pytest.raises(InvalidInput):
+            homology(rp2, "zp:4", max_deg=2)
+        with pytest.raises(InvalidInput):
+            induced_map(sub, rp2, 1, "zp:4")
+        with pytest.raises(InvalidInput):
+            induced_map(sub, rp2, -2, "q", reduced=True)
+        with pytest.raises(NotASubcomplex):
+            induced_map(rp2, sub, 1, "q")
 
 
 class TestFieldDescriptor:

@@ -28,6 +28,7 @@ from ripsdecomp import (
 from ripsdecomp.corpus import case_by_name, space_for
 
 from conftest import (
+    circle_cover,
     label_simplices,
     pseudometric_oracle,
     random_pseudometric,
@@ -274,6 +275,20 @@ class TestSharedWitness:
         )
         res = check_shared_witness(MetricCover(space, ["x", "a"], ["a", "y"], 1))
         assert res.ok and res.witness == "a"
+
+    def test_cross_pairs_computed_once_in_point_order(self):
+        mc = circle_cover(12)
+        first = mc.cross_pairs_within()
+        sp = mc.space
+        assert first == [
+            (i, j)
+            for i in sorted(mc.x - mc.a)
+            for j in sorted(mc.y - mc.a)
+            if sp.matrix[i][j] <= mc.r
+        ]
+        assert first
+        analyze_metric(mc, dim_cap=2, verify=False)
+        assert mc.cross_pairs_within() is first
 
 
 class TestCrossDomination:

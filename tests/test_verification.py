@@ -151,6 +151,34 @@ class TestNoRationalElimination:
         assert report["profiles"]["total"]["z"]["torsion"] == {"1": [2]}
 
 
+class TestReductionCount:
+    def test_each_boundary_matrix_is_reduced_once_per_report(self, monkeypatch):
+        """Four fields of verification reduce each boundary matrix of the five
+        cover-square complexes, and each relative matrix of the union in the
+        total, at most once: 5 * dim_cap + dim_cap reductions over the run
+        without verification."""
+        rng = rng_for(5201)
+        facets = [rng.sample(range(12), rng.randint(2, 5)) for _ in range(10)]
+        facets += [[v and 20 + v for v in f] for f in PROJECTIVE_PLANE]
+        cover = random_cover(rng, Complex.from_facets(facets))
+        fields = ("q", "z", "zp:2", "zp:3")
+        dim_cap = 4
+        calls = []
+        real = linalg.sparse_invariants
+        monkeypatch.setattr(
+            linalg, "sparse_invariants", lambda cols: calls.append(1) or real(cols)
+        )
+        counts = {}
+        for verify in (False, True):
+            calls.clear()
+            k = Complex.from_facets(facets)
+            report = analyzer.analyze(k, cover, dim_cap, fields, verify=verify)
+            counts[verify] = len(calls)
+        assert report.soundness["ok"] and len(report.induced) == 3 * dim_cap
+        assert report.profiles["total"]["z"]["torsion"] == {"1": [2]}
+        assert 0 < counts[True] - counts[False] <= 5 * dim_cap + dim_cap, counts
+
+
 class TestFieldOption:
     @pytest.mark.parametrize("field", ["zp:4", "zp:1", "zp:0", "zp:x", "w"])
     @pytest.mark.parametrize("command", ["homology", "decompose"])
