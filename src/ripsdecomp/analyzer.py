@@ -18,6 +18,8 @@ Honesty rules, enforced throughout:
   whole report if any certified conclusion disagrees with the verification.
 """
 
+from bisect import bisect_right
+
 from . import linalg
 from . import metric as metric_mod
 from .complexes import (
@@ -229,10 +231,11 @@ class _Obstruction:
     """One distinct obstruction complex of a report, classified once.
 
     Cross simplices with equal obstructions point to the same record, so its
-    certificate, integral profile and connectivity are computed once.
+    certificate, integral profile, connectivity, central vertices and good
+    vertex sets are computed once.
     """
 
-    __slots__ = ("complex", "status", "certificate", "profile", "conn")
+    __slots__ = ("complex", "status", "certificate", "profile", "conn", "_central", "_good")
 
     def __init__(self, complex_, status, certificate):
         self.complex = complex_
@@ -240,24 +243,51 @@ class _Obstruction:
         self.certificate = certificate      # ContractibilityCertificate or None
         self.profile = None                 # reduced integral profile, on demand
         self.conn = None                    # see _Context.connectivity, on demand
+        self._central = None                # see central, on demand
+        self._good = {}                     # k -> good(k), on demand
 
     @property
     def certified(self):
         return self.certificate is not None
 
+    @property
+    def central(self):
+        """The vertices central in the obstruction complex."""
+        if self._central is None:
+            o = self.complex
+            self._central = frozenset(v for v in o.vertices if o.is_central((v,)))
+        return self._central
+
+    def good(self, k):
+        """Vertices v of the obstruction with rho + v in it for every simplex
+        rho of it with at most k vertices.  In a flag complex, a vertex that
+        meets every other vertex extends every clique, so for k >= 1 these
+        are the central vertices."""
+        got = self._good.get(k)
+        if got is None:
+            o = self.complex
+            if k == 0:
+                got = frozenset(o.vertices)
+            elif o.is_flag:
+                got = self.central
+            else:
+                small = [rho for rho in o.simplices() if len(rho) <= k]
+                got = frozenset(
+                    v for v in o.vertices if all(rho + (v,) in o for rho in small)
+                )
+            self._good[k] = got
+        return got
+
 
 class _Cross:
     """A cross simplex and the record of its obstruction complex."""
 
-    __slots__ = ("simplex", "obs")
+    __slots__ = ("simplex", "obs", "dim")
 
     def __init__(self, simplex, obs):
         self.simplex = simplex
         self.obs = obs
-
-    @property
-    def dim(self):
-        return len(self.simplex) - 1
+        self.dim = len(simplex) - 1
 
 
 class _Context:
@@ -280,10 +310,16 @@ class _Context:
             for raw in enumerate_p_complement(complex_, cover, dim_cap)
         ]
         self.edge_items = [it for it in self.items if it.dim == 1]
+        self._dims = [it.dim for it in self.items]
         # Full coverage: no simplex above dim_cap and, when dim_cap is a flag
         # complex's own cap, none at it, as cliques past the cap go unseen.
         top = dim_cap if complex_.is_flag and dim_cap == complex_.dim_cap else dim_cap + 1
         self.full_coverage = not complex_.has_simplex_of_dim(top)
+
+    def items_through(self, dim):
+        """The cross simplices of dimension at most ``dim``: a prefix of
+        ``items``, which enumeration orders by dimension."""
+        return self.items[: bisect_right(self._dims, dim)]
 
     def label(self, v):
         return str(self.complex.label_of(v))
@@ -331,11 +367,16 @@ class _Context:
 
         Homological connectivity is the largest n with trivial reduced
         integral homology through degree n ("all" when it is trivial in
-        every degree, -1 when already disconnected, None when empty).
+        every degree, -1 when already disconnected, None when empty).  A
+        cone or collapse certificate proves the complex contractible, so a
+        certified record answers (True, "all") without any homology; only a
+        homology-only record is profiled.  Computed once per record.
         """
         if obs.conn is None:
             if obs.status == STATUS_EMPTY:
                 obs.conn = (False, None)
+            elif obs.certified:
+                obs.conn = (True, "all")
             else:
                 profile = self.obstruction_profile(obs)
                 top = profile.degrees[-1]
@@ -517,6 +558,8 @@ def _crit_torsion(ctx):
                 detail="empty obstruction complex",
                 verified_up_to=vut,
             )
+        if it.obs.certified:
+            continue        # contractible: no torsion
         profile = ctx.obstruction_profile(it.obs)
         for powers in profile.torsion.values():
             for q in powers:
@@ -541,8 +584,16 @@ def _crit_torsion(ctx):
             verified_up_to=vut,
         )
     p = primes.pop()
-    best = None
+    # A contractible record's profile is trivial through its top degree,
+    # max(dim, 0) of the complex, fully enumerated.
+    tops = [
+        max(obs.complex.to_explicit(full=True).dim(), 0)
+        for obs in {it.obs for it in ctx.items if it.obs.certified}
+    ]
+    best = min(tops, default=None)
     for it in ctx.items:
+        if it.obs.certified:
+            continue
         profile = ctx.obstruction_profile(it.obs)
         if profile.betti.get(0, 0) != 0 or profile.betti.get(-1, 0) != 0:
             return CriterionVerdict(
@@ -651,7 +702,7 @@ def _crit_skeleton_connectivity(ctx):
         return CriterionVerdict(crit, NOT_APPLICABLE, detail="no cross simplices")
 
     def holds_at(n):
-        items = [it for it in ctx.items if it.dim <= n + 1]
+        items = ctx.items_through(n + 1)
         return _connectivity_over(ctx, items, n)
 
     n, status, witness, detail = _scan_best_n(ctx, holds_at)
@@ -716,7 +767,7 @@ def _crit_constant_obstruction(ctx):
         return CriterionVerdict(crit, NOT_APPLICABLE, detail="no cross simplices")
 
     def holds_at(n):
-        items = [it for it in ctx.items if it.dim <= n + 1]
+        items = ctx.items_through(n + 1)
         if not items:
             return NOT_APPLICABLE, None, "no cross simplices in range"
         common = _constant_family(items)
@@ -746,7 +797,7 @@ def _crit_full_intersection(ctx):
     ka = ctx.find(ctx.complex.restrict(ctx.a))
 
     def holds_at(n):
-        items = [it for it in ctx.items if it.dim <= n + 1]
+        items = ctx.items_through(n + 1)
         if not items:
             return NOT_APPLICABLE, None, "no cross simplices in range"
         for it in items:
@@ -785,7 +836,7 @@ def _crit_all_subsets_extend(ctx):
         return make_simplex(it.simplex + a_sorted) in ctx.complex
 
     def holds_at(n):
-        items = [it for it in ctx.items if it.dim <= n + 1]
+        items = ctx.items_through(n + 1)
         if not items:
             return NOT_APPLICABLE, None, "no cross simplices in range"
         for it in items:
@@ -834,24 +885,24 @@ def _crit_one_entry_point(ctx):
         return CriterionVerdict(crit, NOT_APPLICABLE, detail="no cross simplices")
     if not ctx.a:
         return CriterionVerdict(crit, FAILS, detail="the intersection is empty")
+    # A cross simplex tau of dimension <= dim_cap splits as sigma + rho, with
+    # sigma = tau - A a cross simplex of ctx.items and rho empty or a simplex
+    # of obs(sigma); tau + v is a simplex exactly when rho + v is in
+    # obs(sigma).  So v extends every such tau with |sigma| <= n + 2 when it
+    # is good in obs(sigma) for rho of up to dim_cap + 1 - |sigma| vertices.
+    by_size = {}
+    for it in ctx.items:
+        by_size.setdefault(len(it.simplex), set()).add(it.obs)
     candidates = sorted(ctx.a)
-    all_simplices = ctx.complex.simplices(max_dim=ctx.dim_cap)
-    cross = [
-        s
-        for s in all_simplices
-        if set(s) & ctx.x_only and set(s) & ctx.y_only
-    ]
-
-    def works(v, n):
-        for tau in cross:
-            outside = [u for u in tau if u not in ctx.a]
-            if len(outside) <= n + 2 and make_simplex(tau + (v,)) not in ctx.complex:
-                return False
-        return True
 
     def holds_at(n):
+        ok = set(ctx.a)
+        for size, group in by_size.items():
+            if size <= n + 2:
+                for obs in group:
+                    ok &= obs.good(ctx.dim_cap + 1 - size)
         for v in candidates:
-            if works(v, n):
+            if v in ok:
                 return HOLDS, ctx.label(v), None
         return FAILS, None, "no intersection vertex extends every small cross simplex"
 
@@ -905,7 +956,7 @@ def _crit_edge_standard(ctx):
             )
 
     def holds_at(n):
-        items = [it for it in ctx.items if it.dim <= n + 1]
+        items = ctx.items_through(n + 1)
         for it in items:
             if it.obs.status == STATUS_EMPTY:
                 return FAILS, ctx.label_simplex(it.simplex), "empty obstruction"
@@ -1088,7 +1139,7 @@ def _crit_clique_entry_central(ctx):
     if not ctx.edge_items:
         return CriterionVerdict(crit, NOT_APPLICABLE, detail="no cross edges")
     for v in sorted(_edge_obstruction_common_vertices(ctx)):
-        if all(it.obs.complex.is_central((v,)) for it in ctx.edge_items):
+        if all(v in it.obs.central for it in ctx.edge_items):
             return CriterionVerdict(
                 crit,
                 HOLDS,
@@ -1108,15 +1159,13 @@ def _crit_clique_entry_local(ctx):
         return _not_clique(crit)
     if not ctx.a:
         return CriterionVerdict(crit, FAILS, detail="the intersection is empty")
-    small = []
-    for it in ctx.edge_items:
-        small.append(it.simplex)
-        for a in sorted(ctx.a):
-            tau = make_simplex(it.simplex + (a,))
-            if tau in ctx.complex:
-                small.append(tau)
+    # v extends a cross edge e and every e + a in the complex exactly when v
+    # is a central vertex of e's obstruction; vacuous without cross edges.
+    ok = set(ctx.a)
+    for obs in {it.obs for it in ctx.edge_items}:
+        ok &= obs.central
     for v in sorted(ctx.a):
-        if all(make_simplex(tau + (v,)) in ctx.complex for tau in small):
+        if v in ok:
             return CriterionVerdict(
                 crit,
                 HOLDS,
@@ -1200,7 +1249,9 @@ def _metric_verdicts(mc, ctx):
     verdicts = []
     triangle_witness = metric_mod.is_pseudometric(sp)
     pseudometric = triangle_witness is None
-    a_labels = mc.labels_of(sorted(mc.a))
+    a_sorted = sorted(mc.a)
+    a_labels = mc.labels_of(a_sorted)
+    close = sp.closeness(mc.r)
     close_pairs = mc.cross_pairs_within()
 
     # shared witness point within r of both ends of every close cross pair
@@ -1230,23 +1281,13 @@ def _metric_verdicts(mc, ctx):
             CriterionVerdict(crit, NOT_APPLICABLE, detail="needs a shared witness")
         )
     else:
-        found = None
-        for v in witnesses:
-            ok = True
-            for i, j in close_pairs:
-                for w in sorted(mc.a):
-                    if (
-                        sp.within(sp.matrix[w][i], mc.r)
-                        and sp.within(sp.matrix[w][j], mc.r)
-                        and not sp.within(sp.matrix[v][w], mc.r)
-                    ):
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                found = v
-                break
+        # shared points within r of both ends of some close cross pair
+        pair_witnesses = [
+            w for w in a_sorted if any(close[w][i] and close[w][j] for i, j in close_pairs)
+        ]
+        found = next(
+            (v for v in witnesses if all(close[v][w] for w in pair_witnesses)), None
+        )
         if found is not None:
             verdicts.append(
                 CriterionVerdict(
@@ -1398,17 +1439,15 @@ def _metric_verdicts(mc, ctx):
             CriterionVerdict(crit, NOT_APPLICABLE, detail="no close cross pairs")
         )
     else:
-        bad = None
-        for i, j in close_pairs:
-            for v in sorted(mc.a):
-                if not (
-                    sp.within(sp.matrix[i][v], mc.r)
-                    and sp.within(sp.matrix[j][v], mc.r)
-                ):
-                    bad = (sp.labels[i], sp.labels[j], sp.labels[v])
-                    break
-            if bad:
-                break
+        bad = next(
+            (
+                (sp.labels[i], sp.labels[j], sp.labels[v])
+                for i, j in close_pairs
+                for v in a_sorted
+                if not (close[i][v] and close[j][v])
+            ),
+            None,
+        )
         if bad is not None:
             verdicts.append(CriterionVerdict(crit, FAILS, witness=str(bad)))
         elif not mc.a:
@@ -1469,13 +1508,21 @@ def _metric_verdicts(mc, ctx):
                 )
             )
 
+    # Both simplex conditions route each close cross pair through a shared
+    # point; a gluing along an empty intersection has none (its cross
+    # distances are inf, close only at an infinite radius).
+    if not gluing:
+        needs = "needs a metric gluing"
+    elif close_pairs and not mc.a:
+        needs = "needs a metric gluing along a nonempty intersection"
+    else:
+        needs = None
+
     # gluing + simplex condition
     crit = "gluing-simplex-condition"
     simplex_check = metric_mod.check_simplex_assumption(mc)
-    if not gluing:
-        verdicts.append(
-            CriterionVerdict(crit, NOT_APPLICABLE, detail="needs a metric gluing")
-        )
+    if needs:
+        verdicts.append(CriterionVerdict(crit, NOT_APPLICABLE, detail=needs))
     elif simplex_check.ok:
         for it in ctx.edge_items:
             if it.obs.status == STATUS_EMPTY or not _is_standard(it.obs.complex):
@@ -1501,10 +1548,8 @@ def _metric_verdicts(mc, ctx):
     # gluing + strong simplex condition
     crit = "gluing-strong-simplex-condition"
     strong_check = metric_mod.check_strong_simplex_assumption(mc)
-    if not gluing:
-        verdicts.append(
-            CriterionVerdict(crit, NOT_APPLICABLE, detail="needs a metric gluing")
-        )
+    if needs:
+        verdicts.append(CriterionVerdict(crit, NOT_APPLICABLE, detail=needs))
     elif strong_check.ok:
         for it in ctx.items:
             one_sided = (

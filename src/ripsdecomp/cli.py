@@ -82,7 +82,20 @@ def build_parser():
     return parser
 
 
+_PARSER = None
+
+
+def _parser():
+    """The parser, built on the first call and reused by every later one."""
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    return _PARSER
+
+
 def _complex_from(args, document):
+    if args.max_dim < 0:
+        raise InvalidInput("--max-dim must be nonnegative")
     if document.space is not None:
         if args.radius is None:
             raise RipsDecompError("distance input needs --radius")
@@ -176,8 +189,7 @@ def cmd_corpus(args):
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     handler = {
         "vr": cmd_vr,
         "homology": cmd_homology,

@@ -5,17 +5,33 @@ Distances are exact rationals by default (``fractions.Fraction``), with
 comparison tolerance ``tol`` for the closed threshold test ``d <= r``; the
 exact default is ``tol = 0``, which every shipped example uses.
 
-The triangle inequality is checked on ints: the finite entries are scaled
-once by their least common denominator, and ``inf`` stands in as the
-sentinel 2 * max + 1, larger than any sum of two finite entries, which is
-exact because distances are never negative.
+Every decision reads one integer scaling of the matrix, made once per
+space: the finite entries are multiplied by their least common denominator,
+and ``inf`` stands in as the sentinel S = 2 * max + 1, larger than any sum of
+two finite entries, which is exact because distances are never negative.
+The public ``Fraction`` matrix stays, and everything rendered (diameters,
+witnesses, radii) is read from it.
+
+Threshold tests ``d <= r + tol`` read one boolean closeness table per space
+and radius: a scaled entry is close when it is at most
+min(floor((r + tol) * scale), S - 1), so ``inf`` is never close to a finite
+radius; when r + tol is infinite the bound is S and every entry is close.
+
+The triangle inequality is screened with packed ints.  Each scaled row is
+one int P_i with a w-bit field per point, w = bitlen(2 T) + 2 for the largest
+scaled entry T (at most S), and G has the top (guard) bit of every field set.
+For a pair (i, j), field k of G - P_i + P_j + d_ij * ONES holds
+2^(w-1) - d_ik + d_jk + d_ij, which lies in [0, 2^w) because every entry is
+in [0, T]; so no field borrows from or carries into its neighbour, and the
+guard bit of field k is clear exactly when d_ik > d_ij + d_jk.  Only a pair
+whose screen fires is scanned point by point, so the first witness in label
+order is unchanged.
 
 All predicates are pure functions of immutable inputs.  Failed predicates
 report the first counterexample in the order the points were listed.
 """
 
 import math
-import operator
 import warnings
 from fractions import Fraction
 from itertools import combinations
@@ -74,7 +90,7 @@ def parse_distance(value):
 class DistanceSpace:
     """Finite labeled point set with a square matrix of extended distances."""
 
-    __slots__ = ("labels", "matrix", "tol", "_index")
+    __slots__ = ("labels", "matrix", "tol", "_index", "_ints", "_close")
 
     def __init__(self, labels, matrix, tol=0):
         self.labels = tuple(labels)
@@ -88,6 +104,8 @@ class DistanceSpace:
         )
         self.tol = parse_distance(tol)
         self._index = {lab: i for i, lab in enumerate(self.labels)}
+        self._ints = None       # (scale, sentinel, scaled rows), on demand
+        self._close = {}        # radius -> closeness table, on demand
 
     def __len__(self):
         return len(self.labels)
@@ -108,6 +126,40 @@ class DistanceSpace:
         """Closed threshold test ``value <= r`` honoring the tolerance."""
         return value <= r + self.tol
 
+    def scaled(self):
+        """(scale, sentinel, rows): the matrix as ints, computed once.
+
+        Finite entries are multiplied by the least common denominator
+        ``scale``; ``inf`` becomes ``sentinel`` = 2 * max + 1.  Callers must
+        not modify the rows.
+        """
+        if self._ints is None:
+            m = self.matrix
+            scale = math.lcm(*{v.denominator for row in m for v in row if v is not INF})
+            # -1 marks inf until the largest finite entry is known
+            rows = [
+                [-1 if v is INF else v.numerator * (scale // v.denominator) for v in row]
+                for row in m
+            ]
+            sentinel = 2 * max([0] + [max(row) for row in rows if row]) + 1
+            rows = tuple(tuple(sentinel if v < 0 else v for v in row) for row in rows)
+            self._ints = (scale, sentinel, rows)
+        return self._ints
+
+    def closeness(self, r):
+        """Table whose (i, j) entry is ``within(d(i, j), r)``, built once per
+        radius from the scaled matrix; ``r`` is a parsed distance.  Callers
+        must not modify it."""
+        table = self._close.get(r)
+        if table is None:
+            scale, sentinel, rows = self.scaled()
+            limit = r + self.tol
+            # inf + Fraction is a float inf, so compare by value
+            bound = sentinel if limit == INF else min(math.floor(limit * scale), sentinel - 1)
+            table = tuple(tuple(v <= bound for v in row) for row in rows)
+            self._close[r] = table
+        return table
+
     def subspace(self, labels):
         idx = [self.index(lab) for lab in labels]
         return DistanceSpace(
@@ -125,41 +177,48 @@ class DistanceSpace:
 
 def validate(space):
     """Every (i, j) violating symmetry, plus every (i, i) violating reflexivity."""
+    rows = space.scaled()[2]
     bad = []
-    n = len(space)
-    for i in range(n):
-        if space.matrix[i][i] != 0:
+    for i, row in enumerate(rows):
+        if row[i] != 0:
             bad.append((i, i))
-        for j in range(i + 1, n):
-            if space.matrix[i][j] != space.matrix[j][i]:
+        for j in range(i + 1, len(rows)):
+            if row[j] != rows[j][i]:
                 bad.append((i, j))
     return bad
+
+
+def _triangle_screen(rows):
+    """The ordered pairs (i, j), in order, with some k where
+    rows[i][k] > rows[i][j] + rows[j][k], by the packed test of the module
+    docstring; every entry must be a nonnegative int."""
+    top = max((v for row in rows for v in row), default=0)
+    width = (2 * top).bit_length() + 2
+    ones = sum(1 << (width * k) for k in range(len(rows)))
+    guard = ones << (width - 1)
+    packed = [sum(v << (width * k) for k, v in enumerate(row)) for row in rows]
+    for i, row_i in enumerate(rows):
+        lifted = guard - packed[i]
+        for j, p_j in enumerate(packed):
+            if (lifted + p_j + row_i[j] * ones) & guard != guard:
+                yield i, j
 
 
 def is_pseudometric(space):
     """None when the triangle inequality holds; else the first witness triple
     of labels (x, y, z), in label order, with d(x, z) > d(x, y) + d(y, z).
 
-    Runs on ints: finite entries are scaled by their least common
-    denominator and ``inf`` becomes S = 2 * max + 1.  S exceeds every sum of
-    two finite entries and no sum containing S is below a finite entry or S,
-    so each comparison agrees with the extended rationals.  A pair (x, y) is
-    scanned over z only when some d(x, z) - d(y, z) exceeds d(x, y).
+    Runs on the scaled ints, where each comparison agrees with the extended
+    rationals: S exceeds every sum of two finite entries and no sum
+    containing S is below a finite entry or S.  Only the pairs (x, y) that
+    the packed screen reports are scanned over z, in order.
     """
-    finite = [v for row in space.matrix for v in row if v is not INF]
-    scale = math.lcm(*{v.denominator for v in finite})
-    sentinel = 2 * int(max(finite, default=0) * scale) + 1
-    rows = [
-        [sentinel if v is INF else v.numerator * (scale // v.denominator) for v in row]
-        for row in space.matrix
-    ]
-    for i, row_i in enumerate(rows):
-        for j, row_j in enumerate(rows):
-            d_ij = row_i[j]
-            if max(map(operator.sub, row_i, row_j)) > d_ij:
-                for k, d_ik in enumerate(row_i):
-                    if d_ik > d_ij + row_j[k]:
-                        return (space.labels[i], space.labels[j], space.labels[k])
+    rows = space.scaled()[2]
+    for i, j in _triangle_screen(rows):
+        row_i, row_j, d_ij = rows[i], rows[j], rows[i][j]
+        for k, d_ik in enumerate(row_i):
+            if d_ik > d_ij + row_j[k]:
+                return (space.labels[i], space.labels[j], space.labels[k])
     return None
 
 
@@ -183,13 +242,9 @@ def vietoris_rips(space, r, dim_cap):
     the id-to-label table.
     """
     space.require_valid()
-    r = parse_distance(r)
+    close = space.closeness(parse_distance(r))
     n = len(space)
-    edges = [
-        (i, j)
-        for i, j in combinations(range(n), 2)
-        if space.within(space.matrix[i][j], r)
-    ]
+    edges = [(i, j) for i, j in combinations(range(n), 2) if close[i][j]]
     return Complex.flag(
         range(n), edges, dim_cap=dim_cap, labels=dict(enumerate(space.labels))
     )
@@ -223,13 +278,13 @@ class MetricCover:
         callers must not modify.
         """
         if self._cross_pairs is None:
-            sp = self.space
+            close = self.space.closeness(self.r)
             ys = self._ordered(self.y - self.a)
             self._cross_pairs = [
                 (i, j)
                 for i in self._ordered(self.x - self.a)
                 for j in ys
-                if sp.within(sp.matrix[i][j], self.r)
+                if close[i][j]
             ]
         return self._cross_pairs
 
@@ -318,38 +373,27 @@ def is_metric_gluing(space, x, y):
     return None
 
 
+def shared_witnesses(mc):
+    """Every shared point that certifies the shared-witness hypothesis: the
+    points of the intersection within r of both ends of every close cross
+    pair, in point order."""
+    close = mc.space.closeness(mc.r)
+    ends = sorted({u for pair in mc.cross_pairs_within() for u in pair})
+    return [v for v in mc._ordered(mc.a) if all(close[u][v] for u in ends)]
+
+
 def check_shared_witness(mc):
     """Is some shared point within r of both ends of every close cross pair?
 
     Success carries the first such witness in point order; failure carries no
     witness (an empty intersection fails outright).
     """
-    a = mc._ordered(mc.a)
-    if not a:
+    if not mc.a:
         return CheckResult(False, note="the intersection is empty")
-    pairs = mc.cross_pairs_within()
-    sp = mc.space
-    for v in a:
-        if all(
-            sp.within(sp.matrix[i][v], mc.r) and sp.within(sp.matrix[j][v], mc.r)
-            for i, j in pairs
-        ):
-            return CheckResult(True, witness=sp.labels[v])
+    found = shared_witnesses(mc)
+    if found:
+        return CheckResult(True, witness=mc.space.labels[found[0]])
     return CheckResult(False, note="no shared point is within r of every close cross pair")
-
-
-def shared_witnesses(mc):
-    """Every shared point that certifies the shared-witness hypothesis."""
-    sp = mc.space
-    pairs = mc.cross_pairs_within()
-    return [
-        v
-        for v in mc._ordered(mc.a)
-        if all(
-            sp.within(sp.matrix[i][v], mc.r) and sp.within(sp.matrix[j][v], mc.r)
-            for i, j in pairs
-        )
-    ]
 
 
 def check_cross_domination(mc):
@@ -358,10 +402,11 @@ def check_cross_domination(mc):
     if not mc.a:
         return CheckResult(False, note="the intersection is empty")
     sp = mc.space
+    m = sp.scaled()[2]
     for i in mc._ordered(mc.x - mc.a):
         for j in mc._ordered(mc.y - mc.a):
             for v in mc._ordered(mc.a):
-                if sp.matrix[i][j] < sp.matrix[i][v] or sp.matrix[i][j] < sp.matrix[j][v]:
+                if m[i][j] < m[i][v] or m[i][j] < m[j][v]:
                     return CheckResult(
                         False, witness=(sp.labels[i], sp.labels[j], sp.labels[v])
                     )
@@ -384,11 +429,12 @@ def check_simplex_assumption(mc):
     intersection is a standard simplex.  Witness on failure: (v, a, b).
     """
     sp = mc.space
+    close = sp.closeness(mc.r)
     a_idx = mc._ordered(mc.a)
     for v in _cross_edge_vertices(mc):
-        near = [k for k in a_idx if sp.within(sp.matrix[k][v], mc.r)]
+        near = [k for k in a_idx if close[k][v]]
         for p, q in combinations(near, 2):
-            if not sp.within(sp.matrix[p][q], mc.r):
+            if not close[p][q]:
                 return CheckResult(
                     False, witness=(sp.labels[v], sp.labels[p], sp.labels[q])
                 )
@@ -399,9 +445,10 @@ def check_strong_simplex_assumption(mc):
     """Twice the gap between shared points near a cross-edge vertex is at
     most the detour through the vertex.  Witness on failure: (v, a, b)."""
     sp = mc.space
+    close = sp.closeness(mc.r)
     a_idx = mc._ordered(mc.a)
     for v in _cross_edge_vertices(mc):
-        near = [k for k in a_idx if sp.within(sp.matrix[k][v], mc.r)]
+        near = [k for k in a_idx if close[k][v]]
         for p, q in combinations(near, 2):
             if 2 * sp.matrix[p][q] > sp.matrix[p][v] + sp.matrix[v][q] + sp.tol:
                 return CheckResult(

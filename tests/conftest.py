@@ -1,5 +1,6 @@
 """Shared helpers: seeded random generators and independent oracles."""
 
+import math
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -207,3 +208,117 @@ def label_simplices(complex_, max_dim=None):
         tuple(sorted(str(complex_.label_of(v)) for v in s))
         for s in complex_.simplices(max_dim=max_dim)
     }
+
+
+def random_metric_cover(rng, max_points=8):
+    """A seeded cover of a random symmetric distance table, not always a
+    pseudometric: whole or fractional entries (denominators up to 7), some
+    ``inf`` entries, tolerance 0 or 1/7, and a radius that may be 0, a
+    fraction, ``inf`` or above twice the largest finite entry."""
+    n = rng.randint(1, max_points)
+    labels = [f"p{i}" for i in range(n)]
+    kind = rng.choice(("whole", "fraction", "inf", "metric"))
+    if kind == "metric":
+        matrix = [list(row) for row in random_pseudometric(rng, labels, 5, (1, 2, 3)).matrix]
+    else:
+        matrix = [[Fraction(0)] * n for _ in range(n)]
+        for i, j in combinations(range(n), 2):
+            if kind == "inf" and rng.random() < 0.3:
+                v = math.inf
+            else:
+                v = Fraction(rng.randint(0, 9), rng.choice((1, 2, 3, 7)) if kind == "fraction" else 1)
+            matrix[i][j] = matrix[j][i] = v
+    finite = [v for row in matrix for v in row if v != math.inf]
+    top = max(finite, default=Fraction(0))
+    r = rng.choice((Fraction(rng.randint(0, 12), rng.choice((1, 2, 7))), math.inf, 2 * top + 1, top, 0))
+    space = DistanceSpace(labels, matrix, tol=rng.choice((0, 0, Fraction(1, 7))))
+    x, y = [], []
+    for lab in labels:
+        roll = rng.random()
+        if roll < 0.7:
+            x.append(lab)
+        if roll >= 0.35 or lab not in x:
+            y.append(lab)
+    return MetricCover(space, x, y, r)
+
+
+# Fraction references for the metric checks: one ``within`` test, on the
+# public matrix, at a time.
+
+
+def close_oracle(space, i, j, r):
+    return space.matrix[i][j] <= r + space.tol
+
+
+def cross_pairs_oracle(mc):
+    return [
+        (i, j)
+        for i in sorted(mc.x - mc.a)
+        for j in sorted(mc.y - mc.a)
+        if close_oracle(mc.space, i, j, mc.r)
+    ]
+
+
+def shared_witnesses_oracle(mc):
+    sp = mc.space
+    return [
+        v
+        for v in sorted(mc.a)
+        if all(
+            close_oracle(sp, i, v, mc.r) and close_oracle(sp, j, v, mc.r)
+            for i, j in cross_pairs_oracle(mc)
+        )
+    ]
+
+
+def simplex_assumption_oracle(mc, strong=False):
+    """First failing (v, a, b) of the (strong) simplex assumption, or None."""
+    sp, m = mc.space, mc.space.matrix
+    ends = {u for pair in cross_pairs_oracle(mc) for u in pair}
+    for v in sorted(ends):
+        near = [k for k in sorted(mc.a) if close_oracle(sp, k, v, mc.r)]
+        for p, q in combinations(near, 2):
+            if strong:
+                bad = 2 * m[p][q] > m[p][v] + m[v][q] + sp.tol
+            else:
+                bad = not close_oracle(sp, p, q, mc.r)
+            if bad:
+                return (sp.labels[v], sp.labels[p], sp.labels[q])
+    return None
+
+
+def cross_domination_oracle(mc):
+    """First (x, y, v) with d(x, y) below a leg to v, or None."""
+    m = mc.space.matrix
+    for i in sorted(mc.x - mc.a):
+        for j in sorted(mc.y - mc.a):
+            for v in sorted(mc.a):
+                if m[i][j] < m[i][v] or m[i][j] < m[j][v]:
+                    return tuple(mc.space.labels[k] for k in (i, j, v))
+    return None
+
+
+def witness_ball_oracle(mc):
+    """First shared witness within r of every shared point that sits within r
+    of both ends of a close cross pair, or None."""
+    sp = mc.space
+    for v in shared_witnesses_oracle(mc):
+        if all(
+            close_oracle(sp, v, w, mc.r)
+            for i, j in cross_pairs_oracle(mc)
+            for w in sorted(mc.a)
+            if close_oracle(sp, w, i, mc.r) and close_oracle(sp, w, j, mc.r)
+        ):
+            return sp.labels[v]
+    return None
+
+
+def full_witness_oracle(mc):
+    """First (x, y, v) of a close cross pair and a shared point out of
+    reach of one of its ends, or None."""
+    sp = mc.space
+    for i, j in cross_pairs_oracle(mc):
+        for v in sorted(mc.a):
+            if not (close_oracle(sp, i, v, mc.r) and close_oracle(sp, j, v, mc.r)):
+                return (sp.labels[i], sp.labels[j], sp.labels[v])
+    return None

@@ -1,0 +1,181 @@
+"""The command line: every subcommand's exit code and output shape, one
+parser for the whole process, and the JSON round trip of reports."""
+
+import json
+import os
+import subprocess
+import sys
+from collections import Counter
+
+import pytest
+
+from ripsdecomp import analyze, analyze_metric, cli, homology, vietoris_rips
+from ripsdecomp.corpus import CASES
+from ripsdecomp.io import load_input
+from ripsdecomp.reporting import parse_report, render_json
+
+from conftest import (
+    circle_cover,
+    random_complex,
+    random_cover,
+    random_metric_cover,
+    rng_for,
+)
+
+GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
+
+
+def write_json(tmp_path, name, document):
+    path = tmp_path / name
+    path.write_text(json.dumps(document))
+    return str(path)
+
+
+@pytest.fixture
+def circle_files(tmp_path):
+    mc = circle_cover(12)
+    points = write_json(
+        tmp_path,
+        "points.json",
+        {
+            "points": list(mc.space.labels),
+            "distances": [[str(v) for v in row] for row in mc.space.matrix],
+        },
+    )
+    cover = write_json(
+        tmp_path,
+        "cover.json",
+        {"X": mc.labels_of(sorted(mc.x)), "Y": mc.labels_of(sorted(mc.y))},
+    )
+    return points, cover, str(mc.r)
+
+
+@pytest.fixture
+def facet_file(tmp_path):
+    return write_json(tmp_path, "facets.json", {"facets": [[1, 2, 3], [3, 4], [4, 5], [5, 3]]})
+
+
+class TestVr:
+    @pytest.mark.parametrize("max_dim", [0, 1, 3])
+    def test_counts_match_the_complex(self, capsys, circle_files, max_dim):
+        points, _, r = circle_files
+        argv = ["vr", points, "-r", r, "--max-dim", str(max_dim), "--format", "json"]
+        assert cli.main(argv) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert list(out) == ["counts_by_dim"]
+        k = vietoris_rips(load_input(points).space, r, max_dim)
+        expected = Counter(str(len(s) - 1) for s in k.simplices())
+        assert out["counts_by_dim"] == dict(expected)
+        assert list(out["counts_by_dim"]) == [str(d) for d in range(max_dim + 1)]
+
+    def test_text_output(self, capsys, circle_files):
+        points, _, r = circle_files
+        assert cli.main(["vr", points, "-r", r, "--max-dim", "2"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == f"Vietoris-Rips complex at radius {r}:"
+        assert [line.split(":")[0].strip() for line in lines[1:]] == ["dim 0", "dim 1", "dim 2"]
+
+    def test_needs_a_distance_input_and_a_radius(self, capsys, circle_files, facet_file):
+        assert cli.main(["vr", facet_file]) == 2
+        assert cli.main(["vr", circle_files[0]]) == 2
+        err = capsys.readouterr().err
+        assert "vr needs a distance input" in err and "needs --radius" in err
+
+
+class TestHomology:
+    def test_json_profiles_per_field(self, capsys, facet_file):
+        argv = ["homology", facet_file, "--field", "q", "--field", "zp:2", "--format", "json"]
+        assert cli.main(argv) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert list(out) == ["q", "zp:2"]
+        k = load_input(facet_file).facet_complex
+        for coeffs, profile in out.items():
+            assert set(profile) == {"coeffs", "reduced", "degrees", "betti", "torsion"}
+            expected = homology(k, coeffs, max_deg=4, reduced=True).to_dict()
+            assert profile == json.loads(json.dumps(expected))
+        assert out["q"]["betti"]["1"] == 1
+
+    def test_default_fields_and_unreduced(self, capsys, facet_file):
+        assert cli.main(["homology", facet_file, "--unreduced", "--format", "json"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert list(out) == ["q", "z"]
+        assert all(not p["reduced"] and p["betti"]["0"] == 1 for p in out.values())
+
+    @pytest.mark.parametrize("command", ["homology", "vr"])
+    def test_negative_cap_is_an_input_error(self, capsys, circle_files, facet_file, command):
+        argv = [command, facet_file] if command == "homology" else ["vr", circle_files[0], "-r", "1"]
+        assert cli.main([*argv, "--max-dim", "-5", "--format", "json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --max-dim must be nonnegative\n"
+
+    def test_distance_input_needs_a_radius(self, capsys, circle_files):
+        assert cli.main(["homology", circle_files[0]]) == 2
+        assert "needs --radius" in capsys.readouterr().err
+
+
+class TestCorpus:
+    def test_list(self, capsys):
+        assert cli.main(["corpus", "list"]) == 0
+        assert capsys.readouterr().out.splitlines() == [case.name for case in CASES]
+
+    def test_run(self, capsys):
+        assert cli.main(["corpus", "run"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:-1] == [f"{case.name}: ok" for case in CASES]
+        assert lines[-1] == f"{len(CASES)}/{len(CASES)} cases pass"
+
+
+class TestOneParser:
+    def test_not_built_at_import(self):
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        code = "import ripsdecomp.cli as c; assert c._PARSER is None"
+        env = dict(os.environ, PYTHONPATH=src)
+        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+    def test_built_once_and_reused(self, capsys):
+        cli.main(["corpus", "list"])
+        parser = cli._PARSER
+        assert parser is not None
+        cli.main(["corpus", "list"])
+        assert cli._PARSER is parser
+
+    def test_options_do_not_leak_between_calls(self, capsys, circle_files):
+        points, cover, r = circle_files
+        base = ["decompose", points, "--cover", cover, "-r", r, "--max-dim", "2", "--format", "json"]
+
+        def run(*extra):
+            assert cli.main([*base, *extra]) == 0
+            return json.loads(capsys.readouterr().out)
+
+        first = run("--field", "zp:2", "--field", "zp:3", "--no-verify")
+        assert first["fields"] == ["zp:2", "zp:3"] and first["profiles"] is None
+        plain = run()
+        assert plain["fields"] == ["q", "z"] and set(plain["profiles"]["x"]) == {"q", "z"}
+        again = run("--field", "zp:3")
+        assert again["fields"] == ["zp:3"] and set(again["profiles"]["x"]) == {"zp:3"}
+        assert run() == plain
+
+
+class TestRoundTrip:
+    @pytest.mark.parametrize(
+        "name", sorted(f[:-5] for f in os.listdir(GOLDEN_DIR) if f.endswith(".json"))
+    )
+    def test_golden_reports(self, name):
+        with open(os.path.join(GOLDEN_DIR, name + ".json")) as fh:
+            text = fh.read()
+        report = parse_report(text)
+        assert render_json(report) == text
+        assert parse_report(render_json(report)) == report
+
+    def test_fresh_reports(self):
+        rng = rng_for(601)
+        for i in range(30):
+            if i % 2:
+                report = analyze_metric(
+                    random_metric_cover(rng), dim_cap=2, fields=["q", "z", "zp:2"], verify=i % 4 == 1
+                )
+            else:
+                k = random_complex(rng, max_vertices=7)
+                report = analyze(k, random_cover(rng, k), dim_cap=3, verify=i % 4 == 0)
+            assert parse_report(render_json(report)) == report

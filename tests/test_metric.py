@@ -25,14 +25,23 @@ from ripsdecomp import (
     validate,
     vietoris_rips,
 )
+from ripsdecomp import metric
 from ripsdecomp.corpus import case_by_name, space_for
 
 from conftest import (
     circle_cover,
+    close_oracle,
+    cross_domination_oracle,
+    cross_pairs_oracle,
+    full_witness_oracle,
     label_simplices,
     pseudometric_oracle,
+    random_metric_cover,
     random_pseudometric,
     rng_for,
+    shared_witnesses_oracle,
+    simplex_assumption_oracle,
+    witness_ball_oracle,
 )
 
 
@@ -64,6 +73,23 @@ class TestValidate:
 
 
 class TestPseudometric:
+    def test_packed_screen_reports_exactly_the_violating_pairs(self):
+        rng = rng_for(314)
+        fired = 0
+        for _ in range(600):
+            n = rng.randint(0, 9)
+            top = rng.choice((1, 2, 3, 7, 8, 1000, 2**40))
+            rows = [[rng.choice((0, 1, top // 2, top - 1, top, rng.randint(0, top))) for _ in range(n)] for _ in range(n)]
+            expected = [
+                (i, j)
+                for i in range(n)
+                for j in range(n)
+                if any(rows[i][k] > rows[i][j] + rows[j][k] for k in range(n))
+            ]
+            assert list(metric._triangle_screen(rows)) == expected
+            fired += bool(expected)
+        assert 100 < fired < 550
+
     def test_eight_point_table_is_metric(self):
         assert is_pseudometric(space_for(case_by_name("eight-pt-s3"))) is None
 
@@ -419,6 +445,18 @@ class TestCoverValidation:
 
 
 class TestAnalyzeMetric:
+    def test_gluing_along_an_empty_intersection_at_infinite_radius(self):
+        # the cross pair is close only because r is inf; its obstruction over
+        # the empty intersection is empty, so neither simplex condition applies
+        space = DistanceSpace(["x", "y"], [[0, math.inf], [math.inf, 0]])
+        report = analyze_metric(MetricCover(space, ["x"], ["y"], math.inf), dim_cap=2)
+        assert report.verdict("metric-gluing").status == "holds"
+        for crit in ("gluing-simplex-condition", "gluing-strong-simplex-condition"):
+            verdict = report.verdict(crit)
+            assert verdict.status == "not_applicable"
+            assert verdict.detail == "needs a metric gluing along a nonempty intersection"
+        assert report.soundness["ok"]
+
     def test_one_enumeration_per_report(self, monkeypatch):
         calls = []
         enumerate_p_complement = analyzer.enumerate_p_complement
@@ -430,3 +468,80 @@ class TestAnalyzeMetric:
         monkeypatch.setattr(analyzer, "enumerate_p_complement", counted)
         report = analyze_metric(mc_for("nine-pt-circle"), dim_cap=3)
         assert len(calls) == 1 and report.census["total"] > 0
+
+
+class TestIntegerChecksAgainstFractions:
+    """Every threshold and order test on the scaled ints agrees with the
+    Fraction reference, ``inf`` entries, tolerances and infinite radii
+    included."""
+
+    def test_closeness_table_and_checks(self):
+        rng = rng_for(311)
+        seen = {"shared": 0, "no-shared": 0, "simplex-fails": 0, "inf-radius": 0}
+        for _ in range(300):
+            mc = random_metric_cover(rng, max_points=10)
+            sp = mc.space
+            n = len(sp)
+            close = sp.closeness(mc.r)
+            assert close == tuple(
+                tuple(close_oracle(sp, i, j, mc.r) for j in range(n)) for i in range(n)
+            )
+            assert sp.closeness(mc.r) is close
+            assert mc.cross_pairs_within() == cross_pairs_oracle(mc)
+            witnesses = shared_witnesses_oracle(mc)
+            assert metric.shared_witnesses(mc) == witnesses
+            shared = check_shared_witness(mc)
+            assert shared.ok == bool(mc.a and witnesses)
+            assert shared.witness == (sp.labels[witnesses[0]] if shared.ok else None)
+            for strong, check in ((False, check_simplex_assumption), (True, check_strong_simplex_assumption)):
+                res = check(mc)
+                expected = simplex_assumption_oracle(mc, strong)
+                assert (res.ok, res.witness) == (expected is None, expected)
+            dom = check_cross_domination(mc)
+            if mc.a:
+                expected = cross_domination_oracle(mc)
+                assert (dom.ok, dom.witness) == (expected is None, expected)
+            edges = [(i, j) for i, j in combinations(range(n), 2) if close_oracle(sp, i, j, mc.r)]
+            assert vietoris_rips(sp, mc.r, 2).edges() == edges
+            seen["shared" if shared.ok else "no-shared"] += 1
+            seen["simplex-fails"] += not check_simplex_assumption(mc).ok
+            seen["inf-radius"] += mc.r == math.inf
+        assert min(seen.values()) >= 5, seen
+
+    def test_witness_loops_of_the_report(self):
+        rng = rng_for(312)
+        seen = {"ball-holds": 0, "ball-fails": 0, "full-holds": 0, "full-fails": 0}
+        for _ in range(300):
+            mc = random_metric_cover(rng, max_points=10)
+            report = analyze_metric(mc, dim_cap=2, verify=False)
+            ball = report.verdict("witness-ball-closure")
+            if check_shared_witness(mc).ok:
+                found = witness_ball_oracle(mc)
+                assert ball.witness == (None if found is None else str(found))
+                assert ball.status == ("fails" if found is None else "holds")
+                seen["ball-" + ball.status] += 1
+            full = report.verdict("full-witness-set")
+            if mc.cross_pairs_within():
+                bad = full_witness_oracle(mc)
+                if bad is not None:
+                    assert (full.status, full.witness) == ("fails", str(bad))
+                    seen["full-fails"] += 1
+                elif mc.a:
+                    assert full.witness is None and full.status != "fails"
+                    seen["full-holds"] += 1
+        assert min(seen.values()) >= 3, seen
+
+    def test_validate_on_ints(self):
+        rng = rng_for(313)
+        for _ in range(100):
+            n = rng.randint(1, 5)
+            entries = [Fraction(1, 3), Fraction(2, 6), 0, 1, math.inf, Fraction(5, 7)]
+            matrix = [[rng.choice(entries) for _ in range(n)] for _ in range(n)]
+            space = DistanceSpace([f"p{i}" for i in range(n)], matrix)
+            m = space.matrix
+            expected = []
+            for i in range(n):
+                if m[i][i] != 0:
+                    expected.append((i, i))
+                expected += [(i, j) for j in range(i + 1, n) if m[i][j] != m[j][i]]
+            assert validate(space) == expected
