@@ -29,7 +29,6 @@ from .complexes import (
     STATUS_CONE,
     STATUS_EMPTY,
     STATUS_HOMOLOGY_ONLY,
-    cover_union,
     enumerate_p_complement,
     make_simplex,
 )
@@ -37,6 +36,7 @@ from .errors import InvalidInput, NotASimplex
 from .homology import (
     ContractibilityCertificate,
     contractibility_certificate,
+    cover_square,
     homology,
     induced_map,
     relative_homology,
@@ -1593,14 +1593,11 @@ def _metric_verdicts(mc, ctx):
 
 
 def _verification(complex_, cover, fields, dim_cap):
-    """Profiles of the five complexes of the cover square plus induced maps."""
-    parts = {
-        "x": complex_.restrict(cover.x),
-        "y": complex_.restrict(cover.y),
-        "a": complex_.restrict(cover.a),
-        "union": cover_union(complex_, cover),
-        "total": complex_,
-    }
+    """Profiles of the five complexes of the cover square plus induced maps.
+
+    The parts share one reduction, run by the first ``homology`` call.
+    """
+    parts = cover_square(complex_, cover, dim_cap)
     max_deg = dim_cap - 1
     profiles = {}
     for name, part in parts.items():

@@ -65,7 +65,8 @@ class Complex:
     ``_memo`` is a cache that ``homology`` fills lazily (simplex levels and
     the invariant factors of each boundary matrix).  Every entry is a
     function of the complex's content, so the complex stays immutable and
-    thread-safe: fills that race write equal values.
+    thread-safe: fills that race write equal values.  The parts of a cover
+    square also hold the square's pending reduction until one is read.
     """
 
     __slots__ = ("_simplices", "_adj", "_vertices", "dim_cap", "labels", "_memo")

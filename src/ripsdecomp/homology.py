@@ -1,7 +1,7 @@
 """Exact simplicial homology and contractibility certificates.
 
 Every number is a rank of an integer boundary matrix, counted from its
-invariant factors (``linalg.sparse_invariants``): over a field of
+invariant factors (``linalg.block_invariants``): over a field of
 characteristic p (0 for q) the rank is the number of factors p does not
 divide, as the Smith transforms stay invertible mod p; integral torsion comes
 from the factors above 1.  For L in K, let d(K, L) be d(K) without the rows
@@ -9,11 +9,49 @@ of L's n-simplices; Z_n(L) meets B_n(K) in its kernel on B_n(K), so
 
     rank(H_n L -> H_n K) = dim Z_n(L) - rank d_{n+1}(K) + rank d_{n+1}(K, L).
 
+d_{n+1} is reduced as its transpose, the coboundary delta_n from n-simplices
+to their cofaces, in increasing degree, and each delta_n skips the columns
+of the n-simplices that are unit pivot rows of the reduced delta_(n-1)
+(clearing).  Both keep the integer invariant factors, so every field and
+integral torsion stay exact:
+
+* a matrix and its transpose have the same Smith normal form;
+* a reduced column c of delta_(n-1) is delta_(n-1) of an integer cochain,
+  so delta_n c = 0; when its lowest entry c_t is +-1, the column of t in
+  delta_n is an integer combination of the columns of earlier simplices.
+  Zeroing it is a unimodular column operation, and dropping the zero column
+  changes no invariant.  (Done in decreasing order, each such combination
+  still uses unmodified columns.)  A non-unit c_t gives no such combination
+  over the integers, so only unit pivot rows clear.
+
 Each complex reduces each d_n once: its simplex levels and the invariants of
 every d_n it was asked for are kept in its memo, and every field and degree
 reads those same invariants.  d(K, L) is kept in K's memo per subcomplex and
 degree.  The checks of a call (subcomplex, field, degree, flag cap) still
 run on every call.
+
+The cover square (``cover_square``) of X, Y, A = X & Y, the union K[X] u K[Y]
+and the total K is read off one reduction of the total per degree.  Each
+degree of the total is ordered by class, each class lexicographic: the cross
+simplices (meeting both X - A and Y - A) first, then those inside Y but not
+A, those inside X but not A, and those inside A last.  In the coboundary,
+then,
+
+* A, X and the union are row suffixes: no coface of a simplex outside a
+  subcomplex lies inside it, so the outside columns are zero on the
+  subcomplex's rows, a column whose lowest row is inside belongs to the
+  subcomplex, and the subcomplex's columns reduce on its rows exactly as
+  they would alone.  Its invariants are its block's unit pivots and the
+  Smith form of its block's set-aside columns;
+* d(total, union) is the column prefix of the cross simplices, whose
+  cofaces are cross too, and a prefix of a column reduction is the
+  reduction of the prefix;
+* a column cleared in the total is a combination of earlier columns in
+  every block that holds it: the outside terms vanish on a suffix's rows,
+  and the terms before a cross simplex are cross.
+
+Y is no suffix of that order, so it gets one more reduction per degree, of
+its own simplices in the same order, with its own clearing.
 
 Reduced homology uses the augmented chain complex, so the empty complex has
 rank one in degree -1; that convention makes the suspension-shift
@@ -25,10 +63,10 @@ certificate is reported as acyclic, never as contractible.
 """
 
 import heapq
-from itertools import combinations, groupby
+from itertools import accumulate, groupby
 
 from . import linalg
-from .complexes import Complex, central_vertex, make_simplex
+from .complexes import central_vertex, cover_union
 from .errors import (
     EmptyComplex,
     EnumerationRefused,
@@ -44,6 +82,7 @@ __all__ = [
     "boundary_matrix",
     "central_vertex",
     "contractibility_certificate",
+    "cover_square",
     "homology",
     "induced_map",
     "is_subcomplex",
@@ -77,6 +116,19 @@ def boundary_columns(rows, cols):
     return out
 
 
+def coboundary_columns(rows, cols):
+    """The transpose of ``boundary_columns(rows, cols)``: one sparse column
+    ``{index in cols: +-1}`` per simplex of ``rows``, holding its cofaces."""
+    index = {s: i for i, s in enumerate(rows)}
+    out = [{} for _ in rows]
+    for j, s in enumerate(cols):
+        for i in range(len(s)):
+            r = index.get(s[:i] + s[i + 1 :])
+            if r is not None:
+                out[r][j] = -1 if i % 2 else 1
+    return out
+
+
 def _dense(columns, nrows):
     return [[col.get(r, 0) for col in columns] for r in range(nrows)]
 
@@ -88,9 +140,13 @@ def simplex_levels(complex_, need):
     the level at the cap is already empty, downward closure guarantees all
     higher levels are empty too and they are padded in.  The levels are
     enumerated once per complex and shared: callers must not modify them.
-    The refusal is decided on every call.
+    The refusal is decided on every call.  A part of a cover square runs
+    the square's pending reduction first.
     """
     memo = complex_._memo
+    pending = memo.get("square")
+    if pending is not None:
+        pending()
     cap = complex_.dim_cap if complex_.is_flag else None
     top = need if cap is None else min(need, cap)
     levels, complete = memo.get("levels", ((), False))
@@ -207,24 +263,35 @@ def _rank(invariants, char):
     return rank - sum(1 for d in factors if d % char == 0) if char else rank
 
 
-def _invariants(rows, cols):
-    """(rank, invariant factors above 1) of the boundary between simplex lists."""
-    factors = linalg.sparse_invariants(boundary_columns(rows, cols))
+def _coboundary(rows, cols, cleared=frozenset()):
+    """The reduced coboundary from the simplices ``rows`` to their cofaces
+    ``cols``, skipping the columns ``cleared``.  Its unit pivot rows index
+    ``cols``; they clear the next degree's columns."""
+    return linalg.reduce_columns(coboundary_columns(rows, cols), cleared)
+
+
+def _invariants(reduction, first_row=0, end_col=None):
+    """(rank, invariant factors above 1) of a block of a reduced coboundary."""
+    factors = linalg.block_invariants(reduction, first_row, end_col)
     return len(factors), tuple(d for d in factors if d > 1)
 
 
 def _boundary(complex_, bases, n):
     """Invariants of d_n on the chains ``bases`` of a complex.
 
-    d_n for n >= 1 is reduced once per complex and kept in its memo; the
-    augmentation d_0 is not reduced, its rank is one when both of its
-    chain groups are nonzero.
+    d_n for n >= 1 is reduced once per complex, as a coboundary cleared by
+    the unit pivot rows of d_(n-1), and kept in its memo; the augmentation
+    d_0 is not reduced, its rank is one when both of its chain groups are
+    nonzero.
     """
     if n < 1:
         return (1, ()) if n == 0 and bases[-1] and bases[0] else (0, ())
-    invariants = complex_._memo.get(n)
+    memo = complex_._memo
+    invariants = memo.get(n)
     if invariants is None:
-        invariants = complex_._memo[n] = _invariants(bases[n - 1], bases[n])
+        reduction = _coboundary(bases[n - 1], bases[n], memo.get(("cleared", n - 1), ()))
+        memo[("cleared", n)] = frozenset(reduction[0])
+        invariants = memo[n] = _invariants(reduction)
     return invariants
 
 
@@ -241,7 +308,7 @@ def _relative(ambient, sub, bases, n):
     hit = ambient._memo.get(key)
     if hit is None:
         rows = [s for s in bases[n - 1] if s not in sub]
-        hit = ambient._memo[key] = (sub, _invariants(rows, bases[n]))
+        hit = ambient._memo[key] = (sub, _invariants(_coboundary(rows, bases[n])))
     return hit[1]
 
 
@@ -282,12 +349,97 @@ def homology(complex_, coeffs="z", max_deg=None, reduced=True):
     )
 
 
+def cover_square(complex_, cover, dim_cap):
+    """The five complexes of a cover's square, keyed x, y, a, union, total.
+
+    Their memos share one pending reduction, run by the first call that
+    reads any of them: the levels of the parts are filtered from the
+    total's, and d_1..d_dim_cap of every part, with d(total, union), are
+    read off one reduction of the total plus one of Y (module docstring).
+    """
+    parts = {
+        "x": complex_.restrict(cover.x),
+        "y": complex_.restrict(cover.y),
+        "a": complex_.restrict(cover.a),
+        "union": cover_union(complex_, cover),
+        "total": complex_,
+    }
+
+    def run():
+        for part in parts.values():
+            part._memo.pop("square", None)
+        _reduce_square(parts, cover, dim_cap)
+
+    for part in parts.values():
+        part._memo["square"] = run
+    return parts
+
+
+# simplex classes of a cover square, in reduction order
+_CROSS, _Y_ONLY, _X_ONLY, _A = range(4)
+_CLASSES = {
+    "x": (_X_ONLY, _A),
+    "y": (_Y_ONLY, _A),
+    "a": (_A,),
+    "union": (_Y_ONLY, _X_ONLY, _A),
+}
+
+
+def _reduce_square(parts, cover, top):
+    """Fill the memos of a cover square's parts from two reductions per degree."""
+    total = parts["total"]
+    x_only, y_only = cover.x - cover.a, cover.y - cover.a
+
+    def kind(s):
+        in_x = not x_only.isdisjoint(s)
+        in_y = not y_only.isdisjoint(s)
+        return _CROSS if in_x and in_y else _Y_ONLY if in_y else _X_ONLY if in_x else _A
+
+    buckets = simplex_levels(total, top)
+    levels, complete = total._memo["levels"]
+    # the parts hold levels 0..top: complete when the total has none above
+    complete = complete and len(levels) <= top + 1
+    kinds = [[kind(s) for s in level] for level in buckets]
+    for name, classes in _CLASSES.items():
+        parts[name]._memo["levels"] = (
+            [
+                [s for s, k in zip(level, ks) if k in classes]
+                for level, ks in zip(buckets, kinds)
+            ],
+            complete,
+        )
+    # each degree in class order, with the end index of each class
+    ordered, ends = [], []
+    for level, ks in zip(buckets, kinds):
+        by_class = [[], [], [], []]
+        for s, k in zip(level, ks):
+            by_class[k].append(s)
+        ordered.append([s for group in by_class for s in group])
+        ends.append(list(accumulate(len(group) for group in by_class)))
+    y_ordered = [o[e[0] : e[1]] + o[e[2] :] for o, e in zip(ordered, ends)]
+    cleared = y_cleared = frozenset()
+    for n in range(top):
+        reduction = _coboundary(ordered[n], ordered[n + 1], cleared)
+        cleared = frozenset(reduction[0])
+        rows = ends[n + 1]
+        total._memo[n + 1] = _invariants(reduction)
+        parts["union"]._memo[n + 1] = _invariants(reduction, rows[0])
+        parts["x"]._memo[n + 1] = _invariants(reduction, rows[1])
+        parts["a"]._memo[n + 1] = _invariants(reduction, rows[2])
+        total._memo[("relative", id(parts["union"]), n + 1)] = (
+            parts["union"],
+            _invariants(reduction, 0, ends[n][0]),
+        )
+        reduction = _coboundary(y_ordered[n], y_ordered[n + 1], y_cleared)
+        y_cleared = frozenset(reduction[0])
+        parts["y"]._memo[n + 1] = _invariants(reduction)
+
+
 def is_subcomplex(sub, ambient):
     """True when every simplex of ``sub`` belongs to ``ambient``."""
     if sub.is_flag and ambient.is_flag:
-        return set(sub.vertices) <= set(ambient.vertices) and all(
-            e in ambient for e in sub.edges()
-        )
+        adj = ambient._adj
+        return all(v in adj and nb <= adj[v] for v, nb in sub._adj.items())
     if not sub.is_flag and not ambient.is_flag:
         return sub._simplices <= ambient._simplices
     for s in sub.to_explicit(full=True).simplices():

@@ -1,14 +1,19 @@
 """Exact linear algebra: sparse integral invariants, small dense matrices.
 
-``sparse_invariants`` finds the invariant factors of an integer matrix given
-by sparse columns ``{row: value}``, after Dumas, Heckenbach, Saunders &
-Welker (2003).  A lowest-row column reduction uses unit (+-1) pivots only, so
-every step is unimodular; columns whose lowest entry is not a unit are
-cleared on the unit pivot rows and the small remainder goes to the dense
-``smith_invariants`` (smallest-magnitude pivots against coefficient blow-up).
-The unit block is triangular with a +-1 diagonal, so each unit pivot gives
-one factor 1.  Dense field elimination on ``Fraction`` or ints mod p (lists
-of row lists) only builds explicit induced-map matrices.
+``reduce_columns`` is the one sparse reduction, after Dumas, Heckenbach,
+Saunders & Welker (2003): integer columns ``{row: value}`` are reduced on
+their lowest rows with unit (+-1) pivots only, so every step is unimodular,
+and a column whose lowest entry is not a unit is set aside.  Columns listed
+as skipped are passed over; the caller vouches that each is an integer
+combination of other columns (clearing).  ``block_invariants`` reads the
+invariant factors of a row suffix or column prefix of the reduced matrix:
+the unit block is triangular with a +-1 diagonal, so each unit pivot gives
+one factor 1, and the set-aside columns are cleared on the unit pivot rows,
+leaving a small remainder for the dense ``smith_invariants``
+(smallest-magnitude pivots against coefficient blow-up).
+``sparse_invariants`` is the whole-matrix case.  Dense field elimination on
+``Fraction`` or ints mod p (lists of row lists) only builds explicit
+induced-map matrices.
 """
 
 from fractions import Fraction
@@ -19,10 +24,12 @@ __all__ = [
     "GF",
     "QQ",
     "Span",
+    "block_invariants",
     "field_of",
     "kernel_basis",
     "matmul",
     "rank",
+    "reduce_columns",
     "smith_invariants",
     "solve_in_span",
     "sparse_invariants",
@@ -128,32 +135,68 @@ def _subtract(col, pivot, c):
             del col[r]
 
 
-def sparse_invariants(columns):
-    """``smith_invariants`` of the matrix with these sparse columns, which
-    are left unmodified."""
-    pivots = {}             # lowest row -> reduced column with a unit there
+def reduce_columns(columns, skip=frozenset()):
+    """Lowest-row reduction of sparse integer columns with unit pivots.
+
+    Columns are read in order and left unmodified; the indices in ``skip``
+    are passed over.  Returns ``(pivots, residual)``: ``pivots`` maps each
+    unit pivot row to ``(column index, reduced column)``, and ``residual``
+    lists ``(column index, column)`` for the columns set aside on a non-unit
+    lowest entry.  Only earlier columns are ever added to a column.
+    """
+    pivots = {}
     residual = []
-    for col in columns:
+    for j, col in enumerate(columns):
+        if j in skip or not col:
+            continue
         col = dict(col)
         while col:
             low = max(col)
             pivot = pivots.get(low)
             if pivot is None:
                 break
+            pivot = pivot[1]
             _subtract(col, pivot, col[low] * pivot[low])
         if col and col[low] in (1, -1):
-            pivots[low] = col
+            pivots[low] = (j, col)
         elif col:
-            residual.append(col)
+            residual.append((j, col))
+    return pivots, residual
+
+
+def block_invariants(reduction, first_row=0, end_col=None):
+    """Invariant factors of the block of rows >= ``first_row`` and columns
+    < ``end_col`` (all columns when None) of a ``reduce_columns`` matrix.
+
+    Exact when the block's columns reduce alone as they did in the whole
+    matrix: a column prefix always does, and a row suffix does when the
+    columns outside the block are zero on its rows.  The block's unit
+    pivots each give one factor 1; its set-aside columns are cleared on
+    those pivot rows and the remainder goes to ``smith_invariants``.
+    """
+    pivots, residual = reduction
+
+    def inside(j, low):
+        return low >= first_row and (end_col is None or j < end_col)
+
+    units = {low: col for low, (j, col) in pivots.items() if inside(j, low)}
+    rest = [dict(col) for j, col in residual if inside(j, max(col))]
     # clearing a pivot row only fills rows above it, so one downward pass
     # leaves the set-aside columns zero on every unit pivot row
-    for row in sorted(pivots, reverse=True):
-        for col in residual:
+    for row in sorted(units, reverse=True):
+        pivot = units[row]
+        for col in rest:
             if row in col:
-                _subtract(col, pivots[row], col[row] * pivots[row][row])
-    rows = sorted(set().union(*residual))
-    dense = [[col.get(r, 0) for col in residual] for r in rows]
-    return [1] * len(pivots) + smith_invariants(dense)
+                _subtract(col, pivot, col[row] * pivot[row])
+    rows = sorted(r for r in set().union(*rest) if r >= first_row)
+    dense = [[col.get(r, 0) for col in rest] for r in rows]
+    return [1] * len(units) + smith_invariants(dense)
+
+
+def sparse_invariants(columns):
+    """``smith_invariants`` of the matrix with these sparse columns, which
+    are left unmodified: the whole-matrix block of one reduction."""
+    return block_invariants(reduce_columns(columns))
 
 
 def prime_power_factors(n):

@@ -99,9 +99,21 @@ class DistanceSpace:
         n = len(self.labels)
         if len(matrix) != n or any(len(row) != n for row in matrix):
             raise InvalidInput("distance matrix must be square and match the labels")
-        self.matrix = tuple(
-            tuple(v if v is INF else parse_distance(v) for v in row) for row in matrix
-        )
+        parsed = {}             # (type, value) -> distance: repeats parse once
+
+        def parse(v):
+            if v is INF:
+                return v
+            key = (type(v), v)
+            try:
+                return parsed[key]
+            except KeyError:
+                out = parsed[key] = parse_distance(v)
+                return out
+            except TypeError:   # unhashable: parse_distance refuses it
+                return parse_distance(v)
+
+        self.matrix = tuple(tuple(parse(v) for v in row) for row in matrix)
         self.tol = parse_distance(tol)
         self._index = {lab: i for i, lab in enumerate(self.labels)}
         self._ints = None       # (scale, sentinel, scaled rows), on demand

@@ -36,6 +36,13 @@ def random_flag(rng, max_vertices=8, edge_p=0.5, dim_cap=4):
     return Complex.flag(range(n), edges, dim_cap=dim_cap)
 
 
+def fresh(k):
+    """A copy of a complex with an empty memo."""
+    if k.is_flag:
+        return Complex.flag(k.vertices, k.edges(), k.dim_cap)
+    return Complex.from_simplices(k.simplices())
+
+
 def random_cover(rng, complex_):
     x, y = set(), set()
     for v in complex_.vertices:

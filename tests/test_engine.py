@@ -18,6 +18,7 @@ from ripsdecomp.linalg import GF, QQ, field_of, smith_invariants, sparse_invaria
 from conftest import (
     PROJECTIVE_PLANE,
     boundary_oracle,
+    fresh,
     random_complex,
     random_cover,
     random_flag,
@@ -203,13 +204,6 @@ class TestInducedRanks:
         rec = induced_map(k.skeleton(1), k, 1, "zp:2")
         assert built == [] and rec.rank == 1
         assert rec.matrix == rec.matrix and len(built) == 2
-
-
-def fresh(k):
-    """A copy of a complex with an empty memo."""
-    if k.is_flag:
-        return Complex.flag(k.vertices, k.edges(), k.dim_cap)
-    return Complex.from_simplices(k.simplices())
 
 
 class TestMemo:

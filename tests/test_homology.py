@@ -21,7 +21,12 @@ from ripsdecomp import (
     vietoris_rips,
 )
 from ripsdecomp.corpus import case_by_name, space_for
-from ripsdecomp.homology import _greedy_collapse, central_vertex, replay_collapses
+from ripsdecomp.homology import (
+    _greedy_collapse,
+    central_vertex,
+    is_subcomplex,
+    replay_collapses,
+)
 from ripsdecomp.linalg import GF, QQ, rank
 
 from conftest import (
@@ -249,6 +254,27 @@ class TestInducedMap:
         sk = rp2.skeleton(1)
         rec = induced_map(sk, rp2, 1, "zp:2")
         assert rec.dim_target == 1 and rec.surjective
+
+
+class TestIsSubcomplex:
+    def test_flag_pairs_match_the_edge_membership_formula(self):
+        """Two flag complexes: the adjacency-set test agrees with one
+        membership test per edge of the smaller complex."""
+        rng = rng_for(3601)
+        verdicts = set()
+        for _ in range(300):
+            k = random_flag(rng, max_vertices=8, edge_p=0.6, dim_cap=2)
+            keep = set(rng.sample(k.vertices, rng.randint(0, len(k.vertices))))
+            edges = [e for e in k.edges() if set(e) <= keep and rng.random() < 0.8]
+            if rng.random() < 0.3:
+                keep.add(rng.randint(0, 9))
+            if rng.random() < 0.3 and len(keep) > 1:
+                edges.append(tuple(sorted(rng.sample(sorted(keep), 2))))
+            sub = Complex.flag(keep, edges, dim_cap=2)
+            old = set(sub.vertices) <= set(k.vertices) and all(e in k for e in sub.edges())
+            assert is_subcomplex(sub, k) == old
+            verdicts.add(old)
+        assert verdicts == {True, False}
 
 
 class TestCertificates:

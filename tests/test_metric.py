@@ -25,7 +25,7 @@ from ripsdecomp import (
     validate,
     vietoris_rips,
 )
-from ripsdecomp import metric
+from ripsdecomp import cli, metric
 from ripsdecomp.corpus import case_by_name, space_for
 
 from conftest import (
@@ -70,6 +70,42 @@ class TestValidate:
     def test_negative_rejected(self):
         with pytest.raises(InvalidInput):
             DistanceSpace(["1", "2"], [[0, -1], [-1, 0]])
+
+
+class TestParseOnce:
+    """Each distinct entry is parsed once per matrix, keyed by its type and
+    value, so equal values of different types stay apart."""
+
+    def test_mixed_spellings_of_one(self):
+        space = DistanceSpace(
+            ["a", "b", "c"], [[0, 1, "1"], [1.0, 0, "2/2"], ["1", 1, 0]]
+        )
+        assert space.matrix == tuple(
+            tuple(Fraction(i != j) for j in range(3)) for i in range(3)
+        )
+
+    def test_parses_each_distinct_entry_once(self, monkeypatch):
+        seen = []
+        real = metric.parse_distance
+        monkeypatch.setattr(metric, "parse_distance", lambda v: seen.append(v) or real(v))
+        DistanceSpace(["a", "b", "c"], [[0, 1, "1"], [1, 0, "1"], ["1", 1.0, 0]])
+        # the last 0 is the tolerance, parsed on its own
+        keys = [(type(v), v) for v in seen]
+        assert keys == [(int, 0), (int, 1), (str, "1"), (float, 1.0), (int, 0)]
+
+    @pytest.mark.parametrize("bad", [True, [1], "x"])
+    def test_refusals_unchanged_after_an_equal_entry(self, bad):
+        with pytest.raises(InvalidInput) as err:
+            DistanceSpace(["a", "b"], [[0, 1], [bad, 0]])
+        with pytest.raises(InvalidInput) as alone:
+            metric.parse_distance(bad)
+        assert str(err.value) == str(alone.value)
+
+    def test_true_after_one_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "points.json"
+        path.write_text('{"points": ["a", "b"], "distances": [[0, 1], [true, 0]]}')
+        assert cli.main(["vr", str(path), "-r", "1"]) == 2
+        assert "cannot parse distance True" in capsys.readouterr().err
 
 
 class TestPseudometric:

@@ -9,11 +9,15 @@ import pytest
 
 from ripsdecomp import (
     Complex,
+    Cover,
     CriterionVerdict,
     InvalidInput,
     analyzer,
     check_cofiber_shift,
     cli,
+    cover_union,
+    homology,
+    induced_map,
     linalg,
     mv_check,
 )
@@ -22,6 +26,7 @@ from ripsdecomp.io import load_cover, load_input
 
 from conftest import (
     PROJECTIVE_PLANE,
+    fresh,
     random_complex,
     random_cover,
     random_flag,
@@ -151,12 +156,102 @@ class TestNoRationalElimination:
         assert report["profiles"]["total"]["z"]["torsion"] == {"1": [2]}
 
 
+def rp2_wedge(rng):
+    """A projective plane on shuffled vertex labels, wedged with random
+    facets and coned off over some of its triangles: its set-aside columns
+    sit inside the blocks of the reduction."""
+    labels = rng.sample(range(1, 12), 7)
+    rp2 = [[labels[v] for v in f] for f in PROJECTIVE_PLANE]
+    coned = rng.sample(rp2, rng.randint(0, 10))
+    extra = [rng.sample(range(12), rng.randint(1, 4)) for _ in range(rng.randint(0, 3))]
+    return Complex.from_facets(rp2 + [f + [labels[6]] for f in coned] + extra)
+
+
+def rp2_cone(rng):
+    """The cone over a projective plane on shuffled labels, from an apex
+    below them all.  It is acyclic, but a set-aside column's lowest row has
+    cofaces: clearing that row as well gives it a false Z/2."""
+    labels = rng.sample(range(1, 12), 6)
+    return Complex.from_facets([[labels[v] for v in f] + [0] for f in PROJECTIVE_PLANE])
+
+
+def square_cases(rng):
+    """(complex, cover, dim_cap) triples: flag and explicit complexes, RP^2
+    wedges and cones, each under a random cover, an empty A, and X or Y
+    holding every vertex (no cross simplex)."""
+    for i in range(240):
+        kind = i % 4
+        if kind == 0:
+            k = random_flag(rng, max_vertices=9, edge_p=0.55, dim_cap=rng.randint(1, 3))
+            dim_cap = k.dim_cap
+        elif kind == 1:
+            k = random_complex(rng, max_vertices=8, max_facets=7, max_facet_size=5)
+            dim_cap = rng.randint(1, 4)
+        else:
+            k = rp2_wedge(rng) if kind == 2 else rp2_cone(rng)
+            dim_cap = rng.randint(3, 4)
+        vertices = list(k.vertices)
+        some = rng.sample(vertices, rng.randint(0, len(vertices)))
+        shape = i // 4 % 4
+        if shape == 0:
+            cover = random_cover(rng, k)
+        elif shape == 1:        # A empty
+            cover = Cover(some, set(vertices) - set(some))
+        elif shape == 2:
+            cover = Cover(vertices, some)
+        else:
+            cover = Cover(some, vertices)
+        yield k, cover, dim_cap
+
+
+class TestCoverSquare:
+    FIELDS = ("q", "z", "zp:2", "zp:3")
+
+    def test_matches_each_part_on_its_own(self):
+        """The five profiles and the induced records of one shared reduction
+        equal those of fresh parts with no memo in common."""
+        rng = rng_for(5301)
+        torsion = cases = no_cross = 0
+        for k, cover, dim_cap in square_cases(rng):
+            profiles, induced = analyzer._verification(k, cover, self.FIELDS, dim_cap)
+            total = fresh(k)
+            parts = {
+                "x": total.restrict(cover.x),
+                "y": total.restrict(cover.y),
+                "a": total.restrict(cover.a),
+                "union": cover_union(total, cover),
+                "total": total,
+            }
+            max_deg = dim_cap - 1
+            for name, part in parts.items():
+                for coeffs in self.FIELDS:
+                    want = homology(part, coeffs, max_deg=max_deg, reduced=True)
+                    assert profiles[name][coeffs] == want.to_dict(), (k, cover, name)
+            want = []
+            for coeffs in self.FIELDS[:1] + self.FIELDS[2:]:
+                for degree in range(max_deg + 1):
+                    rec = induced_map(parts["union"], total, degree, coeffs)
+                    want.append(
+                        (coeffs, degree, rec.rank, rec.dim_source, rec.dim_target)
+                    )
+            got = [
+                (r["field"], r["degree"], r["rank"], r["dim_source"], r["dim_target"])
+                for r in induced
+            ]
+            assert got == want, (k, cover)
+            cases += 1
+            torsion += any(profiles[n]["z"]["torsion"] for n in parts)
+            no_cross += all(not (set(s) - cover.x and set(s) - cover.y)
+                            for s in k.simplices(max_dim=dim_cap))
+        assert cases >= 200 and torsion > 10 and no_cross > 100, (cases, torsion, no_cross)
+
+
 class TestReductionCount:
     def test_each_boundary_matrix_is_reduced_once_per_report(self, monkeypatch):
-        """Four fields of verification reduce each boundary matrix of the five
-        cover-square complexes, and each relative matrix of the union in the
-        total, at most once: 5 * dim_cap + dim_cap reductions over the run
-        without verification."""
+        """Four fields of verification read every boundary matrix of the five
+        cover-square complexes, and d(total, union), off one reduction of the
+        total and one of Y per degree: at most 2 * dim_cap reductions over
+        the run without verification."""
         rng = rng_for(5201)
         facets = [rng.sample(range(12), rng.randint(2, 5)) for _ in range(10)]
         facets += [[v and 20 + v for v in f] for f in PROJECTIVE_PLANE]
@@ -164,9 +259,9 @@ class TestReductionCount:
         fields = ("q", "z", "zp:2", "zp:3")
         dim_cap = 4
         calls = []
-        real = linalg.sparse_invariants
+        real = linalg.reduce_columns
         monkeypatch.setattr(
-            linalg, "sparse_invariants", lambda cols: calls.append(1) or real(cols)
+            linalg, "reduce_columns", lambda *a, **kw: calls.append(1) or real(*a, **kw)
         )
         counts = {}
         for verify in (False, True):
@@ -176,7 +271,7 @@ class TestReductionCount:
             counts[verify] = len(calls)
         assert report.soundness["ok"] and len(report.induced) == 3 * dim_cap
         assert report.profiles["total"]["z"]["torsion"] == {"1": [2]}
-        assert 0 < counts[True] - counts[False] <= 5 * dim_cap + dim_cap, counts
+        assert 0 < counts[True] - counts[False] <= 2 * dim_cap, counts
 
 
 class TestFieldOption:
