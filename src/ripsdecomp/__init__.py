@@ -7,8 +7,6 @@ from .analyzer import (
     DecompositionReport,
     analyze,
     analyze_metric,
-    check_cofiber_shift,
-    mv_check,
 )
 from .complexes import (
     Complex,

@@ -23,7 +23,6 @@ from bisect import bisect_right
 from . import linalg
 from . import metric as metric_mod
 from .complexes import (
-    Complex,
     Cover,
     STATUS_COLLAPSE,
     STATUS_CONE,
@@ -32,14 +31,13 @@ from .complexes import (
     enumerate_p_complement,
     make_simplex,
 )
-from .errors import InvalidInput, NotASimplex
+from .errors import InvalidInput
 from .homology import (
     ContractibilityCertificate,
     contractibility_certificate,
     cover_square,
     homology,
     induced_map,
-    relative_homology,
 )
 
 __all__ = [
@@ -48,8 +46,6 @@ __all__ = [
     "DecompositionReport",
     "analyze",
     "analyze_metric",
-    "check_cofiber_shift",
-    "mv_check",
 ]
 
 HOLDS = "holds"
@@ -563,12 +559,7 @@ def _crit_torsion(ctx):
         profile = ctx.obstruction_profile(it.obs)
         for powers in profile.torsion.values():
             for q in powers:
-                p = q
-                for base in range(2, q + 1):
-                    if q % base == 0:
-                        p = base
-                        break
-                primes.add(p)
+                primes.update(p for p, _ in linalg.prime_factorization(q))
     if not primes:
         return CriterionVerdict(
             "torsion-obstructions",
@@ -1640,7 +1631,7 @@ def _soundness(verdicts, profiles, induced, fields, dim_cap):
         surj_at = v.claim.get("surj_at")
         exclude = v.claim.get("exclude_char")
         for coeffs, recs in by_field.items():
-            if exclude is not None and linalg.field_of(coeffs).char == exclude:
+            if exclude is not None and linalg.characteristic(coeffs) == exclude:
                 continue
             for degree, rec in recs.items():
                 want_iso = iso_upto == "all" or (
@@ -1680,29 +1671,36 @@ def _census(ctx):
 
 
 def _item_records(ctx, include_profiles):
+    """One record per cross simplex.  The labels of each obstruction
+    record's vertices and central simplex are made once and copied into
+    every cross simplex that shares the record."""
+    labels = {}
     records = []
     for it in ctx.items:
+        obs, cert = it.obs, it.obs.certificate
+        hit = labels.get(obs)
+        if hit is None:
+            central = None
+            if cert is not None and cert.kind == ContractibilityCertificate.CENTRAL:
+                central = [ctx.label(v) for v in cert.central]
+            hit = labels[obs] = ([ctx.label(v) for v in obs.complex.vertices], central)
+        vertices, central = hit
+        if cert is None:
+            certificate = None
+        elif central is not None:
+            certificate = {"kind": "central", "simplex": list(central)}
+        else:
+            certificate = {"kind": "collapse", "steps": len(cert.collapses)}
         rec = {
             "simplex": [ctx.label(v) for v in it.simplex],
             "dim": it.dim,
-            "status": it.obs.status,
-            "obstruction_vertices": [ctx.label(v) for v in it.obs.complex.vertices],
-            "certificate": None,
+            "status": obs.status,
+            "obstruction_vertices": list(vertices),
+            "certificate": certificate,
             "profile": None,
         }
-        if it.obs.certificate is not None:
-            if it.obs.certificate.kind == ContractibilityCertificate.CENTRAL:
-                rec["certificate"] = {
-                    "kind": "central",
-                    "simplex": [ctx.label(v) for v in it.obs.certificate.central],
-                }
-            else:
-                rec["certificate"] = {
-                    "kind": "collapse",
-                    "steps": len(it.obs.certificate.collapses),
-                }
-        if include_profiles and it.obs.status == STATUS_HOMOLOGY_ONLY:
-            rec["profile"] = ctx.obstruction_profile(it.obs).to_dict()
+        if include_profiles and obs.status == STATUS_HOMOLOGY_ONLY:
+            rec["profile"] = ctx.obstruction_profile(obs).to_dict()
         records.append(rec)
     return records
 
@@ -1750,8 +1748,9 @@ def analyze(complex_, cover, dim_cap=None, fields=("q", "z"), verify=True):
 
 
 def _analyze(ctx, fields, verify, kind="simplicial", radius=None, verdicts=(), notes=()):
-    """The report for a built context; ``verdicts`` and ``notes`` lead."""
-    fields = list(fields)
+    """The report for a built context; ``verdicts`` and ``notes`` lead.
+    A field listed twice is kept once, at its first place."""
+    fields = list(dict.fromkeys(fields))
     complex_, cover, dim_cap = ctx.complex, ctx.cover, ctx.dim_cap
     _clique_shortcut_audit(ctx)
     verdicts = list(verdicts)
@@ -1792,144 +1791,3 @@ def analyze_metric(mc, dim_cap=4, fields=("q", "z"), verify=True):
     ctx = _Context(complex_, Cover(mc.x, mc.y), dim_cap)
     metric_verdicts, notes = _metric_verdicts(mc, ctx)
     return _analyze(ctx, fields, verify, "metric", str(mc.r), metric_verdicts, notes)
-
-
-# ------------------------------------------------- independent theorem checks
-
-
-def check_cofiber_shift(complex_, sigma, coeffs="z", max_deg=None):
-    """Check the suspension-shift bookkeeping for one vertex set.
-
-    For an n-simplex ``sigma``, the homology of the pair (whole complex,
-    union of the vertex-deleted restrictions) must equal the reduced
-    homology of the outside obstruction complex shifted up by n + 1; and the
-    intersection of that union with the star of ``sigma`` must have the
-    n-shifted reduced homology of the same obstruction.  Returns a dict with
-    ``consistent`` plus the compared tables.
-    """
-    k = complex_.to_explicit(full=True)
-    sigma = make_simplex(sigma)
-    if sigma not in k:
-        raise NotASimplex(f"{sigma} is not a simplex here")
-    n = len(sigma) - 1
-    if max_deg is None:
-        max_deg = k.dim() + 1
-    vertices = set(k.vertices)
-    union = Complex.empty()
-    for v in sigma:
-        union = union.union(k.restrict(vertices - {v}))
-    obstruction = k.obstruction(sigma, vertices - set(sigma)).to_explicit(full=True)
-    obs_profile = homology(obstruction, coeffs, max_deg=max(max_deg, 0), reduced=True)
-    relative = relative_homology(k, union, coeffs, max_deg=max_deg)
-    mismatches = []
-    for i in range(0, max_deg + 1):
-        left_b = relative.betti.get(i, 0)
-        left_t = relative.torsion_at(i)
-        shift = i - n - 1
-        right_b = obs_profile.betti.get(shift, 0) if shift >= -1 else 0
-        right_t = obs_profile.torsion_at(shift) if shift >= -1 else ()
-        if left_b != right_b or left_t != right_t:
-            mismatches.append(
-                {
-                    "degree": i,
-                    "pair": [left_b, list(left_t)],
-                    "shifted_obstruction": [right_b, list(right_t)],
-                }
-            )
-    # n-fold suspension identity for the union-star intersection
-    meet = union.intersect(k.star(sigma))
-    meet_profile = homology(meet, coeffs, max_deg=max_deg, reduced=True)
-    for i in range(-1, max_deg + 1):
-        left_b = meet_profile.betti.get(i, 0)
-        left_t = meet_profile.torsion_at(i)
-        shift = i - n
-        right_b = obs_profile.betti.get(shift, 0) if shift >= -1 else 0
-        right_t = obs_profile.torsion_at(shift) if shift >= -1 else ()
-        if left_b != right_b or left_t != right_t:
-            mismatches.append(
-                {
-                    "degree": i,
-                    "union_star_meet": [left_b, list(left_t)],
-                    "shifted_obstruction": [right_b, list(right_t)],
-                }
-            )
-    return {
-        "simplex": sigma,
-        "degree": n,
-        "consistent": not mismatches,
-        "mismatches": mismatches,
-    }
-
-
-def mv_check(complex_, x, y, coeffs="q", max_deg=None):
-    """Exactness of the two-subcomplex homology sequence, by rank accounting.
-
-    Uses reduced homology with field coefficients (including degree -1, so an
-    empty intersection works).  Verified conditions, for every degree n in
-    range: the composite of the two stage maps vanishes; ranks across the
-    middle add up; and the rank the connecting map must have is consistent
-    on both of its sides.
-    """
-    if coeffs == "z":
-        raise InvalidInput("rank accounting needs field coefficients")
-    field = linalg.field_of(coeffs)
-    x = frozenset(x)
-    y = frozenset(y)
-    kx = complex_.restrict(x)
-    ky = complex_.restrict(y)
-    ka = complex_.restrict(x & y)
-    union = kx.union(ky)
-    if max_deg is None:
-        max_deg = max(union.dim() + 1, 0)
-    ranks = {}
-    maps_phi = {}
-    maps_psi = {}
-    rank_phi = {}
-    rank_psi = {}
-    for degree in range(-1, max_deg + 1):
-        ax = induced_map(ka, kx, degree, coeffs, reduced=True)
-        ay = induced_map(ka, ky, degree, coeffs, reduced=True)
-        jx = induced_map(kx, union, degree, coeffs, reduced=True)
-        jy = induced_map(ky, union, degree, coeffs, reduced=True)
-        ranks[degree] = {
-            "a": ax.dim_source,
-            "xy": ax.dim_target + ay.dim_target,
-            "u": jx.dim_target,
-        }
-        # the stage maps: H(A) stacked into H(X) + H(Y); then the difference
-        phi = [row[:] for row in ax.matrix] + [row[:] for row in ay.matrix]
-        psi = [
-            [field.of(v) for v in jx.matrix[r]]
-            + [field.sub(field.zero, field.of(v)) for v in jy.matrix[r]]
-            for r in range(len(jx.matrix))
-        ]
-        maps_phi[degree] = phi
-        maps_psi[degree] = psi
-        rank_phi[degree] = linalg.rank(phi, field) if phi and phi[0] else 0
-        rank_psi[degree] = linalg.rank(psi, field) if psi and psi[0] else 0
-    failures = []
-    for degree in range(-1, max_deg + 1):
-        phi = maps_phi[degree]
-        psi = maps_psi[degree]
-        if phi and phi[0] and psi and psi[0]:
-            comp = linalg.matmul(psi, phi, field)
-            if any(v != field.zero for row in comp for v in row):
-                failures.append(f"degree {degree}: composite of the stage maps is nonzero")
-        if rank_phi[degree] + rank_psi[degree] != ranks[degree]["xy"]:
-            failures.append(
-                f"degree {degree}: exactness fails at the middle "
-                f"({rank_phi[degree]} + {rank_psi[degree]} != {ranks[degree]['xy']})"
-            )
-        down = degree - 1
-        if down >= -1:
-            lhs = ranks[degree]["u"] - rank_psi[degree]
-            rhs = ranks[down]["a"] - rank_phi[down]
-            if lhs != rhs:
-                failures.append(
-                    f"degree {degree}: connecting rank mismatch ({lhs} != {rhs})"
-                )
-        elif ranks[degree]["u"] != rank_psi[degree]:
-            failures.append(
-                f"degree {degree}: the bottom stage map is not surjective"
-            )
-    return {"exact": not failures, "failures": failures, "ranks": ranks}

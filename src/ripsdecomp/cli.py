@@ -36,7 +36,7 @@ def _add_common(parser):
 def _check_field(value):
     try:
         if value != "z":
-            linalg.field_of(value)
+            linalg.characteristic(value)
     except InvalidInput as exc:
         raise argparse.ArgumentTypeError(f"bad field {value!r}: {exc}") from None
     return value

@@ -129,10 +129,6 @@ def coboundary_columns(rows, cols):
     return out
 
 
-def _dense(columns, nrows):
-    return [[col.get(r, 0) for col in columns] for r in range(nrows)]
-
-
 def simplex_levels(complex_, need):
     """Simplices bucketed by dimension 0..need, each level lexicographic.
 
@@ -192,7 +188,9 @@ def boundary_matrix(complex_, n, dim_cap=None):
             raise EnumerationRefused(f"degree {n} above the cap {cap}")
     rows = complex_.n_simplices(n - 1)
     cols = complex_.n_simplices(n)
-    return BoundaryMatrix(n, rows, cols, _dense(boundary_columns(rows, cols), len(rows)))
+    columns = boundary_columns(rows, cols)
+    entries = [[col.get(r, 0) for col in columns] for r in range(len(rows))]
+    return BoundaryMatrix(n, rows, cols, entries)
 
 
 # ----------------------------------------------------------------- profiles
@@ -315,7 +313,7 @@ def _relative(ambient, sub, bases, n):
 def _profile(sizes, invariants, coeffs, reduced, lo, max_deg):
     """Betti numbers, and torsion over z, of chain groups of ranks ``sizes``
     and boundaries of ``invariants`` in degrees lo..max_deg."""
-    char = 0 if coeffs == "z" else linalg.field_of(coeffs).char
+    char = 0 if coeffs == "z" else linalg.characteristic(coeffs)
     ranks = {n: _rank(inv, char) for n, inv in invariants.items()}
     betti = {}
     torsion = {}
@@ -474,25 +472,17 @@ def relative_homology(complex_, sub, coeffs="z", max_deg=None):
 
 
 class InducedMap:
-    """A map on field homology induced by a subcomplex inclusion."""
+    """The rank and the homology dimensions of a map on field homology
+    induced by a subcomplex inclusion."""
 
-    __slots__ = ("field", "degree", "rank", "dim_source", "dim_target", "_build", "_matrix")
+    __slots__ = ("field", "degree", "rank", "dim_source", "dim_target")
 
-    def __init__(self, field, degree, rank, dim_source, dim_target, build):
+    def __init__(self, field, degree, rank, dim_source, dim_target):
         self.field = field
         self.degree = degree
         self.rank = rank
         self.dim_source = dim_source
         self.dim_target = dim_target
-        self._build = build
-        self._matrix = None
-
-    @property
-    def matrix(self):
-        """``dim_target`` x ``dim_source``, built by dense elimination when read."""
-        if self._matrix is None:
-            self._matrix = self._build()
-        return self._matrix
 
     @property
     def injective(self):
@@ -513,82 +503,36 @@ class InducedMap:
         )
 
 
-def _homology_reps(bases, deg, field):
-    """Boundary basis and homology representatives of degree ``deg`` cycles.
-
-    Returns (span over boundaries, representative cycle vectors); vectors are
-    coordinates over ``bases[deg]``.
-    """
-    d_n = _dense(boundary_columns(bases[deg - 1], bases[deg]), len(bases[deg - 1]))
-    cycles = linalg.kernel_basis(d_n, field, ncols=len(bases[deg]))
-    span = linalg.Span(field)
-    boundary_cols = []
-    for up in boundary_columns(bases[deg], bases[deg + 1]):
-        col = [field.of(up.get(i, 0)) for i in range(len(bases[deg]))]
-        if span.add(col):
-            boundary_cols.append(col)
-    reps = []
-    for z in cycles:
-        if span.add(z):
-            reps.append(z)
-    return boundary_cols, reps
-
-
-def _induced_matrix(bases_l, bases_k, degree, field):
-    """Dense matrix of the induced map in bases of representative cycles."""
-    _, reps_l = _homology_reps(bases_l, degree, field)
-    boundary_k, reps_k = _homology_reps(bases_k, degree, field)
-    position = {s: i for i, s in enumerate(bases_k[degree])}
-    mapped = []
-    for rep in reps_l:
-        vec = [field.zero] * len(bases_k[degree])
-        for value, s in zip(rep, bases_l[degree]):
-            if value != field.zero:
-                vec[position[s]] = value
-        mapped.append(vec)
-    if reps_k or boundary_k:
-        coords = linalg.solve_in_span(boundary_k + reps_k, mapped, field)
-    else:
-        coords = [[] for _ in mapped]
-    nb = len(boundary_k)
-    return [
-        [coords[j][nb + i] if coords[j] else field.zero for j in range(len(mapped))]
-        for i in range(len(reps_k))
-    ]
-
-
 def induced_map(sub, ambient, degree, coeffs="q", reduced=False):
-    """The map on homology of one degree induced by an inclusion.
+    """The map on homology of one degree induced by an inclusion, as its
+    rank and dimensions, read off the boundary invariants (module docstring).
 
     Field coefficients only.  With ``reduced`` both complexes are augmented,
     which matters in degree 0 and for empty complexes in degree -1.
     """
     if not is_subcomplex(sub, ambient):
         raise NotASubcomplex("second complex is not a subcomplex of the first")
-    field = linalg.field_of(coeffs)
+    char = linalg.characteristic(coeffs)
     lo = -1 if reduced else 0
     if degree < lo:
         raise InvalidInput(f"degree {degree} below {lo}")
     need = degree + 1
     bases_l = dict(enumerate(simplex_levels(sub, need)))
     bases_k = dict(enumerate(simplex_levels(ambient, need)))
-    for b in (bases_l, bases_k):
-        b[-1] = [()] if reduced else []
-        b.setdefault(-2, [])
+    bases_l[-1] = bases_k[-1] = [()] if reduced else []
 
     def rank(complex_, bases, n):
-        return _rank(_boundary(complex_, bases, n), field.char)
+        return _rank(_boundary(complex_, bases, n), char)
 
     cycles_l = len(bases_l[degree]) - rank(sub, bases_l, degree)
     up_k = rank(ambient, bases_k, degree + 1)
-    relative = _rank(_relative(ambient, sub, bases_k, degree + 1), field.char)
+    relative = _rank(_relative(ambient, sub, bases_k, degree + 1), char)
     return InducedMap(
         coeffs,
         degree,
         cycles_l - up_k + relative,
         cycles_l - rank(sub, bases_l, degree + 1),
         len(bases_k[degree]) - rank(ambient, bases_k, degree) - up_k,
-        lambda: _induced_matrix(bases_l, bases_k, degree, field),
     )
 
 

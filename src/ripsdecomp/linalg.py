@@ -11,27 +11,20 @@ the unit block is triangular with a +-1 diagonal, so each unit pivot gives
 one factor 1, and the set-aside columns are cleared on the unit pivot rows,
 leaving a small remainder for the dense ``smith_invariants``
 (smallest-magnitude pivots against coefficient blow-up).
-``sparse_invariants`` is the whole-matrix case.  Dense field elimination on
-``Fraction`` or ints mod p (lists of row lists) only builds explicit
-induced-map matrices.
+``sparse_invariants`` is the whole-matrix case.  Ranks over a field are
+counted from these invariants, so a field enters only as its characteristic
+(``characteristic``).
 """
-
-from fractions import Fraction
 
 from .errors import InvalidInput
 
 __all__ = [
-    "GF",
-    "QQ",
-    "Span",
     "block_invariants",
-    "field_of",
-    "kernel_basis",
-    "matmul",
-    "rank",
+    "characteristic",
+    "prime_factorization",
+    "prime_power_factors",
     "reduce_columns",
     "smith_invariants",
-    "solve_in_span",
     "sparse_invariants",
 ]
 
@@ -199,238 +192,49 @@ def sparse_invariants(columns):
     return block_invariants(reduce_columns(columns))
 
 
-def prime_power_factors(n):
-    """Prime-power decomposition of |n| > 1 as a sorted list, e.g. 12 -> [3, 4]."""
+def prime_factorization(n):
+    """Prime factorization of |n| as sorted (prime, exponent) pairs, by trial
+    division up to the square root; empty for 0 and 1."""
     n = abs(n)
     out = []
     p = 2
     while p * p <= n:
         if n % p == 0:
-            q = 1
+            e = 0
             while n % p == 0:
-                q *= p
+                e += 1
                 n //= p
-            out.append(q)
+            out.append((p, e))
         p += 1
     if n > 1:
-        out.append(n)
-    return sorted(out)
+        out.append((n, 1))
+    return out
+
+
+def prime_power_factors(n):
+    """Prime-power decomposition of |n| > 1 as a sorted list, e.g. 12 -> [3, 4]."""
+    return sorted(p**e for p, e in prime_factorization(n))
 
 
 # -------------------------------------------------------------------- fields
 
 
-class QQ:
-    """The rationals."""
-
-    name = "q"
-    char = 0
-
-    @staticmethod
-    def of(n):
-        return Fraction(n)
-
-    zero = Fraction(0)
-    one = Fraction(1)
-
-    @staticmethod
-    def add(a, b):
-        return a + b
-
-    @staticmethod
-    def sub(a, b):
-        return a - b
-
-    @staticmethod
-    def mul(a, b):
-        return a * b
-
-    @staticmethod
-    def inv(a):
-        return 1 / a
-
-
-class GF:
-    """The prime field with p elements, carried on ints in [0, p), for
-    p < 2**31 so that the trial-division primality test stays quick."""
-
-    def __init__(self, p):
-        if p >= 2**31:
-            raise InvalidInput("prime fields need p < 2**31")
-        if p < 2 or any(p % q == 0 for q in range(2, int(p**0.5) + 1)):
-            raise InvalidInput(f"{p} is not prime")
-        self.p = self.char = p
-        self.name = f"zp:{p}"
-        self.zero = 0
-        self.one = 1 % p
-
-    def of(self, n):
-        return n % self.p
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
-
-    def inv(self, a):
-        return pow(a, -1, self.p)
-
-
-def field_of(name):
-    """Field of a descriptor, "q" or "zp:<p>" with p prime, else InvalidInput;
-    its ``char`` is the characteristic that ranks are counted in."""
+def characteristic(name):
+    """Characteristic of a field descriptor: 0 for "q", p for "zp:<p>" with p
+    a prime below 2**31 written without leading zeros, else InvalidInput.
+    The bound keeps the trial-division primality test quick."""
     if name == "q":
-        return QQ
+        return 0
     digits = name[3:] if name.startswith("zp:") else ""
     if not (digits.isascii() and digits.isdigit()):
         raise InvalidInput(f"not a field descriptor: {name!r}")
+    if digits[0] == "0" and len(digits) > 1:
+        raise InvalidInput(f"not a field descriptor: {name!r} has a leading zero")
     if len(digits) > 10:    # 2**31 has 10 digits; int() refuses past 4,300
         raise InvalidInput("prime fields need p < 2**31")
-    return GF(int(digits))
-
-
-def _convert(mat, field):
-    return [[field.of(v) for v in row] for row in mat]
-
-
-def _rref(mat, field):
-    """Reduced row echelon form; returns (matrix, pivot column list)."""
-    m = _convert(mat, field)
-    nr = len(m)
-    nc = len(m[0]) if m else 0
-    pivots = []
-    r = 0
-    for c in range(nc):
-        pivot_row = None
-        for i in range(r, nr):
-            if m[i][c] != field.zero:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv = field.inv(m[r][c])
-        m[r] = [field.mul(inv, v) for v in m[r]]
-        for i in range(nr):
-            if i != r and m[i][c] != field.zero:
-                f = m[i][c]
-                m[i] = [field.sub(a, field.mul(f, b)) for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == nr:
-            break
-    return m, pivots
-
-
-def rank(mat, field=QQ):
-    if not mat or not mat[0]:
-        return 0
-    return len(_rref(mat, field)[1])
-
-
-def kernel_basis(mat, field=QQ, ncols=None):
-    """Basis of the null space, as a list of column vectors.
-
-    ``ncols`` is required when the matrix has no rows (the kernel is then
-    the whole column space).
-    """
-    nc = len(mat[0]) if mat else ncols
-    if not nc:
-        return []
-    if not mat:
-        mat = [[0] * nc]
-    red, pivots = _rref(mat, field)
-    pivot_set = set(pivots)
-    free = [c for c in range(nc) if c not in pivot_set]
-    basis = []
-    for f in free:
-        vec = [field.zero] * nc
-        vec[f] = field.one
-        for r, c in enumerate(pivots):
-            vec[c] = field.sub(field.zero, red[r][f])
-        basis.append(vec)
-    return basis
-
-
-def matmul(a, b, field=QQ):
-    nr = len(a)
-    inner = len(b)
-    nc = len(b[0]) if b else 0
-    out = [[field.zero] * nc for _ in range(nr)]
-    for i in range(nr):
-        for k in range(inner):
-            v = field.of(a[i][k])
-            if v == field.zero:
-                continue
-            for j in range(nc):
-                out[i][j] = field.add(out[i][j], field.mul(v, field.of(b[k][j])))
-    return out
-
-
-class Span:
-    """Incremental span of vectors over a field, by online elimination."""
-
-    def __init__(self, field):
-        self.field = field
-        self.rows = []          # echelon vectors
-        self.pivots = []        # pivot index per row
-
-    def _reduce(self, vec):
-        f = self.field
-        v = list(vec)
-        for row, piv in zip(self.rows, self.pivots):
-            coef = v[piv]
-            if coef != f.zero:
-                v = [f.sub(a, f.mul(coef, b)) for a, b in zip(v, row)]
-        return v
-
-    def contains(self, vec):
-        return all(v == self.field.zero for v in self._reduce(vec))
-
-    def add(self, vec):
-        """Insert a vector; True when it enlarged the span."""
-        f = self.field
-        v = self._reduce(vec)
-        for i, value in enumerate(v):
-            if value != f.zero:
-                inv = f.inv(value)
-                v = [f.mul(inv, u) for u in v]
-                self.rows.append(v)
-                self.pivots.append(i)
-                return True
-        return False
-
-    @property
-    def dim(self):
-        return len(self.rows)
-
-
-def solve_in_span(basis_cols, targets, field=QQ):
-    """Coordinates of each target column in the span of the basis columns.
-
-    The basis columns must be linearly independent and must span every
-    target; both are guaranteed by the callers here and asserted.
-    """
-    k = len(basis_cols)
-    t = len(targets)
-    if t == 0:
-        return []
-    m = len(targets[0])
-    aug = [
-        [basis_cols[c][r] for c in range(k)] + [targets[c][r] for c in range(t)]
-        for r in range(m)
-    ]
-    red, pivots = _rref(aug, field)
-    assert all(p < k for p in pivots), "target outside the span"
-    assert len(pivots) == k, "basis columns must be independent"
-    coords = []
-    for s in range(t):
-        vec = [field.zero] * k
-        for r, c in enumerate(pivots):
-            vec[c] = red[r][k + s]
-        coords.append(vec)
-    return coords
+    p = int(digits)
+    if p >= 2**31:
+        raise InvalidInput("prime fields need p < 2**31")
+    if p < 2 or prime_factorization(p) != [(p, 1)]:
+        raise InvalidInput(f"{p} is not prime")
+    return p

@@ -10,7 +10,7 @@ from collections import Counter
 import pytest
 
 from ripsdecomp import analyze, analyze_metric, cli, homology, vietoris_rips
-from ripsdecomp.corpus import CASES
+from ripsdecomp.corpus import CASES, space_for
 from ripsdecomp.io import load_input
 from ripsdecomp.reporting import parse_report, render_json
 
@@ -155,6 +155,59 @@ class TestOneParser:
         again = run("--field", "zp:3")
         assert again["fields"] == ["zp:3"] and set(again["profiles"]["x"]) == {"zp:3"}
         assert run() == plain
+
+
+class TestRepeatedFields:
+    def test_a_field_given_twice_is_reported_once(self, capsys, circle_files):
+        points, cover, r = circle_files
+        base = ["decompose", points, "--cover", cover, "-r", r, "--max-dim", "3"]
+        assert cli.main([*base, "--field", "q", "--field", "z", "--field", "q", "--format", "json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert [rec["field"] for rec in report["induced"]] == ["q"] * 3
+        assert report["fields"] == ["q", "z"]
+        assert all(list(p) == ["q", "z"] for p in report["profiles"].values())
+        assert cli.main([*base, "--field", "q", "--field", "q"]) == 0
+        assert capsys.readouterr().out.count("coefficients q:") == 1
+
+    def test_a_leading_zero_is_a_usage_error(self, capsys, circle_files):
+        points, cover, r = circle_files
+        argv = ["decompose", points, "--cover", cover, "-r", r, "--field", "zp:2", "--field", "zp:02"]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert "bad field 'zp:02'" in capsys.readouterr().err
+
+
+def corpus_argv(tmp_path, case):
+    space = space_for(case)
+    points = write_json(
+        tmp_path,
+        f"{case.name}.json",
+        {"points": list(case.labels), "distances": [[str(v) for v in row] for row in space.matrix]},
+    )
+    cover = write_json(tmp_path, f"{case.name}-cover.json", {"X": case.x, "Y": case.y})
+    argv = ["decompose", points, "--cover", cover, "-r", str(case.r), "--max-dim", str(case.dim_cap)]
+    return argv + [arg for coeffs in case.fields for arg in ("--field", coeffs)]
+
+
+class TestRenderText:
+    @pytest.mark.parametrize("verify", [True, False], ids=["verify", "no-verify"])
+    @pytest.mark.parametrize("case", CASES, ids=[case.name for case in CASES])
+    def test_same_verdicts_as_the_json_report(self, tmp_path, capsys, case, verify):
+        argv = corpus_argv(tmp_path, case) + ([] if verify else ["--no-verify"])
+        assert cli.main([*argv, "--format", "json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert cli.main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        heads = {line.split("  witness=")[0] for line in lines}
+        for v in report["verdicts"]:
+            assert f"    [{v['status'].upper():<14}] {v['criterion']}" in heads, v["criterion"]
+        induced = [line for line in lines if " H_" in line and ": rank " in line]
+        assert len(induced) == len(report["induced"] or [])
+        for line, rec in zip(induced, report["induced"] or []):
+            assert line.split()[:4] == [rec["field"], f"H_{rec['degree']}:", "rank", str(rec["rank"])]
+        assert lines.count("  soundness: ok") == 1
+        assert ("  verification (reduced Betti, torsion as t<q>):" in lines) == verify
 
 
 class TestRoundTrip:

@@ -27,7 +27,6 @@ from ripsdecomp.homology import (
     is_subcomplex,
     replay_collapses,
 )
-from ripsdecomp.linalg import GF, QQ, rank
 
 from conftest import (
     PROJECTIVE_PLANE,
@@ -123,14 +122,6 @@ class TestSmithNormalForm:
             invs = smith_normal_form(mat)
             assert all(b % a == 0 for a, b in zip(invs, invs[1:]))
             assert len(invs) == rank_oracle(mat), f"trial {trial}: {mat}"
-
-    def test_field_rank_matches_oracle(self):
-        rng = rng_for(304)
-        for _ in range(60):
-            nr = rng.randint(1, 8)
-            nc = rng.randint(1, 8)
-            mat = [[rng.randint(-4, 4) for _ in range(nc)] for _ in range(nr)]
-            assert rank(mat, QQ) == rank_oracle(mat)
 
 
 class TestHomology:

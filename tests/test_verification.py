@@ -2,24 +2,24 @@
 and the decompose path's freedom from rational elimination; the command
 line's refusal of bad fields and malformed documents."""
 
+import importlib
 import json
 import time
 
 import pytest
 
+import ripsdecomp
 from ripsdecomp import (
     Complex,
     Cover,
     CriterionVerdict,
     InvalidInput,
     analyzer,
-    check_cofiber_shift,
     cli,
     cover_union,
     homology,
     induced_map,
     linalg,
-    mv_check,
 )
 from ripsdecomp.corpus import case_by_name, space_for
 from ripsdecomp.io import load_cover, load_input
@@ -32,6 +32,7 @@ from conftest import (
     random_flag,
     rng_for,
 )
+from oracles import check_cofiber_shift, mv_check
 
 
 def write_metric_case(tmp_path, case):
@@ -131,14 +132,35 @@ class TestSoundnessGate:
         assert failures and all(f.startswith("no-cross-simplices:") for f in failures)
 
 
+DENSE_FIELD_NAMES = (
+    "QQ", "GF", "Span", "kernel_basis", "solve_in_span", "matmul", "rank", "_rref",
+    "_convert", "field_of",
+)
+
+
 class TestNoRationalElimination:
     @pytest.fixture
-    def no_dense_field_work(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("dense rational elimination on the decompose path")
+    def no_dense_field_work(self):
+        """The package has no field elimination left to call."""
+        assert not [name for name in DENSE_FIELD_NAMES if hasattr(linalg, name)]
 
-        for name in ("rank", "Span", "kernel_basis", "solve_in_span", "_rref"):
-            monkeypatch.setattr(linalg, name, refuse)
+    def test_dense_field_path_is_gone(self):
+        # the package's ``homology`` attribute is the function of that name
+        homology_mod = importlib.import_module("ripsdecomp.homology")
+        gone = {
+            ripsdecomp: ("mv_check", "check_cofiber_shift"),
+            analyzer: ("mv_check", "check_cofiber_shift"),
+            linalg: DENSE_FIELD_NAMES,
+            homology_mod: ("_homology_reps", "_induced_matrix"),
+            homology_mod.InducedMap: ("matrix", "_build", "_matrix"),
+        }
+        assert not [
+            (getattr(owner, "__name__", owner), name)
+            for owner, names in gone.items()
+            for name in names
+            if hasattr(owner, name)
+        ]
+        assert linalg.characteristic("q") == 0 and linalg.characteristic("zp:3") == 3
 
     def test_metric_decompose(self, tmp_path, capsys, no_dense_field_work):
         argv = write_metric_case(tmp_path, case_by_name("nine-pt-circle"))
@@ -275,7 +297,7 @@ class TestReductionCount:
 
 
 class TestFieldOption:
-    @pytest.mark.parametrize("field", ["zp:4", "zp:1", "zp:0", "zp:x", "w"])
+    @pytest.mark.parametrize("field", ["zp:4", "zp:1", "zp:0", "zp:x", "w", "zp:02"])
     @pytest.mark.parametrize("command", ["homology", "decompose"])
     def test_bad_field_is_a_usage_error(self, tmp_path, capsys, command, field):
         argv = write_facet_case(tmp_path, [[1, 2], [2, 3], [1, 3]], [1, 2], [2, 3])
