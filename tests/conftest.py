@@ -14,6 +14,49 @@ PROJECTIVE_PLANE = [
 ]
 
 
+def dunce_hat():
+    """Facets of a 25-vertex, 54-triangle dunce hat: contractible and
+    integrally acyclic, but no edge lies in only one triangle, so it has
+    neither a central vertex nor a collapse.
+
+    The triangle with corners P0 = (0, 0), P1 = (3, 0) and P2 = (0, 3) is
+    cut into a 3 x 3 grid of small triangles, and its sides P0 -> P1,
+    P1 -> P2 and P0 -> P2 are each glued to one edge a (boundary word
+    a a a^-1).  At P0 and P2 the corner triangle has two sides on the same
+    segment of a, so the grid diagonal there is flipped.  The barycentric
+    subdivision of the glued complex is then a simplicial complex: its
+    vertices are the glued cells.
+    """
+    tris = [((i, j), (i + 1, j), (i, j + 1)) for i in range(3) for j in range(3 - i)]
+    tris += [((i + 1, j), (i, j + 1), (i + 1, j + 1)) for i in range(2) for j in range(2 - i)]
+    for corner, a, b in (((0, 0), (1, 0), (0, 1)), ((0, 3), (0, 2), (1, 2))):
+        tris = [t for t in tris if not {a, b} <= set(t)]
+        tris += [(corner, a, (1, 1)), (corner, b, (1, 1))]
+
+    def point(p):
+        i, j = p
+        if j == 0 or i == 0 or i + j == 3:
+            t = i if j == 0 else j         # position along a
+            return ("a", 0 if t == 3 else t)
+        return ("grid", p)
+
+    def segment(p, q):
+        if p[1] == q[1] == 0:
+            return ("a", min(p[0], q[0]), "segment")
+        if p[0] == q[0] == 0 or sum(p) == sum(q) == 3:
+            return ("a", min(p[1], q[1]), "segment")
+        return ("grid", tuple(sorted((p, q))))
+
+    flags = [
+        (point(t[k]), segment(t[k], t[k - m]), ("face", tuple(sorted(t))))
+        for t in tris
+        for k in range(3)
+        for m in (1, 2)
+    ]
+    index = {c: i for i, c in enumerate(sorted({c for f in flags for c in f}, key=repr))}
+    return sorted(sorted(index[c] for c in f) for f in flags)
+
+
 def rng_for(seed):
     return random.Random(seed)
 

@@ -7,27 +7,38 @@ seeded explicit and metric instances verified over q, z, zp:2 and zp:3,
 three metric instances whose distances break the triangle inequality,
 reach "inf", or have mixed denominators, and two Vietoris-Rips instances
 whose cross simplices share obstruction complexes (a circle and an L-inf
-grid cloud, verified over q and z).
+grid cloud, verified over q and z).  Three more reach verdicts no other
+instance does: a cross edge over a dunce hat (``inconclusive``, explicit
+and flag), a four-point gluing whose simplex condition fails, and an RP^2
+obstruction beside a cone (``torsion-obstructions: holds``).
+
+``fuzz-digests.txt`` holds the SHA-256 of the ``render_json`` output of
+each of a thousand seeded reports (``fuzz_report``), one line per seed.
 Rebuild them only from a commit whose outputs are trusted:
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import hashlib
+import json
 import math
 import os
 from fractions import Fraction
 
 import pytest
 
-from ripsdecomp import Complex, DistanceSpace, MetricCover, analyze, analyze_metric
+from ripsdecomp import Complex, Cover, DistanceSpace, MetricCover, analyze, analyze_metric
 from ripsdecomp.corpus import CASES, run_case
 from ripsdecomp.reporting import render_json
 
 from conftest import (
     PROJECTIVE_PLANE,
     circle_cover,
+    dunce_hat,
     grid_cover,
     random_cover,
+    random_flag,
+    random_metric_cover,
     random_pseudometric,
     rng_for,
 )
@@ -93,6 +104,42 @@ def _odd_metric(kind):
     return _metric_report(rng, space, lambda rng: Fraction(rng.randint(3, 9), 2))
 
 
+def _dunce(flag):
+    """The cross edge {25, 26} joined to a dunce hat on 0..24, which is its
+    obstruction: acyclic without a certificate.  The flag complex of its
+    1-skeleton (cap 4) is the same complex."""
+    k = Complex.from_facets([f + [25, 26] for f in dunce_hat()])
+    if flag:
+        k = Complex.flag(k.vertices, k.edges(), dim_cap=4)
+    d = set(range(25))
+    return analyze(k, Cover(d | {25}, d | {26}), dim_cap=4, fields=FIELDS)
+
+
+def _gluing_simplex_fails():
+    """A gluing along {a1, a2} whose cross pair (x, y) is close to both a1
+    and a2 through x, while d(a1, a2) = 2 exceeds r = 3/2."""
+    half = Fraction(1, 2)
+    labels = ["a1", "a2", "x", "y"]
+    matrix = [
+        [0, 2, 1, half],
+        [2, 0, 1, 5 * half],
+        [1, 1, 0, 3 * half],
+        [half, 5 * half, 3 * half, 0],
+    ]
+    mc = MetricCover(DistanceSpace(labels, matrix), ["a1", "a2", "x"], ["a1", "a2", "y"], 3 * half)
+    return analyze_metric(mc, dim_cap=3, fields=FIELDS)
+
+
+def _torsion_holds():
+    """The cross edge {10, 11} over an RP^2 on 0..5 (Z/2 in degree 1) beside
+    the cross edge {12, 13} over the cone {0, 1}."""
+    facets = [f + [10, 11] for f in PROJECTIVE_PLANE] + [[0, 1, 12, 13]]
+    a = set(range(6))
+    return analyze(
+        Complex.from_facets(facets), Cover(a | {10, 12}, a | {11, 13}), dim_cap=4, fields=FIELDS
+    )
+
+
 def golden_reports():
     """(name, thunk returning the report) for every golden instance."""
     out = [(f"corpus-{c.name}", lambda c=c: run_case(c)[0]) for c in CASES]
@@ -104,10 +151,87 @@ def golden_reports():
     # one collapse obstruction shared by 9 cross simplices, one homology-only
     # obstruction shared by 10
     out.append(("metric-grid-16", lambda: analyze_metric(grid_cover(1, 16, 8, 3), 3)))
+    out.append(("explicit-dunce", lambda: _dunce(flag=False)))
+    out.append(("flag-dunce", lambda: _dunce(flag=True)))
+    out.append(("metric-gluing-simplex-fails", _gluing_simplex_fails))
+    out.append(("explicit-torsion-holds", _torsion_holds))
     return out
 
 
 GOLDEN = golden_reports()
+
+#: The statuses of each criterion that some golden report reaches.  The
+#: dunce hat, gluing and torsion instances alone reach contractible-obstructions
+#: inconclusive, gluing-simplex-condition fails and torsion-obstructions holds.
+REACHED = {
+    "no-cross-simplices": "holds fails",
+    "contractible-obstructions": "holds fails inconclusive",
+    "acyclic-obstructions": "holds fails",
+    "torsion-obstructions": "holds fails not_applicable",
+    "obstruction-connectivity": "holds fails not_applicable",
+    "skeleton-obstruction-connectivity": "holds fails not_applicable",
+    "edge-intersection-nonempty": "holds fails not_applicable",
+    "constant-obstruction": "holds fails not_applicable",
+    "full-intersection-obstruction": "holds fails not_applicable",
+    "all-intersection-subsets-extend": "holds fails not_applicable",
+    "singleton-intersection-extends": "fails not_applicable",
+    "one-entry-point": "holds fails not_applicable",
+    "edge-standard-obstructions": "holds fails not_applicable",
+    "edge-constant-obstruction": "holds fails not_applicable",
+    "edge-full-intersection": "holds fails not_applicable",
+    "edge-pair-extension": "holds fails not_applicable",
+    "edge-singleton-extension": "fails not_applicable",
+    "clique-entry-point-adjacent": "holds fails not_applicable",
+    "clique-entry-point-central": "holds fails not_applicable",
+    "clique-entry-point-local": "holds fails not_applicable",
+    "two-entry-points": "holds fails not_applicable",
+    "shared-witness": "holds fails",
+    "witness-ball-closure": "holds fails not_applicable",
+    "small-intersection-diameter": "holds fails not_applicable",
+    "shared-singleton": "fails not_applicable",
+    "cross-domination": "holds fails",
+    "cross-dominates-diameter": "holds fails not_applicable",
+    "radius-independence": "holds fails not_applicable",
+    "full-witness-set": "holds fails not_applicable",
+    "metric-gluing": "holds fails",
+    "gluing-simplex-condition": "holds fails not_applicable",
+    "gluing-strong-simplex-condition": "holds fails not_applicable",
+}
+
+FUZZ_FILE = os.path.join(GOLDEN_DIR, "fuzz-digests.txt")
+FUZZ_SEEDS = range(1000)
+
+#: Holds only seeded pools reach: each needs a one-point intersection.
+FUZZ_REACHED = {
+    ("singleton-intersection-extends", "holds"),
+    ("edge-singleton-extension", "holds"),
+    ("shared-singleton", "holds"),
+}
+
+
+def fuzz_report(seed):
+    """Seed s % 3: 0 a flag complex, 1 random facets with an RP^2 wedged on
+    over q, z, zp:2 and zp:3, 2 a random metric cover (``inf`` entries,
+    fractions, tolerances, broken triangle inequalities).  Verification is
+    on for s % 9 < 3, a third of each kind."""
+    rng = rng_for(50000 + seed)
+    verify = seed % 9 < 3
+    kind = seed % 3
+    if kind == 0:
+        k = random_flag(rng, max_vertices=9, edge_p=rng.choice((0.4, 0.6, 0.8)), dim_cap=3)
+        return analyze(k, random_cover(rng, k), dim_cap=rng.randint(1, 3), verify=verify)
+    if kind == 1:
+        n = rng.randint(3, 8)
+        facets = [rng.sample(range(n), rng.randint(1, min(4, n))) for _ in range(rng.randint(1, 5))]
+        facets += [[v and n + v for v in f] for f in PROJECTIVE_PLANE]
+        k = Complex.from_facets(facets)
+        return analyze(k, random_cover(rng, k), dim_cap=rng.randint(1, 4), fields=FIELDS, verify=verify)
+    mc = random_metric_cover(rng)
+    return analyze_metric(mc, dim_cap=rng.randint(1, 3), fields=("q", "z", "zp:2"), verify=verify)
+
+
+def fuzz_digest(seed):
+    return hashlib.sha256(render_json(fuzz_report(seed)).encode()).hexdigest()
 
 
 @pytest.mark.parametrize("name,build", GOLDEN, ids=[name for name, _ in GOLDEN])
@@ -121,8 +245,32 @@ def test_corpus_case_matches_expectations(case):
     assert run_case(case)[1] == []
 
 
+def test_goldens_reach_every_pinned_verdict():
+    reached = set()
+    for name, _ in GOLDEN:
+        with open(os.path.join(GOLDEN_DIR, name + ".json")) as fh:
+            reached.update((v["criterion"], v["status"]) for v in json.load(fh)["verdicts"])
+    pinned = {(crit, status) for crit, statuses in REACHED.items() for status in statuses.split()}
+    assert pinned <= reached, sorted(pinned - reached)
+
+
+def test_fuzz_reports_match_their_digests():
+    with open(FUZZ_FILE) as fh:
+        expected = dict(line.split() for line in fh)
+    assert sorted(map(int, expected)) == list(FUZZ_SEEDS)
+    reached = set()
+    for seed in FUZZ_SEEDS:
+        report = fuzz_report(seed)
+        digest = hashlib.sha256(render_json(report).encode()).hexdigest()
+        assert digest == expected[str(seed)], f"fuzz seed {seed} renders differently"
+        reached.update((v.criterion, v.status) for v in report.verdicts)
+    assert FUZZ_REACHED <= reached, sorted(FUZZ_REACHED - reached)
+
+
 if __name__ == "__main__":
     os.makedirs(GOLDEN_DIR, exist_ok=True)
     for name, build in GOLDEN:
         with open(os.path.join(GOLDEN_DIR, name + ".json"), "w") as fh:
             fh.write(render_json(build()))
+    with open(FUZZ_FILE, "w") as fh:
+        fh.writelines(f"{seed} {fuzz_digest(seed)}\n" for seed in FUZZ_SEEDS)
