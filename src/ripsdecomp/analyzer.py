@@ -5,32 +5,33 @@ cover and a radius), enumerate the cross simplices, classify their
 obstruction complexes, evaluate a fixed catalog of decomposition criteria,
 and cross-verify every certified conclusion against exact homology.
 
-Honesty rules, enforced throughout:
+The catalog is a table of rules (``_RULES`` and ``_METRIC_RULES``): each
+row names a criterion, its applicability guards and its hypothesis test.
+One builder, ``_verdict``, turns a row's outcome into its verdict, and it
+alone enforces the honesty rules:
 
-* "contractible" is claimed only on a certificate (central simplex or
-  collapse sequence); trivial integral homology alone feeds the weaker
-  acyclicity criterion instead;
-* connectivity above degree 0 is claimed only when the obstruction is
-  certified contractible; a homologically n-connected but uncertified
-  obstruction makes the verdict ``inconclusive``;
-* conclusions at the homotopy level are reported together with the
-  machine-checked homological shadow, and the soundness gate fails the
-  whole report if any certified conclusion disagrees with the verification.
+* a claim above degree 0 that rests on the connectivity of obstruction
+  complexes stands only when every one of them is certified contractible
+  by a central simplex or a collapse sequence (``_certified``).  An
+  n-indexed criterion then falls back to a lower n, down to n = 0, which
+  needs no certificate; a claim with no lower degree to fall back to is
+  ``inconclusive``.  So "contractible" is claimed only on a certificate,
+  and trivial integral homology alone feeds the weaker acyclicity
+  criterion instead;
+* a criterion that reads every cross simplex reports the dimension cap in
+  ``verified_up_to`` when enumeration stopped short of the whole complex.
+
+Conclusions at the homotopy level are reported together with the
+machine-checked homological shadow, and the soundness gate fails the whole
+report if any certified conclusion disagrees with the verification.
 """
 
 from bisect import bisect_right
+from collections import Counter, namedtuple
 
 from . import linalg
 from . import metric as metric_mod
-from .complexes import (
-    Cover,
-    STATUS_COLLAPSE,
-    STATUS_CONE,
-    STATUS_EMPTY,
-    STATUS_HOMOLOGY_ONLY,
-    enumerate_p_complement,
-    make_simplex,
-)
+from .complexes import Cover, enumerate_p_complement, make_simplex
 from .errors import InvalidInput
 from .homology import (
     ContractibilityCertificate,
@@ -53,45 +54,12 @@ FAILS = "fails"
 INCONCLUSIVE = "inconclusive"
 NOT_APPLICABLE = "not_applicable"
 
-#: Catalog of criterion ids, in report order.  The clique block only applies
-#: to flag complexes; the metric block only to distance-space analyses.
-CRITERIA = [
-    "no-cross-simplices",
-    "contractible-obstructions",
-    "acyclic-obstructions",
-    "torsion-obstructions",
-    "obstruction-connectivity",
-    "skeleton-obstruction-connectivity",
-    "edge-intersection-nonempty",
-    "constant-obstruction",
-    "full-intersection-obstruction",
-    "all-intersection-subsets-extend",
-    "singleton-intersection-extends",
-    "one-entry-point",
-    "edge-standard-obstructions",
-    "edge-constant-obstruction",
-    "edge-full-intersection",
-    "edge-pair-extension",
-    "edge-singleton-extension",
-    "clique-entry-point-adjacent",
-    "clique-entry-point-central",
-    "clique-entry-point-local",
-    "two-entry-points",
-]
-
-METRIC_CRITERIA = [
-    "shared-witness",
-    "witness-ball-closure",
-    "small-intersection-diameter",
-    "shared-singleton",
-    "cross-domination",
-    "cross-dominates-diameter",
-    "radius-independence",
-    "full-witness-set",
-    "metric-gluing",
-    "gluing-simplex-condition",
-    "gluing-strong-simplex-condition",
-]
+# Status of an obstruction record: empty, certified as a cone or by a
+# collapse sequence, or homology-only when no certificate was found.
+STATUS_EMPTY = "empty"
+STATUS_CONE = "cone"
+STATUS_COLLAPSE = "collapse"
+STATUS_HOMOLOGY_ONLY = "homology-only"
 
 
 class CriterionVerdict:
@@ -132,27 +100,12 @@ class CriterionVerdict:
         self.verified_up_to = verified_up_to
 
     def to_dict(self):
-        return {
-            "criterion": self.criterion,
-            "status": self.status,
-            "witness": self.witness,
-            "conclusion": self.conclusion,
-            "claim": self.claim,
-            "detail": self.detail,
-            "verified_up_to": self.verified_up_to,
-        }
+        return {name: getattr(self, name) for name in self.__slots__}
 
     @classmethod
     def from_dict(cls, data):
-        return cls(
-            data["criterion"],
-            data["status"],
-            data.get("witness"),
-            data.get("conclusion"),
-            data.get("claim"),
-            data.get("detail"),
-            data.get("verified_up_to"),
-        )
+        optional = {name: data.get(name) for name in cls.__slots__[2:]}
+        return cls(data["criterion"], data["status"], **optional)
 
     def __eq__(self, other):
         if not isinstance(other, CriterionVerdict):
@@ -193,20 +146,9 @@ class DecompositionReport:
         raise KeyError(criterion)
 
     def to_dict(self):
-        return {
-            "kind": self.kind,
-            "cover": self.cover,
-            "radius": self.radius,
-            "dim_cap": self.dim_cap,
-            "fields": self.fields,
-            "census": self.census,
-            "items": self.items,
-            "verdicts": [v.to_dict() for v in self.verdicts],
-            "profiles": self.profiles,
-            "induced": self.induced,
-            "soundness": self.soundness,
-            "notes": self.notes,
-        }
+        out = {name: getattr(self, name) for name in self.__slots__}
+        out["verdicts"] = [v.to_dict() for v in self.verdicts]
+        return out
 
     @classmethod
     def from_dict(cls, data):
@@ -287,13 +229,17 @@ class _Cross:
 
 
 class _Context:
-    def __init__(self, complex_, cover, dim_cap):
+    """One report's complex, cover and cross simplices, with the obstruction
+    records they share; ``metric`` holds a metric report's distance facts."""
+
+    def __init__(self, complex_, cover, dim_cap, metric=None):
         if dim_cap < 1:
             raise InvalidInput("the dimension cap must be at least 1")
         cover.validate(complex_)
         self.complex = complex_
         self.cover = cover
         self.dim_cap = dim_cap
+        self.metric = metric
         self.a = cover.a
         self.x_only = cover.x - cover.a
         self.y_only = cover.y - cover.a
@@ -301,9 +247,10 @@ class _Context:
         # complex recorded is a subcomplex of complex_, a full subcomplex when
         # complex_ is a flag complex.
         self._records = {}
+        self._intersection = None
         self.items = [
-            _Cross(raw.simplex, self.record(raw.obstruction, raw.certificate))
-            for raw in enumerate_p_complement(complex_, cover, dim_cap)
+            _Cross(simplex, self.record(obstruction))
+            for simplex, obstruction in enumerate_p_complement(complex_, cover, dim_cap)
         ]
         self.edge_items = [it for it in self.items if it.dim == 1]
         self._dims = [it.dim for it in self.items]
@@ -311,6 +258,7 @@ class _Context:
         # complex's own cap, none at it, as cliques past the cap go unseen.
         top = dim_cap if complex_.is_flag and dim_cap == complex_.dim_cap else dim_cap + 1
         self.full_coverage = not complex_.has_simplex_of_dim(top)
+        self.verified_up_to = None if self.full_coverage else dim_cap
 
     def items_through(self, dim):
         """The cross simplices of dimension at most ``dim``: a prefix of
@@ -323,24 +271,26 @@ class _Context:
     def label_simplex(self, sigma):
         return "{" + ",".join(self.label(v) for v in sigma) + "}"
 
+    def intersection(self):
+        """K[A], the complex restricted to the intersection, built once."""
+        if self._intersection is None:
+            self._intersection = self.complex.restrict(self.a)
+        return self._intersection
+
     def find(self, complex_):
         """The record of a complex already seen in this report, or None."""
         return self._records.get(complex_.content_key())
 
-    def record(self, complex_, central=None):
-        """The one record of a complex, classified on first sight: empty, a
-        cone on ``central`` when enumeration found it, else by certificate
-        search (a cone or a collapse, or homology-only when none is found)."""
+    def record(self, complex_):
+        """The one record of a complex, classified on first sight: empty, or
+        by certificate search (a cone or a collapse, or homology-only when
+        none is found)."""
         key = complex_.content_key()
         obs = self._records.get(key)
         if obs is None:
+            cert = None
             if complex_.is_empty:
-                obs = _Obstruction(complex_, STATUS_EMPTY, None)
-            elif central is not None:
-                cert = ContractibilityCertificate(
-                    ContractibilityCertificate.CENTRAL, central=central
-                )
-                obs = _Obstruction(complex_, STATUS_CONE, cert)
+                status = STATUS_EMPTY
             else:
                 cert = contractibility_certificate(complex_)
                 if cert is None:
@@ -349,8 +299,7 @@ class _Context:
                     status = STATUS_CONE
                 else:
                     status = STATUS_COLLAPSE
-                obs = _Obstruction(complex_, status, cert)
-            self._records[key] = obs
+            obs = self._records[key] = _Obstruction(complex_, status, cert)
         return obs
 
     def obstruction_profile(self, obs):
@@ -376,49 +325,72 @@ class _Context:
             else:
                 profile = self.obstruction_profile(obs)
                 top = profile.degrees[-1]
-                n = -1
-                for d in range(0, top + 1):
-                    if profile.betti.get(d, 0) == 0 and not profile.torsion_at(d):
-                        n = d
-                    else:
-                        break
-                obs.conn = (obs.certified, "all" if n == top else n)
+                n = next(
+                    (
+                        d - 1
+                        for d in range(top + 1)
+                        if profile.betti.get(d, 0) or profile.torsion_at(d)
+                    ),
+                    top,
+                )
+                obs.conn = (False, "all" if n == top else n)
         return obs.conn
-
-    def certain_connectivity(self, obs):
-        """Largest n for which "the obstruction is n-connected" is certified.
-
-        Certificates give every n ("all"); otherwise only degree 0 can be
-        certified homologically, and anything beyond is inconclusive.
-        """
-        certified, conn = self.connectivity(obs)
-        if conn is None:
-            return None
-        if certified:
-            return "all"
-        if conn == -1:
-            return -1
-        return 0
 
     def shadow_connectivity(self, obs):
         return self.connectivity(obs)[1]
 
 
-def _conn_at_least(value, n):
-    if value is None:
-        return False
-    if value == "all":
-        return True
-    return value >= n
+class _MetricFacts:
+    """The distance-level facts the metric rules read, computed once per
+    report."""
+
+    __slots__ = (
+        "space", "r", "close", "close_pairs", "triangle", "shared", "dom",
+        "diameter", "gluing_witness", "gluing", "simplex", "strong",
+    )
+
+    def __init__(self, mc):
+        sp = self.space = mc.space
+        self.r = mc.r
+        self.close = sp.closeness(mc.r)
+        self.close_pairs = mc.cross_pairs_within()
+        self.triangle = metric_mod.is_pseudometric(sp)       # a broken triangle, or None
+        self.shared = metric_mod.check_shared_witness(mc)
+        self.dom = metric_mod.check_cross_domination(mc)
+        # Read only under a shared witness or cross domination, and both
+        # fail on an empty intersection.
+        self.diameter = None
+        if self.shared.ok or self.dom.ok:
+            self.diameter = metric_mod.diam(sp, mc.labels_of(sorted(mc.a)))
+        self.gluing_witness = None
+        if self.triangle is None:
+            self.gluing_witness = metric_mod.is_metric_gluing(
+                sp, mc.labels_of(sorted(mc.x)), mc.labels_of(sorted(mc.y))
+            )
+        self.gluing = self.triangle is None and self.gluing_witness is None
+        self.simplex = metric_mod.check_simplex_assumption(mc)
+        self.strong = metric_mod.check_strong_simplex_assumption(mc)
 
 
-def _claim_weak_equivalence():
-    return {"iso_upto": "all", "surj_at": None, "exclude_char": None}
+# ------------------------------------------------------------- the builder
+#
+# A rule's test(ctx, n) returns an outcome (status, witness, detail, degree,
+# needs).  On "holds", degree is the degree n of the claim ("all" for every
+# degree, None for no claim) or the claim itself, and needs are the
+# obstruction records whose connectivity the claim rests on.
+
+
+def _holds(degree, witness=None, detail=None, needs=()):
+    return HOLDS, witness, detail, degree, needs
+
+
+def _fails(detail=None, witness=None):
+    return FAILS, witness, detail, None, ()
 
 
 def _claim_connected(n):
     if n == "all":
-        return _claim_weak_equivalence()
+        return {"iso_upto": "all", "surj_at": None, "exclude_char": None}
     return {"iso_upto": n, "surj_at": n + 1, "exclude_char": None}
 
 
@@ -431,1156 +403,689 @@ def _fibers_text(n):
     )
 
 
-def _scan_best_n(ctx, holds_at):
-    """Best n in [0, dim_cap - 1] for an n-indexed criterion.
-
-    ``holds_at(n)`` returns (status, witness, detail).  Scans downward and
-    returns the first n that holds, else the n = 0 outcome.
-    """
-    for n in range(ctx.dim_cap - 1, -1, -1):
-        status, witness, detail = holds_at(n)
-        if status == HOLDS:
-            return n, status, witness, detail
-    return 0, *holds_at(0)
+def _scan(ctx):
+    """The degrees of an n-indexed criterion, best first: dim_cap - 1 to 0."""
+    return range(ctx.dim_cap - 1, -1, -1)
 
 
-# ----------------------------------------------------------------- criteria
+def _all_or_0(ctx):
+    """The degrees of a criterion on 0-connected obstructions: every degree
+    when they are certified contractible, else 0."""
+    return ("all", 0)
 
 
-def _crit_no_cross(ctx):
-    if not ctx.items:
-        return CriterionVerdict(
-            "no-cross-simplices",
-            HOLDS,
-            conclusion="no simplex crosses the cover away from the intersection; "
-            "the cover union is the whole complex up to weak equivalence",
-            claim=_claim_weak_equivalence(),
-        )
-    return CriterionVerdict(
-        "no-cross-simplices",
-        FAILS,
-        witness=ctx.label_simplex(ctx.items[0].simplex),
-        detail=f"{len(ctx.items)} cross simplices up to dimension {ctx.dim_cap}",
-    )
+# One criterion of the catalog.  ``guards`` are (blocked, status, detail)
+# triples, tried in order; the first with ``blocked(ctx)`` true is the
+# verdict.  ``test(ctx, n)`` is the hypothesis, tried at each degree of
+# ``degrees(ctx)`` in turn, or once at n = None without ``degrees``.
+# ``conclusion`` replaces ``_fibers_text`` of the degree; it is formatted
+# with the claim's fields.  ``vut`` lists the statuses that carry
+# ``verified_up_to``: those of the criteria that read every cross simplex,
+# and so see only up to the cap.
+_Rule = namedtuple(
+    "_Rule", "id test guards degrees conclusion vut", defaults=((), None, None, ())
+)
 
 
-def _crit_contractible(ctx):
-    vut = None if ctx.full_coverage else ctx.dim_cap
-    if not ctx.items:
-        return CriterionVerdict(
-            "contractible-obstructions",
-            HOLDS,
-            conclusion=_fibers_text("all"),
-            claim=_claim_weak_equivalence(),
-            detail="vacuous: no cross simplices",
-            verified_up_to=vut,
-        )
-    for it in ctx.items:
-        if it.obs.status == STATUS_EMPTY:
-            return CriterionVerdict(
-                "contractible-obstructions",
-                FAILS,
-                witness=ctx.label_simplex(it.simplex),
-                detail="empty obstruction complex",
-                verified_up_to=vut,
-            )
-    bad = [it for it in ctx.items if not it.obs.certified]
-    if not bad:
-        return CriterionVerdict(
-            "contractible-obstructions",
-            HOLDS,
-            conclusion=_fibers_text("all"),
-            claim=_claim_weak_equivalence(),
-            detail="every obstruction carries a central-simplex or collapse certificate",
-            verified_up_to=vut,
-        )
-    it = bad[0]
-    if ctx.shadow_connectivity(it.obs) == "all":
-        return CriterionVerdict(
-            "contractible-obstructions",
-            INCONCLUSIVE,
-            witness=ctx.label_simplex(it.simplex),
-            detail="integrally acyclic obstruction without a contractibility certificate",
-            verified_up_to=vut,
-        )
-    return CriterionVerdict(
-        "contractible-obstructions",
-        FAILS,
-        witness=ctx.label_simplex(it.simplex),
-        detail="obstruction has nontrivial reduced integral homology",
-        verified_up_to=vut,
-    )
+def _certified(degree, needs):
+    """The honesty predicate: a claim above degree 0 stands only when every
+    obstruction record it rests on is certified contractible."""
+    return degree == 0 or all(obs.certified for obs in needs)
 
 
-def _crit_acyclic(ctx):
-    vut = None if ctx.full_coverage else ctx.dim_cap
-    for it in ctx.items:
-        if it.obs.status == STATUS_EMPTY:
-            return CriterionVerdict(
-                "acyclic-obstructions",
-                FAILS,
-                witness=ctx.label_simplex(it.simplex),
-                detail="empty obstruction complex",
-                verified_up_to=vut,
-            )
-        if ctx.shadow_connectivity(it.obs) != "all":
-            return CriterionVerdict(
-                "acyclic-obstructions",
-                FAILS,
-                witness=ctx.label_simplex(it.simplex),
-                detail="nontrivial reduced integral homology",
-                verified_up_to=vut,
-            )
-    return CriterionVerdict(
-        "acyclic-obstructions",
-        HOLDS,
-        conclusion="the cover-union inclusion is an integral homology isomorphism",
-        claim=_claim_weak_equivalence(),
-        detail="every obstruction has trivial reduced integral homology"
-        + ("" if ctx.items else " (vacuous)"),
-        verified_up_to=vut,
-    )
-
-
-def _crit_torsion(ctx):
-    vut = None if ctx.full_coverage else ctx.dim_cap
-    primes = set()
-    for it in ctx.items:
-        if it.obs.status == STATUS_EMPTY:
-            return CriterionVerdict(
-                "torsion-obstructions",
-                FAILS,
-                witness=ctx.label_simplex(it.simplex),
-                detail="empty obstruction complex",
-                verified_up_to=vut,
-            )
-        if it.obs.certified:
-            continue        # contractible: no torsion
-        profile = ctx.obstruction_profile(it.obs)
-        for powers in profile.torsion.values():
-            for q in powers:
-                primes.update(p for p, _ in linalg.prime_factorization(q))
-    if not primes:
-        return CriterionVerdict(
-            "torsion-obstructions",
-            NOT_APPLICABLE,
-            detail="no torsion in any obstruction; see the acyclicity criterion",
-            verified_up_to=vut,
-        )
-    if len(primes) > 1:
-        return CriterionVerdict(
-            "torsion-obstructions",
-            FAILS,
-            detail=f"torsion at several primes {sorted(primes)}; no single excluded prime",
-            verified_up_to=vut,
-        )
-    p = primes.pop()
-    # A contractible record's profile is trivial through its top degree,
-    # max(dim, 0) of the complex, fully enumerated.
-    tops = [
-        max(obs.complex.to_explicit(full=True).dim(), 0)
-        for obs in {it.obs for it in ctx.items if it.obs.certified}
-    ]
-    best = min(tops, default=None)
-    for it in ctx.items:
-        if it.obs.certified:
-            continue
-        profile = ctx.obstruction_profile(it.obs)
-        if profile.betti.get(0, 0) != 0 or profile.betti.get(-1, 0) != 0:
-            return CriterionVerdict(
-                "torsion-obstructions",
-                FAILS,
-                witness=ctx.label_simplex(it.simplex),
-                detail="obstruction is not connected",
-                verified_up_to=vut,
-            )
-        top = profile.degrees[-1]
-        n = top
-        for d in range(1, top + 1):
-            if profile.betti.get(d, 0) != 0:
-                n = d - 1
-                break
-        best = n if best is None else min(best, n)
-    return CriterionVerdict(
-        "torsion-obstructions",
-        HOLDS,
-        witness=str(p),
-        conclusion=(
-            f"homology isomorphism through degree {best} and surjection in degree "
-            f"{best + 1} with coefficients in any field of characteristic other than {p}"
+def _verdict(rule, ctx):
+    """The verdict of one rule: the first guard that blocks it, else its
+    test at the best degree that holds with the certificates it needs.
+    Every CriterionVerdict of a report is made here."""
+    outcome = next(
+        (
+            (status, None, detail, None, ())
+            for blocked, status, detail in rule.guards
+            if blocked(ctx)
         ),
-        claim={"iso_upto": best, "surj_at": best + 1, "exclude_char": p},
-        detail=f"all obstruction homology through degree {best} is {p}-torsion",
-        verified_up_to=vut,
+        None,
     )
-
-
-def _connectivity_over(ctx, items, n):
-    """Status of "every obstruction in items is n-connected"."""
-    for it in items:
-        if it.obs.status == STATUS_EMPTY:
-            return FAILS, ctx.label_simplex(it.simplex), "empty obstruction complex"
-        if not _conn_at_least(ctx.shadow_connectivity(it.obs), n):
-            return (
-                FAILS,
-                ctx.label_simplex(it.simplex),
-                f"reduced homology obstructs {n}-connectivity",
-            )
-    if n >= 1:
-        for it in items:
-            if not it.obs.certified:
-                return (
+    if outcome is None:
+        for n in rule.degrees(ctx) if rule.degrees else (None,):
+            outcome = rule.test(ctx, n)
+            if outcome[0] == HOLDS and _certified(outcome[3], outcome[4]):
+                break
+        else:
+            if outcome[0] == HOLDS:
+                # Held only homologically, with no lower degree left.  Every
+                # scan ends at degree 0, which needs no certificate, so only
+                # a claim of "all" tested once gets here.
+                needs = outcome[4]
+                bad = next(it for it in ctx.items if it.obs in needs and not it.obs.certified)
+                outcome = (
                     INCONCLUSIVE,
-                    ctx.label_simplex(it.simplex),
-                    "homologically fine but simple connectivity is uncertified",
+                    ctx.label_simplex(bad.simplex),
+                    "integrally acyclic obstruction without a contractibility certificate",
+                    None,
+                    (),
                 )
-    return HOLDS, None, None
-
-
-def _crit_obstruction_connectivity(ctx):
-    crit = "obstruction-connectivity"
-    vut = None if ctx.full_coverage else ctx.dim_cap
-    if not ctx.items:
-        return CriterionVerdict(
-            crit, NOT_APPLICABLE, detail="no cross simplices", verified_up_to=vut
-        )
-    certain = [ctx.certain_connectivity(it.obs) for it in ctx.items]
-    if any(c is None for c in certain):
-        it = ctx.items[[c is None for c in certain].index(True)]
-        return CriterionVerdict(
-            crit,
-            FAILS,
-            witness=ctx.label_simplex(it.simplex),
-            detail="empty obstruction complex",
-            verified_up_to=vut,
-        )
-    if any(c == -1 for c in certain):
-        it = ctx.items[certain.index(-1)]
-        return CriterionVerdict(
-            crit,
-            FAILS,
-            witness=ctx.label_simplex(it.simplex),
-            detail="disconnected obstruction",
-            verified_up_to=vut,
-        )
-    if all(c == "all" for c in certain):
-        n = "all"
-    else:
-        n = 0
-    shadow = min(
-        (ctx.shadow_connectivity(it.obs) for it in ctx.items),
-        key=lambda v: 10**6 if v == "all" else v,
-    )
-    detail = None
-    if n != "all" and shadow != 0:
-        detail = (
-            f"homological shadow reaches connectivity {shadow}, but simple "
-            "connectivity is uncertified; certified degree stops at 0"
-        )
-    return CriterionVerdict(
-        crit,
-        HOLDS,
-        conclusion=_fibers_text(n),
-        claim=_claim_connected(n),
-        detail=detail,
-        verified_up_to=vut,
-    )
-
-
-def _crit_skeleton_connectivity(ctx):
-    crit = "skeleton-obstruction-connectivity"
-    if not ctx.items:
-        return CriterionVerdict(crit, NOT_APPLICABLE, detail="no cross simplices")
-
-    def holds_at(n):
-        items = ctx.items_through(n + 1)
-        return _connectivity_over(ctx, items, n)
-
-    n, status, witness, detail = _scan_best_n(ctx, holds_at)
+    status, witness, detail, degree, _ = outcome
+    claim = conclusion = None
     if status == HOLDS:
-        return CriterionVerdict(
-            crit,
-            HOLDS,
-            conclusion=_fibers_text(n),
-            claim=_claim_connected(n),
-            detail=f"obstructions over cross simplices of dimension <= {n + 1}",
-        )
-    return CriterionVerdict(crit, status, witness=witness, detail=detail)
+        claim = degree if degree is None or isinstance(degree, dict) else _claim_connected(degree)
+        if rule.conclusion:
+            conclusion = rule.conclusion.format(**(claim or {}))
+        else:
+            conclusion = _fibers_text(degree)
+    vut = ctx.verified_up_to if status in rule.vut else None
+    return CriterionVerdict(rule.id, status, witness, conclusion, claim, detail, vut)
 
 
-def _crit_edge_intersection(ctx):
-    crit = "edge-intersection-nonempty"
-    if not ctx.edge_items:
-        return CriterionVerdict(crit, NOT_APPLICABLE, detail="no cross edges")
-    common = set(ctx.edge_items[0].obs.complex.vertices)
-    for it in ctx.edge_items[1:]:
-        common &= set(it.obs.complex.vertices)
-    if common:
-        v = min(common)
-        return CriterionVerdict(
-            crit,
-            HOLDS,
-            witness=ctx.label(v),
-            conclusion="homotopy fibers of the cover-union inclusion are connected: "
-            "isomorphism on degree-0 homology, surjection in degree 1",
-            claim=_claim_connected(0),
-        )
-    return CriterionVerdict(
-        crit,
-        FAILS,
-        detail="the edge obstructions share no vertex",
-    )
+# ---------------------------------------------------------------- guards
+
+_FLAG = (
+    lambda ctx: not ctx.complex.is_flag,
+    NOT_APPLICABLE,
+    "only meaningful for flag (clique) complexes",
+)
+_CROSS = (lambda ctx: not ctx.items, NOT_APPLICABLE, "no cross simplices")
+_EDGES = (lambda ctx: not ctx.edge_items, NOT_APPLICABLE, "no cross edges")
+_NONEMPTY = (lambda ctx: not ctx.a, FAILS, "the intersection is empty")
+_SINGLETON = (
+    lambda ctx: len(ctx.a) != 1, NOT_APPLICABLE, "the intersection is not a single vertex"
+)
+_SINGLE_POINT = (
+    lambda ctx: len(ctx.a) != 1, NOT_APPLICABLE, "the intersection is not a single point"
+)
+_SHARED = (lambda ctx: not ctx.metric.shared.ok, NOT_APPLICABLE, "needs a shared witness")
+_DOMINATED = (lambda ctx: not ctx.metric.dom.ok, NOT_APPLICABLE, "needs cross domination")
+_CLOSE_PAIRS = (lambda ctx: not ctx.metric.close_pairs, NOT_APPLICABLE, "no close cross pairs")
+_GLUED = (lambda ctx: not ctx.metric.gluing, NOT_APPLICABLE, "needs a metric gluing")
+# Both simplex conditions route each close cross pair through a shared
+# point; a gluing along an empty intersection has none (its cross distances
+# are inf, close only at an infinite radius).
+_GLUED_ALONG_A = (
+    lambda ctx: ctx.metric.close_pairs and not ctx.a,
+    NOT_APPLICABLE,
+    "needs a metric gluing along a nonempty intersection",
+)
+
+
+# ------------------------------------------------------------ hypotheses
+
+
+def _records(items):
+    return {it.obs for it in items}
+
+
+def _conn_at_least(value, n):
+    """Is a homological connectivity (None when empty) at least n?"""
+    if value is None:
+        return False
+    if value == "all":
+        return True
+    return n != "all" and value >= n
+
+
+def _first_unconnected(ctx, items, n, why=None):
+    """Failure at the first cross simplex whose obstruction is empty or not
+    homologically n-connected, or None.  Every nonempty complex is
+    (-1)-connected, so at n = -1 only an empty obstruction fails."""
+    for it in items:
+        conn = ctx.shadow_connectivity(it.obs)
+        if conn is None:
+            return _fails("empty obstruction complex", ctx.label_simplex(it.simplex))
+        if not _conn_at_least(conn, n):
+            return _fails(why, ctx.label_simplex(it.simplex))
+    return None
+
+
+def _one_record(ctx, obs, n, detail):
+    """Holds at n when one obstruction record is homologically n-connected."""
+    conn = ctx.shadow_connectivity(obs)
+    if conn is None:
+        return _fails("empty complex")
+    if not _conn_at_least(conn, n):
+        return _fails(f"reduced homology obstructs {n}-connectivity")
+    return _holds(n, detail=detail, needs=(obs,))
 
 
 def _constant_family(items):
     """The obstruction record every item shares, or None when they differ."""
-    if not items:
-        return None
-    first = items[0].obs
-    if any(it.obs is not first for it in items[1:]):
-        return None
-    return first
-
-
-def _status_for_target(cert, conn, n):
-    if conn is None:
-        return FAILS, "empty complex"
-    if not _conn_at_least(conn, n):
-        return FAILS, f"reduced homology obstructs {n}-connectivity"
-    if n >= 1 and not cert:
-        return INCONCLUSIVE, "simple connectivity is uncertified"
-    return HOLDS, None
-
-
-def _crit_constant_obstruction(ctx):
-    crit = "constant-obstruction"
-    if not ctx.items:
-        return CriterionVerdict(crit, NOT_APPLICABLE, detail="no cross simplices")
-
-    def holds_at(n):
-        items = ctx.items_through(n + 1)
-        if not items:
-            return NOT_APPLICABLE, None, "no cross simplices in range"
-        common = _constant_family(items)
-        if common is None:
-            return FAILS, None, "obstruction complexes differ across cross simplices"
-        cert, conn = ctx.connectivity(common)
-        status, why = _status_for_target(cert, conn, n)
-        return status, None, why
-
-    n, status, witness, detail = _scan_best_n(ctx, holds_at)
-    if status == HOLDS:
-        return CriterionVerdict(
-            crit,
-            HOLDS,
-            conclusion=_fibers_text(n),
-            claim=_claim_connected(n),
-            detail="one obstruction complex shared by every cross simplex in range",
-        )
-    return CriterionVerdict(crit, status, witness=witness, detail=detail)
-
-
-def _crit_full_intersection(ctx):
-    crit = "full-intersection-obstruction"
-    if not ctx.items:
-        return CriterionVerdict(crit, NOT_APPLICABLE, detail="no cross simplices")
-    # None when no cross simplex has K[A] as its obstruction
-    ka = ctx.find(ctx.complex.restrict(ctx.a))
-
-    def holds_at(n):
-        items = ctx.items_through(n + 1)
-        if not items:
-            return NOT_APPLICABLE, None, "no cross simplices in range"
-        for it in items:
-            if it.obs is not ka:
-                return (
-                    FAILS,
-                    ctx.label_simplex(it.simplex),
-                    "obstruction differs from the full intersection restriction",
-                )
-        if ka.status == STATUS_EMPTY:
-            return FAILS, None, "the intersection restriction is empty"
-        status, why = _status_for_target(*ctx.connectivity(ka), n)
-        return status, None, why
-
-    n, status, witness, detail = _scan_best_n(ctx, holds_at)
-    if status == HOLDS:
-        return CriterionVerdict(
-            crit,
-            HOLDS,
-            conclusion=_fibers_text(n),
-            claim=_claim_connected(n),
-            detail="every obstruction equals the intersection restriction",
-        )
-    return CriterionVerdict(crit, status, witness=witness, detail=detail)
-
-
-def _crit_all_subsets_extend(ctx):
-    crit = "all-intersection-subsets-extend"
-    if not ctx.items:
-        return CriterionVerdict(crit, NOT_APPLICABLE, detail="no cross simplices")
-    if not ctx.a:
-        return CriterionVerdict(crit, FAILS, detail="the intersection is empty")
-    a_sorted = tuple(sorted(ctx.a))
-
-    def extends(it):
-        return make_simplex(it.simplex + a_sorted) in ctx.complex
-
-    def holds_at(n):
-        items = ctx.items_through(n + 1)
-        if not items:
-            return NOT_APPLICABLE, None, "no cross simplices in range"
-        for it in items:
-            if not extends(it):
-                return (
-                    FAILS,
-                    ctx.label_simplex(it.simplex),
-                    "the simplex does not extend by the whole intersection",
-                )
-        return HOLDS, None, None
-
-    n, status, witness, detail = _scan_best_n(ctx, holds_at)
-    if status == HOLDS:
-        best = "all" if all(extends(it) for it in ctx.items) and ctx.full_coverage else n
-        return CriterionVerdict(
-            crit,
-            HOLDS,
-            conclusion=_fibers_text(best),
-            claim=_claim_connected(best),
-            detail="every cross simplex extends by every subset of the intersection",
-        )
-    return CriterionVerdict(crit, status, witness=witness, detail=detail)
-
-
-def _crit_singleton_extends(ctx):
-    crit = "singleton-intersection-extends"
-    if len(ctx.a) != 1:
-        return CriterionVerdict(
-            crit, NOT_APPLICABLE, detail="the intersection is not a single vertex"
-        )
-    verdict = _crit_all_subsets_extend(ctx)
-    return CriterionVerdict(
-        crit,
-        verdict.status,
-        witness=verdict.witness,
-        conclusion=verdict.conclusion,
-        claim=verdict.claim,
-        detail=verdict.detail,
-        verified_up_to=verdict.verified_up_to,
-    )
-
-
-def _crit_one_entry_point(ctx):
-    crit = "one-entry-point"
-    if not ctx.items:
-        return CriterionVerdict(crit, NOT_APPLICABLE, detail="no cross simplices")
-    if not ctx.a:
-        return CriterionVerdict(crit, FAILS, detail="the intersection is empty")
-    # A cross simplex tau of dimension <= dim_cap splits as sigma + rho, with
-    # sigma = tau - A a cross simplex of ctx.items and rho empty or a simplex
-    # of obs(sigma); tau + v is a simplex exactly when rho + v is in
-    # obs(sigma).  So v extends every such tau with |sigma| <= n + 2 when it
-    # is good in obs(sigma) for rho of up to dim_cap + 1 - |sigma| vertices.
-    by_size = {}
-    for it in ctx.items:
-        by_size.setdefault(len(it.simplex), set()).add(it.obs)
-    candidates = sorted(ctx.a)
-
-    def holds_at(n):
-        ok = set(ctx.a)
-        for size, group in by_size.items():
-            if size <= n + 2:
-                for obs in group:
-                    ok &= obs.good(ctx.dim_cap + 1 - size)
-        for v in candidates:
-            if v in ok:
-                return HOLDS, ctx.label(v), None
-        return FAILS, None, "no intersection vertex extends every small cross simplex"
-
-    n, status, witness, detail = _scan_best_n(ctx, holds_at)
-    if status == HOLDS:
-        return CriterionVerdict(
-            crit,
-            HOLDS,
-            witness=witness,
-            conclusion=_fibers_text(n),
-            claim=_claim_connected(n),
-            detail=(
-                f"entry point {witness} extends every cross simplex with at most "
-                f"{n + 2} vertices outside the intersection"
-            ),
-            verified_up_to=None if ctx.full_coverage else ctx.dim_cap,
-        )
-    return CriterionVerdict(crit, status, witness=witness, detail=detail)
-
-
-# --------------------------------------------------------- clique criteria
-
-
-def _not_clique(crit):
-    return CriterionVerdict(
-        crit, NOT_APPLICABLE, detail="only meaningful for flag (clique) complexes"
-    )
+    first = items[0].obs if items else None
+    return first if all(it.obs is first for it in items) else None
 
 
 def _is_standard(obstruction):
     """A complex is a standard simplex when its full vertex set is a simplex."""
     verts = obstruction.vertices
-    if not verts:
-        return True
-    return tuple(verts) in obstruction
+    return not verts or tuple(verts) in obstruction
 
 
-def _crit_edge_standard(ctx):
-    crit = "edge-standard-obstructions"
-    if not ctx.complex.is_flag:
-        return _not_clique(crit)
-    if not ctx.edge_items:
-        return CriterionVerdict(crit, NOT_APPLICABLE, detail="no cross edges")
-    for it in ctx.edge_items:
-        if not _is_standard(it.obs.complex):
-            return CriterionVerdict(
-                crit,
-                FAILS,
-                witness=ctx.label_simplex(it.simplex),
-                detail="edge obstruction is not a standard simplex",
-            )
-
-    def holds_at(n):
-        items = ctx.items_through(n + 1)
-        for it in items:
-            if it.obs.status == STATUS_EMPTY:
-                return FAILS, ctx.label_simplex(it.simplex), "empty obstruction"
-        return HOLDS, None, None
-
-    n, status, witness, detail = _scan_best_n(ctx, holds_at)
-    if status == HOLDS:
-        return CriterionVerdict(
-            crit,
-            HOLDS,
-            conclusion=_fibers_text(n),
-            claim=_claim_connected(n),
-            detail="edge obstructions are standard simplices; all obstructions in "
-            f"range nonempty through dimension {n + 1}",
-        )
-    return CriterionVerdict(crit, status, witness=witness, detail=detail)
+def _shared_edge_obstruction_vertices(ctx):
+    """The vertices in the obstruction of every cross edge (there is one)."""
+    return set.intersection(*(set(it.obs.complex.vertices) for it in ctx.edge_items))
 
 
-def _crit_edge_constant(ctx):
-    crit = "edge-constant-obstruction"
-    if not ctx.complex.is_flag:
-        return _not_clique(crit)
-    if not ctx.edge_items:
-        return CriterionVerdict(crit, NOT_APPLICABLE, detail="no cross edges")
-    common = _constant_family(ctx.edge_items)
-    if common is None:
-        return CriterionVerdict(
-            crit, FAILS, detail="edge obstruction complexes differ"
-        )
-    cert, conn = ctx.connectivity(common)
-    if conn is None:
-        return CriterionVerdict(crit, FAILS, detail="the common edge obstruction is empty")
-    if conn == -1:
-        return CriterionVerdict(
-            crit, FAILS, detail="the common edge obstruction is disconnected"
-        )
-    n = "all" if cert else 0
-    detail = None
-    if n != "all" and conn != 0:
-        detail = (
-            f"homological shadow reaches connectivity {conn}; certified degree stops at 0"
-        )
-    return CriterionVerdict(
-        crit,
-        HOLDS,
-        conclusion=_fibers_text(n),
-        claim=_claim_connected(n),
-        detail=detail or "one obstruction complex shared by every cross edge",
+def _no_cross(ctx, n):
+    if not ctx.items:
+        return _holds("all")
+    return _fails(
+        f"{len(ctx.items)} cross simplices up to dimension {ctx.dim_cap}",
+        ctx.label_simplex(ctx.items[0].simplex),
     )
 
 
-def _crit_edge_full_intersection(ctx):
-    crit = "edge-full-intersection"
-    if not ctx.complex.is_flag:
-        return _not_clique(crit)
-    if not ctx.edge_items:
-        return CriterionVerdict(crit, NOT_APPLICABLE, detail="no cross edges")
-    if not ctx.a:
-        return CriterionVerdict(crit, FAILS, detail="the intersection is empty")
+def _contractible(ctx, n):
+    failed = _first_unconnected(ctx, ctx.items, -1)
+    if failed:
+        return failed
+    bad = next((it for it in ctx.items if not it.obs.certified), None)
+    if bad and ctx.shadow_connectivity(bad.obs) != "all":
+        return _fails(
+            "obstruction has nontrivial reduced integral homology", ctx.label_simplex(bad.simplex)
+        )
+    detail = "every obstruction carries a central-simplex or collapse certificate"
+    if not ctx.items:
+        detail = "vacuous: no cross simplices"
+    return _holds("all", detail=detail, needs=_records(ctx.items))
+
+
+def _acyclic(ctx, n):
+    detail = "every obstruction has trivial reduced integral homology"
+    return _first_unconnected(
+        ctx, ctx.items, "all", "nontrivial reduced integral homology"
+    ) or _holds("all", detail=detail + ("" if ctx.items else " (vacuous)"))
+
+
+def _torsion(ctx, n):
+    failed = _first_unconnected(ctx, ctx.items, -1)
+    if failed:
+        return failed
+    # contractible obstructions have no torsion
+    uncertified = [it for it in ctx.items if not it.obs.certified]
+    primes = {
+        p
+        for it in uncertified
+        for powers in ctx.obstruction_profile(it.obs).torsion.values()
+        for q in powers
+        for p, _ in linalg.prime_factorization(q)
+    }
+    if not primes:
+        detail = "no torsion in any obstruction; see the acyclicity criterion"
+        return NOT_APPLICABLE, None, detail, None, ()
+    if len(primes) > 1:
+        return _fails(f"torsion at several primes {sorted(primes)}; no single excluded prime")
+    p = primes.pop()
+    # The degree through which each obstruction's homology is p-torsion.  A
+    # contractible record's profile is trivial through its top degree,
+    # max(dim, 0) of the complex, fully enumerated.
+    tops = [
+        max(obs.complex.to_explicit(full=True).dim(), 0)
+        for obs in _records(ctx.items)
+        if obs.certified
+    ]
+    for it in uncertified:
+        profile = ctx.obstruction_profile(it.obs)
+        if profile.betti.get(0, 0) != 0 or profile.betti.get(-1, 0) != 0:
+            return _fails("obstruction is not connected", ctx.label_simplex(it.simplex))
+        top = profile.degrees[-1]
+        tops.append(next((d - 1 for d in range(1, top + 1) if profile.betti.get(d, 0)), top))
+    best = min(tops)
+    return _holds(
+        {"iso_upto": best, "surj_at": best + 1, "exclude_char": p},
+        str(p),
+        f"all obstruction homology through degree {best} is {p}-torsion",
+    )
+
+
+def _obstruction_connectivity(ctx, n):
+    failed = _first_unconnected(ctx, ctx.items, -1) or _first_unconnected(
+        ctx, ctx.items, 0, "disconnected obstruction"
+    )
+    if failed:
+        return failed
+    detail = None
+    shadow = min(
+        (ctx.shadow_connectivity(it.obs) for it in ctx.items),
+        key=lambda v: 10**6 if v == "all" else v,
+    )
+    if n == 0 and shadow != 0:
+        detail = (
+            f"homological shadow reaches connectivity {shadow}, but simple "
+            "connectivity is uncertified; certified degree stops at 0"
+        )
+    return _holds(n, detail=detail, needs=_records(ctx.items))
+
+
+# In the n-indexed tests below, items_through(n + 1) is never empty when
+# there are cross simplices: each has a cross edge as a face.
+
+
+def _skeleton_connectivity(ctx, n):
+    items = ctx.items_through(n + 1)
+    detail = f"obstructions over cross simplices of dimension <= {n + 1}"
+    return _first_unconnected(
+        ctx, items, n, f"reduced homology obstructs {n}-connectivity"
+    ) or _holds(n, detail=detail, needs=_records(items))
+
+
+def _edge_intersection(ctx, n):
+    common = _shared_edge_obstruction_vertices(ctx)
+    if common:
+        return _holds(0, ctx.label(min(common)))
+    return _fails("the edge obstructions share no vertex")
+
+
+def _constant(ctx, n):
+    common = _constant_family(ctx.items_through(n + 1))
+    if common is None:
+        return _fails("obstruction complexes differ across cross simplices")
+    return _one_record(
+        ctx, common, n, "one obstruction complex shared by every cross simplex in range"
+    )
+
+
+def _full_intersection(ctx, n):
+    # None when no cross simplex has K[A] as its obstruction
+    ka = ctx.find(ctx.intersection())
+    for it in ctx.items_through(n + 1):
+        if it.obs is not ka:
+            return _fails(
+                "obstruction differs from the full intersection restriction",
+                ctx.label_simplex(it.simplex),
+            )
+    if ka.status == STATUS_EMPTY:
+        return _fails("the intersection restriction is empty")
+    return _one_record(ctx, ka, n, "every obstruction equals the intersection restriction")
+
+
+def _subsets_extend(ctx, n):
+    a = tuple(sorted(ctx.a))
+    for it in ctx.items_through(n + 1):
+        if make_simplex(it.simplex + a) not in ctx.complex:
+            return _fails(
+                "the simplex does not extend by the whole intersection",
+                ctx.label_simplex(it.simplex),
+            )
+    # at n = dim_cap - 1 every cross simplex extends
+    whole = n == ctx.dim_cap - 1 and ctx.full_coverage
+    detail = "every cross simplex extends by every subset of the intersection"
+    return _holds("all" if whole else n, detail=detail)
+
+
+def _one_entry_point(ctx, n):
+    # A cross simplex tau of dimension <= dim_cap splits as sigma + rho, with
+    # sigma = tau - A a cross simplex of ctx.items and rho empty or a simplex
+    # of obs(sigma); tau + v is a simplex exactly when rho + v is in
+    # obs(sigma).  So v extends every such tau with |sigma| <= n + 2 when it
+    # is good in obs(sigma) for rho of up to dim_cap + 1 - |sigma| vertices.
+    ok = set(ctx.a)
+    for size, obs in {(len(it.simplex), it.obs) for it in ctx.items_through(n + 1)}:
+        ok &= obs.good(ctx.dim_cap + 1 - size)
+    if not ok:
+        return _fails("no intersection vertex extends every small cross simplex")
+    v = ctx.label(min(ok))
+    return _holds(
+        n,
+        v,
+        f"entry point {v} extends every cross simplex with at most "
+        f"{n + 2} vertices outside the intersection",
+    )
+
+
+def _edge_standard(ctx, n):
+    for it in ctx.edge_items:
+        if not _is_standard(it.obs.complex):
+            return _fails(
+                "edge obstruction is not a standard simplex", ctx.label_simplex(it.simplex)
+            )
+    for it in ctx.items_through(n + 1):
+        if it.obs.status == STATUS_EMPTY:
+            return _fails("empty obstruction", ctx.label_simplex(it.simplex))
+    return _holds(
+        n,
+        detail="edge obstructions are standard simplices; all obstructions in "
+        f"range nonempty through dimension {n + 1}",
+    )
+
+
+def _edge_constant(ctx, n):
+    common = _constant_family(ctx.edge_items)
+    if common is None:
+        return _fails("edge obstruction complexes differ")
+    conn = ctx.shadow_connectivity(common)
+    if conn is None:
+        return _fails("the common edge obstruction is empty")
+    if conn == -1:
+        return _fails("the common edge obstruction is disconnected")
+    detail = "one obstruction complex shared by every cross edge"
+    if n == 0 and conn != 0:
+        detail = f"homological shadow reaches connectivity {conn}; certified degree stops at 0"
+    return _holds(n, detail=detail, needs=(common,))
+
+
+def _edge_full_intersection(ctx, n):
     for it in ctx.edge_items:
         for v in sorted(ctx.a):
             if make_simplex(it.simplex + (v,)) not in ctx.complex:
-                return CriterionVerdict(
-                    crit,
-                    FAILS,
-                    witness=f"{ctx.label_simplex(it.simplex)}+{ctx.label(v)}",
-                    detail="a cross edge fails to extend by an intersection vertex",
+                return _fails(
+                    "a cross edge fails to extend by an intersection vertex",
+                    f"{ctx.label_simplex(it.simplex)}+{ctx.label(v)}",
                 )
-    cert, conn = ctx.connectivity(ctx.record(ctx.complex.restrict(ctx.a)))
-    if conn is None or conn == -1:
-        return CriterionVerdict(
-            crit, FAILS, detail="the intersection restriction is empty or disconnected"
-        )
-    n = "all" if cert else 0
-    return CriterionVerdict(
-        crit,
-        HOLDS,
-        conclusion=_fibers_text(n),
-        claim=_claim_connected(n),
-        detail="every cross edge extends by every intersection vertex",
-    )
+    ka = ctx.record(ctx.intersection())
+    if ctx.shadow_connectivity(ka) in (None, -1):
+        return _fails("the intersection restriction is empty or disconnected")
+    return _holds(n, detail="every cross edge extends by every intersection vertex", needs=(ka,))
 
 
-def _crit_edge_pair_extension(ctx):
-    crit = "edge-pair-extension"
-    if not ctx.complex.is_flag:
-        return _not_clique(crit)
-    if not ctx.a:
-        return CriterionVerdict(crit, FAILS, detail="the intersection is empty")
+def _pairs_extend(ctx, n):
     if not ctx.edge_items:
-        return CriterionVerdict(
-            crit,
-            HOLDS,
-            conclusion=_fibers_text("all"),
-            claim=_claim_weak_equivalence(),
-            detail="vacuous: no cross edges",
-        )
-    a_sorted = sorted(ctx.a)
+        return _holds("all", detail="vacuous: no cross edges")
+    a = sorted(ctx.a)
     for it in ctx.edge_items:
-        for i, u in enumerate(a_sorted):
-            for w in a_sorted[i:]:
+        for i, u in enumerate(a):
+            for w in a[i:]:
                 mu = (u,) if u == w else (u, w)
                 if make_simplex(it.simplex + mu) not in ctx.complex:
-                    return CriterionVerdict(
-                        crit,
-                        FAILS,
-                        witness=f"{ctx.label_simplex(it.simplex)}+{ctx.label_simplex(mu)}",
-                        detail="a cross edge fails to extend by a small intersection subset",
+                    return _fails(
+                        "a cross edge fails to extend by a small intersection subset",
+                        f"{ctx.label_simplex(it.simplex)}+{ctx.label_simplex(mu)}",
                     )
-    return CriterionVerdict(
-        crit,
-        HOLDS,
-        conclusion=_fibers_text("all"),
-        claim=_claim_weak_equivalence(),
-        detail="every cross edge extends by every intersection subset of size <= 2",
-    )
+    detail = "every cross edge extends by every intersection subset of size <= 2"
+    return _holds("all", detail=detail)
 
 
-def _crit_edge_singleton_extension(ctx):
-    crit = "edge-singleton-extension"
-    if not ctx.complex.is_flag:
-        return _not_clique(crit)
-    if len(ctx.a) != 1:
-        return CriterionVerdict(
-            crit, NOT_APPLICABLE, detail="the intersection is not a single vertex"
-        )
-    inner = _crit_edge_pair_extension(ctx)
-    return CriterionVerdict(
-        crit,
-        inner.status,
-        witness=inner.witness,
-        conclusion=inner.conclusion,
-        claim=inner.claim,
-        detail=inner.detail,
-    )
-
-
-def _edge_obstruction_common_vertices(ctx):
-    common = None
-    for it in ctx.edge_items:
-        verts = set(it.obs.complex.vertices)
-        common = verts if common is None else common & verts
-    return common or set()
-
-
-def _crit_clique_entry_adjacent(ctx):
-    crit = "clique-entry-point-adjacent"
-    if not ctx.complex.is_flag:
-        return _not_clique(crit)
-    if not ctx.edge_items:
-        return CriterionVerdict(crit, NOT_APPLICABLE, detail="no cross edges")
-    for v in sorted(_edge_obstruction_common_vertices(ctx)):
-        ok = True
-        for it in ctx.edge_items:
-            for w in it.obs.complex.vertices:
-                if w != v and make_simplex((v, w)) not in ctx.complex:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            return CriterionVerdict(
-                crit,
-                HOLDS,
-                witness=ctx.label(v),
-                conclusion=_fibers_text("all"),
-                claim=_claim_weak_equivalence(),
-                detail="an obstruction vertex shared by every cross edge is adjacent "
+def _clique_entry_adjacent(ctx, n):
+    for v in sorted(_shared_edge_obstruction_vertices(ctx)):
+        if all(
+            w == v or make_simplex((v, w)) in ctx.complex
+            for it in ctx.edge_items
+            for w in it.obs.complex.vertices
+        ):
+            return _holds(
+                "all",
+                ctx.label(v),
+                "an obstruction vertex shared by every cross edge is adjacent "
                 "to every vertex of every edge obstruction",
             )
-    return CriterionVerdict(
-        crit, FAILS, detail="no shared obstruction vertex is adjacent to all obstruction vertices"
-    )
+    return _fails("no shared obstruction vertex is adjacent to all obstruction vertices")
 
 
-def _crit_clique_entry_central(ctx):
-    crit = "clique-entry-point-central"
-    if not ctx.complex.is_flag:
-        return _not_clique(crit)
-    if not ctx.edge_items:
-        return CriterionVerdict(crit, NOT_APPLICABLE, detail="no cross edges")
-    for v in sorted(_edge_obstruction_common_vertices(ctx)):
+def _clique_entry_central(ctx, n):
+    for v in sorted(_shared_edge_obstruction_vertices(ctx)):
         if all(v in it.obs.central for it in ctx.edge_items):
-            return CriterionVerdict(
-                crit,
-                HOLDS,
-                witness=ctx.label(v),
-                conclusion=_fibers_text("all"),
-                claim=_claim_weak_equivalence(),
-                detail="one vertex is central in every edge obstruction",
-            )
-    return CriterionVerdict(
-        crit, FAILS, detail="no vertex is central in every edge obstruction"
-    )
+            return _holds("all", ctx.label(v), "one vertex is central in every edge obstruction")
+    return _fails("no vertex is central in every edge obstruction")
 
 
-def _crit_clique_entry_local(ctx):
-    crit = "clique-entry-point-local"
-    if not ctx.complex.is_flag:
-        return _not_clique(crit)
-    if not ctx.a:
-        return CriterionVerdict(crit, FAILS, detail="the intersection is empty")
+def _clique_entry_local(ctx, n):
     # v extends a cross edge e and every e + a in the complex exactly when v
     # is a central vertex of e's obstruction; vacuous without cross edges.
-    ok = set(ctx.a)
-    for obs in {it.obs for it in ctx.edge_items}:
-        ok &= obs.central
-    for v in sorted(ctx.a):
-        if v in ok:
-            return CriterionVerdict(
-                crit,
-                HOLDS,
-                witness=ctx.label(v),
-                conclusion=_fibers_text("all"),
-                claim=_claim_weak_equivalence(),
-                detail="one intersection vertex extends every cross edge and every "
-                "cross edge plus one intersection vertex",
-            )
-    return CriterionVerdict(
-        crit, FAILS, detail="no intersection vertex extends all small cross simplices"
+    ok = set(ctx.a).intersection(*(obs.central for obs in _records(ctx.edge_items)))
+    if not ok:
+        return _fails("no intersection vertex extends all small cross simplices")
+    return _holds(
+        "all",
+        ctx.label(min(ok)),
+        "one intersection vertex extends every cross edge and every "
+        "cross edge plus one intersection vertex",
     )
 
 
-def _crit_two_entry_points(ctx):
-    crit = "two-entry-points"
-    if not ctx.complex.is_flag:
-        return _not_clique(crit)
-    if not ctx.a:
-        return CriterionVerdict(crit, FAILS, detail="the intersection is empty")
-    edges = ctx.complex.edges()
-    xa_edges = [
-        e for e in edges if (e[0] in ctx.a) != (e[1] in ctx.a)
-        and (e[0] in ctx.x_only or e[1] in ctx.x_only)
-    ]
-    ya_edges = [
-        e for e in edges if (e[0] in ctx.a) != (e[1] in ctx.a)
-        and (e[0] in ctx.y_only or e[1] in ctx.y_only)
-    ]
+def _two_entry_points(ctx, n):
+    a = sorted(ctx.a)
+    between = [e for e in ctx.complex.edges() if (e[0] in ctx.a) != (e[1] in ctx.a)]
+
+    def entries(side):
+        """Intersection vertices extending every edge from A into one side."""
+        edges = [e for e in between if e[0] in side or e[1] in side]
+        return [v for v in a if all(make_simplex(e + (v,)) in ctx.complex for e in edges)]
+
     cross = [it.simplex for it in ctx.edge_items]
-    a_sorted = sorted(ctx.a)
-    for ax in a_sorted:
-        if not all(make_simplex(e + (ax,)) in ctx.complex for e in xa_edges):
-            continue
-        for ay in a_sorted:
-            if not all(make_simplex(e + (ay,)) in ctx.complex for e in ya_edges):
-                continue
+    ay_entries = entries(ctx.y_only)
+    for ax in entries(ctx.x_only):
+        for ay in ay_entries:
             if all(make_simplex(t + (ax, ay)) in ctx.complex for t in cross):
-                return CriterionVerdict(
-                    crit,
-                    HOLDS,
-                    witness=f"({ctx.label(ax)},{ctx.label(ay)})",
-                    conclusion=_fibers_text("all"),
-                    claim=_claim_weak_equivalence(),
-                    detail="two entry points absorb the side edges and every cross edge",
+                return _holds(
+                    "all",
+                    f"({ctx.label(ax)},{ctx.label(ay)})",
+                    "two entry points absorb the side edges and every cross edge",
                 )
-    return CriterionVerdict(crit, FAILS, detail="no pair of entry points works")
+    return _fails("no pair of entry points works")
 
 
-_CRITERION_FUNCS = {
-    "no-cross-simplices": _crit_no_cross,
-    "contractible-obstructions": _crit_contractible,
-    "acyclic-obstructions": _crit_acyclic,
-    "torsion-obstructions": _crit_torsion,
-    "obstruction-connectivity": _crit_obstruction_connectivity,
-    "skeleton-obstruction-connectivity": _crit_skeleton_connectivity,
-    "edge-intersection-nonempty": _crit_edge_intersection,
-    "constant-obstruction": _crit_constant_obstruction,
-    "full-intersection-obstruction": _crit_full_intersection,
-    "all-intersection-subsets-extend": _crit_all_subsets_extend,
-    "singleton-intersection-extends": _crit_singleton_extends,
-    "one-entry-point": _crit_one_entry_point,
-    "edge-standard-obstructions": _crit_edge_standard,
-    "edge-constant-obstruction": _crit_edge_constant,
-    "edge-full-intersection": _crit_edge_full_intersection,
-    "edge-pair-extension": _crit_edge_pair_extension,
-    "edge-singleton-extension": _crit_edge_singleton_extension,
-    "clique-entry-point-adjacent": _crit_clique_entry_adjacent,
-    "clique-entry-point-central": _crit_clique_entry_central,
-    "clique-entry-point-local": _crit_clique_entry_local,
-    "two-entry-points": _crit_two_entry_points,
-}
+# -------------------------------------------------------- metric hypotheses
 
 
-# ----------------------------------------------------------- metric criteria
+def _shared_witness(ctx, n):
+    shared = ctx.metric.shared
+    return _holds(0, str(shared.witness)) if shared.ok else _fails(shared.note or None)
 
 
-def _metric_verdicts(mc, ctx):
-    """Verdicts for the distance-level hypotheses of a metric cover."""
-    sp = mc.space
-    verdicts = []
-    triangle_witness = metric_mod.is_pseudometric(sp)
-    pseudometric = triangle_witness is None
-    a_sorted = sorted(mc.a)
-    a_labels = mc.labels_of(a_sorted)
-    close = sp.closeness(mc.r)
-    close_pairs = mc.cross_pairs_within()
-
-    # shared witness point within r of both ends of every close cross pair
-    shared = metric_mod.check_shared_witness(mc)
-    if shared.ok:
-        verdicts.append(
-            CriterionVerdict(
-                "shared-witness",
-                HOLDS,
-                witness=str(shared.witness),
-                conclusion="homotopy fibers of the cover-union inclusion are "
-                "connected: isomorphism on degree-0 homology, surjection in degree 1",
-                claim=_claim_connected(0),
+def _witness_ball(ctx, n):
+    """A shared witness whose ball absorbs every other witness of every
+    close cross pair."""
+    m = ctx.metric
+    close, pairs, a = m.close, m.close_pairs, sorted(ctx.a)
+    # shared points within r of both ends of some close cross pair
+    pair_witnesses = [w for w in a if any(close[w][i] and close[w][j] for i, j in pairs)]
+    # a shared witness is within r of both ends of every close cross pair
+    targets = {u for pair in pairs for u in pair}.union(pair_witnesses)
+    for v in a:
+        if all(close[v][w] for w in targets):
+            return _holds(
+                "all",
+                ctx.label(v),
+                "every witness of a close cross pair sits within r of the entry point",
             )
-        )
-    else:
-        verdicts.append(
-            CriterionVerdict("shared-witness", FAILS, detail=shared.note or None)
-        )
+    return _fails("every shared witness misses some pair witness")
 
-    witnesses = metric_mod.shared_witnesses(mc) if shared.ok else []
 
-    # a witness whose ball absorbs every other witness of every close pair
-    crit = "witness-ball-closure"
-    if not shared.ok:
-        verdicts.append(
-            CriterionVerdict(crit, NOT_APPLICABLE, detail="needs a shared witness")
+def _small_diameter(ctx, n):
+    m = ctx.metric
+    if m.space.within(m.diameter, m.r):
+        return _holds(
+            "all", str(m.diameter), "the whole intersection lies within one ball of radius r"
         )
-    else:
-        # shared points within r of both ends of some close cross pair
-        pair_witnesses = [
-            w for w in a_sorted if any(close[w][i] and close[w][j] for i, j in close_pairs)
-        ]
-        found = next(
-            (v for v in witnesses if all(close[v][w] for w in pair_witnesses)), None
-        )
-        if found is not None:
-            verdicts.append(
-                CriterionVerdict(
-                    crit,
-                    HOLDS,
-                    witness=str(sp.labels[found]),
-                    conclusion=_fibers_text("all"),
-                    claim=_claim_weak_equivalence(),
-                    detail="every witness of a close cross pair sits within r of the entry point",
-                )
-            )
-        else:
-            verdicts.append(
-                CriterionVerdict(
-                    crit, FAILS, detail="every shared witness misses some pair witness"
-                )
-            )
+    return _fails("the intersection has diameter above r", str(m.diameter))
 
-    # diameter of the intersection at most r (with a shared witness)
-    crit = "small-intersection-diameter"
-    if not shared.ok:
-        verdicts.append(
-            CriterionVerdict(crit, NOT_APPLICABLE, detail="needs a shared witness")
-        )
-    elif sp.within(metric_mod.diam(sp, a_labels), mc.r):
-        verdicts.append(
-            CriterionVerdict(
-                crit,
-                HOLDS,
-                witness=str(metric_mod.diam(sp, a_labels)),
-                conclusion=_fibers_text("all"),
-                claim=_claim_weak_equivalence(),
-                detail="the whole intersection lies within one ball of radius r",
-            )
-        )
-    else:
-        verdicts.append(
-            CriterionVerdict(
-                crit,
-                FAILS,
-                witness=str(metric_mod.diam(sp, a_labels)),
-                detail="the intersection has diameter above r",
-            )
-        )
 
-    # singleton intersection (with a shared witness)
-    crit = "shared-singleton"
-    if len(mc.a) != 1:
-        verdicts.append(
-            CriterionVerdict(crit, NOT_APPLICABLE, detail="the intersection is not a single point")
-        )
-    elif shared.ok:
-        verdicts.append(
-            CriterionVerdict(
-                crit,
-                HOLDS,
-                witness=str(a_labels[0]),
-                conclusion=_fibers_text("all"),
-                claim=_claim_weak_equivalence(),
-            )
-        )
-    else:
-        verdicts.append(CriterionVerdict(crit, FAILS, detail=shared.note or None))
+def _shared_singleton(ctx, n):
+    shared = ctx.metric.shared
+    return _holds("all", ctx.label(min(ctx.a))) if shared.ok else _fails(shared.note or None)
 
-    # radius-free domination of cross distances over legs to the intersection
-    dom = metric_mod.check_cross_domination(mc)
+
+def _cross_domination(ctx, n):
+    """Radius-free domination of cross distances over legs to the
+    intersection."""
+    dom = ctx.metric.dom
     if dom.ok:
-        verdicts.append(
-            CriterionVerdict(
-                "cross-domination",
-                HOLDS,
-                conclusion="for every radius, every intersection point witnesses every "
-                "close cross pair; fibers are connected",
-                claim=_claim_connected(0),
-            )
-        )
-    else:
-        verdicts.append(
-            CriterionVerdict(
-                "cross-domination",
-                FAILS,
-                witness=str(dom.witness) if dom.witness else None,
-                detail=dom.note or None,
-            )
-        )
+        return _holds(0)
+    return _fails(dom.note or None, str(dom.witness) if dom.witness else None)
 
-    # domination plus cross distances at least the intersection diameter
-    crit = "cross-dominates-diameter"
-    if not dom.ok:
-        verdicts.append(
-            CriterionVerdict(crit, NOT_APPLICABLE, detail="needs cross domination")
-        )
-    else:
-        diameter = metric_mod.diam(sp, a_labels) if a_labels else None
-        bad = None
-        for i in sorted(mc.x - mc.a):
-            for j in sorted(mc.y - mc.a):
-                if sp.matrix[i][j] < diameter:
-                    bad = (sp.labels[i], sp.labels[j])
-                    break
-            if bad:
-                break
-        if bad is None:
-            verdicts.append(
-                CriterionVerdict(
-                    crit,
-                    HOLDS,
-                    conclusion="weak equivalence at every radius",
-                    claim=_claim_weak_equivalence(),
-                    detail="every cross distance is at least the intersection diameter",
-                )
-            )
-        else:
-            verdicts.append(CriterionVerdict(crit, FAILS, witness=str(bad)))
 
-    # the witness set of a close cross pair does not depend on the pair
-    crit = "radius-independence"
-    if not ctx.edge_items:
-        verdicts.append(CriterionVerdict(crit, NOT_APPLICABLE, detail="no cross edges"))
-    else:
-        common = _constant_family(ctx.edge_items)
-        if common is None:
-            verdicts.append(
-                CriterionVerdict(
-                    crit, FAILS, detail="edge obstruction complexes depend on the pair"
-                )
-            )
-        else:
-            cert, conn = ctx.connectivity(common)
-            status, why = _status_for_target(cert, conn, 0)
-            if status == HOLDS:
-                n = "all" if cert else 0
-                verdicts.append(
-                    CriterionVerdict(
-                        crit,
-                        HOLDS,
-                        conclusion=_fibers_text(n),
-                        claim=_claim_connected(n),
-                        detail="one witness complex shared by every close cross pair",
-                    )
-                )
-            else:
-                verdicts.append(CriterionVerdict(crit, status, detail=why))
+def _dominates_diameter(ctx, n):
+    """Every cross distance is at least the intersection diameter."""
+    m = ctx.metric
+    matrix, labels = m.space.matrix, m.space.labels
+    for i in sorted(ctx.x_only):
+        for j in sorted(ctx.y_only):
+            if matrix[i][j] < m.diameter:
+                return _fails(None, str((labels[i], labels[j])))
+    return _holds("all", detail="every cross distance is at least the intersection diameter")
 
-    # every intersection point witnesses every close cross pair
-    crit = "full-witness-set"
-    if not close_pairs:
-        verdicts.append(
-            CriterionVerdict(crit, NOT_APPLICABLE, detail="no close cross pairs")
-        )
-    else:
-        bad = next(
-            (
-                (sp.labels[i], sp.labels[j], sp.labels[v])
-                for i, j in close_pairs
-                for v in a_sorted
-                if not (close[i][v] and close[j][v])
-            ),
-            None,
-        )
-        if bad is not None:
-            verdicts.append(CriterionVerdict(crit, FAILS, witness=str(bad)))
-        elif not mc.a:
-            verdicts.append(
-                CriterionVerdict(crit, FAILS, detail="the intersection is empty")
-            )
-        else:
-            cert, conn = ctx.connectivity(ctx.record(ctx.complex.restrict(ctx.a)))
-            status, why = _status_for_target(cert, conn, 0)
-            if status == HOLDS:
-                n = "all" if cert else 0
-                verdicts.append(
-                    CriterionVerdict(
-                        crit,
-                        HOLDS,
-                        conclusion=_fibers_text(n),
-                        claim=_claim_connected(n),
-                        detail="the witness set of every close cross pair is the whole intersection",
-                    )
-                )
-            else:
-                verdicts.append(CriterionVerdict(crit, status, detail=why))
 
-    # metric gluing detection (needs the triangle inequality)
-    crit = "metric-gluing"
-    gluing_witness = None
-    if not pseudometric:
-        verdicts.append(
-            CriterionVerdict(
-                crit,
-                FAILS,
-                witness=str(triangle_witness),
-                detail="the triangle inequality fails, so gluing is undefined",
-            )
-        )
-        gluing = False
-    else:
-        gluing_witness = metric_mod.is_metric_gluing(
-            sp, mc.labels_of(sorted(mc.x)), mc.labels_of(sorted(mc.y))
-        )
-        gluing = gluing_witness is None
-        if gluing:
-            verdicts.append(
-                CriterionVerdict(
-                    crit,
-                    HOLDS,
-                    conclusion="every cross distance is realized through the intersection",
-                    detail="triangle inequality verified; gluing equality verified",
-                )
-            )
-        else:
-            verdicts.append(
-                CriterionVerdict(
-                    crit,
-                    FAILS,
-                    witness=str(gluing_witness),
-                    detail="a cross distance beats every detour through the intersection",
-                )
-            )
+def _radius_independence(ctx, n):
+    """The witness set of a close cross pair does not depend on the pair."""
+    common = _constant_family(ctx.edge_items)
+    if common is None:
+        return _fails("edge obstruction complexes depend on the pair")
+    return _one_record(ctx, common, n, "one witness complex shared by every close cross pair")
 
-    # Both simplex conditions route each close cross pair through a shared
-    # point; a gluing along an empty intersection has none (its cross
-    # distances are inf, close only at an infinite radius).
-    if not gluing:
-        needs = "needs a metric gluing"
-    elif close_pairs and not mc.a:
-        needs = "needs a metric gluing along a nonempty intersection"
-    else:
-        needs = None
 
-    # gluing + simplex condition
-    crit = "gluing-simplex-condition"
-    simplex_check = metric_mod.check_simplex_assumption(mc)
-    if needs:
-        verdicts.append(CriterionVerdict(crit, NOT_APPLICABLE, detail=needs))
-    elif simplex_check.ok:
-        for it in ctx.edge_items:
-            if it.obs.status == STATUS_EMPTY or not _is_standard(it.obs.complex):
-                raise AssertionError(
-                    "simplex condition certified but an edge obstruction is not a "
-                    f"nonempty standard simplex at {ctx.label_simplex(it.simplex)}"
-                )
-        verdicts.append(
-            CriterionVerdict(
-                crit,
-                HOLDS,
-                conclusion="fibers connected: isomorphism on degree-0 homology and a "
-                "surjection in degree 1 (triangle inequality used)",
-                claim=_claim_connected(0),
-                detail="every close cross edge has a nonempty standard-simplex obstruction",
-            )
-        )
-    else:
-        verdicts.append(
-            CriterionVerdict(crit, FAILS, witness=str(simplex_check.witness))
-        )
+def _full_witness_set(ctx, n):
+    """Every intersection point witnesses every close cross pair."""
+    m = ctx.metric
+    close, labels = m.close, m.space.labels
+    for i, j in m.close_pairs:
+        for v in sorted(ctx.a):
+            if not (close[i][v] and close[j][v]):
+                return _fails(None, str((labels[i], labels[j], labels[v])))
+    ka = ctx.record(ctx.intersection())
+    detail = "the witness set of every close cross pair is the whole intersection"
+    return _one_record(ctx, ka, n, detail)
 
-    # gluing + strong simplex condition
-    crit = "gluing-strong-simplex-condition"
-    strong_check = metric_mod.check_strong_simplex_assumption(mc)
-    if needs:
-        verdicts.append(CriterionVerdict(crit, NOT_APPLICABLE, detail=needs))
-    elif strong_check.ok:
-        for it in ctx.items:
-            one_sided = (
-                len(set(it.simplex) & ctx.x_only) == len(set(it.simplex) & mc.x) == 1
-                or len(set(it.simplex) & ctx.y_only) == len(set(it.simplex) & mc.y) == 1
-            )
-            standard = it.obs.status != STATUS_EMPTY and _is_standard(it.obs.complex)
-            if one_sided and not standard:
-                raise AssertionError(
-                    "strong simplex condition certified but a one-sided cross simplex "
-                    f"has a bad obstruction at {ctx.label_simplex(it.simplex)}"
-                )
-        verdicts.append(
-            CriterionVerdict(
-                crit,
-                HOLDS,
-                conclusion="fibers simply connected: isomorphism on homology in degrees "
-                "0 and 1, surjection in degree 2 (triangle inequality used)",
-                claim=_claim_connected(1),
-                detail="one-sided cross simplices have nonempty standard-simplex "
-                "obstructions (verified up to the dimension cap)",
-            )
-        )
-    else:
-        verdicts.append(
-            CriterionVerdict(crit, FAILS, witness=str(strong_check.witness))
-        )
 
-    notes = []
-    if pseudometric:
-        notes.append("the distance satisfies the triangle inequality")
-    else:
-        notes.append(
-            f"the distance violates the triangle inequality at {triangle_witness}; "
-            "gluing criteria are off, all other criteria never use it"
+def _metric_gluing(ctx, n):
+    m = ctx.metric
+    if m.triangle is not None:
+        return _fails("the triangle inequality fails, so gluing is undefined", str(m.triangle))
+    if m.gluing_witness is not None:
+        return _fails(
+            "a cross distance beats every detour through the intersection", str(m.gluing_witness)
         )
-    return verdicts, notes
+    return _holds(None, detail="triangle inequality verified; gluing equality verified")
+
+
+def _gluing_simplex(ctx, n):
+    check = ctx.metric.simplex
+    if not check.ok:
+        return _fails(None, str(check.witness))
+    for it in ctx.edge_items:
+        if it.obs.status == STATUS_EMPTY or not _is_standard(it.obs.complex):
+            raise AssertionError(
+                "simplex condition certified but an edge obstruction is not a "
+                f"nonempty standard simplex at {ctx.label_simplex(it.simplex)}"
+            )
+    return _holds(0, detail="every close cross edge has a nonempty standard-simplex obstruction")
+
+
+def _gluing_strong_simplex(ctx, n):
+    check = ctx.metric.strong
+    if not check.ok:
+        return _fails(None, str(check.witness))
+    for it in ctx.items:
+        s = set(it.simplex)
+        one_sided = (
+            len(s & ctx.x_only) == len(s & ctx.cover.x) == 1
+            or len(s & ctx.y_only) == len(s & ctx.cover.y) == 1
+        )
+        standard = it.obs.status != STATUS_EMPTY and _is_standard(it.obs.complex)
+        if one_sided and not standard:
+            raise AssertionError(
+                "strong simplex condition certified but a one-sided cross simplex "
+                f"has a bad obstruction at {ctx.label_simplex(it.simplex)}"
+            )
+    return _holds(
+        1,
+        detail="one-sided cross simplices have nonempty standard-simplex "
+        "obstructions (verified up to the dimension cap)",
+    )
+
+
+# --------------------------------------------------------------- the table
+
+_EVERY = (HOLDS, FAILS, INCONCLUSIVE, NOT_APPLICABLE)
+_CONNECTED = (
+    "homotopy fibers of the cover-union inclusion are connected: "
+    "isomorphism on degree-0 homology, surjection in degree 1"
+)
+
+#: The combinatorial criteria, in report order.  The clique block only
+#: applies to flag complexes.
+_RULES = [
+    _Rule(
+        "no-cross-simplices",
+        _no_cross,
+        conclusion="no simplex crosses the cover away from the intersection; "
+        "the cover union is the whole complex up to weak equivalence",
+    ),
+    _Rule("contractible-obstructions", _contractible, vut=_EVERY),
+    _Rule(
+        "acyclic-obstructions",
+        _acyclic,
+        conclusion="the cover-union inclusion is an integral homology isomorphism",
+        vut=_EVERY,
+    ),
+    _Rule(
+        "torsion-obstructions",
+        _torsion,
+        conclusion="homology isomorphism through degree {iso_upto} and surjection in "
+        "degree {surj_at} with coefficients in any field of characteristic other "
+        "than {exclude_char}",
+        vut=_EVERY,
+    ),
+    _Rule("obstruction-connectivity", _obstruction_connectivity, (_CROSS,), _all_or_0, vut=_EVERY),
+    _Rule("skeleton-obstruction-connectivity", _skeleton_connectivity, (_CROSS,), _scan),
+    _Rule("edge-intersection-nonempty", _edge_intersection, (_EDGES,), conclusion=_CONNECTED),
+    _Rule("constant-obstruction", _constant, (_CROSS,), _scan),
+    _Rule("full-intersection-obstruction", _full_intersection, (_CROSS,), _scan),
+    _Rule("all-intersection-subsets-extend", _subsets_extend, (_CROSS, _NONEMPTY), _scan),
+    _Rule(
+        "singleton-intersection-extends", _subsets_extend, (_SINGLETON, _CROSS, _NONEMPTY), _scan
+    ),
+    _Rule("one-entry-point", _one_entry_point, (_CROSS, _NONEMPTY), _scan, vut=(HOLDS,)),
+    _Rule("edge-standard-obstructions", _edge_standard, (_FLAG, _EDGES), _scan),
+    _Rule("edge-constant-obstruction", _edge_constant, (_FLAG, _EDGES), _all_or_0),
+    _Rule(
+        "edge-full-intersection", _edge_full_intersection, (_FLAG, _EDGES, _NONEMPTY), _all_or_0
+    ),
+    _Rule("edge-pair-extension", _pairs_extend, (_FLAG, _NONEMPTY)),
+    _Rule("edge-singleton-extension", _pairs_extend, (_FLAG, _SINGLETON, _NONEMPTY)),
+    _Rule("clique-entry-point-adjacent", _clique_entry_adjacent, (_FLAG, _EDGES)),
+    _Rule("clique-entry-point-central", _clique_entry_central, (_FLAG, _EDGES)),
+    _Rule("clique-entry-point-local", _clique_entry_local, (_FLAG, _NONEMPTY)),
+    _Rule("two-entry-points", _two_entry_points, (_FLAG, _NONEMPTY)),
+]
+
+#: The distance-level criteria of a metric report, which lead its verdicts.
+_METRIC_RULES = [
+    _Rule("shared-witness", _shared_witness, conclusion=_CONNECTED),
+    _Rule("witness-ball-closure", _witness_ball, (_SHARED,)),
+    _Rule("small-intersection-diameter", _small_diameter, (_SHARED,)),
+    _Rule("shared-singleton", _shared_singleton, (_SINGLE_POINT,)),
+    _Rule(
+        "cross-domination",
+        _cross_domination,
+        conclusion="for every radius, every intersection point witnesses every "
+        "close cross pair; fibers are connected",
+    ),
+    _Rule(
+        "cross-dominates-diameter",
+        _dominates_diameter,
+        (_DOMINATED,),
+        conclusion="weak equivalence at every radius",
+    ),
+    _Rule("radius-independence", _radius_independence, (_EDGES,), _all_or_0),
+    _Rule("full-witness-set", _full_witness_set, (_CLOSE_PAIRS, _NONEMPTY), _all_or_0),
+    _Rule(
+        "metric-gluing",
+        _metric_gluing,
+        conclusion="every cross distance is realized through the intersection",
+    ),
+    _Rule(
+        "gluing-simplex-condition",
+        _gluing_simplex,
+        (_GLUED, _GLUED_ALONG_A),
+        conclusion="fibers connected: isomorphism on degree-0 homology and a "
+        "surjection in degree 1 (triangle inequality used)",
+    ),
+    _Rule(
+        "gluing-strong-simplex-condition",
+        _gluing_strong_simplex,
+        (_GLUED, _GLUED_ALONG_A),
+        conclusion="fibers simply connected: isomorphism on homology in degrees "
+        "0 and 1, surjection in degree 2 (triangle inequality used)",
+    ),
+]
+
+#: Catalog of criterion ids, in report order.
+CRITERIA = [rule.id for rule in _RULES]
+METRIC_CRITERIA = [rule.id for rule in _METRIC_RULES]
 
 
 # ------------------------------------------------------------- verification
+
+
+_INDUCED_FIELDS = (
+    "field", "degree", "rank", "dim_source", "dim_target", "injective", "surjective", "iso"
+)
 
 
 def _verification(complex_, cover, fields, dim_cap):
@@ -1602,18 +1107,7 @@ def _verification(complex_, cover, fields, dim_cap):
             continue
         for degree in range(0, max_deg + 1):
             rec = induced_map(parts["union"], parts["total"], degree, coeffs)
-            induced.append(
-                {
-                    "field": coeffs,
-                    "degree": degree,
-                    "rank": rec.rank,
-                    "dim_source": rec.dim_source,
-                    "dim_target": rec.dim_target,
-                    "injective": rec.injective,
-                    "surjective": rec.surjective,
-                    "iso": rec.iso,
-                }
-            )
+            induced.append({name: getattr(rec, name) for name in _INDUCED_FIELDS})
     return profiles, induced
 
 
@@ -1662,12 +1156,11 @@ def _soundness(verdicts, profiles, induced, fields, dim_cap):
 
 
 def _census(ctx):
-    by_dim = {}
-    by_status = {}
-    for it in ctx.items:
-        by_dim[str(it.dim)] = by_dim.get(str(it.dim), 0) + 1
-        by_status[it.obs.status] = by_status.get(it.obs.status, 0) + 1
-    return {"total": len(ctx.items), "by_dim": by_dim, "by_status": by_status}
+    return {
+        "total": len(ctx.items),
+        "by_dim": dict(Counter(str(it.dim) for it in ctx.items)),
+        "by_status": dict(Counter(it.obs.status for it in ctx.items)),
+    }
 
 
 def _item_records(ctx, include_profiles):
@@ -1731,6 +1224,8 @@ def _clique_shortcut_audit(ctx, samples=5):
                     )
 
 
+
+
 def analyze(complex_, cover, dim_cap=None, fields=("q", "z"), verify=True):
     """Evaluate every decomposition criterion for a complex with a cover.
 
@@ -1747,22 +1242,21 @@ def analyze(complex_, cover, dim_cap=None, fields=("q", "z"), verify=True):
     return _analyze(_Context(complex_, cover, dim_cap), fields, verify)
 
 
-def _analyze(ctx, fields, verify, kind="simplicial", radius=None, verdicts=(), notes=()):
-    """The report for a built context; ``verdicts`` and ``notes`` lead.
-    A field listed twice is kept once, at its first place."""
+def _analyze(ctx, fields, verify, kind="simplicial", radius=None, metric_rules=(), notes=()):
+    """The report for a built context, with one verdict per rule; the
+    verdicts of ``metric_rules`` lead.  A field listed twice is kept once,
+    at its first place."""
     fields = list(dict.fromkeys(fields))
     complex_, cover, dim_cap = ctx.complex, ctx.cover, ctx.dim_cap
     _clique_shortcut_audit(ctx)
-    verdicts = list(verdicts)
-    for crit in CRITERIA:
-        verdicts.append(_CRITERION_FUNCS[crit](ctx))
+    verdicts = [_verdict(rule, ctx) for rule in [*metric_rules, *_RULES]]
     profiles = None
     induced = None
     failures = []
     if verify:
         profiles, induced = _verification(complex_, cover, fields, dim_cap)
         failures = _soundness(verdicts, profiles, induced, fields, dim_cap)
-    report = DecompositionReport(
+    return DecompositionReport(
         kind=kind,
         cover={
             "X": [ctx.label(v) for v in sorted(cover.x)],
@@ -1780,7 +1274,6 @@ def _analyze(ctx, fields, verify, kind="simplicial", radius=None, verdicts=(), n
         soundness={"ok": not failures, "failures": failures},
         notes=list(notes),
     )
-    return report
 
 
 def analyze_metric(mc, dim_cap=4, fields=("q", "z"), verify=True):
@@ -1788,6 +1281,12 @@ def analyze_metric(mc, dim_cap=4, fields=("q", "z"), verify=True):
     together with the distance-level criteria.  One analysis context serves
     both the distance-level and the combinatorial criteria."""
     complex_ = metric_mod.vietoris_rips(mc.space, mc.r, dim_cap)
-    ctx = _Context(complex_, Cover(mc.x, mc.y), dim_cap)
-    metric_verdicts, notes = _metric_verdicts(mc, ctx)
-    return _analyze(ctx, fields, verify, "metric", str(mc.r), metric_verdicts, notes)
+    ctx = _Context(complex_, Cover(mc.x, mc.y), dim_cap, _MetricFacts(mc))
+    if ctx.metric.triangle is None:
+        note = "the distance satisfies the triangle inequality"
+    else:
+        note = (
+            f"the distance violates the triangle inequality at {ctx.metric.triangle}; "
+            "gluing criteria are off, all other criteria never use it"
+        )
+    return _analyze(ctx, fields, verify, "metric", str(mc.r), _METRIC_RULES, [note])

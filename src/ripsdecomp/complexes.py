@@ -31,11 +31,6 @@ from .errors import (
 __all__ = [
     "Complex",
     "Cover",
-    "PComplementItem",
-    "STATUS_COLLAPSE",
-    "STATUS_CONE",
-    "STATUS_EMPTY",
-    "STATUS_HOMOLOGY_ONLY",
     "central_vertex",
     "cover_union",
     "enumerate_p_complement",
@@ -493,31 +488,6 @@ def cover_union(complex_, cover):
     return kx.union(ky)
 
 
-STATUS_EMPTY = "empty"
-STATUS_CONE = "cone"
-STATUS_COLLAPSE = "collapse"       # assigned by homology-aware callers
-STATUS_HOMOLOGY_ONLY = "homology-only"
-
-
-class PComplementItem:
-    """One cross simplex (outside the cover's poset) with its obstruction.
-
-    Cross simplices with the same obstruction share one ``Complex`` object,
-    status and certificate.
-    """
-
-    __slots__ = ("simplex", "obstruction", "status", "certificate")
-
-    def __init__(self, simplex, obstruction, status, certificate=None):
-        self.simplex = simplex
-        self.obstruction = obstruction
-        self.status = status
-        self.certificate = certificate   # a central simplex when status == "cone"
-
-    def __repr__(self):
-        return f"PComplementItem({self.simplex}, {self.status})"
-
-
 def central_vertex(complex_):
     """Smallest central vertex, or None.  Complete for cone detection: a
     complex has a central simplex exactly when it has a central vertex,
@@ -532,11 +502,10 @@ def enumerate_p_complement(complex_, cover, dim_cap):
     """All simplices meeting both cover sides while avoiding the intersection.
 
     Each simplex of dimension <= dim_cap is paired with its obstruction
-    complex over the intersection and a status: ``empty``, ``cone`` (with a
-    central vertex as certificate), or ``homology-only`` (undecided here).
-    Items whose obstructions are equal share one obstruction object, status
-    and certificate, classified once.  Deterministic (dimension,
-    lexicographic) order.
+    complex over the intersection, as a ``(simplex, obstruction)`` pair, in
+    deterministic (dimension, lexicographic) order.  Pairs whose
+    obstructions are equal share one ``Complex`` object; classifying it is
+    left to the caller.
 
     The obstruction of sigma is the set of simplices tau of K[A] with
     sigma + tau in K.  For a flag complex that is the full subcomplex on the
@@ -565,23 +534,15 @@ def enumerate_p_complement(complex_, cover, dim_cap):
             vertices = {v for t in simplices for v in t}
             return Complex(simplices=simplices, vertices=vertices, labels=complex_.labels)
 
-    classified = {}
+    obstructions = {}
     items = []
     for sigma in outside.simplices(max_dim=dim_cap):
         sset = set(sigma)
         if sset & x_only and sset & y_only:
             key = obstruction_key(sigma)
-            shared = classified.get(key)
-            if shared is None:
-                obs = build(key)
-                v = central_vertex(obs)
-                if obs.is_empty:
-                    shared = (obs, STATUS_EMPTY, None)
-                elif v is None:
-                    shared = (obs, STATUS_HOMOLOGY_ONLY, None)
-                else:
-                    shared = (obs, STATUS_CONE, (v,))
-                classified[key] = shared
-            items.append(PComplementItem(sigma, *shared))
-    items.sort(key=lambda it: (len(it.simplex), it.simplex))
+            obs = obstructions.get(key)
+            if obs is None:
+                obs = obstructions[key] = build(key)
+            items.append((sigma, obs))
+    items.sort(key=lambda item: (len(item[0]), item[0]))
     return items

@@ -306,7 +306,7 @@ class TestPComplement:
             {space.index(p) for p in case.x}, {space.index(p) for p in case.y}
         )
         items = enumerate_p_complement(k, cover, 1)
-        assert [it.simplex for it in items] == [(space.index("x"), space.index("y"))]
+        assert [simplex for simplex, _ in items] == [(space.index("x"), space.index("y"))]
 
     def test_seven_point_two_edges(self):
         case = case_by_name("seven-pt-independence")
@@ -316,7 +316,7 @@ class TestPComplement:
             {space.index(p) for p in case.x}, {space.index(p) for p in case.y}
         )
         items = enumerate_p_complement(k, cover, 1)
-        labels = [tuple(space.labels[v] for v in it.simplex) for it in items]
+        labels = [tuple(space.labels[v] for v in simplex) for simplex, _ in items]
         assert labels == [("x1", "y"), ("x2", "y")]
 
     def test_obstructions_match_the_definition_and_are_shared(self):
@@ -327,14 +327,15 @@ class TestPComplement:
             cover = random_cover(rng, k)
             items = enumerate_p_complement(k, cover, 3)
             by_key = {}
-            for it in items:
-                expected = k.obstruction(it.simplex, cover.a)
-                assert it.obstruction == expected, (it.simplex, k.simplices())
-                assert it.obstruction.labels is k.labels
-                first = by_key.setdefault(expected.content_key(), it)
-                assert it.obstruction is first.obstruction
-                assert (it.status, it.certificate) == (first.status, first.certificate)
-                shared += it is not first
+            for simplex, obstruction in items:
+                expected = k.obstruction(simplex, cover.a)
+                assert obstruction == expected, (simplex, k.simplices())
+                assert obstruction.labels is k.labels
+                first_simplex, first = by_key.setdefault(
+                    expected.content_key(), (simplex, obstruction)
+                )
+                assert obstruction is first
+                shared += simplex != first_simplex
         assert shared > 20
 
     def test_absorbing_intersection_gives_empty(self):

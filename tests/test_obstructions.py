@@ -163,6 +163,12 @@ def _torsion_contexts(seed, count):
         yield analyzer._Context(k, Cover(x, y), 4)
 
 
+def verdict_of(criterion, ctx):
+    """The verdict of one criterion, through its table row and the builder."""
+    row = next(rule for rule in analyzer._RULES if rule.id == criterion)
+    return analyzer._verdict(row, ctx)
+
+
 def one_entry_point_oracle(ctx):
     """(witness label, n) of the one-entry-point criterion, by enumerating
     every cross simplex of the whole complex again; None when it fails."""
@@ -240,7 +246,7 @@ def torsion_oracle(ctx):
 def test_entry_point_criteria_match_the_enumeration():
     seen = Counter()
     for ctx in _seeded_contexts(401, 400, shared=0.4):
-        verdict = analyzer._crit_one_entry_point(ctx)
+        verdict = verdict_of("one-entry-point", ctx)
         if ctx.items and ctx.a:
             expected = one_entry_point_oracle(ctx)
             if expected is None:
@@ -250,7 +256,7 @@ def test_entry_point_criteria_match_the_enumeration():
                 assert (verdict.status, verdict.witness) == ("holds", witness)
                 assert verdict.claim == analyzer._claim_connected(n)
             seen["one-entry-" + verdict.status] += 1
-        local = analyzer._crit_clique_entry_local(ctx)
+        local = verdict_of("clique-entry-point-local", ctx)
         if ctx.complex.is_flag and ctx.a:
             expected = clique_entry_local_oracle(ctx)
             assert local.witness == expected
@@ -284,7 +290,7 @@ def test_torsion_criterion_matches_the_profiles():
     seen = Counter()
     contexts = list(_seeded_contexts(403, 100)) + list(_torsion_contexts(404, 100))
     for ctx in contexts:
-        verdict = analyzer._crit_torsion(ctx)
+        verdict = verdict_of("torsion-obstructions", ctx)
         expected = torsion_oracle(ctx)
         if verdict.status == "holds":
             assert expected == (verdict.claim["exclude_char"], verdict.claim["iso_upto"])

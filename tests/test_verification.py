@@ -120,13 +120,13 @@ class TestSoundnessGate:
         argv += ["--format", "json"]
         assert cli.main(argv) == 0
         capsys.readouterr()
-        monkeypatch.setitem(
-            analyzer._CRITERION_FUNCS,
-            "no-cross-simplices",
-            lambda ctx: CriterionVerdict(
-                "no-cross-simplices", analyzer.HOLDS, claim={"iso_upto": "all"}
-            ),
-        )
+        rows = [
+            rule._replace(test=lambda ctx, n: analyzer._holds("all"))
+            if rule.id == "no-cross-simplices"
+            else rule
+            for rule in analyzer._RULES
+        ]
+        monkeypatch.setattr(analyzer, "_RULES", rows)
         assert cli.main(argv) == 1
         failures = json.loads(capsys.readouterr().out)["soundness"]["failures"]
         assert failures and all(f.startswith("no-cross-simplices:") for f in failures)
