@@ -93,13 +93,14 @@ def _parser():
     return _PARSER
 
 
-def _complex_from(args, document):
+def _complex_from(args, document, cap):
+    """The input's complex: a distance input's flag complex is capped at ``cap``."""
     if args.max_dim < 0:
         raise InvalidInput("--max-dim must be nonnegative")
     if document.space is not None:
         if args.radius is None:
             raise RipsDecompError("distance input needs --radius")
-        return vietoris_rips(document.space, parse_distance(args.radius), args.max_dim)
+        return vietoris_rips(document.space, parse_distance(args.radius), cap)
     return document.facet_complex
 
 
@@ -107,7 +108,7 @@ def cmd_vr(args):
     document = load_input(args.input)
     if document.space is None:
         raise RipsDecompError("vr needs a distance input")
-    complex_ = _complex_from(args, document)
+    complex_ = _complex_from(args, document, args.max_dim)
     counts = {}
     for s in complex_.simplices(max_dim=args.max_dim):
         counts[len(s) - 1] = counts.get(len(s) - 1, 0) + 1
@@ -124,7 +125,8 @@ def cmd_vr(args):
 
 def cmd_homology(args):
     document = load_input(args.input)
-    complex_ = _complex_from(args, document)
+    # H_(max-dim) reads the boundaries of the (max-dim + 1)-simplices
+    complex_ = _complex_from(args, document, args.max_dim + 1)
     fields = args.field or ["q", "z"]
     reduced = not args.unreduced
     out = {}

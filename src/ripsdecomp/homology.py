@@ -130,14 +130,15 @@ def coboundary_columns(rows, cols):
 
 
 def simplex_levels(complex_, need):
-    """Simplices bucketed by dimension 0..need, each level lexicographic.
+    """Simplices bucketed by dimension, each level lexicographic: levels
+    0..need, and any the complex enumerated beyond them.
 
     A flag complex refuses when simplices beyond its cap are needed; when
     the level at the cap is already empty, downward closure guarantees all
     higher levels are empty too and they are padded in.  The levels are
-    enumerated once per complex and shared: callers must not modify them.
-    The refusal is decided on every call.  A part of a cover square runs
-    the square's pending reduction first.
+    enumerated and padded once per complex and shared: callers must not
+    modify them.  The refusal is decided on every call.  A part of a cover
+    square runs the square's pending reduction first.
     """
     memo = complex_._memo
     pending = memo.get("square")
@@ -145,7 +146,7 @@ def simplex_levels(complex_, need):
         pending()
     cap = complex_.dim_cap if complex_.is_flag else None
     top = need if cap is None else min(need, cap)
-    levels, complete = memo.get("levels", ((), False))
+    levels, complete = memo.get("levels", ([], False))
     if len(levels) <= top and not complete:
         if cap is None:
             levels = [list(level) for _, level in groupby(complex_.simplices(), len)]
@@ -154,13 +155,13 @@ def simplex_levels(complex_, need):
         # fewer levels than asked for: every higher level is empty
         complete = cap is None or len(levels) <= top
         memo["levels"] = (levels, complete)
-    buckets = [levels[n] if n < len(levels) else [] for n in range(need + 1)]
     if cap is not None and need > cap:
-        if buckets[cap] and complex_.has_simplices_above_cap():
+        if len(levels) > cap and levels[cap] and complex_.has_simplices_above_cap():
             raise EnumerationRefused(
                 f"need simplices of dimension {need}, flag complex capped at {cap}"
             )
-    return buckets
+    levels.extend([] for _ in range(need + 1 - len(levels)))
+    return levels
 
 
 class BoundaryMatrix:
@@ -334,7 +335,8 @@ def homology(complex_, coeffs="z", max_deg=None, reduced=True):
     """
     if max_deg is None:
         max_deg = max(complex_.dim(), 0)
-    bases = dict(enumerate(simplex_levels(complex_, max_deg + 1)))
+    levels = simplex_levels(complex_, max_deg + 1)
+    bases = {n: levels[n] for n in range(max_deg + 2)}
     bases[-1] = [()] if reduced else []
     lo = -1 if reduced else 0
     return _profile(
@@ -393,10 +395,10 @@ def _reduce_square(parts, cover, top):
         in_y = not y_only.isdisjoint(s)
         return _CROSS if in_x and in_y else _Y_ONLY if in_y else _X_ONLY if in_x else _A
 
-    buckets = simplex_levels(total, top)
-    levels, complete = total._memo["levels"]
+    levels = simplex_levels(total, top)
+    buckets = levels[: top + 1]
     # the parts hold levels 0..top: complete when the total has none above
-    complete = complete and len(levels) <= top + 1
+    complete = total._memo["levels"][1] and not any(levels[top + 1 :])
     kinds = [[kind(s) for s in level] for level in buckets]
     for name, classes in _CLASSES.items():
         parts[name]._memo["levels"] = (
@@ -517,8 +519,11 @@ def induced_map(sub, ambient, degree, coeffs="q", reduced=False):
     if degree < lo:
         raise InvalidInput(f"degree {degree} below {lo}")
     need = degree + 1
-    bases_l = dict(enumerate(simplex_levels(sub, need)))
-    bases_k = dict(enumerate(simplex_levels(ambient, need)))
+    # only the levels around the degree, so a call costs no more at a high cap
+    near = range(max(degree - 1, 0), need + 1)
+    levels_l, levels_k = simplex_levels(sub, need), simplex_levels(ambient, need)
+    bases_l = {n: levels_l[n] for n in near}
+    bases_k = {n: levels_k[n] for n in near}
     bases_l[-1] = bases_k[-1] = [()] if reduced else []
 
     def rank(complex_, bases, n):

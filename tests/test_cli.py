@@ -113,6 +113,33 @@ class TestHomology:
         assert cli.main(["homology", circle_files[0]]) == 2
         assert "needs --radius" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("points, max_dim", [(2, 0), (3, 1)])
+    def test_distance_input_with_a_simplex_at_the_cap(self, capsys, tmp_path, points, max_dim):
+        # pairwise distance 1 at radius 1: one simplex, of dimension max_dim + 1
+        labels = [f"p{i}" for i in range(points)]
+        distances = [[int(i != j) for j in range(points)] for i in range(points)]
+        path = write_json(tmp_path, "points.json", {"points": labels, "distances": distances})
+        argv = ["homology", path, "-r", "1", "--max-dim", str(max_dim), "--format", "json"]
+        assert cli.main(argv) == 0
+        out = json.loads(capsys.readouterr().out)
+        k = vietoris_rips(load_input(path).space, 1, max_dim + 1)
+        assert k.dim() == max_dim + 1
+        for coeffs in ("q", "z"):
+            expected = homology(k, coeffs, max_deg=max_dim, reduced=True).to_dict()
+            assert out[coeffs] == json.loads(json.dumps(expected))
+            assert set(out[coeffs]["betti"].values()) == {0}
+
+    def test_circle_output_is_the_capped_complex_homology(self, capsys, circle_files):
+        points, _, r = circle_files
+        assert cli.main(["homology", points, "-r", r, "--format", "json"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        k = vietoris_rips(load_input(points).space, r, 4)
+        assert not k.has_simplices_above_cap()
+        for coeffs in ("q", "z"):
+            expected = homology(k, coeffs, max_deg=4, reduced=True).to_dict()
+            assert out[coeffs] == json.loads(json.dumps(expected))
+        assert out["z"]["betti"]["1"] == 1
+
 
 class TestCorpus:
     def test_list(self, capsys):

@@ -1,0 +1,169 @@
+"""``render_json`` against plain ``json.dumps(report.to_dict(), indent=2,
+sort_keys=True)`` on seeded hand-built reports, on both sides of the
+interpreter selection (``reporting._TEMPLATED``): record lists written
+through templates on CPython 3.10-3.12, plain ``json.dumps`` elsewhere."""
+
+import json
+import math
+from json.encoder import c_make_encoder
+
+import pytest
+
+from ripsdecomp import reporting
+from ripsdecomp.analyzer import CriterionVerdict, DecompositionReport
+from ripsdecomp.reporting import render_json
+
+from conftest import rng_for
+
+# quotes, backslashes, control characters, a template's "%s", non-ASCII and
+# astral characters
+PIECES = [
+    '"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "%s", "%", "é", "中", "\U0001f600", "a", "x1",
+]
+# values equal as Python numbers but not as JSON text, and non-finite floats
+SCALARS = [
+    True, False, 1, 1.0, 0, 0.0, -0.0, None, 2, 10**20, 1e16, 0.1,
+    math.nan, math.inf, -math.inf,
+]
+# dicts that sort their keys differently, or not at all as text
+DICTS = [{1: 2}, {"1": 2}, {10: 1, 9: 2}, {"10": 1, "9": 2}, {True: 1}, {1.5: None}, {}]
+
+
+class Bare(str):
+    """A string that shows without quotes: ``repr`` tells [Bare("1")] from
+    [1] no better than ``str`` does, although their JSON differs."""
+
+    __repr__ = str.__str__
+
+
+LOOKALIKES = [1, "1", Bare("1"), True, Bare("True"), None, Bare("None"), 1.0]
+
+SELECTIONS = [False] + ([True] if c_make_encoder is not None else [])
+
+
+def plain(report):
+    return json.dumps(report.to_dict(), indent=2, sort_keys=True)
+
+
+def label(rng):
+    return "".join(rng.choice(PIECES) for _ in range(rng.randint(0, 4)))
+
+
+def value(rng, depth=0):
+    """One field value: scalars, strings, string lists, dicts and lists,
+    nested record lists among them."""
+    roll = rng.random()
+    if roll < 0.2:
+        return label(rng)
+    if roll < 0.45:
+        return rng.choice(SCALARS)
+    if roll < 0.55:
+        return [label(rng) for _ in range(rng.randint(0, 3))]
+    if roll < 0.6:
+        return [rng.choice(LOOKALIKES) for _ in range(rng.randint(1, 2))]
+    if roll < 0.7:
+        return dict(rng.choice(DICTS))
+    if depth > 1:
+        return None
+    if roll < 0.85:
+        return records(rng, depth + 1)
+    return {label(rng): value(rng, depth + 1) for _ in range(rng.randint(0, 3))}
+
+
+def records(rng, depth=0):
+    """A record list: the same keys in every record, values drawn from a
+    small pool so that records share them; sometimes one field runs
+    through true, 1 and 1.0, and sometimes a key set differs."""
+    keys = list({label(rng) or "k" for _ in range(rng.randint(1, 4))})
+    pool = [value(rng, depth) for _ in range(3)]
+    out = [
+        {k: rng.choice(pool) if rng.random() < 0.6 else value(rng, depth) for k in keys}
+        for _ in range(rng.randint(0, 6))
+    ]
+    if rng.random() < 0.2:
+        for i, record in enumerate(out):
+            record[keys[0]] = (True, 1, 1.0)[i % 3]
+    if out and rng.random() < 0.2:
+        rng.choice(out)[label(rng) + "extra"] = 1
+    return out
+
+
+def random_report(seed):
+    rng = rng_for(70000 + seed)
+    verdicts = [
+        CriterionVerdict(
+            label(rng), rng.choice(["holds", "fails"]), value(rng), value(rng),
+            rng.choice([None, {"iso_upto": rng.choice(["all", 1, 1.0, True])}]),
+            value(rng), rng.choice([None, 0, 1, True]),
+        )
+        for _ in range(rng.randint(0, 5))
+    ]
+    return DecompositionReport(
+        kind=rng.choice(["metric", "explicit", label(rng)]),
+        cover={"X": [label(rng)], "Y": [], "A": value(rng)},
+        radius=rng.choice([None, "1/2", label(rng), 0.5, math.inf]),
+        dim_cap=rng.choice(SCALARS),
+        fields=[label(rng) for _ in range(rng.randint(0, 3))],
+        census={"total": rng.randint(0, 9), "by_dim": dict(rng.choice(DICTS))},
+        items=records(rng),
+        verdicts=verdicts,
+        profiles=rng.choice([None, {"x": {"q": {"betti": {"-1": 0, "0": 1}}}}, value(rng)]),
+        induced=records(rng),
+        soundness={"ok": rng.random() < 0.5, "failures": [label(rng)]},
+        notes=[label(rng) for _ in range(rng.randint(0, 2))],
+    )
+
+
+@pytest.mark.parametrize("templated", SELECTIONS)
+def test_seeded_reports_render_as_plain_json(monkeypatch, templated):
+    monkeypatch.setattr(reporting, "_TEMPLATED", templated)
+    for seed in range(400):
+        report = random_report(seed)
+        assert render_json(report) == plain(report), f"seed {seed}"
+
+
+@pytest.mark.skipif(c_make_encoder is None, reason="no C encoder")
+def test_templates_render_as_plain_json():
+    """The template path itself, without the error fallback; the seeds
+    reach each kind of record list."""
+    reached = set()
+    for seed in range(400):
+        report = random_report(seed)
+        data = report.to_dict()
+        assert reporting._templated(data) == plain(report), f"seed {seed}"
+        for name in ("items", "induced"):
+            keys = reporting._record_keys(data[name])
+            reached.add("empty" if not data[name] else "mixed" if keys is None else "records")
+            for k in keys or ():
+                column = {repr(r[k]) for r in data[name]}
+                if {"True", "1", "1.0"} <= column:
+                    reached.add("true, 1 and 1.0 in one field")
+            nested = [v for r in data[name] if isinstance(r, dict) for v in r.values()]
+            reached.update("nested" for v in nested if reporting._record_keys(v))
+            reached.update("shared" for v in nested if isinstance(v, list) and nested.count(v) > 1)
+    assert reached == {
+        "empty", "mixed", "records", "nested", "shared", "true, 1 and 1.0 in one field"
+    }
+
+
+def circular():
+    out = [1]
+    out.append({"back": out})
+    return out
+
+
+@pytest.mark.parametrize("templated", SELECTIONS)
+@pytest.mark.parametrize(
+    "bad",
+    [object(), {1, 2}, {(1, 2): 3}, {1: 2, "1": 3}, circular()],
+    ids=["object", "set", "tuple key", "unsortable keys", "circular"],
+)
+def test_unencodable_values_raise_as_plain_json(monkeypatch, templated, bad):
+    monkeypatch.setattr(reporting, "_TEMPLATED", templated)
+    report = random_report(0)
+    report.items = [{"dim": 1, "certificate": None}, {"dim": 2, "certificate": bad}]
+    with pytest.raises(Exception) as expected:
+        plain(report)
+    with pytest.raises(expected.type) as got:
+        render_json(report)
+    assert str(got.value) == str(expected.value)

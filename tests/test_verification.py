@@ -5,6 +5,7 @@ line's refusal of bad fields and malformed documents."""
 import importlib
 import json
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -13,7 +14,9 @@ from ripsdecomp import (
     Complex,
     Cover,
     CriterionVerdict,
+    DistanceSpace,
     InvalidInput,
+    MetricCover,
     analyzer,
     cli,
     cover_union,
@@ -294,6 +297,35 @@ class TestReductionCount:
         assert report.soundness["ok"] and len(report.induced) == 3 * dim_cap
         assert report.profiles["total"]["z"]["torsion"] == {"1": [2]}
         assert 0 < counts[True] - counts[False] <= 2 * dim_cap, counts
+
+    def test_simplex_levels_are_padded_once_per_complex(self, monkeypatch):
+        """A report reads every degree up to its cap, each induced map on its
+        own: the bucket lists it is handed stay linear in the cap (one list
+        per complex of the cover square), not one fresh list per call."""
+        homology_module = importlib.import_module("ripsdecomp.homology")
+        real = homology_module.simplex_levels
+        dim_cap = 2000
+        bound = 6 * (dim_cap + 1)
+        handed = {}  # id -> list, held so that no id is reused
+
+        def check():
+            total = sum(map(len, handed.values()))
+            assert total <= bound, f"{len(handed)} bucket lists, {total} levels"
+
+        def counted(complex_, need):
+            levels = real(complex_, need)
+            if id(levels) not in handed:
+                handed[id(levels)] = levels
+                check()
+            return levels
+
+        monkeypatch.setattr(homology_module, "simplex_levels", counted)
+        space = DistanceSpace(["a", "b"], [[0, 1], [1, 0]])
+        mc = MetricCover(space, ["a"], ["b"], Fraction(1))
+        report = analyzer.analyze_metric(mc, dim_cap=dim_cap, fields=["q", "z"], verify=True)
+        check()
+        assert report.soundness["ok"] and len(report.induced) == dim_cap
+        assert len(handed) == 5
 
 
 class TestFieldOption:
