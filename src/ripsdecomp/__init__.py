@@ -19,9 +19,7 @@ from .errors import (
     CoverError,
     EmptyComplex,
     EnumerationRefused,
-    GluingMismatch,
     InvalidInput,
-    JoinOverlap,
     NotASimplex,
     NotASubcomplex,
     RipsDecompError,
@@ -35,7 +33,6 @@ from .homology import (
     homology,
     induced_map,
     relative_homology,
-    smith_normal_form,
 )
 from .metric import (
     DistanceSpace,
@@ -45,7 +42,6 @@ from .metric import (
     check_simplex_assumption,
     check_strong_simplex_assumption,
     diam,
-    glue,
     is_metric_gluing,
     is_pseudometric,
     validate,

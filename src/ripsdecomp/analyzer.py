@@ -1198,34 +1198,6 @@ def _item_records(ctx, include_profiles):
     return records
 
 
-def _clique_shortcut_audit(ctx, samples=5):
-    """On flag complexes the obstruction comes from neighbor intersections;
-    spot-check it against the definitional vertex/edge computation."""
-    if not ctx.complex.is_flag:
-        return
-    for it in ctx.items[:samples]:
-        sigma = it.simplex
-        direct_vertices = [
-            v
-            for v in sorted(ctx.a)
-            if make_simplex(sigma + (v,)) in ctx.complex
-        ]
-        if list(it.obs.complex.vertices) != direct_vertices:
-            raise AssertionError(
-                f"obstruction vertices disagree with the definition at {sigma}"
-            )
-        for i, u in enumerate(direct_vertices):
-            for w in direct_vertices[i + 1 :]:
-                expected = make_simplex(sigma + (u, w)) in ctx.complex
-                got = (u, w) in it.obs.complex
-                if expected != got:
-                    raise AssertionError(
-                        f"obstruction edge ({u},{w}) disagrees with the definition at {sigma}"
-                    )
-
-
-
-
 def analyze(complex_, cover, dim_cap=None, fields=("q", "z"), verify=True):
     """Evaluate every decomposition criterion for a complex with a cover.
 
@@ -1248,7 +1220,6 @@ def _analyze(ctx, fields, verify, kind="simplicial", radius=None, metric_rules=(
     at its first place."""
     fields = list(dict.fromkeys(fields))
     complex_, cover, dim_cap = ctx.complex, ctx.cover, ctx.dim_cap
-    _clique_shortcut_audit(ctx)
     verdicts = [_verdict(rule, ctx) for rule in [*metric_rules, *_RULES]]
     profiles = None
     induced = None

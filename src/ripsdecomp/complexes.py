@@ -16,6 +16,10 @@ immutable after construction and safe to share between threads.
 Vertex labels: user-facing labels are interned to dense integer ids at
 ingestion.  A complex may carry an ``id -> label`` table; every derived
 complex keeps the table of its parent.
+
+The operations are the ones the pipeline runs: restriction, the union of
+two complexes or of a cover's two sides, central simplices, and the cross
+simplices of a cover with their obstruction complexes.
 """
 
 from itertools import combinations
@@ -24,7 +28,6 @@ from .errors import (
     CoverError,
     EnumerationRefused,
     InvalidInput,
-    JoinOverlap,
     NotASimplex,
 )
 
@@ -327,29 +330,6 @@ class Complex:
             raise NotASimplex(f"{s} is not a simplex of this complex")
         return s
 
-    def star(self, sigma):
-        """All simplices whose union with ``sigma`` is still a simplex."""
-        s = self._require_member(sigma)
-        if self.is_flag:
-            keep = [
-                v
-                for v in self._vertices
-                if all(v == u or v in self._adj[u] for u in s)
-            ]
-            return self.restrict(keep)
-        members = frozenset(
-            mu for mu in self._simplices if make_simplex(mu + s) in self
-        )
-        vertices = {v for mu in members for v in mu}
-        return Complex(simplices=members, vertices=vertices, labels=self.labels)
-
-    def obstruction(self, sigma, subset):
-        """Nonempty subsets of ``subset`` whose union with ``sigma`` is a simplex.
-
-        Equals the star of ``sigma`` restricted to ``subset``; may be empty.
-        """
-        return self.star(sigma).restrict(subset)
-
     def is_central(self, tau):
         """True when the union of ``tau`` with every simplex stays a simplex."""
         t = self._require_member(tau)
@@ -359,49 +339,6 @@ class Complex:
                 all(w == v or w in self._adj[v] for w in rest) for v in t
             )
         return all(make_simplex(s + t) in self for s in self._simplices)
-
-    def skeleton(self, n):
-        """All simplices of dimension at most ``n`` (an explicit complex)."""
-        if n < 0:
-            raise InvalidInput("skeleton degree must be nonnegative")
-        return Complex(
-            simplices=frozenset(self.simplices(max_dim=n)),
-            vertices=self._vertices,
-            labels=self.labels,
-        )
-
-    def join(self, other):
-        """Join of two complexes with disjoint vertex sets."""
-        if set(self._vertices) & set(other._vertices):
-            raise JoinOverlap("join needs disjoint vertex sets")
-        labels = None
-        if self.labels or other.labels:
-            labels = dict(self.labels or {})
-            labels.update(other.labels or {})
-        if self.is_flag and other.is_flag:
-            adj = {}
-            for v in self._vertices:
-                adj[v] = self._adj[v] | frozenset(other._vertices)
-            for v in other._vertices:
-                adj[v] = other._adj[v] | frozenset(self._vertices)
-            cap = self.dim_cap + other.dim_cap + 1
-            return Complex(
-                adj=adj,
-                vertices=self._vertices + other._vertices,
-                dim_cap=cap,
-                labels=labels,
-            )
-        left = self.to_explicit(full=True)._simplices
-        right = other.to_explicit(full=True)._simplices
-        joined = set(left) | set(right)
-        for s in left:
-            for t in right:
-                joined.add(make_simplex(s + t))
-        return Complex(
-            simplices=frozenset(joined),
-            vertices=set(self._vertices) | set(other._vertices),
-            labels=labels,
-        )
 
     def union(self, other):
         """Union of two complexes (flag inputs are fully materialized)."""
@@ -417,33 +354,10 @@ class Complex:
             labels=labels,
         )
 
-    def intersect(self, other):
-        """Intersection of two complexes.  Flag meets flag stays flag."""
-        labels = self.labels or other.labels
-        common = sorted(set(self._vertices) & set(other._vertices))
-        if self.is_flag and other.is_flag:
-            adj = {
-                v: self._adj[v] & other._adj[v] & frozenset(common) for v in common
-            }
-            return Complex(
-                adj=adj,
-                vertices=common,
-                dim_cap=min(self.dim_cap, other.dim_cap),
-                labels=labels,
-            )
-        if self.is_flag:
-            return other.intersect(self)
-        simplices = frozenset(s for s in self._simplices if s in other)
-        vertices = {v for s in simplices for v in s}
-        return Complex(simplices=simplices, vertices=vertices, labels=labels)
-
     def label_of(self, v):
         if self.labels and v in self.labels:
             return self.labels[v]
         return v
-
-    def label_simplex(self, sigma):
-        return tuple(self.label_of(v) for v in sigma)
 
 
 class Cover:
@@ -508,8 +422,9 @@ def enumerate_p_complement(complex_, cover, dim_cap):
     left to the caller.
 
     The obstruction of sigma is the set of simplices tau of K[A] with
-    sigma + tau in K.  For a flag complex that is the full subcomplex on the
-    intersection vertices adjacent to every vertex of sigma.
+    sigma + tau in K: the star of sigma restricted to A.  For a flag complex
+    that is the full subcomplex on the intersection vertices adjacent to
+    every vertex of sigma.
     """
     cover.validate(complex_)
     a = cover.a

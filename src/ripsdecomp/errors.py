@@ -17,20 +17,12 @@ class NotASubcomplex(RipsDecompError):
     """The claimed subcomplex has a simplex the ambient complex lacks."""
 
 
-class JoinOverlap(RipsDecompError):
-    """Join of complexes whose vertex sets intersect."""
-
-
 class EnumerationRefused(RipsDecompError):
     """A flag complex was asked to materialize simplices above its cap."""
 
 
 class EmptyComplex(RipsDecompError):
     """The operation needs at least one simplex."""
-
-
-class GluingMismatch(RipsDecompError):
-    """The two sides of a gluing disagree on the shared part."""
 
 
 class CoverError(RipsDecompError):

@@ -87,38 +87,21 @@ __all__ = [
     "induced_map",
     "is_subcomplex",
     "relative_homology",
-    "smith_normal_form",
 ]
-
-smith_normal_form = linalg.smith_invariants
 
 
 # ----------------------------------------------------------------- chains
 
 
-def boundary_columns(rows, cols):
-    """Alternating-sign incidence between simplex lists, as sparse columns
-    ``{row index: +-1}``.
+def coboundary_columns(rows, cols):
+    """Alternating-sign incidence between simplex lists, as one sparse
+    column ``{index in cols: +-1}`` per simplex of ``rows``, holding its
+    cofaces: the transpose of the boundary from ``cols`` to ``rows``.
 
     Faces absent from ``rows`` contribute nothing, which is exactly the
     boundary of a quotient (relative) chain complex.  The empty simplex
     ``()`` may appear as a row to augment the complex.
     """
-    index = {s: i for i, s in enumerate(rows)}
-    out = []
-    for s in cols:
-        col = {}
-        for i in range(len(s)):
-            r = index.get(s[:i] + s[i + 1 :])
-            if r is not None:
-                col[r] = -1 if i % 2 else 1
-        out.append(col)
-    return out
-
-
-def coboundary_columns(rows, cols):
-    """The transpose of ``boundary_columns(rows, cols)``: one sparse column
-    ``{index in cols: +-1}`` per simplex of ``rows``, holding its cofaces."""
     index = {s: i for i, s in enumerate(rows)}
     out = [{} for _ in rows]
     for j, s in enumerate(cols):
@@ -180,7 +163,9 @@ class BoundaryMatrix:
 
 
 def boundary_matrix(complex_, n, dim_cap=None):
-    """The degree-n boundary matrix; rows are (n-1)-simplices."""
+    """The dense degree-n boundary matrix; rows are (n-1)-simplices.  The
+    pipeline never builds it; it stays for ``bench/tracing.py``, which counts
+    ``verify.boundary_nnz`` from its entries until ROADMAP item 6."""
     if n < 1:
         raise InvalidInput("boundary degree must be at least 1")
     if complex_.is_flag:
@@ -189,8 +174,7 @@ def boundary_matrix(complex_, n, dim_cap=None):
             raise EnumerationRefused(f"degree {n} above the cap {cap}")
     rows = complex_.n_simplices(n - 1)
     cols = complex_.n_simplices(n)
-    columns = boundary_columns(rows, cols)
-    entries = [[col.get(r, 0) for col in columns] for r in range(len(rows))]
+    entries = [[c.get(j, 0) for j in range(len(cols))] for c in coboundary_columns(rows, cols)]
     return BoundaryMatrix(n, rows, cols, entries)
 
 
@@ -623,15 +607,3 @@ def contractibility_certificate(complex_):
     if seq is not None:
         return ContractibilityCertificate(ContractibilityCertificate.COLLAPSE, collapses=seq)
     return None
-
-
-def replay_collapses(complex_, collapses):
-    """Replay a collapse sequence; returns the surviving simplices."""
-    current = set(complex_.to_explicit(full=True).simplices())
-    for s, t in collapses:
-        cofaces = [u for u in current if len(u) > len(s) and set(s) < set(u)]
-        if s not in current or cofaces != [t]:
-            raise InvalidInput("collapse sequence does not replay")
-        current.discard(s)
-        current.discard(t)
-    return current

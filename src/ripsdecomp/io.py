@@ -58,8 +58,18 @@ def _list_of(kinds, value):
 
 
 def intern_facets(facets):
-    """Dense integer ids for facet labels, in sorted label order."""
-    labels = sorted({v for f in facets for v in f}, key=_label_key)
+    """Dense integer ids for facet labels, in sorted label order.  Distinct
+    labels that compare equal (1, 1.0, true) or print alike (1, "1") would
+    be one vertex, or two that no cover or report tells apart: refused."""
+    labels = [lab for _, lab in dict.fromkeys((type(v), v) for f in facets for v in f)]
+    seen = {}
+    for lab in labels:
+        for key in (("value", lab), ("text", str(lab))):
+            if key in seen:
+                a, b = json.dumps(seen[key]), json.dumps(lab)
+                raise InvalidInput(f"facet labels {a} and {b} cannot be told apart")
+            seen[key] = lab
+    labels.sort(key=_label_key)
     index = {lab: i for i, lab in enumerate(labels)}
     interned = [[index[v] for v in f] for f in facets]
     complex_ = Complex.from_facets(interned, labels=dict(enumerate(labels)))

@@ -1,4 +1,5 @@
-"""Finite distance spaces, Vietoris-Rips complexes, and metric gluings.
+"""Finite distance spaces, Vietoris-Rips complexes, and the metric hypotheses
+of the decomposition criteria as decidable predicates.
 
 Distances are exact rationals by default (``fractions.Fraction``), with
 ``math.inf`` representing an infinite distance.  A space may carry a
@@ -32,12 +33,11 @@ report the first counterexample in the order the points were listed.
 """
 
 import math
-import warnings
 from fractions import Fraction
 from itertools import combinations
 
 from .complexes import Complex
-from .errors import CoverError, GluingMismatch, InvalidInput
+from .errors import CoverError, InvalidInput
 
 __all__ = [
     "CheckResult",
@@ -48,7 +48,6 @@ __all__ = [
     "check_simplex_assumption",
     "check_strong_simplex_assumption",
     "diam",
-    "glue",
     "is_metric_gluing",
     "is_pseudometric",
     "parse_distance",
@@ -128,12 +127,6 @@ class DistanceSpace:
         except KeyError:
             raise InvalidInput(f"unknown point {label!r}") from None
 
-    def d(self, i, j):
-        return self.matrix[i][j]
-
-    def d_label(self, a, b):
-        return self.matrix[self.index(a)][self.index(b)]
-
     def within(self, value, r):
         """Closed threshold test ``value <= r`` honoring the tolerance."""
         return value <= r + self.tol
@@ -159,7 +152,7 @@ class DistanceSpace:
         return self._ints
 
     def closeness(self, r):
-        """Table whose (i, j) entry is ``within(d(i, j), r)``, built once per
+        """Table whose (i, j) entry is ``within(matrix[i][j], r)``, built once per
         radius from the scaled matrix; ``r`` is a parsed distance.  Callers
         must not modify it."""
         table = self._close.get(r)
@@ -171,14 +164,6 @@ class DistanceSpace:
             table = tuple(tuple(v <= bound for v in row) for row in rows)
             self._close[r] = table
         return table
-
-    def subspace(self, labels):
-        idx = [self.index(lab) for lab in labels]
-        return DistanceSpace(
-            [self.labels[i] for i in idx],
-            [[self.matrix[i][j] for j in idx] for i in idx],
-            tol=self.tol,
-        )
 
     def require_valid(self):
         bad = validate(self)
@@ -324,49 +309,6 @@ class CheckResult:
 
     def __repr__(self):
         return f"CheckResult(ok={self.ok}, witness={self.witness!r}, note={self.note!r})"
-
-
-def glue(dx, dy, shared):
-    """Gluing of two pseudometrics along their shared points.
-
-    Distances inside either space are kept; a cross pair gets the smallest
-    detour through the shared part.  The shared labels must be exactly the
-    common labels of the two spaces and the two sides must agree on them.
-    """
-    shared = list(shared)
-    common = set(dx.labels) & set(dy.labels)
-    if set(shared) != common:
-        raise InvalidInput("shared labels must be exactly the common labels")
-    for a in shared:
-        for b in shared:
-            if dx.d_label(a, b) != dy.d_label(a, b):
-                raise GluingMismatch(
-                    f"sides disagree on ({a!r}, {b!r}): "
-                    f"{dx.d_label(a, b)} vs {dy.d_label(a, b)}"
-                )
-    labels = list(dx.labels) + [p for p in dy.labels if p not in common]
-    x_set, y_set = set(dx.labels), set(dy.labels)
-    if not shared and (x_set - common) and (y_set - common):
-        warnings.warn(
-            "gluing along an empty shared part: cross distances are infinite",
-            stacklevel=2,
-        )
-    n = len(labels)
-    matrix = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            p, q = labels[i], labels[j]
-            if p in x_set and q in x_set:
-                matrix[i][j] = dx.d_label(p, q)
-            elif p in y_set and q in y_set:
-                matrix[i][j] = dy.d_label(p, q)
-            else:
-                if p in y_set:
-                    p, q = q, p
-                cross = [dx.d_label(p, a) + dy.d_label(a, q) for a in shared]
-                matrix[i][j] = min(cross) if cross else INF
-    tol = dx.tol if dx.tol >= dy.tol else dy.tol
-    return DistanceSpace(labels, matrix, tol=tol)
 
 
 def is_metric_gluing(space, x, y):

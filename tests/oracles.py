@@ -1,16 +1,24 @@
-"""Dense references for the verification layer: the matrix of an induced map
-on field homology, by plain Gauss-Jordan elimination on ``Fraction`` or on
-ints mod p, and the two theorem checks of the cover square that read it.
+"""Definitional references for the package, written on its public API.
 
-The package counts every rank from integer invariant factors and never
-builds these matrices; the checks here hold its answers to the
-Mayer-Vietoris sequence and to the cofiber-shift identity.
+* Complex operations the pipeline does not run: ``star``, ``obstruction``
+  (the reference for ``enumerate_p_complement``), ``skeleton``, ``join`` and
+  ``intersect``, plus ``replay_collapses`` for collapse certificates.
+* Distance spaces: ``d_label``, ``subspace`` and the metric gluing ``glue``.
+* The verification layer, dense: the matrix of an induced map on field
+  homology, by plain Gauss-Jordan elimination on ``Fraction`` or on ints
+  mod p, and the two theorem checks of the cover square that read it.  The
+  package counts every rank from integer invariant factors and never builds
+  these matrices; the checks here hold its answers to the Mayer-Vietoris
+  sequence and to the cofiber-shift identity.
 """
 
+import math
+import warnings
 from fractions import Fraction
 
 from ripsdecomp import (
     Complex,
+    DistanceSpace,
     InvalidInput,
     NotASimplex,
     homology,
@@ -20,6 +28,134 @@ from ripsdecomp import (
 )
 
 from conftest import boundary_oracle, rank_over
+
+
+# ------------------------------------------------------- complex operations
+
+
+def star(k, sigma):
+    """All simplices whose union with ``sigma`` is still a simplex."""
+    s = make_simplex(sigma)
+    if s not in k:
+        raise NotASimplex(f"{s} is not a simplex of this complex")
+    if k.is_flag:
+        return k.restrict([v for v in k.vertices if make_simplex(s + (v,)) in k])
+    members = [mu for mu in k.simplices() if make_simplex(mu + s) in k]
+    return Complex.from_simplices(members, labels=k.labels)
+
+
+def obstruction(k, sigma, subset):
+    """The simplices of K[subset] whose union with ``sigma`` is a simplex: the
+    star of ``sigma`` restricted to ``subset``; may be empty."""
+    return star(k, sigma).restrict(subset)
+
+
+def skeleton(k, n):
+    """All simplices of dimension at most ``n``, as an explicit complex."""
+    if n < 0:
+        raise InvalidInput("skeleton degree must be nonnegative")
+    return Complex.from_simplices(k.simplices(max_dim=n), labels=k.labels)
+
+
+def join(k, l):
+    """Join of two complexes with disjoint vertex sets; two flag complexes
+    join to the flag complex of the joined graphs."""
+    if set(k.vertices) & set(l.vertices):
+        raise InvalidInput("join needs disjoint vertex sets")
+    labels = {**(k.labels or {}), **(l.labels or {})} or None
+    if k.is_flag and l.is_flag:
+        edges = k.edges() + l.edges() + [(u, v) for u in k.vertices for v in l.vertices]
+        cap = k.dim_cap + l.dim_cap + 1
+        return Complex.flag(k.vertices + l.vertices, edges, cap, labels=labels)
+    left, right = (c.to_explicit(full=True).simplices() for c in (k, l))
+    joined = left + right + [s + t for s in left for t in right]
+    return Complex.from_simplices(joined, labels=labels)
+
+
+def intersect(k, l):
+    """Intersection of two complexes; two flag complexes meet in a flag one."""
+    if k.is_flag and not l.is_flag:
+        k, l = l, k
+    labels = k.labels or l.labels
+    if k.is_flag:
+        common = set(k.vertices) & set(l.vertices)
+        edges = [e for e in k.edges() if e in l]
+        return Complex.flag(common, edges, min(k.dim_cap, l.dim_cap), labels=labels)
+    return Complex.from_simplices([s for s in k.simplices() if s in l], labels=labels)
+
+
+def replay_collapses(k, collapses):
+    """Replay a collapse sequence; returns the surviving simplices."""
+    current = set(k.to_explicit(full=True).simplices())
+    for s, t in collapses:
+        cofaces = [u for u in current if len(u) > len(s) and set(s) < set(u)]
+        if s not in current or cofaces != [t]:
+            raise InvalidInput("collapse sequence does not replay")
+        current.discard(s)
+        current.discard(t)
+    return current
+
+
+# ---------------------------------------------------------- distance spaces
+
+
+def d_label(space, a, b):
+    return space.matrix[space.index(a)][space.index(b)]
+
+
+def subspace(space, labels):
+    idx = [space.index(lab) for lab in labels]
+    return DistanceSpace(
+        [space.labels[i] for i in idx],
+        [[space.matrix[i][j] for j in idx] for i in idx],
+        tol=space.tol,
+    )
+
+
+def glue(dx, dy, shared):
+    """Gluing of two pseudometrics along their shared points.
+
+    Distances inside either space are kept; a cross pair gets the smallest
+    detour through the shared part.  The shared labels must be exactly the
+    common labels of the two spaces and the two sides must agree on them.
+    """
+    shared = list(shared)
+    common = set(dx.labels) & set(dy.labels)
+    if set(shared) != common:
+        raise InvalidInput("shared labels must be exactly the common labels")
+    for a in shared:
+        for b in shared:
+            if d_label(dx, a, b) != d_label(dy, a, b):
+                raise InvalidInput(
+                    f"sides disagree on ({a!r}, {b!r}): "
+                    f"{d_label(dx, a, b)} vs {d_label(dy, a, b)}"
+                )
+    labels = list(dx.labels) + [p for p in dy.labels if p not in common]
+    x_set, y_set = set(dx.labels), set(dy.labels)
+    if not shared and (x_set - common) and (y_set - common):
+        warnings.warn(
+            "gluing along an empty shared part: cross distances are infinite",
+            stacklevel=2,
+        )
+    n = len(labels)
+    matrix = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            p, q = labels[i], labels[j]
+            if p in x_set and q in x_set:
+                matrix[i][j] = d_label(dx, p, q)
+            elif p in y_set and q in y_set:
+                matrix[i][j] = d_label(dy, p, q)
+            else:
+                if p in y_set:
+                    p, q = q, p
+                cross = [d_label(dx, p, a) + d_label(dy, a, q) for a in shared]
+                matrix[i][j] = min(cross) if cross else math.inf
+    tol = dx.tol if dx.tol >= dy.tol else dy.tol
+    return DistanceSpace(labels, matrix, tol=tol)
+
+
+# ------------------------------------------------------ dense verification
 
 
 def _arithmetic(coeffs):
@@ -190,8 +326,8 @@ def check_cofiber_shift(complex_, sigma, coeffs="z", max_deg=None):
     union = Complex.empty()
     for v in sigma:
         union = union.union(k.restrict(vertices - {v}))
-    obstruction = k.obstruction(sigma, vertices - set(sigma)).to_explicit(full=True)
-    obs_profile = homology(obstruction, coeffs, max_deg=max(max_deg, 0), reduced=True)
+    obs = obstruction(k, sigma, vertices - set(sigma)).to_explicit(full=True)
+    obs_profile = homology(obs, coeffs, max_deg=max(max_deg, 0), reduced=True)
 
     def shifted(i):
         if i < -1:
@@ -206,7 +342,7 @@ def check_cofiber_shift(complex_, sigma, coeffs="z", max_deg=None):
         if left != right:
             mismatches.append({"degree": i, "pair": left, "shifted_obstruction": right})
     # n-fold suspension identity for the union-star intersection
-    meet = homology(union.intersect(k.star(sigma)), coeffs, max_deg=max_deg, reduced=True)
+    meet = homology(intersect(union, star(k, sigma)), coeffs, max_deg=max_deg, reduced=True)
     for i in range(-1, max_deg + 1):
         left = meet.betti.get(i, 0), meet.torsion_at(i)
         right = shifted(i - n)

@@ -82,6 +82,21 @@ class TestVr:
         assert "vr needs a distance input" in err and "needs --radius" in err
 
 
+class TestFacetLabels:
+    @pytest.mark.parametrize(
+        "facets, named",
+        [([[1, True, 2]], "1 and true"), ([[1, 1.0]], "1 and 1.0"), ([[1, "1"], ["1", 2]], '1 and "1"')],
+        ids=["true-equals-1", "float-equals-int", "int-prints-as-str"],
+    )
+    def test_labels_that_cannot_be_told_apart_are_refused(self, capsys, tmp_path, facets, named):
+        path = write_json(tmp_path, "facets.json", {"facets": facets})
+        cover = write_json(tmp_path, "cover.json", {"X": [1], "Y": [2]})
+        assert cli.main(["decompose", path, "--cover", cover]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: facet labels {named} cannot be told apart\n"
+
+
 class TestHomology:
     def test_json_profiles_per_field(self, capsys, facet_file):
         argv = ["homology", facet_file, "--field", "q", "--field", "zp:2", "--format", "json"]

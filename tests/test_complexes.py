@@ -1,6 +1,8 @@
-"""Core simplicial machinery: construction, restriction, star, obstruction,
-central simplices, skeleton, join, and cross-simplex enumeration."""
+"""Core simplicial machinery: construction, restriction, central simplices
+and cross-simplex enumeration, and the star, obstruction, skeleton, join and
+intersection oracles they are checked against."""
 
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -11,7 +13,6 @@ from ripsdecomp import (
     CoverError,
     EnumerationRefused,
     InvalidInput,
-    JoinOverlap,
     NotASimplex,
     cover_union,
     enumerate_p_complement,
@@ -21,7 +22,8 @@ from ripsdecomp import (
 from ripsdecomp.corpus import case_by_name, space_for
 from ripsdecomp.metric import MetricCover, vietoris_rips
 
-from conftest import random_complex, random_cover, random_flag, rng_for
+from conftest import random_complex, random_cover, random_flag, random_metric_cover, rng_for
+from oracles import intersect, join, obstruction, skeleton, star
 
 
 def hollow_triangle():
@@ -71,11 +73,11 @@ class TestRestriction:
 class TestStar:
     def test_full_simplex_star_is_whole(self):
         k = Complex.from_facets([[1, 2, 3]])
-        assert k.star((1,)) == k
+        assert star(k, (1,)) == k
 
     def test_hollow_triangle_star(self):
         k = hollow_triangle()
-        assert set(k.star((1,)).simplices()) == {(1,), (2,), (3,), (1, 2), (1, 3)}
+        assert set(star(k, (1,)).simplices()) == {(1,), (2,), (3,), (1, 2), (1, 3)}
 
     def test_matches_brute_force_on_flag(self):
         rng = rng_for(102)
@@ -83,15 +85,14 @@ class TestStar:
             k = random_flag(rng)
             simplices = k.simplices()
             sigma = simplices[rng.randrange(len(simplices))]
-            star = k.star(sigma)
             expected = {
                 mu for mu in simplices if make_simplex(mu + sigma) in k
             }
-            assert set(star.simplices(max_dim=k.dim_cap)) == expected
+            assert set(star(k, sigma).simplices(max_dim=k.dim_cap)) == expected
 
     def test_requires_membership(self):
         with pytest.raises(NotASimplex):
-            hollow_triangle().star((1, 2, 3))
+            star(hollow_triangle(), (1, 2, 3))
 
 
 class TestObstruction:
@@ -101,19 +102,19 @@ class TestObstruction:
         k = vietoris_rips(space, 1, 3)
         sigma = (space.index("x"), space.index("y"))
         a = {space.index("a"), space.index("b")}
-        obs = k.obstruction(sigma, a)
+        obs = obstruction(k, sigma, a)
         assert set(obs.simplices()) == {(space.index("a"),), (space.index("b"),)}
 
     def test_full_simplex(self):
         k = Complex.from_facets([[1, 2, 3]])
-        assert k.obstruction((1,), {2, 3}) == Complex.from_facets([[2, 3]])
+        assert obstruction(k, (1,), {2, 3}) == Complex.from_facets([[2, 3]])
 
     def test_six_point_example(self):
         case = case_by_name("six-pt-entry")
         space = space_for(case)
         k = vietoris_rips(space, 1, 4)
         idx = space.index
-        obs = k.obstruction((idx("x"), idx("y")), {idx(f"a{i}") for i in (1, 2, 3, 4)})
+        obs = obstruction(k, (idx("x"), idx("y")), {idx(f"a{i}") for i in (1, 2, 3, 4)})
         expected = Complex.from_facets(
             [[idx("a1"), idx("a3")], [idx("a3"), idx("a4")]]
         )
@@ -126,12 +127,12 @@ class TestObstruction:
             simplices = k.simplices()
             sigma = simplices[rng.randrange(len(simplices))]
             a = set(rng.sample(k.vertices, rng.randint(0, len(k.vertices))))
-            obs = k.obstruction(sigma, a)
+            obs = obstruction(k, sigma, a)
             ka = k.restrict(a)
             assert all(s in ka for s in obs.simplices())
             for tau_size in range(1, len(sigma)):
                 tau = sigma[:tau_size]
-                wider = k.obstruction(tau, a)
+                wider = obstruction(k, tau, a)
                 assert all(s in wider for s in obs.simplices())
 
 
@@ -170,15 +171,15 @@ class TestCentral:
 class TestSkeleton:
     def test_zero_skeleton_is_discrete(self):
         k = Complex.from_facets([[1, 2, 3]])
-        assert set(k.skeleton(0).simplices()) == {(1,), (2,), (3,)}
+        assert set(skeleton(k, 0).simplices()) == {(1,), (2,), (3,)}
 
     def test_one_skeleton_of_full_triangle(self):
-        assert Complex.from_facets([[1, 2, 3]]).skeleton(1) == hollow_triangle()
+        assert skeleton(Complex.from_facets([[1, 2, 3]]), 1) == hollow_triangle()
 
     def test_nine_point_two_skeleton_homology(self):
         case = case_by_name("nine-pt-circle")
         k = vietoris_rips(space_for(case), 3, 4)
-        sk = k.skeleton(2)
+        sk = skeleton(k, 2)
         full = homology(k, "q", max_deg=2)
         part = homology(sk, "q", max_deg=2)
         assert part.betti_vector(0, 1) == full.betti_vector(0, 1)
@@ -186,18 +187,18 @@ class TestSkeleton:
 
     def test_negative_degree_rejected(self):
         with pytest.raises(InvalidInput):
-            hollow_triangle().skeleton(-1)
+            skeleton(hollow_triangle(), -1)
 
 
 class TestJoin:
     def test_join_with_empty_is_identity(self):
         k = hollow_triangle()
-        assert k.join(Complex.empty()) == k
+        assert join(k, Complex.empty()) == k
 
     def test_two_point_joins_make_circle(self):
         s0_a = Complex.discrete([0, 1])
         s0_b = Complex.discrete([2, 3])
-        circle = s0_a.join(s0_b)
+        circle = join(s0_a, s0_b)
         assert homology(circle, "z", max_deg=1).betti_vector(0, 1) == (0, 1)
 
     def test_nine_point_split_join_is_two_sphere(self):
@@ -207,7 +208,7 @@ class TestJoin:
         idx = space.index
         left = k.restrict({idx("z1"), idx("z5")})
         right = k.restrict({idx("z2"), idx("z4"), idx("z7"), idx("z8")})
-        joined = left.join(right)
+        joined = join(left, right)
         profile = homology(joined, "z", max_deg=2, reduced=False)
         assert profile.betti_vector(0, 2) == (1, 0, 1)
         # the join equals the restriction of the whole complex to the union
@@ -217,8 +218,8 @@ class TestJoin:
         assert joined.to_explicit(full=True) == union.to_explicit(full=True)
 
     def test_overlap_rejected(self):
-        with pytest.raises(JoinOverlap):
-            hollow_triangle().join(Complex.discrete([1]))
+        with pytest.raises(InvalidInput, match="disjoint"):
+            join(hollow_triangle(), Complex.discrete([1]))
 
     def test_join_distributes_over_union_and_intersection(self):
         rng = rng_for(106)
@@ -229,12 +230,12 @@ class TestJoin:
             l = Complex.from_facets(
                 [[v + offset for v in f] for f in [[0, 1], [1, 2]]]
             )
-            left = k1.union(k2).join(l)
-            right = k1.join(l).union(k2.join(l))
+            left = join(k1.union(k2), l)
+            right = join(k1, l).union(join(k2, l))
             assert left == right
-            meet_left = k1.intersect(k2)
+            meet_left = intersect(k1, k2)
             if not meet_left.is_empty:
-                assert meet_left.join(l) == k1.join(l).intersect(k2.join(l))
+                assert join(meet_left, l) == intersect(join(k1, l), join(k2, l))
 
 
 class TestFlagRepresentation:
@@ -259,7 +260,7 @@ class TestFlagRepresentation:
         for _ in range(20):
             x = set(rng.sample(range(10), rng.randint(1, 6)))
             y = set(rng.sample(range(10), rng.randint(1, 6)))
-            left = Complex.simplex_on(x).intersect(Complex.simplex_on(y))
+            left = intersect(Complex.simplex_on(x), Complex.simplex_on(y))
             assert left == Complex.simplex_on(x & y)
 
     def test_downward_closure_preserved_by_operations(self):
@@ -268,8 +269,8 @@ class TestFlagRepresentation:
             k = random_complex(rng, max_vertices=6)
             ops = [
                 k.restrict(set(rng.sample(k.vertices, len(k.vertices) // 2))),
-                k.skeleton(1),
-                k.star(k.simplices()[rng.randrange(len(k.simplices()))]),
+                skeleton(k, 1),
+                star(k, k.simplices()[rng.randrange(len(k.simplices()))]),
             ]
             for result in ops:
                 simplices = set(result.simplices())
@@ -297,6 +298,19 @@ class TestSimplexOfDim:
         assert [k.has_simplex_of_dim(d) for d in range(4)] == [True, True, True, False]
 
 
+def covered_complexes():
+    """Explicit and flag complexes with random covers, then the Vietoris-Rips
+    complexes of random metric covers."""
+    rng = rng_for(111)
+    for i in range(60):
+        k = random_flag(rng, max_vertices=9, dim_cap=3) if i % 2 else random_complex(rng)
+        yield "plain", k, random_cover(rng, k)
+    rng = rng_for(113)
+    for _ in range(60):
+        mc = random_metric_cover(rng, max_points=9)
+        yield "rips", vietoris_rips(mc.space, mc.r, 3), Cover(mc.x, mc.y)
+
+
 class TestPComplement:
     def test_square_single_edge(self):
         case = case_by_name("square-4pt")
@@ -320,23 +334,21 @@ class TestPComplement:
         assert labels == [("x1", "y"), ("x2", "y")]
 
     def test_obstructions_match_the_definition_and_are_shared(self):
-        rng = rng_for(111)
-        shared = 0
-        for i in range(60):
-            k = random_flag(rng, max_vertices=9, dim_cap=3) if i % 2 else random_complex(rng)
-            cover = random_cover(rng, k)
+        shared = Counter()
+        checked = Counter()
+        for kind, k, cover in covered_complexes():
             items = enumerate_p_complement(k, cover, 3)
             by_key = {}
-            for simplex, obstruction in items:
-                expected = k.obstruction(simplex, cover.a)
-                assert obstruction == expected, (simplex, k.simplices())
-                assert obstruction.labels is k.labels
-                first_simplex, first = by_key.setdefault(
-                    expected.content_key(), (simplex, obstruction)
-                )
-                assert obstruction is first
-                shared += simplex != first_simplex
-        assert shared > 20
+            for simplex, obs in items:
+                expected = obstruction(k, simplex, cover.a)
+                assert obs == expected, (simplex, k.simplices())
+                assert obs.labels is k.labels
+                first_simplex, first = by_key.setdefault(expected.content_key(), (simplex, obs))
+                assert obs is first
+                shared[kind] += simplex != first_simplex
+                checked[kind] += 1
+        assert shared["plain"] > 20 and shared["rips"] > 20, shared
+        assert checked["rips"] > 200, checked
 
     def test_absorbing_intersection_gives_empty(self):
         k = Complex.from_facets([[0, 1], [1, 2]])

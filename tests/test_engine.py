@@ -25,7 +25,7 @@ from conftest import (
     rank_over,
     rng_for,
 )
-from oracles import induced_matrix_oracle
+from oracles import induced_matrix_oracle, skeleton
 
 FIELDS = ("q", "zp:2", "zp:3")
 
@@ -165,13 +165,13 @@ def induced_pairs(rng):
         yield k.restrict(set(rng.sample(k.vertices, len(k.vertices) // 2))), k, top
         yield Complex.empty(), k, top
         yield k, k, top
-        yield k.skeleton(1), k, top
+        yield skeleton(k, 1), k, top
     for _ in range(6):
         k = random_flag(rng, max_vertices=7, edge_p=0.6, dim_cap=3)
         yield cover_union(k, random_cover(rng, k)), k, 2
         yield k.restrict(set(rng.sample(k.vertices, len(k.vertices) // 2))), k, 2
     rp2 = Complex.from_facets(PROJECTIVE_PLANE)
-    yield rp2.skeleton(1), rp2, 3
+    yield skeleton(rp2, 1), rp2, 3
 
 
 class TestInducedRanks:
@@ -239,7 +239,7 @@ class TestMemo:
 
     def test_per_call_checks_survive_a_filled_memo(self):
         rp2 = Complex.from_facets(PROJECTIVE_PLANE)
-        sub = rp2.skeleton(1)
+        sub = skeleton(rp2, 1)
         for coeffs in FIELDS:
             homology(rp2, coeffs, max_deg=2)
             induced_map(sub, rp2, 1, coeffs, reduced=True)
@@ -281,6 +281,6 @@ class TestFieldDescriptor:
         with pytest.raises(InvalidInput):
             homology(k, name, max_deg=2)
         with pytest.raises(InvalidInput):
-            relative_homology(k, k.skeleton(1), name)
+            relative_homology(k, skeleton(k, 1), name)
         with pytest.raises(InvalidInput):
-            induced_map(k.skeleton(1), k, 1, name)
+            induced_map(skeleton(k, 1), k, 1, name)

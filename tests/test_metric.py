@@ -9,7 +9,6 @@ import pytest
 
 from ripsdecomp import (
     DistanceSpace,
-    GluingMismatch,
     InvalidInput,
     MetricCover,
     analyze_metric,
@@ -19,7 +18,6 @@ from ripsdecomp import (
     check_simplex_assumption,
     check_strong_simplex_assumption,
     diam,
-    glue,
     is_metric_gluing,
     is_pseudometric,
     validate,
@@ -43,6 +41,7 @@ from conftest import (
     simplex_assumption_oracle,
     witness_ball_oracle,
 )
+from oracles import d_label, glue, obstruction, subspace
 
 
 def mc_for(name, r=None):
@@ -145,7 +144,7 @@ class TestPseudometric:
             matrix = [list(row) for row in dy_raw.matrix]
             for i, a in enumerate(shared):
                 for j, b in enumerate(shared):
-                    matrix[i][j] = dx.d_label(a, b)
+                    matrix[i][j] = d_label(dx, a, b)
             dy = DistanceSpace(dy_raw.labels, matrix)
             if is_pseudometric(dy) is not None:
                 continue
@@ -205,7 +204,7 @@ class TestDiam:
         for _ in range(20):
             pts = rng.sample(space.labels, rng.randint(1, 7))
             brute = max(
-                (space.d_label(a, b) for a, b in combinations(pts, 2)),
+                (d_label(space, a, b) for a, b in combinations(pts, 2)),
                 default=Fraction(0),
             )
             assert diam(space, pts) == brute
@@ -242,7 +241,7 @@ class TestVietorisRips:
             k = vietoris_rips(space, case.r, 3)
             subset = rng.sample(space.labels, rng.randint(1, len(space.labels)))
             restricted = k.restrict({space.index(p) for p in subset})
-            direct = vietoris_rips(space.subspace(subset), case.r, 3)
+            direct = vietoris_rips(subspace(space, subset), case.r, 3)
             assert label_simplices(restricted) == label_simplices(direct)
 
 
@@ -250,7 +249,7 @@ class TestGlue:
     def test_one_side_contained_degenerates(self):
         rng = rng_for(204)
         dx = random_pseudometric(rng, ["a", "b", "c", "d"])
-        dy = dx.subspace(["b", "c"])
+        dy = subspace(dx, ["b", "c"])
         glued = glue(dx, dy, ["b", "c"])
         assert glued.labels == dx.labels
         assert glued.matrix == dx.matrix
@@ -259,12 +258,12 @@ class TestGlue:
         case = case_by_name("eight-pt-s3")
         space = space_for(case)
         shared = ["a11", "a12", "a21", "a22"]
-        dx = space.subspace(["x1", "x2"] + shared)
-        dy = space.subspace(shared + ["y1", "y2"])
+        dx = subspace(space, ["x1", "x2"] + shared)
+        dy = subspace(space, shared + ["y1", "y2"])
         glued = glue(dx, dy, shared)
         for p in space.labels:
             for q in space.labels:
-                assert glued.d_label(p, q) == space.d_label(p, q)
+                assert d_label(glued, p, q) == d_label(space, p, q)
 
     def test_disagreement_rejected(self):
         dx = DistanceSpace(["a", "x"], [[0, 1], [1, 0]])
@@ -272,7 +271,7 @@ class TestGlue:
         glue(dx, dy, ["a"])  # fine: "a" alone carries no distances
         dx2 = DistanceSpace(["a", "b", "x"], [[0, 1, 1], [1, 0, 1], [1, 1, 0]])
         dy2 = DistanceSpace(["a", "b", "y"], [[0, 2, 1], [2, 0, 1], [1, 1, 0]])
-        with pytest.raises(GluingMismatch):
+        with pytest.raises(InvalidInput, match="disagree"):
             glue(dx2, dy2, ["a", "b"])
 
     def test_empty_shared_part_warns_and_gives_infinite(self):
@@ -280,7 +279,7 @@ class TestGlue:
         dy = DistanceSpace(["y"], [[0]])
         with pytest.warns(UserWarning):
             glued = glue(dx, dy, [])
-        assert glued.d_label("x", "y") == float("inf")
+        assert d_label(glued, "x", "y") == float("inf")
 
     def test_output_is_metric_gluing(self):
         rng = rng_for(205)
@@ -288,10 +287,10 @@ class TestGlue:
             shared = ["s0", "s1"]
             dx = random_pseudometric(rng, shared + ["p0", "p1"])
             dy = DistanceSpace(
-                dx.subspace(shared).labels + ("q0",),
+                subspace(dx, shared).labels + ("q0",),
                 [
-                    [dx.d_label("s0", "s0"), dx.d_label("s0", "s1"), 2],
-                    [dx.d_label("s1", "s0"), dx.d_label("s1", "s1"), 3],
+                    [d_label(dx, "s0", "s0"), d_label(dx, "s0", "s1"), 2],
+                    [d_label(dx, "s1", "s0"), d_label(dx, "s1", "s1"), 3],
                     [2, 3, 0],
                 ],
             )
@@ -462,7 +461,7 @@ class TestSimplexAssumptions:
             stars_standard = True
             for i, j in mc.cross_pairs_within():
                 for v in (i, j):
-                    obs = k.obstruction((v,), a)
+                    obs = obstruction(k, (v,), a)
                     verts = tuple(obs.vertices)
                     if verts and verts not in obs:
                         stars_standard = False
