@@ -5,6 +5,12 @@ cover and a radius), enumerate the cross simplices, classify their
 obstruction complexes, evaluate a fixed catalog of decomposition criteria,
 and cross-verify every certified conclusion against exact homology.
 
+The criteria scan classes of cross simplices, one per (obstruction record,
+dimension), in the order of their first cross simplices.  A cross simplex
+passes or fails by its obstruction alone (sigma + mu is a simplex exactly
+when mu is in obs(sigma)), so a witness, the first failing cross simplex in
+report order, is the first one of the first failing class.
+
 The catalog is a table of rules (``_RULES`` and ``_METRIC_RULES``): each
 row names a criterion, its applicability guards and its hypothesis test.
 One builder, ``_verdict``, turns a row's outcome into its verdict, and it
@@ -31,7 +37,7 @@ from collections import Counter, namedtuple
 
 from . import linalg
 from . import metric as metric_mod
-from .complexes import Cover, enumerate_p_complement, make_simplex
+from .complexes import Cover, enumerate_p_complement
 from .errors import InvalidInput
 from .homology import (
     ContractibilityCertificate,
@@ -173,7 +179,7 @@ class _Obstruction:
     vertex sets are computed once.
     """
 
-    __slots__ = ("complex", "status", "certificate", "profile", "conn", "_central", "_good")
+    __slots__ = ("complex", "status", "certificate", "profile", "conn", "_good")
 
     def __init__(self, complex_, status, certificate):
         self.complex = complex_
@@ -181,7 +187,6 @@ class _Obstruction:
         self.certificate = certificate      # ContractibilityCertificate or None
         self.profile = None                 # reduced integral profile, on demand
         self.conn = None                    # see _Context.connectivity, on demand
-        self._central = None                # see central, on demand
         self._good = {}                     # k -> good(k), on demand
 
     @property
@@ -191,23 +196,20 @@ class _Obstruction:
     @property
     def central(self):
         """The vertices central in the obstruction complex."""
-        if self._central is None:
-            o = self.complex
-            self._central = frozenset(v for v in o.vertices if o.is_central((v,)))
-        return self._central
+        return self.good(len(self.complex.vertices))
 
     def good(self, k):
         """Vertices v of the obstruction with rho + v in it for every simplex
-        rho of it with at most k vertices.  In a flag complex, a vertex that
-        meets every other vertex extends every clique, so for k >= 1 these
-        are the central vertices."""
+        rho of it with at most k vertices: the central vertices once k is the
+        vertex count, and in a flag complex once k >= 1, as a vertex that
+        meets every other vertex extends every clique."""
         got = self._good.get(k)
         if got is None:
             o = self.complex
             if k == 0:
                 got = frozenset(o.vertices)
             elif o.is_flag:
-                got = self.central
+                got = frozenset(o.central_vertices())
             else:
                 small = [rho for rho in o.simplices() if len(rho) <= k]
                 got = frozenset(
@@ -217,20 +219,23 @@ class _Obstruction:
         return got
 
 
-class _Cross:
-    """A cross simplex and the record of its obstruction complex."""
+#: A cross simplex and the record of its obstruction complex.
+_Cross = namedtuple("_Cross", "simplex obs dim")
 
-    __slots__ = ("simplex", "obs", "dim")
 
-    def __init__(self, simplex, obs):
-        self.simplex = simplex
-        self.obs = obs
-        self.dim = len(simplex) - 1
+class _Class:
+    """Cross simplices of one dimension and record: the first, and how many."""
+
+    __slots__ = ("obs", "dim", "first", "size")
+
+    def __init__(self, obs, dim, first):
+        self.obs, self.dim, self.first, self.size = obs, dim, first, 0
 
 
 class _Context:
     """One report's complex, cover and cross simplices, with the obstruction
-    records they share; ``metric`` holds a metric report's distance facts."""
+    records they share; ``metric`` holds a metric report's distance facts.
+    ``classes`` index the ``items`` by (record, dimension) in report order."""
 
     def __init__(self, complex_, cover, dim_cap, metric=None):
         if dim_cap < 1:
@@ -248,22 +253,32 @@ class _Context:
         # complex_ is a flag complex.
         self._records = {}
         self._intersection = None
-        self.items = [
-            _Cross(simplex, self.record(obstruction))
-            for simplex, obstruction in enumerate_p_complement(complex_, cover, dim_cap)
-        ]
-        self.edge_items = [it for it in self.items if it.dim == 1]
-        self._dims = [it.dim for it in self.items]
+        self.items = []
+        self.classes = []
+        # records by id(obstruction), which enumeration shares, classes by it and dim
+        index = {}
+        for simplex, obstruction in enumerate_p_complement(complex_, cover, dim_cap):
+            key = id(obstruction), len(simplex) - 1
+            cls = index.get(key)
+            if cls is None:
+                if key[0] not in index:
+                    index[key[0]] = self.record(obstruction)
+                cls = index[key] = _Class(index[key[0]], key[1], simplex)
+                self.classes.append(cls)
+            cls.size += 1
+            self.items.append(_Cross(simplex, cls.obs, cls.dim))
+        self._dims = [cls.dim for cls in self.classes]
+        # no cross simplex is a vertex
+        self.edge_classes = self.classes_through(1)
         # Full coverage: no simplex above dim_cap and, when dim_cap is a flag
         # complex's own cap, none at it, as cliques past the cap go unseen.
         top = dim_cap if complex_.is_flag and dim_cap == complex_.dim_cap else dim_cap + 1
         self.full_coverage = not complex_.has_simplex_of_dim(top)
         self.verified_up_to = None if self.full_coverage else dim_cap
 
-    def items_through(self, dim):
-        """The cross simplices of dimension at most ``dim``: a prefix of
-        ``items``, which enumeration orders by dimension."""
-        return self.items[: bisect_right(self._dims, dim)]
+    def classes_through(self, dim):
+        """The classes of dimension at most ``dim``: a prefix of ``classes``."""
+        return self.classes[: bisect_right(self._dims, dim)]
 
     def label(self, v):
         return str(self.complex.label_of(v))
@@ -276,10 +291,6 @@ class _Context:
         if self._intersection is None:
             self._intersection = self.complex.restrict(self.a)
         return self._intersection
-
-    def find(self, complex_):
-        """The record of a complex already seen in this report, or None."""
-        return self._records.get(complex_.content_key())
 
     def record(self, complex_):
         """The one record of a complex, classified on first sight: empty, or
@@ -456,10 +467,10 @@ def _verdict(rule, ctx):
                 # scan ends at degree 0, which needs no certificate, so only
                 # a claim of "all" tested once gets here.
                 needs = outcome[4]
-                bad = next(it for it in ctx.items if it.obs in needs and not it.obs.certified)
+                bad = next(c for c in ctx.classes if c.obs in needs and not c.obs.certified)
                 outcome = (
                     INCONCLUSIVE,
-                    ctx.label_simplex(bad.simplex),
+                    ctx.label_simplex(bad.first),
                     "integrally acyclic obstruction without a contractibility certificate",
                     None,
                     (),
@@ -484,7 +495,7 @@ _FLAG = (
     "only meaningful for flag (clique) complexes",
 )
 _CROSS = (lambda ctx: not ctx.items, NOT_APPLICABLE, "no cross simplices")
-_EDGES = (lambda ctx: not ctx.edge_items, NOT_APPLICABLE, "no cross edges")
+_EDGES = (lambda ctx: not ctx.edge_classes, NOT_APPLICABLE, "no cross edges")
 _NONEMPTY = (lambda ctx: not ctx.a, FAILS, "the intersection is empty")
 _SINGLETON = (
     lambda ctx: len(ctx.a) != 1, NOT_APPLICABLE, "the intersection is not a single vertex"
@@ -509,8 +520,8 @@ _GLUED_ALONG_A = (
 # ------------------------------------------------------------ hypotheses
 
 
-def _records(items):
-    return {it.obs for it in items}
+def _records(classes):
+    return {c.obs for c in classes}
 
 
 def _conn_at_least(value, n):
@@ -522,16 +533,16 @@ def _conn_at_least(value, n):
     return n != "all" and value >= n
 
 
-def _first_unconnected(ctx, items, n, why=None):
+def _first_unconnected(ctx, classes, n, why=None):
     """Failure at the first cross simplex whose obstruction is empty or not
     homologically n-connected, or None.  Every nonempty complex is
     (-1)-connected, so at n = -1 only an empty obstruction fails."""
-    for it in items:
-        conn = ctx.shadow_connectivity(it.obs)
+    for c in classes:
+        conn = ctx.shadow_connectivity(c.obs)
         if conn is None:
-            return _fails("empty obstruction complex", ctx.label_simplex(it.simplex))
+            return _fails("empty obstruction complex", ctx.label_simplex(c.first))
         if not _conn_at_least(conn, n):
-            return _fails(why, ctx.label_simplex(it.simplex))
+            return _fails(why, ctx.label_simplex(c.first))
     return None
 
 
@@ -545,10 +556,10 @@ def _one_record(ctx, obs, n, detail):
     return _holds(n, detail=detail, needs=(obs,))
 
 
-def _constant_family(items):
-    """The obstruction record every item shares, or None when they differ."""
-    first = items[0].obs if items else None
-    return first if all(it.obs is first for it in items) else None
+def _constant_family(classes):
+    """The obstruction record every class shares, or None when they differ."""
+    first = classes[0].obs if classes else None
+    return first if all(c.obs is first for c in classes) else None
 
 
 def _is_standard(obstruction):
@@ -559,7 +570,7 @@ def _is_standard(obstruction):
 
 def _shared_edge_obstruction_vertices(ctx):
     """The vertices in the obstruction of every cross edge (there is one)."""
-    return set.intersection(*(set(it.obs.complex.vertices) for it in ctx.edge_items))
+    return set.intersection(*(set(c.obs.complex.vertices) for c in ctx.edge_classes))
 
 
 def _no_cross(ctx, n):
@@ -572,37 +583,37 @@ def _no_cross(ctx, n):
 
 
 def _contractible(ctx, n):
-    failed = _first_unconnected(ctx, ctx.items, -1)
+    failed = _first_unconnected(ctx, ctx.classes, -1)
     if failed:
         return failed
-    bad = next((it for it in ctx.items if not it.obs.certified), None)
+    bad = next((c for c in ctx.classes if not c.obs.certified), None)
     if bad and ctx.shadow_connectivity(bad.obs) != "all":
         return _fails(
-            "obstruction has nontrivial reduced integral homology", ctx.label_simplex(bad.simplex)
+            "obstruction has nontrivial reduced integral homology", ctx.label_simplex(bad.first)
         )
     detail = "every obstruction carries a central-simplex or collapse certificate"
     if not ctx.items:
         detail = "vacuous: no cross simplices"
-    return _holds("all", detail=detail, needs=_records(ctx.items))
+    return _holds("all", detail=detail, needs=_records(ctx.classes))
 
 
 def _acyclic(ctx, n):
     detail = "every obstruction has trivial reduced integral homology"
     return _first_unconnected(
-        ctx, ctx.items, "all", "nontrivial reduced integral homology"
+        ctx, ctx.classes, "all", "nontrivial reduced integral homology"
     ) or _holds("all", detail=detail + ("" if ctx.items else " (vacuous)"))
 
 
 def _torsion(ctx, n):
-    failed = _first_unconnected(ctx, ctx.items, -1)
+    failed = _first_unconnected(ctx, ctx.classes, -1)
     if failed:
         return failed
     # contractible obstructions have no torsion
-    uncertified = [it for it in ctx.items if not it.obs.certified]
+    uncertified = [c for c in ctx.classes if not c.obs.certified]
     primes = {
         p
-        for it in uncertified
-        for powers in ctx.obstruction_profile(it.obs).torsion.values()
+        for c in uncertified
+        for powers in ctx.obstruction_profile(c.obs).torsion.values()
         for q in powers
         for p, _ in linalg.prime_factorization(q)
     }
@@ -617,13 +628,13 @@ def _torsion(ctx, n):
     # max(dim, 0) of the complex, fully enumerated.
     tops = [
         max(obs.complex.to_explicit(full=True).dim(), 0)
-        for obs in _records(ctx.items)
+        for obs in _records(ctx.classes)
         if obs.certified
     ]
-    for it in uncertified:
-        profile = ctx.obstruction_profile(it.obs)
+    for c in uncertified:
+        profile = ctx.obstruction_profile(c.obs)
         if profile.betti.get(0, 0) != 0 or profile.betti.get(-1, 0) != 0:
-            return _fails("obstruction is not connected", ctx.label_simplex(it.simplex))
+            return _fails("obstruction is not connected", ctx.label_simplex(c.first))
         top = profile.degrees[-1]
         tops.append(next((d - 1 for d in range(1, top + 1) if profile.betti.get(d, 0)), top))
     best = min(tops)
@@ -635,14 +646,14 @@ def _torsion(ctx, n):
 
 
 def _obstruction_connectivity(ctx, n):
-    failed = _first_unconnected(ctx, ctx.items, -1) or _first_unconnected(
-        ctx, ctx.items, 0, "disconnected obstruction"
+    failed = _first_unconnected(ctx, ctx.classes, -1) or _first_unconnected(
+        ctx, ctx.classes, 0, "disconnected obstruction"
     )
     if failed:
         return failed
     detail = None
     shadow = min(
-        (ctx.shadow_connectivity(it.obs) for it in ctx.items),
+        (ctx.shadow_connectivity(c.obs) for c in ctx.classes),
         key=lambda v: 10**6 if v == "all" else v,
     )
     if n == 0 and shadow != 0:
@@ -650,19 +661,19 @@ def _obstruction_connectivity(ctx, n):
             f"homological shadow reaches connectivity {shadow}, but simple "
             "connectivity is uncertified; certified degree stops at 0"
         )
-    return _holds(n, detail=detail, needs=_records(ctx.items))
+    return _holds(n, detail=detail, needs=_records(ctx.classes))
 
 
-# In the n-indexed tests below, items_through(n + 1) is never empty when
+# In the n-indexed tests below, classes_through(n + 1) is never empty when
 # there are cross simplices: each has a cross edge as a face.
 
 
 def _skeleton_connectivity(ctx, n):
-    items = ctx.items_through(n + 1)
+    classes = ctx.classes_through(n + 1)
     detail = f"obstructions over cross simplices of dimension <= {n + 1}"
     return _first_unconnected(
-        ctx, items, n, f"reduced homology obstructs {n}-connectivity"
-    ) or _holds(n, detail=detail, needs=_records(items))
+        ctx, classes, n, f"reduced homology obstructs {n}-connectivity"
+    ) or _holds(n, detail=detail, needs=_records(classes))
 
 
 def _edge_intersection(ctx, n):
@@ -673,7 +684,7 @@ def _edge_intersection(ctx, n):
 
 
 def _constant(ctx, n):
-    common = _constant_family(ctx.items_through(n + 1))
+    common = _constant_family(ctx.classes_through(n + 1))
     if common is None:
         return _fails("obstruction complexes differ across cross simplices")
     return _one_record(
@@ -682,14 +693,15 @@ def _constant(ctx, n):
 
 
 def _full_intersection(ctx, n):
-    # None when no cross simplex has K[A] as its obstruction
-    ka = ctx.find(ctx.intersection())
-    for it in ctx.items_through(n + 1):
-        if it.obs is not ka:
+    # K[A] is compared by content, so it is classified only as an obstruction
+    key = ctx.intersection().content_key()
+    for c in ctx.classes_through(n + 1):
+        if c.obs.complex.content_key() != key:
             return _fails(
                 "obstruction differs from the full intersection restriction",
-                ctx.label_simplex(it.simplex),
+                ctx.label_simplex(c.first),
             )
+    ka = ctx.classes[0].obs
     if ka.status == STATUS_EMPTY:
         return _fails("the intersection restriction is empty")
     return _one_record(ctx, ka, n, "every obstruction equals the intersection restriction")
@@ -697,11 +709,11 @@ def _full_intersection(ctx, n):
 
 def _subsets_extend(ctx, n):
     a = tuple(sorted(ctx.a))
-    for it in ctx.items_through(n + 1):
-        if make_simplex(it.simplex + a) not in ctx.complex:
+    for c in ctx.classes_through(n + 1):
+        if a not in c.obs.complex:
             return _fails(
                 "the simplex does not extend by the whole intersection",
-                ctx.label_simplex(it.simplex),
+                ctx.label_simplex(c.first),
             )
     # at n = dim_cap - 1 every cross simplex extends
     whole = n == ctx.dim_cap - 1 and ctx.full_coverage
@@ -716,8 +728,8 @@ def _one_entry_point(ctx, n):
     # obs(sigma).  So v extends every such tau with |sigma| <= n + 2 when it
     # is good in obs(sigma) for rho of up to dim_cap + 1 - |sigma| vertices.
     ok = set(ctx.a)
-    for size, obs in {(len(it.simplex), it.obs) for it in ctx.items_through(n + 1)}:
-        ok &= obs.good(ctx.dim_cap + 1 - size)
+    for c in ctx.classes_through(n + 1):
+        ok &= c.obs.good(ctx.dim_cap - c.dim)
     if not ok:
         return _fails("no intersection vertex extends every small cross simplex")
     v = ctx.label(min(ok))
@@ -730,14 +742,12 @@ def _one_entry_point(ctx, n):
 
 
 def _edge_standard(ctx, n):
-    for it in ctx.edge_items:
-        if not _is_standard(it.obs.complex):
-            return _fails(
-                "edge obstruction is not a standard simplex", ctx.label_simplex(it.simplex)
-            )
-    for it in ctx.items_through(n + 1):
-        if it.obs.status == STATUS_EMPTY:
-            return _fails("empty obstruction", ctx.label_simplex(it.simplex))
+    for c in ctx.edge_classes:
+        if not _is_standard(c.obs.complex):
+            return _fails("edge obstruction is not a standard simplex", ctx.label_simplex(c.first))
+    for c in ctx.classes_through(n + 1):
+        if c.obs.status == STATUS_EMPTY:
+            return _fails("empty obstruction", ctx.label_simplex(c.first))
     return _holds(
         n,
         detail="edge obstructions are standard simplices; all obstructions in "
@@ -746,7 +756,7 @@ def _edge_standard(ctx, n):
 
 
 def _edge_constant(ctx, n):
-    common = _constant_family(ctx.edge_items)
+    common = _constant_family(ctx.edge_classes)
     if common is None:
         return _fails("edge obstruction complexes differ")
     conn = ctx.shadow_connectivity(common)
@@ -761,13 +771,13 @@ def _edge_constant(ctx, n):
 
 
 def _edge_full_intersection(ctx, n):
-    for it in ctx.edge_items:
-        for v in sorted(ctx.a):
-            if make_simplex(it.simplex + (v,)) not in ctx.complex:
-                return _fails(
-                    "a cross edge fails to extend by an intersection vertex",
-                    f"{ctx.label_simplex(it.simplex)}+{ctx.label(v)}",
-                )
+    for c in ctx.edge_classes:
+        missing = ctx.a.difference(c.obs.complex.vertices)
+        if missing:
+            return _fails(
+                "a cross edge fails to extend by an intersection vertex",
+                f"{ctx.label_simplex(c.first)}+{ctx.label(min(missing))}",
+            )
     ka = ctx.record(ctx.intersection())
     if ctx.shadow_connectivity(ka) in (None, -1):
         return _fails("the intersection restriction is empty or disconnected")
@@ -775,29 +785,26 @@ def _edge_full_intersection(ctx, n):
 
 
 def _pairs_extend(ctx, n):
-    if not ctx.edge_items:
+    if not ctx.edge_classes:
         return _holds("all", detail="vacuous: no cross edges")
     a = sorted(ctx.a)
-    for it in ctx.edge_items:
+    for c in ctx.edge_classes:
         for i, u in enumerate(a):
             for w in a[i:]:
                 mu = (u,) if u == w else (u, w)
-                if make_simplex(it.simplex + mu) not in ctx.complex:
+                if mu not in c.obs.complex:
                     return _fails(
                         "a cross edge fails to extend by a small intersection subset",
-                        f"{ctx.label_simplex(it.simplex)}+{ctx.label_simplex(mu)}",
+                        f"{ctx.label_simplex(c.first)}+{ctx.label_simplex(mu)}",
                     )
     detail = "every cross edge extends by every intersection subset of size <= 2"
     return _holds("all", detail=detail)
 
 
 def _clique_entry_adjacent(ctx, n):
+    spread = set().union(*(obs.complex.vertices for obs in _records(ctx.edge_classes)))
     for v in sorted(_shared_edge_obstruction_vertices(ctx)):
-        if all(
-            w == v or make_simplex((v, w)) in ctx.complex
-            for it in ctx.edge_items
-            for w in it.obs.complex.vertices
-        ):
+        if spread <= ctx.complex._adj[v] | {v}:
             return _holds(
                 "all",
                 ctx.label(v),
@@ -809,7 +816,7 @@ def _clique_entry_adjacent(ctx, n):
 
 def _clique_entry_central(ctx, n):
     for v in sorted(_shared_edge_obstruction_vertices(ctx)):
-        if all(v in it.obs.central for it in ctx.edge_items):
+        if all(v in obs.central for obs in _records(ctx.edge_classes)):
             return _holds("all", ctx.label(v), "one vertex is central in every edge obstruction")
     return _fails("no vertex is central in every edge obstruction")
 
@@ -817,7 +824,7 @@ def _clique_entry_central(ctx, n):
 def _clique_entry_local(ctx, n):
     # v extends a cross edge e and every e + a in the complex exactly when v
     # is a central vertex of e's obstruction; vacuous without cross edges.
-    ok = set(ctx.a).intersection(*(obs.central for obs in _records(ctx.edge_items)))
+    ok = set(ctx.a).intersection(*(obs.central for obs in _records(ctx.edge_classes)))
     if not ok:
         return _fails("no intersection vertex extends all small cross simplices")
     return _holds(
@@ -830,18 +837,19 @@ def _clique_entry_local(ctx, n):
 
 def _two_entry_points(ctx, n):
     a = sorted(ctx.a)
-    between = [e for e in ctx.complex.edges() if (e[0] in ctx.a) != (e[1] in ctx.a)]
+    adj = ctx.complex._adj
 
     def entries(side):
-        """Intersection vertices extending every edge from A into one side."""
-        edges = [e for e in between if e[0] in side or e[1] in side]
-        return [v for v in a if all(make_simplex(e + (v,)) in ctx.complex for e in edges)]
+        """Intersection vertices extending every edge from A into one side:
+        v extends the edge uw when v is u or a common neighbour of both."""
+        edges = [(u, adj[u] & adj[w]) for u in a for w in adj[u] & side]
+        return [v for v in a if all(v == u or v in common for u, common in edges)]
 
-    cross = [it.simplex for it in ctx.edge_items]
+    edge_obstructions = [obs.complex for obs in _records(ctx.edge_classes)]
     ay_entries = entries(ctx.y_only)
     for ax in entries(ctx.x_only):
         for ay in ay_entries:
-            if all(make_simplex(t + (ax, ay)) in ctx.complex for t in cross):
+            if all((ax, ay) in o for o in edge_obstructions):
                 return _holds(
                     "all",
                     f"({ctx.label(ax)},{ctx.label(ay)})",
@@ -913,7 +921,7 @@ def _dominates_diameter(ctx, n):
 
 def _radius_independence(ctx, n):
     """The witness set of a close cross pair does not depend on the pair."""
-    common = _constant_family(ctx.edge_items)
+    common = _constant_family(ctx.edge_classes)
     if common is None:
         return _fails("edge obstruction complexes depend on the pair")
     return _one_record(ctx, common, n, "one witness complex shared by every close cross pair")
@@ -947,11 +955,11 @@ def _gluing_simplex(ctx, n):
     check = ctx.metric.simplex
     if not check.ok:
         return _fails(None, str(check.witness))
-    for it in ctx.edge_items:
-        if it.obs.status == STATUS_EMPTY or not _is_standard(it.obs.complex):
+    for c in ctx.edge_classes:
+        if c.obs.status == STATUS_EMPTY or not _is_standard(c.obs.complex):
             raise AssertionError(
                 "simplex condition certified but an edge obstruction is not a "
-                f"nonempty standard simplex at {ctx.label_simplex(it.simplex)}"
+                f"nonempty standard simplex at {ctx.label_simplex(c.first)}"
             )
     return _holds(0, detail="every close cross edge has a nonempty standard-simplex obstruction")
 
@@ -1156,46 +1164,38 @@ def _soundness(verdicts, profiles, induced, fields, dim_cap):
 
 
 def _census(ctx):
-    return {
-        "total": len(ctx.items),
-        "by_dim": dict(Counter(str(it.dim) for it in ctx.items)),
-        "by_status": dict(Counter(it.obs.status for it in ctx.items)),
-    }
+    by_dim, by_status = Counter(), Counter()
+    for c in ctx.classes:
+        by_dim[str(c.dim)] += c.size
+        by_status[c.obs.status] += c.size
+    return {"total": len(ctx.items), "by_dim": dict(by_dim), "by_status": dict(by_status)}
 
 
 def _item_records(ctx, include_profiles):
-    """One record per cross simplex.  The labels of each obstruction
-    record's vertices and central simplex are made once and copied into
-    every cross simplex that shares the record."""
-    labels = {}
-    records = []
-    for it in ctx.items:
-        obs, cert = it.obs, it.obs.certificate
-        hit = labels.get(obs)
-        if hit is None:
-            central = None
-            if cert is not None and cert.kind == ContractibilityCertificate.CENTRAL:
-                central = [ctx.label(v) for v in cert.central]
-            hit = labels[obs] = ([ctx.label(v) for v in obs.complex.vertices], central)
-        vertices, central = hit
-        if cert is None:
-            certificate = None
-        elif central is not None:
-            certificate = {"kind": "central", "simplex": list(central)}
-        else:
+    """One record per cross simplex, labelled from one table.  The records
+    of one obstruction share its ``obstruction_vertices`` list,
+    ``certificate`` dict and ``profile``, each made once."""
+    names = {v: ctx.label(v) for v in ctx.complex.vertices}
+    shared = {}
+    for obs in _records(ctx.classes):
+        cert = obs.certificate
+        certificate = profile = None
+        if cert is not None and cert.kind == ContractibilityCertificate.CENTRAL:
+            certificate = {"kind": "central", "simplex": [names[v] for v in cert.central]}
+        elif cert is not None:
             certificate = {"kind": "collapse", "steps": len(cert.collapses)}
-        rec = {
-            "simplex": [ctx.label(v) for v in it.simplex],
-            "dim": it.dim,
-            "status": obs.status,
-            "obstruction_vertices": list(vertices),
-            "certificate": certificate,
-            "profile": None,
-        }
         if include_profiles and obs.status == STATUS_HOMOLOGY_ONLY:
-            rec["profile"] = ctx.obstruction_profile(obs).to_dict()
-        records.append(rec)
-    return records
+            profile = ctx.obstruction_profile(obs).to_dict()
+        shared[obs] = {
+            "status": obs.status,
+            "obstruction_vertices": [names[v] for v in obs.complex.vertices],
+            "certificate": certificate,
+            "profile": profile,
+        }
+    return [
+        {"simplex": [names[v] for v in it.simplex], "dim": it.dim, **shared[it.obs]}
+        for it in ctx.items
+    ]
 
 
 def analyze(complex_, cover, dim_cap=None, fields=("q", "z"), verify=True):
@@ -1207,7 +1207,9 @@ def analyze(complex_, cover, dim_cap=None, fields=("q", "z"), verify=True):
     cross-checks every certified conclusion against them.  The report is
     built from one analysis context: the cross simplices are enumerated once,
     and each distinct obstruction complex among them is certified and
-    profiled once, however many cross simplices share it.
+    profiled once, however many cross simplices share it.  The item records
+    of one obstruction share their ``obstruction_vertices`` and
+    ``certificate`` objects (and ``profile``), so treat them as read-only.
     """
     if dim_cap is None:
         dim_cap = complex_.dim_cap if complex_.is_flag else 4

@@ -187,6 +187,14 @@ class Complex:
             levels.pop()
         return levels
 
+    def _within_cap(self, dim):
+        """``dim``, refused when it is above a flag complex's cap."""
+        if dim > self.dim_cap:
+            raise EnumerationRefused(
+                f"flag complex capped at dimension {self.dim_cap}, asked for {dim}"
+            )
+        return dim
+
     def simplices(self, max_dim=None):
         """All simplices of dimension <= max_dim, ordered by (dim, lex).
 
@@ -194,16 +202,8 @@ class Complex:
         itself, and ``max_dim`` above the cap is refused.
         """
         if self.is_flag:
-            if max_dim is None:
-                max_dim = self.dim_cap
-            elif max_dim > self.dim_cap:
-                raise EnumerationRefused(
-                    f"flag complex capped at dimension {self.dim_cap}, asked for {max_dim}"
-                )
-            out = []
-            for level in self._clique_levels(max_dim):
-                out.extend(level)
-            return out
+            max_dim = self._within_cap(self.dim_cap if max_dim is None else max_dim)
+            return [s for level in self._clique_levels(max_dim) for s in level]
         out = sorted(self._simplices, key=lambda s: (len(s), s))
         if max_dim is not None:
             out = [s for s in out if len(s) <= max_dim + 1]
@@ -214,11 +214,7 @@ class Complex:
         if n < 0:
             return []
         if self.is_flag:
-            if n > self.dim_cap:
-                raise EnumerationRefused(
-                    f"flag complex capped at dimension {self.dim_cap}, asked for {n}"
-                )
-            levels = self._clique_levels(n)
+            levels = self._clique_levels(self._within_cap(n))
             return levels[n] if n < len(levels) else []
         return sorted(s for s in self._simplices if len(s) == n + 1)
 
@@ -276,24 +272,14 @@ class Complex:
                     return True
         return False
 
-    def _all_simplices(self):
-        """Full enumeration, ignoring the cap.  Exponential for dense graphs;
-        intended for the small complexes that certificate search sees."""
-        if not self.is_flag:
-            return self.simplices()
-        out = []
-        for level in self._clique_levels(None):
-            out.extend(level)
-        return out
-
     def to_explicit(self, full=False):
-        """Explicit copy.  ``full=True`` ignores a flag complex's cap."""
+        """Explicit copy.  ``full=True`` ignores a flag complex's cap, which is
+        exponential on dense graphs: it is meant for certificate search."""
         if not self.is_flag:
             return self
-        simplices = self._all_simplices() if full else self.simplices()
-        return Complex(
-            simplices=frozenset(simplices), vertices=self._vertices, labels=self.labels
-        )
+        levels = self._clique_levels(None if full else self.dim_cap)
+        simplices = frozenset(s for level in levels for s in level)
+        return Complex(simplices=simplices, vertices=self._vertices, labels=self.labels)
 
     def __eq__(self, other):
         if not isinstance(other, Complex):
@@ -331,14 +317,18 @@ class Complex:
         return s
 
     def is_central(self, tau):
-        """True when the union of ``tau`` with every simplex stays a simplex."""
-        t = self._require_member(tau)
+        """True when the union of ``tau`` with every simplex stays a simplex:
+        when every vertex of ``tau`` is central."""
+        return set(self.central_vertices()).issuperset(self._require_member(tau))
+
+    def central_vertices(self):
+        """The central vertices, in order, lazily.  In a flag complex they
+        are the vertices adjacent to every other vertex."""
         if self.is_flag:
-            rest = set(self._vertices)
-            return all(
-                all(w == v or w in self._adj[v] for w in rest) for v in t
-            )
-        return all(make_simplex(s + t) in self for s in self._simplices)
+            full = len(self._vertices) - 1
+            return (v for v in self._vertices if len(self._adj[v]) == full)
+        whole = self._simplices
+        return (v for v in self._vertices if all(make_simplex(s + (v,)) in whole for s in whole))
 
     def union(self, other):
         """Union of two complexes (flag inputs are fully materialized)."""
@@ -406,10 +396,7 @@ def central_vertex(complex_):
     """Smallest central vertex, or None.  Complete for cone detection: a
     complex has a central simplex exactly when it has a central vertex,
     since any central simplex makes each of its vertices central."""
-    for v in complex_.vertices:
-        if complex_.is_central((v,)):
-            return v
-    return None
+    return next(complex_.central_vertices(), None)
 
 
 def enumerate_p_complement(complex_, cover, dim_cap):
@@ -424,40 +411,48 @@ def enumerate_p_complement(complex_, cover, dim_cap):
     The obstruction of sigma is the set of simplices tau of K[A] with
     sigma + tau in K: the star of sigma restricted to A.  For a flag complex
     that is the full subcomplex on the intersection vertices adjacent to
-    every vertex of sigma.
+    every vertex of sigma, keyed incrementally: a flag complex walks the
+    cliques c outside A level by level, from the empty one, each carrying
+    the vertices that extend it, the mask of cover sides it meets and its
+    key ``key(c + v) = key(c) & adj[v]``, those common neighbours in A.  A
+    ``dim_cap`` above the flag complex's own cap is refused.
     """
     cover.validate(complex_)
     a = cover.a
-    outside = complex_.restrict(set(complex_.vertices) - a)
-    x_only = cover.x - a
-    y_only = cover.y - a
-    if complex_.is_flag:
-        adj = complex_._adj
-
-        def obstruction_key(sigma):
-            return tuple(sorted(a.intersection(*(adj[u] for u in sigma))))
-
-        build = complex_.restrict
-    else:
-        ka = complex_.restrict(a)._simplices
-        whole = complex_._simplices
-
-        def obstruction_key(sigma):
-            return frozenset(t for t in ka if tuple(sorted(t + sigma)) in whole)
-
-        def build(simplices):
-            vertices = {v for t in simplices for v in t}
-            return Complex(simplices=simplices, vertices=vertices, labels=complex_.labels)
-
     obstructions = {}
     items = []
-    for sigma in outside.simplices(max_dim=dim_cap):
-        sset = set(sigma)
-        if sset & x_only and sset & y_only:
-            key = obstruction_key(sigma)
-            obs = obstructions.get(key)
-            if obs is None:
-                obs = obstructions[key] = build(key)
-            items.append((sigma, obs))
-    items.sort(key=lambda item: (len(item[0]), item[0]))
+    if not complex_.is_flag:
+        ka = complex_.restrict(a)._simplices
+        whole = complex_._simplices
+        for sigma in complex_.restrict(set(complex_.vertices) - a).simplices(max_dim=dim_cap):
+            # away from A, it meets both sides when it is inside neither
+            if not (cover.x.issuperset(sigma) or cover.y.issuperset(sigma)):
+                key = frozenset(t for t in ka if tuple(sorted(t + sigma)) in whole)
+                obs = obstructions.get(key)
+                if obs is None:
+                    vertices = {v for t in key for v in t}
+                    obs = obstructions[key] = Complex(
+                        simplices=key, vertices=vertices, labels=complex_.labels
+                    )
+                items.append((sigma, obs))
+        return items
+    adj = complex_._adj
+    side = {v: 1 if v in cover.x else 2 for v in complex_.vertices if v not in a}
+    level = [((), sorted(side), a, 0)]
+    for size in range(complex_._within_cap(dim_cap) + 2):
+        deeper = []
+        for sigma, candidates, key, mask in level:
+            if mask == 3:
+                obs = obstructions.get(key)
+                if obs is None:
+                    obs = obstructions[key] = complex_.restrict(key)
+                items.append((sigma, obs))
+            if size <= dim_cap:
+                for i, w in enumerate(candidates):
+                    nb = adj[w]
+                    deeper.append(
+                        (sigma + (w,), [u for u in candidates[i + 1:] if u in nb],
+                         key & nb, mask | side[w])
+                    )
+        level = deeper
     return items

@@ -13,9 +13,9 @@ go in as follows:
 
 * a string, an ``int``, ``None`` or a column of lists of strings directly,
   through ``encode_basestring_ascii``, ``int.__repr__`` and ``str.join``;
-* any other value is rendered once per report, keyed by its compact text
-  from the C encoder with ``sort_keys``: the many records that share an
-  obstruction's certificate cost a dict lookup;
+* any other value is rendered once per report, keyed by its ``id``, then
+  by its compact text from the C encoder with ``sort_keys``: the records
+  that share an obstruction's certificate object cost a dict lookup each;
 * everything that is not a record list is ``json.dumps`` with ``indent``,
   re-indented to its depth.
 
@@ -116,10 +116,13 @@ def _column(values, compact, memo):
         elif value is None:
             text = "null"
         else:
-            key = "".join(compact(value, 0))
-            text = memo.get(key)
+            # by id first: the report keeps every value alive while written
+            text = memo.get(id(value))
             if text is None:
-                text = memo[key] = _indented(value, _FIELD)
+                key = "".join(compact(value, 0))
+                if key not in memo:
+                    memo[key] = _indented(value, _FIELD)
+                text = memo[id(value)] = memo[key]
         texts.append(text)
     return texts
 

@@ -14,6 +14,7 @@ from ripsdecomp import (
     EnumerationRefused,
     InvalidInput,
     NotASimplex,
+    analyze,
     cover_union,
     enumerate_p_complement,
     homology,
@@ -349,6 +350,51 @@ class TestPComplement:
                 checked[kind] += 1
         assert shared["plain"] > 20 and shared["rips"] > 20, shared
         assert checked["rips"] > 200, checked
+
+    @pytest.mark.parametrize("side", ["mixed", "all", "none"])
+    def test_flag_cap_above_its_own_is_refused(self, side):
+        k = Complex.flag(range(6), [(0, 1), (0, 3), (1, 4), (3, 4), (2, 5)], dim_cap=2)
+        vs = set(k.vertices)
+        cover = {
+            "mixed": Cover({0, 1, 2}, {2, 3, 4, 5}),
+            "all": Cover(vs, vs),
+            "none": Cover({0, 1, 2}, {3, 4, 5}),
+        }[side]
+        with pytest.raises(EnumerationRefused):
+            enumerate_p_complement(k, cover, k.dim_cap + 1)
+        with pytest.raises(EnumerationRefused):
+            analyze(k, cover, dim_cap=k.dim_cap + 1, verify=False)
+        enumerate_p_complement(k, cover, k.dim_cap)
+
+    @pytest.mark.parametrize("dim_cap", [1, 2, 3, 4])
+    def test_flag_enumeration_matches_the_oracle_in_order(self, dim_cap):
+        """Every cross clique up to the cap in (dimension, lexicographic)
+        order, each with its obstruction, under random covers, an empty
+        intersection and an intersection that is every vertex."""
+        rng = rng_for(120 + dim_cap)
+        seen = Counter()
+        for _ in range(40):
+            k = random_flag(rng, max_vertices=9, edge_p=rng.choice((0.5, 0.8)), dim_cap=4)
+            vs = set(k.vertices)
+            half = set(rng.sample(sorted(vs), len(vs) // 2))
+            covers = {"random": random_cover(rng, k), "all": Cover(vs, vs)}
+            covers["none"] = Cover(half, vs - half)
+            for kind, cover in covers.items():
+                items = enumerate_p_complement(k, cover, dim_cap)
+                expected = [
+                    s
+                    for s in k.simplices(max_dim=dim_cap)
+                    if not set(s) & cover.a and set(s) - cover.x and set(s) - cover.y
+                ]
+                assert [s for s, _ in items] == expected
+                for s, obs in items:
+                    assert obs == obstruction(k, s, cover.a), (kind, s)
+                    assert obs.is_empty or kind == "random"
+                seen[kind] += len(items)
+                seen[f"{kind}-top"] += any(len(s) == dim_cap + 1 for s, _ in items)
+        assert seen["all"] == 0
+        assert seen["random"] > 30 and seen["none"] > 30, seen
+        assert seen["random-top"] and seen["none-top"], seen
 
     def test_absorbing_intersection_gives_empty(self):
         k = Complex.from_facets([[0, 1], [1, 2]])

@@ -191,7 +191,7 @@ def clique_entry_local_oracle(ctx):
     """Label of the first intersection vertex extending every cross edge
     and every cross edge plus one intersection vertex, or None."""
     small = []
-    for it in ctx.edge_items:
+    for it in (it for it in ctx.items if it.dim == 1):
         small.append(it.simplex)
         small += [
             make_simplex(it.simplex + (a,))
@@ -262,7 +262,7 @@ def test_entry_point_criteria_match_the_enumeration():
             assert local.witness == expected
             assert local.status == ("fails" if expected is None else "holds")
             seen["local-" + local.status] += 1
-            seen["local-no-edges"] += not ctx.edge_items
+            seen["local-no-edges"] += not ctx.edge_classes
     assert min(seen.values()) >= 10, seen
     assert len(seen) == 5, seen
 
@@ -317,3 +317,74 @@ def test_torsion_holds_through_the_degree_of_a_certified_obstruction():
     assert verdict.claim == {"iso_upto": 1, "surj_at": 2, "exclude_char": 2}
     assert torsion_oracle(analyzer._Context(k, cover, 4)) == (2, 1)
     assert report.soundness["ok"]
+
+
+def test_classes_partition_the_items_in_report_order():
+    seen = Counter()
+    contexts = [*_seeded_contexts(406, 120, shared=0.3), *_tree_contexts(407, 10)]
+    for ctx in contexts + list(_torsion_contexts(408, 10)):
+        position = {it.simplex: i for i, it in enumerate(ctx.items)}
+        members = {}
+        for it in ctx.items:
+            members.setdefault((it.obs, it.dim), []).append(it.simplex)
+        assert [(c.obs, c.dim) for c in ctx.classes] == list(members)
+        for c in ctx.classes:
+            assert (c.first, c.size) == (members[c.obs, c.dim][0], len(members[c.obs, c.dim]))
+        firsts = [position[c.first] for c in ctx.classes]
+        assert firsts == sorted(firsts) and len(set(firsts)) == len(firsts)
+        for d in range(ctx.dim_cap + 1):
+            through = ctx.classes_through(d)
+            assert through == ctx.classes[: len(through)]
+            assert through == [c for c in ctx.classes if c.dim <= d]
+        assert ctx.edge_classes == [c for c in ctx.classes if c.dim == 1]
+        per_item = {
+            "total": len(ctx.items),
+            "by_dim": dict(Counter(str(it.dim) for it in ctx.items)),
+            "by_status": dict(Counter(it.obs.status for it in ctx.items)),
+        }
+        census = analyzer._census(ctx)
+        assert census == per_item
+        assert [list(census[k]) for k in ("by_dim", "by_status")] == [
+            list(per_item[k]) for k in ("by_dim", "by_status")
+        ]
+        seen["flag" if ctx.complex.is_flag else "explicit"] += len(ctx.items) > len(ctx.classes)
+        seen["mixed statuses"] += len(census["by_status"]) > 1
+        seen.update(census["by_status"].keys())
+    assert seen["flag"] >= 10 and seen["explicit"] >= 10 and seen["mixed statuses"] >= 10, seen
+    assert min(seen[s] for s in ("empty", "cone", "collapse", "homology-only")) >= 3, seen
+
+
+def _interleaved(flag):
+    """Cross edges {3,5}, {3,6}, {4,5}, {4,6} in report order over the
+    obstructions {0} (a point), {0,2}, {0,1} and {0,2} again: two
+    disconnected classes whose edges interleave, after one that passes."""
+    adjacent = {3: (0, 2), 4: (0, 1, 2), 5: (0, 1), 6: (0, 2)}
+    edges = [(u, w) for u in (3, 4) for w in (5, 6)]
+    edges += [(v, a) for v, common in adjacent.items() for a in common]
+    k = Complex.flag(range(7), edges, dim_cap=3)
+    if not flag:
+        k = Complex.from_simplices(k.simplices())
+    return analyzer._Context(k, Cover({0, 1, 2, 3, 4}, {0, 1, 2, 5, 6}), 3)
+
+
+@pytest.mark.parametrize("flag", [True, False], ids=["flag", "explicit"])
+def test_witness_is_the_first_failing_cross_simplex_of_interleaved_classes(flag):
+    ctx = _interleaved(flag)
+    assert [it.simplex for it in ctx.items] == [(3, 5), (3, 6), (4, 5), (4, 6)]
+    assert [c.first for c in ctx.classes] == [(3, 5), (3, 6), (4, 5)]
+    assert [c.size for c in ctx.classes] == [1, 2, 1]
+    witnesses = {
+        "acyclic-obstructions": "{3,6}",
+        "obstruction-connectivity": "{3,6}",
+        "skeleton-obstruction-connectivity": "{3,6}",
+        "contractible-obstructions": "{3,6}",
+        "full-intersection-obstruction": "{3,5}",
+        "all-intersection-subsets-extend": "{3,5}",
+    }
+    if flag:
+        witnesses["edge-full-intersection"] = "{3,5}+1"
+        witnesses["edge-pair-extension"] = "{3,5}+{0,1}"
+        witnesses["edge-standard-obstructions"] = "{3,6}"
+    for criterion, witness in witnesses.items():
+        verdict = verdict_of(criterion, ctx)
+        assert (verdict.status, verdict.witness) == ("fails", witness), criterion

@@ -167,3 +167,27 @@ def test_unencodable_values_raise_as_plain_json(monkeypatch, templated, bad):
     with pytest.raises(expected.type) as got:
         render_json(report)
     assert str(got.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("templated", SELECTIONS)
+def test_records_that_share_objects_render_as_plain_json(monkeypatch, templated):
+    """Records share one certificate dict and one vertex list per
+    obstruction; shared objects, lookalikes among them, and equal objects
+    that are not shared render as plain json.dumps does."""
+    monkeypatch.setattr(reporting, "_TEMPLATED", templated)
+    rng = rng_for(71000)
+    for _ in range(100):
+        pool = [value(rng) for _ in range(2)] + [
+            [rng.choice(LOOKALIKES)],
+            {"kind": rng.choice(LOOKALIKES), "simplex": [rng.choice(LOOKALIKES)]},
+            [label(rng) for _ in range(2)],
+            {"kind": "central", "simplex": ["1"]},
+        ]
+        shared = [rng.choice(pool) for _ in range(3)]
+        report = random_report(rng.randrange(400))
+        report.items = [
+            {"certificate": rng.choice(shared), "obstruction_vertices": rng.choice(shared),
+             "copy": json.loads(json.dumps(rng.choice(shared))), "dim": rng.choice(LOOKALIKES)}
+            for _ in range(rng.randint(1, 8))
+        ]
+        assert render_json(report) == plain(report)
