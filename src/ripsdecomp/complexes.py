@@ -10,8 +10,10 @@ one of two backings:
 Membership is exact for both backings (for a flag complex it is the
 pairwise-edge test, at any dimension).  Enumeration of a flag complex never
 materializes simplices above its cap; operations that would need to raise
-:class:`~ripsdecomp.errors.EnumerationRefused` instead.  Complexes are
-immutable after construction and safe to share between threads.
+:class:`~ripsdecomp.errors.EnumerationRefused` instead.  A flag complex's
+simplices and a cover's cross cliques come from one breadth-first walk,
+``_clique_walk``, and ``Complex.has_simplex_of_dim`` is the one existence
+search.  Complexes are immutable after construction and thread-safe.
 
 Vertex labels: user-facing labels are interned to dense integer ids at
 ingestion.  A complex may carry an ``id -> label`` table; every derived
@@ -55,6 +57,30 @@ def _close_downward(simplices):
         for k in range(1, len(s) + 1):
             closed.update(combinations(s, k))
     return closed
+
+
+def _clique_walk(adj, vertices, top, key=None):
+    """The cliques of graph ``adj`` on the sorted ``vertices``, one nonempty
+    level per dimension up to ``top`` (``None``: no bound), each level a
+    lexicographic list of ``(clique, extensions, key)`` entries.
+
+    A clique grows only by its extensions, the later vertices adjacent to
+    all of it (Zomorodian's incremental Vietoris-Rips construction); at
+    ``top`` nothing grows, and the entries carry ``None``.  A ``key`` set
+    seeds the empty clique's key, carried as ``key(c + w) = key(c) & adj[w]``;
+    without one every key is ``None``.
+    """
+    level, d = [((), list(vertices), key)], -1
+    while d != top:
+        d += 1
+        level = [
+            (c + (w,), None if d == top else [u for u in ext[i + 1:] if u in nb],
+             None if k is None else k & nb)
+            for c, ext, k in level for i, w in enumerate(ext) for nb in (adj[w],)
+        ]
+        if not level:
+            return
+        yield level
 
 
 class Complex:
@@ -167,25 +193,11 @@ class Complex:
         return s in self._simplices
 
     def _clique_levels(self, max_dim):
-        """Cliques by dimension, lexicographic within a level.
-
-        ``max_dim=None`` enumerates everything (bounded by the vertex count);
-        enumeration stops early at the first empty level since downward
-        closure makes all higher levels empty too.
-        """
-        levels = [[(v,) for v in self._vertices]]
-        d = 0
-        while levels[-1] and (max_dim is None or d < max_dim):
-            nxt = []
-            for c in levels[-1]:
-                for v in sorted(self._adj[c[-1]]):
-                    if v > c[-1] and all(v in self._adj[u] for u in c[:-1]):
-                        nxt.append(c + (v,))
-            levels.append(nxt)
-            d += 1
-        if not levels[-1]:
-            levels.pop()
-        return levels
+        """Cliques by dimension, lexicographic within a level, up to
+        ``max_dim`` (``None``: all of them).  The list ends at the last
+        nonempty level."""
+        walk = _clique_walk(self._adj, self._vertices, max_dim)
+        return [[c for c, _, _ in level] for level in walk]
 
     def _within_cap(self, dim):
         """``dim``, refused when it is above a flag complex's cap."""
@@ -255,23 +267,6 @@ class Complex:
         exactly when their vertex sets are, so among those it is a full key."""
         return self._vertices if self.is_flag else self._simplices
 
-    def has_simplices_above_cap(self):
-        """True when a flag complex owns cliques it refuses to enumerate.
-
-        Probes one level above the cap and stops at the first extension, so
-        a clean answer costs no more than the enumeration already done.
-        """
-        if not self.is_flag:
-            return False
-        levels = self._clique_levels(self.dim_cap)
-        if len(levels) - 1 < self.dim_cap or not levels[-1]:
-            return False
-        for c in levels[-1]:
-            for v in self._adj[c[-1]]:
-                if v > c[-1] and all(v in self._adj[u] for u in c[:-1]):
-                    return True
-        return False
-
     def to_explicit(self, full=False):
         """Explicit copy.  ``full=True`` ignores a flag complex's cap, which is
         exponential on dense graphs: it is meant for certificate search."""
@@ -303,7 +298,7 @@ class Complex:
         keep = set(subset)
         vertices = [v for v in self._vertices if v in keep]
         if self.is_flag:
-            adj = {v: self._adj[v] & frozenset(vertices) for v in vertices}
+            adj = {v: self._adj[v] & keep for v in vertices}
             return Complex(
                 adj=adj, vertices=vertices, dim_cap=self.dim_cap, labels=self.labels
             )
@@ -377,19 +372,19 @@ class Cover:
 def cover_union(complex_, cover):
     """The union of the restrictions to the two sides of a cover.
 
-    For a flag complex the union is again flag on the union of the two
-    restricted edge sets: a clique of that graph cannot meet both sides
+    For a flag complex the union is again flag, on the edges inside X and
+    the edges inside Y: a clique of that graph cannot meet both sides
     outside the intersection, so it lies inside one side entirely.
     """
-    kx = complex_.restrict(cover.x)
-    ky = complex_.restrict(cover.y)
     if complex_.is_flag:
-        edges = set(kx.edges()) | set(ky.edges())
-        vertices = set(kx.vertices) | set(ky.vertices)
-        return Complex.flag(
-            vertices, edges, dim_cap=complex_.dim_cap, labels=complex_.labels
-        )
-    return kx.union(ky)
+        x, y, none = cover.x, cover.y, frozenset()
+        adj = {
+            v: (nb & x if v in x else none) | (nb & y if v in y else none)
+            for v, nb in complex_._adj.items()
+            if v in x or v in y
+        }
+        return Complex(adj=adj, vertices=adj, dim_cap=complex_.dim_cap, labels=complex_.labels)
+    return complex_.restrict(cover.x).union(complex_.restrict(cover.y))
 
 
 def central_vertex(complex_):
@@ -409,50 +404,42 @@ def enumerate_p_complement(complex_, cover, dim_cap):
     left to the caller.
 
     The obstruction of sigma is the set of simplices tau of K[A] with
-    sigma + tau in K: the star of sigma restricted to A.  For a flag complex
-    that is the full subcomplex on the intersection vertices adjacent to
-    every vertex of sigma, keyed incrementally: a flag complex walks the
-    cliques c outside A level by level, from the empty one, each carrying
-    the vertices that extend it, the mask of cover sides it meets and its
-    key ``key(c + v) = key(c) & adj[v]``, those common neighbours in A.  A
-    ``dim_cap`` above the flag complex's own cap is refused.
+    sigma + tau in K: the star of sigma restricted to A.  A simplex of K
+    away from A meets both sides exactly when it lies inside neither.  A
+    flag complex walks the cliques of K[V - A] with ``_clique_walk`` seeded
+    with key A, so each clique carries its common neighbours in A, and its
+    obstruction is the full subcomplex on them.  A ``dim_cap`` above the
+    flag complex's own cap is refused.
     """
     cover.validate(complex_)
-    a = cover.a
-    obstructions = {}
-    items = []
-    if not complex_.is_flag:
+    x, y, a = cover.x, cover.y, cover.a
+    outside = [v for v in complex_.vertices if v not in a]
+
+    def crosses(sigma):
+        return not (x.issuperset(sigma) or y.issuperset(sigma))
+
+    if complex_.is_flag:
+        walk = _clique_walk(complex_._adj, outside, complex_._within_cap(dim_cap), a)
+        cross = ((sigma, key) for level in walk for sigma, _, key in level if crosses(sigma))
+        build = complex_.restrict
+    else:
         ka = complex_.restrict(a)._simplices
         whole = complex_._simplices
-        for sigma in complex_.restrict(set(complex_.vertices) - a).simplices(max_dim=dim_cap):
-            # away from A, it meets both sides when it is inside neither
-            if not (cover.x.issuperset(sigma) or cover.y.issuperset(sigma)):
-                key = frozenset(t for t in ka if tuple(sorted(t + sigma)) in whole)
-                obs = obstructions.get(key)
-                if obs is None:
-                    vertices = {v for t in key for v in t}
-                    obs = obstructions[key] = Complex(
-                        simplices=key, vertices=vertices, labels=complex_.labels
-                    )
-                items.append((sigma, obs))
-        return items
-    adj = complex_._adj
-    side = {v: 1 if v in cover.x else 2 for v in complex_.vertices if v not in a}
-    level = [((), sorted(side), a, 0)]
-    for size in range(complex_._within_cap(dim_cap) + 2):
-        deeper = []
-        for sigma, candidates, key, mask in level:
-            if mask == 3:
-                obs = obstructions.get(key)
-                if obs is None:
-                    obs = obstructions[key] = complex_.restrict(key)
-                items.append((sigma, obs))
-            if size <= dim_cap:
-                for i, w in enumerate(candidates):
-                    nb = adj[w]
-                    deeper.append(
-                        (sigma + (w,), [u for u in candidates[i + 1:] if u in nb],
-                         key & nb, mask | side[w])
-                    )
-        level = deeper
+        cross = (
+            (sigma, frozenset(t for t in ka if tuple(sorted(t + sigma)) in whole))
+            for sigma in complex_.restrict(outside).simplices(dim_cap)
+            if crosses(sigma)
+        )
+
+        def build(key):
+            vertices = {v for t in key for v in t}
+            return Complex(simplices=key, vertices=vertices, labels=complex_.labels)
+
+    obstructions = {}
+    items = []
+    for sigma, key in cross:
+        obs = obstructions.get(key)
+        if obs is None:
+            obs = obstructions[key] = build(key)
+        items.append((sigma, obs))
     return items

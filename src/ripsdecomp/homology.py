@@ -116,12 +116,14 @@ def simplex_levels(complex_, need):
     """Simplices bucketed by dimension, each level lexicographic: levels
     0..need, and any the complex enumerated beyond them.
 
-    A flag complex refuses when simplices beyond its cap are needed; when
-    the level at the cap is already empty, downward closure guarantees all
-    higher levels are empty too and they are padded in.  The levels are
-    enumerated and padded once per complex and shared: callers must not
-    modify them.  The refusal is decided on every call.  A part of a cover
-    square runs the square's pending reduction first.
+    A flag complex refuses when simplices beyond its cap are needed and it
+    has a clique one dimension above the cap: ``has_simplex_of_dim``, asked
+    only when the level at the cap is nonempty, stops at the first one.
+    Otherwise downward closure leaves every higher level empty, and they
+    are padded in.  The levels are enumerated and padded once per complex
+    and shared: callers must not modify them.  The refusal is decided on
+    every call.  A part of a cover square runs the square's pending
+    reduction first.
     """
     memo = complex_._memo
     pending = memo.get("square")
@@ -139,7 +141,7 @@ def simplex_levels(complex_, need):
         complete = cap is None or len(levels) <= top
         memo["levels"] = (levels, complete)
     if cap is not None and need > cap:
-        if len(levels) > cap and levels[cap] and complex_.has_simplices_above_cap():
+        if len(levels) > cap and levels[cap] and complex_.has_simplex_of_dim(cap + 1):
             raise EnumerationRefused(
                 f"need simplices of dimension {need}, flag complex capped at {cap}"
             )

@@ -252,6 +252,15 @@ def brute_force_membership(simplices, sigma):
     return tuple(sorted(set(sigma))) in set(simplices)
 
 
+def cliques_oracle(k, size):
+    """The ``size``-vertex cliques of a flag complex's graph, lexicographic:
+    every ``size``-subset of its vertices whose pairs are all edges."""
+    edges = set(k.edges())
+    return [
+        c for c in combinations(k.vertices, size) if edges.issuperset(combinations(c, 2))
+    ]
+
+
 def label_simplices(complex_, max_dim=None):
     """Label-tuple view of a complex, for identity checks across reindexing."""
     return {

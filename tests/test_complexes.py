@@ -23,7 +23,14 @@ from ripsdecomp import (
 from ripsdecomp.corpus import case_by_name, space_for
 from ripsdecomp.metric import MetricCover, vietoris_rips
 
-from conftest import random_complex, random_cover, random_flag, random_metric_cover, rng_for
+from conftest import (
+    cliques_oracle,
+    random_complex,
+    random_cover,
+    random_flag,
+    random_metric_cover,
+    rng_for,
+)
 from oracles import intersect, join, obstruction, skeleton, star
 
 
@@ -279,6 +286,56 @@ class TestFlagRepresentation:
                     for size in range(1, len(s)):
                         for face in combinations(s, size):
                             assert face in simplices
+
+
+def clique_graphs(rng):
+    """Flag complexes on scattered vertex ids at several densities, plus an
+    edgeless graph, a single vertex and the empty graph."""
+    for _ in range(60):
+        vertices = sorted(rng.sample(range(40), rng.randint(2, 10)))
+        p = rng.choice((0.2, 0.5, 0.8, 1.0))
+        edges = [e for e in combinations(vertices, 2) if rng.random() < p]
+        yield vertices, edges
+    yield [3, 8, 11, 30], []
+    yield [5], []
+    yield [], []
+
+
+def levels_oracle(k, top):
+    """Cliques of sizes 1 .. top + 1 by brute force, ending at the last
+    nonempty level."""
+    levels = [cliques_oracle(k, size) for size in range(1, top + 2)]
+    while levels and not levels[-1]:
+        levels.pop()
+    return levels
+
+
+class TestCliqueEnumeration:
+    def test_levels_simplices_and_n_simplices_match_brute_force_in_order(self):
+        """At caps 0 to 4 and above the clique number, and uncapped through
+        ``to_explicit(full=True)``, the walk lists exactly the pairwise
+        adjacent vertex subsets, in (dimension, lexicographic) order."""
+        rng = rng_for(131)
+        seen = Counter()
+        for vertices, edges in clique_graphs(rng):
+            whole = levels_oracle(Complex.flag(vertices, edges, 0), max(len(vertices) - 1, 0))
+            clique_number = len(whole)
+            for cap in sorted({0, 1, 2, 3, 4, clique_number, clique_number + 2}):
+                k = Complex.flag(vertices, edges, dim_cap=cap)
+                want = levels_oracle(k, cap)
+                assert k._clique_levels(cap) == want
+                assert k.simplices() == [s for level in want for s in level]
+                for n in range(-1, cap + 1):
+                    assert k.n_simplices(n) == (want[n] if 0 <= n < len(want) else [])
+                assert k.dim() == len(want) - 1
+                assert k._clique_levels(None) == whole
+                full = k.to_explicit(full=True)
+                assert not full.is_flag
+                assert full.simplices() == [s for level in whole for s in level]
+                seen["capped" if cap < clique_number - 1 else "above"] += 1
+            seen[f"clique-number-{min(clique_number, 5)}"] += 1
+        assert seen["capped"] > 50 and seen["above"] > 50, seen
+        assert all(seen[f"clique-number-{n}"] for n in range(6)), seen
 
 
 class TestSimplexOfDim:

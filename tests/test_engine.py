@@ -18,6 +18,7 @@ from ripsdecomp.linalg import characteristic, smith_invariants, sparse_invariant
 from conftest import (
     PROJECTIVE_PLANE,
     boundary_oracle,
+    cliques_oracle,
     fresh,
     random_complex,
     random_cover,
@@ -199,9 +200,10 @@ class TestMemo:
     def test_shared_complex_answers_like_fresh_copies_and_the_oracle(self):
         """One complex, asked over fields in shuffled order and for small
         degrees before large ones, answers as fresh copies and the dense
-        oracles do; a flag complex still refuses past its cap afterwards."""
+        oracles do.  Afterwards a flag complex still refuses degree cap
+        exactly when it has a clique above the cap, and pads otherwise."""
         rng = rng_for(4401)
-        refused = 0
+        refused = padded = 0
         for i in range(100):
             if i % 2:
                 k = random_flag(rng, max_vertices=8, edge_p=0.6, dim_cap=rng.randint(1, 3))
@@ -229,13 +231,27 @@ class TestMemo:
                     assert dims == (again.rank, again.dim_source, again.dim_target)
                     mat = induced_matrix_oracle(sub, k, max_deg, coeffs, reduced)
                     assert rec.rank == rank_over(mat, coeffs)
-            if k.is_flag and k.has_simplices_above_cap():
+            if not k.is_flag:
+                continue
+            # degree cap needs the (cap + 1)-simplices: refused exactly when
+            # one exists, and read as an empty level otherwise
+            if cliques_oracle(k, k.dim_cap + 2):
                 with pytest.raises(EnumerationRefused):
                     homology(k, fields[0], max_deg=k.dim_cap)
                 with pytest.raises(EnumerationRefused):
                     induced_map(subs[0], k, k.dim_cap, "q")
                 refused += 1
-        assert refused > 10, refused
+            else:
+                whole = k.to_explicit(full=True)
+                got = homology(k, fields[0], max_deg=k.dim_cap, reduced=True)
+                assert got == homology(whole, fields[0], max_deg=k.dim_cap, reduced=True)
+                rec = induced_map(subs[0], k, k.dim_cap, "q")
+                want = induced_map(subs[0].to_explicit(full=True), whole, k.dim_cap, "q")
+                assert (rec.rank, rec.dim_source, rec.dim_target) == (
+                    want.rank, want.dim_source, want.dim_target
+                )
+                padded += 1
+        assert refused > 10 and padded > 10, (refused, padded)
 
     def test_per_call_checks_survive_a_filled_memo(self):
         rp2 = Complex.from_facets(PROJECTIVE_PLANE)
