@@ -319,36 +319,30 @@ class _Context:
         return obs.profile
 
     def connectivity(self, obs):
-        """(certified contractible, homological connectivity) of an obstruction.
-
-        Homological connectivity is the largest n with trivial reduced
-        integral homology through degree n ("all" when it is trivial in
-        every degree, -1 when already disconnected, None when empty).  A
-        cone or collapse certificate proves the complex contractible, so a
-        certified record answers (True, "all") without any homology; only a
-        homology-only record is profiled.  Computed once per record.
+        """Homological connectivity of an obstruction: the largest n with
+        trivial reduced integral homology through degree n ("all" when it
+        is trivial in every degree, -1 when already disconnected, None when
+        empty).  A cone or collapse certificate proves the complex
+        contractible, so a certified record answers "all" without any
+        homology; only a homology-only record is profiled, once.
         """
+        if obs.status == STATUS_EMPTY:
+            return None
+        if obs.certified:
+            return "all"
         if obs.conn is None:
-            if obs.status == STATUS_EMPTY:
-                obs.conn = (False, None)
-            elif obs.certified:
-                obs.conn = (True, "all")
-            else:
-                profile = self.obstruction_profile(obs)
-                top = profile.degrees[-1]
-                n = next(
-                    (
-                        d - 1
-                        for d in range(top + 1)
-                        if profile.betti.get(d, 0) or profile.torsion_at(d)
-                    ),
-                    top,
-                )
-                obs.conn = (False, "all" if n == top else n)
+            profile = self.obstruction_profile(obs)
+            top = profile.degrees[-1]
+            n = next(
+                (
+                    d - 1
+                    for d in range(top + 1)
+                    if profile.betti.get(d, 0) or profile.torsion_at(d)
+                ),
+                top,
+            )
+            obs.conn = "all" if n == top else n
         return obs.conn
-
-    def shadow_connectivity(self, obs):
-        return self.connectivity(obs)[1]
 
 
 class _MetricFacts:
@@ -538,7 +532,7 @@ def _first_unconnected(ctx, classes, n, why=None):
     homologically n-connected, or None.  Every nonempty complex is
     (-1)-connected, so at n = -1 only an empty obstruction fails."""
     for c in classes:
-        conn = ctx.shadow_connectivity(c.obs)
+        conn = ctx.connectivity(c.obs)
         if conn is None:
             return _fails("empty obstruction complex", ctx.label_simplex(c.first))
         if not _conn_at_least(conn, n):
@@ -548,7 +542,7 @@ def _first_unconnected(ctx, classes, n, why=None):
 
 def _one_record(ctx, obs, n, detail):
     """Holds at n when one obstruction record is homologically n-connected."""
-    conn = ctx.shadow_connectivity(obs)
+    conn = ctx.connectivity(obs)
     if conn is None:
         return _fails("empty complex")
     if not _conn_at_least(conn, n):
@@ -587,7 +581,7 @@ def _contractible(ctx, n):
     if failed:
         return failed
     bad = next((c for c in ctx.classes if not c.obs.certified), None)
-    if bad and ctx.shadow_connectivity(bad.obs) != "all":
+    if bad and ctx.connectivity(bad.obs) != "all":
         return _fails(
             "obstruction has nontrivial reduced integral homology", ctx.label_simplex(bad.first)
         )
@@ -653,7 +647,7 @@ def _obstruction_connectivity(ctx, n):
         return failed
     detail = None
     shadow = min(
-        (ctx.shadow_connectivity(c.obs) for c in ctx.classes),
+        (ctx.connectivity(c.obs) for c in ctx.classes),
         key=lambda v: 10**6 if v == "all" else v,
     )
     if n == 0 and shadow != 0:
@@ -759,7 +753,7 @@ def _edge_constant(ctx, n):
     common = _constant_family(ctx.edge_classes)
     if common is None:
         return _fails("edge obstruction complexes differ")
-    conn = ctx.shadow_connectivity(common)
+    conn = ctx.connectivity(common)
     if conn is None:
         return _fails("the common edge obstruction is empty")
     if conn == -1:
@@ -779,7 +773,7 @@ def _edge_full_intersection(ctx, n):
                 f"{ctx.label_simplex(c.first)}+{ctx.label(min(missing))}",
             )
     ka = ctx.record(ctx.intersection())
-    if ctx.shadow_connectivity(ka) in (None, -1):
+    if ctx.connectivity(ka) in (None, -1):
         return _fails("the intersection restriction is empty or disconnected")
     return _holds(n, detail="every cross edge extends by every intersection vertex", needs=(ka,))
 

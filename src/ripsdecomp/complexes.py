@@ -86,11 +86,16 @@ def _clique_walk(adj, vertices, top, key=None):
 class Complex:
     """Immutable finite abstract simplicial complex.
 
-    ``_memo`` is a cache that ``homology`` fills lazily (simplex levels and
-    the invariant factors of each boundary matrix).  Every entry is a
-    function of the complex's content, so the complex stays immutable and
-    thread-safe: fills that race write equal values.  The parts of a cover
-    square also hold the square's pending reduction until one is read.
+    ``_memo`` is a cache that ``homology.py`` fills lazily: the simplex
+    levels, the invariants of each boundary matrix d_n (key n), and, for
+    each subcomplex L it was paired with, those of d_n without L's rows (key
+    ("relative", id(L), n), holding L).  One reduction of a nested chain of
+    complexes writes d_n into the memo of every complex of the chain, so an
+    entry may come from a reduction of a larger complex.  Every entry is a
+    function of the content of the complex (and of L), so the complex stays
+    immutable and thread-safe: fills that race write equal values.  The
+    parts of a cover square also hold the square's pending reduction until
+    one is read.
     """
 
     __slots__ = ("_simplices", "_adj", "_vertices", "dim_cap", "labels", "_memo")

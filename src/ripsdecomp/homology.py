@@ -9,11 +9,27 @@ of L's n-simplices; Z_n(L) meets B_n(K) in its kernel on B_n(K), so
 
     rank(H_n L -> H_n K) = dim Z_n(L) - rank d_{n+1}(K) + rank d_{n+1}(K, L).
 
-d_{n+1} is reduced as its transpose, the coboundary delta_n from n-simplices
-to their cofaces, in increasing degree, and each delta_n skips the columns
-of the n-simplices that are unit pivot rows of the reduced delta_(n-1)
-(clearing).  Both keep the integer invariant factors, so every field and
-integral torsion stay exact:
+Every invariant comes off one routine, ``_reduce_chain``, given nested
+complexes K = L0, L1, L2, ..., each a subcomplex of the one before.  The
+depth of a simplex of K is the index of the last L_i that holds it.  Each
+degree of K is ordered by depth, each depth lexicographic, so every L_i is
+a suffix of each degree.  d_{n+1} is reduced as its transpose, the
+coboundary delta_n from n-simplices to their cofaces, once per degree of K
+in increasing degree.  In that order
+
+* every L_i is a row suffix: no coface of a simplex outside a subcomplex
+  lies inside it, so the outside columns are zero on the subcomplex's rows,
+  a column whose lowest row is inside belongs to the subcomplex, and the
+  subcomplex's columns reduce on its rows exactly as they would alone.  Its
+  invariants are its block's unit pivots and the Smith form of its block's
+  set-aside columns;
+* d(K, L1) is the column prefix of depth 0, whose cofaces have depth 0 too,
+  and a prefix of a column reduction is the reduction of the prefix.
+
+Each delta_n skips the columns of the n-simplices that are unit pivot rows
+of the reduced delta_(n-1), when the same chain reduced that degree just
+before (clearing).  Both keep the integer invariant factors, so every field
+and integral torsion stay exact:
 
 * a matrix and its transpose have the same Smith normal form;
 * a reduced column c of delta_(n-1) is delta_(n-1) of an integer cochain,
@@ -22,36 +38,27 @@ integral torsion stay exact:
   Zeroing it is a unimodular column operation, and dropping the zero column
   changes no invariant.  (Done in decreasing order, each such combination
   still uses unmodified columns.)  A non-unit c_t gives no such combination
-  over the integers, so only unit pivot rows clear.
+  over the integers, so only unit pivot rows clear;
+* a column cleared in K is a combination of earlier columns in every block
+  that holds it: the outside terms vanish on a suffix's rows, and the terms
+  before a simplex of depth 0 have depth 0.
 
-Each complex reduces each d_n once: its simplex levels and the invariants of
-every d_n it was asked for are kept in its memo, and every field and degree
-reads those same invariants.  d(K, L) is kept in K's memo per subcomplex and
-degree.  The checks of a call (subcomplex, field, degree, flag cap) still
-run on every call.
+``homology`` is the chain [K]; ``relative_homology`` and ``induced_map`` are
+the pair [K, L], over only the degrees they read.  The cover square
+(``cover_square``) of X, Y, A = X & Y, the union K[X] u K[Y] and the total
+K is the chain [total, union, X, A]: depth 0 holds the cross simplices
+(meeting both X - A and Y - A), 1 those inside Y but not A, 2 those inside
+X but not A, 3 those inside A.  Y is handed its levels, filtered from the
+total's, and reduces as the chain [Y] when first read.
 
-The cover square (``cover_square``) of X, Y, A = X & Y, the union K[X] u K[Y]
-and the total K is read off one reduction of the total per degree.  Each
-degree of the total is ordered by class, each class lexicographic: the cross
-simplices (meeting both X - A and Y - A) first, then those inside Y but not
-A, those inside X but not A, and those inside A last.  In the coboundary,
-then,
-
-* A, X and the union are row suffixes: no coface of a simplex outside a
-  subcomplex lies inside it, so the outside columns are zero on the
-  subcomplex's rows, a column whose lowest row is inside belongs to the
-  subcomplex, and the subcomplex's columns reduce on its rows exactly as
-  they would alone.  Its invariants are its block's unit pivots and the
-  Smith form of its block's set-aside columns;
-* d(total, union) is the column prefix of the cross simplices, whose
-  cofaces are cross too, and a prefix of a column reduction is the
-  reduction of the prefix;
-* a column cleared in the total is a combination of earlier columns in
-  every block that holds it: the outside terms vanish on a suffix's rows,
-  and the terms before a cross simplex are cross.
-
-Y is no suffix of that order, so it gets one more reduction per degree, of
-its own simplices in the same order, with its own clearing.
+Each complex keeps its simplex levels and the invariants of every d_n a
+chain wrote for it in its memo, and K keeps d(K, L1) per subcomplex and
+degree.  A chain writes d_n(K, L1) after every member's d_n, so that entry
+(d_n(K) in a chain of one) marks degree n filled: a repeated call reduces
+nothing and every field reads the same invariants.  A complex's d_n is
+reduced again only inside another chain that has not filled degree n.  The
+checks of a call (subcomplex, field, degree, flag cap) still run on every
+call.
 
 Reduced homology uses the augmented chain complex, so the empty complex has
 rank one in degree -1; that convention makes the suspension-shift
@@ -63,7 +70,7 @@ certificate is reported as acyclic, never as contractible.
 """
 
 import heapq
-from itertools import accumulate, groupby
+from itertools import accumulate, groupby, repeat
 
 from . import linalg
 from .complexes import central_vertex, cover_union
@@ -248,53 +255,68 @@ def _rank(invariants, char):
     return rank - sum(1 for d in factors if d % char == 0) if char else rank
 
 
-def _coboundary(rows, cols, cleared=frozenset()):
-    """The reduced coboundary from the simplices ``rows`` to their cofaces
-    ``cols``, skipping the columns ``cleared``.  Its unit pivot rows index
-    ``cols``; they clear the next degree's columns."""
-    return linalg.reduce_columns(coboundary_columns(rows, cols), cleared)
-
-
 def _invariants(reduction, first_row=0, end_col=None):
     """(rank, invariant factors above 1) of a block of a reduced coboundary."""
     factors = linalg.block_invariants(reduction, first_row, end_col)
     return len(factors), tuple(d for d in factors if d > 1)
 
 
-def _boundary(complex_, bases, n):
-    """Invariants of d_n on the chains ``bases`` of a complex.
-
-    d_n for n >= 1 is reduced once per complex, as a coboundary cleared by
-    the unit pivot rows of d_(n-1), and kept in its memo; the augmentation
-    d_0 is not reduced, its rank is one when both of its chain groups are
-    nonzero.
+def _reduce_chain(members, depths, degrees):
+    """Fill the memos of nested complexes K, L1, L2, ... (``members``) with
+    d_n of each and d_n(K, L1), for every n >= 1 of the ascending
+    ``degrees`` not yet filled, from one reduction of K per degree (module
+    docstring).  ``depths(n)`` yields the depth of each n-simplex of K, in
+    level order: the index of the last member that holds it.  The caller
+    has read ``simplex_levels(K, n)`` for the largest n, so its checks run
+    once per call.  The entry of d_n(K, L1) holds L1, so its id cannot be
+    reused while the entry lives.
     """
+    ambient = members[0]
+    sub = members[1] if len(members) > 1 else None
+    memo = ambient._memo
+    # d_n(K, L1), or d_n(K) in a chain of one, is the entry written last
+    todo = [n for n in degrees if (n if sub is None else ("relative", id(sub), n)) not in memo]
+    if not todo:
+        return
+    levels = memo["levels"][0]
+    ordered = {}
+
+    def order(n):
+        """Degree n by depth, and the index where each depth starts."""
+        if n not in ordered:
+            by_depth = [[] for _ in members]
+            for s, d in zip(levels[n], depths(n)):
+                by_depth[d].append(s)
+            starts = [0, *accumulate(map(len, by_depth))]
+            ordered[n] = [s for group in by_depth for s in group], starts
+        return ordered[n]
+
+    pivots = {}
+    for n in todo:
+        (faces, face_starts), (cofaces, starts) = order(n - 1), order(n)
+        reduction = linalg.reduce_columns(
+            coboundary_columns(faces, cofaces), pivots.get(n - 1, ())
+        )
+        pivots = {n: reduction[0]}
+        for member, first in zip(members, starts):
+            member._memo[n] = _invariants(reduction, first)
+        if sub is not None:
+            memo["relative", id(sub), n] = (sub, _invariants(reduction, 0, face_starts[1]))
+
+
+def _boundary(complex_, bases, n):
+    """Invariants of d_n on the chains ``bases`` of a complex, once a chain
+    reduced degree n; the augmentation d_0 has rank one when both of its
+    chain groups are nonzero."""
     if n < 1:
         return (1, ()) if n == 0 and bases[-1] and bases[0] else (0, ())
-    memo = complex_._memo
-    invariants = memo.get(n)
-    if invariants is None:
-        reduction = _coboundary(bases[n - 1], bases[n], memo.get(("cleared", n - 1), ()))
-        memo[("cleared", n)] = frozenset(reduction[0])
-        invariants = memo[n] = _invariants(reduction)
-    return invariants
+    return complex_._memo[n]
 
 
-def _relative(ambient, sub, bases, n):
-    """Invariants of d_n(K, L), d_n of K without the rows of L's simplices.
-
-    The columns of L's simplices vanish there, so these are also the
-    invariants of the quotient chain complex.  Kept in K's memo per (L, n);
-    the entry holds L, so its id cannot be reused while the entry lives.
-    """
-    if n < 1:
-        return (0, ())
-    key = ("relative", id(sub), n)
-    hit = ambient._memo.get(key)
-    if hit is None:
-        rows = [s for s in bases[n - 1] if s not in sub]
-        hit = ambient._memo[key] = (sub, _invariants(_coboundary(rows, bases[n])))
-    return hit[1]
+def _relative(ambient, sub, n):
+    """Invariants of d_n(K, L), d_n of K without the rows of L's simplices
+    (and of the quotient chain complex), once the chain [K, L] reduced n."""
+    return ambient._memo[("relative", id(sub), n)][1] if n >= 1 else (0, ())
 
 
 def _profile(sizes, invariants, coeffs, reduced, lo, max_deg):
@@ -322,26 +344,23 @@ def homology(complex_, coeffs="z", max_deg=None, reduced=True):
     if max_deg is None:
         max_deg = max(complex_.dim(), 0)
     levels = simplex_levels(complex_, max_deg + 1)
+    _reduce_chain([complex_], lambda n: repeat(0), range(1, max_deg + 2))
     bases = {n: levels[n] for n in range(max_deg + 2)}
     bases[-1] = [()] if reduced else []
     lo = -1 if reduced else 0
-    return _profile(
-        {n: len(bases[n]) for n in range(lo, max_deg + 1)},
-        {n: _boundary(complex_, bases, n) for n in range(lo + 1, max_deg + 2)},
-        coeffs,
-        reduced,
-        lo,
-        max_deg,
-    )
+    sizes = {n: len(bases[n]) for n in range(lo, max_deg + 1)}
+    invariants = {n: _boundary(complex_, bases, n) for n in range(lo + 1, max_deg + 2)}
+    return _profile(sizes, invariants, coeffs, reduced, lo, max_deg)
 
 
 def cover_square(complex_, cover, dim_cap):
     """The five complexes of a cover's square, keyed x, y, a, union, total.
 
     Their memos share one pending reduction, run by the first call that
-    reads any of them: the levels of the parts are filtered from the
-    total's, and d_1..d_dim_cap of every part, with d(total, union), are
-    read off one reduction of the total plus one of Y (module docstring).
+    reads any of them: the levels 0..dim_cap of the parts are filtered from
+    the total's, and d_1..d_dim_cap of the chain total, union, X, A, with
+    d(total, union), are read off one reduction of the total per degree.
+    Y is left its levels, and reduces on its own when first read.
     """
     parts = {
         "x": complex_.restrict(cover.x),
@@ -350,75 +369,31 @@ def cover_square(complex_, cover, dim_cap):
         "union": cover_union(complex_, cover),
         "total": complex_,
     }
+    x_only, y_only = cover.x - cover.a, cover.y - cover.a
+
+    def depth(s):
+        """The last of total, union, X, A that holds s: 0 when s meets both
+        X - A and Y - A, 1 when it meets only Y - A, 2 only X - A, else 3."""
+        in_x = not x_only.isdisjoint(s)
+        in_y = not y_only.isdisjoint(s)
+        return 0 if in_x and in_y else 1 if in_y else 2 if in_x else 3
 
     def run():
         for part in parts.values():
             part._memo.pop("square", None)
-        _reduce_square(parts, cover, dim_cap)
+        levels = simplex_levels(complex_, dim_cap)
+        # the parts hold levels 0..dim_cap: complete when the total has none above
+        complete = complex_._memo["levels"][1] and not any(levels[dim_cap + 1 :])
+        depths = [[depth(s) for s in level] for level in levels[: dim_cap + 1]]
+        for name, kept in (("union", (1, 2, 3)), ("x", (2, 3)), ("a", (3,)), ("y", (1, 3))):
+            own = [[s for s, d in zip(lv, ds) if d in kept] for lv, ds in zip(levels, depths)]
+            parts[name]._memo["levels"] = (own, complete)
+        chain = [complex_, parts["union"], parts["x"], parts["a"]]
+        _reduce_chain(chain, depths.__getitem__, range(1, dim_cap + 1))
 
     for part in parts.values():
         part._memo["square"] = run
     return parts
-
-
-# simplex classes of a cover square, in reduction order
-_CROSS, _Y_ONLY, _X_ONLY, _A = range(4)
-_CLASSES = {
-    "x": (_X_ONLY, _A),
-    "y": (_Y_ONLY, _A),
-    "a": (_A,),
-    "union": (_Y_ONLY, _X_ONLY, _A),
-}
-
-
-def _reduce_square(parts, cover, top):
-    """Fill the memos of a cover square's parts from two reductions per degree."""
-    total = parts["total"]
-    x_only, y_only = cover.x - cover.a, cover.y - cover.a
-
-    def kind(s):
-        in_x = not x_only.isdisjoint(s)
-        in_y = not y_only.isdisjoint(s)
-        return _CROSS if in_x and in_y else _Y_ONLY if in_y else _X_ONLY if in_x else _A
-
-    levels = simplex_levels(total, top)
-    buckets = levels[: top + 1]
-    # the parts hold levels 0..top: complete when the total has none above
-    complete = total._memo["levels"][1] and not any(levels[top + 1 :])
-    kinds = [[kind(s) for s in level] for level in buckets]
-    for name, classes in _CLASSES.items():
-        parts[name]._memo["levels"] = (
-            [
-                [s for s, k in zip(level, ks) if k in classes]
-                for level, ks in zip(buckets, kinds)
-            ],
-            complete,
-        )
-    # each degree in class order, with the end index of each class
-    ordered, ends = [], []
-    for level, ks in zip(buckets, kinds):
-        by_class = [[], [], [], []]
-        for s, k in zip(level, ks):
-            by_class[k].append(s)
-        ordered.append([s for group in by_class for s in group])
-        ends.append(list(accumulate(len(group) for group in by_class)))
-    y_ordered = [o[e[0] : e[1]] + o[e[2] :] for o, e in zip(ordered, ends)]
-    cleared = y_cleared = frozenset()
-    for n in range(top):
-        reduction = _coboundary(ordered[n], ordered[n + 1], cleared)
-        cleared = frozenset(reduction[0])
-        rows = ends[n + 1]
-        total._memo[n + 1] = _invariants(reduction)
-        parts["union"]._memo[n + 1] = _invariants(reduction, rows[0])
-        parts["x"]._memo[n + 1] = _invariants(reduction, rows[1])
-        parts["a"]._memo[n + 1] = _invariants(reduction, rows[2])
-        total._memo[("relative", id(parts["union"]), n + 1)] = (
-            parts["union"],
-            _invariants(reduction, 0, ends[n][0]),
-        )
-        reduction = _coboundary(y_ordered[n], y_ordered[n + 1], y_cleared)
-        y_cleared = frozenset(reduction[0])
-        parts["y"]._memo[n + 1] = _invariants(reduction)
 
 
 def is_subcomplex(sub, ambient):
@@ -446,14 +421,12 @@ def relative_homology(complex_, sub, coeffs="z", max_deg=None):
     if max_deg is None:
         max_deg = max(complex_.dim(), 0)
     levels = simplex_levels(complex_, max_deg + 1)
-    return _profile(
-        {n: sum(1 for s in levels[n] if s not in sub) for n in range(max_deg + 1)},
-        {n: _relative(complex_, sub, levels, n) for n in range(1, max_deg + 2)},
-        coeffs,
-        False,
-        0,
-        max_deg,
+    _reduce_chain(
+        [complex_, sub], lambda n: map(sub.__contains__, levels[n]), range(1, max_deg + 2)
     )
+    sizes = {n: sum(1 for s in levels[n] if s not in sub) for n in range(max_deg + 1)}
+    invariants = {n: _relative(complex_, sub, n) for n in range(1, max_deg + 2)}
+    return _profile(sizes, invariants, coeffs, False, 0, max_deg)
 
 
 # -------------------------------------------------------------- induced maps
@@ -508,6 +481,11 @@ def induced_map(sub, ambient, degree, coeffs="q", reduced=False):
     # only the levels around the degree, so a call costs no more at a high cap
     near = range(max(degree - 1, 0), need + 1)
     levels_l, levels_k = simplex_levels(sub, need), simplex_levels(ambient, need)
+    _reduce_chain(
+        [ambient, sub],
+        lambda n: map(sub.__contains__, levels_k[n]),
+        range(max(degree, 1), need + 1),
+    )
     bases_l = {n: levels_l[n] for n in near}
     bases_k = {n: levels_k[n] for n in near}
     bases_l[-1] = bases_k[-1] = [()] if reduced else []
@@ -517,7 +495,7 @@ def induced_map(sub, ambient, degree, coeffs="q", reduced=False):
 
     cycles_l = len(bases_l[degree]) - rank(sub, bases_l, degree)
     up_k = rank(ambient, bases_k, degree + 1)
-    relative = _rank(_relative(ambient, sub, bases_k, degree + 1), char)
+    relative = _rank(_relative(ambient, sub, need), char)
     return InducedMap(
         coeffs,
         degree,

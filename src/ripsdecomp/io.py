@@ -121,12 +121,18 @@ def parse_distance_csv(text):
     return DistanceSpace(labels, matrix)
 
 
-def load_input(path):
-    path = Path(path)
+def _read_text(path):
     try:
-        text = path.read_text()
+        return path.read_text(encoding="utf-8")
     except OSError as exc:
         raise InvalidInput(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InvalidInput(f"{path}: not UTF-8 text: {exc}") from exc
+
+
+def load_input(path):
+    path = Path(path)
+    text = _read_text(path)
     if path.suffix.lower() == ".csv":
         return InputDocument(space=parse_distance_csv(text))
     try:
@@ -143,10 +149,9 @@ def load_input(path):
 
 def load_cover(path):
     path = Path(path)
+    text = _read_text(path)
     try:
-        obj = json.loads(path.read_text())
-    except OSError as exc:
-        raise InvalidInput(f"cannot read {path}: {exc}") from exc
+        obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InvalidInput(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(obj, dict) or not all(isinstance(obj.get(s), list) for s in "XY"):
@@ -155,11 +160,9 @@ def load_cover(path):
 
 
 def cover_for_labels(document, x_labels, y_labels):
-    """Interned cover for a parsed input document."""
-    if document.space is not None:
-        index = {lab: i for i, lab in enumerate(document.space.labels)}
-    else:
-        index = {str(lab): i for i, lab in enumerate(document.facet_labels)}
+    """Interned cover of a facet document; labels missing from it are
+    refused.  (A distance document takes its cover through ``MetricCover``.)"""
+    index = {str(lab): i for i, lab in enumerate(document.facet_labels)}
     missing = [p for p in list(x_labels) + list(y_labels) if str(p) not in index]
     if missing:
         raise InvalidInput(f"cover labels not in the input: {missing}")

@@ -6,12 +6,15 @@ Distances are exact rationals by default (``fractions.Fraction``), with
 comparison tolerance ``tol`` for the closed threshold test ``d <= r``; the
 exact default is ``tol = 0``, which every shipped example uses.
 
-Every decision reads one integer scaling of the matrix, made once per
-space: the finite entries are multiplied by their least common denominator,
-and ``inf`` stands in as the sentinel S = 2 * max + 1, larger than any sum of
-two finite entries, which is exact because distances are never negative.
-The public ``Fraction`` matrix stays, and everything rendered (diameters,
-witnesses, radii) is read from it.
+Validation, the closeness tests (Vietoris-Rips, the cross pairs, shared
+witnesses, the simplex assumption) and cross domination read one integer
+scaling of the matrix, made once per space: the finite entries are
+multiplied by their least common denominator, and ``inf`` stands in as the
+sentinel S = 2 * max + 1, larger than any sum of two finite entries, which
+is exact because distances are never negative.  The public ``Fraction``
+matrix stays: everything rendered (diameters, witnesses, radii) is read from
+it, and ``is_metric_gluing``, ``check_strong_simplex_assumption``, ``diam``
+and ``DistanceSpace.within`` compare its entries, not the scaled ones.
 
 Threshold tests ``d <= r + tol`` read one boolean closeness table per space
 and radius: a scaled entry is close when it is at most

@@ -98,6 +98,31 @@ class TestFacetLabels:
         assert captured.err == f"error: facet labels {named} cannot be told apart\n"
 
 
+class TestUndecodableFiles:
+    """A file that is not UTF-8 text is an input error (exit 2), not a
+    traceback with the exit code of a soundness failure."""
+
+    BAD = b"\xff\xfe\x00bad"
+
+    @pytest.mark.parametrize(
+        "name, argv",
+        [
+            ("bad.json", ["homology", "{bad}"]),
+            ("bad.csv", ["homology", "{bad}", "-r", "1"]),
+            ("bad.json", ["decompose", "{facets}", "--cover", "{bad}", "-r", "1"]),
+        ],
+        ids=["json-input", "csv-input", "cover-file"],
+    )
+    def test_exits_with_an_input_error(self, capsys, tmp_path, facet_file, name, argv):
+        bad = tmp_path / name
+        bad.write_bytes(self.BAD)
+        argv = [a.format(bad=bad, facets=facet_file) for a in argv]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {bad}: not UTF-8 text")
+
+
 class TestHomology:
     def test_json_profiles_per_field(self, capsys, facet_file):
         argv = ["homology", facet_file, "--field", "q", "--field", "zp:2", "--format", "json"]

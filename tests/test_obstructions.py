@@ -277,11 +277,11 @@ def test_certificates_answer_connectivity_without_homology(monkeypatch):
             expected = connectivity_oracle(obs)
             if obs.certified:
                 monkeypatch.setattr(analyzer, "homology", None)
-                assert ctx.connectivity(obs) == (True, expected) == (True, "all")
+                assert ctx.connectivity(obs) == expected == "all"
                 monkeypatch.undo()
                 assert obs.profile is None
             else:
-                assert ctx.connectivity(obs) == (False, expected)
+                assert ctx.connectivity(obs) == expected
             seen[obs.status] += 1
     assert min(seen[s] for s in ("cone", "collapse", "homology-only")) >= 5, seen
 

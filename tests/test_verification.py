@@ -23,6 +23,7 @@ from ripsdecomp import (
     homology,
     induced_map,
     linalg,
+    relative_homology,
 )
 from ripsdecomp.corpus import case_by_name, space_for
 from ripsdecomp.io import load_cover, load_input
@@ -35,7 +36,7 @@ from conftest import (
     random_flag,
     rng_for,
 )
-from oracles import check_cofiber_shift, mv_check
+from oracles import check_cofiber_shift, mv_check, skeleton
 
 
 def write_metric_case(tmp_path, case):
@@ -297,6 +298,50 @@ class TestReductionCount:
         assert report.soundness["ok"] and len(report.induced) == 3 * dim_cap
         assert report.profiles["total"]["z"]["torsion"] == {"1": [2]}
         assert 0 < counts[True] - counts[False] <= 2 * dim_cap, counts
+
+    @staticmethod
+    def counted_reductions(monkeypatch):
+        calls = []
+        real = linalg.reduce_columns
+        monkeypatch.setattr(
+            linalg, "reduce_columns", lambda *a, **kw: calls.append(1) or real(*a, **kw)
+        )
+        return calls
+
+    @staticmethod
+    def fresh_pair():
+        rp2 = Complex.from_facets(PROJECTIVE_PLANE)
+        return rp2, skeleton(rp2, 1)
+
+    @pytest.mark.parametrize("degree, reductions", [(0, 1), (1, 2), (2, 2)])
+    def test_a_standalone_induced_map_reduces_only_the_degrees_it_reads(
+        self, monkeypatch, degree, reductions
+    ):
+        """d_degree and d_(degree+1) of both complexes, and d(K, L), come
+        off one reduction of the pair per degree; the augmentation d_0 is
+        not reduced."""
+        calls = self.counted_reductions(monkeypatch)
+        rp2, edges = self.fresh_pair()
+        rec = induced_map(edges, rp2, degree, "q")
+        assert len(calls) == reductions
+        expected = {0: (1, 1, 1), 1: (0, 10, 0), 2: (0, 0, 0)}[degree]
+        assert (rec.rank, rec.dim_source, rec.dim_target) == expected
+
+    @pytest.mark.parametrize("call", ["homology", "relative_homology"])
+    def test_each_degree_is_reduced_once_per_call(self, monkeypatch, call):
+        """d_1..d_3 once each: no degree is reduced again for the next, nor
+        for a second field."""
+        calls = self.counted_reductions(monkeypatch)
+        rp2, edges = self.fresh_pair()
+        pair = (rp2,) if call == "homology" else (rp2, edges)
+        profiles = []
+        for coeffs in ("z", "q"):
+            profiles.append(getattr(ripsdecomp, call)(*pair, coeffs, max_deg=2))
+            assert len(calls) == 3
+        if call == "homology":
+            assert profiles[0].torsion == {1: (2,)}
+        else:
+            assert profiles[1].betti == {0: 0, 1: 0, 2: 10}
 
     def test_simplex_levels_are_padded_once_per_complex(self, monkeypatch):
         """A report reads every degree up to its cap, each induced map on its
