@@ -56,9 +56,11 @@ chain wrote for it in its memo, and K keeps d(K, L1) per subcomplex and
 degree.  A chain writes d_n(K, L1) after every member's d_n, so that entry
 (d_n(K) in a chain of one) marks degree n filled: a repeated call reduces
 nothing and every field reads the same invariants.  A complex's d_n is
-reduced again only inside another chain that has not filled degree n.  The
-checks of a call (subcomplex, field, degree, flag cap) still run on every
-call.
+reduced again only inside another chain that has not filled degree n.
+``induced_map`` in degree d reads d_d of K and L but not d_d(K, L), so its
+pair reduces degree d only when K or L lacks d_d.  A chain of one keeps the
+level order, with no depth pass.  The checks of a call (subcomplex, field,
+degree, flag cap) still run on every call.
 
 Reduced homology uses the augmented chain complex, so the empty complex has
 rank one in degree -1; that convention makes the suspension-shift
@@ -70,7 +72,7 @@ certificate is reported as acyclic, never as contractible.
 """
 
 import heapq
-from itertools import accumulate, groupby, repeat
+from itertools import accumulate, groupby
 
 from . import linalg
 from .complexes import central_vertex, cover_union
@@ -266,7 +268,8 @@ def _reduce_chain(members, depths, degrees):
     d_n of each and d_n(K, L1), for every n >= 1 of the ascending
     ``degrees`` not yet filled, from one reduction of K per degree (module
     docstring).  ``depths(n)`` yields the depth of each n-simplex of K, in
-    level order: the index of the last member that holds it.  The caller
+    level order: the index of the last member that holds it; a chain of one
+    passes ``None`` and keeps the level order.  The caller
     has read ``simplex_levels(K, n)`` for the largest n, so its checks run
     once per call.  The entry of d_n(K, L1) holds L1, so its id cannot be
     reused while the entry lives.
@@ -283,6 +286,8 @@ def _reduce_chain(members, depths, degrees):
 
     def order(n):
         """Degree n by depth, and the index where each depth starts."""
+        if depths is None:
+            return levels[n], (0,)
         if n not in ordered:
             by_depth = [[] for _ in members]
             for s, d in zip(levels[n], depths(n)):
@@ -344,7 +349,7 @@ def homology(complex_, coeffs="z", max_deg=None, reduced=True):
     if max_deg is None:
         max_deg = max(complex_.dim(), 0)
     levels = simplex_levels(complex_, max_deg + 1)
-    _reduce_chain([complex_], lambda n: repeat(0), range(1, max_deg + 2))
+    _reduce_chain([complex_], None, range(1, max_deg + 2))
     bases = {n: levels[n] for n in range(max_deg + 2)}
     bases[-1] = [()] if reduced else []
     lo = -1 if reduced else 0
@@ -481,10 +486,12 @@ def induced_map(sub, ambient, degree, coeffs="q", reduced=False):
     # only the levels around the degree, so a call costs no more at a high cap
     near = range(max(degree - 1, 0), need + 1)
     levels_l, levels_k = simplex_levels(sub, need), simplex_levels(ambient, need)
+    # d_degree(K, L) is not read: degree is reduced only where a complex lacks d_degree
+    filled = degree < 1 or degree in ambient._memo and degree in sub._memo
     _reduce_chain(
         [ambient, sub],
         lambda n: map(sub.__contains__, levels_k[n]),
-        range(max(degree, 1), need + 1),
+        [need] if filled else [degree, need],
     )
     bases_l = {n: levels_l[n] for n in near}
     bases_k = {n: levels_k[n] for n in near}

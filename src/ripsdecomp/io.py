@@ -4,16 +4,22 @@ Formats:
 
 * JSON distance file: ``{"points": [...], "distances": [[...], ...]}`` with a
   full symmetric matrix; entries may be numbers, rational strings "p/q",
-  decimal strings, or "inf".
+  decimal strings, or "inf".  A number literal is read exactly as written
+  (``1e400`` is finite, ``0.30000000000000001`` is not 3/10), as its string
+  spelling would be.
 * Triangular CSV: a header row with all point labels, then one row per point
   from the second on, holding its distances to the points before it.
 * JSON facet file: ``{"facets": [[...], ...]}``.
 * JSON cover file: ``{"X": [...], "Y": [...]}``.
+
+Every file is UTF-8 text; a leading byte-order mark is skipped.  Labels
+that are JSON numbers keep the float values ``json.loads`` gives them.
 """
 
 import csv
 import io as io_mod
 import json
+from decimal import Decimal
 from pathlib import Path
 
 from .complexes import Complex, Cover
@@ -43,6 +49,16 @@ class InputDocument:
         self.space = space
         self.facet_complex = facet_complex
         self.facet_labels = facet_labels
+
+
+_JSON = json.JSONDecoder()
+#: number literals as Decimal, so a distance keeps every digit of its text
+_EXACT_JSON = json.JSONDecoder(parse_float=Decimal)
+
+
+def _float(value):
+    """A label read by ``_EXACT_JSON`` as the value ``json.loads`` gives it."""
+    return float(value) if isinstance(value, Decimal) else value
 
 
 def _label_key(label):
@@ -84,7 +100,7 @@ def parse_distance_json(obj):
         raise InvalidInput("distance JSON needs 'points' and 'distances'") from exc
     if not isinstance(points, list) or not _list_of(list, rows):
         raise InvalidInput("'points' must be a list and 'distances' a list of lists")
-    return DistanceSpace([str(p) for p in points], rows)
+    return DistanceSpace([str(_float(p)) for p in points], rows)
 
 
 def parse_facets_json(obj):
@@ -94,6 +110,7 @@ def parse_facets_json(obj):
         raise InvalidInput("facet JSON needs 'facets'") from exc
     if not isinstance(facets, list) or not facets:
         raise InvalidInput("'facets' must be a nonempty list")
+    facets = [list(map(_float, f)) if isinstance(f, list) else f for f in facets]
     if not all(_list_of((str, int, float), f) for f in facets):
         raise InvalidInput("each facet must be a list of vertex labels")
     return facets
@@ -123,22 +140,25 @@ def parse_distance_csv(text):
 
 def _read_text(path):
     try:
-        return path.read_text(encoding="utf-8")
+        return path.read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise InvalidInput(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise InvalidInput(f"{path}: not UTF-8 text: {exc}") from exc
 
 
-def load_input(path):
-    path = Path(path)
-    text = _read_text(path)
-    if path.suffix.lower() == ".csv":
-        return InputDocument(space=parse_distance_csv(text))
+def _read_json(path, decoder):
     try:
-        obj = json.loads(text)
+        return decoder.decode(_read_text(path))
     except json.JSONDecodeError as exc:
         raise InvalidInput(f"{path}: not valid JSON: {exc}") from exc
+
+
+def load_input(path):
+    path = Path(path)
+    if path.suffix.lower() == ".csv":
+        return InputDocument(space=parse_distance_csv(_read_text(path)))
+    obj = _read_json(path, _EXACT_JSON)
     if isinstance(obj, dict) and "facets" in obj:
         complex_, labels = intern_facets(parse_facets_json(obj))
         return InputDocument(facet_complex=complex_, facet_labels=labels)
@@ -149,11 +169,7 @@ def load_input(path):
 
 def load_cover(path):
     path = Path(path)
-    text = _read_text(path)
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InvalidInput(f"{path}: not valid JSON: {exc}") from exc
+    obj = _read_json(path, _JSON)
     if not isinstance(obj, dict) or not all(isinstance(obj.get(s), list) for s in "XY"):
         raise InvalidInput("cover JSON needs lists 'X' and 'Y'")
     return [str(p) for p in obj["X"]], [str(p) for p in obj["Y"]]

@@ -6,20 +6,32 @@ Distances are exact rationals by default (``fractions.Fraction``), with
 comparison tolerance ``tol`` for the closed threshold test ``d <= r``; the
 exact default is ``tol = 0``, which every shipped example uses.
 
-Validation, the closeness tests (Vietoris-Rips, the cross pairs, shared
-witnesses, the simplex assumption) and cross domination read one integer
-scaling of the matrix, made once per space: the finite entries are
-multiplied by their least common denominator, and ``inf`` stands in as the
-sentinel S = 2 * max + 1, larger than any sum of two finite entries, which
-is exact because distances are never negative.  The public ``Fraction``
-matrix stays: everything rendered (diameters, witnesses, radii) is read from
-it, and ``is_metric_gluing``, ``check_strong_simplex_assumption``, ``diam``
-and ``DistanceSpace.within`` compare its entries, not the scaled ones.
+A space is built from two tables, both made eagerly from one parse of each
+distinct entry.  The entries are keyed by value when the whole matrix has
+one type and by (type, value) otherwise, since equal values of different
+types can parse apart: ``2**60 == float(2**60)``, but the float reads as
+``Fraction("1.152921504606847e+18")``.  Each distinct key is parsed once, in
+row order of first appearance, so the first bad entry is the one refused.
+Every row is then mapped through two small dicts at C level:
+
+* the exact matrix (``DistanceSpace.matrix``), from which everything
+  rendered (diameters, witnesses, radii) is read, and which
+  ``is_metric_gluing``, ``check_strong_simplex_assumption``, ``diam`` and
+  ``DistanceSpace.within`` compare;
+* its integer scaling (``DistanceSpace.scaled``), which validation, the
+  closeness tests (Vietoris-Rips, the cross pairs, shared witnesses, the
+  simplex assumption), the triangle screen and cross domination read: the
+  finite entries are multiplied by their least common denominator, and
+  ``inf`` stands in as the sentinel S = 2 * max + 1, larger than any sum of
+  two finite entries, which is exact because distances are never negative.
 
 Threshold tests ``d <= r + tol`` read one boolean closeness table per space
-and radius: a scaled entry is close when it is at most
-min(floor((r + tol) * scale), S - 1), so ``inf`` is never close to a finite
-radius; when r + tol is infinite the bound is S and every entry is close.
+and radius, each row compared as a whole against one bound: a scaled entry
+is close when it is at most min(floor((r + tol) * scale), S - 1), so ``inf``
+is never close to a finite radius; when r + tol is infinite the bound is S
+and every entry is close.  The Vietoris-Rips graph is read straight off the
+closeness rows: the neighbours of point i are the close positions of row i
+other than i.
 
 The triangle inequality is screened with packed ints.  Each scaled row is
 one int P_i with a w-bit field per point, w = bitlen(2 T) + 2 for the largest
@@ -36,8 +48,9 @@ report the first counterexample in the order the points were listed.
 """
 
 import math
+from decimal import Decimal
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations, compress
 
 from .complexes import Complex
 from .errors import CoverError, InvalidInput
@@ -63,7 +76,8 @@ INF = math.inf
 
 
 def parse_distance(value):
-    """Exact distance from a number or string ("p/q", decimal, or "inf")."""
+    """Exact distance from a number, a ``Decimal`` or a string ("p/q",
+    decimal, or "inf")."""
     if value is None:
         raise InvalidInput("missing distance value")
     if isinstance(value, str):
@@ -80,6 +94,14 @@ def parse_distance(value):
         if math.isnan(value):
             raise InvalidInput("NaN is not a distance")
         out = Fraction(str(value))
+    elif isinstance(value, Decimal):
+        # a JSON number literal (io), exact; NaN and infinities as for floats
+        if value.is_nan():
+            raise InvalidInput("NaN is not a distance")
+        out = Fraction(value) if value.is_finite() else INF
+        if out < 0:
+            raise InvalidInput(f"negative distance {value}")
+        return out
     elif isinstance(value, (int, Fraction)) and not isinstance(value, bool):
         out = Fraction(value)
     else:
@@ -90,7 +112,12 @@ def parse_distance(value):
 
 
 class DistanceSpace:
-    """Finite labeled point set with a square matrix of extended distances."""
+    """Finite labeled point set with a square matrix of extended distances.
+
+    The exact matrix and its integer scaling are built on construction from
+    one parse of each distinct entry (module docstring); the closeness table
+    of a radius is built on its first use.
+    """
 
     __slots__ = ("labels", "matrix", "tol", "_index", "_ints", "_close")
 
@@ -101,24 +128,32 @@ class DistanceSpace:
         n = len(self.labels)
         if len(matrix) != n or any(len(row) != n for row in matrix):
             raise InvalidInput("distance matrix must be square and match the labels")
-        parsed = {}             # (type, value) -> distance: repeats parse once
-
-        def parse(v):
-            if v is INF:
-                return v
-            key = (type(v), v)
-            try:
-                return parsed[key]
-            except KeyError:
-                out = parsed[key] = parse_distance(v)
-                return out
-            except TypeError:   # unhashable: parse_distance refuses it
-                return parse_distance(v)
-
-        self.matrix = tuple(tuple(parse(v) for v in row) for row in matrix)
+        entries = list(chain.from_iterable(matrix))
+        mixed = len(set(map(type, entries))) > 1
+        if mixed:
+            # equal values of different types can parse apart: 2**60 == float(2**60)
+            matrix = [list(zip(map(type, row), row)) for row in matrix]
+            entries = list(chain.from_iterable(matrix))
+        try:
+            distinct = dict.fromkeys(entries)
+        except TypeError:
+            # parse_distance refuses every unhashable value, so this names
+            # the first bad entry in row order
+            for key in entries:
+                parse_distance(key[1] if mixed else key)
+            raise
+        values = [k[1] for k in distinct] if mixed else distinct
+        exact = dict(zip(distinct, map(parse_distance, values)))
+        finite = {k: v for k, v in exact.items() if v is not INF}
+        scale = math.lcm(*{v.denominator for v in finite.values()})
+        ints = {k: v.numerator * (scale // v.denominator) for k, v in finite.items()}
+        sentinel = 2 * max(ints.values(), default=0) + 1
+        ints.update(dict.fromkeys(exact.keys() - finite.keys(), sentinel))
+        self.matrix = tuple(tuple(map(exact.__getitem__, row)) for row in matrix)
+        rows = tuple(tuple(map(ints.__getitem__, row)) for row in matrix)
+        self._ints = (scale, sentinel, rows)
         self.tol = parse_distance(tol)
         self._index = {lab: i for i, lab in enumerate(self.labels)}
-        self._ints = None       # (scale, sentinel, scaled rows), on demand
         self._close = {}        # radius -> closeness table, on demand
 
     def __len__(self):
@@ -135,23 +170,8 @@ class DistanceSpace:
         return value <= r + self.tol
 
     def scaled(self):
-        """(scale, sentinel, rows): the matrix as ints, computed once.
-
-        Finite entries are multiplied by the least common denominator
-        ``scale``; ``inf`` becomes ``sentinel`` = 2 * max + 1.  Callers must
-        not modify the rows.
-        """
-        if self._ints is None:
-            m = self.matrix
-            scale = math.lcm(*{v.denominator for row in m for v in row if v is not INF})
-            # -1 marks inf until the largest finite entry is known
-            rows = [
-                [-1 if v is INF else v.numerator * (scale // v.denominator) for v in row]
-                for row in m
-            ]
-            sentinel = 2 * max([0] + [max(row) for row in rows if row]) + 1
-            rows = tuple(tuple(sentinel if v < 0 else v for v in row) for row in rows)
-            self._ints = (scale, sentinel, rows)
+        """(scale, sentinel, rows): the matrix as ints (module docstring).
+        Callers must not modify the rows."""
         return self._ints
 
     def closeness(self, r):
@@ -160,11 +180,11 @@ class DistanceSpace:
         must not modify it."""
         table = self._close.get(r)
         if table is None:
-            scale, sentinel, rows = self.scaled()
+            scale, sentinel, rows = self._ints
             limit = r + self.tol
             # inf + Fraction is a float inf, so compare by value
             bound = sentinel if limit == INF else min(math.floor(limit * scale), sentinel - 1)
-            table = tuple(tuple(v <= bound for v in row) for row in rows)
+            table = tuple(tuple(map(bound.__ge__, row)) for row in rows)
             self._close[r] = table
         return table
 
@@ -236,17 +256,20 @@ def diam(space, points):
 
 
 def vietoris_rips(space, r, dim_cap):
-    """Flag complex with an edge between every pair at distance <= r.
+    """Flag complex with an edge between every pair at distance <= r: the
+    neighbours of a point are read off its closeness row.
 
     Vertex ids are positions in the space's label order; the complex carries
     the id-to-label table.
     """
     space.require_valid()
     close = space.closeness(parse_distance(r))
-    n = len(space)
-    edges = [(i, j) for i, j in combinations(range(n), 2) if close[i][j]]
-    return Complex.flag(
-        range(n), edges, dim_cap=dim_cap, labels=dict(enumerate(space.labels))
+    if dim_cap < 0:
+        raise InvalidInput("dim_cap must be nonnegative")
+    ids = range(len(space))
+    adj = {i: frozenset(compress(ids, row)) - {i} for i, row in zip(ids, close)}
+    return Complex(
+        adj=adj, vertices=ids, dim_cap=dim_cap, labels=dict(enumerate(space.labels))
     )
 
 

@@ -2,6 +2,7 @@
 parser for the whole process, and the JSON round trip of reports."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -121,6 +122,66 @@ class TestUndecodableFiles:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"error: {bad}: not UTF-8 text")
+
+
+class TestByteOrderMark:
+    """A file that starts with a UTF-8 byte-order mark reads as the same
+    file without it."""
+
+    FILES = {
+        "points.csv": "a,b,c\n1\n2,1\n",
+        "points.json": '{"points": ["a", "b", "c"], "distances": [[0, 1, 2], [1, 0, 1], [2, 1, 0]]}',
+        "cover.json": '{"X": ["a", "b"], "Y": ["b", "c"]}',
+    }
+
+    @pytest.mark.parametrize("marked", list(FILES))
+    def test_marked_file_gives_the_unmarked_report(self, capsys, tmp_path, marked):
+        outputs = []
+        for mark in ("", "\ufeff"):
+            for name, text in self.FILES.items():
+                prefix = mark if name == marked else ""
+                (tmp_path / name).write_text(prefix + text, encoding="utf-8")
+            points = tmp_path / ("points.csv" if marked == "points.csv" else "points.json")
+            cover = tmp_path / "cover.json"
+            argv = ["decompose", str(points), "--cover", str(cover), "-r", "1", "--format", "json"]
+            assert cli.main(argv) == 0, capsys.readouterr().err
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+
+
+class TestExactNumberLiterals:
+    """A JSON number literal is the distance it spells, as its string
+    spelling is; labels written as numbers keep their float values."""
+
+    @pytest.mark.parametrize(
+        "literal, radius, edges",
+        [
+            ("1e400", "1e401", 1),
+            ("0.30000000000000001", "0.3", 0),
+            ("1e-400", "0", 0),
+            ("0.5", "0.5", 1),
+        ],
+    )
+    def test_number_and_string_spellings_agree(self, capsys, tmp_path, literal, radius, edges):
+        counts = []
+        for spelled in (literal, f'"{literal}"'):
+            path = tmp_path / "points.json"
+            path.write_text(
+                f'{{"points": ["a", "b"], "distances": [[0, {spelled}], [{spelled}, 0]]}}'
+            )
+            assert cli.main(["vr", str(path), "-r", radius, "--format", "json"]) == 0
+            counts.append(json.loads(capsys.readouterr().out)["counts_by_dim"])
+        assert counts[0] == counts[1] == ({"0": 2, "1": 1} if edges else {"0": 2})
+
+    def test_number_labels_keep_their_float_values(self, tmp_path):
+        path = tmp_path / "facets.json"
+        path.write_text('{"facets": [[1.5, 1e2], [1e2, 0.30000000000000001, 1e400]]}')
+        labels = load_input(path).facet_labels
+        assert labels == [0.3, 1.5, 100.0, math.inf]
+        assert all(type(v) is float for v in labels)
+        path = tmp_path / "points.json"
+        path.write_text('{"points": [1.5, 1e2], "distances": [[0, 1], [1, 0]]}')
+        assert load_input(path).space.labels == ("1.5", "100.0")
 
 
 class TestHomology:

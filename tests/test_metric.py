@@ -2,8 +2,9 @@
 hypotheses as decidable predicates."""
 
 import math
+from decimal import Decimal
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 
 import pytest
 
@@ -105,6 +106,114 @@ class TestParseOnce:
         path.write_text('{"points": ["a", "b"], "distances": [[0, 1], [true, 0]]}')
         assert cli.main(["vr", str(path), "-r", "1"]) == 2
         assert "cannot parse distance True" in capsys.readouterr().err
+
+
+class TestTablesAgainstEachEntry:
+    """The two tables of a space, read per distinct entry, against
+    ``parse_distance`` applied to every entry on its own."""
+
+    # spellings of one exact value each; 2**60 and float(2**60) are equal
+    # as Python numbers but parse to different rationals
+    SPELLINGS = (
+        (0, 0.0, "0", Decimal("0.00")),
+        (1, 1.0, "1", "2/2", Fraction(1), Decimal("1.0")),
+        (0.25, "0.25", "1/4", Decimal("0.25")),
+        (0.1, "0.1", "1/10", Decimal("0.1")),
+        ("2/3", Fraction(2, 3), " 4/6 "),
+        (3, "3", 3.0),
+        (2**60, str(2**60)),
+        (float(2**60), "1.152921504606847e+18"),
+        ("inf", math.inf, "Infinity", "+inf"),
+    )
+    BAD = (True, False, -1, -0.5, "-1/2", math.nan, None, [1], {}, "x", Decimal("-0.1"))
+
+    @staticmethod
+    def oracle(rows):
+        return tuple(tuple(metric.parse_distance(v) for v in row) for row in rows)
+
+    def random_rows(self, rng, n, symmetric):
+        groups = self.SPELLINGS[1:]
+        rows = [[rng.choice(self.SPELLINGS[0]) for _ in range(n)] for _ in range(n)]
+        for i in range(n):
+            for j in range(n if not symmetric else i):
+                if i == j and rng.random() < 0.8:
+                    continue
+                group = rng.choice(groups)
+                rows[i][j] = rng.choice(group)
+                if symmetric:
+                    rows[j][i] = rng.choice(group)
+        return rows
+
+    def test_matrix_scaling_closeness_and_edges(self):
+        rng = rng_for(1501)
+        seen = {"mixed": 0, "one-type": 0, "valid": 0, "edges": 0, "inf": 0}
+        for trial in range(400):
+            n = trial % 8
+            rows = self.random_rows(rng, n, symmetric=rng.random() < 0.6)
+            tol = rng.choice((0, 0, "1/3", 0.5))
+            space = DistanceSpace([f"p{i}" for i in range(n)], rows, tol=tol)
+            exact = self.oracle(rows)
+            assert space.matrix == exact
+            scale, sentinel, ints = space.scaled()
+            finite = [v for row in exact for v in row if v != math.inf]
+            assert sentinel == 2 * max((v * scale for v in finite), default=0) + 1
+            assert ints == tuple(
+                tuple(sentinel if v == math.inf else int(v * scale) for v in row)
+                for row in exact
+            )
+            assert all((v * scale).denominator == 1 for v in finite)
+            for r in (*map(Fraction, (0, "1/4", "2/3", 1, 2**60)), math.inf):
+                close = space.closeness(r)
+                assert close == tuple(tuple(space.within(v, r) for v in row) for row in exact)
+                if validate(space):
+                    continue
+                pairs = combinations(range(n), 2)
+                edges = [(i, j) for i, j in pairs if space.within(exact[i][j], r)]
+                assert vietoris_rips(space, r, 1).edges() == edges
+                seen["edges"] += len(edges)
+            seen["mixed" if len({type(v) for row in rows for v in row}) > 1 else "one-type"] += 1
+            seen["valid"] += not validate(space)
+            seen["inf"] += sentinel in (v for row in ints for v in row)
+        assert min(seen.values()) >= 20, seen
+
+    def test_one_type_matrices(self):
+        rng = rng_for(1502)
+        for spelling in (int, float, str, Decimal, Fraction):
+            for _ in range(20):
+                n = rng.randint(1, 6)
+                rows = [
+                    [spelling(rng.choice((0, 1, 2, 5)) if i != j else 0) for j in range(n)]
+                    for i in range(n)
+                ]
+                space = DistanceSpace(list(range(n)), rows)
+                assert space.matrix == self.oracle(rows)
+
+    def test_the_first_bad_entry_in_row_order_is_named(self):
+        rng = rng_for(1503)
+        for trial in range(300):
+            n = trial % 5 + 1
+            rows = self.random_rows(rng, n, symmetric=False)
+            for _ in range(rng.randint(1, 3)):
+                rows[rng.randrange(n)][rng.randrange(n)] = rng.choice(self.BAD)
+            first = next(v for row in rows for v in row if self.refusal(v) is not None)
+            with pytest.raises(InvalidInput) as err:
+                DistanceSpace([f"p{i}" for i in range(n)], rows)
+            assert str(err.value) == self.refusal(first)
+
+    @staticmethod
+    def refusal(value):
+        try:
+            metric.parse_distance(value)
+        except InvalidInput as exc:
+            return str(exc)
+        return None
+
+    def test_a_value_only_key_would_merge_two_to_the_sixty(self):
+        rows = [[0, 2**60], [float(2**60), 0]]
+        by_value = {v: metric.parse_distance(v) for v in dict.fromkeys(chain.from_iterable(rows))}
+        assert tuple(tuple(map(by_value.__getitem__, row)) for row in rows) != self.oracle(rows)
+        assert DistanceSpace("ab", rows).matrix == self.oracle(rows)
+        assert DistanceSpace("ab", rows).matrix[1][0] == Fraction("1.152921504606847e+18")
 
 
 class TestPseudometric:

@@ -327,6 +327,21 @@ class TestReductionCount:
         expected = {0: (1, 1, 1), 1: (0, 10, 0), 2: (0, 0, 0)}[degree]
         assert (rec.rank, rec.dim_source, rec.dim_target) == expected
 
+    @pytest.mark.parametrize("degree", [0, 1, 2])
+    def test_an_induced_map_after_both_profiles_reduces_only_the_pair(
+        self, monkeypatch, degree
+    ):
+        """Once both complexes hold d_1..d_3, the map of a degree needs only
+        d_(degree+1)(K, L): one reduction."""
+        rp2, edges = self.fresh_pair()
+        for complex_ in (rp2, edges):
+            homology(complex_, "q", max_deg=2)
+        calls = self.counted_reductions(monkeypatch)
+        rec = induced_map(edges, rp2, degree, "q")
+        assert len(calls) == 1
+        expected = {0: (1, 1, 1), 1: (0, 10, 0), 2: (0, 0, 0)}[degree]
+        assert (rec.rank, rec.dim_source, rec.dim_target) == expected
+
     @pytest.mark.parametrize("call", ["homology", "relative_homology"])
     def test_each_degree_is_reduced_once_per_call(self, monkeypatch, call):
         """d_1..d_3 once each: no degree is reduced again for the next, nor
