@@ -176,7 +176,7 @@ class BoundaryMatrix:
 def boundary_matrix(complex_, n, dim_cap=None):
     """The dense degree-n boundary matrix; rows are (n-1)-simplices.  The
     pipeline never builds it; it stays for ``bench/tracing.py``, which counts
-    ``verify.boundary_nnz`` from its entries until ROADMAP item 6."""
+    ``verify.boundary_nnz`` from its entries until ROADMAP item 1."""
     if n < 1:
         raise InvalidInput("boundary degree must be at least 1")
     if complex_.is_flag:

@@ -6,7 +6,7 @@ Formats:
   full symmetric matrix; entries may be numbers, rational strings "p/q",
   decimal strings, or "inf".  A number literal is read exactly as written
   (``1e400`` is finite, ``0.30000000000000001`` is not 3/10), as its string
-  spelling would be.
+  spelling would be; an exponent past 4,300 either way is refused.
 * Triangular CSV: a header row with all point labels, then one row per point
   from the second on, holding its distances to the points before it.
 * JSON facet file: ``{"facets": [[...], ...]}``.
@@ -150,8 +150,10 @@ def _read_text(path):
 def _read_json(path, decoder):
     try:
         return decoder.decode(_read_text(path))
-    except json.JSONDecodeError as exc:
-        raise InvalidInput(f"{path}: not valid JSON: {exc}") from exc
+    except (ValueError, RecursionError) as exc:
+        # bad JSON, an integer literal past Python's digit limit, or arrays
+        # nested past its recursion limit
+        raise InvalidInput(f"{path}: cannot decode JSON: {exc}") from exc
 
 
 def load_input(path):

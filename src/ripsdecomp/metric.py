@@ -48,7 +48,7 @@ report the first counterexample in the order the points were listed.
 """
 
 import math
-from decimal import Decimal
+from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from itertools import chain, combinations, compress
 
@@ -74,34 +74,39 @@ __all__ = [
 
 INF = math.inf
 
+#: the largest decimal exponent a distance may have, either way: Python's
+#: default limit on the digits of an integer string, which ``json`` applies
+MAX_DIGITS = 4300
+
 
 def parse_distance(value):
     """Exact distance from a number, a ``Decimal`` or a string ("p/q",
-    decimal, or "inf")."""
+    decimal, or "inf").  A float or a decimal string reads as the ``Decimal``
+    it spells, as ``io`` reads a JSON number literal.  An exponent past
+    ``MAX_DIGITS`` either way is refused before any ``Fraction`` is built:
+    "1e999999999" is a short text for a number too long to write out."""
     if value is None:
         raise InvalidInput("missing distance value")
-    if isinstance(value, str):
-        text = value.strip().lower()
-        if text in ("inf", "infinity", "+inf"):
-            return INF
+    if isinstance(value, str) and "/" in value:
         try:
-            out = Fraction(text)
+            out = Fraction(value.strip())
         except (ValueError, ZeroDivisionError) as exc:
             raise InvalidInput(f"cannot parse distance {value!r}") from exc
-    elif isinstance(value, float):
-        if math.isinf(value):
+    elif isinstance(value, (str, float, Decimal)):
+        shown = repr(value) if isinstance(value, str) else str(value)
+        try:
+            decimal = value if isinstance(value, Decimal) else Decimal(str(value))
+        except InvalidOperation as exc:
+            raise InvalidInput(f"cannot parse distance {shown}") from exc
+        if decimal.is_nan():
+            raise InvalidInput("NaN is not a distance")
+        if decimal < 0:
+            raise InvalidInput(f"negative distance {shown}")
+        if decimal.is_infinite():
             return INF
-        if math.isnan(value):
-            raise InvalidInput("NaN is not a distance")
-        out = Fraction(str(value))
-    elif isinstance(value, Decimal):
-        # a JSON number literal (io), exact; NaN and infinities as for floats
-        if value.is_nan():
-            raise InvalidInput("NaN is not a distance")
-        out = Fraction(value) if value.is_finite() else INF
-        if out < 0:
-            raise InvalidInput(f"negative distance {value}")
-        return out
+        if abs(decimal.as_tuple().exponent) > MAX_DIGITS:
+            raise InvalidInput(f"distance {shown} has an exponent beyond {MAX_DIGITS} digits")
+        return Fraction(decimal)
     elif isinstance(value, (int, Fraction)) and not isinstance(value, bool):
         out = Fraction(value)
     else:

@@ -4,140 +4,131 @@ The JSON form round-trips: ``parse_report(render_json(report)) == report``.
 Both renderings carry exactly the same verdict set.
 
 ``render_json`` is ``json.dumps(report.to_dict(), indent=2, sort_keys=True)``
-byte for byte.  Before CPython 3.13, ``indent`` sends ``json.dumps`` to the
-pure-Python encoder, and most of a large report is its record lists: one
-record per cross simplex, per verdict, per induced map.  So there a list of
-dicts that share one nonempty set of ``str`` keys is written through one
-template, the key heads and separators of its depth built once, and values
-go in as follows:
+byte for byte.  Before CPython 3.13, ``indent`` sends ``json.dumps`` to a
+pure-Python encoder that yields token by token; there one recursive writer,
+``_write(value, depth)``, returns that text for a value nested ``depth``
+deep.  The items of a list, the values of a dict (by sorted key) and one
+field of a record list are each written as one column:
 
-* a string, an ``int``, ``None`` or a column of lists of strings directly,
-  through ``encode_basestring_ascii``, ``int.__repr__`` and ``str.join``;
-* any other value is rendered once per report, keyed by its ``id``, then
-  by its compact text from the C encoder with ``sort_keys``: the records
-  that share an obstruction's certificate object cost a dict lookup each;
-* everything that is not a record list is ``json.dumps`` with ``indent``,
-  re-indented to its depth.
+* only ``str``, only ``int``, or only ``True``, ``False`` and ``None``: mapped
+  at C level, through the functions the encoder itself calls;
+* an object held more than once: written once, by ``id`` (the report keeps
+  it alive), as the records of one obstruction share its certificate,
+  vertex list and profile;
+* lists of such scalars: joined line by line;
+* dicts that share one nonempty set of ``str`` keys (cross simplices,
+  verdicts, induced maps, profiles by field): one ``%`` template, each key
+  a column;
+* anything else (a float, a ``str`` or ``int`` subclass, a tuple, a dict
+  with other keys): ``json.dumps`` of that value, re-indented to its depth.
 
-This is exact because
-
-* with ``indent`` set a raw newline appears only between tokens, as strings
-  escape control characters, so a subtree rendered at depth 0 is at depth d
-  after ``.replace("\n", "\n" + "  " * d)``;
-* the C encoder writes every scalar as the Python encoder does:
-  ``int.__repr__``, ``float.__repr__``, ``NaN``/``Infinity``,
-  ``true``/``false``/``null`` and ``encode_basestring_ascii``;
-* the indented text is the compact token sequence with whitespace put in, so
-  equal compact text with ``sort_keys`` means equal indented text.  (``1``,
-  ``1.0`` and ``true`` have different texts and never share an entry.)
-
-A report that cannot be encoded goes to plain ``json.dumps``, which raises
-its own error.
+That is exact because strings escape control characters: with ``indent``
+set, a raw newline occurs only between tokens, so a subtree written at depth
+0 is at depth d after ``.replace("\n", "\n" + "  " * d)``.  A report the
+writer cannot encode, or nested past its newline table, goes to plain
+``json.dumps``, which raises its own error or writes it.
 
 From CPython 3.13 on, ``json.dumps`` with ``indent`` runs in C and is faster
-than the template: 0.39 against 0.70 ms per ``verify-rips`` report and 3.8
-against 5.7 ms per ``criteria-rips`` report (the benchmark's seed 1, CPython
-3.13.0 on a shared 2-vCPU host).  Without the ``_json`` accelerator there
-is no C encoder to key the memo with.  Both render through plain
-``json.dumps``, which is also the reference the tests compare against.
+than the writer: 0.25 against 0.51 ms per ``verify-rips`` report and 0.32
+against 0.65 ms per ``explicit-torsion`` report (the benchmark's seed 1,
+CPython 3.13.0), so there it renders every report.
 """
 
 import json
 import sys
-from json.encoder import c_make_encoder, encode_basestring_ascii
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 
 from .analyzer import DecompositionReport
 
 __all__ = ["parse_report", "render_json", "render_text"]
 
-#: Render record lists through templates (see the module docstring).
-_TEMPLATED = c_make_encoder is not None and sys.version_info < (3, 13)
+#: Render through ``_write`` (see the module docstring).
+_WRITER = sys.version_info < (3, 13)
 
-# the line breaks of a report key, a record, a record field and a string in
-# a field's list: record lists are values of the report's own keys
-_KEY, _RECORD, _FIELD, _ITEM = ("\n" + "  " * depth for depth in range(1, 5))
+#: the line break before a token at each depth
+_NEWLINE = ["\n" + "  " * depth for depth in range(32)]
+
+#: the encoder of a column by the exact types of its values; the empty
+#: column, the items of lists that are all empty, is never encoded
+_NAMED = {True: "true", False: "false", None: "null"}.__getitem__
+_ENCODE = {
+    frozenset({str}): encode_basestring_ascii,
+    frozenset({int}): int.__repr__,
+    frozenset({bool}): _NAMED,
+    frozenset({type(None)}): _NAMED,
+    frozenset({bool, type(None)}): _NAMED,
+    frozenset(): None,
+}
 
 
 def render_json(report):
     data = report.to_dict()
-    if _TEMPLATED:
+    if _WRITER:
         try:
-            return _templated(data)
-        except (TypeError, ValueError, RecursionError):
-            pass  # not encodable: json.dumps raises its own error
+            return _write(data, 0)
+        except (TypeError, ValueError, RecursionError, IndexError):
+            pass  # json.dumps raises its own error, or writes a deep report
     return json.dumps(data, indent=2, sort_keys=True)
 
 
-def _templated(data):
-    """``json.dumps(data, indent=2, sort_keys=True)`` for a report's dict,
-    its record lists written through templates."""
-    # a fresh markers dict per report, as json.dumps makes one per call
-    compact = c_make_encoder(
-        {}, json.JSONEncoder().default, encode_basestring_ascii, None, ":", ",",
-        True, False, True,
-    )
-    memo = {}
-    parts = []
-    for name in sorted(data):
-        value = data[name]
-        keys = _record_keys(value)
-        if keys is None:
-            text = _indented(value, _KEY)
+def _write(value, depth):
+    """``json.dumps(value, indent=2, sort_keys=True)`` at nesting ``depth``."""
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is bool or value is None:
+        return _NAMED(value)
+    if kind is list or kind is dict and set(map(type, value)) <= {str}:
+        brackets = "[]" if kind is list else "{}"
+        if not value:
+            return brackets
+        if kind is list:
+            items = _column(value, depth + 1)
         else:
+            keys = sorted(value)
+            texts = _column(list(map(value.__getitem__, keys)), depth + 1)
+            items = [k + ": " + t for k, t in zip(map(encode_basestring_ascii, keys), texts)]
+        inner = _NEWLINE[depth + 1]
+        return brackets[0] + inner + ("," + inner).join(items) + _NEWLINE[depth] + brackets[1]
+    return json.dumps(value, indent=2, sort_keys=True).replace("\n", _NEWLINE[depth])
+
+
+def _column(values, depth):
+    """The texts of ``values``, each at nesting ``depth``."""
+    kinds = frozenset(map(type, values))
+    if kinds in _ENCODE:
+        return list(map(_ENCODE[kinds], values))
+    distinct = dict(zip(map(id, values), values))
+    if len(distinct) < len(values):
+        # each object once; objects of one type are a column of their own
+        objects = list(distinct.values())
+        texts = _column(objects, depth) if len(kinds) == 1 else [_write(v, depth) for v in objects]
+        return list(map(dict(zip(distinct, texts)).__getitem__, map(id, values)))
+    if kinds == {list}:
+        items = frozenset(map(type, chain.from_iterable(values)))
+        if items in _ENCODE:
+            encode, inner, close = _ENCODE[items], _NEWLINE[depth + 1], _NEWLINE[depth] + "]"
+            join = ("," + inner).join
+            return ["[" + inner + join(map(encode, v)) + close if v else "[]" for v in values]
+    elif kinds == {dict}:
+        keys = _record_keys(values)
+        if keys is not None:
+            inner = _NEWLINE[depth + 1]
             heads = [encode_basestring_ascii(k).replace("%", "%%") + ": %s" for k in keys]
-            template = "{" + _FIELD + ("," + _FIELD).join(heads) + _RECORD + "}"
-            columns = [_column(list(map(itemgetter(k), value)), compact, memo) for k in keys]
-            records = ("," + _RECORD).join([template % row for row in zip(*columns)])
-            text = "[" + _RECORD + records + _KEY + "]"
-        parts.append(encode_basestring_ascii(name) + ": " + text)
-    return "{" + _KEY + ("," + _KEY).join(parts) + "\n}"
+            template = "{" + inner + ("," + inner).join(heads) + _NEWLINE[depth] + "}"
+            columns = [_column(list(map(itemgetter(k), values)), depth + 1) for k in keys]
+            return [template % row for row in zip(*columns)]
+    return [_write(v, depth) for v in values]
 
 
-def _column(values, compact, memo):
-    """The texts of one field of a record list, record by record."""
-    if set(map(type, values)) == {list}:
-        try:
-            return [
-                "[" + _ITEM + ("," + _ITEM).join(map(encode_basestring_ascii, v)) + _FIELD + "]"
-                if v
-                else "[]"
-                for v in values
-            ]
-        except TypeError:
-            pass  # not only strings
-    texts = []
-    for value in values:
-        kind = type(value)
-        if kind is str:
-            text = encode_basestring_ascii(value)
-        elif kind is int:
-            text = int.__repr__(value)
-        elif value is None:
-            text = "null"
-        else:
-            # by id first: the report keeps every value alive while written
-            text = memo.get(id(value))
-            if text is None:
-                key = "".join(compact(value, 0))
-                if key not in memo:
-                    memo[key] = _indented(value, _FIELD)
-                text = memo[id(value)] = memo[key]
-        texts.append(text)
-    return texts
-
-
-def _indented(value, newline):
-    return json.dumps(value, indent=2, sort_keys=True).replace("\n", newline)
-
-
-def _record_keys(value):
-    """The sorted keys of a list of dicts that share one nonempty set of
-    ``str`` keys, else None."""
-    if type(value) is not list or set(map(type, value)) != {dict}:
-        return None
-    keys = value[0].keys()
-    if set(map(type, keys)) != {str} or not all(map(keys.__eq__, map(dict.keys, value))):
+def _record_keys(dicts):
+    """The sorted keys that all ``dicts`` share, if nonempty and ``str``."""
+    keys = dicts[0].keys()
+    if set(map(type, keys)) != {str} or not all(map(keys.__eq__, map(dict.keys, dicts))):
         return None
     return sorted(keys)
 

@@ -124,6 +124,50 @@ class TestUndecodableFiles:
         assert captured.err.startswith(f"error: {bad}: not UTF-8 text")
 
 
+class TestUnreadableJson:
+    """JSON that Python's decoder refuses, an integer literal past its digit
+    limit or arrays nested past its recursion limit, is an input error that
+    names the file (exit 2), not a traceback."""
+
+    DOCUMENTS = {
+        "long-integer": '{"points": ["a", "b"], "distances": [[0, %s], [1, 0]]}' % ("1" * 5000),
+        "deep-arrays": '{"points": ["a", "b"], "distances": %s}' % ("[" * 100000 + "]" * 100000),
+    }
+
+    @pytest.mark.parametrize("document", list(DOCUMENTS))
+    @pytest.mark.parametrize(
+        "argv",
+        [["vr", "{bad}", "-r", "1"], ["decompose", "{facets}", "--cover", "{bad}", "-r", "1"]],
+        ids=["input-file", "cover-file"],
+    )
+    def test_exits_with_an_input_error(self, capsys, tmp_path, facet_file, document, argv):
+        bad = tmp_path / "bad.json"
+        bad.write_text(self.DOCUMENTS[document])
+        argv = [a.format(bad=bad, facets=facet_file) for a in argv]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {bad}: ")
+
+
+class TestOutOfRangeDistances:
+    def test_negative_infinity_exits_2(self, capsys, tmp_path):
+        inf = -math.inf
+        points = write_json(
+            tmp_path, "points.json",
+            {"points": ["a", "b", "c"], "distances": [[0, inf, 1], [inf, 0, 1], [1, 1, 0]]},
+        )
+        assert "-Infinity" in (tmp_path / "points.json").read_text()
+        assert cli.main(["vr", points, "-r", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: negative distance -inf\n"
+
+    def test_a_radius_with_a_huge_exponent_exits_2(self, capsys, circle_files):
+        assert cli.main(["vr", circle_files[0], "-r", "1e999999999"]) == 2
+        assert "exponent" in capsys.readouterr().err
+
+
 class TestByteOrderMark:
     """A file that starts with a UTF-8 byte-order mark reads as the same
     file without it."""

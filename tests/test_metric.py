@@ -26,6 +26,7 @@ from ripsdecomp import (
 )
 from ripsdecomp import cli, metric
 from ripsdecomp.corpus import case_by_name, space_for
+from ripsdecomp.io import load_input
 
 from conftest import (
     circle_cover,
@@ -106,6 +107,35 @@ class TestParseOnce:
         path.write_text('{"points": ["a", "b"], "distances": [[0, 1], [true, 0]]}')
         assert cli.main(["vr", str(path), "-r", "1"]) == 2
         assert "cannot parse distance True" in capsys.readouterr().err
+
+
+class TestOutOfRangeDistances:
+    """A negative infinity is a negative distance, and a decimal exponent
+    past ``MAX_DIGITS`` either way is refused before it is expanded."""
+
+    @pytest.mark.parametrize("value", [-math.inf, Decimal("-Infinity")], ids=["float", "decimal"])
+    def test_negative_infinity_is_refused(self, value):
+        with pytest.raises(InvalidInput, match="negative distance"):
+            metric.parse_distance(value)
+
+    def test_a_negative_infinity_literal_is_refused(self, tmp_path):
+        path = tmp_path / "points.json"
+        path.write_text('{"points": ["a", "b"], "distances": [[0, -Infinity], [-Infinity, 0]]}')
+        with pytest.raises(InvalidInput, match="negative distance -inf"):
+            load_input(path)
+
+    @pytest.mark.parametrize(
+        "value",
+        ["1e999999999", "1e-999999999", Decimal("1E+999999999"), " 2E+4301 ", Decimal("1e-4301")],
+    )
+    def test_a_huge_exponent_is_refused(self, value):
+        with pytest.raises(InvalidInput, match="exponent beyond 4300 digits"):
+            metric.parse_distance(value)
+
+    def test_exponents_within_the_bound_parse_exactly(self):
+        assert metric.parse_distance("1e4000") == 10**4000
+        assert metric.parse_distance(Decimal("1e-4300")) == Fraction(1, 10**4300)
+        assert metric.parse_distance("0.5e-4299") == Fraction(1, 2 * 10**4299)
 
 
 class TestTablesAgainstEachEntry:

@@ -1,11 +1,12 @@
 """``render_json`` against plain ``json.dumps(report.to_dict(), indent=2,
 sort_keys=True)`` on seeded hand-built reports, on both sides of the
-interpreter selection (``reporting._TEMPLATED``): record lists written
-through templates on CPython 3.10-3.12, plain ``json.dumps`` elsewhere."""
+interpreter selection (``reporting._WRITER``): the recursive writer on
+CPython 3.10-3.12, plain ``json.dumps`` elsewhere.  Both sides run on every
+interpreter."""
 
+import copy
 import json
 import math
-from json.encoder import c_make_encoder
 
 import pytest
 
@@ -38,11 +39,27 @@ class Bare(str):
 
 LOOKALIKES = [1, "1", Bare("1"), True, Bare("True"), None, Bare("None"), 1.0]
 
-SELECTIONS = [False] + ([True] if c_make_encoder is not None else [])
+
+class Loud(int):
+    """An int that shows otherwise: json writes it through ``int.__repr__``."""
+
+    __repr__ = __str__ = lambda self: "loud"
+
+
+SUBCLASSED = [Bare("1"), Bare("a\nb"), Loud(1), Loud(-5)]
+
+SELECTIONS = [False, True]
 
 
 def plain(report):
     return json.dumps(report.to_dict(), indent=2, sort_keys=True)
+
+
+def record_keys(value):
+    """The shared keys of a record list, else None."""
+    if type(value) is list and value and set(map(type, value)) == {dict}:
+        return reporting._record_keys(value)
+    return None
 
 
 def label(rng):
@@ -114,32 +131,31 @@ def random_report(seed):
     )
 
 
-@pytest.mark.parametrize("templated", SELECTIONS)
-def test_seeded_reports_render_as_plain_json(monkeypatch, templated):
-    monkeypatch.setattr(reporting, "_TEMPLATED", templated)
+@pytest.mark.parametrize("writer", SELECTIONS)
+def test_seeded_reports_render_as_plain_json(monkeypatch, writer):
+    monkeypatch.setattr(reporting, "_WRITER", writer)
     for seed in range(400):
         report = random_report(seed)
         assert render_json(report) == plain(report), f"seed {seed}"
 
 
-@pytest.mark.skipif(c_make_encoder is None, reason="no C encoder")
 def test_templates_render_as_plain_json():
-    """The template path itself, without the error fallback; the seeds
-    reach each kind of record list."""
+    """The writer itself, without the error fallback; the seeds reach each
+    kind of record list."""
     reached = set()
     for seed in range(400):
         report = random_report(seed)
         data = report.to_dict()
-        assert reporting._templated(data) == plain(report), f"seed {seed}"
+        assert reporting._write(data, 0) == plain(report), f"seed {seed}"
         for name in ("items", "induced"):
-            keys = reporting._record_keys(data[name])
+            keys = record_keys(data[name])
             reached.add("empty" if not data[name] else "mixed" if keys is None else "records")
             for k in keys or ():
                 column = {repr(r[k]) for r in data[name]}
                 if {"True", "1", "1.0"} <= column:
                     reached.add("true, 1 and 1.0 in one field")
             nested = [v for r in data[name] if isinstance(r, dict) for v in r.values()]
-            reached.update("nested" for v in nested if reporting._record_keys(v))
+            reached.update("nested" for v in nested if record_keys(v))
             reached.update("shared" for v in nested if isinstance(v, list) and nested.count(v) > 1)
     assert reached == {
         "empty", "mixed", "records", "nested", "shared", "true, 1 and 1.0 in one field"
@@ -152,14 +168,14 @@ def circular():
     return out
 
 
-@pytest.mark.parametrize("templated", SELECTIONS)
+@pytest.mark.parametrize("writer", SELECTIONS)
 @pytest.mark.parametrize(
     "bad",
     [object(), {1, 2}, {(1, 2): 3}, {1: 2, "1": 3}, circular()],
     ids=["object", "set", "tuple key", "unsortable keys", "circular"],
 )
-def test_unencodable_values_raise_as_plain_json(monkeypatch, templated, bad):
-    monkeypatch.setattr(reporting, "_TEMPLATED", templated)
+def test_unencodable_values_raise_as_plain_json(monkeypatch, writer, bad):
+    monkeypatch.setattr(reporting, "_WRITER", writer)
     report = random_report(0)
     report.items = [{"dim": 1, "certificate": None}, {"dim": 2, "certificate": bad}]
     with pytest.raises(Exception) as expected:
@@ -169,12 +185,12 @@ def test_unencodable_values_raise_as_plain_json(monkeypatch, templated, bad):
     assert str(got.value) == str(expected.value)
 
 
-@pytest.mark.parametrize("templated", SELECTIONS)
-def test_records_that_share_objects_render_as_plain_json(monkeypatch, templated):
+@pytest.mark.parametrize("writer", SELECTIONS)
+def test_records_that_share_objects_render_as_plain_json(monkeypatch, writer):
     """Records share one certificate dict and one vertex list per
     obstruction; shared objects, lookalikes among them, and equal objects
     that are not shared render as plain json.dumps does."""
-    monkeypatch.setattr(reporting, "_TEMPLATED", templated)
+    monkeypatch.setattr(reporting, "_WRITER", writer)
     rng = rng_for(71000)
     for _ in range(100):
         pool = [value(rng) for _ in range(2)] + [
@@ -190,4 +206,84 @@ def test_records_that_share_objects_render_as_plain_json(monkeypatch, templated)
              "copy": json.loads(json.dumps(rng.choice(shared))), "dim": rng.choice(LOOKALIKES)}
             for _ in range(rng.randint(1, 8))
         ]
+        assert render_json(report) == plain(report)
+
+
+@pytest.mark.parametrize("writer", SELECTIONS)
+def test_objects_at_two_depths_render_as_plain_json(monkeypatch, writer):
+    """One list or dict object written at two depths is indented for each."""
+    monkeypatch.setattr(reporting, "_WRITER", writer)
+    rng = rng_for(72000)
+    for _ in range(100):
+        shared = rng.choice([[label(rng)], {"kind": label(rng)}, records(rng, 1), {}])
+        shared = shared or [rng.choice(SCALARS)]
+        report = random_report(rng.randrange(400))
+        report.cover["A"] = shared
+        report.items = [{"certificate": shared, "nested": {"deeper": [shared]}}]
+        report.profiles = {"x": {"q": shared}}
+        assert render_json(report) == plain(report)
+
+
+@pytest.mark.parametrize("writer", SELECTIONS)
+def test_nesting_deeper_than_the_newline_table_renders_as_plain_json(monkeypatch, writer):
+    """Past the newline table the writer gives up and json.dumps writes the
+    report."""
+    monkeypatch.setattr(reporting, "_WRITER", writer)
+    table = len(reporting._NEWLINE)
+    rng = rng_for(73000)
+    for _ in range(40):
+        depth = rng.randint(table - 4, table + 4)
+        value = rng.choice(SCALARS + [label(rng)])
+        for _ in range(depth):
+            value = rng.choice([[value], {label(rng) or "k": value}, [{"a": value, "b": 1}]])
+        report = random_report(rng.randrange(400))
+        report.items = [{"dim": 1, "certificate": value}]
+        assert render_json(report) == plain(report)
+    with pytest.raises(IndexError):
+        reporting._write([[]] * 2, table - 1)
+
+
+@pytest.mark.parametrize("writer", SELECTIONS)
+def test_subclasses_in_a_column_render_as_plain_json(monkeypatch, writer):
+    """``str`` and ``int`` subclasses among the values of a field, the items
+    of a list and the strings of a field's lists."""
+    monkeypatch.setattr(reporting, "_WRITER", writer)
+    rng = rng_for(74000)
+    for _ in range(100):
+        def mixed():
+            return rng.choice(SUBCLASSED + LOOKALIKES + [label(rng)])
+
+        report = random_report(rng.randrange(400))
+        report.items = [
+            {"simplex": [mixed() for _ in range(rng.randint(0, 3))], "dim": mixed(),
+             "status": rng.choice([Bare("cone"), "cone"]), "loud": Loud(rng.randint(0, 3))}
+            for _ in range(rng.randint(1, 6))
+        ]
+        report.notes = [mixed() for _ in range(rng.randint(1, 4))]
+        report.census = {"total": mixed(), "by_dim": {Bare("1"): Loud(2), "0": 1}}
+        assert render_json(report) == plain(report)
+
+
+@pytest.mark.parametrize("writer", SELECTIONS)
+def test_shared_objects_and_equal_copies_render_as_plain_json(monkeypatch, writer):
+    """A column that holds one object several times and equal copies of it
+    that are distinct objects."""
+    monkeypatch.setattr(reporting, "_WRITER", writer)
+    rng = rng_for(75000)
+    for _ in range(100):
+        shared = rng.choice([
+            [label(rng) for _ in range(rng.randint(0, 3))],
+            {"kind": rng.choice(LOOKALIKES), "simplex": [label(rng)]},
+            value(rng),
+        ])
+
+        def pick():
+            return shared if rng.random() < 0.5 else copy.deepcopy(shared)
+
+        report = random_report(rng.randrange(400))
+        report.items = [
+            {"certificate": pick(), "obstruction_vertices": pick()}
+            for _ in range(rng.randint(1, 8))
+        ]
+        report.notes = [pick() for _ in range(rng.randint(1, 5))]
         assert render_json(report) == plain(report)
