@@ -221,7 +221,7 @@ class Complex:
         if self.is_flag:
             max_dim = self._within_cap(self.dim_cap if max_dim is None else max_dim)
             return [s for level in self._clique_levels(max_dim) for s in level]
-        out = sorted(self._simplices, key=lambda s: (len(s), s))
+        out = sorted(sorted(self._simplices), key=len)
         if max_dim is not None:
             out = [s for s in out if len(s) <= max_dim + 1]
         return out
@@ -307,7 +307,7 @@ class Complex:
             return Complex(
                 adj=adj, vertices=vertices, dim_cap=self.dim_cap, labels=self.labels
             )
-        simplices = frozenset(s for s in self._simplices if keep.issuperset(s))
+        simplices = frozenset(filter(keep.issuperset, self._simplices))
         return Complex(simplices=simplices, vertices=vertices, labels=self.labels)
 
     def _require_member(self, sigma):

@@ -20,11 +20,15 @@ in increasing degree.  In that order
 * every L_i is a row suffix: no coface of a simplex outside a subcomplex
   lies inside it, so the outside columns are zero on the subcomplex's rows,
   a column whose lowest row is inside belongs to the subcomplex, and the
-  subcomplex's columns reduce on its rows exactly as they would alone.  Its
-  invariants are its block's unit pivots and the Smith form of its block's
-  set-aside columns;
+  subcomplex's columns reduce on its rows exactly as they would alone;
 * d(K, L1) is the column prefix of depth 0, whose cofaces have depth 0 too,
   and a prefix of a column reduction is the reduction of the prefix.
+
+So one pass over each degree's reduction (``linalg.block_invariants``)
+reads every member and d(K, L1): the unit pivot rows are sorted once, each
+L_i counts its units by bisection at its first row and d(K, L1) by pivot
+column, and only a block's set-aside columns, usually none, reach the dense
+Smith step.
 
 Each delta_n skips the columns of the n-simplices that are unit pivot rows
 of the reduced delta_(n-1), when the same chain reduced that degree just
@@ -59,8 +63,9 @@ nothing and every field reads the same invariants.  A complex's d_n is
 reduced again only inside another chain that has not filled degree n.
 ``induced_map`` in degree d reads d_d of K and L but not d_d(K, L), so its
 pair reduces degree d only when K or L lacks d_d.  A chain of one keeps the
-level order, with no depth pass.  The checks of a call (subcomplex, field,
-degree, flag cap) still run on every call.
+level order, with no depth pass.  ``homology`` and ``induced_map`` read the
+chain sizes off the levels and the invariants off the memo.  The checks of
+a call (subcomplex, field, degree, flag cap) still run on every call.
 
 Reduced homology uses the augmented chain complex, so the empty complex has
 rank one in degree -1; that convention makes the suspension-shift
@@ -72,7 +77,7 @@ certificate is reported as acyclic, never as contractible.
 """
 
 import heapq
-from itertools import accumulate, groupby
+from itertools import accumulate, combinations, compress, groupby
 
 from . import linalg
 from .complexes import central_vertex, cover_union
@@ -111,13 +116,16 @@ def coboundary_columns(rows, cols):
     boundary of a quotient (relative) chain complex.  The empty simplex
     ``()`` may appear as a row to augment the complex.
     """
-    index = {s: i for i, s in enumerate(rows)}
     out = [{} for _ in rows]
+    column = dict(zip(rows, out)).get
     for j, s in enumerate(cols):
-        for i in range(len(s)):
-            r = index.get(s[:i] + s[i + 1 :])
-            if r is not None:
-                out[r][j] = -1 if i % 2 else 1
+        # ``combinations`` drops the last vertex first, whose sign is
+        # (-1)^(len(s) - 1), and the signs alternate from there
+        sign = -1 if len(s) % 2 == 0 else 1
+        for col in map(column, combinations(s, len(s) - 1)):
+            if col is not None:
+                col[j] = sign
+            sign = -sign
     return out
 
 
@@ -254,13 +262,7 @@ class HomologyProfile:
 def _rank(invariants, char):
     """Rank in characteristic ``char`` (0 for q and z): the factors p does not divide."""
     rank, factors = invariants
-    return rank - sum(1 for d in factors if d % char == 0) if char else rank
-
-
-def _invariants(reduction, first_row=0, end_col=None):
-    """(rank, invariant factors above 1) of a block of a reduced coboundary."""
-    factors = linalg.block_invariants(reduction, first_row, end_col)
-    return len(factors), tuple(d for d in factors if d > 1)
+    return rank - sum(d % char == 0 for d in factors) if char and factors else rank
 
 
 def _reduce_chain(members, depths, degrees):
@@ -292,7 +294,7 @@ def _reduce_chain(members, depths, degrees):
             by_depth = [[] for _ in members]
             for s, d in zip(levels[n], depths(n)):
                 by_depth[d].append(s)
-            starts = [0, *accumulate(map(len, by_depth))]
+            starts = [0, *accumulate(map(len, by_depth[:-1]))]
             ordered[n] = [s for group in by_depth for s in group], starts
         return ordered[n]
 
@@ -303,19 +305,21 @@ def _reduce_chain(members, depths, degrees):
             coboundary_columns(faces, cofaces), pivots.get(n - 1, ())
         )
         pivots = {n: reduction[0]}
-        for member, first in zip(members, starts):
-            member._memo[n] = _invariants(reduction, first)
+        blocks = linalg.block_invariants(
+            reduction, starts, None if sub is None else face_starts[1]
+        )
+        for member, invariants in zip(members, blocks):
+            member._memo[n] = invariants
         if sub is not None:
-            memo["relative", id(sub), n] = (sub, _invariants(reduction, 0, face_starts[1]))
+            memo["relative", id(sub), n] = (sub, blocks[-1])
 
 
-def _boundary(complex_, bases, n):
-    """Invariants of d_n on the chains ``bases`` of a complex, once a chain
-    reduced degree n; the augmentation d_0 has rank one when both of its
-    chain groups are nonzero."""
-    if n < 1:
-        return (1, ()) if n == 0 and bases[-1] and bases[0] else (0, ())
-    return complex_._memo[n]
+def _boundary(complex_, levels, n, reduced):
+    """Invariants of d_n of a complex, once a chain reduced degree n; the
+    augmentation d_0 has rank one when reduced and the complex has a vertex."""
+    if n >= 1:
+        return complex_._memo[n]
+    return (1, ()) if n == 0 and reduced and levels[0] else (0, ())
 
 
 def _relative(ambient, sub, n):
@@ -329,15 +333,16 @@ def _profile(sizes, invariants, coeffs, reduced, lo, max_deg):
     and boundaries of ``invariants`` in degrees lo..max_deg."""
     char = 0 if coeffs == "z" else linalg.characteristic(coeffs)
     ranks = {n: _rank(inv, char) for n, inv in invariants.items()}
-    betti = {}
+    degrees = range(lo, max_deg + 1)
+    betti = {n: sizes[n] - ranks.get(n, 0) - ranks[n + 1] for n in degrees}
     torsion = {}
-    for n in range(lo, max_deg + 1):
-        betti[n] = sizes[n] - ranks.get(n, 0) - ranks[n + 1]
-        if coeffs == "z":
-            torsion[n] = sorted(
-                q for d in invariants[n + 1][1] for q in linalg.prime_power_factors(d)
-            )
-    return HomologyProfile(coeffs, reduced, range(lo, max_deg + 1), betti, torsion)
+    if coeffs == "z":
+        torsion = {
+            n: sorted(q for d in invariants[n + 1][1] for q in linalg.prime_power_factors(d))
+            for n in degrees
+            if invariants[n + 1][1]
+        }
+    return HomologyProfile(coeffs, reduced, degrees, betti, torsion)
 
 
 def homology(complex_, coeffs="z", max_deg=None, reduced=True):
@@ -350,12 +355,12 @@ def homology(complex_, coeffs="z", max_deg=None, reduced=True):
         max_deg = max(complex_.dim(), 0)
     levels = simplex_levels(complex_, max_deg + 1)
     _reduce_chain([complex_], None, range(1, max_deg + 2))
-    bases = {n: levels[n] for n in range(max_deg + 2)}
-    bases[-1] = [()] if reduced else []
-    lo = -1 if reduced else 0
-    sizes = {n: len(bases[n]) for n in range(lo, max_deg + 1)}
-    invariants = {n: _boundary(complex_, bases, n) for n in range(lo + 1, max_deg + 2)}
-    return _profile(sizes, invariants, coeffs, reduced, lo, max_deg)
+    memo = complex_._memo
+    # the augmented degree -1 holds the empty simplex alone, read when reduced
+    sizes = {-1: 1, **{n: len(levels[n]) for n in range(max_deg + 1)}}
+    invariants = {n: memo[n] for n in range(1, max_deg + 2)}
+    invariants[0] = _boundary(complex_, levels, 0, reduced)
+    return _profile(sizes, invariants, coeffs, reduced, -1 if reduced else 0, max_deg)
 
 
 def cover_square(complex_, cover, dim_cap):
@@ -374,14 +379,7 @@ def cover_square(complex_, cover, dim_cap):
         "union": cover_union(complex_, cover),
         "total": complex_,
     }
-    x_only, y_only = cover.x - cover.a, cover.y - cover.a
-
-    def depth(s):
-        """The last of total, union, X, A that holds s: 0 when s meets both
-        X - A and Y - A, 1 when it meets only Y - A, 2 only X - A, else 3."""
-        in_x = not x_only.isdisjoint(s)
-        in_y = not y_only.isdisjoint(s)
-        return 0 if in_x and in_y else 1 if in_y else 2 if in_x else 3
+    outside_x, outside_y = (cover.x - cover.a).isdisjoint, (cover.y - cover.a).isdisjoint
 
     def run():
         for part in parts.values():
@@ -389,9 +387,15 @@ def cover_square(complex_, cover, dim_cap):
         levels = simplex_levels(complex_, dim_cap)
         # the parts hold levels 0..dim_cap: complete when the total has none above
         complete = complex_._memo["levels"][1] and not any(levels[dim_cap + 1 :])
-        depths = [[depth(s) for s in level] for level in levels[: dim_cap + 1]]
+        # the last of total, union, X, A that holds s is [s misses X - A] +
+        # 2 [s misses Y - A]: 0 when s meets both, 1 inside Y, 2 inside X, 3 in A
+        depths = [
+            [dx + 2 * dy for dx, dy in zip(map(outside_x, lv), map(outside_y, lv))]
+            for lv in levels[: dim_cap + 1]
+        ]
         for name, kept in (("union", (1, 2, 3)), ("x", (2, 3)), ("a", (3,)), ("y", (1, 3))):
-            own = [[s for s, d in zip(lv, ds) if d in kept] for lv, ds in zip(levels, depths)]
+            keep = kept.__contains__
+            own = [list(compress(lv, map(keep, ds))) for lv, ds in zip(levels, depths)]
             parts[name]._memo["levels"] = (own, complete)
         chain = [complex_, parts["union"], parts["x"], parts["a"]]
         _reduce_chain(chain, depths.__getitem__, range(1, dim_cap + 1))
@@ -483,8 +487,6 @@ def induced_map(sub, ambient, degree, coeffs="q", reduced=False):
     if degree < lo:
         raise InvalidInput(f"degree {degree} below {lo}")
     need = degree + 1
-    # only the levels around the degree, so a call costs no more at a high cap
-    near = range(max(degree - 1, 0), need + 1)
     levels_l, levels_k = simplex_levels(sub, need), simplex_levels(ambient, need)
     # d_degree(K, L) is not read: degree is reduced only where a complex lacks d_degree
     filled = degree < 1 or degree in ambient._memo and degree in sub._memo
@@ -493,22 +495,20 @@ def induced_map(sub, ambient, degree, coeffs="q", reduced=False):
         lambda n: map(sub.__contains__, levels_k[n]),
         [need] if filled else [degree, need],
     )
-    bases_l = {n: levels_l[n] for n in near}
-    bases_k = {n: levels_k[n] for n in near}
-    bases_l[-1] = bases_k[-1] = [()] if reduced else []
 
-    def rank(complex_, bases, n):
-        return _rank(_boundary(complex_, bases, n), char)
+    def rank(complex_, levels, n):
+        return _rank(_boundary(complex_, levels, n, reduced), char)
 
-    cycles_l = len(bases_l[degree]) - rank(sub, bases_l, degree)
-    up_k = rank(ambient, bases_k, degree + 1)
+    # degree -1 is read only when reduced, where it holds the empty simplex
+    cycles_l = (len(levels_l[degree]) if degree >= 0 else 1) - rank(sub, levels_l, degree)
+    up_k = rank(ambient, levels_k, need)
     relative = _rank(_relative(ambient, sub, need), char)
     return InducedMap(
         coeffs,
         degree,
         cycles_l - up_k + relative,
-        cycles_l - rank(sub, bases_l, degree + 1),
-        len(bases_k[degree]) - rank(ambient, bases_k, degree) - up_k,
+        cycles_l - rank(sub, levels_l, need),
+        (len(levels_k[degree]) if degree >= 0 else 1) - rank(ambient, levels_k, degree) - up_k,
     )
 
 

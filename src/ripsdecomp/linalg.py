@@ -6,15 +6,17 @@ their lowest rows with unit (+-1) pivots only, so every step is unimodular,
 and a column whose lowest entry is not a unit is set aside.  Columns listed
 as skipped are passed over; the caller vouches that each is an integer
 combination of other columns (clearing).  ``block_invariants`` reads the
-invariant factors of a row suffix or column prefix of the reduced matrix:
-the unit block is triangular with a +-1 diagonal, so each unit pivot gives
-one factor 1, and the set-aside columns are cleared on the unit pivot rows,
-leaving a small remainder for the dense ``smith_invariants``
-(smallest-magnitude pivots against coefficient blow-up).
-``sparse_invariants`` is the whole-matrix case.  Ranks over a field are
-counted from these invariants, so a field enters only as its characteristic
-(``characteristic``).
+invariants of several row suffixes and one column prefix of the reduced
+matrix in one pass: the unit block is triangular with a +-1 diagonal, so
+each unit pivot gives one factor 1 and is counted, not visited, and only a
+block's set-aside columns, cleared on its unit pivot rows, go to the dense
+``smith_invariants`` (smallest-magnitude pivots against coefficient
+blow-up).  Ranks over a field are counted from these invariants, so a field
+enters only as its characteristic (``characteristic``).
 """
+
+from bisect import bisect_left
+from operator import itemgetter
 
 from .errors import InvalidInput
 
@@ -25,7 +27,6 @@ __all__ = [
     "prime_power_factors",
     "reduce_columns",
     "smith_invariants",
-    "sparse_invariants",
 ]
 
 
@@ -133,9 +134,10 @@ def reduce_columns(columns, skip=frozenset()):
 
     Columns are read in order and left unmodified; the indices in ``skip``
     are passed over.  Returns ``(pivots, residual)``: ``pivots`` maps each
-    unit pivot row to ``(column index, reduced column)``, and ``residual``
-    lists ``(column index, column)`` for the columns set aside on a non-unit
-    lowest entry.  Only earlier columns are ever added to a column.
+    unit pivot row, in column order, to ``(column index, reduced column)``,
+    and ``residual`` lists ``(column index, column)`` for the columns set
+    aside on a non-unit lowest entry.  Only earlier columns are ever added
+    to a column.
     """
     pivots = {}
     residual = []
@@ -157,39 +159,46 @@ def reduce_columns(columns, skip=frozenset()):
     return pivots, residual
 
 
-def block_invariants(reduction, first_row=0, end_col=None):
-    """Invariant factors of the block of rows >= ``first_row`` and columns
-    < ``end_col`` (all columns when None) of a ``reduce_columns`` matrix.
+def block_invariants(reduction, first_rows, end_col):
+    """(rank, invariant factors above 1) of blocks of a ``reduce_columns``
+    matrix: the row suffix from each of ``first_rows``, then, unless
+    ``end_col`` is None, the columns before it.
 
-    Exact when the block's columns reduce alone as they did in the whole
+    Exact when a block's columns reduce alone as they did in the whole
     matrix: a column prefix always does, and a row suffix does when the
-    columns outside the block are zero on its rows.  The block's unit
-    pivots each give one factor 1; its set-aside columns are cleared on
-    those pivot rows and the remainder goes to ``smith_invariants``.
+    columns outside it are zero on its rows.  The unit pivot rows are sorted
+    once; a suffix counts its units by bisection at its first row, and the
+    prefix by pivot column, as ``reduce_columns`` records the pivots in
+    column order.  A block's set-aside columns (usually none) are cleared
+    on its unit pivot rows and the remainder goes to ``smith_invariants``.
     """
     pivots, residual = reduction
-
-    def inside(j, low):
-        return low >= first_row and (end_col is None or j < end_col)
-
-    units = {low: col for low, (j, col) in pivots.items() if inside(j, low)}
-    rest = [dict(col) for j, col in residual if inside(j, max(col))]
-    # clearing a pivot row only fills rows above it, so one downward pass
-    # leaves the set-aside columns zero on every unit pivot row
-    for row in sorted(units, reverse=True):
-        pivot = units[row]
-        for col in rest:
-            if row in col:
-                _subtract(col, pivot, col[row] * pivot[row])
-    rows = sorted(r for r in set().union(*rest) if r >= first_row)
-    dense = [[col.get(r, 0) for col in rest] for r in rows]
-    return [1] * len(units) + smith_invariants(dense)
-
-
-def sparse_invariants(columns):
-    """``smith_invariants`` of the matrix with these sparse columns, which
-    are left unmodified: the whole-matrix block of one reduction."""
-    return block_invariants(reduce_columns(columns))
+    lows = sorted(pivots)
+    blocks = [(first, None, len(lows) - bisect_left(lows, first)) for first in first_rows]
+    if end_col is not None:
+        columns = list(map(itemgetter(0), pivots.values()))
+        blocks.append((0, end_col, bisect_left(columns, end_col)))
+    out = []
+    for first, end, units in blocks:
+        rest = [
+            dict(col) for j, col in residual
+            if max(col) >= first and (end is None or j < end)
+        ]
+        if not rest:
+            out.append((units, ()))
+            continue
+        # clearing a pivot row only fills rows above it, so one downward
+        # pass leaves the set-aside columns zero on every unit pivot row
+        for row in reversed(lows[bisect_left(lows, first) :]):
+            j, pivot = pivots[row]
+            if end is None or j < end:
+                for col in rest:
+                    if row in col:
+                        _subtract(col, pivot, col[row] * pivot[row])
+        rows = sorted(r for r in set().union(*rest) if r >= first)
+        factors = smith_invariants([[col.get(r, 0) for col in rest] for r in rows])
+        out.append((units + len(factors), tuple(d for d in factors if d > 1)))
+    return out
 
 
 def prime_factorization(n):

@@ -405,3 +405,127 @@ class TestRoundTrip:
                 k = random_complex(rng, max_vertices=7)
                 report = analyze(k, random_cover(rng, k), dim_cap=3, verify=i % 4 == 0)
             assert parse_report(render_json(report)) == report
+
+
+class TestMutationFuzz:
+    """Seeded mutations of valid distance, facet, cover and CSV files:
+    wrong types, nesting, huge numbers, infinities, a byte-order mark,
+    truncation and duplicate labels.  ``decompose`` on each exits 0, or 2
+    with nothing on stdout, and never raises."""
+
+    DISTANCES = {
+        "points": ["a", "b", "c", "d"],
+        "distances": [[0, 1, 2, 1], [1, 0, 1, 2], [2, 1, 0, 1], [1, 2, 1, 0]],
+    }
+    FACETS = {"facets": [["a", "b", "c"], ["c", "d"], ["d", "a"], ["b", "d"]]}
+    COVER = {"X": ["a", "b", "c"], "Y": ["c", "d", "a"]}
+    CSV = [["a", "b", "c", "d"], ["1"], ["2", "1"], ["1", "2", "1"]]
+    VALUES = (
+        None, True, False, "", "x", "a", "d", 0, -1, 2.5, 10**30, "1/3", "1/0", "-2/3",
+        "inf", "-inf", "nan", "1e999999999", "1e-5000", [], {}, [[]], {"a": 1}, ["a"], [1, 2],
+    )
+    # spliced into the JSON text as written: past the exponent bound, past
+    # Python's integer-string limit, nested past its recursion limit, and
+    # the constants JSON itself lacks
+    RAW = (
+        "1e999999999", "-1e400", "1e-400", "1" * 5000, "9" * 400, "Infinity", "-Infinity",
+        "NaN", "1e308", "-0", "[" * 3000 + "]" * 3000,
+    )
+    CELLS = ("", "x", "a", "-1", "0", "inf", "-inf", "nan", "1e999999999", "1/0", "1/3", "9" * 5000, '"')
+    SPLICE = '"@splice@"'
+
+    def slots(self, node):
+        """Every (container, key) below a JSON value."""
+        keys = node.keys() if isinstance(node, dict) else range(len(node))
+        for key in list(keys):
+            yield node, key
+            if isinstance(node[key], (dict, list)):
+                yield from self.slots(node[key])
+
+    def mutate_json(self, rng, document):
+        doc = json.loads(json.dumps(document))
+        raw = []
+        for _ in range(rng.choice((1, 1, 2, 3))):
+            slots = list(self.slots(doc))
+            if not slots:
+                break
+            node, key = rng.choice(slots)
+            op = rng.choice(("value", "value", "raw", "nest", "duplicate", "delete"))
+            if op == "value":
+                node[key] = rng.choice(self.VALUES)
+            elif op == "raw":
+                node[key] = self.SPLICE[1:-1]
+                raw.append(rng.choice(self.RAW))
+            elif op == "nest":
+                node[key] = [node[key]] * rng.randint(1, 2)
+            elif op == "duplicate" and isinstance(node, list) and len(node) > 1:
+                node[key] = node[rng.randrange(len(node))]
+            elif op == "delete":
+                del node[key]
+        text = json.dumps(doc)
+        for literal in raw:
+            text = text.replace(self.SPLICE, literal, 1)
+        return text
+
+    def mutate_csv(self, rng):
+        rows = [list(row) for row in self.CSV]
+        for _ in range(rng.choice((1, 1, 2, 3))):
+            i = rng.randrange(len(rows))
+            row = rows[i]
+            op = rng.choice(("cell", "cell", "duplicate", "add", "drop", "row"))
+            if op == "cell" and row:
+                row[rng.randrange(len(row))] = rng.choice(self.CELLS)
+            elif op == "duplicate" and row:
+                row[rng.randrange(len(row))] = rng.choice(rows[0] or ["a"])
+            elif op == "add":
+                row.append(rng.choice(self.CELLS))
+            elif op == "drop" and row:
+                row.pop(rng.randrange(len(row)))
+            elif op == "row":
+                rows.insert(i, [rng.choice(self.CELLS) for _ in range(rng.randint(0, 4))])
+        return "\n".join(",".join(row) for row in rows) + "\n"
+
+    def test_every_mutation_exits_0_or_2(self, capsys, tmp_path):
+        rng = rng_for(701)
+        valid = {
+            "points.json": json.dumps(self.DISTANCES),
+            "facets.json": json.dumps(self.FACETS),
+            "points.csv": "\n".join(",".join(row) for row in self.CSV) + "\n",
+            "cover.json": json.dumps(self.COVER),
+        }
+        for name, text in valid.items():
+            (tmp_path / name).write_text(text, encoding="utf-8")
+        exits = Counter()
+        for i in range(2000):
+            target = rng.choice(list(valid))
+            if target == "points.csv":
+                text = self.mutate_csv(rng)
+            else:
+                base = {"points.json": self.DISTANCES, "facets.json": self.FACETS}
+                text = self.mutate_json(rng, base.get(target, self.COVER))
+            if rng.random() < 0.1:
+                text = "\ufeff" + text
+            if rng.random() < 0.1:
+                text = text[: rng.randrange(len(text) + 1)]
+            mutated = tmp_path / ("mutated-" + target)
+            mutated.write_text(text, encoding="utf-8")
+            files = {name: tmp_path / name for name in valid}
+            files[target] = mutated
+            source = target if target != "cover.json" else rng.choice(list(valid)[:3])
+            argv = [
+                "decompose", str(files[source]), "--cover", str(files["cover.json"]),
+                "-r", "1", "--max-dim", "2", "--format", "json",
+            ]
+            try:
+                code = cli.main(argv)
+            except Exception as exc:
+                pytest.fail(f"mutation {i} of {target} raised {exc!r}:\n{text[:500]}")
+            captured = capsys.readouterr()
+            assert code in (0, 2), (i, target, text[:500], captured.err)
+            if code == 2:
+                assert captured.out == "" and captured.err.startswith("error: "), (i, text[:500])
+            else:
+                assert captured.out
+            exits[target, code] += 1
+        # every file kind is read both ways
+        assert all(exits[name, code] > 10 for name in valid for code in (0, 2)), exits

@@ -1,4 +1,5 @@
-"""The sparse integral engine: invariant factors, ranks counted per field,
+"""The sparse integral engine: invariant factors, the one-pass read of
+nested chains, the coboundary incidence, ranks counted per field,
 induced-map ranks by the boundary formula, and the field descriptor parse."""
 
 import pytest
@@ -11,9 +12,16 @@ from ripsdecomp import (
     cover_union,
     homology,
     induced_map,
+    linalg,
     relative_homology,
 )
-from ripsdecomp.linalg import characteristic, smith_invariants, sparse_invariants
+from ripsdecomp.homology import _reduce_chain, coboundary_columns, simplex_levels
+from ripsdecomp.linalg import (
+    block_invariants,
+    characteristic,
+    reduce_columns,
+    smith_invariants,
+)
 
 from conftest import (
     PROJECTIVE_PLANE,
@@ -23,6 +31,8 @@ from conftest import (
     random_complex,
     random_cover,
     random_flag,
+    rank_mod_p_oracle,
+    rank_oracle,
     rank_over,
     rng_for,
 )
@@ -35,6 +45,13 @@ def columns_of(mat, ncols):
     return [
         {i: row[j] for i, row in enumerate(mat) if row[j]} for j in range(ncols)
     ]
+
+
+def sparse_invariants(columns):
+    """Invariant factors of the matrix with these sparse columns, which are
+    left unmodified: the whole-matrix block of one reduction."""
+    ((rank, factors),) = block_invariants(reduce_columns(columns), (0,), None)
+    return [1] * (rank - len(factors)) + list(factors)
 
 
 def random_matrix(rng):
@@ -101,6 +118,123 @@ class TestSparseInvariants:
         rows, cols = rp2.n_simplices(1), rp2.n_simplices(2)
         invs = sparse_invariants(columns_of(boundary_oracle(rows, cols), len(cols)))
         assert invs == [1] * 9 + [2]
+
+
+def invariants_oracle(mat):
+    """(rank, invariant factors above 1) of a dense integer matrix: the rank
+    by rational elimination, the factors from the dense Smith form, checked
+    against the ranks mod 2 and 3."""
+    rank = rank_oracle(mat)
+    factors = tuple(d for d in smith_invariants(mat) if d > 1)
+    for p in (2, 3):
+        assert rank_mod_p_oracle(mat, p) == rank - sum(d % p == 0 for d in factors)
+    return rank, factors
+
+
+def nested_chains(rng):
+    """Nested complexes K = L0 > L1 > ...: the cover square's chain [total,
+    union, X, A] of random complexes, and restrictions to shrinking vertex
+    sets, down to a few vertices or none.  Half hold an RP^2 on vertices
+    0..5, which some restrictions keep whole, so blocks have non-unit
+    (set-aside) columns."""
+    for i in range(36):
+        facets = [rng.sample(range(9), rng.randint(1, 4)) for _ in range(rng.randint(1, 6))]
+        k = Complex.from_facets(facets + (PROJECTIVE_PLANE if i % 2 else []))
+        if i % 3 == 0:
+            cover = random_cover(rng, k)
+            yield [k, cover_union(k, cover), k.restrict(cover.x), k.restrict(cover.a)]
+            continue
+        members = [k]
+        vertices = list(k.vertices)
+        for _ in range(rng.randint(1, 4)):
+            whole = rng.random() < 0.5
+            vertices = [v for v in vertices if (whole and v < 6) or rng.random() < 0.6]
+            members.append(k.restrict(vertices))
+        yield members
+
+
+class TestOnePassRead:
+    def test_every_member_and_the_relative_block_match_the_oracle(self, monkeypatch):
+        """One reduction of K per degree gives every member's d_n and
+        d_n(K, L1) exactly, whether a block has set-aside columns or not,
+        also when a member has no simplices in the degree and when a
+        proper member keeps the torsion of an RP^2."""
+        blocks = smith_calls = empty = inner_torsion = 0
+        read, smith = linalg.block_invariants, linalg.smith_invariants
+
+        def counting_read(reduction, first_rows, end_col):
+            nonlocal blocks
+            blocks += len(first_rows) + (end_col is not None)
+            return read(reduction, first_rows, end_col)
+
+        def counting_smith(mat):
+            nonlocal smith_calls
+            smith_calls += 1
+            return smith(mat)
+
+        monkeypatch.setattr(linalg, "block_invariants", counting_read)
+        monkeypatch.setattr(linalg, "smith_invariants", counting_smith)
+        rng = rng_for(4501)
+        for members in nested_chains(rng):
+            k, sub = members[0], members[1]
+            top = k.dim() + 1
+            levels = simplex_levels(k, top)
+            _reduce_chain(
+                members,
+                lambda n: [sum(s in m for m in members[1:]) for s in levels[n]],
+                range(1, top + 1),
+            )
+            for n in range(1, top + 1):
+                for m in members:
+                    mat = boundary_oracle(m.n_simplices(n - 1), m.n_simplices(n))
+                    assert m._memo[n] == invariants_oracle(mat), (n, m)
+                    empty += not m.n_simplices(n)
+                    inner_torsion += m is not k and bool(m._memo[n][1])
+                outside = [s for s in k.n_simplices(n - 1) if s not in sub]
+                mat = boundary_oracle(outside, k.n_simplices(n))
+                assert k._memo["relative", id(sub), n][1] == invariants_oracle(mat), n
+        # the dense Smith step runs exactly for the blocks with set-aside columns
+        assert smith_calls > 10 and blocks - smith_calls > 300, (blocks, smith_calls)
+        assert empty > 100 and inner_torsion > 5, (empty, inner_torsion)
+
+
+class TestCoboundaryColumns:
+    @staticmethod
+    def transposed_oracle(rows, cols):
+        return [{j: v for j, v in enumerate(row) if v} for row in boundary_oracle(rows, cols)]
+
+    def test_rows_with_missing_faces(self):
+        """Faces absent from the rows, as in a relative complex, contribute
+        nothing; every other face gets the sign (-1)^i of its vertex i."""
+        rng = rng_for(4502)
+        missing = 0
+        for _ in range(40):
+            k = random_complex(rng, max_vertices=8, max_facets=6, max_facet_size=5)
+            for n in range(1, k.dim() + 1):
+                faces = k.n_simplices(n - 1)
+                rows = [s for s in faces if rng.random() < 0.7]
+                rng.shuffle(rows)
+                cols = k.n_simplices(n)
+                assert coboundary_columns(rows, cols) == self.transposed_oracle(rows, cols)
+                missing += len(faces) - len(rows)
+        assert missing > 100, missing
+
+    def test_the_augmented_empty_row(self):
+        vertices = [(v,) for v in range(5)]
+        assert coboundary_columns([()], vertices) == [{j: 1 for j in range(5)}]
+        assert coboundary_columns([()], vertices) == self.transposed_oracle([()], vertices)
+        assert coboundary_columns([(), (0, 1)], vertices) == [{j: 1 for j in range(5)}, {}]
+
+    def test_a_70_vertex_simplex_against_its_facets(self):
+        """Signs come from the vertex position however large the simplex:
+        the facet without vertex i has sign (-1)^i."""
+        simplex = tuple(range(70))
+        facets = [simplex[:i] + simplex[i + 1 :] for i in range(70)]
+        rng_for(4503).shuffle(facets)
+        got = coboundary_columns(facets, [simplex])
+        dropped = [(set(simplex) - set(f)).pop() for f in facets]
+        assert got == [{0: (-1) ** i} for i in dropped]
+        assert got == self.transposed_oracle(facets, [simplex])
 
 
 class TestFieldHomology:
