@@ -37,7 +37,7 @@ from collections import Counter, namedtuple
 
 from . import linalg
 from . import metric as metric_mod
-from .complexes import Cover, enumerate_p_complement
+from .complexes import Cover, _bits, _mask_of, enumerate_p_complement
 from .errors import InvalidInput
 from .homology import (
     ContractibilityCertificate,
@@ -219,10 +219,6 @@ class _Obstruction:
         return got
 
 
-#: A cross simplex and the record of its obstruction complex.
-_Cross = namedtuple("_Cross", "simplex obs dim")
-
-
 class _Class:
     """Cross simplices of one dimension and record: the first, and how many."""
 
@@ -235,7 +231,8 @@ class _Class:
 class _Context:
     """One report's complex, cover and cross simplices, with the obstruction
     records they share; ``metric`` holds a metric report's distance facts.
-    ``classes`` index the ``items`` by (record, dimension) in report order."""
+    ``items`` are ``(simplex, class)`` pairs in report order, and ``classes``
+    index them by (record, dimension) in the order of their first items."""
 
     def __init__(self, complex_, cover, dim_cap, metric=None):
         if dim_cap < 1:
@@ -253,7 +250,7 @@ class _Context:
         # complex_ is a flag complex.
         self._records = {}
         self._intersection = None
-        self.items = []
+        self.items = items = []
         self.classes = []
         # records by id(obstruction), which enumeration shares, classes by it and dim
         index = {}
@@ -266,7 +263,7 @@ class _Context:
                 cls = index[key] = _Class(index[key[0]], key[1], simplex)
                 self.classes.append(cls)
             cls.size += 1
-            self.items.append(_Cross(simplex, cls.obs, cls.dim))
+            items.append((simplex, cls))
         self._dims = [cls.dim for cls in self.classes]
         # no cross simplex is a vertex
         self.edge_classes = self.classes_through(1)
@@ -572,7 +569,7 @@ def _no_cross(ctx, n):
         return _holds("all")
     return _fails(
         f"{len(ctx.items)} cross simplices up to dimension {ctx.dim_cap}",
-        ctx.label_simplex(ctx.items[0].simplex),
+        ctx.label_simplex(ctx.items[0][0]),
     )
 
 
@@ -796,9 +793,10 @@ def _pairs_extend(ctx, n):
 
 
 def _clique_entry_adjacent(ctx, n):
-    spread = set().union(*(obs.complex.vertices for obs in _records(ctx.edge_classes)))
+    spread = _mask_of(set().union(*(obs.complex.vertices for obs in _records(ctx.edge_classes))))
+    adj = ctx.complex._adj
     for v in sorted(_shared_edge_obstruction_vertices(ctx)):
-        if spread <= ctx.complex._adj[v] | {v}:
+        if spread & (adj[v] | 1 << v) == spread:
             return _holds(
                 "all",
                 ctx.label(v),
@@ -830,14 +828,17 @@ def _clique_entry_local(ctx, n):
 
 
 def _two_entry_points(ctx, n):
-    a = sorted(ctx.a)
+    a = _mask_of(ctx.a)
     adj = ctx.complex._adj
 
     def entries(side):
         """Intersection vertices extending every edge from A into one side:
         v extends the edge uw when v is u or a common neighbour of both."""
-        edges = [(u, adj[u] & adj[w]) for u in a for w in adj[u] & side]
-        return [v for v in a if all(v == u or v in common for u, common in edges)]
+        side, ok = _mask_of(side), a
+        for u in _bits(a):
+            for w in _bits(adj[u] & side):
+                ok &= adj[u] & adj[w] | 1 << u
+        return _bits(ok)
 
     edge_obstructions = [obs.complex for obs in _records(ctx.edge_classes)]
     ay_entries = entries(ctx.y_only)
@@ -962,17 +963,17 @@ def _gluing_strong_simplex(ctx, n):
     check = ctx.metric.strong
     if not check.ok:
         return _fails(None, str(check.witness))
-    for it in ctx.items:
-        s = set(it.simplex)
+    for simplex, c in ctx.items:
+        s = set(simplex)
         one_sided = (
             len(s & ctx.x_only) == len(s & ctx.cover.x) == 1
             or len(s & ctx.y_only) == len(s & ctx.cover.y) == 1
         )
-        standard = it.obs.status != STATUS_EMPTY and _is_standard(it.obs.complex)
+        standard = c.obs.status != STATUS_EMPTY and _is_standard(c.obs.complex)
         if one_sided and not standard:
             raise AssertionError(
                 "strong simplex condition certified but a one-sided cross simplex "
-                f"has a bad obstruction at {ctx.label_simplex(it.simplex)}"
+                f"has a bad obstruction at {ctx.label_simplex(simplex)}"
             )
     return _holds(
         1,
@@ -1168,7 +1169,8 @@ def _census(ctx):
 def _item_records(ctx, include_profiles):
     """One record per cross simplex, labelled from one table.  The records
     of one obstruction share its ``obstruction_vertices`` list,
-    ``certificate`` dict and ``profile``, each made once."""
+    ``certificate`` dict and ``profile``, each made once, and each class
+    has one dict of the fields after ``simplex``."""
     names = {v: ctx.label(v) for v in ctx.complex.vertices}
     shared = {}
     for obs in _records(ctx.classes):
@@ -1186,10 +1188,8 @@ def _item_records(ctx, include_profiles):
             "certificate": certificate,
             "profile": profile,
         }
-    return [
-        {"simplex": [names[v] for v in it.simplex], "dim": it.dim, **shared[it.obs]}
-        for it in ctx.items
-    ]
+    fields = {c: {"dim": c.dim, **shared[c.obs]} for c in ctx.classes}
+    return [{"simplex": [names[v] for v in simplex], **fields[c]} for simplex, c in ctx.items]
 
 
 def analyze(complex_, cover, dim_cap=None, fields=("q", "z"), verify=True):

@@ -409,7 +409,7 @@ def is_subcomplex(sub, ambient):
     """True when every simplex of ``sub`` belongs to ``ambient``."""
     if sub.is_flag and ambient.is_flag:
         adj = ambient._adj
-        return all(v in adj and nb <= adj[v] for v, nb in sub._adj.items())
+        return all(v in adj and nb & adj[v] == nb for v, nb in sub._adj.items())
     if not sub.is_flag and not ambient.is_flag:
         return sub._simplices <= ambient._simplices
     for s in sub.to_explicit(full=True).simplices():

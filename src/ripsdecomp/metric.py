@@ -16,14 +16,15 @@ Every row is then mapped through two small dicts at C level:
 
 * the exact matrix (``DistanceSpace.matrix``), from which everything
   rendered (diameters, witnesses, radii) is read, and which
-  ``is_metric_gluing``, ``check_strong_simplex_assumption``, ``diam`` and
-  ``DistanceSpace.within`` compare;
+  ``check_strong_simplex_assumption``, ``diam`` and ``DistanceSpace.within``
+  compare;
 * its integer scaling (``DistanceSpace.scaled``), which validation, the
   closeness tests (Vietoris-Rips, the cross pairs, shared witnesses, the
-  simplex assumption), the triangle screen and cross domination read: the
-  finite entries are multiplied by their least common denominator, and
-  ``inf`` stands in as the sentinel S = 2 * max + 1, larger than any sum of
-  two finite entries, which is exact because distances are never negative.
+  simplex assumption), the triangle screen, the metric gluing test and
+  cross domination read: the finite entries are multiplied by their least
+  common denominator, and ``inf`` stands in as the sentinel S = 2 * max + 1,
+  larger than any sum of two finite entries, which is exact because
+  distances are never negative.
 
 Threshold tests ``d <= r + tol`` read one boolean closeness table per space
 and radius, each row compared as a whole against one bound: a scaled entry
@@ -51,6 +52,7 @@ import math
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from itertools import chain, combinations, compress
+from operator import add
 
 from .complexes import Complex
 from .errors import CoverError, InvalidInput
@@ -262,7 +264,7 @@ def diam(space, points):
 
 def vietoris_rips(space, r, dim_cap):
     """Flag complex with an edge between every pair at distance <= r: the
-    neighbours of a point are read off its closeness row.
+    neighbour bitmask of a point is read off its closeness row.
 
     Vertex ids are positions in the space's label order; the complex carries
     the id-to-label table.
@@ -272,10 +274,9 @@ def vietoris_rips(space, r, dim_cap):
     if dim_cap < 0:
         raise InvalidInput("dim_cap must be nonnegative")
     ids = range(len(space))
-    adj = {i: frozenset(compress(ids, row)) - {i} for i, row in zip(ids, close)}
-    return Complex(
-        adj=adj, vertices=ids, dim_cap=dim_cap, labels=dict(enumerate(space.labels))
-    )
+    bits = [1 << i for i in ids]
+    adj = {i: sum(compress(bits, row)) & ~bit for i, bit, row in zip(ids, bits, close)}
+    return Complex(adj=adj, dim_cap=dim_cap, labels=dict(enumerate(space.labels)))
 
 
 class MetricCover:
@@ -343,17 +344,34 @@ class CheckResult:
 
 
 def is_metric_gluing(space, x, y):
-    """None when every cross distance is realized through the intersection;
-    else the first witness pair of labels."""
+    """None when every cross distance is realized through the intersection,
+    within ``tol``; else the first witness pair of labels.
+
+    Runs on the scaled ints.  A sum of two entries is infinite exactly when
+    it is at least S, and a cross distance d with shortest route b through
+    the intersection is realized when both are infinite, or both are finite
+    with |d - b| * scale at most floor(tol * scale); an infinite ``tol``
+    realizes every pair.
+    """
     xi = [space.index(p) for p in x]
     yi = [space.index(p) for p in y]
-    a = set(xi) & set(yi)
-    for i in sorted(set(xi) - a):
-        for j in sorted(set(yi) - a):
-            through = [space.matrix[i][k] + space.matrix[k][j] for k in sorted(a)]
-            best = min(through) if through else INF
-            gap = space.matrix[i][j] - best
-            if gap > space.tol or -gap > space.tol:
+    a = sorted(set(xi) & set(yi))
+    if space.tol == INF:
+        return None
+    scale, sentinel, rows = space.scaled()
+    slack = math.floor(space.tol * scale)
+    legs = {j: [rows[k][j] for k in a] for j in sorted(set(yi).difference(a))}
+    for i in sorted(set(xi).difference(a)):
+        row = rows[i]
+        out = [row[k] for k in a]
+        for j, back in legs.items():
+            # no route through an empty intersection: the sentinel stands in
+            best = min(map(add, out, back), default=sentinel)
+            d = row[j]
+            if d >= sentinel:
+                if best < sentinel:
+                    return (space.labels[i], space.labels[j])
+            elif best >= sentinel or abs(d - best) > slack:
                 return (space.labels[i], space.labels[j])
     return None
 

@@ -3,7 +3,12 @@
 * Complex operations the pipeline does not run: ``star``, ``obstruction``
   (the reference for ``enumerate_p_complement``), ``skeleton``, ``join`` and
   ``intersect``, plus ``replay_collapses`` for collapse certificates.
-* Distance spaces: ``d_label``, ``subspace`` and the metric gluing ``glue``.
+* Flag complexes from their graph alone, by brute force over vertex
+  subsets: ``clique_levels`` and ``cross_cliques``, the references for the
+  bitmask clique walk and the flag branch of ``enumerate_p_complement``.
+* Distance spaces: ``d_label``, ``subspace``, the metric gluing ``glue``
+  and ``metric_gluing_oracle``, the exact reference for
+  ``is_metric_gluing``.
 * The verification layer, dense: the matrix of an induced map on field
   homology, by plain Gauss-Jordan elimination on ``Fraction`` or on ints
   mod p, and the two theorem checks of the cover square that read it.  The
@@ -15,6 +20,7 @@
 import math
 import warnings
 from fractions import Fraction
+from itertools import combinations
 
 from ripsdecomp import (
     Complex,
@@ -96,6 +102,40 @@ def replay_collapses(k, collapses):
     return current
 
 
+# ---------------------------------------------------------- flag complexes
+
+
+def clique_levels(vertices, edges, top):
+    """The cliques of a graph with 1 to ``top + 1`` vertices by dimension,
+    each level lexicographic, ending at the last nonempty level: every
+    vertex subset whose pairs are all in ``edges``, a set of sorted pairs."""
+    vertices = sorted(vertices)
+    levels = [
+        [c for c in combinations(vertices, size) if edges.issuperset(combinations(c, 2))]
+        for size in range(1, top + 2)
+    ]
+    while levels and not levels[-1]:
+        levels.pop()
+    return levels
+
+
+def cross_cliques(vertices, edges, x, y, top):
+    """The cliques of a graph with 2 to ``top + 1`` vertices, outside
+    A = X & Y and meeting both X - A and Y - A, in (dimension,
+    lexicographic) order, each with the sorted tuple of the vertices of A
+    adjacent to all of it."""
+    a = x & y
+    out = []
+    for level in clique_levels([v for v in vertices if v not in a], edges, top):
+        for c in level:
+            if set(c) - x and set(c) - y:
+                common = [
+                    v for v in sorted(a) if all(tuple(sorted((u, v))) in edges for u in c)
+                ]
+                out.append((c, tuple(common)))
+    return out
+
+
 # ---------------------------------------------------------- distance spaces
 
 
@@ -153,6 +193,24 @@ def glue(dx, dy, shared):
                 matrix[i][j] = min(cross) if cross else math.inf
     tol = dx.tol if dx.tol >= dy.tol else dy.tol
     return DistanceSpace(labels, matrix, tol=tol)
+
+
+def metric_gluing_oracle(space, x, y):
+    """``is_metric_gluing`` on the exact matrix: every cross distance is
+    compared with its shortest route through the intersection, in extended
+    rationals, within the space's tolerance.  Infinity minus infinity is
+    NaN, which is within every tolerance."""
+    xi = [space.index(p) for p in x]
+    yi = [space.index(p) for p in y]
+    a = set(xi) & set(yi)
+    for i in sorted(set(xi) - a):
+        for j in sorted(set(yi) - a):
+            through = [space.matrix[i][k] + space.matrix[k][j] for k in sorted(a)]
+            best = min(through) if through else math.inf
+            gap = space.matrix[i][j] - best
+            if gap > space.tol or -gap > space.tol:
+                return (space.labels[i], space.labels[j])
+    return None
 
 
 # ------------------------------------------------------ dense verification

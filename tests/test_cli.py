@@ -168,6 +168,28 @@ class TestOutOfRangeDistances:
         assert "exponent" in capsys.readouterr().err
 
 
+class TestSimplexBudget:
+    @pytest.mark.parametrize("command", ["vr", "decompose"])
+    def test_a_dense_distance_file_past_the_budget_exits_2(self, capsys, tmp_path, command):
+        """200 points at mutual distance 1, radius 1, cap 4, split into two
+        disjoint halves: the clique walk is refused after the edges, with
+        nothing on stdout."""
+        n = 200
+        labels = [f"p{i}" for i in range(n)]
+        points = write_json(
+            tmp_path, "dense.json",
+            {"points": labels, "distances": [[int(i != j) for j in range(n)] for i in range(n)]},
+        )
+        cover = write_json(tmp_path, "cover.json", {"X": labels[:100], "Y": labels[100:]})
+        argv = ["vr", points] if command == "vr" else ["decompose", points, "--cover", cover]
+        assert cli.main([*argv, "-r", "1", "--max-dim", "4"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: the cliques through dimension 2 pass the budget of 1000000 simplices\n"
+        )
+
+
 class TestByteOrderMark:
     """A file that starts with a UTF-8 byte-order mark reads as the same
     file without it."""

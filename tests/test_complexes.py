@@ -20,18 +20,27 @@ from ripsdecomp import (
     homology,
     make_simplex,
 )
+from ripsdecomp import complexes
+from ripsdecomp.complexes import SIMPLEX_BUDGET
 from ripsdecomp.corpus import case_by_name, space_for
 from ripsdecomp.metric import MetricCover, vietoris_rips
 
 from conftest import (
-    cliques_oracle,
     random_complex,
     random_cover,
     random_flag,
     random_metric_cover,
     rng_for,
 )
-from oracles import intersect, join, obstruction, skeleton, star
+from oracles import (
+    clique_levels,
+    cross_cliques,
+    intersect,
+    join,
+    obstruction,
+    skeleton,
+    star,
+)
 
 
 def hollow_triangle():
@@ -257,6 +266,15 @@ class TestFlagRepresentation:
                 probe = tuple(sorted(rng.sample(flag.vertices, size)))
                 assert (probe in flag) == (probe in explicit)
 
+    @pytest.mark.parametrize("bad", [-1, "a", 1.0, True, None])
+    def test_refuses_a_vertex_id_that_is_not_a_nonnegative_int(self, bad):
+        """Flag vertex ids are bit positions."""
+        with pytest.raises(InvalidInput, match="nonnegative int"):
+            Complex.flag([bad, 0, 1], [(0, 1)], 2)
+        if bad == -1:
+            with pytest.raises(InvalidInput, match="nonnegative int"):
+                Complex.flag([-1, 0, 1], [(-1, 0), (0, 1)], 2)
+
     def test_enumeration_cap_refused(self):
         flag = Complex.flag(range(5), combinations(range(5), 2), dim_cap=2)
         with pytest.raises(EnumerationRefused):
@@ -301,15 +319,6 @@ def clique_graphs(rng):
     yield [], []
 
 
-def levels_oracle(k, top):
-    """Cliques of sizes 1 .. top + 1 by brute force, ending at the last
-    nonempty level."""
-    levels = [cliques_oracle(k, size) for size in range(1, top + 2)]
-    while levels and not levels[-1]:
-        levels.pop()
-    return levels
-
-
 class TestCliqueEnumeration:
     def test_levels_simplices_and_n_simplices_match_brute_force_in_order(self):
         """At caps 0 to 4 and above the clique number, and uncapped through
@@ -318,11 +327,11 @@ class TestCliqueEnumeration:
         rng = rng_for(131)
         seen = Counter()
         for vertices, edges in clique_graphs(rng):
-            whole = levels_oracle(Complex.flag(vertices, edges, 0), max(len(vertices) - 1, 0))
+            whole = clique_levels(vertices, set(edges), max(len(vertices) - 1, 0))
             clique_number = len(whole)
             for cap in sorted({0, 1, 2, 3, 4, clique_number, clique_number + 2}):
                 k = Complex.flag(vertices, edges, dim_cap=cap)
-                want = levels_oracle(k, cap)
+                want = clique_levels(vertices, set(edges), cap)
                 assert k._clique_levels(cap) == want
                 assert k.simplices() == [s for level in want for s in level]
                 for n in range(-1, cap + 1):
@@ -336,6 +345,81 @@ class TestCliqueEnumeration:
             seen[f"clique-number-{min(clique_number, 5)}"] += 1
         assert seen["capped"] > 50 and seen["above"] > 50, seen
         assert all(seen[f"clique-number-{n}"] for n in range(6)), seen
+
+
+class TestBitmaskWalk:
+    def test_sparse_ids_past_bit_64_match_the_clique_oracle(self):
+        """Graphs on ids drawn from range(300), caps 0 to 4 and random
+        covers: the walk's levels, the existence search, the central
+        vertices, restriction, the cover union and the cross cliques with
+        their obstructions all equal the brute-force oracle built from the
+        graph alone, in order, and equal obstructions are one object."""
+        rng = rng_for(141)
+        seen = Counter()
+        for _ in range(150):
+            vertices = sorted(rng.sample(range(300), rng.randint(1, 11)))
+            p = rng.choice((0.3, 0.6, 0.9, 1.0))
+            edges = {e for e in combinations(vertices, 2) if rng.random() < p}
+            cap = rng.randint(0, 4)
+            k = Complex.flag(vertices, edges, cap)
+            whole = clique_levels(vertices, edges, len(vertices))
+            assert k._clique_levels(cap) == clique_levels(vertices, edges, cap)
+            assert k._clique_levels(None) == whole
+            for d in range(len(vertices) + 1):
+                assert k.has_simplex_of_dim(d) == (d < len(whole)), d
+            central = [
+                v
+                for v in vertices
+                if all(tuple(sorted((u, v))) in edges for u in vertices if u != v)
+            ]
+            assert list(k.central_vertices()) == central
+            cover = random_cover(rng, k)
+            x, y = set(cover.x), set(cover.y)
+            for side in (x, y, x & y):
+                part = k.restrict(side)
+                assert part.vertices == tuple(v for v in vertices if v in side)
+                assert part._clique_levels(cap) == clique_levels(side, edges, cap)
+            inside = {e for e in edges if x.issuperset(e) or y.issuperset(e)}
+            union = cover_union(k, cover)
+            assert union._clique_levels(cap) == clique_levels(x | y, inside, cap)
+            for dim_cap in range(1, cap + 1):
+                items = enumerate_p_complement(k, cover, dim_cap)
+                want = cross_cliques(vertices, edges, x, y, dim_cap)
+                assert [s for s, _ in items] == [s for s, _ in want]
+                objects = {}
+                for (_, obs), (_, common) in zip(items, want):
+                    assert obs.vertices == common
+                    assert obs._clique_levels(cap) == clique_levels(common, edges, cap)
+                    assert objects.setdefault(common, obs) is obs
+                assert len({id(obs) for _, obs in items}) == len(objects)
+                seen["shared"] += len(items) > len(objects)
+            seen["past-64"] += vertices[-1] >= 64 and vertices[0] < 64
+            seen[f"cap-{cap}"] += 1
+            seen["central"] += bool(central) and len(vertices) > 1
+        assert min(seen.values()) >= 10 and len(seen) == 8, seen
+
+
+class TestSimplexBudget:
+    def test_a_dense_walk_is_refused_before_it_is_built(self):
+        """K_200 at cap 4: its 1,313,400 triangles already pass the budget,
+        so the walk stops after the edges."""
+        k = Complex.flag(range(200), combinations(range(200), 2), dim_cap=4)
+        assert k.has_simplex_of_dim(4)
+        with pytest.raises(EnumerationRefused, match=f"dimension 2 .* {SIMPLEX_BUDGET} "):
+            k.simplices()
+        with pytest.raises(EnumerationRefused):
+            enumerate_p_complement(k, Cover(range(100), range(100, 200)), 4)
+        assert len(k.simplices(max_dim=1)) == 200 + 19900
+
+    def test_the_budget_counts_every_clique_of_the_walk(self, monkeypatch):
+        """K_6 has 63 cliques: a budget of 63 walks them all, 62 refuses."""
+        k = Complex.flag(range(6), combinations(range(6), 2), dim_cap=5)
+        monkeypatch.setattr(complexes, "SIMPLEX_BUDGET", 63)
+        assert len(k.simplices()) == 63
+        monkeypatch.setattr(complexes, "SIMPLEX_BUDGET", 62)
+        with pytest.raises(EnumerationRefused):
+            k.simplices()
+        assert len(k.simplices(max_dim=4)) == 62
 
 
 class TestSimplexOfDim:

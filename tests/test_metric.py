@@ -2,6 +2,7 @@
 hypotheses as decidable predicates."""
 
 import math
+from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
 from itertools import chain, combinations
@@ -43,7 +44,7 @@ from conftest import (
     simplex_assumption_oracle,
     witness_ball_oracle,
 )
-from oracles import d_label, glue, obstruction, subspace
+from oracles import d_label, glue, metric_gluing_oracle, obstruction, subspace
 
 
 def mc_for(name, r=None):
@@ -457,6 +458,77 @@ class TestIsMetricGluing:
         )
         assert is_pseudometric(space) is None
         assert is_metric_gluing(space, ["p", "a", "b"], ["a", "b", "q"]) == ("p", "q")
+
+    @pytest.mark.parametrize(
+        "tol, cross, witness",
+        [
+            (Fraction(2, 5), "5/2", True),
+            (Fraction(1, 2), "5/2", False),
+            (Fraction(1, 2), "3/2", False),
+            (Fraction(1, 3), "3/2", True),
+            (0, "inf", True),
+            (math.inf, "inf", False),
+        ],
+    )
+    def test_a_gap_just_past_the_tolerance_is_a_witness(self, tol, cross, witness):
+        """x - a - y with legs of 1: the route is 2, and the scaled gap is
+        compared with the floor of the scaled tolerance."""
+        space = DistanceSpace(
+            ["x", "a", "y"], [[0, 1, cross], [1, 0, 1], [cross, 1, 0]], tol=tol
+        )
+        expected = ("x", "y") if witness else None
+        assert is_metric_gluing(space, ["x", "a"], ["a", "y"]) == expected
+        assert metric_gluing_oracle(space, ["x", "a"], ["a", "y"]) == expected
+
+    def test_matches_the_rational_oracle_with_infinities_and_tolerance(self):
+        """Scaled-int gluing test against the ``Fraction`` oracle on seeded
+        tables with infinite entries, a tolerance of 0, a fraction or
+        infinity, unvalidated tables and empty intersections: the same
+        first witness pair, or None on both sides.  Half the tables set each
+        cross distance to its route through the intersection plus a small
+        offset, so gaps inside and just past the tolerance both occur."""
+        rng = rng_for(215)
+        seen = Counter()
+        for _ in range(1000):
+            n = rng.randint(1, 7)
+            labels = [f"p{i}" for i in range(n)]
+            shared = rng.choice((0, 0.3))
+            x, y = [], []
+            for i in range(n):
+                roll = rng.random()
+                if roll < shared + (1 - shared) / 2:
+                    x.append(i)
+                if roll < shared or roll >= shared + (1 - shared) / 2:
+                    y.append(i)
+            a = set(x) & set(y)
+            cross = [(i, j) for i in x if i not in a for j in y if j not in a]
+            matrix = [[Fraction(0)] * n for _ in range(n)]
+            for i, j in combinations(range(n), 2):
+                if rng.random() < 0.25:
+                    v = math.inf
+                else:
+                    v = Fraction(rng.randint(0, 12), rng.choice((1, 2, 3, 7)))
+                matrix[i][j] = v
+                matrix[j][i] = v if rng.random() < 0.9 else Fraction(rng.randint(0, 12))
+            if rng.random() < 0.5:
+                for i, j in cross:
+                    route = min((matrix[i][k] + matrix[k][j] for k in a), default=math.inf)
+                    offset = rng.choice((0, Fraction(1, 7), Fraction(1, 2), Fraction(3, 2)))
+                    matrix[i][j] = matrix[j][i] = route + offset
+            tol = rng.choice((0, 0, Fraction(1, 7), Fraction(3, 2), math.inf))
+            space = DistanceSpace(labels, matrix, tol=tol)
+            x, y = [labels[i] for i in x], [labels[j] for j in y]
+            expected = metric_gluing_oracle(space, x, y)
+            assert is_metric_gluing(space, x, y) == expected, (matrix, tol, x, y)
+            seen["witness" if expected else "realized"] += 1
+            seen["inf-realized"] += expected is None and any(
+                matrix[i][j] == math.inf for i, j in cross
+            )
+            seen["no-intersection"] += not a and bool(cross)
+            if expected is None and tol != 0:
+                exact = metric_gluing_oracle(DistanceSpace(labels, matrix), x, y)
+                seen["inf-tol" if tol == math.inf else "within-tol"] += exact is not None
+        assert len(seen) == 6 and min(seen.values()) >= 10, seen
 
 
 class TestSharedWitness:

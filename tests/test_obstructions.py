@@ -191,12 +191,12 @@ def clique_entry_local_oracle(ctx):
     """Label of the first intersection vertex extending every cross edge
     and every cross edge plus one intersection vertex, or None."""
     small = []
-    for it in (it for it in ctx.items if it.dim == 1):
-        small.append(it.simplex)
+    for simplex in (simplex for simplex, c in ctx.items if c.dim == 1):
+        small.append(simplex)
         small += [
-            make_simplex(it.simplex + (a,))
+            make_simplex(simplex + (a,))
             for a in sorted(ctx.a)
-            if make_simplex(it.simplex + (a,)) in ctx.complex
+            if make_simplex(simplex + (a,)) in ctx.complex
         ]
     for v in sorted(ctx.a):
         if all(make_simplex(t + (v,)) in ctx.complex for t in small):
@@ -223,9 +223,9 @@ def connectivity_oracle(obs):
 def torsion_oracle(ctx):
     """(prime, iso_upto) of the torsion criterion from the profile of every
     obstruction, or None when it does not hold."""
-    if any(it.obs.status == "empty" for it in ctx.items):
+    if any(c.obs.status == "empty" for _, c in ctx.items):
         return None
-    profiles = [profile_of(it.obs) for it in ctx.items]
+    profiles = [profile_of(c.obs) for _, c in ctx.items]
     primes = {
         min(b for b in range(2, q + 1) if q % b == 0)
         for prof in profiles
@@ -270,7 +270,7 @@ def test_entry_point_criteria_match_the_enumeration():
 def test_certificates_answer_connectivity_without_homology(monkeypatch):
     seen = Counter()
     for ctx in [*_seeded_contexts(402, 200, shared=0.5), *_tree_contexts(405, 20)]:
-        records = {id(it.obs): it.obs for it in ctx.items}.values()
+        records = {id(c.obs): c.obs for _, c in ctx.items}.values()
         for obs in records:
             if obs.status == "empty":
                 continue
@@ -294,7 +294,7 @@ def test_torsion_criterion_matches_the_profiles():
         expected = torsion_oracle(ctx)
         if verdict.status == "holds":
             assert expected == (verdict.claim["exclude_char"], verdict.claim["iso_upto"])
-            seen["holds-with-certified"] += any(it.obs.certified for it in ctx.items)
+            seen["holds-with-certified"] += any(c.obs.certified for _, c in ctx.items)
         else:
             assert expected is None
         seen[verdict.status] += 1
@@ -323,10 +323,10 @@ def test_classes_partition_the_items_in_report_order():
     seen = Counter()
     contexts = [*_seeded_contexts(406, 120, shared=0.3), *_tree_contexts(407, 10)]
     for ctx in contexts + list(_torsion_contexts(408, 10)):
-        position = {it.simplex: i for i, it in enumerate(ctx.items)}
+        position = {simplex: i for i, (simplex, _) in enumerate(ctx.items)}
         members = {}
-        for it in ctx.items:
-            members.setdefault((it.obs, it.dim), []).append(it.simplex)
+        for simplex, c in ctx.items:
+            members.setdefault((c.obs, c.dim), []).append(simplex)
         assert [(c.obs, c.dim) for c in ctx.classes] == list(members)
         for c in ctx.classes:
             assert (c.first, c.size) == (members[c.obs, c.dim][0], len(members[c.obs, c.dim]))
@@ -339,8 +339,8 @@ def test_classes_partition_the_items_in_report_order():
         assert ctx.edge_classes == [c for c in ctx.classes if c.dim == 1]
         per_item = {
             "total": len(ctx.items),
-            "by_dim": dict(Counter(str(it.dim) for it in ctx.items)),
-            "by_status": dict(Counter(it.obs.status for it in ctx.items)),
+            "by_dim": dict(Counter(str(c.dim) for _, c in ctx.items)),
+            "by_status": dict(Counter(c.obs.status for _, c in ctx.items)),
         }
         census = analyzer._census(ctx)
         assert census == per_item
@@ -370,7 +370,7 @@ def _interleaved(flag):
 @pytest.mark.parametrize("flag", [True, False], ids=["flag", "explicit"])
 def test_witness_is_the_first_failing_cross_simplex_of_interleaved_classes(flag):
     ctx = _interleaved(flag)
-    assert [it.simplex for it in ctx.items] == [(3, 5), (3, 6), (4, 5), (4, 6)]
+    assert [simplex for simplex, _ in ctx.items] == [(3, 5), (3, 6), (4, 5), (4, 6)]
     assert [c.first for c in ctx.classes] == [(3, 5), (3, 6), (4, 5)]
     assert [c.size for c in ctx.classes] == [1, 2, 1]
     witnesses = {
