@@ -230,18 +230,19 @@ class _Class:
 
 class _Context:
     """One report's complex, cover and cross simplices, with the obstruction
-    records they share; ``metric`` holds a metric report's distance facts.
+    records they share; ``metric`` holds a metric report's distance facts,
+    set by ``analyze_metric`` once the cross simplices are enumerated.
     ``items`` are ``(simplex, class)`` pairs in report order, and ``classes``
     index them by (record, dimension) in the order of their first items."""
 
-    def __init__(self, complex_, cover, dim_cap, metric=None):
+    def __init__(self, complex_, cover, dim_cap):
         if dim_cap < 1:
             raise InvalidInput("the dimension cap must be at least 1")
         cover.validate(complex_)
         self.complex = complex_
         self.cover = cover
         self.dim_cap = dim_cap
-        self.metric = metric
+        self.metric = None
         self.a = cover.a
         self.x_only = cover.x - cover.a
         self.y_only = cover.y - cover.a
@@ -1246,9 +1247,12 @@ def _analyze(ctx, fields, verify, kind="simplicial", radius=None, metric_rules=(
 def analyze_metric(mc, dim_cap=4, fields=("q", "z"), verify=True):
     """Build the Vietoris-Rips complex of a metric cover and analyze it,
     together with the distance-level criteria.  One analysis context serves
-    both the distance-level and the combinatorial criteria."""
+    both the distance-level and the combinatorial criteria.  The distance
+    facts are built after the cross simplices are enumerated, so an input
+    whose clique walk is refused pays for none of them."""
     complex_ = metric_mod.vietoris_rips(mc.space, mc.r, dim_cap)
-    ctx = _Context(complex_, Cover(mc.x, mc.y), dim_cap, _MetricFacts(mc))
+    ctx = _Context(complex_, Cover(mc.x, mc.y), dim_cap)
+    ctx.metric = _MetricFacts(mc)
     if ctx.metric.triangle is None:
         note = "the distance satisfies the triangle inequality"
     else:

@@ -45,6 +45,7 @@ __all__ = [
     "Complex",
     "Cover",
     "central_vertex",
+    "collapse_edges",
     "cover_union",
     "enumerate_p_complement",
     "make_simplex",
@@ -459,6 +460,84 @@ def cover_union(complex_, cover):
         }
         return Complex(adj=adj, dim_cap=complex_.dim_cap, labels=complex_.labels)
     return complex_.restrict(cover.x).union(complex_.restrict(cover.y))
+
+
+def _dominated(common, closed, edge):
+    """True when a vertex of ``common`` outside ``edge`` (both bitmasks) has
+    all of ``common`` in its closed neighbourhood ``closed[w]``."""
+    rest = common & ~edge
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        if not common & ~closed[low.bit_length() - 1]:
+            return True
+    return False
+
+
+def collapse_edges(complex_, cover):
+    """Remove, one at a time until none is left, every edge of a flag
+    complex dominated in each part of the cover square that holds it.
+
+    An edge uv of a graph is dominated when some w other than u and v has
+    N[u] & N[v] inside N[w], closed neighbourhoods; then the flag complex
+    without uv is a deformation retract of the one with it.  The parts are
+    the total, X, Y and A, each holding the edges between its vertices, and
+    the union graph of ``cover_union``, holding the edges inside X or inside
+    Y, where a vertex's neighbours are masked by its side (by X | Y in A).
+    Each part may use its own w.  Returns the collapsed flag complex and the
+    removed edges, in order.
+
+    Each pass checks the edges in lexicographic order, removing each one
+    found dominated at its turn.  After the first pass, only the edges at a
+    vertex that lost an edge in the pass before are checked again: an
+    edge's common neighbours stay while its ends keep their edges, and
+    their neighbourhoods only shrink, so its check would fail again.
+
+    Three checks are implied and skipped.  Outside A, a w that dominates in
+    X (or Y) dominates in the union.  Inside A, a w that dominates in the
+    union dominates in the total, and in A when w lies in A; when w lies in
+    X - A, the common neighbours lie in X, so those in Y are those in A, and
+    a w that dominates in Y dominates in A (and so for Y - A).
+    """
+    vertices = complex_.vertices
+    x = _mask_of(v for v in vertices if v in cover.x)
+    y = _mask_of(v for v in vertices if v in cover.y)
+    a = x & y
+    closed = {v: nb | 1 << v for v, nb in complex_._adj.items()}
+    side = {v: (x if x >> v & 1 else 0) | (y if y >> v & 1 else 0) for v in vertices}
+    union = {v: nb & side[v] for v, nb in closed.items()}
+    removed = []
+    dirty = complex_._mask           # the ends of the edges a pass checks
+    while dirty:
+        touched = 0
+        for u in vertices:
+            later = closed[u] >> u + 1 << u + 1
+            for v in _bits(later if dirty >> u & 1 else later & dirty):
+                edge = 1 << u | 1 << v
+                common = closed[u] & closed[v]
+                if edge & a == edge:
+                    if not (
+                        _dominated(union[u] & union[v], union, edge)
+                        and _dominated(common & x, closed, edge)
+                        and _dominated(common & y, closed, edge)
+                    ):
+                        continue
+                elif not _dominated(common, closed, edge):
+                    continue
+                elif edge & x == edge:
+                    if not _dominated(common & x, closed, edge):
+                        continue
+                elif edge & y == edge and not _dominated(common & y, closed, edge):
+                    continue
+                closed[u] ^= 1 << v
+                closed[v] ^= 1 << u
+                union[u] &= ~(1 << v)
+                union[v] &= ~(1 << u)
+                touched |= edge
+                removed.append((u, v))
+        dirty = touched
+    adj = {v: nb ^ 1 << v for v, nb in closed.items()}
+    return Complex(adj=adj, dim_cap=complex_.dim_cap, labels=complex_.labels), removed
 
 
 def central_vertex(complex_):

@@ -55,6 +55,26 @@ K is the chain [total, union, X, A]: depth 0 holds the cross simplices
 X but not A, 3 those inside A.  Y is handed its levels, filtered from the
 total's, and reduces as the chain [Y] when first read.
 
+A flag total enters the square edge-collapsed: every edge uv dominated in
+each part that holds it (some w other than u and v has N[u] & N[v] inside
+N[w], in that part's graph) is removed, until none is left.  That keeps
+every profile and induced map the square reports, exactly:
+
+* every clique of the union graph (the edges inside X or inside Y) lies in
+  X or in Y, so the union is the flag complex of the union graph, and a
+  domination there is an edge collapse of the union;
+* each part of the collapsed total is still the restriction (or the cover
+  union) of it, so ``_reduce_chain`` reads the parts as before;
+* removing an edge dominated in a graph keeps the homotopy type of its flag
+  complex, so each inclusion of a part's new complex into its old one is a
+  homotopy equivalence;
+* these inclusions commute with union -> total, so every Betti number,
+  torsion group and rank of H(union) -> H(total) is kept;
+* H_n of the cap-skeleton equals H_n of the whole flag complex for
+  n <= cap - 1, the degrees a square reports.
+
+Explicit complexes are not collapsed.
+
 Each complex keeps its simplex levels and the invariants of every d_n a
 chain wrote for it in its memo, and K keeps d(K, L1) per subcomplex and
 degree.  A chain writes d_n(K, L1) after every member's d_n, so that entry
@@ -80,7 +100,7 @@ import heapq
 from itertools import accumulate, combinations, compress, groupby
 
 from . import linalg
-from .complexes import central_vertex, cover_union
+from .complexes import central_vertex, collapse_edges, cover_union
 from .errors import (
     EmptyComplex,
     EnumerationRefused,
@@ -364,7 +384,19 @@ def homology(complex_, coeffs="z", max_deg=None, reduced=True):
 
 
 def cover_square(complex_, cover, dim_cap):
-    """The five complexes of a cover's square, keyed x, y, a, union, total.
+    """The five complexes of a cover's square, keyed x, y, a, union, total,
+    up to homotopy: a flag complex is first edge-collapsed
+    (``collapse_edges``), and the parts are read off the collapsed total.
+
+    The collapse keeps every profile through degree dim_cap - 1 and every
+    map union -> total there (module docstring): the union is the flag
+    complex of the union graph; each part of the collapsed total is still
+    the restriction (or the cover union) of it; each inclusion of a part's
+    new complex into its old one is a homotopy equivalence, since every
+    removed edge was dominated in that part at its turn; the squares of
+    these inclusions commute; and H_n of the cap-skeleton is H_n of the
+    whole flag complex for n <= dim_cap - 1.  An explicit complex is not
+    collapsed.
 
     Their memos share one pending reduction, run by the first call that
     reads any of them: the levels 0..dim_cap of the parts are filtered from
@@ -372,6 +404,8 @@ def cover_square(complex_, cover, dim_cap):
     d(total, union), are read off one reduction of the total per degree.
     Y is left its levels, and reduces on its own when first read.
     """
+    if complex_.is_flag:
+        complex_ = collapse_edges(complex_, cover)[0]
     parts = {
         "x": complex_.restrict(cover.x),
         "y": complex_.restrict(cover.y),

@@ -57,6 +57,23 @@ def dunce_hat():
     return sorted(sorted(index[c] for c in f) for f in flags)
 
 
+def barycentric_flag(facets, dim_cap):
+    """The barycentric subdivision of the complex the facets generate, as a
+    flag complex: one vertex per face, and an edge between two faces when
+    one contains the other, so the cliques are the chains of faces."""
+    faces = sorted(
+        {f for facet in facets for k in range(1, len(facet) + 1)
+         for f in combinations(sorted(facet), k)},
+        key=lambda f: (len(f), f),
+    )
+    edges = [
+        (i, j)
+        for i, j in combinations(range(len(faces)), 2)
+        if set(faces[i]) < set(faces[j])
+    ]
+    return Complex.flag(range(len(faces)), edges, dim_cap)
+
+
 def rng_for(seed):
     return random.Random(seed)
 
@@ -100,6 +117,19 @@ def random_cover(rng, complex_):
     if not x and complex_.vertices:
         x.add(complex_.vertices[0])
     return Cover(x, y)
+
+
+def cover_shapes(rng, complex_):
+    """Four covers of a complex with at least two vertices: a random one,
+    one with an empty A, then X and then Y holding every vertex."""
+    vertices = list(complex_.vertices)
+    some = set(rng.sample(vertices, rng.randint(1, len(vertices) - 1)))
+    return [
+        random_cover(rng, complex_),
+        Cover(some, set(vertices) - some),
+        Cover(vertices, some),
+        Cover(some, vertices),
+    ]
 
 
 def random_pseudometric(rng, labels, max_whole=6, denominators=None):

@@ -5,7 +5,9 @@
   ``intersect``, plus ``replay_collapses`` for collapse certificates.
 * Flag complexes from their graph alone, by brute force over vertex
   subsets: ``clique_levels`` and ``cross_cliques``, the references for the
-  bitmask clique walk and the flag branch of ``enumerate_p_complement``.
+  bitmask clique walk and the flag branch of ``enumerate_p_complement``;
+  ``replay_edge_collapse``, on edge sets, the reference for
+  ``collapse_edges``.
 * Distance spaces: ``d_label``, ``subspace``, the metric gluing ``glue``
   and ``metric_gluing_oracle``, the exact reference for
   ``is_metric_gluing``.
@@ -134,6 +136,44 @@ def cross_cliques(vertices, edges, x, y, top):
                 ]
                 out.append((c, tuple(common)))
     return out
+
+
+def _square_graphs(edges, x, y):
+    """The edge sets of the graphs of the five parts of the cover square of
+    a flag complex: the total, X, Y and A = X & Y with the edges between
+    their vertices, and the union graph of the edges inside X or inside Y."""
+    parts = [set(edges)] + [{e for e in edges if s.issuperset(e)} for s in (x, y, x & y)]
+    return parts + [{e for e in edges if x.issuperset(e) or y.issuperset(e)}]
+
+
+def _closed_neighbourhood(edges, u):
+    return {u} | {w for e in edges if u in e for w in e}
+
+
+def dominated_in_every_part(edges, x, y, edge):
+    """True when the sorted pair ``edge`` is dominated in the graph of each
+    part of the cover square that holds it: some w other than its ends has
+    N[u] & N[v] inside N[w], closed neighbourhoods in that graph."""
+    u, v = edge
+    for part_edges in _square_graphs(edges, x, y):
+        if edge not in part_edges:
+            continue
+        common = _closed_neighbourhood(part_edges, u) & _closed_neighbourhood(part_edges, v)
+        if not any(common <= _closed_neighbourhood(part_edges, w) for w in common - {u, v}):
+            return False
+    return True
+
+
+def replay_edge_collapse(edges, x, y, removed):
+    """Remove the sorted pairs ``removed`` from the graph in order, each an
+    edge dominated in every part that holds it at its turn; returns the
+    edges left."""
+    edges = set(edges)
+    for edge in removed:
+        if edge not in edges or not dominated_in_every_part(edges, x, y, edge):
+            raise InvalidInput(f"edge collapse does not replay at {edge}")
+        edges.remove(edge)
+    return edges
 
 
 # ---------------------------------------------------------- distance spaces

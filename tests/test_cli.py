@@ -10,7 +10,7 @@ from collections import Counter
 
 import pytest
 
-from ripsdecomp import analyze, analyze_metric, cli, homology, vietoris_rips
+from ripsdecomp import analyze, analyze_metric, cli, homology, metric, vietoris_rips
 from ripsdecomp.corpus import CASES, space_for
 from ripsdecomp.io import load_input
 from ripsdecomp.reporting import parse_report, render_json
@@ -188,6 +188,49 @@ class TestSimplexBudget:
         assert captured.err == (
             "error: the cliques through dimension 2 pass the budget of 1000000 simplices\n"
         )
+
+
+    @staticmethod
+    def dense_file(tmp_path, n):
+        """n points at mutual distance 1, and their labels."""
+        labels = [f"p{i}" for i in range(n)]
+        points = write_json(
+            tmp_path, "dense.json",
+            {"points": labels, "distances": [[int(i != j) for j in range(n)] for i in range(n)]},
+        )
+        return points, labels
+
+    def test_a_refused_walk_builds_no_metric_fact(self, capsys, monkeypatch, tmp_path):
+        """X the first 120 and Y the last 120 of 200 points at mutual
+        distance 1: the cross-clique walk is refused before the strong
+        simplex assumption is checked."""
+        calls = []
+        real = metric.check_strong_simplex_assumption
+        monkeypatch.setattr(
+            metric, "check_strong_simplex_assumption",
+            lambda *a, **kw: calls.append(1) or real(*a, **kw),
+        )
+        points, labels = self.dense_file(tmp_path, 200)
+        cover = write_json(tmp_path, "cover.json", {"X": labels[:120], "Y": labels[80:]})
+        argv = ["decompose", points, "--cover", cover, "-r", "1", "--max-dim", "4"]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "budget" in captured.err
+        assert calls == []
+
+    def test_an_all_shared_dense_file_verifies_on_its_collapse(self, capsys, tmp_path):
+        """60 points at mutual distance 1 with X = Y = every point: the total
+        has 5,985,197 cliques through dimension 4, past the budget, but its
+        edge collapse is a tree, and every reduced profile is trivial."""
+        points, labels = self.dense_file(tmp_path, 60)
+        cover = write_json(tmp_path, "cover.json", {"X": labels, "Y": labels})
+        argv = ["decompose", points, "--cover", cover, "-r", "1", "--max-dim", "4"]
+        assert cli.main([*argv, "--format", "json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["soundness"]["ok"]
+        profiles = [p for part in report["profiles"].values() for p in part.values()]
+        assert len(profiles) == 10
+        assert not any(any(p["betti"].values()) or p["torsion"] for p in profiles)
 
 
 class TestByteOrderMark:

@@ -1,6 +1,7 @@
-"""Core simplicial machinery: construction, restriction, central simplices
-and cross-simplex enumeration, and the star, obstruction, skeleton, join and
-intersection oracles they are checked against."""
+"""Core simplicial machinery: construction, restriction, central simplices,
+cross-simplex enumeration and the cover-compatible edge collapse, and the
+star, obstruction, skeleton, join, intersection and edge-domination oracles
+they are checked against."""
 
 from collections import Counter
 from itertools import combinations
@@ -21,11 +22,12 @@ from ripsdecomp import (
     make_simplex,
 )
 from ripsdecomp import complexes
-from ripsdecomp.complexes import SIMPLEX_BUDGET
+from ripsdecomp.complexes import SIMPLEX_BUDGET, collapse_edges
 from ripsdecomp.corpus import case_by_name, space_for
 from ripsdecomp.metric import MetricCover, vietoris_rips
 
 from conftest import (
+    cover_shapes,
     random_complex,
     random_cover,
     random_flag,
@@ -35,9 +37,11 @@ from conftest import (
 from oracles import (
     clique_levels,
     cross_cliques,
+    dominated_in_every_part,
     intersect,
     join,
     obstruction,
+    replay_edge_collapse,
     skeleton,
     star,
 )
@@ -397,6 +401,50 @@ class TestBitmaskWalk:
             seen[f"cap-{cap}"] += 1
             seen["central"] += bool(central) and len(vertices) > 1
         assert min(seen.values()) >= 10 and len(seen) == 8, seen
+
+
+class TestEdgeCollapse:
+    def test_each_removed_edge_is_dominated_at_its_turn_in_every_part(self):
+        """Graphs on ids drawn from range(300) under random covers, an empty
+        A, and X or Y holding every vertex: replayed in order on the
+        set-based oracle, each removed edge is dominated in every part of
+        the cover square that holds it at its turn; the edges left are the
+        collapsed complex's, and none of them is dominated in every part."""
+        rng = rng_for(161)
+        seen = Counter()
+        for i in range(160):
+            vertices = sorted(rng.sample(range(300), rng.randint(2, 12)))
+            p = rng.choice((0.4, 0.7, 0.9, 1.0))
+            edges = {e for e in combinations(vertices, 2) if rng.random() < p}
+            k = Complex.flag(vertices, edges, rng.randint(1, 4))
+            cover = cover_shapes(rng, k)[i % 4]
+            x, y = set(cover.x), set(cover.y)
+            collapsed, removed = collapse_edges(k, cover)
+            left = replay_edge_collapse(edges, x, y, removed)
+            assert set(collapsed.edges()) == left
+            assert (collapsed.vertices, collapsed.dim_cap) == (k.vertices, k.dim_cap)
+            assert not any(dominated_in_every_part(left, x, y, e) for e in left)
+            seen["removed"] += bool(removed)
+            seen["past-64"] += vertices[-1] >= 64 and vertices[0] < 64
+            # a later pass removed an edge that comes before one removed earlier
+            seen["several-passes"] += any(a > b for a, b in zip(removed, removed[1:]))
+        assert seen["removed"] > 100 and seen["past-64"] > 50, seen
+        assert seen["several-passes"] >= 5, seen
+
+    def test_an_edge_dominated_in_the_total_but_not_in_x_is_kept(self):
+        """The triangle 0, 1, 2 with X = {0, 1} and Y = {1, 2}: in the total 2
+        dominates 01, but X's graph is the edge 01 alone, so it stays, as 12
+        does in Y.  The total alone holds the cross edge 02, and 1 dominates
+        it there."""
+        edges = [(0, 1), (0, 2), (1, 2)]
+        k = Complex.flag(range(3), edges, 2)
+        x, y = {0, 1}, {1, 2}
+        assert not dominated_in_every_part(set(edges), x, y, (0, 1))
+        collapsed, removed = collapse_edges(k, Cover(x, y))
+        assert removed == [(0, 2)]
+        assert collapsed.edges() == [(0, 1), (1, 2)]
+        # when one side holds every vertex, 2 dominates 01 in every part
+        assert collapse_edges(k, Cover(range(3), y))[1][0] == (0, 1)
 
 
 class TestSimplexBudget:

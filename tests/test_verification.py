@@ -1,10 +1,12 @@
 """The verification layer: independent theorem checks, the soundness gate,
-and the decompose path's freedom from rational elimination; the command
-line's refusal of bad fields and malformed documents."""
+the edge-collapsed cover square against fresh uncollapsed parts, and the
+decompose path's freedom from rational elimination; the command line's
+refusal of bad fields and malformed documents."""
 
 import importlib
 import json
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -24,12 +26,18 @@ from ripsdecomp import (
     induced_map,
     linalg,
     relative_homology,
+    vietoris_rips,
 )
+from ripsdecomp.complexes import collapse_edges
 from ripsdecomp.corpus import case_by_name, space_for
 from ripsdecomp.io import load_cover, load_input
 
 from conftest import (
     PROJECTIVE_PLANE,
+    barycentric_flag,
+    circle_cover,
+    cover_shapes,
+    dunce_hat,
     fresh,
     random_complex,
     random_cover,
@@ -270,6 +278,93 @@ class TestCoverSquare:
             no_cross += all(not (set(s) - cover.x and set(s) - cover.y)
                             for s in k.simplices(max_dim=dim_cap))
         assert cases >= 200 and torsion > 10 and no_cross > 100, (cases, torsion, no_cross)
+
+
+def with_apex(k):
+    """A flag complex with one more vertex, joined to the closed star of the
+    first vertex: the cone is glued along a cone, so the homotopy type is
+    kept, and every new edge but one is dominated by the first vertex."""
+    first, apex = k.vertices[0], k.vertices[-1] + 1
+    star = {first} | {v for e in k.edges() if first in e for v in e}
+    return Complex.flag([*k.vertices, apex], k.edges() + [(v, apex) for v in star], k.dim_cap)
+
+
+def collapse_cases(rng):
+    """(flag complex, cover, dim_cap) triples: the barycentric subdivisions
+    of RP^2 (H_1 = Z/2) and of the dunce hat, which have no dominated edge,
+    and each with an apex, whose edges collapse; the circles n = 12 to 60 at
+    r = n/4; and random flag graphs.  Each subdivision and graph is taken
+    under every cover shape."""
+    for facets in (PROJECTIVE_PLANE, dunce_hat()):
+        for dim_cap in (2, 3):
+            sd = barycentric_flag(facets, dim_cap)
+            for k in (sd, with_apex(sd)):
+                for cover in cover_shapes(rng, k):
+                    yield k, cover, dim_cap
+    for n in range(12, 61, 6):
+        mc = circle_cover(n)
+        yield vietoris_rips(mc.space, mc.r, 3), Cover(mc.x, mc.y), 3
+    for _ in range(30):
+        k = random_flag(rng, max_vertices=11, edge_p=rng.choice((0.5, 0.7, 0.9)),
+                        dim_cap=rng.randint(1, 4))
+        for cover in cover_shapes(rng, k):
+            yield k, cover, k.dim_cap
+
+
+class TestCollapsedSquare:
+    FIELDS = ("q", "z", "zp:2", "zp:3")
+
+    def test_matches_fresh_uncollapsed_parts(self):
+        """The profiles over q, z, zp:2 and zp:3 and the induced records that
+        verification reads off the edge-collapsed square equal those of the
+        uncollapsed parts, each built fresh and read on its own."""
+        rng = rng_for(5401)
+        seen = Counter()
+        for k, cover, dim_cap in collapse_cases(rng):
+            profiles, induced = analyzer._verification(k, cover, self.FIELDS, dim_cap)
+            total = fresh(k)
+            parts = {
+                "x": total.restrict(cover.x),
+                "y": total.restrict(cover.y),
+                "a": total.restrict(cover.a),
+                "union": cover_union(total, cover),
+                "total": total,
+            }
+            max_deg = dim_cap - 1
+            want = {
+                name: {
+                    coeffs: homology(part, coeffs, max_deg=max_deg, reduced=True).to_dict()
+                    for coeffs in self.FIELDS
+                }
+                for name, part in parts.items()
+            }
+            assert profiles == want, (k, cover)
+            want = [
+                {name: getattr(rec, name) for name in analyzer._INDUCED_FIELDS}
+                for coeffs in self.FIELDS
+                if coeffs != "z"
+                for rec in (
+                    induced_map(parts["union"], total, degree, coeffs)
+                    for degree in range(max_deg + 1)
+                )
+            ]
+            assert induced == want, (k, cover)
+            removed = collapse_edges(k, cover)[1]
+            seen["cases"] += 1
+            seen["collapsed"] += bool(removed)
+            seen["z/2 collapsed"] += bool(removed) and any(
+                2 in t for p in profiles.values() for t in p["z"]["torsion"].values()
+            )
+        assert seen["cases"] == 161 and seen["collapsed"] > 100, seen
+        assert seen["z/2 collapsed"] >= 8, seen
+
+    def test_the_60_point_circle_verifies_as_a_circle(self):
+        """VR(C_60; 15) is a circle (r/n < 1/3, Adamaszek-Adams); verified at
+        cap 3 on its collapse, the total reads b_1 = 1 and nothing else."""
+        report = analyzer.analyze_metric(circle_cover(60), dim_cap=3, fields=["q"])
+        betti = report.profiles["total"]["q"]["betti"]
+        assert betti == {"-1": 0, "0": 0, "1": 1, "2": 0}
+        assert report.soundness["ok"]
 
 
 class TestReductionCount:
