@@ -20,7 +20,6 @@ from .errors import (
     EmptyComplex,
     EnumerationRefused,
     InvalidInput,
-    NotASimplex,
     NotASubcomplex,
     RipsDecompError,
 )
@@ -32,7 +31,6 @@ from .homology import (
     contractibility_certificate,
     homology,
     induced_map,
-    relative_homology,
 )
 from .metric import (
     DistanceSpace,

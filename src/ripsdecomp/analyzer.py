@@ -313,7 +313,7 @@ class _Context:
 
     def obstruction_profile(self, obs):
         if obs.profile is None and obs.status != STATUS_EMPTY:
-            obs.profile = homology(obs.complex.to_explicit(full=True), "z", reduced=True)
+            obs.profile = homology(obs.complex.to_explicit(), "z", reduced=True)
         return obs.profile
 
     def connectivity(self, obs):
@@ -619,7 +619,7 @@ def _torsion(ctx, n):
     # contractible record's profile is trivial through its top degree,
     # max(dim, 0) of the complex, fully enumerated.
     tops = [
-        max(obs.complex.to_explicit(full=True).dim(), 0)
+        max(obs.complex.to_explicit().dim(), 0)
         for obs in _records(ctx.classes)
         if obs.certified
     ]

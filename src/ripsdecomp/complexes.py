@@ -26,20 +26,15 @@ Vertex labels: user-facing labels are interned to dense integer ids at
 ingestion.  A complex may carry an ``id -> label`` table; every derived
 complex keeps the table of its parent.
 
-The operations are the ones the pipeline runs: restriction, the union of
-two complexes or of a cover's two sides, central simplices, and the cross
-simplices of a cover with their obstruction complexes.
+The operations are the ones the pipeline runs: restriction, the union of a
+cover's two sides, central vertices, the cover-compatible edge collapse, and
+the cross simplices of a cover with their obstruction complexes.
 """
 
 from itertools import combinations
 from operator import itemgetter
 
-from .errors import (
-    CoverError,
-    EnumerationRefused,
-    InvalidInput,
-    NotASimplex,
-)
+from .errors import CoverError, EnumerationRefused, InvalidInput
 
 __all__ = [
     "Complex",
@@ -165,18 +160,6 @@ class Complex:
     # ---------------------------------------------------------------- build
 
     @classmethod
-    def from_simplices(cls, simplices, labels=None):
-        """Explicit complex from an already downward-closed family."""
-        sset = frozenset(make_simplex(s) for s in simplices)
-        for s in sset:
-            if len(s) > 1:
-                for face in combinations(s, len(s) - 1):
-                    if face not in sset:
-                        raise InvalidInput(f"not downward closed: missing {face}")
-        vertices = {v for s in sset for v in s}
-        return cls(simplices=sset, vertices=vertices, labels=labels)
-
-    @classmethod
     def from_facets(cls, facets, labels=None):
         """Explicit complex generated by the given facets (downward closure)."""
         closed = _close_downward(make_simplex(f) for f in facets)
@@ -202,22 +185,6 @@ class Complex:
             adj[a] |= 1 << b
             adj[b] |= 1 << a
         return cls(adj=adj, dim_cap=dim_cap, labels=labels)
-
-    @classmethod
-    def simplex_on(cls, vertices, labels=None):
-        """The standard simplex on a vertex set (empty set gives the empty complex)."""
-        vs = sorted(set(vertices))
-        if not vs:
-            return cls.empty()
-        return cls.flag(vs, combinations(vs, 2), dim_cap=len(vs) - 1, labels=labels)
-
-    @classmethod
-    def discrete(cls, vertices, labels=None):
-        return cls.flag(set(vertices), (), dim_cap=0, labels=labels)
-
-    @classmethod
-    def empty(cls):
-        return cls(simplices=frozenset(), vertices=())
 
     # ------------------------------------------------------------ structure
 
@@ -333,12 +300,13 @@ class Complex:
         exactly when their vertex sets are, so among those it is a full key."""
         return self._vertices if self.is_flag else self._simplices
 
-    def to_explicit(self, full=False):
-        """Explicit copy.  ``full=True`` ignores a flag complex's cap, which is
-        exponential on dense graphs: it is meant for certificate search."""
+    def to_explicit(self):
+        """Explicit copy of every clique of a flag complex, whatever its cap:
+        exponential on dense graphs, so it is meant for small complexes
+        (obstructions, certificate search)."""
         if not self.is_flag:
             return self
-        levels = self._clique_levels(None if full else self.dim_cap)
+        levels = self._clique_levels(None)
         simplices = frozenset(s for level in levels for s in level)
         return Complex(simplices=simplices, vertices=self._vertices, labels=self.labels)
 
@@ -349,8 +317,8 @@ class Complex:
             return False
         if self.is_flag and other.is_flag:
             return self._adj == other._adj
-        a = self if not self.is_flag else self.to_explicit(full=True)
-        b = other if not other.is_flag else other.to_explicit(full=True)
+        a = self if not self.is_flag else self.to_explicit()
+        b = other if not other.is_flag else other.to_explicit()
         return a._simplices == b._simplices
 
     def __repr__(self):
@@ -377,17 +345,6 @@ class Complex:
             labels=self.labels,
         )
 
-    def _require_member(self, sigma):
-        s = make_simplex(sigma)
-        if s not in self:
-            raise NotASimplex(f"{s} is not a simplex of this complex")
-        return s
-
-    def is_central(self, tau):
-        """True when the union of ``tau`` with every simplex stays a simplex:
-        when every vertex of ``tau`` is central."""
-        return set(self.central_vertices()).issuperset(self._require_member(tau))
-
     def central_vertices(self):
         """The central vertices, in order, lazily.  In a flag complex they
         are the vertices adjacent to every other vertex."""
@@ -396,20 +353,6 @@ class Complex:
             return (v for v in self._vertices if adj[v].bit_count() == full)
         whole = self._simplices
         return (v for v in self._vertices if all(make_simplex(s + (v,)) in whole for s in whole))
-
-    def union(self, other):
-        """Union of two complexes (flag inputs are fully materialized)."""
-        labels = None
-        if self.labels or other.labels:
-            labels = dict(other.labels or {})
-            labels.update(self.labels or {})
-        a = self.to_explicit(full=True)
-        b = other.to_explicit(full=True)
-        return Complex(
-            simplices=a._simplices | b._simplices,
-            vertices=set(self._vertices) | set(other._vertices),
-            labels=labels,
-        )
 
     def label_of(self, v):
         if self.labels and v in self.labels:
@@ -459,19 +402,22 @@ def cover_union(complex_, cover):
             if xy >> v & 1
         }
         return Complex(adj=adj, dim_cap=complex_.dim_cap, labels=complex_.labels)
-    return complex_.restrict(cover.x).union(complex_.restrict(cover.y))
+    kx, ky = complex_.restrict(cover.x), complex_.restrict(cover.y)
+    return Complex(
+        simplices=kx._simplices | ky._simplices,
+        vertices=kx.vertices + ky.vertices,
+        labels=complex_.labels,
+    )
 
 
-def _dominated(common, closed, edge):
-    """True when a vertex of ``common`` outside ``edge`` (both bitmasks) has
-    all of ``common`` in its closed neighbourhood ``closed[w]``."""
-    rest = common & ~edge
-    while rest:
-        low = rest & -rest
-        rest ^= low
-        if not common & ~closed[low.bit_length() - 1]:
-            return True
-    return False
+def _pass_edges(vertices, closed, dirty):
+    """The edges one pass of ``collapse_edges`` checks, lexicographically,
+    lazily: each edge uv, u < v, of the closed-neighbourhood bitmasks
+    ``closed`` with an end in the bitmask ``dirty``."""
+    for u in vertices:
+        later = closed[u] >> u + 1 << u + 1
+        for v in _bits(later if dirty >> u & 1 else later & dirty):
+            yield u, v
 
 
 def collapse_edges(complex_, cover):
@@ -498,7 +444,30 @@ def collapse_edges(complex_, cover):
     union dominates in the total, and in A when w lies in A; when w lies in
     X - A, the common neighbours lie in X, so those in Y are those in A, and
     a w that dominates in Y dominates in A (and so for Y - A).
+
+    The work is bounded: each domination test is charged its candidates, the
+    common neighbours other than u and v, against ``SIMPLEX_BUDGET``, and
+    once the charges pass it no further edge is checked.  The collapse so far
+    is returned, and it is exact, since each edge removed was dominated in
+    every part at its turn; it is a prefix of the unbounded collapse, which
+    checks the same edges in the same order.  A graph too dense to collapse
+    is then left to the clique walk's own refusal.
     """
+    spent = 0
+
+    def dominated(common, closed, edge):
+        """True when a vertex of ``common`` outside ``edge`` (both bitmasks)
+        has all of ``common`` in its closed neighbourhood ``closed[w]``."""
+        nonlocal spent
+        rest = common & ~edge
+        spent += rest.bit_count()
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            if not common & ~closed[low.bit_length() - 1]:
+                return True
+        return False
+
     vertices = complex_.vertices
     x = _mask_of(v for v in vertices if v in cover.x)
     y = _mask_of(v for v in vertices if v in cover.y)
@@ -510,31 +479,31 @@ def collapse_edges(complex_, cover):
     dirty = complex_._mask           # the ends of the edges a pass checks
     while dirty:
         touched = 0
-        for u in vertices:
-            later = closed[u] >> u + 1 << u + 1
-            for v in _bits(later if dirty >> u & 1 else later & dirty):
-                edge = 1 << u | 1 << v
-                common = closed[u] & closed[v]
-                if edge & a == edge:
-                    if not (
-                        _dominated(union[u] & union[v], union, edge)
-                        and _dominated(common & x, closed, edge)
-                        and _dominated(common & y, closed, edge)
-                    ):
-                        continue
-                elif not _dominated(common, closed, edge):
+        for u, v in _pass_edges(vertices, closed, dirty):
+            if spent > SIMPLEX_BUDGET:
+                break
+            edge = 1 << u | 1 << v
+            common = closed[u] & closed[v]
+            if edge & a == edge:
+                if not (
+                    dominated(union[u] & union[v], union, edge)
+                    and dominated(common & x, closed, edge)
+                    and dominated(common & y, closed, edge)
+                ):
                     continue
-                elif edge & x == edge:
-                    if not _dominated(common & x, closed, edge):
-                        continue
-                elif edge & y == edge and not _dominated(common & y, closed, edge):
+            elif not dominated(common, closed, edge):
+                continue
+            elif edge & x == edge:
+                if not dominated(common & x, closed, edge):
                     continue
-                closed[u] ^= 1 << v
-                closed[v] ^= 1 << u
-                union[u] &= ~(1 << v)
-                union[v] &= ~(1 << u)
-                touched |= edge
-                removed.append((u, v))
+            elif edge & y == edge and not dominated(common & y, closed, edge):
+                continue
+            closed[u] ^= 1 << v
+            closed[v] ^= 1 << u
+            union[u] &= ~(1 << v)
+            union[v] &= ~(1 << u)
+            touched |= edge
+            removed.append((u, v))
         dirty = touched
     adj = {v: nb ^ 1 << v for v, nb in closed.items()}
     return Complex(adj=adj, dim_cap=complex_.dim_cap, labels=complex_.labels), removed

@@ -9,7 +9,7 @@ doubles as the golden regression suite for the whole pipeline.
 from .analyzer import analyze_metric
 from .metric import DistanceSpace, MetricCover
 
-__all__ = ["CASES", "CorpusCase", "case_by_name", "compare", "run_case", "space_for"]
+__all__ = ["CASES", "CorpusCase", "compare", "run_case", "space_for"]
 
 
 class CorpusCase:
@@ -364,10 +364,3 @@ CASES = [
         },
     ),
 ]
-
-
-def case_by_name(name):
-    for c in CASES:
-        if c.name == name:
-            return c
-    raise KeyError(name)

@@ -9,10 +9,6 @@ class InvalidInput(RipsDecompError):
     """Malformed data: empty facet, non-square matrix, negative distance, ..."""
 
 
-class NotASimplex(RipsDecompError):
-    """An operation was asked about a simplex the complex does not contain."""
-
-
 class NotASubcomplex(RipsDecompError):
     """The claimed subcomplex has a simplex the ambient complex lacks."""
 

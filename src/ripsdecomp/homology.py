@@ -47,8 +47,8 @@ and integral torsion stay exact:
   that holds it: the outside terms vanish on a suffix's rows, and the terms
   before a simplex of depth 0 have depth 0.
 
-``homology`` is the chain [K]; ``relative_homology`` and ``induced_map`` are
-the pair [K, L], over only the degrees they read.  The cover square
+``homology`` is the chain [K]; ``induced_map`` is the pair [K, L], over
+only the degrees it reads, and the one reader of d(K, L).  The cover square
 (``cover_square``) of X, Y, A = X & Y, the union K[X] u K[Y] and the total
 K is the chain [total, union, X, A]: depth 0 holds the cross simplices
 (meeting both X - A and Y - A), 1 those inside Y but not A, 2 those inside
@@ -77,15 +77,16 @@ Explicit complexes are not collapsed.
 
 Each complex keeps its simplex levels and the invariants of every d_n a
 chain wrote for it in its memo, and K keeps d(K, L1) per subcomplex and
-degree.  A chain writes d_n(K, L1) after every member's d_n, so that entry
-(d_n(K) in a chain of one) marks degree n filled: a repeated call reduces
-nothing and every field reads the same invariants.  A complex's d_n is
-reduced again only inside another chain that has not filled degree n.
-``induced_map`` in degree d reads d_d of K and L but not d_d(K, L), so its
-pair reduces degree d only when K or L lacks d_d.  A chain of one keeps the
-level order, with no depth pass.  ``homology`` and ``induced_map`` read the
-chain sizes off the levels and the invariants off the memo.  The checks of
-a call (subcomplex, field, degree, flag cap) still run on every call.
+degree, which only ``induced_map`` reads.  A chain writes d_n(K, L1) after
+every member's d_n, so that entry (d_n(K) in a chain of one) marks degree n
+filled: a repeated call reduces nothing and every field reads the same
+invariants.  A complex's d_n is reduced again only inside another chain
+that has not filled degree n.  ``induced_map`` in degree d reads d_d of K
+and L but not d_d(K, L), so its pair reduces degree d only when K or L
+lacks d_d.  A chain of one keeps the level order, with no depth pass.
+``homology`` and ``induced_map`` read the chain sizes off the levels and
+the invariants off the memo.  The checks of a call (subcomplex, field,
+degree, flag cap) still run on every call.
 
 Reduced homology uses the augmented chain complex, so the empty complex has
 rank one in degree -1; that convention makes the suspension-shift
@@ -114,13 +115,11 @@ __all__ = [
     "HomologyProfile",
     "InducedMap",
     "boundary_matrix",
-    "central_vertex",
     "contractibility_certificate",
     "cover_square",
     "homology",
     "induced_map",
     "is_subcomplex",
-    "relative_homology",
 ]
 
 
@@ -238,9 +237,6 @@ class HomologyProfile:
     def torsion_at(self, d):
         return self.torsion.get(d, ())
 
-    def is_trivial(self):
-        return all(v == 0 for v in self.betti.values()) and not self.torsion
-
     def __eq__(self, other):
         if not isinstance(other, HomologyProfile):
             return NotImplemented
@@ -267,16 +263,6 @@ class HomologyProfile:
             "betti": {str(d): b for d, b in sorted(self.betti.items())},
             "torsion": {str(d): list(t) for d, t in sorted(self.torsion.items())},
         }
-
-    @classmethod
-    def from_dict(cls, data):
-        return cls(
-            data["coeffs"],
-            data["reduced"],
-            data["degrees"],
-            {int(d): b for d, b in data["betti"].items()},
-            {int(d): tuple(t) for d, t in data.get("torsion", {}).items()},
-        )
 
 
 def _rank(invariants, char):
@@ -446,30 +432,10 @@ def is_subcomplex(sub, ambient):
         return all(v in adj and nb & adj[v] == nb for v, nb in sub._adj.items())
     if not sub.is_flag and not ambient.is_flag:
         return sub._simplices <= ambient._simplices
-    for s in sub.to_explicit(full=True).simplices():
+    for s in sub.to_explicit().simplices():
         if s not in ambient:
             return False
     return True
-
-
-def relative_homology(complex_, sub, coeffs="z", max_deg=None):
-    """Homology of the quotient chain complex of a pair.
-
-    Both sides are taken augmented, so an empty subcomplex yields the
-    unreduced homology of the ambient complex; a nonempty subcomplex yields
-    the usual relative homology.
-    """
-    if not is_subcomplex(sub, complex_):
-        raise NotASubcomplex("second complex is not a subcomplex of the first")
-    if max_deg is None:
-        max_deg = max(complex_.dim(), 0)
-    levels = simplex_levels(complex_, max_deg + 1)
-    _reduce_chain(
-        [complex_, sub], lambda n: map(sub.__contains__, levels[n]), range(1, max_deg + 2)
-    )
-    sizes = {n: sum(1 for s in levels[n] if s not in sub) for n in range(max_deg + 1)}
-    invariants = {n: _relative(complex_, sub, n) for n in range(1, max_deg + 2)}
-    return _profile(sizes, invariants, coeffs, False, 0, max_deg)
 
 
 # -------------------------------------------------------------- induced maps
@@ -624,7 +590,7 @@ def contractibility_certificate(complex_):
     v = central_vertex(complex_)
     if v is not None:
         return ContractibilityCertificate(ContractibilityCertificate.CENTRAL, central=(v,))
-    seq = _greedy_collapse(complex_.to_explicit(full=True).simplices())
+    seq = _greedy_collapse(complex_.to_explicit().simplices())
     if seq is not None:
         return ContractibilityCertificate(ContractibilityCertificate.COLLAPSE, collapses=seq)
     return None

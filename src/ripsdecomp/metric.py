@@ -336,9 +336,6 @@ class CheckResult:
         self.witness = witness
         self.note = note
 
-    def __bool__(self):
-        return self.ok
-
     def __repr__(self):
         return f"CheckResult(ok={self.ok}, witness={self.witness!r}, note={self.note!r})"
 
@@ -445,15 +442,22 @@ def check_simplex_assumption(mc):
 
 
 def check_strong_simplex_assumption(mc):
-    """Twice the gap between shared points near a cross-edge vertex is at
-    most the detour through the vertex.  Witness on failure: (v, a, b)."""
+    """Shared points near a cross-edge vertex are near each other (the
+    simplex assumption), and twice the gap between them is at most the
+    detour through the vertex.  Witness on failure: (v, a, b).
+
+    With ``tol`` = 0 the detour bound implies nearness, as each leg is at
+    most r.  A tolerance lets each leg reach r + tol but adds ``tol`` to the
+    bound only once, so the gap can pass r + tol while the bound holds; the
+    nearness test keeps the strong assumption inside the plain one.
+    """
     sp = mc.space
     close = sp.closeness(mc.r)
     a_idx = mc._ordered(mc.a)
     for v in _cross_edge_vertices(mc):
         near = [k for k in a_idx if close[k][v]]
         for p, q in combinations(near, 2):
-            if 2 * sp.matrix[p][q] > sp.matrix[p][v] + sp.matrix[v][q] + sp.tol:
+            if not close[p][q] or 2 * sp.matrix[p][q] > sp.matrix[p][v] + sp.matrix[v][q] + sp.tol:
                 return CheckResult(
                     False, witness=(sp.labels[v], sp.labels[p], sp.labels[q])
                 )

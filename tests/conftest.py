@@ -6,6 +6,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from ripsdecomp import Complex, Cover, DistanceSpace, MetricCover
+from ripsdecomp.corpus import CASES
 
 # the standard 6-vertex triangulation of the real projective plane
 PROJECTIVE_PLANE = [
@@ -74,6 +75,11 @@ def barycentric_flag(facets, dim_cap):
     return Complex.flag(range(len(faces)), edges, dim_cap)
 
 
+def case_by_name(name):
+    """The corpus case of that name."""
+    return next(c for c in CASES if c.name == name)
+
+
 def rng_for(seed):
     return random.Random(seed)
 
@@ -100,7 +106,7 @@ def fresh(k):
     """A copy of a complex with an empty memo."""
     if k.is_flag:
         return Complex.flag(k.vertices, k.edges(), k.dim_cap)
-    return Complex.from_simplices(k.simplices())
+    return Complex.from_facets(k.simplices())
 
 
 def random_cover(rng, complex_):
@@ -367,10 +373,9 @@ def simplex_assumption_oracle(mc, strong=False):
     for v in sorted(ends):
         near = [k for k in sorted(mc.a) if close_oracle(sp, k, v, mc.r)]
         for p, q in combinations(near, 2):
+            bad = not close_oracle(sp, p, q, mc.r)
             if strong:
-                bad = 2 * m[p][q] > m[p][v] + m[v][q] + sp.tol
-            else:
-                bad = not close_oracle(sp, p, q, mc.r)
+                bad = bad or 2 * m[p][q] > m[p][v] + m[v][q] + sp.tol
             if bad:
                 return (sp.labels[v], sp.labels[p], sp.labels[q])
     return None

@@ -1,8 +1,9 @@
 """Definitional references for the package, written on its public API.
 
 * Complex operations the pipeline does not run: ``star``, ``obstruction``
-  (the reference for ``enumerate_p_complement``), ``skeleton``, ``join`` and
-  ``intersect``, plus ``replay_collapses`` for collapse certificates.
+  (the reference for ``enumerate_p_complement``), ``skeleton``, ``join``,
+  ``intersect``, ``union_of`` and ``is_central``, plus ``replay_collapses``
+  for collapse certificates.
 * Flag complexes from their graph alone, by brute force over vertex
   subsets: ``clique_levels`` and ``cross_cliques``, the references for the
   bitmask clique walk and the flag branch of ``enumerate_p_complement``;
@@ -16,7 +17,9 @@
   mod p, and the two theorem checks of the cover square that read it.  The
   package counts every rank from integer invariant factors and never builds
   these matrices; the checks here hold its answers to the Mayer-Vietoris
-  sequence and to the cofiber-shift identity.
+  sequence and to the cofiber-shift identity.  ``relative_homology``, which
+  the cofiber-shift check reads, is the homology of a quotient chain
+  complex from the same dense boundaries, with Smith invariants over z.
 """
 
 import math
@@ -27,13 +30,13 @@ from itertools import combinations
 from ripsdecomp import (
     Complex,
     DistanceSpace,
+    HomologyProfile,
     InvalidInput,
-    NotASimplex,
     homology,
     induced_map,
     make_simplex,
-    relative_homology,
 )
+from ripsdecomp.linalg import prime_power_factors, smith_invariants
 
 from conftest import boundary_oracle, rank_over
 
@@ -41,15 +44,26 @@ from conftest import boundary_oracle, rank_over
 # ------------------------------------------------------- complex operations
 
 
-def star(k, sigma):
-    """All simplices whose union with ``sigma`` is still a simplex."""
+def _member(k, sigma):
     s = make_simplex(sigma)
     if s not in k:
-        raise NotASimplex(f"{s} is not a simplex of this complex")
+        raise InvalidInput(f"{s} is not a simplex of this complex")
+    return s
+
+
+def star(k, sigma):
+    """All simplices whose union with ``sigma`` is still a simplex."""
+    s = _member(k, sigma)
     if k.is_flag:
         return k.restrict([v for v in k.vertices if make_simplex(s + (v,)) in k])
     members = [mu for mu in k.simplices() if make_simplex(mu + s) in k]
-    return Complex.from_simplices(members, labels=k.labels)
+    return Complex.from_facets(members, labels=k.labels)
+
+
+def is_central(k, tau):
+    """True when the union of ``tau`` with every simplex stays a simplex:
+    when every vertex of ``tau`` is central."""
+    return set(k.central_vertices()).issuperset(_member(k, tau))
 
 
 def obstruction(k, sigma, subset):
@@ -62,7 +76,7 @@ def skeleton(k, n):
     """All simplices of dimension at most ``n``, as an explicit complex."""
     if n < 0:
         raise InvalidInput("skeleton degree must be nonnegative")
-    return Complex.from_simplices(k.simplices(max_dim=n), labels=k.labels)
+    return Complex.from_facets(k.simplices(max_dim=n), labels=k.labels)
 
 
 def join(k, l):
@@ -75,9 +89,9 @@ def join(k, l):
         edges = k.edges() + l.edges() + [(u, v) for u in k.vertices for v in l.vertices]
         cap = k.dim_cap + l.dim_cap + 1
         return Complex.flag(k.vertices + l.vertices, edges, cap, labels=labels)
-    left, right = (c.to_explicit(full=True).simplices() for c in (k, l))
+    left, right = (c.to_explicit().simplices() for c in (k, l))
     joined = left + right + [s + t for s in left for t in right]
-    return Complex.from_simplices(joined, labels=labels)
+    return Complex.from_facets(joined, labels=labels)
 
 
 def intersect(k, l):
@@ -89,12 +103,22 @@ def intersect(k, l):
         common = set(k.vertices) & set(l.vertices)
         edges = [e for e in k.edges() if e in l]
         return Complex.flag(common, edges, min(k.dim_cap, l.dim_cap), labels=labels)
-    return Complex.from_simplices([s for s in k.simplices() if s in l], labels=labels)
+    return Complex.from_facets([s for s in k.simplices() if s in l], labels=labels)
+
+
+def union_of(*complexes):
+    """Union of complexes, as an explicit complex (flag ones are
+    materialized in full); the first complex's labels win."""
+    labels = {}
+    for c in reversed(complexes):
+        labels.update(c.labels or {})
+    simplices = [s for c in complexes for s in c.to_explicit().simplices()]
+    return Complex.from_facets(simplices, labels=labels or None)
 
 
 def replay_collapses(k, collapses):
     """Replay a collapse sequence; returns the surviving simplices."""
-    current = set(k.to_explicit(full=True).simplices())
+    current = set(k.to_explicit().simplices())
     for s, t in collapses:
         cofaces = [u for u in current if len(u) > len(s) and set(s) < set(u)]
         if s not in current or cofaces != [t]:
@@ -358,7 +382,7 @@ def mv_check(complex_, x, y, coeffs="q", max_deg=None):
     norm, _ = _arithmetic(coeffs)
     x, y = frozenset(x), frozenset(y)
     kx, ky, ka = complex_.restrict(x), complex_.restrict(y), complex_.restrict(x & y)
-    union = kx.union(ky)
+    union = union_of(kx, ky)
     if max_deg is None:
         max_deg = max(union.dim() + 1, 0)
     ranks, rank_phi, rank_psi = {}, {}, {}
@@ -403,6 +427,34 @@ def mv_check(complex_, x, y, coeffs="q", max_deg=None):
     return {"exact": not failures, "failures": failures, "ranks": ranks}
 
 
+def relative_homology(k, l, coeffs="z", max_deg=None):
+    """Homology of the quotient chain complex C(K) / C(L) in degrees
+    0..max_deg, as a ``HomologyProfile``.  Both sides are augmented, so an
+    empty L gives the unreduced homology of K.  The chains are the simplices
+    of K outside L, and d_n is their dense boundary; its rank is counted by
+    elimination over a field and by Smith invariants over z, where the
+    invariants of d_(n+1) above 1 give the torsion of degree n."""
+    if max_deg is None:
+        max_deg = max(k.dim(), 0)
+    chains = {n: [s for s in k.n_simplices(n) if s not in l] for n in range(max_deg + 2)}
+    chains[-1] = []
+    boundary = {n: boundary_oracle(chains[n - 1], chains[n]) for n in range(max_deg + 2)}
+    if coeffs == "z":
+        factors = {n: smith_invariants(m) for n, m in boundary.items()}
+        rank = {n: len(f) for n, f in factors.items()}
+    else:
+        rank = {n: rank_over(m, coeffs) for n, m in boundary.items()}
+    degrees = range(max_deg + 1)
+    betti = {n: len(chains[n]) - rank[n] - rank[n + 1] for n in degrees}
+    torsion = {}
+    if coeffs == "z":
+        torsion = {
+            n: sorted(q for d in factors[n + 1] if d > 1 for q in prime_power_factors(d))
+            for n in degrees
+        }
+    return HomologyProfile(coeffs, False, degrees, betti, torsion)
+
+
 def check_cofiber_shift(complex_, sigma, coeffs="z", max_deg=None):
     """Check the suspension-shift bookkeeping for one vertex set.
 
@@ -413,18 +465,14 @@ def check_cofiber_shift(complex_, sigma, coeffs="z", max_deg=None):
     n-shifted reduced homology of the same obstruction.  Returns a dict with
     ``consistent`` plus the compared tables.
     """
-    k = complex_.to_explicit(full=True)
-    sigma = make_simplex(sigma)
-    if sigma not in k:
-        raise NotASimplex(f"{sigma} is not a simplex here")
+    k = complex_.to_explicit()
+    sigma = _member(k, sigma)
     n = len(sigma) - 1
     if max_deg is None:
         max_deg = k.dim() + 1
     vertices = set(k.vertices)
-    union = Complex.empty()
-    for v in sigma:
-        union = union.union(k.restrict(vertices - {v}))
-    obs = obstruction(k, sigma, vertices - set(sigma)).to_explicit(full=True)
+    union = union_of(*(k.restrict(vertices - {v}) for v in sigma))
+    obs = obstruction(k, sigma, vertices - set(sigma)).to_explicit()
     obs_profile = homology(obs, coeffs, max_deg=max(max_deg, 0), reduced=True)
 
     def shifted(i):

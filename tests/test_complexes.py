@@ -1,7 +1,7 @@
 """Core simplicial machinery: construction, restriction, central simplices,
 cross-simplex enumeration and the cover-compatible edge collapse, and the
-star, obstruction, skeleton, join, intersection and edge-domination oracles
-they are checked against."""
+star, obstruction, skeleton, join, intersection, union, centrality and
+edge-domination oracles they are checked against."""
 
 from collections import Counter
 from itertools import combinations
@@ -14,19 +14,20 @@ from ripsdecomp import (
     CoverError,
     EnumerationRefused,
     InvalidInput,
-    NotASimplex,
     analyze,
     cover_union,
     enumerate_p_complement,
     homology,
+    induced_map,
     make_simplex,
 )
 from ripsdecomp import complexes
 from ripsdecomp.complexes import SIMPLEX_BUDGET, collapse_edges
-from ripsdecomp.corpus import case_by_name, space_for
+from ripsdecomp.corpus import space_for
 from ripsdecomp.metric import MetricCover, vietoris_rips
 
 from conftest import (
+    case_by_name,
     cover_shapes,
     random_complex,
     random_cover,
@@ -39,16 +40,24 @@ from oracles import (
     cross_cliques,
     dominated_in_every_part,
     intersect,
+    is_central,
     join,
     obstruction,
     replay_edge_collapse,
     skeleton,
     star,
+    union_of,
 )
 
 
 def hollow_triangle():
     return Complex.from_facets([[1, 2], [2, 3], [1, 3]])
+
+
+def standard_simplex(vertices):
+    """The full simplex on a vertex set, as a flag complex."""
+    vs = sorted(vertices)
+    return Complex.flag(vs, combinations(vs, 2), dim_cap=max(len(vs) - 1, 0))
 
 
 class TestFromFacets:
@@ -67,10 +76,6 @@ class TestFromFacets:
     def test_empty_facet_rejected(self):
         with pytest.raises(InvalidInput):
             Complex.from_facets([[]])
-
-    def test_from_simplices_requires_closure(self):
-        with pytest.raises(InvalidInput):
-            Complex.from_simplices([(1, 2)])
 
 
 class TestRestriction:
@@ -112,7 +117,7 @@ class TestStar:
             assert set(star(k, sigma).simplices(max_dim=k.dim_cap)) == expected
 
     def test_requires_membership(self):
-        with pytest.raises(NotASimplex):
+        with pytest.raises(InvalidInput):
             star(hollow_triangle(), (1, 2, 3))
 
 
@@ -161,10 +166,10 @@ class TestCentral:
     def test_full_simplex_all_central(self):
         k = Complex.from_facets([[1, 2, 3]])
         for s in k.simplices():
-            assert k.is_central(s)
+            assert is_central(k, s)
 
     def test_hollow_triangle_vertex_not_central(self):
-        assert not hollow_triangle().is_central((1,))
+        assert not is_central(hollow_triangle(), (1,))
 
     def test_matches_brute_force(self):
         rng = rng_for(104)
@@ -173,7 +178,7 @@ class TestCentral:
             simplices = k.simplices()
             tau = simplices[rng.randrange(len(simplices))]
             expected = all(make_simplex(s + tau) in k for s in simplices)
-            assert k.is_central(tau) == expected
+            assert is_central(k, tau) == expected
 
     def test_subsets_of_central_are_central(self):
         rng = rng_for(105)
@@ -181,11 +186,11 @@ class TestCentral:
         for _ in range(80):
             k = random_complex(rng, max_vertices=6)
             for tau in k.simplices():
-                if len(tau) > 1 and k.is_central(tau):
+                if len(tau) > 1 and is_central(k, tau):
                     hits += 1
                     for size in range(1, len(tau)):
                         for sub in combinations(tau, size):
-                            assert k.is_central(sub)
+                            assert is_central(k, sub)
         assert hits > 0
 
 
@@ -214,11 +219,11 @@ class TestSkeleton:
 class TestJoin:
     def test_join_with_empty_is_identity(self):
         k = hollow_triangle()
-        assert join(k, Complex.empty()) == k
+        assert join(k, Complex.from_facets([])) == k
 
     def test_two_point_joins_make_circle(self):
-        s0_a = Complex.discrete([0, 1])
-        s0_b = Complex.discrete([2, 3])
+        s0_a = Complex.flag([0, 1], (), dim_cap=0)
+        s0_b = Complex.flag([2, 3], (), dim_cap=0)
         circle = join(s0_a, s0_b)
         assert homology(circle, "z", max_deg=1).betti_vector(0, 1) == (0, 1)
 
@@ -236,11 +241,11 @@ class TestJoin:
         union = k.restrict(
             {idx(z) for z in ("z1", "z5", "z2", "z4", "z7", "z8")}
         )
-        assert joined.to_explicit(full=True) == union.to_explicit(full=True)
+        assert joined.to_explicit() == union.to_explicit()
 
     def test_overlap_rejected(self):
         with pytest.raises(InvalidInput, match="disjoint"):
-            join(hollow_triangle(), Complex.discrete([1]))
+            join(hollow_triangle(), Complex.flag([1], (), dim_cap=0))
 
     def test_join_distributes_over_union_and_intersection(self):
         rng = rng_for(106)
@@ -251,8 +256,8 @@ class TestJoin:
             l = Complex.from_facets(
                 [[v + offset for v in f] for f in [[0, 1], [1, 2]]]
             )
-            left = join(k1.union(k2), l)
-            right = join(k1, l).union(join(k2, l))
+            left = join(union_of(k1, k2), l)
+            right = union_of(join(k1, l), join(k2, l))
             assert left == right
             meet_left = intersect(k1, k2)
             if not meet_left.is_empty:
@@ -264,7 +269,7 @@ class TestFlagRepresentation:
         rng = rng_for(107)
         for _ in range(20):
             flag = random_flag(rng, max_vertices=7, dim_cap=6)
-            explicit = flag.to_explicit(full=True)
+            explicit = flag.to_explicit()
             for _ in range(30):
                 size = rng.randint(1, min(7, len(flag.vertices)))
                 probe = tuple(sorted(rng.sample(flag.vertices, size)))
@@ -290,8 +295,8 @@ class TestFlagRepresentation:
         for _ in range(20):
             x = set(rng.sample(range(10), rng.randint(1, 6)))
             y = set(rng.sample(range(10), rng.randint(1, 6)))
-            left = intersect(Complex.simplex_on(x), Complex.simplex_on(y))
-            assert left == Complex.simplex_on(x & y)
+            left = intersect(standard_simplex(x), standard_simplex(y))
+            assert left == standard_simplex(x & y)
 
     def test_downward_closure_preserved_by_operations(self):
         rng = rng_for(109)
@@ -326,7 +331,7 @@ def clique_graphs(rng):
 class TestCliqueEnumeration:
     def test_levels_simplices_and_n_simplices_match_brute_force_in_order(self):
         """At caps 0 to 4 and above the clique number, and uncapped through
-        ``to_explicit(full=True)``, the walk lists exactly the pairwise
+        ``to_explicit()``, the walk lists exactly the pairwise
         adjacent vertex subsets, in (dimension, lexicographic) order."""
         rng = rng_for(131)
         seen = Counter()
@@ -342,7 +347,7 @@ class TestCliqueEnumeration:
                     assert k.n_simplices(n) == (want[n] if 0 <= n < len(want) else [])
                 assert k.dim() == len(want) - 1
                 assert k._clique_levels(None) == whole
-                full = k.to_explicit(full=True)
+                full = k.to_explicit()
                 assert not full.is_flag
                 assert full.simplices() == [s for level in whole for s in level]
                 seen["capped" if cap < clique_number - 1 else "above"] += 1
@@ -446,6 +451,37 @@ class TestEdgeCollapse:
         # when one side holds every vertex, 2 dominates 01 in every part
         assert collapse_edges(k, Cover(range(3), y))[1][0] == (0, 1)
 
+    def test_a_spent_budget_returns_an_exact_prefix(self, monkeypatch):
+        """Budgets of 0 to 60 candidates: the collapse stops at a
+        prefix of the unbounded one, and the cover square it leaves has the
+        homology over q and z of every part, and the maps union -> total,
+        of the square of the graph itself, through degree cap - 1."""
+        rng = rng_for(162)
+        stopped = 0
+        for i in range(120):
+            k = random_flag(rng, max_vertices=9, edge_p=rng.choice((0.5, 0.7, 0.9)), dim_cap=3)
+            cover = cover_shapes(rng, k)[i % 4]
+            removed = collapse_edges(k, cover)[1]
+            monkeypatch.setattr(complexes, "SIMPLEX_BUDGET", rng.randint(0, 60))
+            partial, prefix = collapse_edges(k, cover)
+            monkeypatch.undo()
+            assert prefix == removed[: len(prefix)]
+            assert square_invariants(partial, cover) == square_invariants(k, cover)
+            stopped += 0 < len(prefix) < len(removed)
+        assert stopped > 20, stopped
+
+
+def square_invariants(total, cover):
+    """The reduced homology over q and z of X, Y, A, the cover union and the
+    total of a flag complex through degree cap - 1, and the rank and
+    dimensions of union -> total over q there."""
+    top = total.dim_cap - 1
+    union = cover_union(total, cover)
+    parts = [total.restrict(s) for s in (cover.x, cover.y, cover.a)] + [union, total]
+    profiles = [homology(p, c, max_deg=top).to_dict() for p in parts for c in ("q", "z")]
+    maps = [induced_map(union, total, d, "q") for d in range(top + 1)]
+    return profiles, [(m.rank, m.dim_source, m.dim_target) for m in maps]
+
 
 class TestSimplexBudget:
     def test_a_dense_walk_is_refused_before_it_is_built(self):
@@ -480,7 +516,7 @@ class TestSimplexOfDim:
                 assert k.has_simplex_of_dim(d) == (top >= d)
 
     def test_flag_search_ignores_the_cap(self):
-        capped = Complex.flag(range(5), Complex.simplex_on(range(5)).edges(), dim_cap=2)
+        capped = Complex.flag(range(5), combinations(range(5), 2), dim_cap=2)
         assert capped.has_simplex_of_dim(4) and not capped.has_simplex_of_dim(5)
 
     def test_explicit(self):
@@ -601,7 +637,5 @@ class TestPComplement:
             k = random_flag(rng, max_vertices=7)
             cover = random_cover(rng, k)
             fast = cover_union(k, cover)
-            slow = k.restrict(cover.x).to_explicit(full=True).union(
-                k.restrict(cover.y).to_explicit(full=True)
-            )
-            assert fast.to_explicit(full=True) == slow
+            slow = union_of(k.restrict(cover.x), k.restrict(cover.y))
+            assert fast.to_explicit() == slow

@@ -26,10 +26,11 @@ from ripsdecomp import (
     vietoris_rips,
 )
 from ripsdecomp import cli, metric
-from ripsdecomp.corpus import case_by_name, space_for
+from ripsdecomp.corpus import space_for
 from ripsdecomp.io import load_input
 
 from conftest import (
+    case_by_name,
     circle_cover,
     close_oracle,
     cross_domination_oracle,
@@ -642,12 +643,36 @@ class TestSimplexAssumptions:
         res = check_strong_simplex_assumption(mc)
         assert not res.ok and res.witness == ("x", "a", "b")
 
+    def test_strong_fails_with_simplex_under_a_tolerance(self):
+        # x is within r + tol = 8/7 of p, q and y, but d(p, q) = 6/5 is not:
+        # twice 6/5 stays under the detour 8/7 + 8/7 plus one tolerance
+        t = Fraction(1, 7)
+        space = DistanceSpace(
+            ["x", "p", "q", "y"],
+            [
+                [0, 8 * t, 8 * t, 8 * t],
+                [8 * t, 0, "6/5", t],
+                [8 * t, "6/5", 0, "6/5"],
+                [8 * t, t, "6/5", 0],
+            ],
+            tol=t,
+        )
+        mc = MetricCover(space, ["x", "p", "q"], ["p", "q", "y"], 1)
+        for check in (check_simplex_assumption, check_strong_simplex_assumption):
+            res = check(mc)
+            assert not res.ok and res.witness == ("x", "p", "q")
+        assert simplex_assumption_oracle(mc, strong=True) == ("x", "p", "q")
+        report = analyze_metric(mc, dim_cap=2)
+        for crit in ("gluing-simplex-condition", "gluing-strong-simplex-condition"):
+            assert report.verdict(crit).status == "fails"
+
     def test_strong_implies_simplex_on_random_instances(self):
         rng = rng_for(207)
         strong_hits = 0
         for _ in range(60):
             labels = [f"x{i}" for i in range(2)] + ["a0", "a1"] + [f"y{i}" for i in range(2)]
             space = random_pseudometric(rng, labels, max_whole=4)
+            space = DistanceSpace(labels, space.matrix, tol=rng.choice((0, Fraction(1, 7))))
             mc = MetricCover(
                 space,
                 ["x0", "x1", "a0", "a1"],

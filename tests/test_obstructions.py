@@ -63,7 +63,7 @@ def test_each_distinct_obstruction_is_profiled_and_certified_once(obstruction_ca
         if it["status"] == "homology-only"
     }
     expected = Counter(
-        frozenset(vr.restrict(vs).to_explicit(full=True).simplices()) for vs in homology_only
+        frozenset(vr.restrict(vs).to_explicit().simplices()) for vs in homology_only
     )
     profiled = Counter(frozenset(c.simplices()) for c in obstruction_calls["homology"])
     assert profiled == expected
@@ -205,7 +205,7 @@ def clique_entry_local_oracle(ctx):
 
 
 def profile_of(obs):
-    return homology(obs.complex.to_explicit(full=True), "z", reduced=True)
+    return homology(obs.complex.to_explicit(), "z", reduced=True)
 
 
 def connectivity_oracle(obs):
@@ -363,7 +363,7 @@ def _interleaved(flag):
     edges += [(v, a) for v, common in adjacent.items() for a in common]
     k = Complex.flag(range(7), edges, dim_cap=3)
     if not flag:
-        k = Complex.from_simplices(k.simplices())
+        k = Complex.from_facets(k.simplices())
     return analyzer._Context(k, Cover({0, 1, 2, 3, 4}, {0, 1, 2, 5, 6}), 3)
 
 

@@ -25,16 +25,16 @@ from ripsdecomp import (
     homology,
     induced_map,
     linalg,
-    relative_homology,
     vietoris_rips,
 )
 from ripsdecomp.complexes import collapse_edges
-from ripsdecomp.corpus import case_by_name, space_for
+from ripsdecomp.corpus import space_for
 from ripsdecomp.io import load_cover, load_input
 
 from conftest import (
     PROJECTIVE_PLANE,
     barycentric_flag,
+    case_by_name,
     circle_cover,
     cover_shapes,
     dunce_hat,
@@ -437,21 +437,16 @@ class TestReductionCount:
         expected = {0: (1, 1, 1), 1: (0, 10, 0), 2: (0, 0, 0)}[degree]
         assert (rec.rank, rec.dim_source, rec.dim_target) == expected
 
-    @pytest.mark.parametrize("call", ["homology", "relative_homology"])
-    def test_each_degree_is_reduced_once_per_call(self, monkeypatch, call):
+    def test_each_degree_is_reduced_once_per_call(self, monkeypatch):
         """d_1..d_3 once each: no degree is reduced again for the next, nor
         for a second field."""
         calls = self.counted_reductions(monkeypatch)
-        rp2, edges = self.fresh_pair()
-        pair = (rp2,) if call == "homology" else (rp2, edges)
+        rp2, _ = self.fresh_pair()
         profiles = []
         for coeffs in ("z", "q"):
-            profiles.append(getattr(ripsdecomp, call)(*pair, coeffs, max_deg=2))
+            profiles.append(homology(rp2, coeffs, max_deg=2))
             assert len(calls) == 3
-        if call == "homology":
-            assert profiles[0].torsion == {1: (2,)}
-        else:
-            assert profiles[1].betti == {0: 0, 1: 0, 2: 10}
+        assert profiles[0].torsion == {1: (2,)}
 
     def test_simplex_levels_are_padded_once_per_complex(self, monkeypatch):
         """A report reads every degree up to its cap, each induced map on its
