@@ -37,7 +37,7 @@ from collections import Counter, namedtuple
 
 from . import linalg
 from . import metric as metric_mod
-from .complexes import Cover, _bits, _mask_of, enumerate_p_complement
+from .complexes import Cover, _bits, _mask_of, check_dim_cap, enumerate_p_complement
 from .errors import InvalidInput
 from .homology import (
     ContractibilityCertificate,
@@ -122,28 +122,56 @@ class CriterionVerdict:
         return f"CriterionVerdict({self.criterion}, {self.status})"
 
 
-class DecompositionReport:
-    """Everything the analyzer decided, as JSON-ready plain data."""
+#: the fields of a report, as ``to_dict`` gives them
+_REPORT_FIELDS = (
+    "kind",
+    "cover",
+    "radius",
+    "dim_cap",
+    "fields",
+    "census",
+    "items",
+    "verdicts",
+    "profiles",
+    "induced",
+    "soundness",
+    "notes",
+)
 
-    __slots__ = (
-        "kind",
-        "cover",
-        "radius",
-        "dim_cap",
-        "fields",
-        "census",
-        "items",
-        "verdicts",
-        "profiles",
-        "induced",
-        "soundness",
-        "notes",
+
+class DecompositionReport:
+    """Everything the analyzer decided, as JSON-ready plain data.
+
+    ``items`` is built lazily.  The analyzer leaves an item table
+    (``item_table``): the id -> label map, one dict of the fields shared by
+    the cross simplices of each obstruction record, and the (simplex, class)
+    rows.  The first read of ``items`` builds the list of item dicts from
+    it, caches the list and drops the table; assigning ``items`` drops it
+    too.  While a report keeps its table, ``render_json`` writes the items
+    straight from it.
+    """
+
+    __slots__ = tuple(name for name in _REPORT_FIELDS if name != "items") + (
+        "_items",
+        "item_table",
     )
 
     def __init__(self, **kw):
-        for name in self.__slots__:
+        for name in _REPORT_FIELDS:
             setattr(self, name, kw.get(name))
         self.notes = self.notes or []
+
+    @property
+    def items(self):
+        if self.item_table is not None:
+            self._items = _item_dicts(self.item_table)
+            self.item_table = None
+        return self._items
+
+    @items.setter
+    def items(self, value):
+        self._items = value
+        self.item_table = None
 
     def verdict(self, criterion):
         for v in self.verdicts:
@@ -152,7 +180,13 @@ class DecompositionReport:
         raise KeyError(criterion)
 
     def to_dict(self):
-        out = {name: getattr(self, name) for name in self.__slots__}
+        out = self.to_dict_without_items()
+        out["items"] = self.items
+        return out
+
+    def to_dict_without_items(self):
+        """``to_dict()`` less its ``items``, which this leaves unbuilt."""
+        out = {name: getattr(self, name) for name in _REPORT_FIELDS if name != "items"}
         out["verdicts"] = [v.to_dict() for v in self.verdicts]
         return out
 
@@ -238,6 +272,7 @@ class _Context:
     def __init__(self, complex_, cover, dim_cap):
         if dim_cap < 1:
             raise InvalidInput("the dimension cap must be at least 1")
+        check_dim_cap(dim_cap)
         cover.validate(complex_)
         self.complex = complex_
         self.cover = cover
@@ -1167,13 +1202,18 @@ def _census(ctx):
     return {"total": len(ctx.items), "by_dim": dict(by_dim), "by_status": dict(by_status)}
 
 
-def _item_records(ctx, include_profiles):
-    """One record per cross simplex, labelled from one table.  The records
-    of one obstruction share its ``obstruction_vertices`` list,
-    ``certificate`` dict and ``profile``, each made once, and each class
-    has one dict of the fields after ``simplex``."""
+#: A report's items as one table: ``labels`` maps vertex ids to labels,
+#: ``records`` maps each obstruction record to the dict of the fields its
+#: cross simplices share (``status``, ``obstruction_vertices``,
+#: ``certificate``, ``profile``), and ``classes`` and ``rows`` are those of
+#: the context: the (simplex, class) pairs of ``rows`` in report order.
+_ItemTable = namedtuple("_ItemTable", "labels records classes rows")
+
+
+def _item_table(ctx, include_profiles):
+    """The item table of a context, each record's fields made once."""
     names = {v: ctx.label(v) for v in ctx.complex.vertices}
-    shared = {}
+    records = {}
     for obs in _records(ctx.classes):
         cert = obs.certificate
         certificate = profile = None
@@ -1183,14 +1223,21 @@ def _item_records(ctx, include_profiles):
             certificate = {"kind": "collapse", "steps": len(cert.collapses)}
         if include_profiles and obs.status == STATUS_HOMOLOGY_ONLY:
             profile = ctx.obstruction_profile(obs).to_dict()
-        shared[obs] = {
+        records[obs] = {
             "status": obs.status,
             "obstruction_vertices": [names[v] for v in obs.complex.vertices],
             "certificate": certificate,
             "profile": profile,
         }
-    fields = {c: {"dim": c.dim, **shared[c.obs]} for c in ctx.classes}
-    return [{"simplex": [names[v] for v in simplex], **fields[c]} for simplex, c in ctx.items]
+    return _ItemTable(names, records, ctx.classes, ctx.items)
+
+
+def _item_dicts(table):
+    """One dict per cross simplex.  The dicts of one obstruction share its
+    ``obstruction_vertices`` list, ``certificate`` dict and ``profile``."""
+    names = table.labels
+    fields = {c: {"dim": c.dim, **table.records[c.obs]} for c in table.classes}
+    return [{"simplex": [names[v] for v in simplex], **fields[c]} for simplex, c in table.rows]
 
 
 def analyze(complex_, cover, dim_cap=None, fields=("q", "z"), verify=True):
@@ -1202,9 +1249,11 @@ def analyze(complex_, cover, dim_cap=None, fields=("q", "z"), verify=True):
     cross-checks every certified conclusion against them.  The report is
     built from one analysis context: the cross simplices are enumerated once,
     and each distinct obstruction complex among them is certified and
-    profiled once, however many cross simplices share it.  The item records
-    of one obstruction share their ``obstruction_vertices`` and
-    ``certificate`` objects (and ``profile``), so treat them as read-only.
+    profiled once, however many cross simplices share it.  The report's
+    ``items`` are built lazily, on first read, from the item table the
+    context leaves (see ``DecompositionReport``); the item dicts of one
+    obstruction share their ``obstruction_vertices`` and ``certificate``
+    objects (and ``profile``), so treat them as read-only.
     """
     if dim_cap is None:
         dim_cap = complex_.dim_cap if complex_.is_flag else 4
@@ -1224,7 +1273,7 @@ def _analyze(ctx, fields, verify, kind="simplicial", radius=None, metric_rules=(
     if verify:
         profiles, induced = _verification(complex_, cover, fields, dim_cap)
         failures = _soundness(verdicts, profiles, induced, fields, dim_cap)
-    return DecompositionReport(
+    report = DecompositionReport(
         kind=kind,
         cover={
             "X": [ctx.label(v) for v in sorted(cover.x)],
@@ -1235,13 +1284,14 @@ def _analyze(ctx, fields, verify, kind="simplicial", radius=None, metric_rules=(
         dim_cap=dim_cap,
         fields=fields,
         census=_census(ctx),
-        items=_item_records(ctx, include_profiles=verify),
         verdicts=verdicts,
         profiles=profiles,
         induced=induced,
         soundness={"ok": not failures, "failures": failures},
         notes=list(notes),
     )
+    report.item_table = _item_table(ctx, include_profiles=verify)
+    return report
 
 
 def analyze_metric(mc, dim_cap=4, fields=("q", "z"), verify=True):

@@ -20,7 +20,11 @@ simplices and a cover's cross cliques come from one breadth-first walk,
 search.  One walk enumerates at most ``SIMPLEX_BUDGET`` cliques over all its
 levels; it knows each level's size before building it, and refuses with
 ``EnumerationRefused`` instead of building a level that would pass the
-budget.  Complexes are immutable after construction and thread-safe.
+budget.  An explicit complex's downward closure is refused past the same
+budget, a facet too large for it before any of its faces is made.  So no
+simplex of dimension ``MAX_DIM_CAP`` is ever enumerated, and a dimension
+cap above it (``check_dim_cap``) is refused too.  Complexes are immutable
+after construction and thread-safe.
 
 Vertex labels: user-facing labels are interned to dense integer ids at
 ingestion.  A complex may carry an ``id -> label`` table; every derived
@@ -52,6 +56,22 @@ __all__ = [
 #: a level near the budget holds a few hundred megabytes of tuples.
 SIMPLEX_BUDGET = 1_000_000
 
+#: The highest dimension cap that is not refused, 19 for the budget above.
+#: A simplex of k vertices has 2**k - 1 faces, so within the budget a simplex
+#: has at most this many vertices and a dimension below it; a higher cap adds
+#: only empty degrees.
+MAX_DIM_CAP = (SIMPLEX_BUDGET + 1).bit_length() - 1
+
+
+def check_dim_cap(cap):
+    """``cap``, refused with :class:`EnumerationRefused` past ``MAX_DIM_CAP``."""
+    if cap > MAX_DIM_CAP:
+        raise EnumerationRefused(
+            f"the dimension cap {cap} is past {MAX_DIM_CAP}: within the budget of "
+            f"{SIMPLEX_BUDGET} simplices no simplex has dimension {MAX_DIM_CAP}"
+        )
+    return cap
+
 
 def make_simplex(vertices):
     """Canonical simplex: nonempty, strictly increasing, duplicate-free."""
@@ -62,10 +82,22 @@ def make_simplex(vertices):
 
 
 def _close_downward(simplices):
+    """The faces of ``simplices``, refused with :class:`EnumerationRefused`
+    as soon as one simplex alone or all the faces so far pass
+    ``SIMPLEX_BUDGET``."""
     closed = set()
     for s in simplices:
+        if len(s) > MAX_DIM_CAP:
+            raise EnumerationRefused(
+                f"a facet of {len(s)} vertices has 2^{len(s)} - 1 faces, past the "
+                f"budget of {SIMPLEX_BUDGET} simplices"
+            )
         for k in range(1, len(s) + 1):
             closed.update(combinations(s, k))
+        if len(closed) > SIMPLEX_BUDGET:
+            raise EnumerationRefused(
+                f"the facets have more than {SIMPLEX_BUDGET} faces, past the budget"
+            )
     return closed
 
 
@@ -161,7 +193,8 @@ class Complex:
 
     @classmethod
     def from_facets(cls, facets, labels=None):
-        """Explicit complex generated by the given facets (downward closure)."""
+        """Explicit complex generated by the given facets (downward closure),
+        refused when the closure passes ``SIMPLEX_BUDGET``."""
         closed = _close_downward(make_simplex(f) for f in facets)
         vertices = {v for s in closed for v in s}
         return cls(simplices=frozenset(closed), vertices=vertices, labels=labels)

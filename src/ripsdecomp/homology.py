@@ -101,7 +101,7 @@ import heapq
 from itertools import accumulate, combinations, compress, groupby
 
 from . import linalg
-from .complexes import central_vertex, collapse_edges, cover_union
+from .complexes import central_vertex, check_dim_cap, collapse_edges, cover_union
 from .errors import (
     EmptyComplex,
     EnumerationRefused,
@@ -355,10 +355,10 @@ def homology(complex_, coeffs="z", max_deg=None, reduced=True):
     """Homology profile of a complex up to ``max_deg``.
 
     Integral coefficients ("z") also report torsion; field coefficients
-    ("q", "zp:<p>") report ranks only.
+    ("q", "zp:<p>") report ranks only.  A ``max_deg`` past
+    ``MAX_DIM_CAP`` is refused.
     """
-    if max_deg is None:
-        max_deg = max(complex_.dim(), 0)
+    max_deg = max(complex_.dim(), 0) if max_deg is None else check_dim_cap(max_deg)
     levels = simplex_levels(complex_, max_deg + 1)
     _reduce_chain([complex_], None, range(1, max_deg + 2))
     memo = complex_._memo

@@ -12,15 +12,18 @@ field of a record list are each written as one column:
 
 * only ``str``, only ``int``, or only ``True``, ``False`` and ``None``: mapped
   at C level, through the functions the encoder itself calls;
-* an object held more than once: written once, by ``id`` (the report keeps
-  it alive), as the records of one obstruction share its certificate,
-  vertex list and profile;
 * lists of such scalars: joined line by line;
-* dicts that share one nonempty set of ``str`` keys (cross simplices,
-  verdicts, induced maps, profiles by field): one ``%`` template, each key
-  a column;
+* dicts that share one nonempty set of ``str`` keys (verdicts, induced maps,
+  profiles by field): one ``%`` template, each key a column;
 * anything else (a float, a ``str`` or ``int`` subclass, a tuple, a dict
   with other keys): ``json.dumps`` of that value, re-indented to its depth.
+
+The items of a report that keeps the analyzer's item table are written
+from the table, not from item dicts (``_write_items``): each vertex label
+is encoded once, each obstruction record's fields are written once, each
+class of cross simplices (one record, one dimension) gets the text before
+and after its simplex's labels joined from those once, and each cross
+simplex is one join of its class's texts and its labels.
 
 That is exact because strings escape control characters: with ``indent``
 set, a raw newline occurs only between tokens, so a subtree written at depth
@@ -64,13 +67,70 @@ _ENCODE = {
 
 
 def render_json(report):
-    data = report.to_dict()
     if _WRITER:
         try:
-            return _write(data, 0)
+            return _write_report(report)
         except (TypeError, ValueError, RecursionError, IndexError):
             pass  # json.dumps raises its own error, or writes a deep report
-    return json.dumps(data, indent=2, sort_keys=True)
+    return json.dumps(report.to_dict(), indent=2, sort_keys=True)
+
+
+def _write_report(report):
+    """``_write(report.to_dict(), 0)``, the items written from the report's
+    item table while it keeps one."""
+    table = report.item_table
+    if table is None:
+        return _write(report.to_dict(), 0)
+    texts = {k: _write(v, 1) for k, v in report.to_dict_without_items().items()}
+    texts["items"] = _write_items(table)
+    keys = sorted(texts)
+    return _braced("{}", [encode_basestring_ascii(k) + ": " + texts[k] for k in keys], 0)
+
+
+def _write_items(table):
+    """The items of an item table at depth 1.  Each label is encoded once,
+    and each field of the records is written as one column, so each
+    record's value once; a class's text before and after the labels of its
+    simplex is joined from those texts once, and each item is one join.  A
+    cross simplex is never empty, so its labels always open a line of their
+    own."""
+    if not table.rows:
+        return "[]"
+    line, inner = "," + _NEWLINE[3], _NEWLINE[4]
+    label = {v: encode_basestring_ascii(name) for v, name in table.labels.items()}
+    records = list(table.records.values())
+    members = [{} for _ in records]  # per record: key -> '"key": text'
+    for k in records[0]:
+        key = encode_basestring_ascii(k) + ": "
+        for member, text in zip(members, _column([r[k] for r in records], 3)):
+            member[k] = key + text
+    # an item's sorted keys, cut at "dim" and at "simplex" ("dim" < "simplex")
+    keys = sorted([*records[0], "dim", "simplex"])
+    dim, simplex = keys.index("dim"), keys.index("simplex")
+    parts = {}
+    for obs, member in zip(table.records, members):
+        before = "".join(member[k] + line for k in keys[:dim])
+        between = "".join(line + member[k] for k in keys[dim + 1 : simplex])
+        after = "".join(line + member[k] for k in keys[simplex + 1 :])
+        parts[obs] = (
+            "{" + _NEWLINE[3] + before + '"dim": ',
+            between + line + '"simplex": [' + inner,
+            _NEWLINE[3] + "]" + after + _NEWLINE[2] + "}",
+        )
+    heads, tails = {}, {}
+    for c in table.classes:
+        to_dim, to_simplex, tails[c] = parts[c.obs]
+        heads[c] = to_dim + int.__repr__(c.dim) + to_simplex
+    join = ("," + inner).join
+    return _braced(
+        "[]", [heads[c] + join(map(label.__getitem__, s)) + tails[c] for s, c in table.rows], 1
+    )
+
+
+def _braced(brackets, texts, depth):
+    """A list or dict at nesting ``depth`` from the texts of its entries."""
+    inner = _NEWLINE[depth + 1]
+    return brackets[0] + inner + ("," + inner).join(texts) + _NEWLINE[depth] + brackets[1]
 
 
 def _write(value, depth):
@@ -92,8 +152,7 @@ def _write(value, depth):
             keys = sorted(value)
             texts = _column(list(map(value.__getitem__, keys)), depth + 1)
             items = [k + ": " + t for k, t in zip(map(encode_basestring_ascii, keys), texts)]
-        inner = _NEWLINE[depth + 1]
-        return brackets[0] + inner + ("," + inner).join(items) + _NEWLINE[depth] + brackets[1]
+        return _braced(brackets, items, depth)
     return json.dumps(value, indent=2, sort_keys=True).replace("\n", _NEWLINE[depth])
 
 
@@ -102,12 +161,6 @@ def _column(values, depth):
     kinds = frozenset(map(type, values))
     if kinds in _ENCODE:
         return list(map(_ENCODE[kinds], values))
-    distinct = dict(zip(map(id, values), values))
-    if len(distinct) < len(values):
-        # each object once; objects of one type are a column of their own
-        objects = list(distinct.values())
-        texts = _column(objects, depth) if len(kinds) == 1 else [_write(v, depth) for v in objects]
-        return list(map(dict(zip(distinct, texts)).__getitem__, map(id, values)))
     if kinds == {list}:
         items = frozenset(map(type, chain.from_iterable(values)))
         if items in _ENCODE:

@@ -10,12 +10,14 @@ from collections import Counter
 
 import pytest
 
-from ripsdecomp import analyze, analyze_metric, cli, homology, metric, vietoris_rips
+from ripsdecomp import analyze, analyze_metric, cli, complexes, homology, metric, vietoris_rips
+from ripsdecomp.complexes import MAX_DIM_CAP, SIMPLEX_BUDGET
 from ripsdecomp.corpus import CASES, space_for
 from ripsdecomp.io import load_input
 from ripsdecomp.reporting import parse_report, render_json
 
 from conftest import (
+    PROJECTIVE_PLANE,
     circle_cover,
     cliques_oracle,
     random_complex,
@@ -231,6 +233,72 @@ class TestSimplexBudget:
         profiles = [p for part in report["profiles"].values() for p in part.values()]
         assert len(profiles) == 10
         assert not any(any(p["betti"].values()) or p["torsion"] for p in profiles)
+
+    @staticmethod
+    def facet_file(tmp_path, *sizes):
+        """Disjoint facets of the given numbers of labels."""
+        facets = [[f"v{i}.{j}" for j in range(n)] for i, n in enumerate(sizes)]
+        return write_json(tmp_path, "facets.json", {"facets": facets})
+
+    def test_a_facet_past_the_budget_exits_2_at_once(self, capsys, monkeypatch, tmp_path):
+        """One facet of 21 labels has 2^21 - 1 faces: refused before any face
+        is made."""
+        calls = []
+        real = complexes.combinations
+        monkeypatch.setattr(complexes, "combinations", lambda *a: calls.append(1) or real(*a))
+        assert cli.main(["homology", self.facet_file(tmp_path, 21)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: a facet of 21 vertices has 2^21 - 1 faces, past the budget of "
+            f"{SIMPLEX_BUDGET} simplices\n"
+        )
+        assert calls == []
+
+    def test_a_facet_within_the_budget_reports(self, capsys, tmp_path):
+        assert cli.main(["homology", self.facet_file(tmp_path, 16), "--format", "json"]) == 0
+        profiles = json.loads(capsys.readouterr().out).values()
+        assert not any(any(p["betti"].values()) or p["torsion"] for p in profiles)
+
+    def test_facets_whose_faces_pass_the_budget_exit_2(self, capsys, monkeypatch, tmp_path):
+        """Under a budget of 100 simplices, three 5-label facets (93 faces)
+        report and four (124 faces) are refused."""
+        monkeypatch.setattr(complexes, "SIMPLEX_BUDGET", 100)
+        assert cli.main(["homology", self.facet_file(tmp_path, 5, 5, 5)]) == 0
+        capsys.readouterr()
+        assert cli.main(["homology", self.facet_file(tmp_path, 5, 5, 5, 5)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: the facets have more than 100 faces, past the budget\n"
+
+
+class TestDimensionCapBound:
+    """Within the simplex budget no simplex has dimension ``MAX_DIM_CAP``, so
+    a higher cap is refused."""
+
+    def test_the_bound_follows_the_budget(self):
+        assert 2**MAX_DIM_CAP - 1 <= SIMPLEX_BUDGET < 2 ** (MAX_DIM_CAP + 1) - 1
+
+    @pytest.mark.parametrize("command", ["decompose", "homology"])
+    def test_the_bound_runs_and_one_past_it_exits_2(self, capsys, tmp_path, command):
+        """``decompose`` on the 3-point path at radius 1, ``homology`` on RP^2."""
+        if command == "decompose":
+            points = write_json(
+                tmp_path, "path.json",
+                {"points": ["a", "b", "c"], "distances": [[0, 1, 2], [1, 0, 1], [2, 1, 0]]},
+            )
+            cover = write_json(tmp_path, "cover.json", {"X": ["a", "b"], "Y": ["b", "c"]})
+            argv = ["decompose", points, "--cover", cover, "-r", "1"]
+        else:
+            argv = ["homology", write_json(tmp_path, "rp2.json", {"facets": PROJECTIVE_PLANE})]
+        assert cli.main([*argv, "--max-dim", str(MAX_DIM_CAP), "--format", "json"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        degrees = out["profiles"]["total"]["z"] if command == "decompose" else out["z"]
+        assert degrees["degrees"][-1] == MAX_DIM_CAP - (command == "decompose")
+        assert cli.main([*argv, "--max-dim", str(MAX_DIM_CAP + 1)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: the dimension cap {MAX_DIM_CAP + 1} is past")
 
 
 class TestByteOrderMark:

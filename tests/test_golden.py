@@ -28,8 +28,9 @@ from fractions import Fraction
 import pytest
 
 from ripsdecomp import Complex, Cover, DistanceSpace, MetricCover, analyze, analyze_metric
-from ripsdecomp.corpus import CASES, run_case
-from ripsdecomp.reporting import render_json
+from ripsdecomp import reporting
+from ripsdecomp.corpus import CASES, run_case, space_for
+from ripsdecomp.reporting import parse_report, render_json
 
 from conftest import (
     PROJECTIVE_PLANE,
@@ -238,6 +239,51 @@ def fuzz_digest(seed):
 def test_report_bytes_match_golden(name, build):
     with open(os.path.join(GOLDEN_DIR, name + ".json")) as fh:
         assert render_json(build()) == fh.read()
+
+
+def _with_item_table(name, build):
+    """A fresh golden report that keeps its item table: a corpus case is
+    built as ``run_case`` builds it, before ``compare`` reads its items."""
+    for case in CASES:
+        if name == f"corpus-{case.name}":
+            mc = MetricCover(space_for(case), case.x, case.y, case.r)
+            return analyze_metric(mc, dim_cap=case.dim_cap, fields=list(case.fields))
+    return build()
+
+
+def _golden_text(name):
+    with open(os.path.join(GOLDEN_DIR, name + ".json")) as fh:
+        return fh.read()
+
+
+@pytest.mark.parametrize("name,build", GOLDEN, ids=[name for name, _ in GOLDEN])
+def test_every_render_path_gives_the_golden_bytes(monkeypatch, name, build):
+    """The writer from the item table, then plain json.dumps, which builds
+    the item dicts and drops the table, then the writer from the item dicts;
+    the report reads back as itself."""
+    text = _golden_text(name)
+    report = _with_item_table(name, build)
+    assert report.item_table is not None
+    for writer in (True, False, True):
+        monkeypatch.setattr(reporting, "_WRITER", writer)
+        assert render_json(report) == text, f"writer {writer}"
+    assert report.item_table is None
+    assert parse_report(render_json(report)) == report == parse_report(text)
+
+
+@pytest.mark.parametrize("name,build", GOLDEN, ids=[name for name, _ in GOLDEN])
+def test_assigned_items_replace_the_item_table(monkeypatch, name, build):
+    """Assigning ``items`` drops the table, and both render paths follow the
+    new list."""
+    items = json.loads(_golden_text(name))["items"][::-1] + [{"dim": 0, "simplex": ["new"]}]
+    for writer in (True, False):
+        monkeypatch.setattr(reporting, "_WRITER", writer)
+        report = _with_item_table(name, build)
+        report.items = items
+        assert report.item_table is None
+        text = render_json(report)
+        assert json.loads(text)["items"] == items
+        assert text == json.dumps(report.to_dict(), indent=2, sort_keys=True)
 
 
 @pytest.mark.parametrize("case", CASES, ids=[c.name for c in CASES])

@@ -27,7 +27,7 @@ from ripsdecomp import (
     linalg,
     vietoris_rips,
 )
-from ripsdecomp.complexes import collapse_edges
+from ripsdecomp.complexes import MAX_DIM_CAP, collapse_edges
 from ripsdecomp.corpus import space_for
 from ripsdecomp.io import load_cover, load_input
 
@@ -451,10 +451,11 @@ class TestReductionCount:
     def test_simplex_levels_are_padded_once_per_complex(self, monkeypatch):
         """A report reads every degree up to its cap, each induced map on its
         own: the bucket lists it is handed stay linear in the cap (one list
-        per complex of the cover square), not one fresh list per call."""
+        per complex of the cover square), not one fresh list per call.  The
+        highest cap not refused has 19 induced maps over q."""
         homology_module = importlib.import_module("ripsdecomp.homology")
         real = homology_module.simplex_levels
-        dim_cap = 2000
+        dim_cap = MAX_DIM_CAP
         bound = 6 * (dim_cap + 1)
         handed = {}  # id -> list, held so that no id is reused
 
