@@ -68,7 +68,13 @@ STATUS_COLLAPSE = "collapse"
 STATUS_HOMOLOGY_ONLY = "homology-only"
 
 
-class CriterionVerdict:
+class CriterionVerdict(
+    namedtuple(
+        "CriterionVerdict",
+        "criterion status witness conclusion claim detail verified_up_to",
+        defaults=(None,) * 5,
+    )
+):
     """Outcome of one criterion: hypothesis status, witness, conclusion.
 
     ``claim`` is the machine-checkable consequence for the inclusion of the
@@ -77,49 +83,15 @@ class CriterionVerdict:
     and which coefficient characteristic is excluded, if any.
     """
 
-    __slots__ = (
-        "criterion",
-        "status",
-        "witness",
-        "conclusion",
-        "claim",
-        "detail",
-        "verified_up_to",
-    )
-
-    def __init__(
-        self,
-        criterion,
-        status,
-        witness=None,
-        conclusion=None,
-        claim=None,
-        detail=None,
-        verified_up_to=None,
-    ):
-        self.criterion = criterion
-        self.status = status
-        self.witness = witness
-        self.conclusion = conclusion
-        self.claim = claim
-        self.detail = detail
-        self.verified_up_to = verified_up_to
+    __slots__ = ()
 
     def to_dict(self):
-        return {name: getattr(self, name) for name in self.__slots__}
+        return self._asdict()
 
     @classmethod
     def from_dict(cls, data):
-        optional = {name: data.get(name) for name in cls.__slots__[2:]}
+        optional = {name: data.get(name) for name in cls._fields[2:]}
         return cls(data["criterion"], data["status"], **optional)
-
-    def __eq__(self, other):
-        if not isinstance(other, CriterionVerdict):
-            return NotImplemented
-        return self.to_dict() == other.to_dict()
-
-    def __repr__(self):
-        return f"CriterionVerdict({self.criterion}, {self.status})"
 
 
 #: the fields of a report, as ``to_dict`` gives them

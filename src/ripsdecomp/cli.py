@@ -3,11 +3,13 @@
 Commands: ``vr`` (complex summary), ``homology`` (Betti/torsion table),
 ``decompose`` (criteria plus verification), ``corpus`` (embedded golden
 cases).  Exit codes: 0 success, 1 soundness discrepancy or corpus mismatch,
-2 input error.  Reports go to stdout, diagnostics to stderr.
+2 input error, 141 (128 + SIGPIPE) stdout closed before the report was
+written.  Reports go to stdout, diagnostics to stderr.
 """
 
 import argparse
 import json
+import os
 import sys
 
 from . import corpus as corpus_mod
@@ -199,10 +201,18 @@ def main(argv=None):
         "corpus": cmd_corpus,
     }[args.command]
     try:
-        return handler(args)
+        status = handler(args)
+        sys.stdout.flush()  # a reader that is gone shows here, not at exit
+        return status
     except RipsDecompError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader is gone: what is left in the buffer goes nowhere at exit
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
 
 
 if __name__ == "__main__":

@@ -6,29 +6,24 @@ a case through the metric analyzer and reports every mismatch, so the corpus
 doubles as the golden regression suite for the whole pipeline.
 """
 
+from collections import namedtuple
+
 from .analyzer import analyze_metric
 from .metric import DistanceSpace, MetricCover
 
 __all__ = ["CASES", "CorpusCase", "compare", "run_case", "space_for"]
 
 
-class CorpusCase:
-    __slots__ = ("name", "labels", "rows", "x", "y", "r", "dim_cap", "fields", "expect")
-
-    def __init__(self, name, labels, rows, x, y, r, expect, dim_cap=4, fields=("q", "z")):
-        self.name = name
-        self.labels = labels
-        self.rows = rows          # row i: distances of labels[i] to labels[0..i-1]
-        self.x = x
-        self.y = y
-        self.r = r
-        self.dim_cap = dim_cap
-        self.fields = fields
-        self.expect = expect
+#: One case; row i of ``rows`` holds the distances of labels[i] to labels[0..i-1].
+CorpusCase = namedtuple(
+    "CorpusCase",
+    "name labels rows x y r expect dim_cap fields",
+    defaults=(4, ("q", "z")),
+)
 
 
-def space_for(case, override=None):
-    """Distance space of a case; ``override`` patches single cells by label pair."""
+def space_for(case):
+    """Distance space of a case."""
     n = len(case.labels)
     matrix = [[0] * n for _ in range(n)]
     for i in range(1, n):
@@ -37,17 +32,12 @@ def space_for(case, override=None):
         for j, value in enumerate(row):
             matrix[i][j] = value
             matrix[j][i] = value
-    if override:
-        index = {lab: k for k, lab in enumerate(case.labels)}
-        for (a, b), value in override.items():
-            matrix[index[a]][index[b]] = value
-            matrix[index[b]][index[a]] = value
     return DistanceSpace(case.labels, matrix)
 
 
-def run_case(case, override=None):
+def run_case(case):
     """(report, mismatches) for one corpus case."""
-    space = space_for(case, override)
+    space = space_for(case)
     mc = MetricCover(space, case.x, case.y, case.r)
     report = analyze_metric(mc, dim_cap=case.dim_cap, fields=list(case.fields))
     return report, compare(report, case.expect)

@@ -98,6 +98,7 @@ certificate is reported as acyclic, never as contractible.
 """
 
 import heapq
+from collections import namedtuple
 from itertools import accumulate, combinations, compress, groupby
 
 from . import linalg
@@ -185,19 +186,8 @@ def simplex_levels(complex_, need):
     return levels
 
 
-class BoundaryMatrix:
-    """Boundary operator of one degree over the deterministic simplex order."""
-
-    __slots__ = ("degree", "rows", "cols", "entries")
-
-    def __init__(self, degree, rows, cols, entries):
-        self.degree = degree
-        self.rows = rows
-        self.cols = cols
-        self.entries = entries
-
-    def __repr__(self):
-        return f"BoundaryMatrix(degree={self.degree}, {len(self.rows)}x{len(self.cols)})"
+#: Boundary operator of one degree over the deterministic simplex order.
+BoundaryMatrix = namedtuple("BoundaryMatrix", "degree rows cols entries")
 
 
 def boundary_matrix(complex_, n, dim_cap=None):
@@ -219,41 +209,20 @@ def boundary_matrix(complex_, n, dim_cap=None):
 # ----------------------------------------------------------------- profiles
 
 
-class HomologyProfile:
+class HomologyProfile(namedtuple("HomologyProfile", "coeffs reduced degrees betti torsion")):
     """Per-degree Betti numbers, plus torsion prime powers over the integers."""
 
-    __slots__ = ("coeffs", "reduced", "degrees", "betti", "torsion")
+    __slots__ = ()
 
-    def __init__(self, coeffs, reduced, degrees, betti, torsion=None):
-        self.coeffs = coeffs
-        self.reduced = reduced
-        self.degrees = tuple(degrees)
-        self.betti = dict(betti)
-        self.torsion = {d: tuple(t) for d, t in (torsion or {}).items() if t}
+    def __new__(cls, coeffs, reduced, degrees, betti, torsion=None):
+        torsion = {d: tuple(t) for d, t in (torsion or {}).items() if t}
+        return tuple.__new__(cls, (coeffs, reduced, tuple(degrees), dict(betti), torsion))
 
     def betti_vector(self, lo, hi):
         return tuple(self.betti.get(d, 0) for d in range(lo, hi + 1))
 
     def torsion_at(self, d):
         return self.torsion.get(d, ())
-
-    def __eq__(self, other):
-        if not isinstance(other, HomologyProfile):
-            return NotImplemented
-        return (
-            self.coeffs == other.coeffs
-            and self.reduced == other.reduced
-            and self.degrees == other.degrees
-            and self.betti == other.betti
-            and self.torsion == other.torsion
-        )
-
-    def __repr__(self):
-        lo, hi = (self.degrees[0], self.degrees[-1]) if self.degrees else (0, -1)
-        return (
-            f"HomologyProfile({self.coeffs}, reduced={self.reduced}, "
-            f"betti={list(self.betti_vector(lo, hi))})"
-        )
 
     def to_dict(self):
         return {
@@ -441,18 +410,11 @@ def is_subcomplex(sub, ambient):
 # -------------------------------------------------------------- induced maps
 
 
-class InducedMap:
+class InducedMap(namedtuple("InducedMap", "field degree rank dim_source dim_target")):
     """The rank and the homology dimensions of a map on field homology
     induced by a subcomplex inclusion."""
 
-    __slots__ = ("field", "degree", "rank", "dim_source", "dim_target")
-
-    def __init__(self, field, degree, rank, dim_source, dim_target):
-        self.field = field
-        self.degree = degree
-        self.rank = rank
-        self.dim_source = dim_source
-        self.dim_target = dim_target
+    __slots__ = ()
 
     @property
     def injective(self):
@@ -465,12 +427,6 @@ class InducedMap:
     @property
     def iso(self):
         return self.injective and self.surjective
-
-    def __repr__(self):
-        return (
-            f"InducedMap({self.field}, degree={self.degree}, rank={self.rank}, "
-            f"{self.dim_source}->{self.dim_target})"
-        )
 
 
 def induced_map(sub, ambient, degree, coeffs="q", reduced=False):
@@ -515,24 +471,16 @@ def induced_map(sub, ambient, degree, coeffs="q", reduced=False):
 # --------------------------------------------------------------- certificates
 
 
-class ContractibilityCertificate:
+class ContractibilityCertificate(
+    namedtuple("ContractibilityCertificate", "kind central collapses", defaults=(None, None))
+):
     """Sufficient evidence of contractibility: a central simplex or a
     collapse sequence ending at one vertex."""
 
-    __slots__ = ("kind", "central", "collapses")
+    __slots__ = ()
 
     CENTRAL = "central"
     COLLAPSE = "collapse"
-
-    def __init__(self, kind, central=None, collapses=None):
-        self.kind = kind
-        self.central = central
-        self.collapses = tuple(collapses) if collapses is not None else None
-
-    def __repr__(self):
-        if self.kind == self.CENTRAL:
-            return f"ContractibilityCertificate(central={self.central})"
-        return f"ContractibilityCertificate(collapses={len(self.collapses)})"
 
 
 def _greedy_collapse(simplices):
@@ -592,5 +540,5 @@ def contractibility_certificate(complex_):
         return ContractibilityCertificate(ContractibilityCertificate.CENTRAL, central=(v,))
     seq = _greedy_collapse(complex_.to_explicit().simplices())
     if seq is not None:
-        return ContractibilityCertificate(ContractibilityCertificate.COLLAPSE, collapses=seq)
+        return ContractibilityCertificate(ContractibilityCertificate.COLLAPSE, collapses=tuple(seq))
     return None

@@ -49,6 +49,7 @@ report the first counterexample in the order the points were listed.
 """
 
 import math
+from collections import namedtuple
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from itertools import chain, combinations, compress
@@ -321,23 +322,11 @@ class MetricCover:
         return tuple(self.space.labels[i] for i in idx)
 
 
-class CheckResult:
-    """Outcome of a decidable hypothesis: ok flag, witness labels, note.
-
-    The witness is the certifying object on success for existential checks
-    (e.g. the shared witness point) and the first counterexample on failure
-    for universal checks.
-    """
-
-    __slots__ = ("ok", "witness", "note")
-
-    def __init__(self, ok, witness=None, note=""):
-        self.ok = ok
-        self.witness = witness
-        self.note = note
-
-    def __repr__(self):
-        return f"CheckResult(ok={self.ok}, witness={self.witness!r}, note={self.note!r})"
+#: Outcome of a decidable hypothesis: ok flag, witness labels, note.  The
+#: witness is the certifying object on success for existential checks (e.g.
+#: the shared witness point) and the first counterexample on failure for
+#: universal checks.
+CheckResult = namedtuple("CheckResult", "ok witness note", defaults=(None, ""))
 
 
 def is_metric_gluing(space, x, y):

@@ -35,9 +35,9 @@ def write_json(tmp_path, name, document):
     return str(path)
 
 
-@pytest.fixture
-def circle_files(tmp_path):
-    mc = circle_cover(12)
+def write_circle(tmp_path, n):
+    """Point and cover files of ``circle_cover(n)``, and its radius."""
+    mc = circle_cover(n)
     points = write_json(
         tmp_path,
         "points.json",
@@ -52,6 +52,11 @@ def circle_files(tmp_path):
         {"X": mc.labels_of(sorted(mc.x)), "Y": mc.labels_of(sorted(mc.y))},
     )
     return points, cover, str(mc.r)
+
+
+@pytest.fixture
+def circle_files(tmp_path):
+    return write_circle(tmp_path, 12)
 
 
 @pytest.fixture
@@ -463,6 +468,36 @@ class TestOneParser:
         assert run() == plain
 
 
+class TestClosedStdout:
+    """A reader that is gone before the output is written: exit 141 and
+    nothing on stderr, neither a traceback nor an error in the flush at exit."""
+
+    def run(self, argv):
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            return subprocess.run(
+                [sys.executable, "-m", "ripsdecomp.cli", *argv],
+                env=dict(env, PYTHONPATH=src),
+                stdout=write,
+                stderr=subprocess.PIPE,
+            )
+        finally:
+            os.close(write)
+
+    def test_a_report_past_the_buffer_fails_in_its_write(self, tmp_path):
+        points, cover, r = write_circle(tmp_path, 40)  # a report of about 400 KB
+        argv = ["decompose", points, "--cover", cover, "-r", r, "--max-dim", "3", "--no-verify"]
+        done = self.run([*argv, "--format", "json"])
+        assert (done.returncode, done.stderr) == (141, b"")
+
+    def test_a_short_output_fails_in_the_flush(self):
+        done = self.run(["corpus", "list"])
+        assert (done.returncode, done.stderr) == (141, b"")
+
+
 class TestRepeatedFields:
     def test_a_field_given_twice_is_reported_once(self, capsys, circle_files):
         points, cover, r = circle_files
@@ -538,6 +573,23 @@ class TestRoundTrip:
                 k = random_complex(rng, max_vertices=7)
                 report = analyze(k, random_cover(rng, k), dim_cap=3, verify=i % 4 == 0)
             assert parse_report(render_json(report)) == report
+
+    def test_a_verdict_without_its_optional_keys(self):
+        with open(os.path.join(GOLDEN_DIR, "corpus-square-4pt.json")) as fh:
+            data = json.load(fh)
+        optional = ("witness", "conclusion", "claim", "detail", "verified_up_to")
+        bare, partial = data["verdicts"][:2]
+        for key in optional:
+            del bare[key]
+        del partial["claim"], partial["verified_up_to"]
+        verdicts = parse_report(json.dumps(data)).verdicts
+        assert verdicts[0].to_dict() == {**bare, **dict.fromkeys(optional)}
+        assert verdicts[1].to_dict() == {**partial, "claim": None, "verified_up_to": None}
+        for required in ("criterion", "status"):
+            data["verdicts"][2] = verdicts[2].to_dict()
+            del data["verdicts"][2][required]
+            with pytest.raises(KeyError, match=required):
+                parse_report(json.dumps(data))
 
 
 class TestMutationFuzz:
