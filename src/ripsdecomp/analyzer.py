@@ -5,11 +5,20 @@ cover and a radius), enumerate the cross simplices, classify their
 obstruction complexes, evaluate a fixed catalog of decomposition criteria,
 and cross-verify every certified conclusion against exact homology.
 
-The criteria scan classes of cross simplices, one per (obstruction record,
+The criteria read classes of cross simplices, one per (obstruction record,
 dimension), in the order of their first cross simplices.  A cross simplex
 passes or fails by its obstruction alone (sigma + mu is a simplex exactly
 when mu is in obs(sigma)), so a witness, the first failing cross simplex in
 report order, is the first one of the first failing class.
+
+Each distinct obstruction complex is one record (``_Obstruction``), made
+when the classes are: its status and certificate, and its vertices, central
+vertices and good(k) sets as int bitmasks, so the criteria intersect masks,
+not sets.  The classes are read through one class table per context
+(``_Context``): the connectivity ranks of their records as prefix minima,
+the first class whose record fails each record test, and prefix ANDs of
+the good(k) masks.  So an n-indexed criterion looks its answer up at each
+n instead of scanning the classes again.
 
 The catalog is a table of rules (``_RULES`` and ``_METRIC_RULES``): each
 row names a criterion, its applicability guards and its hypothesis test.
@@ -32,8 +41,11 @@ machine-checked homological shadow, and the soundness gate fails the whole
 report if any certified conclusion disagrees with the verification.
 """
 
+import math
 from bisect import bisect_right
 from collections import Counter, namedtuple
+from itertools import accumulate
+from operator import and_
 
 from . import linalg
 from . import metric as metric_mod
@@ -177,23 +189,64 @@ class DecompositionReport:
 # ------------------------------------------------------------------ context
 
 
+def _low(mask):
+    """The lowest set bit of a nonzero bitmask, as a vertex id."""
+    return (mask & -mask).bit_length() - 1
+
+
+def _good_masks(o, mask):
+    """The bitmasks good(0), good(1), ... of a complex ``o`` with vertex
+    bitmask ``mask``, up to the first k where good(k) is the central
+    vertices, which it is from then on.  good(k) holds the vertices v with
+    rho + v in ``o`` for every simplex rho of at most k vertices.  In a flag
+    complex good(k) for k >= 1 is the central vertices, the vertices
+    adjacent to every other vertex, as such a vertex extends every clique.
+    In an explicit one, ext(rho) is rho with the vertices of its cofacets,
+    and good(k) is the AND of ext over the simplices of at most k vertices.
+    """
+    if o.is_flag:
+        central = 0
+        for v, nb in o._adj.items():
+            if nb | 1 << v == mask:
+                central |= 1 << v
+        return (mask, central)
+    if not mask:
+        return (0,)
+    ext = {rho: _mask_of(rho) for rho in o._simplices}
+    for t in o._simplices:
+        if len(t) > 1:
+            for i, v in enumerate(t):
+                ext[t[:i] + t[i + 1 :]] |= 1 << v
+    by_size = {}
+    for rho, e in ext.items():
+        by_size[len(rho)] = by_size.get(len(rho), -1) & e
+    goods = [mask]
+    for k in range(1, max(by_size) + 1):
+        goods.append(goods[-1] & by_size[k])
+    return tuple(goods)
+
+
 class _Obstruction:
     """One distinct obstruction complex of a report, classified once.
 
-    Cross simplices with equal obstructions point to the same record, so its
-    certificate, integral profile, connectivity, central vertices and good
-    vertex sets are computed once.
+    The classes of cross simplices with equal obstructions point to the same
+    record.  It carries the complex's content key and vertex bitmasks:
+    ``mask``, its vertices, and ``goods``, its good(k) sets (``good``), the
+    last of them its central vertices.  Its certificate is searched for once,
+    and its integral profile and connectivity are computed once, on demand.
     """
 
-    __slots__ = ("complex", "status", "certificate", "profile", "conn", "_good")
+    __slots__ = ("complex", "key", "mask", "goods", "status", "certificate", "profile", "conn")
 
-    def __init__(self, complex_, status, certificate):
+    def __init__(self, complex_, key, status, certificate):
         self.complex = complex_
+        self.key = key
+        self.mask = mask = complex_._mask if complex_.is_flag else _mask_of(complex_.vertices)
+        self.goods = _good_masks(complex_, mask)
         self.status = status
         self.certificate = certificate      # ContractibilityCertificate or None
         self.profile = None                 # reduced integral profile, on demand
         self.conn = None                    # see _Context.connectivity, on demand
-        self._good = {}                     # k -> good(k), on demand
 
     @property
     def certified(self):
@@ -201,37 +254,25 @@ class _Obstruction:
 
     @property
     def central(self):
-        """The vertices central in the obstruction complex."""
-        return self.good(len(self.complex.vertices))
+        """The bitmask of the vertices central in the obstruction complex."""
+        return self.goods[-1]
 
     def good(self, k):
-        """Vertices v of the obstruction with rho + v in it for every simplex
-        rho of it with at most k vertices: the central vertices once k is the
-        vertex count, and in a flag complex once k >= 1, as a vertex that
-        meets every other vertex extends every clique."""
-        got = self._good.get(k)
-        if got is None:
-            o = self.complex
-            if k == 0:
-                got = frozenset(o.vertices)
-            elif o.is_flag:
-                got = frozenset(o.central_vertices())
-            else:
-                small = [rho for rho in o.simplices() if len(rho) <= k]
-                got = frozenset(
-                    v for v in o.vertices if all(rho + (v,) in o for rho in small)
-                )
-            self._good[k] = got
-        return got
+        """The bitmask good(k) (see ``_good_masks``)."""
+        goods = self.goods
+        return goods[k] if k < len(goods) else goods[-1]
 
 
-class _Class:
-    """Cross simplices of one dimension and record: the first, and how many."""
+# The connectivity rank of a record in the class table: -2 when it is empty,
+# infinite when every reduced homology group is trivial, else its
+# connectivity.  A record is homologically n-connected when its rank is at
+# least n ("all": infinite).
+_RANK_EMPTY = -2
+_RANK_ALL = math.inf
 
-    __slots__ = ("obs", "dim", "first", "size")
 
-    def __init__(self, obs, dim, first):
-        self.obs, self.dim, self.first, self.size = obs, dim, first, 0
+def _rank_of(n):
+    return _RANK_ALL if n == "all" else n
 
 
 class _Context:
@@ -239,7 +280,16 @@ class _Context:
     records they share; ``metric`` holds a metric report's distance facts,
     set by ``analyze_metric`` once the cross simplices are enumerated.
     ``items`` are ``(simplex, class)`` pairs in report order, and ``classes``
-    index them by (record, dimension) in the order of their first items."""
+    are their ``CrossClass`` objects by (record, dimension), in the order of
+    their first items, each with ``obs`` set to its record.
+
+    The criteria read the classes through one class table, built once:
+    ``end(d)``, the number of classes of dimension at most d; the ranks of
+    the classes' records in class order, as prefix minima, for
+    ``first_unconnected``; the first class whose record fails a test
+    (``first``); the prefix ANDs of the good(dim_cap - dim) masks
+    (``entry_points``); and the AND and OR of the edge classes' vertex and
+    central masks.  So each n-indexed hypothesis is a lookup, not a scan."""
 
     def __init__(self, complex_, cover, dim_cap):
         if dim_cap < 1:
@@ -251,6 +301,7 @@ class _Context:
         self.dim_cap = dim_cap
         self.metric = None
         self.a = cover.a
+        self.a_mask = _mask_of(self.a)
         self.x_only = cover.x - cover.a
         self.y_only = cover.y - cover.a
         # Obstruction records by Complex.content_key, a full key here: every
@@ -258,32 +309,75 @@ class _Context:
         # complex_ is a flag complex.
         self._records = {}
         self._intersection = None
-        self.items = items = []
-        self.classes = []
-        # records by id(obstruction), which enumeration shares, classes by it and dim
-        index = {}
-        for simplex, obstruction in enumerate_p_complement(complex_, cover, dim_cap):
-            key = id(obstruction), len(simplex) - 1
-            cls = index.get(key)
-            if cls is None:
-                if key[0] not in index:
-                    index[key[0]] = self.record(obstruction)
-                cls = index[key] = _Class(index[key[0]], key[1], simplex)
-                self.classes.append(cls)
-            cls.size += 1
-            items.append((simplex, cls))
-        self._dims = [cls.dim for cls in self.classes]
+        self.items = enumerate_p_complement(complex_, cover, dim_cap)
+        self.classes = classes = self.items.classes
+        for c in classes:
+            c.obs = self.record(c.obs)
+        self._dims = [c.dim for c in classes]
         # no cross simplex is a vertex
         self.edge_classes = self.classes_through(1)
+        # the AND and OR of the edge records' vertex masks, the AND of their
+        # central masks
+        self.edge_shared, self.edge_spread, self.edge_central = -1, 0, -1
+        for c in self.edge_classes:
+            self.edge_shared &= c.obs.mask
+            self.edge_spread |= c.obs.mask
+            self.edge_central &= c.obs.central
+        self._low_ranks = []        # negated prefix minima of the ranks, so far
+        self._firsts = {}           # test -> index of the first class failing it
+        self._entry = None          # prefix ANDs of good(dim_cap - dim)
         # Full coverage: no simplex above dim_cap and, when dim_cap is a flag
         # complex's own cap, none at it, as cliques past the cap go unseen.
         top = dim_cap if complex_.is_flag and dim_cap == complex_.dim_cap else dim_cap + 1
         self.full_coverage = not complex_.has_simplex_of_dim(top)
         self.verified_up_to = None if self.full_coverage else dim_cap
 
+    def end(self, dim):
+        """The number of classes of dimension at most ``dim``."""
+        return bisect_right(self._dims, dim)
+
     def classes_through(self, dim):
         """The classes of dimension at most ``dim``: a prefix of ``classes``."""
-        return self.classes[: bisect_right(self._dims, dim)]
+        return self.classes[: self.end(dim)]
+
+    def first(self, test):
+        """The index of the first class whose record fails ``test(ctx,
+        record)``, or the class count; each test scans the classes once."""
+        got = self._firsts.get(test)
+        if got is None:
+            got = next(
+                (i for i, c in enumerate(self.classes) if not test(self, c.obs)),
+                len(self.classes),
+            )
+            self._firsts[test] = got
+        return got
+
+    def first_unconnected(self, end, n):
+        """The index of the first of the first ``end`` classes whose record is
+        not homologically n-connected (empty, or of connectivity below n), or
+        None.  The ranks are read in class order, only as far as a query
+        needs, so no record past a failure is profiled before it is asked
+        for; the prefix minima found so far answer by bisection."""
+        want = _rank_of(n)
+        low, classes = self._low_ranks, self.classes
+        while len(low) < end and (not low or -low[-1] >= want):
+            rank = self.rank(classes[len(low)].obs)
+            low.append(max(-rank, low[-1]) if low else -rank)
+        i = bisect_right(low, -want)
+        return i if i < end else None
+
+    def least_rank(self):
+        """The least rank of every class's record (``_RANK_ALL`` with no
+        classes)."""
+        self.first_unconnected(len(self.classes), -math.inf)
+        return -self._low_ranks[-1] if self._low_ranks else _RANK_ALL
+
+    def entry_points(self, end):
+        """The AND of good(dim_cap - dim) over the first ``end`` classes."""
+        if self._entry is None:
+            cap = self.dim_cap
+            self._entry = list(accumulate((c.obs.good(cap - c.dim) for c in self.classes), and_))
+        return self._entry[end - 1] if end else -1
 
     def label(self, v):
         return str(self.complex.label_of(v))
@@ -315,7 +409,7 @@ class _Context:
                     status = STATUS_CONE
                 else:
                     status = STATUS_COLLAPSE
-            obs = self._records[key] = _Obstruction(complex_, status, cert)
+            obs = self._records[key] = _Obstruction(complex_, key, status, cert)
         return obs
 
     def obstruction_profile(self, obs):
@@ -348,6 +442,11 @@ class _Context:
             )
             obs.conn = "all" if n == top else n
         return obs.conn
+
+    def rank(self, obs):
+        """The connectivity of a record as a rank (``_RANK_EMPTY``)."""
+        conn = self.connectivity(obs)
+        return _RANK_EMPTY if conn is None else _rank_of(conn)
 
 
 class _MetricFacts:
@@ -385,17 +484,18 @@ class _MetricFacts:
 # ------------------------------------------------------------- the builder
 #
 # A rule's test(ctx, n) returns an outcome (status, witness, detail, degree,
-# needs).  On "holds", degree is the degree n of the claim ("all" for every
-# degree, None for no claim) or the claim itself, and needs are the
-# obstruction records whose connectivity the claim rests on.
+# certified).  On "holds", degree is the degree n of the claim ("all" for
+# every degree, None for no claim) or the claim itself, and certified tells
+# whether every obstruction record whose connectivity the claim rests on is
+# certified contractible.
 
 
-def _holds(degree, witness=None, detail=None, needs=()):
-    return HOLDS, witness, detail, degree, needs
+def _holds(degree, witness=None, detail=None, certified=True):
+    return HOLDS, witness, detail, degree, certified
 
 
 def _fails(detail=None, witness=None):
-    return FAILS, witness, detail, None, ()
+    return FAILS, witness, detail, None, True
 
 
 def _claim_connected(n):
@@ -437,10 +537,10 @@ _Rule = namedtuple(
 )
 
 
-def _certified(degree, needs):
+def _certified(degree, certified):
     """The honesty predicate: a claim above degree 0 stands only when every
     obstruction record it rests on is certified contractible."""
-    return degree == 0 or all(obs.certified for obs in needs)
+    return degree == 0 or certified
 
 
 def _verdict(rule, ctx):
@@ -449,7 +549,7 @@ def _verdict(rule, ctx):
     Every CriterionVerdict of a report is made here."""
     outcome = next(
         (
-            (status, None, detail, None, ())
+            (status, None, detail, None, True)
             for blocked, status, detail in rule.guards
             if blocked(ctx)
         ),
@@ -464,15 +564,15 @@ def _verdict(rule, ctx):
             if outcome[0] == HOLDS:
                 # Held only homologically, with no lower degree left.  Every
                 # scan ends at degree 0, which needs no certificate, so only
-                # a claim of "all" tested once gets here.
-                needs = outcome[4]
-                bad = next(c for c in ctx.classes if c.obs in needs and not c.obs.certified)
+                # a claim of "all" tested once gets here: that of
+                # contractible-obstructions, which rests on every record.
+                bad = ctx.classes[ctx.first(_is_certified)]
                 outcome = (
                     INCONCLUSIVE,
                     ctx.label_simplex(bad.first),
                     "integrally acyclic obstruction without a contractibility certificate",
                     None,
-                    (),
+                    True,
                 )
     status, witness, detail, degree, _ = outcome
     claim = conclusion = None
@@ -517,59 +617,67 @@ _GLUED_ALONG_A = (
 
 
 # ------------------------------------------------------------ hypotheses
+#
+# The record tests that ``_Context.first`` takes, each a function of the
+# context and one record.
 
 
-def _records(classes):
-    return {c.obs for c in classes}
+def _is_certified(ctx, obs):
+    return obs.certified
 
 
-def _conn_at_least(value, n):
-    """Is a homological connectivity (None when empty) at least n?"""
-    if value is None:
-        return False
-    if value == "all":
-        return True
-    return n != "all" and value >= n
+def _is_nonempty(ctx, obs):
+    return obs.status != STATUS_EMPTY
 
 
-def _first_unconnected(ctx, classes, n, why=None):
-    """Failure at the first cross simplex whose obstruction is empty or not
-    homologically n-connected, or None.  Every nonempty complex is
-    (-1)-connected, so at n = -1 only an empty obstruction fails."""
-    for c in classes:
-        conn = ctx.connectivity(c.obs)
-        if conn is None:
-            return _fails("empty obstruction complex", ctx.label_simplex(c.first))
-        if not _conn_at_least(conn, n):
-            return _fails(why, ctx.label_simplex(c.first))
-    return None
+def _is_standard(ctx, obs):
+    """A complex is a standard simplex when its full vertex set is a simplex,
+    which is when every vertex is central (add them one at a time)."""
+    return obs.central == obs.mask
+
+
+def _spans_a(ctx, obs):
+    """The obstruction's vertices are all of A, as they are when a cross
+    edge extends by every intersection vertex."""
+    return obs.mask == ctx.a_mask
+
+
+def _holds_a(ctx, obs):
+    """A is a simplex of the obstruction, whose vertices lie in A."""
+    return obs.mask == ctx.a_mask and obs.central == obs.mask
+
+
+def _is_leading(ctx, obs):
+    return obs is ctx.classes[0].obs
+
+
+def _is_intersection(ctx, obs):
+    # K[A] is compared by content, so it is classified only as an obstruction
+    return obs.key == ctx.intersection().content_key()
+
+
+def _first_unconnected(ctx, end, n, why=None):
+    """Failure at the first cross simplex of the first ``end`` classes whose
+    obstruction is empty or not homologically n-connected, or None.  Every
+    nonempty complex is (-1)-connected, so at n = -1 only an empty
+    obstruction fails."""
+    i = ctx.first_unconnected(end, n)
+    if i is None:
+        return None
+    c = ctx.classes[i]
+    if c.obs.status == STATUS_EMPTY:
+        return _fails("empty obstruction complex", ctx.label_simplex(c.first))
+    return _fails(why, ctx.label_simplex(c.first))
 
 
 def _one_record(ctx, obs, n, detail):
     """Holds at n when one obstruction record is homologically n-connected."""
-    conn = ctx.connectivity(obs)
-    if conn is None:
+    rank = ctx.rank(obs)
+    if rank == _RANK_EMPTY:
         return _fails("empty complex")
-    if not _conn_at_least(conn, n):
+    if rank < _rank_of(n):
         return _fails(f"reduced homology obstructs {n}-connectivity")
-    return _holds(n, detail=detail, needs=(obs,))
-
-
-def _constant_family(classes):
-    """The obstruction record every class shares, or None when they differ."""
-    first = classes[0].obs if classes else None
-    return first if all(c.obs is first for c in classes) else None
-
-
-def _is_standard(obstruction):
-    """A complex is a standard simplex when its full vertex set is a simplex."""
-    verts = obstruction.vertices
-    return not verts or tuple(verts) in obstruction
-
-
-def _shared_edge_obstruction_vertices(ctx):
-    """The vertices in the obstruction of every cross edge (there is one)."""
-    return set.intersection(*(set(c.obs.complex.vertices) for c in ctx.edge_classes))
+    return _holds(n, detail=detail, certified=obs.certified)
 
 
 def _no_cross(ctx, n):
@@ -582,29 +690,31 @@ def _no_cross(ctx, n):
 
 
 def _contractible(ctx, n):
-    failed = _first_unconnected(ctx, ctx.classes, -1)
+    every = len(ctx.classes)
+    failed = _first_unconnected(ctx, every, -1)
     if failed:
         return failed
-    bad = next((c for c in ctx.classes if not c.obs.certified), None)
-    if bad and ctx.connectivity(bad.obs) != "all":
+    i = ctx.first(_is_certified)
+    if i < every and ctx.connectivity(ctx.classes[i].obs) != "all":
         return _fails(
-            "obstruction has nontrivial reduced integral homology", ctx.label_simplex(bad.first)
+            "obstruction has nontrivial reduced integral homology",
+            ctx.label_simplex(ctx.classes[i].first),
         )
     detail = "every obstruction carries a central-simplex or collapse certificate"
     if not ctx.items:
         detail = "vacuous: no cross simplices"
-    return _holds("all", detail=detail, needs=_records(ctx.classes))
+    return _holds("all", detail=detail, certified=i == every)
 
 
 def _acyclic(ctx, n):
     detail = "every obstruction has trivial reduced integral homology"
     return _first_unconnected(
-        ctx, ctx.classes, "all", "nontrivial reduced integral homology"
+        ctx, len(ctx.classes), "all", "nontrivial reduced integral homology"
     ) or _holds("all", detail=detail + ("" if ctx.items else " (vacuous)"))
 
 
 def _torsion(ctx, n):
-    failed = _first_unconnected(ctx, ctx.classes, -1)
+    failed = _first_unconnected(ctx, len(ctx.classes), -1)
     if failed:
         return failed
     # contractible obstructions have no torsion
@@ -618,25 +728,28 @@ def _torsion(ctx, n):
     }
     if not primes:
         detail = "no torsion in any obstruction; see the acyclicity criterion"
-        return NOT_APPLICABLE, None, detail, None, ()
+        return NOT_APPLICABLE, None, detail, None, True
     if len(primes) > 1:
         return _fails(f"torsion at several primes {sorted(primes)}; no single excluded prime")
     p = primes.pop()
-    # The degree through which each obstruction's homology is p-torsion.  A
-    # contractible record's profile is trivial through its top degree,
-    # max(dim, 0) of the complex, fully enumerated.
-    tops = [
-        max(obs.complex.to_explicit().dim(), 0)
-        for obs in _records(ctx.classes)
-        if obs.certified
-    ]
+    # The least degree through which each obstruction's homology is
+    # p-torsion: below its first Betti number for an uncertified record, and
+    # for a contractible one its top degree, max(dim, 0) of the whole
+    # complex.  That is found by existence search, with no simplex
+    # enumerated, and only up to the least degree so far.
+    best = math.inf
     for c in uncertified:
         profile = ctx.obstruction_profile(c.obs)
         if profile.betti.get(0, 0) != 0 or profile.betti.get(-1, 0) != 0:
             return _fails("obstruction is not connected", ctx.label_simplex(c.first))
         top = profile.degrees[-1]
-        tops.append(next((d - 1 for d in range(1, top + 1) if profile.betti.get(d, 0)), top))
-    best = min(tops)
+        best = min(best, next((d - 1 for d in range(1, top + 1) if profile.betti.get(d, 0)), top))
+    for obs in dict.fromkeys(c.obs for c in ctx.classes):
+        if obs.certified:
+            d = 0
+            while d < best and obs.complex.has_simplex_of_dim(d + 1):
+                d += 1
+            best = d
     return _holds(
         {"iso_upto": best, "surj_at": best + 1, "exclude_char": p},
         str(p),
@@ -645,61 +758,60 @@ def _torsion(ctx, n):
 
 
 def _obstruction_connectivity(ctx, n):
-    failed = _first_unconnected(ctx, ctx.classes, -1) or _first_unconnected(
-        ctx, ctx.classes, 0, "disconnected obstruction"
+    every = len(ctx.classes)
+    failed = _first_unconnected(ctx, every, -1) or _first_unconnected(
+        ctx, every, 0, "disconnected obstruction"
     )
     if failed:
         return failed
     detail = None
-    shadow = min(
-        (ctx.connectivity(c.obs) for c in ctx.classes),
-        key=lambda v: 10**6 if v == "all" else v,
-    )
+    shadow = ctx.least_rank()
     if n == 0 and shadow != 0:
         detail = (
-            f"homological shadow reaches connectivity {shadow}, but simple "
+            f"homological shadow reaches connectivity "
+            f"{'all' if shadow == _RANK_ALL else shadow}, but simple "
             "connectivity is uncertified; certified degree stops at 0"
         )
-    return _holds(n, detail=detail, needs=_records(ctx.classes))
+    return _holds(n, detail=detail, certified=ctx.first(_is_certified) == every)
 
 
-# In the n-indexed tests below, classes_through(n + 1) is never empty when
+# In the n-indexed tests below, some class has dimension at most n + 1 when
 # there are cross simplices: each has a cross edge as a face.
 
 
 def _skeleton_connectivity(ctx, n):
-    classes = ctx.classes_through(n + 1)
+    end = ctx.end(n + 1)
     detail = f"obstructions over cross simplices of dimension <= {n + 1}"
     return _first_unconnected(
-        ctx, classes, n, f"reduced homology obstructs {n}-connectivity"
-    ) or _holds(n, detail=detail, needs=_records(classes))
+        ctx, end, n, f"reduced homology obstructs {n}-connectivity"
+    ) or _holds(n, detail=detail, certified=ctx.first(_is_certified) >= end)
 
 
 def _edge_intersection(ctx, n):
-    common = _shared_edge_obstruction_vertices(ctx)
+    common = ctx.edge_shared
     if common:
-        return _holds(0, ctx.label(min(common)))
+        return _holds(0, ctx.label(_low(common)))
     return _fails("the edge obstructions share no vertex")
 
 
 def _constant(ctx, n):
-    common = _constant_family(ctx.classes_through(n + 1))
-    if common is None:
+    if ctx.first(_is_leading) < ctx.end(n + 1):
         return _fails("obstruction complexes differ across cross simplices")
     return _one_record(
-        ctx, common, n, "one obstruction complex shared by every cross simplex in range"
+        ctx,
+        ctx.classes[0].obs,
+        n,
+        "one obstruction complex shared by every cross simplex in range",
     )
 
 
 def _full_intersection(ctx, n):
-    # K[A] is compared by content, so it is classified only as an obstruction
-    key = ctx.intersection().content_key()
-    for c in ctx.classes_through(n + 1):
-        if c.obs.complex.content_key() != key:
-            return _fails(
-                "obstruction differs from the full intersection restriction",
-                ctx.label_simplex(c.first),
-            )
+    i = ctx.first(_is_intersection)
+    if i < ctx.end(n + 1):
+        return _fails(
+            "obstruction differs from the full intersection restriction",
+            ctx.label_simplex(ctx.classes[i].first),
+        )
     ka = ctx.classes[0].obs
     if ka.status == STATUS_EMPTY:
         return _fails("the intersection restriction is empty")
@@ -707,13 +819,12 @@ def _full_intersection(ctx, n):
 
 
 def _subsets_extend(ctx, n):
-    a = tuple(sorted(ctx.a))
-    for c in ctx.classes_through(n + 1):
-        if a not in c.obs.complex:
-            return _fails(
-                "the simplex does not extend by the whole intersection",
-                ctx.label_simplex(c.first),
-            )
+    i = ctx.first(_holds_a)
+    if i < ctx.end(n + 1):
+        return _fails(
+            "the simplex does not extend by the whole intersection",
+            ctx.label_simplex(ctx.classes[i].first),
+        )
     # at n = dim_cap - 1 every cross simplex extends
     whole = n == ctx.dim_cap - 1 and ctx.full_coverage
     detail = "every cross simplex extends by every subset of the intersection"
@@ -726,12 +837,10 @@ def _one_entry_point(ctx, n):
     # of obs(sigma); tau + v is a simplex exactly when rho + v is in
     # obs(sigma).  So v extends every such tau with |sigma| <= n + 2 when it
     # is good in obs(sigma) for rho of up to dim_cap + 1 - |sigma| vertices.
-    ok = set(ctx.a)
-    for c in ctx.classes_through(n + 1):
-        ok &= c.obs.good(ctx.dim_cap - c.dim)
+    ok = ctx.a_mask & ctx.entry_points(ctx.end(n + 1))
     if not ok:
         return _fails("no intersection vertex extends every small cross simplex")
-    v = ctx.label(min(ok))
+    v = ctx.label(_low(ok))
     return _holds(
         n,
         v,
@@ -741,12 +850,14 @@ def _one_entry_point(ctx, n):
 
 
 def _edge_standard(ctx, n):
-    for c in ctx.edge_classes:
-        if not _is_standard(c.obs.complex):
-            return _fails("edge obstruction is not a standard simplex", ctx.label_simplex(c.first))
-    for c in ctx.classes_through(n + 1):
-        if c.obs.status == STATUS_EMPTY:
-            return _fails("empty obstruction", ctx.label_simplex(c.first))
+    i = ctx.first(_is_standard)
+    if i < len(ctx.edge_classes):
+        return _fails(
+            "edge obstruction is not a standard simplex", ctx.label_simplex(ctx.classes[i].first)
+        )
+    i = ctx.first(_is_nonempty)
+    if i < ctx.end(n + 1):
+        return _fails("empty obstruction", ctx.label_simplex(ctx.classes[i].first))
     return _holds(
         n,
         detail="edge obstructions are standard simplices; all obstructions in "
@@ -755,9 +866,9 @@ def _edge_standard(ctx, n):
 
 
 def _edge_constant(ctx, n):
-    common = _constant_family(ctx.edge_classes)
-    if common is None:
+    if ctx.first(_is_leading) < len(ctx.edge_classes):
         return _fails("edge obstruction complexes differ")
+    common = ctx.classes[0].obs
     conn = ctx.connectivity(common)
     if conn is None:
         return _fails("the common edge obstruction is empty")
@@ -766,44 +877,49 @@ def _edge_constant(ctx, n):
     detail = "one obstruction complex shared by every cross edge"
     if n == 0 and conn != 0:
         detail = f"homological shadow reaches connectivity {conn}; certified degree stops at 0"
-    return _holds(n, detail=detail, needs=(common,))
+    return _holds(n, detail=detail, certified=common.certified)
 
 
 def _edge_full_intersection(ctx, n):
-    for c in ctx.edge_classes:
-        missing = ctx.a.difference(c.obs.complex.vertices)
-        if missing:
-            return _fails(
-                "a cross edge fails to extend by an intersection vertex",
-                f"{ctx.label_simplex(c.first)}+{ctx.label(min(missing))}",
-            )
+    i = ctx.first(_spans_a)
+    if i < len(ctx.edge_classes):
+        c = ctx.classes[i]
+        return _fails(
+            "a cross edge fails to extend by an intersection vertex",
+            f"{ctx.label_simplex(c.first)}+{ctx.label(_low(ctx.a_mask & ~c.obs.mask))}",
+        )
     ka = ctx.record(ctx.intersection())
     if ctx.connectivity(ka) in (None, -1):
         return _fails("the intersection restriction is empty or disconnected")
-    return _holds(n, detail="every cross edge extends by every intersection vertex", needs=(ka,))
+    return _holds(
+        n,
+        detail="every cross edge extends by every intersection vertex",
+        certified=ka.certified,
+    )
 
 
 def _pairs_extend(ctx, n):
+    # In a flag obstruction every subset of A of at most two vertices is a
+    # simplex exactly when A is.
     if not ctx.edge_classes:
         return _holds("all", detail="vacuous: no cross edges")
-    a = sorted(ctx.a)
-    for c in ctx.edge_classes:
-        for i, u in enumerate(a):
-            for w in a[i:]:
-                mu = (u,) if u == w else (u, w)
-                if mu not in c.obs.complex:
-                    return _fails(
-                        "a cross edge fails to extend by a small intersection subset",
-                        f"{ctx.label_simplex(c.first)}+{ctx.label_simplex(mu)}",
-                    )
+    i = ctx.first(_holds_a)
+    if i < len(ctx.edge_classes):
+        c, a = ctx.classes[i], sorted(ctx.a)
+        small = ((u,) if u == w else (u, w) for j, u in enumerate(a) for w in a[j:])
+        mu = next(mu for mu in small if mu not in c.obs.complex)
+        return _fails(
+            "a cross edge fails to extend by a small intersection subset",
+            f"{ctx.label_simplex(c.first)}+{ctx.label_simplex(mu)}",
+        )
     detail = "every cross edge extends by every intersection subset of size <= 2"
     return _holds("all", detail=detail)
 
 
 def _clique_entry_adjacent(ctx, n):
-    spread = _mask_of(set().union(*(obs.complex.vertices for obs in _records(ctx.edge_classes))))
+    spread = ctx.edge_spread
     adj = ctx.complex._adj
-    for v in sorted(_shared_edge_obstruction_vertices(ctx)):
+    for v in _bits(ctx.edge_shared):
         if spread & (adj[v] | 1 << v) == spread:
             return _holds(
                 "all",
@@ -815,29 +931,28 @@ def _clique_entry_adjacent(ctx, n):
 
 
 def _clique_entry_central(ctx, n):
-    for v in sorted(_shared_edge_obstruction_vertices(ctx)):
-        if all(v in obs.central for obs in _records(ctx.edge_classes)):
-            return _holds("all", ctx.label(v), "one vertex is central in every edge obstruction")
+    ok = ctx.edge_central
+    if ok:
+        return _holds("all", ctx.label(_low(ok)), "one vertex is central in every edge obstruction")
     return _fails("no vertex is central in every edge obstruction")
 
 
 def _clique_entry_local(ctx, n):
     # v extends a cross edge e and every e + a in the complex exactly when v
     # is a central vertex of e's obstruction; vacuous without cross edges.
-    ok = set(ctx.a).intersection(*(obs.central for obs in _records(ctx.edge_classes)))
+    ok = ctx.a_mask & ctx.edge_central
     if not ok:
         return _fails("no intersection vertex extends all small cross simplices")
     return _holds(
         "all",
-        ctx.label(min(ok)),
+        ctx.label(_low(ok)),
         "one intersection vertex extends every cross edge and every "
         "cross edge plus one intersection vertex",
     )
 
 
 def _two_entry_points(ctx, n):
-    a = _mask_of(ctx.a)
-    adj = ctx.complex._adj
+    a, adj, shared = ctx.a_mask, ctx.complex._adj, ctx.edge_shared
 
     def entries(side):
         """Intersection vertices extending every edge from A into one side:
@@ -848,11 +963,12 @@ def _two_entry_points(ctx, n):
                 ok &= adj[u] & adj[w] | 1 << u
         return _bits(ok)
 
-    edge_obstructions = [obs.complex for obs in _records(ctx.edge_classes)]
     ay_entries = entries(ctx.y_only)
     for ax in entries(ctx.x_only):
         for ay in ay_entries:
-            if all((ax, ay) in o for o in edge_obstructions):
+            # {ax, ay} is a simplex of every edge obstruction, a full subcomplex
+            pair = 1 << ax | 1 << ay
+            if pair & shared == pair and (ax == ay or adj[ax] >> ay & 1 or not ctx.edge_classes):
                 return _holds(
                     "all",
                     f"({ctx.label(ax)},{ctx.label(ay)})",
@@ -924,10 +1040,10 @@ def _dominates_diameter(ctx, n):
 
 def _radius_independence(ctx, n):
     """The witness set of a close cross pair does not depend on the pair."""
-    common = _constant_family(ctx.edge_classes)
-    if common is None:
+    if ctx.first(_is_leading) < len(ctx.edge_classes):
         return _fails("edge obstruction complexes depend on the pair")
-    return _one_record(ctx, common, n, "one witness complex shared by every close cross pair")
+    detail = "one witness complex shared by every close cross pair"
+    return _one_record(ctx, ctx.classes[0].obs, n, detail)
 
 
 def _full_witness_set(ctx, n):
@@ -959,7 +1075,7 @@ def _gluing_simplex(ctx, n):
     if not check.ok:
         return _fails(None, str(check.witness))
     for c in ctx.edge_classes:
-        if c.obs.status == STATUS_EMPTY or not _is_standard(c.obs.complex):
+        if c.obs.status == STATUS_EMPTY or not _is_standard(ctx, c.obs):
             raise AssertionError(
                 "simplex condition certified but an edge obstruction is not a "
                 f"nonempty standard simplex at {ctx.label_simplex(c.first)}"
@@ -977,7 +1093,7 @@ def _gluing_strong_simplex(ctx, n):
             len(s & ctx.x_only) == len(s & ctx.cover.x) == 1
             or len(s & ctx.y_only) == len(s & ctx.cover.y) == 1
         )
-        standard = c.obs.status != STATUS_EMPTY and _is_standard(c.obs.complex)
+        standard = c.obs.status != STATUS_EMPTY and _is_standard(ctx, c.obs)
         if one_sided and not standard:
             raise AssertionError(
                 "strong simplex condition certified but a one-sided cross simplex "
@@ -1186,13 +1302,13 @@ def _item_table(ctx, include_profiles):
     """The item table of a context, each record's fields made once."""
     names = {v: ctx.label(v) for v in ctx.complex.vertices}
     records = {}
-    for obs in _records(ctx.classes):
+    for obs in dict.fromkeys(c.obs for c in ctx.classes):
         cert = obs.certificate
         certificate = profile = None
         if cert is not None and cert.kind == ContractibilityCertificate.CENTRAL:
             certificate = {"kind": "central", "simplex": [names[v] for v in cert.central]}
         elif cert is not None:
-            certificate = {"kind": "collapse", "steps": len(cert.collapses)}
+            certificate = {"kind": "collapse", "steps": cert.steps}
         if include_profiles and obs.status == STATUS_HOMOLOGY_ONLY:
             profile = ctx.obstruction_profile(obs).to_dict()
         records[obs] = {

@@ -31,11 +31,16 @@ ingestion.  A complex may carry an ``id -> label`` table; every derived
 complex keeps the table of its parent.
 
 The operations are the ones the pipeline runs: restriction, the union of a
-cover's two sides, central vertices, the cover-compatible edge collapse, and
-the cross simplices of a cover with their obstruction complexes.
+cover's two sides, central vertices, the cover-compatible edge collapse, the
+strong collapse of a flag complex by vertex domination, and the cross
+simplices of a cover, grouped by dimension and obstruction complex in the
+pass that enumerates them.  Both collapses run one domination kernel,
+``_dominator``: the first candidate w whose closed neighbourhood N[w] holds
+a given vertex set, N[u] & N[v] for an edge uv and N[v] for a vertex v, on
+bitmasks.
 """
 
-from itertools import combinations
+from itertools import combinations, groupby
 from operator import itemgetter
 
 from .errors import CoverError, EnumerationRefused, InvalidInput
@@ -48,6 +53,7 @@ __all__ = [
     "cover_union",
     "enumerate_p_complement",
     "make_simplex",
+    "strong_collapse",
 ]
 
 #: The most cliques one clique walk enumerates, over all its levels; a walk
@@ -329,9 +335,10 @@ class Complex:
 
     def content_key(self):
         """Hashable content: the simplex set of an explicit complex, the vertex
-        set of a flag one.  Two full subcomplexes of one flag complex are equal
-        exactly when their vertex sets are, so among those it is a full key."""
-        return self._vertices if self.is_flag else self._simplices
+        bitmask of a flag one.  Two full subcomplexes of one flag complex are
+        equal exactly when their vertex sets are, so among those it is a full
+        key."""
+        return self._mask if self.is_flag else self._simplices
 
     def to_explicit(self):
         """Explicit copy of every clique of a flag complex, whatever its cap:
@@ -443,6 +450,20 @@ def cover_union(complex_, cover):
     )
 
 
+def _dominator(common, candidates, closed):
+    """The lowest vertex w of the bitmask ``candidates`` whose closed
+    neighbourhood ``closed[w]`` holds every vertex of the bitmask ``common``,
+    or -1: the domination test of both ``collapse_edges`` and
+    ``strong_collapse``."""
+    while candidates:
+        low = candidates & -candidates
+        candidates ^= low
+        w = low.bit_length() - 1
+        if not common & ~closed[w]:
+            return w
+    return -1
+
+
 def _pass_edges(vertices, closed, dirty):
     """The edges one pass of ``collapse_edges`` checks, lexicographically,
     lazily: each edge uv, u < v, of the closed-neighbourhood bitmasks
@@ -494,12 +515,7 @@ def collapse_edges(complex_, cover):
         nonlocal spent
         rest = common & ~edge
         spent += rest.bit_count()
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            if not common & ~closed[low.bit_length() - 1]:
-                return True
-        return False
+        return _dominator(common, rest, closed) >= 0
 
     vertices = complex_.vertices
     x = _mask_of(v for v in vertices if v in cover.x)
@@ -542,6 +558,44 @@ def collapse_edges(complex_, cover):
     return Complex(adj=adj, dim_cap=complex_.dim_cap, labels=complex_.labels), removed
 
 
+def strong_collapse(complex_):
+    """Delete, one at a time until none is left, a vertex v of a flag
+    complex dominated by another vertex w: N[v] inside N[w], closed
+    neighbourhoods among the vertices left (Barmak & Minian's strong
+    collapse).  The link of v is then a cone with apex w, so each deletion
+    is a sequence of elementary collapses, and one vertex left certifies
+    the complex collapsible.  Returns the (v, w) pairs in order and the
+    bitmask of the vertices left.
+
+    Each pass checks its vertices lowest first, deleting each one found
+    dominated at its turn.  After the first pass only the neighbours of a
+    vertex deleted in the pass before are checked again: a vertex whose
+    neighbourhood kept its vertices has the same candidates or fewer, so
+    its check would fail again.  As in ``collapse_edges``, each test is
+    charged its candidates against ``SIMPLEX_BUDGET``; once the charges pass
+    it, the deletions so far are returned.
+    """
+    closed = {v: nb | 1 << v for v, nb in complex_._adj.items()}
+    left = dirty = complex_._mask
+    spent = 0
+    dominations = []
+    while dirty:
+        touched = 0
+        for v in _bits(dirty):
+            common = closed[v] & left
+            rest = common ^ 1 << v
+            spent += rest.bit_count()
+            if spent > SIMPLEX_BUDGET:
+                return dominations, left
+            w = _dominator(common, rest, closed)
+            if w >= 0:
+                dominations.append((v, w))
+                left ^= 1 << v
+                touched |= rest
+        dirty = touched & left
+    return dominations, left
+
+
 def central_vertex(complex_):
     """Smallest central vertex, or None.  Complete for cone detection: a
     complex has a central simplex exactly when it has a central vertex,
@@ -549,12 +603,33 @@ def central_vertex(complex_):
     return next(complex_.central_vertices(), None)
 
 
+class CrossClass:
+    """The cross simplices of one dimension with one obstruction: ``obs``,
+    the obstruction complex, one object per distinct obstruction, which a
+    caller may replace with its own record of that complex; ``dim``;
+    ``first``, the first of them in report order; and ``size``, how many."""
+
+    __slots__ = ("obs", "dim", "first", "size")
+
+    def __init__(self, obs, dim, first):
+        self.obs, self.dim, self.first, self.size = obs, dim, first, 0
+
+
+class CrossSimplices(list):
+    """``(simplex, class)`` pairs in report order, with ``classes``: the
+    ``CrossClass`` objects in the order of their first simplices."""
+
+    __slots__ = ("classes",)
+
+
 def enumerate_p_complement(complex_, cover, dim_cap):
     """All simplices meeting both cover sides while avoiding the intersection.
 
-    Each simplex of dimension <= dim_cap is paired with its obstruction
-    complex over the intersection, as a ``(simplex, obstruction)`` pair, in
-    deterministic (dimension, lexicographic) order.  Pairs whose
+    Each simplex of dimension <= dim_cap is paired with its class, as a
+    ``(simplex, class)`` pair, in deterministic (dimension, lexicographic)
+    order, in one pass that groups the simplices into classes of one
+    dimension and one obstruction complex over the intersection (see
+    ``CrossClass``; the list is a ``CrossSimplices``).  Classes whose
     obstructions are equal share one ``Complex`` object; classifying it is
     left to the caller.
 
@@ -580,15 +655,18 @@ def enumerate_p_complement(complex_, cover, dim_cap):
         sided = {v: adj[v] | (avoids_y if v in x else avoids_x) for v in outside}
         seed = _mask_of(a) | avoids_x | avoids_y
         walk = _clique_walk(sided, _mask_of(outside), complex_._within_cap(dim_cap), seed)
-        cross = ((sigma, key) for level in walk for sigma, _, key in level if key < avoids_x)
+        levels = ([(sigma, key) for sigma, _, key in level if key < avoids_x] for level in walk)
         build = complex_._full
     else:
         ka = complex_.restrict(a)._simplices
         whole = complex_._simplices
-        cross = (
-            (sigma, frozenset(t for t in ka if tuple(sorted(t + sigma)) in whole))
-            for sigma in complex_.restrict(outside).simplices(dim_cap)
-            if not (x.issuperset(sigma) or y.issuperset(sigma))
+        levels = (
+            [
+                (sigma, frozenset(t for t in ka if tuple(sorted(t + sigma)) in whole))
+                for sigma in level
+                if not (x.issuperset(sigma) or y.issuperset(sigma))
+            ]
+            for _, level in groupby(complex_.restrict(outside).simplices(dim_cap), len)
         )
 
         def build(key):
@@ -596,10 +674,19 @@ def enumerate_p_complement(complex_, cover, dim_cap):
             return Complex(simplices=key, vertices=vertices, labels=complex_.labels)
 
     obstructions = {}
-    items = []
-    for sigma, key in cross:
-        obs = obstructions.get(key)
-        if obs is None:
-            obs = obstructions[key] = build(key)
-        items.append((sigma, obs))
+    items = CrossSimplices()
+    items.classes = classes = []
+    append = items.append
+    for level in levels:
+        seen = {}                            # the classes of this level by key
+        for sigma, key in level:
+            cls = seen.get(key)
+            if cls is None:
+                obs = obstructions.get(key)
+                if obs is None:
+                    obs = obstructions[key] = build(key)
+                cls = seen[key] = CrossClass(obs, len(sigma) - 1, sigma)
+                classes.append(cls)
+            cls.size += 1
+            append((sigma, cls))
     return items

@@ -93,8 +93,10 @@ rank one in degree -1; that convention makes the suspension-shift
 bookkeeping of the analyzer hold verbatim, empty obstructions included.
 
 "Contractible" is always a sufficient certificate here: a central simplex or
-a collapse sequence down to a vertex.  Trivial homology without a
-certificate is reported as acyclic, never as contractible.
+a collapse sequence down to a vertex, which for a flag complex is first
+sought by strong collapse on its vertex bitmasks, with no explicit copy of
+it made.  Trivial homology without a certificate is reported as
+acyclic, never as contractible.
 """
 
 import heapq
@@ -102,7 +104,13 @@ from collections import namedtuple
 from itertools import accumulate, combinations, compress, groupby
 
 from . import linalg
-from .complexes import central_vertex, check_dim_cap, collapse_edges, cover_union
+from .complexes import (
+    central_vertex,
+    check_dim_cap,
+    collapse_edges,
+    cover_union,
+    strong_collapse,
+)
 from .errors import (
     EmptyComplex,
     EnumerationRefused,
@@ -472,10 +480,17 @@ def induced_map(sub, ambient, degree, coeffs="q", reduced=False):
 
 
 class ContractibilityCertificate(
-    namedtuple("ContractibilityCertificate", "kind central collapses", defaults=(None, None))
+    namedtuple(
+        "ContractibilityCertificate",
+        "kind central collapses steps dominations",
+        defaults=(None,) * 4,
+    )
 ):
-    """Sufficient evidence of contractibility: a central simplex or a
-    collapse sequence ending at one vertex."""
+    """Sufficient evidence of contractibility: a central simplex, or a
+    collapse to one vertex of ``steps`` elementary collapses.  A collapse
+    carries its sequence: the (face, coface) pairs of ``collapses``, or for
+    a flag complex the (v, w) vertex dominations of ``dominations`` (see
+    ``complexes.strong_collapse``), each a run of elementary collapses."""
 
     __slots__ = ()
 
@@ -529,16 +544,34 @@ def _facets(s):
 def contractibility_certificate(complex_):
     """Search for a central vertex, then for a full collapse sequence.
 
-    ``None`` is inconclusive, not a proof of non-contractibility.  A flag
-    complex is fully materialized for the collapse search, so keep this to
-    the small complexes (obstructions) it is meant for.
+    A flag complex is first strongly collapsed on its vertex bitmasks
+    (``strong_collapse``), and no explicit copy of it is made.  When one
+    vertex is left, the certificate is that domination sequence, and its
+    step count is (N - 1) / 2, as for every collapse of N nonempty simplices
+    to one vertex.  N is counted on the clique walk that ``to_explicit``
+    runs, so it is refused past ``SIMPLEX_BUDGET`` exactly where that is.
+    An explicit complex, or a flag one whose strong collapse stops with more
+    than one vertex left, is materialized for the greedy collapse search, so
+    keep those to small complexes.
+
+    ``None`` is inconclusive, not a proof of non-contractibility.
     """
     if complex_.is_empty:
         raise EmptyComplex("the empty complex has no contractibility certificate")
     v = central_vertex(complex_)
     if v is not None:
         return ContractibilityCertificate(ContractibilityCertificate.CENTRAL, central=(v,))
+    if complex_.is_flag:
+        dominations, left = strong_collapse(complex_)
+        if left.bit_count() == 1:
+            return ContractibilityCertificate(
+                ContractibilityCertificate.COLLAPSE,
+                steps=(sum(map(len, complex_._clique_levels(None))) - 1) // 2,
+                dominations=tuple(dominations),
+            )
     seq = _greedy_collapse(complex_.to_explicit().simplices())
     if seq is not None:
-        return ContractibilityCertificate(ContractibilityCertificate.COLLAPSE, collapses=tuple(seq))
+        return ContractibilityCertificate(
+            ContractibilityCertificate.COLLAPSE, collapses=tuple(seq), steps=len(seq)
+        )
     return None

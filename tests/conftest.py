@@ -75,6 +75,46 @@ def barycentric_flag(facets, dim_cap):
     return Complex.flag(range(len(faces)), edges, dim_cap)
 
 
+def rp2_with_clique(size, dim_cap=3):
+    """A flag complex and cover whose torsion criterion rests on a big cone:
+    A is the barycentric RP^2 (31 vertices) beside a ``size``-clique, the
+    cross edge x1 y1 is joined to every RP^2 vertex and the cross edge x2 y2
+    to every clique vertex, with X = A + {x1, x2} and Y = A + {y1, y2}.  So
+    the obstructions are RP^2 (Z/2 in degree 1, nothing above) and the
+    clique, a cone."""
+    rp2 = barycentric_flag(PROJECTIVE_PLANE, dim_cap)
+    n = len(rp2.vertices)
+    clique = range(n, n + size)
+    x1, y1, x2, y2 = range(n + size, n + size + 4)
+    edges = rp2.edges() + list(combinations(clique, 2)) + [(x1, y1), (x2, y2)]
+    edges += [(e, v) for e in (x1, y1) for v in rp2.vertices]
+    edges += [(e, v) for e in (x2, y2) for v in clique]
+    k = Complex.flag(range(n + size + 4), edges, dim_cap)
+    a = set(range(n + size))
+    return k, Cover(a | {x1, x2}, a | {y1, y2})
+
+
+def hop_metric_cover(k, cover):
+    """The hop distances of a flag complex's graph, ``inf`` between its
+    components, with the cover, at r = 1, where the Vietoris-Rips complex
+    is ``k`` again; point i is labelled "p<i>"."""
+    n = len(k.vertices)
+    dist = []
+    for source in range(n):
+        row, frontier, d = ["inf"] * n, [source], 0
+        while frontier:
+            for v in frontier:
+                row[v] = d
+            frontier = sorted({w for v in frontier for w in range(n)
+                               if k._adj[v] >> w & 1 and row[w] == "inf"})
+            d += 1
+        dist.append(row)
+    labels = [f"p{i}" for i in range(n)]
+    x = [labels[i] for i in sorted(cover.x)]
+    y = [labels[i] for i in sorted(cover.y)]
+    return MetricCover(DistanceSpace(labels, dist), x, y, 1)
+
+
 def case_by_name(name):
     """The corpus case of that name."""
     return next(c for c in CASES if c.name == name)

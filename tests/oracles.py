@@ -2,8 +2,9 @@
 
 * Complex operations the pipeline does not run: ``star``, ``obstruction``
   (the reference for ``enumerate_p_complement``), ``skeleton``, ``join``,
-  ``intersect``, ``union_of`` and ``is_central``, plus ``replay_collapses``
-  for collapse certificates.
+  ``intersect``, ``union_of``, ``is_central`` and ``good_vertices``, plus
+  ``replay_collapses`` and ``replay_dominations`` for collapse
+  certificates.
 * Flag complexes from their graph alone, by brute force over vertex
   subsets: ``clique_levels`` and ``cross_cliques``, the references for the
   bitmask clique walk and the flag branch of ``enumerate_p_complement``;
@@ -126,6 +127,32 @@ def replay_collapses(k, collapses):
         current.discard(s)
         current.discard(t)
     return current
+
+
+def replay_dominations(k, dominations):
+    """Replay a strong collapse of a flag complex, on vertex sets: each
+    (v, w) deletes v, which must be dominated by w among the vertices left
+    (w other than v, and N[v] inside N[w], closed neighbourhoods within
+    them), and one vertex must be left; returns it."""
+    left = set(k.vertices)
+
+    def closed(u):
+        return {u} | {t for t in left if (u, t) in k}
+
+    for v, w in dominations:
+        if v not in left or w not in left or v == w or not closed(v) <= closed(w):
+            raise InvalidInput(f"vertex domination does not replay at {(v, w)}")
+        left.remove(v)
+    if len(left) != 1:
+        raise InvalidInput(f"the dominations leave {len(left)} vertices, not one")
+    return left.pop()
+
+
+def good_vertices(k, size):
+    """good(size) by its definition: the vertices v of ``k`` with rho + v in
+    ``k`` for every simplex rho of at most ``size`` vertices."""
+    small = [rho for rho in k.to_explicit().simplices() if len(rho) <= size]
+    return frozenset(v for v in k.vertices if all(make_simplex(rho + (v,)) in k for rho in small))
 
 
 # ---------------------------------------------------------- flag complexes

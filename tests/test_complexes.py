@@ -396,11 +396,12 @@ class TestBitmaskWalk:
                 want = cross_cliques(vertices, edges, x, y, dim_cap)
                 assert [s for s, _ in items] == [s for s, _ in want]
                 objects = {}
-                for (_, obs), (_, common) in zip(items, want):
+                for (_, c), (_, common) in zip(items, want):
+                    obs = c.obs
                     assert obs.vertices == common
                     assert obs._clique_levels(cap) == clique_levels(common, edges, cap)
                     assert objects.setdefault(common, obs) is obs
-                assert len({id(obs) for _, obs in items}) == len(objects)
+                assert len({id(c.obs) for _, c in items}) == len(objects)
                 seen["shared"] += len(items) > len(objects)
             seen["past-64"] += vertices[-1] >= 64 and vertices[0] < 64
             seen[f"cap-{cap}"] += 1
@@ -565,7 +566,8 @@ class TestPComplement:
         for kind, k, cover in covered_complexes():
             items = enumerate_p_complement(k, cover, 3)
             by_key = {}
-            for simplex, obs in items:
+            for simplex, c in items:
+                obs = c.obs
                 expected = obstruction(k, simplex, cover.a)
                 assert obs == expected, (simplex, k.simplices())
                 assert obs.labels is k.labels
@@ -612,9 +614,9 @@ class TestPComplement:
                     if not set(s) & cover.a and set(s) - cover.x and set(s) - cover.y
                 ]
                 assert [s for s, _ in items] == expected
-                for s, obs in items:
-                    assert obs == obstruction(k, s, cover.a), (kind, s)
-                    assert obs.is_empty or kind == "random"
+                for s, c in items:
+                    assert c.obs == obstruction(k, s, cover.a), (kind, s)
+                    assert c.obs.is_empty or kind == "random"
                 seen[kind] += len(items)
                 seen[f"{kind}-top"] += any(len(s) == dim_cap + 1 for s, _ in items)
         assert seen["all"] == 0

@@ -1,7 +1,9 @@
 """Boundary matrices, Smith normal form, homology profiles, the relative
 homology oracle, induced maps, and contractibility certificates."""
 
+from collections import Counter
 from fractions import Fraction
+from importlib import import_module
 from itertools import combinations
 
 import pytest
@@ -18,7 +20,7 @@ from ripsdecomp import (
     vietoris_rips,
 )
 from ripsdecomp.linalg import smith_invariants
-from ripsdecomp.complexes import central_vertex
+from ripsdecomp.complexes import central_vertex, enumerate_p_complement
 from ripsdecomp.corpus import space_for
 from ripsdecomp.homology import _greedy_collapse, is_subcomplex
 
@@ -28,15 +30,18 @@ from conftest import (
     case_by_name,
     greedy_collapse_oracle,
     random_complex,
+    random_cover,
     random_flag,
     rank_oracle,
     rng_for,
 )
 from oracles import (
+    clique_levels,
     is_central,
     obstruction,
     relative_homology,
     replay_collapses,
+    replay_dominations,
     skeleton,
     star,
     union_of,
@@ -365,3 +370,50 @@ class TestCertificates:
             left = contractibility_certificate(flag)
             right = contractibility_certificate(explicit)
             assert (left is None) == (right is None)
+
+    def test_domination_certificates_replay_and_match_the_old_search(self, monkeypatch):
+        """Random flag graphs, random trees, and the obstructions of random
+        covers of both.  A flag complex with no central vertex is certified
+        by strong collapse when one vertex is left: its stored domination
+        sequence replays, its step count is (N - 1) / 2 for its N nonempty
+        cliques, and it is certified again with neither ``to_explicit`` nor
+        ``_greedy_collapse`` reachable.  Every status equals the old
+        search's: a central vertex, else a greedy collapse of the
+        materialized complex, else none."""
+        rng = rng_for(312)
+        graphs = []
+        for i in range(120):
+            if i % 2:
+                k = random_flag(rng, max_vertices=10, edge_p=rng.choice((0.3, 0.5, 0.7)))
+            else:
+                m = rng.randint(3, 10)
+                k = Complex.flag(range(m), [(rng.randrange(j), j) for j in range(1, m)], 4)
+            graphs.append(k)
+            items = enumerate_p_complement(k, random_cover(rng, k), 1)
+            graphs += [c.obs for c in items.classes if not c.obs.is_empty]
+        seen = Counter()
+        for k in graphs:
+            if central_vertex(k) is not None:
+                old = "cone"
+            elif _greedy_collapse(k.to_explicit().simplices()) is not None:
+                old = "collapse"
+            else:
+                old = "homology-only"
+            cert = contractibility_certificate(k)
+            if cert is None:
+                new = "homology-only"
+            else:
+                new = "cone" if cert.kind == ContractibilityCertificate.CENTRAL else "collapse"
+            assert new == old, k.edges()
+            seen[new] += 1
+            if new == "collapse":
+                assert cert.dominations is not None and cert.collapses is None
+                assert replay_dominations(k, cert.dominations) in k.vertices
+                cliques = clique_levels(k.vertices, set(k.edges()), len(k.vertices))
+                assert cert.steps == (sum(map(len, cliques)) - 1) / 2
+                with monkeypatch.context() as m:
+                    m.setattr(Complex, "to_explicit", None)
+                    m.setattr(import_module("ripsdecomp.homology"), "_greedy_collapse", None)
+                    assert contractibility_certificate(k) == cert
+                seen["long"] += len(cert.dominations) >= 4
+        assert min(seen[s] for s in ("cone", "collapse", "homology-only", "long")) >= 10, seen

@@ -20,7 +20,9 @@ from conftest import (
     random_cover,
     random_flag,
     rng_for,
+    rp2_with_clique,
 )
+from oracles import good_vertices
 
 
 @pytest.fixture
@@ -317,6 +319,94 @@ def test_torsion_holds_through_the_degree_of_a_certified_obstruction():
     assert verdict.claim == {"iso_upto": 1, "surj_at": 2, "exclude_char": 2}
     assert torsion_oracle(analyzer._Context(k, cover, 4)) == (2, 1)
     assert report.soundness["ok"]
+
+
+@pytest.mark.parametrize("size", [8, 21])
+def test_torsion_reads_the_top_degree_of_a_big_cone_without_enumerating_it(size):
+    """The cross edge x1 y1 has the barycentric RP^2 as its obstruction, and
+    x2 y2 a clique, a cone: the cone bounds nothing below RP^2's degree 2, so
+    the claim holds through degree 2 whatever the clique's size.  A 21-clique
+    has 2^21 - 1 faces, past the simplex budget, so its top degree is read
+    by existence search."""
+    k, cover = rp2_with_clique(size)
+    report = analyze(k, cover, dim_cap=3)
+    assert [it["status"] for it in report.items] == ["homology-only", "cone"]
+    verdict = report.verdict("torsion-obstructions")
+    assert verdict.status == "holds" and verdict.witness == "2"
+    assert verdict.claim == {"iso_upto": 2, "surj_at": 3, "exclude_char": 2}
+    assert report.soundness["ok"]
+
+
+def _conn_at_least(conn, n):
+    """Is a homological connectivity (None when empty) at least n?"""
+    if conn is None:
+        return False
+    return conn == "all" or (n != "all" and conn >= n)
+
+
+def _mask(vertices):
+    return sum(1 << v for v in vertices)
+
+
+def test_class_table_matches_a_scan_of_the_classes():
+    """For every prefix of classes through a dimension and every threshold,
+    in a shuffled order, the table's first failing class is the first one a
+    scan of the classes' connectivity finds; the prefix ANDs of good(k) and
+    the edge classes' masks are the intersections of the sets the
+    definition gives; and each record test picks the first class a scan of
+    the obstruction complexes picks."""
+    rng = rng_for(409)
+    seen = Counter()
+    contexts = [*_seeded_contexts(410, 160, shared=0.4), *_tree_contexts(411, 20)]
+    for ctx in contexts + list(_torsion_contexts(412, 20)):
+        queries = [
+            (d, n) for d in range(ctx.dim_cap + 1) for n in [*range(-1, ctx.dim_cap + 1), "all"]
+        ]
+        rng.shuffle(queries)
+        for d, n in queries:
+            through = ctx.classes_through(d)
+            got = ctx.first_unconnected(len(through), n)
+            want = next(
+                (i for i, c in enumerate(through)
+                 if not _conn_at_least(ctx.connectivity(c.obs), n)),
+                None,
+            )
+            assert got == want, (d, n)
+            seen["fails" if got is not None else "holds"] += 1
+        cap, a = ctx.dim_cap, set(ctx.a)
+        for d in range(ctx.dim_cap + 1):
+            through = ctx.classes_through(d)
+            ok = a.intersection(*(good_vertices(c.obs.complex, cap - c.dim) for c in through))
+            assert ctx.a_mask & ctx.entry_points(len(through)) == _mask(ok)
+            seen["entry"] += bool(ok) and bool(through)
+        edges = [c.obs.complex for c in ctx.edge_classes]
+        central = [good_vertices(o, len(o.vertices)) for o in edges]
+        assert ctx.a_mask & ctx.edge_central == _mask(a.intersection(*central))
+        assert ctx.a_mask & ctx.edge_shared == _mask(a.intersection(*(o.vertices for o in edges)))
+        assert ctx.edge_spread == _mask(set().union(*(o.vertices for o in edges)))
+        for c in ctx.classes:
+            o = c.obs.complex
+            goods = [c.obs.good(k) for k in range(cap + 2)]
+            assert goods == [_mask(good_vertices(o, k)) for k in range(cap + 2)]
+        whole_a = tuple(sorted(a))
+        tests = {
+            analyzer._is_certified: lambda c: c.obs.certificate is not None,
+            analyzer._is_nonempty: lambda c: not c.obs.complex.is_empty,
+            analyzer._is_standard: lambda c: not c.obs.complex.vertices
+            or c.obs.complex.vertices in c.obs.complex,
+            analyzer._spans_a: lambda c: set(c.obs.complex.vertices) == a,
+            analyzer._holds_a: lambda c: whole_a in c.obs.complex,
+            analyzer._is_leading: lambda c: c.obs is ctx.classes[0].obs,
+            analyzer._is_intersection: lambda c: c.obs.complex == ctx.complex.restrict(a),
+        }
+        if not a:
+            del tests[analyzer._holds_a]    # asked only when A is not empty
+        for test, scan in tests.items():
+            want = next((i for i, c in enumerate(ctx.classes) if not scan(c)), len(ctx.classes))
+            assert ctx.first(test) == want, test.__name__
+            seen[test.__name__] += 0 < want < len(ctx.classes)
+    assert seen["fails"] >= 100 and seen["holds"] >= 100 and seen["entry"] >= 20, seen
+    assert min(seen[t] for t in ("_is_certified", "_is_standard", "_spans_a", "_is_leading")) >= 5, seen
 
 
 def test_classes_partition_the_items_in_report_order():
