@@ -241,7 +241,7 @@ class _Obstruction:
     def __init__(self, complex_, key, status, certificate):
         self.complex = complex_
         self.key = key
-        self.mask = mask = complex_._mask if complex_.is_flag else _mask_of(complex_.vertices)
+        self.mask = mask = _mask_of(complex_.vertices)
         self.goods = _good_masks(complex_, mask)
         self.status = status
         self.certificate = certificate      # ContractibilityCertificate or None
