@@ -12,13 +12,16 @@ when mu is in obs(sigma)), so a witness, the first failing cross simplex in
 report order, is the first one of the first failing class.
 
 Each distinct obstruction complex is one record (``_Obstruction``), made
-when the classes are: its status and certificate, and its vertices, central
-vertices and good(k) sets as int bitmasks, so the criteria intersect masks,
-not sets.  The classes are read through one class table per context
-(``_Context``): the connectivity ranks of their records as prefix minima,
-the first class whose record fails each record test, and prefix ANDs of
-the good(k) masks.  So an n-indexed criterion looks its answer up at each
-n instead of scanning the classes again.
+when the classes are, and it classifies itself: it searches for its
+certificate when it is made, which sets its status, and answers its own
+profile, connectivity and rank, each computed once.  It holds its vertices
+and its good(k) sets (``complexes.good_masks``, the last of them its central
+vertices) as int bitmasks, so the criteria intersect masks, not sets.  The
+classes are read through one class table per context (``_Context``): the
+connectivity ranks of their records as prefix minima, the first class
+whose record fails each record test, and prefix ANDs of the good(k) masks.
+So an n-indexed criterion looks its answer up at each n instead of
+scanning the classes again.
 
 The catalog is a table of rules (``_RULES`` and ``_METRIC_RULES``): each
 row names a criterion, its applicability guards and its hypothesis test.
@@ -30,9 +33,9 @@ alone enforces the honesty rules:
   by a central simplex or a collapse sequence (``_certified``).  An
   n-indexed criterion then falls back to a lower n, down to n = 0, which
   needs no certificate; a claim with no lower degree to fall back to is
-  ``inconclusive``.  So "contractible" is claimed only on a certificate,
-  and trivial integral homology alone feeds the weaker acyclicity
-  criterion instead;
+  ``inconclusive``, with its test's witness and detail, whatever the rule.
+  So "contractible" is claimed only on a certificate, and trivial integral
+  homology alone feeds the weaker acyclicity criterion instead;
 * a criterion that reads every cross simplex reports the dimension cap in
   ``verified_up_to`` when enumeration stopped short of the whole complex.
 
@@ -49,7 +52,9 @@ from operator import and_
 
 from . import linalg
 from . import metric as metric_mod
-from .complexes import Cover, _bits, _mask_of, check_dim_cap, enumerate_p_complement
+from .complexes import (
+    Cover, _bits, _low, _mask_of, check_dim_cap, enumerate_p_complement, good_masks
+)
 from .errors import InvalidInput
 from .homology import (
     ContractibilityCertificate,
@@ -189,41 +194,16 @@ class DecompositionReport:
 # ------------------------------------------------------------------ context
 
 
-def _low(mask):
-    """The lowest set bit of a nonzero bitmask, as a vertex id."""
-    return (mask & -mask).bit_length() - 1
+# The connectivity rank of a record in the class table: -2 when it is empty,
+# infinite when every reduced homology group is trivial, else its
+# connectivity.  A record is homologically n-connected when its rank is at
+# least n ("all": infinite).
+_RANK_EMPTY = -2
+_RANK_ALL = math.inf
 
 
-def _good_masks(o, mask):
-    """The bitmasks good(0), good(1), ... of a complex ``o`` with vertex
-    bitmask ``mask``, up to the first k where good(k) is the central
-    vertices, which it is from then on.  good(k) holds the vertices v with
-    rho + v in ``o`` for every simplex rho of at most k vertices.  In a flag
-    complex good(k) for k >= 1 is the central vertices, the vertices
-    adjacent to every other vertex, as such a vertex extends every clique.
-    In an explicit one, ext(rho) is rho with the vertices of its cofacets,
-    and good(k) is the AND of ext over the simplices of at most k vertices.
-    """
-    if o.is_flag:
-        central = 0
-        for v, nb in o._adj.items():
-            if nb | 1 << v == mask:
-                central |= 1 << v
-        return (mask, central)
-    if not mask:
-        return (0,)
-    ext = {rho: _mask_of(rho) for rho in o._simplices}
-    for t in o._simplices:
-        if len(t) > 1:
-            for i, v in enumerate(t):
-                ext[t[:i] + t[i + 1 :]] |= 1 << v
-    by_size = {}
-    for rho, e in ext.items():
-        by_size[len(rho)] = by_size.get(len(rho), -1) & e
-    goods = [mask]
-    for k in range(1, max(by_size) + 1):
-        goods.append(goods[-1] & by_size[k])
-    return tuple(goods)
+def _rank_of(n):
+    return _RANK_ALL if n == "all" else n
 
 
 class _Obstruction:
@@ -232,21 +212,31 @@ class _Obstruction:
     The classes of cross simplices with equal obstructions point to the same
     record.  It carries the complex's content key and vertex bitmasks:
     ``mask``, its vertices, and ``goods``, its good(k) sets (``good``), the
-    last of them its central vertices.  Its certificate is searched for once,
-    and its integral profile and connectivity are computed once, on demand.
+    last of them its central vertices (``complexes.good_masks``).  Its
+    certificate is searched for when it is made, and its integral profile
+    and connectivity are computed once, on demand.
     """
 
-    __slots__ = ("complex", "key", "mask", "goods", "status", "certificate", "profile", "conn")
+    __slots__ = ("complex", "key", "mask", "goods", "status", "certificate", "_profile", "_conn")
 
-    def __init__(self, complex_, key, status, certificate):
+    def __init__(self, complex_, key):
         self.complex = complex_
         self.key = key
-        self.mask = mask = _mask_of(complex_.vertices)
-        self.goods = _good_masks(complex_, mask)
-        self.status = status
-        self.certificate = certificate      # ContractibilityCertificate or None
-        self.profile = None                 # reduced integral profile, on demand
-        self.conn = None                    # see _Context.connectivity, on demand
+        self.goods = good_masks(complex_)
+        self.mask = self.goods[0]
+        # empty, or by certificate search: a cone or a collapse, or
+        # homology-only when none is found
+        if complex_.is_empty:
+            self.status, self.certificate = STATUS_EMPTY, None
+        else:
+            self.certificate = cert = contractibility_certificate(complex_)
+            self.status = (
+                STATUS_HOMOLOGY_ONLY if cert is None
+                else STATUS_CONE if cert.kind == ContractibilityCertificate.CENTRAL
+                else STATUS_COLLAPSE
+            )
+        self._profile = None
+        self._conn = None
 
     @property
     def certified(self):
@@ -258,21 +248,39 @@ class _Obstruction:
         return self.goods[-1]
 
     def good(self, k):
-        """The bitmask good(k) (see ``_good_masks``)."""
+        """The bitmask good(k) (see ``complexes.good_masks``)."""
         goods = self.goods
         return goods[k] if k < len(goods) else goods[-1]
 
+    def profile(self):
+        """The reduced integral profile, computed once (None when empty)."""
+        if self._profile is None and self.status != STATUS_EMPTY:
+            self._profile = homology(self.complex.to_explicit(), "z", reduced=True)
+        return self._profile
 
-# The connectivity rank of a record in the class table: -2 when it is empty,
-# infinite when every reduced homology group is trivial, else its
-# connectivity.  A record is homologically n-connected when its rank is at
-# least n ("all": infinite).
-_RANK_EMPTY = -2
-_RANK_ALL = math.inf
+    def connectivity(self):
+        """Homological connectivity: the largest n with trivial reduced
+        integral homology through degree n ("all" when it is trivial in every
+        degree, -1 when already disconnected, None when empty).  A cone or
+        collapse certificate proves the complex contractible, so a certified
+        record answers "all" without any homology; only a homology-only
+        record is profiled, once.
+        """
+        if self.status == STATUS_EMPTY:
+            return None
+        if self.certified:
+            return "all"
+        if self._conn is None:
+            p = self.profile()
+            top = p.degrees[-1]
+            n = next((d - 1 for d in range(top + 1) if p.betti.get(d, 0) or p.torsion_at(d)), top)
+            self._conn = "all" if n == top else n
+        return self._conn
 
-
-def _rank_of(n):
-    return _RANK_ALL if n == "all" else n
+    def rank(self):
+        """The connectivity as a rank in the class table (``_RANK_EMPTY``)."""
+        conn = self.connectivity()
+        return _RANK_EMPTY if conn is None else _rank_of(conn)
 
 
 class _Context:
@@ -295,7 +303,6 @@ class _Context:
         if dim_cap < 1:
             raise InvalidInput("the dimension cap must be at least 1")
         check_dim_cap(dim_cap)
-        cover.validate(complex_)
         self.complex = complex_
         self.cover = cover
         self.dim_cap = dim_cap
@@ -309,6 +316,7 @@ class _Context:
         # complex_ is a flag complex.
         self._records = {}
         self._intersection = None
+        # refuses a cover that is not one of complex_ (CoverError)
         self.items = enumerate_p_complement(complex_, cover, dim_cap)
         self.classes = classes = self.items.classes
         for c in classes:
@@ -361,7 +369,7 @@ class _Context:
         want = _rank_of(n)
         low, classes = self._low_ranks, self.classes
         while len(low) < end and (not low or -low[-1] >= want):
-            rank = self.rank(classes[len(low)].obs)
+            rank = classes[len(low)].obs.rank()
             low.append(max(-rank, low[-1]) if low else -rank)
         i = bisect_right(low, -want)
         return i if i < end else None
@@ -392,61 +400,12 @@ class _Context:
         return self._intersection
 
     def record(self, complex_):
-        """The one record of a complex, classified on first sight: empty, or
-        by certificate search (a cone or a collapse, or homology-only when
-        none is found)."""
+        """The one record of a complex, made on first sight."""
         key = complex_.content_key()
         obs = self._records.get(key)
         if obs is None:
-            cert = None
-            if complex_.is_empty:
-                status = STATUS_EMPTY
-            else:
-                cert = contractibility_certificate(complex_)
-                if cert is None:
-                    status = STATUS_HOMOLOGY_ONLY
-                elif cert.kind == ContractibilityCertificate.CENTRAL:
-                    status = STATUS_CONE
-                else:
-                    status = STATUS_COLLAPSE
-            obs = self._records[key] = _Obstruction(complex_, key, status, cert)
+            obs = self._records[key] = _Obstruction(complex_, key)
         return obs
-
-    def obstruction_profile(self, obs):
-        if obs.profile is None and obs.status != STATUS_EMPTY:
-            obs.profile = homology(obs.complex.to_explicit(), "z", reduced=True)
-        return obs.profile
-
-    def connectivity(self, obs):
-        """Homological connectivity of an obstruction: the largest n with
-        trivial reduced integral homology through degree n ("all" when it
-        is trivial in every degree, -1 when already disconnected, None when
-        empty).  A cone or collapse certificate proves the complex
-        contractible, so a certified record answers "all" without any
-        homology; only a homology-only record is profiled, once.
-        """
-        if obs.status == STATUS_EMPTY:
-            return None
-        if obs.certified:
-            return "all"
-        if obs.conn is None:
-            profile = self.obstruction_profile(obs)
-            top = profile.degrees[-1]
-            n = next(
-                (
-                    d - 1
-                    for d in range(top + 1)
-                    if profile.betti.get(d, 0) or profile.torsion_at(d)
-                ),
-                top,
-            )
-            obs.conn = "all" if n == top else n
-        return obs.conn
-
-    def rank(self, obs):
-        """The connectivity of a record as a rank (``_RANK_EMPTY``)."""
-        conn = self.connectivity(obs)
-        return _RANK_EMPTY if conn is None else _rank_of(conn)
 
 
 class _MetricFacts:
@@ -562,18 +521,10 @@ def _verdict(rule, ctx):
                 break
         else:
             if outcome[0] == HOLDS:
-                # Held only homologically, with no lower degree left.  Every
-                # scan ends at degree 0, which needs no certificate, so only
-                # a claim of "all" tested once gets here: that of
-                # contractible-obstructions, which rests on every record.
-                bad = ctx.classes[ctx.first(_is_certified)]
-                outcome = (
-                    INCONCLUSIVE,
-                    ctx.label_simplex(bad.first),
-                    "integrally acyclic obstruction without a contractibility certificate",
-                    None,
-                    True,
-                )
+                # Held without the certificates it needs, with no lower
+                # degree left (every scan ends at degree 0, which needs
+                # none): inconclusive, with the test's witness and detail.
+                outcome = (INCONCLUSIVE, outcome[1], outcome[2], None, True)
     status, witness, detail, degree, _ = outcome
     claim = conclusion = None
     if status == HOLDS:
@@ -670,9 +621,16 @@ def _first_unconnected(ctx, end, n, why=None):
     return _fails(why, ctx.label_simplex(c.first))
 
 
+def _first_failing(ctx, test, end, detail):
+    """Failure at the first cross simplex of the first class, among the
+    first ``end``, whose record fails ``test``; None when there is none."""
+    i = ctx.first(test)
+    return _fails(detail, ctx.label_simplex(ctx.classes[i].first)) if i < end else None
+
+
 def _one_record(ctx, obs, n, detail):
     """Holds at n when one obstruction record is homologically n-connected."""
-    rank = ctx.rank(obs)
+    rank = obs.rank()
     if rank == _RANK_EMPTY:
         return _fails("empty complex")
     if rank < _rank_of(n):
@@ -695,15 +653,15 @@ def _contractible(ctx, n):
     if failed:
         return failed
     i = ctx.first(_is_certified)
-    if i < every and ctx.connectivity(ctx.classes[i].obs) != "all":
-        return _fails(
-            "obstruction has nontrivial reduced integral homology",
-            ctx.label_simplex(ctx.classes[i].first),
-        )
+    if i < every:
+        c = ctx.classes[i]
+        if c.obs.connectivity() != "all":
+            why = "obstruction has nontrivial reduced integral homology"
+            return _fails(why, ctx.label_simplex(c.first))
+        why = "integrally acyclic obstruction without a contractibility certificate"
+        return _holds("all", ctx.label_simplex(c.first), why, certified=False)
     detail = "every obstruction carries a central-simplex or collapse certificate"
-    if not ctx.items:
-        detail = "vacuous: no cross simplices"
-    return _holds("all", detail=detail, certified=i == every)
+    return _holds("all", detail=detail if ctx.items else "vacuous: no cross simplices")
 
 
 def _acyclic(ctx, n):
@@ -722,7 +680,7 @@ def _torsion(ctx, n):
     primes = {
         p
         for c in uncertified
-        for powers in ctx.obstruction_profile(c.obs).torsion.values()
+        for powers in c.obs.profile().torsion.values()
         for q in powers
         for p, _ in linalg.prime_factorization(q)
     }
@@ -739,7 +697,7 @@ def _torsion(ctx, n):
     # enumerated, and only up to the least degree so far.
     best = math.inf
     for c in uncertified:
-        profile = ctx.obstruction_profile(c.obs)
+        profile = c.obs.profile()
         if profile.betti.get(0, 0) != 0 or profile.betti.get(-1, 0) != 0:
             return _fails("obstruction is not connected", ctx.label_simplex(c.first))
         top = profile.degrees[-1]
@@ -794,24 +752,25 @@ def _edge_intersection(ctx, n):
     return _fails("the edge obstructions share no vertex")
 
 
+def _shared_record(ctx, n, end, differs, detail):
+    """Holds at n when the first ``end`` classes share one record and it is
+    homologically n-connected."""
+    if ctx.first(_is_leading) < end:
+        return _fails(differs)
+    return _one_record(ctx, ctx.classes[0].obs, n, detail)
+
+
 def _constant(ctx, n):
-    if ctx.first(_is_leading) < ctx.end(n + 1):
-        return _fails("obstruction complexes differ across cross simplices")
-    return _one_record(
-        ctx,
-        ctx.classes[0].obs,
-        n,
-        "one obstruction complex shared by every cross simplex in range",
-    )
+    differs = "obstruction complexes differ across cross simplices"
+    detail = "one obstruction complex shared by every cross simplex in range"
+    return _shared_record(ctx, n, ctx.end(n + 1), differs, detail)
 
 
 def _full_intersection(ctx, n):
-    i = ctx.first(_is_intersection)
-    if i < ctx.end(n + 1):
-        return _fails(
-            "obstruction differs from the full intersection restriction",
-            ctx.label_simplex(ctx.classes[i].first),
-        )
+    differs = "obstruction differs from the full intersection restriction"
+    failed = _first_failing(ctx, _is_intersection, ctx.end(n + 1), differs)
+    if failed:
+        return failed
     ka = ctx.classes[0].obs
     if ka.status == STATUS_EMPTY:
         return _fails("the intersection restriction is empty")
@@ -819,12 +778,10 @@ def _full_intersection(ctx, n):
 
 
 def _subsets_extend(ctx, n):
-    i = ctx.first(_holds_a)
-    if i < ctx.end(n + 1):
-        return _fails(
-            "the simplex does not extend by the whole intersection",
-            ctx.label_simplex(ctx.classes[i].first),
-        )
+    differs = "the simplex does not extend by the whole intersection"
+    failed = _first_failing(ctx, _holds_a, ctx.end(n + 1), differs)
+    if failed:
+        return failed
     # at n = dim_cap - 1 every cross simplex extends
     whole = n == ctx.dim_cap - 1 and ctx.full_coverage
     detail = "every cross simplex extends by every subset of the intersection"
@@ -850,18 +807,15 @@ def _one_entry_point(ctx, n):
 
 
 def _edge_standard(ctx, n):
-    i = ctx.first(_is_standard)
-    if i < len(ctx.edge_classes):
-        return _fails(
-            "edge obstruction is not a standard simplex", ctx.label_simplex(ctx.classes[i].first)
-        )
-    i = ctx.first(_is_nonempty)
-    if i < ctx.end(n + 1):
-        return _fails("empty obstruction", ctx.label_simplex(ctx.classes[i].first))
-    return _holds(
-        n,
-        detail="edge obstructions are standard simplices; all obstructions in "
-        f"range nonempty through dimension {n + 1}",
+    edges = len(ctx.edge_classes)
+    detail = (
+        "edge obstructions are standard simplices; all obstructions in "
+        f"range nonempty through dimension {n + 1}"
+    )
+    return (
+        _first_failing(ctx, _is_standard, edges, "edge obstruction is not a standard simplex")
+        or _first_failing(ctx, _is_nonempty, ctx.end(n + 1), "empty obstruction")
+        or _holds(n, detail=detail)
     )
 
 
@@ -869,7 +823,7 @@ def _edge_constant(ctx, n):
     if ctx.first(_is_leading) < len(ctx.edge_classes):
         return _fails("edge obstruction complexes differ")
     common = ctx.classes[0].obs
-    conn = ctx.connectivity(common)
+    conn = common.connectivity()
     if conn is None:
         return _fails("the common edge obstruction is empty")
     if conn == -1:
@@ -889,7 +843,7 @@ def _edge_full_intersection(ctx, n):
             f"{ctx.label_simplex(c.first)}+{ctx.label(_low(ctx.a_mask & ~c.obs.mask))}",
         )
     ka = ctx.record(ctx.intersection())
-    if ctx.connectivity(ka) in (None, -1):
+    if ka.connectivity() in (None, -1):
         return _fails("the intersection restriction is empty or disconnected")
     return _holds(
         n,
@@ -1040,10 +994,9 @@ def _dominates_diameter(ctx, n):
 
 def _radius_independence(ctx, n):
     """The witness set of a close cross pair does not depend on the pair."""
-    if ctx.first(_is_leading) < len(ctx.edge_classes):
-        return _fails("edge obstruction complexes depend on the pair")
+    differs = "edge obstruction complexes depend on the pair"
     detail = "one witness complex shared by every close cross pair"
-    return _one_record(ctx, ctx.classes[0].obs, n, detail)
+    return _shared_record(ctx, n, len(ctx.edge_classes), differs, detail)
 
 
 def _full_witness_set(ctx, n):
@@ -1310,7 +1263,7 @@ def _item_table(ctx, include_profiles):
         elif cert is not None:
             certificate = {"kind": "collapse", "steps": cert.steps}
         if include_profiles and obs.status == STATUS_HOMOLOGY_ONLY:
-            profile = ctx.obstruction_profile(obs).to_dict()
+            profile = obs.profile().to_dict()
         records[obs] = {
             "status": obs.status,
             "obstruction_vertices": [names[v] for v in obs.complex.vertices],

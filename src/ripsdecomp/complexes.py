@@ -8,8 +8,8 @@ one of two backings:
   ``dim_cap``.  The graph is a dict from each vertex id to the int bitmask
   of its neighbours: bit u is set when uv is an edge, so the ids are bit
   positions and must be nonnegative ints.  Restriction, the cover union,
-  central vertices (by bit count), membership and the clique searches all
-  work on these masks.
+  the good(k) masks, membership and the clique searches all work on these
+  masks.
 
 Membership is exact for both backings (for a flag complex it is the
 pairwise-edge test, at any dimension).  Enumeration of a flag complex never
@@ -31,13 +31,13 @@ ingestion.  A complex may carry an ``id -> label`` table; every derived
 complex keeps the table of its parent.
 
 The operations are the ones the pipeline runs: restriction, the union of a
-cover's two sides, central vertices, the cover-compatible edge collapse, the
-strong collapse of a flag complex by vertex domination, and the cross
-simplices of a cover, grouped by dimension and obstruction complex in the
-pass that enumerates them.  Both collapses run one domination kernel,
-``_dominator``: the first candidate w whose closed neighbourhood N[w] holds
-a given vertex set, N[u] & N[v] for an edge uv and N[v] for a vertex v, on
-bitmasks.
+cover's two sides, the good(k) masks (``good_masks``, the one definition of
+the central vertices), the cover-compatible edge collapse, the strong
+collapse of a flag complex by vertex domination, and the cross simplices of
+a cover, grouped by dimension and obstruction complex in the pass that
+enumerates them.  Both collapses run one domination kernel, ``_dominator``:
+the first candidate w whose closed neighbourhood N[w] holds a given vertex
+set, N[u] & N[v] for an edge uv and N[v] for a vertex v, on bitmasks.
 """
 
 from itertools import combinations, groupby
@@ -48,10 +48,10 @@ from .errors import CoverError, EnumerationRefused, InvalidInput
 __all__ = [
     "Complex",
     "Cover",
-    "central_vertex",
     "collapse_edges",
     "cover_union",
     "enumerate_p_complement",
+    "good_masks",
     "make_simplex",
     "strong_collapse",
 ]
@@ -120,6 +120,11 @@ def _bits(mask):
         out.append(low.bit_length() - 1)
         mask ^= low
     return out
+
+
+def _low(mask):
+    """The lowest set bit of a nonzero bitmask, as a vertex id."""
+    return (mask & -mask).bit_length() - 1
 
 
 def _clique_walk(adj, vertices, top, key=0):
@@ -385,15 +390,6 @@ class Complex:
             labels=self.labels,
         )
 
-    def central_vertices(self):
-        """The central vertices, in order, lazily.  In a flag complex they
-        are the vertices adjacent to every other vertex."""
-        if self.is_flag:
-            full, adj = len(self._vertices) - 1, self._adj
-            return (v for v in self._vertices if adj[v].bit_count() == full)
-        whole = self._simplices
-        return (v for v in self._vertices if all(make_simplex(s + (v,)) in whole for s in whole))
-
     def label_of(self, v):
         if self.labels and v in self.labels:
             return self.labels[v]
@@ -596,11 +592,36 @@ def strong_collapse(complex_):
     return dominations, left
 
 
-def central_vertex(complex_):
-    """Smallest central vertex, or None.  Complete for cone detection: a
-    complex has a central simplex exactly when it has a central vertex,
-    since any central simplex makes each of its vertices central."""
-    return next(complex_.central_vertices(), None)
+def good_masks(complex_):
+    """The bitmasks good(0), good(1), ... of a complex, up to the first k
+    where good(k) is the central vertices, which it is from then on.
+    good(k) holds the vertices v with rho + v a simplex for every simplex
+    rho of at most k vertices, so good(0) is every vertex and the last mask
+    holds the central vertices: v with sigma + v a simplex for every simplex
+    sigma.  In a flag complex good(k) for k >= 1 is the central vertices,
+    the vertices adjacent to every other vertex, as such a vertex extends
+    every clique.  In an explicit one, ext(rho) is rho with the vertices of
+    its cofacets, and good(k) is the AND of ext over the simplices of at
+    most k vertices.
+    """
+    if complex_.is_flag:
+        mask = complex_._mask
+        return (mask, _mask_of(v for v, nb in complex_._adj.items() if nb | 1 << v == mask))
+    mask = _mask_of(complex_.vertices)
+    if not mask:
+        return (0,)
+    ext = {rho: _mask_of(rho) for rho in complex_._simplices}
+    for t in complex_._simplices:
+        if len(t) > 1:
+            for i, v in enumerate(t):
+                ext[t[:i] + t[i + 1 :]] |= 1 << v
+    by_size = {}
+    for rho, e in ext.items():
+        by_size[len(rho)] = by_size.get(len(rho), -1) & e
+    goods = [mask]
+    for k in range(1, max(by_size) + 1):
+        goods.append(goods[-1] & by_size[k])
+    return tuple(goods)
 
 
 class CrossClass:

@@ -92,11 +92,12 @@ Reduced homology uses the augmented chain complex, so the empty complex has
 rank one in degree -1; that convention makes the suspension-shift
 bookkeeping of the analyzer hold verbatim, empty obstructions included.
 
-"Contractible" is always a sufficient certificate here: a central simplex or
-a collapse sequence down to a vertex, which for a flag complex is first
-sought by strong collapse on its vertex bitmasks, with no explicit copy of
-it made.  Trivial homology without a certificate is reported as
-acyclic, never as contractible.
+"Contractible" is always a sufficient certificate here: a cone on the lowest
+central vertex, read off the last of ``complexes.good_masks`` (the one
+definition of the central vertices), or a collapse sequence down to a
+vertex, which for a flag complex is first sought by strong collapse on its
+vertex bitmasks, with no explicit copy of it made.  Trivial homology
+without a certificate is reported as acyclic, never as contractible.
 """
 
 import heapq
@@ -105,10 +106,11 @@ from itertools import accumulate, combinations, compress, groupby
 
 from . import linalg
 from .complexes import (
-    central_vertex,
+    _low,
     check_dim_cap,
     collapse_edges,
     cover_union,
+    good_masks,
     strong_collapse,
 )
 from .errors import (
@@ -544,7 +546,11 @@ def _facets(s):
 def contractibility_certificate(complex_):
     """Search for a central vertex, then for a full collapse sequence.
 
-    A flag complex is first strongly collapsed on its vertex bitmasks
+    The cone apex is the lowest central vertex, the lowest bit of the last
+    of ``complexes.good_masks``.  That search is complete for cones: a
+    complex has a central simplex exactly when it has a central vertex,
+    since any central simplex makes each of its vertices central.  A flag
+    complex is first strongly collapsed on its vertex bitmasks
     (``strong_collapse``), and no explicit copy of it is made.  When one
     vertex is left, the certificate is that domination sequence, and its
     step count is (N - 1) / 2, as for every collapse of N nonempty simplices
@@ -558,9 +564,11 @@ def contractibility_certificate(complex_):
     """
     if complex_.is_empty:
         raise EmptyComplex("the empty complex has no contractibility certificate")
-    v = central_vertex(complex_)
-    if v is not None:
-        return ContractibilityCertificate(ContractibilityCertificate.CENTRAL, central=(v,))
+    central = good_masks(complex_)[-1]
+    if central:
+        return ContractibilityCertificate(
+            ContractibilityCertificate.CENTRAL, central=(_low(central),)
+        )
     if complex_.is_flag:
         dominations, left = strong_collapse(complex_)
         if left.bit_count() == 1:

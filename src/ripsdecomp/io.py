@@ -181,7 +181,7 @@ def cover_for_labels(document, x_labels, y_labels):
     """Interned cover of a facet document; labels missing from it are
     refused.  (A distance document takes its cover through ``MetricCover``.)"""
     index = {str(lab): i for i, lab in enumerate(document.facet_labels)}
-    missing = [p for p in list(x_labels) + list(y_labels) if str(p) not in index]
+    missing = list(dict.fromkeys(p for p in [*x_labels, *y_labels] if str(p) not in index))
     if missing:
         raise InvalidInput(f"cover labels not in the input: {missing}")
     return Cover(

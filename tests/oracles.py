@@ -2,7 +2,8 @@
 
 * Complex operations the pipeline does not run: ``star``, ``obstruction``
   (the reference for ``enumerate_p_complement``), ``skeleton``, ``join``,
-  ``intersect``, ``union_of``, ``is_central`` and ``good_vertices``, plus
+  ``intersect``, ``union_of``, ``central_vertices`` (the reference for the
+  last of ``good_masks``), ``is_central`` and ``good_vertices``, plus
   ``replay_collapses`` and ``replay_dominations`` for collapse
   certificates.
 * Flag complexes from their graph alone, by brute force over vertex
@@ -61,10 +62,17 @@ def star(k, sigma):
     return Complex.from_facets(members, labels=k.labels)
 
 
+def central_vertices(k):
+    """The central vertices of ``k``, in order, by their definition: v is
+    central when sigma + v is a simplex for every simplex sigma."""
+    simplices = k.to_explicit().simplices()
+    return [v for v in k.vertices if all(make_simplex(s + (v,)) in k for s in simplices)]
+
+
 def is_central(k, tau):
     """True when the union of ``tau`` with every simplex stays a simplex:
     when every vertex of ``tau`` is central."""
-    return set(k.central_vertices()).issuperset(_member(k, tau))
+    return set(central_vertices(k)).issuperset(_member(k, tau))
 
 
 def obstruction(k, sigma, subset):

@@ -10,7 +10,16 @@ from collections import Counter
 
 import pytest
 
-from ripsdecomp import analyze, analyze_metric, cli, complexes, homology, metric, vietoris_rips
+from ripsdecomp import (
+    Cover,
+    analyze,
+    analyze_metric,
+    cli,
+    complexes,
+    homology,
+    metric,
+    vietoris_rips,
+)
 from ripsdecomp.complexes import MAX_DIM_CAP, SIMPLEX_BUDGET
 from ripsdecomp.corpus import CASES, space_for
 from ripsdecomp.io import load_input
@@ -104,6 +113,44 @@ class TestFacetLabels:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: facet labels {named} cannot be told apart\n"
+
+
+class TestCoverErrors:
+    """A cover that a facet file cannot take exits 2 with one message and
+    nothing on stdout."""
+
+    @staticmethod
+    def run(tmp_path, cover):
+        facets = write_json(tmp_path, "facets.json", {"facets": [[0, 1, 2, 3]]})
+        path = write_json(tmp_path, "cover.json", cover)
+        return cli.main(["decompose", facets, "--cover", path, "--format", "json"])
+
+    def refused(self, capsys, tmp_path, cover):
+        assert self.run(tmp_path, cover) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        return captured.err
+
+    def test_each_missing_label_is_named_once_in_first_seen_order(self, capsys, tmp_path):
+        err = self.refused(capsys, tmp_path, {"X": ["a", "b"], "Y": ["b", "c"]})
+        assert err == "error: cover labels not in the input: ['a', 'b', 'c']\n"
+
+    def test_a_cover_that_misses_a_vertex_is_refused(self, capsys, tmp_path):
+        err = self.refused(capsys, tmp_path, {"X": ["0", "1"], "Y": ["1", "2"]})
+        assert err == "error: cover must use every vertex of the complex\n"
+
+    def test_a_report_validates_its_cover_once(self, capsys, tmp_path, monkeypatch):
+        calls = []
+        validate = Cover.validate
+
+        def counted(cover, complex_):
+            calls.append(cover)
+            return validate(cover, complex_)
+
+        monkeypatch.setattr(Cover, "validate", counted)
+        assert self.run(tmp_path, {"X": ["0", "1", "3"], "Y": ["1", "2", "3"]}) == 0
+        assert json.loads(capsys.readouterr().out)["soundness"]["ok"]
+        assert len(calls) == 1
 
 
 class TestUndecodableFiles:

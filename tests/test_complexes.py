@@ -14,7 +14,9 @@ from ripsdecomp import (
     CoverError,
     EnumerationRefused,
     InvalidInput,
+    ContractibilityCertificate,
     analyze,
+    contractibility_certificate,
     cover_union,
     enumerate_p_complement,
     homology,
@@ -22,7 +24,7 @@ from ripsdecomp import (
     make_simplex,
 )
 from ripsdecomp import complexes
-from ripsdecomp.complexes import SIMPLEX_BUDGET, collapse_edges
+from ripsdecomp.complexes import SIMPLEX_BUDGET, _bits, collapse_edges, good_masks
 from ripsdecomp.corpus import space_for
 from ripsdecomp.metric import MetricCover, vietoris_rips
 
@@ -36,6 +38,7 @@ from conftest import (
     rng_for,
 )
 from oracles import (
+    central_vertices,
     clique_levels,
     cross_cliques,
     dominated_in_every_part,
@@ -192,6 +195,42 @@ class TestCentral:
                         for sub in combinations(tau, size):
                             assert is_central(k, sub)
         assert hits > 0
+
+
+    def test_good_masks_and_the_certificate_match_the_definition(self):
+        """The last good(k) mask of random flag and explicit complexes, their
+        restrictions and the empty and one-vertex complexes holds exactly
+        the central vertices of the definition, and a certificate is a cone
+        on the lowest of them exactly when there is one."""
+        rng = rng_for(106)
+        complexes_ = [
+            Complex.from_facets([]),
+            Complex.flag([], [], 2),
+            Complex.from_facets([[5]]),
+            Complex.flag([3], [], 0),
+        ]
+        for i in range(120):
+            if i % 2:
+                k = random_flag(rng, max_vertices=7, edge_p=rng.choice((0.5, 0.8, 1.0)))
+            else:
+                k = random_complex(rng, max_vertices=7, max_facets=4, max_facet_size=5)
+            complexes_ += [k, k.restrict(v for v in k.vertices if rng.random() < 0.6)]
+        seen = Counter()
+        for k in complexes_:
+            central = central_vertices(k)
+            goods = good_masks(k)
+            assert goods[0] == sum(1 << v for v in k.vertices)
+            assert _bits(goods[-1]) == central, k
+            seen[("flag" if k.is_flag else "explicit", bool(central), len(k.vertices) > 1)] += 1
+            if k.is_empty:
+                continue
+            cert = contractibility_certificate(k)
+            is_cone = cert is not None and cert.kind == ContractibilityCertificate.CENTRAL
+            assert is_cone == bool(central)
+            if is_cone:
+                assert cert.central == (central[0],)
+        assert len(seen) == 8, seen
+        assert min(n for (_, _, several), n in seen.items() if several) >= 10, seen
 
 
 class TestSkeleton:
@@ -381,7 +420,7 @@ class TestBitmaskWalk:
                 for v in vertices
                 if all(tuple(sorted((u, v))) in edges for u in vertices if u != v)
             ]
-            assert list(k.central_vertices()) == central
+            assert _bits(good_masks(k)[-1]) == central
             cover = random_cover(rng, k)
             x, y = set(cover.x), set(cover.y)
             for side in (x, y, x & y):

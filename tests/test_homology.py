@@ -20,7 +20,7 @@ from ripsdecomp import (
     vietoris_rips,
 )
 from ripsdecomp.linalg import smith_invariants
-from ripsdecomp.complexes import central_vertex, enumerate_p_complement
+from ripsdecomp.complexes import enumerate_p_complement
 from ripsdecomp.corpus import space_for
 from ripsdecomp.homology import _greedy_collapse, is_subcomplex
 
@@ -36,6 +36,7 @@ from conftest import (
     rng_for,
 )
 from oracles import (
+    central_vertices,
     clique_levels,
     is_central,
     obstruction,
@@ -325,7 +326,7 @@ class TestCertificates:
         # two triangles sharing an edge, one barycentrically split: no
         # central vertex, still collapsible
         k = Complex.from_facets([[0, 1, 2], [1, 2, 3], [3, 4], [4, 5]])
-        assert central_vertex(k) is None
+        assert not central_vertices(k)
         cert = contractibility_certificate(k)
         assert cert is not None and cert.kind == ContractibilityCertificate.COLLAPSE
         survivors = replay_collapses(k, cert.collapses)
@@ -393,7 +394,7 @@ class TestCertificates:
             graphs += [c.obs for c in items.classes if not c.obs.is_empty]
         seen = Counter()
         for k in graphs:
-            if central_vertex(k) is not None:
+            if central_vertices(k):
                 old = "cone"
             elif _greedy_collapse(k.to_explicit().simplices()) is not None:
                 old = "collapse"

@@ -8,7 +8,15 @@ from collections import Counter
 
 import pytest
 
-from ripsdecomp import Complex, Cover, analyze, analyze_metric, analyzer, vietoris_rips
+from ripsdecomp import (
+    Complex,
+    Cover,
+    CriterionVerdict,
+    analyze,
+    analyze_metric,
+    analyzer,
+    vietoris_rips,
+)
 from ripsdecomp.complexes import make_simplex
 from ripsdecomp.homology import homology
 
@@ -171,6 +179,58 @@ def verdict_of(criterion, ctx):
     return analyzer._verdict(row, ctx)
 
 
+class TestVerdictHonesty:
+    """``_verdict`` alone keeps a claim above degree 0 to certified records,
+    whatever the rule: synthetic rows stand in for the catalog's."""
+
+    @staticmethod
+    def verdict(test, degrees=None):
+        ctx = analyzer._Context(Complex.from_facets([[0, 1], [1, 2]]), Cover({0, 1}, {1, 2}), 3)
+        rule = analyzer._Rule("synthetic", test, degrees=degrees, conclusion="iso to {iso_upto}")
+        return analyzer._verdict(rule, ctx)
+
+    @pytest.mark.parametrize(
+        "degree",
+        ["all", {"iso_upto": 2, "surj_at": 3, "exclude_char": 2}],
+        ids=["all", "claim"],
+    )
+    def test_a_degree_less_hold_without_certificate_is_inconclusive(self, degree):
+        verdict = self.verdict(lambda ctx, n: analyzer._holds(degree, "w", "d", certified=False))
+        assert verdict == CriterionVerdict("synthetic", "inconclusive", "w", None, None, "d")
+        certified = self.verdict(lambda ctx, n: analyzer._holds(degree, "w", "d"))
+        assert (certified.status, certified.witness, certified.detail) == ("holds", "w", "d")
+        want = degree if isinstance(degree, dict) else analyzer._claim_connected(degree)
+        assert certified.claim == want
+        assert certified.conclusion == f"iso to {want['iso_upto']}"
+
+    def test_a_hold_at_degree_0_needs_no_certificate(self):
+        verdict = self.verdict(lambda ctx, n: analyzer._holds(0, "w", "d", certified=False))
+        assert verdict.status == "holds"
+        assert verdict.claim == analyzer._claim_connected(0)
+
+    @pytest.mark.parametrize("degrees", [analyzer._scan, analyzer._all_or_0], ids=["scan", "all-or-0"])
+    def test_a_scanned_hold_without_certificate_falls_back_to_degree_0(self, degrees):
+        tried = []
+
+        def test(ctx, n):
+            tried.append(n)
+            return analyzer._holds(n, f"w{n}", "d", certified=False)
+
+        verdict = self.verdict(test, degrees)
+        assert tried == [2, 1, 0] if degrees is analyzer._scan else tried == ["all", 0]
+        assert (verdict.status, verdict.witness) == ("holds", "w0")
+        assert verdict.claim == analyzer._claim_connected(0)
+
+    def test_a_scan_stops_at_the_best_certified_degree(self):
+        def test(ctx, n):
+            if n == 2:
+                return analyzer._fails("too high")
+            return analyzer._holds(n, certified=n < 2)
+
+        verdict = self.verdict(test, analyzer._scan)
+        assert verdict.claim == analyzer._claim_connected(1)
+
+
 def one_entry_point_oracle(ctx):
     """(witness label, n) of the one-entry-point criterion, by enumerating
     every cross simplex of the whole complex again; None when it fails."""
@@ -279,11 +339,11 @@ def test_certificates_answer_connectivity_without_homology(monkeypatch):
             expected = connectivity_oracle(obs)
             if obs.certified:
                 monkeypatch.setattr(analyzer, "homology", None)
-                assert ctx.connectivity(obs) == expected == "all"
+                assert obs.connectivity() == expected == "all"
                 monkeypatch.undo()
-                assert obs.profile is None
+                assert obs._profile is None
             else:
-                assert ctx.connectivity(obs) == expected
+                assert obs.connectivity() == expected
             seen[obs.status] += 1
     assert min(seen[s] for s in ("cone", "collapse", "homology-only")) >= 5, seen
 
@@ -368,7 +428,7 @@ def test_class_table_matches_a_scan_of_the_classes():
             got = ctx.first_unconnected(len(through), n)
             want = next(
                 (i for i, c in enumerate(through)
-                 if not _conn_at_least(ctx.connectivity(c.obs), n)),
+                 if not _conn_at_least(c.obs.connectivity(), n)),
                 None,
             )
             assert got == want, (d, n)
