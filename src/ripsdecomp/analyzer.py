@@ -42,6 +42,12 @@ alone enforces the honesty rules:
 Conclusions at the homotopy level are reported together with the
 machine-checked homological shadow, and the soundness gate fails the whole
 report if any certified conclusion disagrees with the verification.
+Verification (``_verification``) keeps the records the homology layer
+returns: a ``HomologyProfile`` per part of the cover square and field, and
+an ``InducedMap`` of union -> total per field and degree.  The gate
+(``_soundness``) reads those records, and the report keeps them, with its
+item table, until a field is read (``DecompositionReport``), so a rendered
+report builds none of their dicts.
 """
 
 import math
@@ -128,39 +134,99 @@ _REPORT_FIELDS = (
 )
 
 
+#: A report's items as one table: ``labels`` maps vertex ids to labels,
+#: ``records`` maps each obstruction record to the dict of the fields its
+#: cross simplices share (``status``, ``obstruction_vertices``,
+#: ``certificate``, ``profile``), and ``classes`` and ``rows`` are those of
+#: the context: the (simplex, class) pairs of ``rows`` in report order.
+_ItemTable = namedtuple("_ItemTable", "labels records classes rows")
+
+
+def _item_dicts(table):
+    """One dict per cross simplex.  The dicts of one obstruction share its
+    ``obstruction_vertices`` list, ``certificate`` dict and ``profile``."""
+    names = table.labels
+    fields = {c: {"dim": c.dim, **table.records[c.obs]} for c in table.classes}
+    return [{"simplex": [names[v] for v in simplex], **fields[c]} for simplex, c in table.rows]
+
+
+def _profile_dicts(records):
+    """The ``HomologyProfile`` records by part and field, as dicts."""
+    return {
+        name: {coeffs: p.to_dict() for coeffs, p in by_field.items()}
+        for name, by_field in records.items()
+    }
+
+
+def _induced_dicts(records):
+    """The ``InducedMap`` records, as dicts."""
+    return [rec.to_dict() for rec in records]
+
+
+#: the fields a report may keep as records, each with the slot of its records
+_KEPT = {"items": "item_table", "profiles": "profile_records", "induced": "induced_records"}
+
+
+class _Kept:
+    """A report field that the analyzer leaves as records, in the slot
+    ``_KEPT[name]``.  The first read builds the field's plain data from them
+    (``build``), caches it and drops the records; assigning the field drops
+    them too."""
+
+    def __init__(self, build):
+        self.build = build
+
+    def __set_name__(self, owner, name):
+        self.slot, self.source = "_" + name, _KEPT[name]
+
+    def __get__(self, report, owner=None):
+        if report is None:
+            return self
+        records = getattr(report, self.source)
+        if records is not None:
+            self.__set__(report, self.build(records))
+        return getattr(report, self.slot)
+
+    def __set__(self, report, value):
+        setattr(report, self.slot, value)
+        setattr(report, self.source, None)
+
+
 class DecompositionReport:
     """Everything the analyzer decided, as JSON-ready plain data.
 
-    ``items`` is built lazily.  The analyzer leaves an item table
-    (``item_table``): the id -> label map, one dict of the fields shared by
-    the cross simplices of each obstruction record, and the (simplex, class)
-    rows.  The first read of ``items`` builds the list of item dicts from
-    it, caches the list and drops the table; assigning ``items`` drops it
-    too.  While a report keeps its table, ``render_json`` writes the items
-    straight from it.
+    ``items``, ``profiles`` and ``induced`` are built lazily (``_Kept``).
+    The analyzer leaves them as records:
+
+    * ``item_table``: the id -> label map, one dict of the fields shared by
+      the cross simplices of each obstruction record, and the (simplex,
+      class) rows;
+    * ``profile_records``: a ``HomologyProfile`` per part and field;
+    * ``induced_records``: an ``InducedMap`` per field and degree.
+
+    The first read of a field builds its plain data from its records, caches
+    it and drops the records; assigning the field drops them too.  While a
+    report keeps a field's records, ``render_json`` writes the field
+    straight from them (``kept``).
     """
 
-    __slots__ = tuple(name for name in _REPORT_FIELDS if name != "items") + (
+    __slots__ = tuple(name for name in _REPORT_FIELDS if name not in _KEPT) + (
         "_items",
         "item_table",
+        "_profiles",
+        "profile_records",
+        "_induced",
+        "induced_records",
     )
+
+    items = _Kept(_item_dicts)
+    profiles = _Kept(_profile_dicts)
+    induced = _Kept(_induced_dicts)
 
     def __init__(self, **kw):
         for name in _REPORT_FIELDS:
             setattr(self, name, kw.get(name))
         self.notes = self.notes or []
-
-    @property
-    def items(self):
-        if self.item_table is not None:
-            self._items = _item_dicts(self.item_table)
-            self.item_table = None
-        return self._items
-
-    @items.setter
-    def items(self, value):
-        self._items = value
-        self.item_table = None
 
     def verdict(self, criterion):
         for v in self.verdicts:
@@ -168,14 +234,18 @@ class DecompositionReport:
                 return v
         raise KeyError(criterion)
 
-    def to_dict(self):
-        out = self.to_dict_without_items()
-        out["items"] = self.items
-        return out
+    def kept(self):
+        """The fields still kept as records, by name, each with its records."""
+        records = {name: getattr(self, source) for name, source in _KEPT.items()}
+        return {name: kept for name, kept in records.items() if kept is not None}
 
-    def to_dict_without_items(self):
-        """``to_dict()`` less its ``items``, which this leaves unbuilt."""
-        out = {name: getattr(self, name) for name in _REPORT_FIELDS if name != "items"}
+    def to_dict(self):
+        return self.to_dict_without(())
+
+    def to_dict_without(self, names):
+        """``to_dict()`` less the fields in ``names``, which this leaves
+        unbuilt."""
+        out = {name: getattr(self, name) for name in _REPORT_FIELDS if name not in names}
         out["verdicts"] = [v.to_dict() for v in self.verdicts]
         return out
 
@@ -1163,41 +1233,35 @@ METRIC_CRITERIA = [rule.id for rule in _METRIC_RULES]
 # ------------------------------------------------------------- verification
 
 
-_INDUCED_FIELDS = (
-    "field", "degree", "rank", "dim_source", "dim_target", "injective", "surjective", "iso"
-)
-
-
 def _verification(complex_, cover, fields, dim_cap):
-    """Profiles of the five complexes of the cover square plus induced maps.
+    """The verification records: the ``HomologyProfile`` of each of the five
+    complexes of the cover square per field, keyed part, then field, and the
+    ``InducedMap`` of union -> total per field (z excepted) and degree.
 
     The parts share one reduction, run by the first ``homology`` call.
     """
     parts = cover_square(complex_, cover, dim_cap)
     max_deg = dim_cap - 1
-    profiles = {}
-    for name, part in parts.items():
-        profiles[name] = {
-            coeffs: homology(part, coeffs, max_deg=max_deg, reduced=True).to_dict()
-            for coeffs in fields
-        }
-    induced = []
-    for coeffs in fields:
-        if coeffs == "z":
-            continue
-        for degree in range(0, max_deg + 1):
-            rec = induced_map(parts["union"], parts["total"], degree, coeffs)
-            induced.append({name: getattr(rec, name) for name in _INDUCED_FIELDS})
+    profiles = {
+        name: {coeffs: homology(part, coeffs, max_deg=max_deg, reduced=True) for coeffs in fields}
+        for name, part in parts.items()
+    }
+    induced = [
+        induced_map(parts["union"], parts["total"], degree, coeffs)
+        for coeffs in fields
+        if coeffs != "z"
+        for degree in range(0, max_deg + 1)
+    ]
     return profiles, induced
 
 
-def _soundness(verdicts, profiles, induced, fields, dim_cap):
-    """Certified conclusions must agree with the homological verification."""
+def _soundness(verdicts, profiles, induced, fields):
+    """Certified conclusions must agree with the homological verification
+    records (``_verification``)."""
     failures = []
-    max_deg = dim_cap - 1
     by_field = {}
     for rec in induced:
-        by_field.setdefault(rec["field"], {})[rec["degree"]] = rec
+        by_field.setdefault(rec.field, {})[rec.degree] = rec
     for v in verdicts:
         if v.status != HOLDS or not v.claim:
             continue
@@ -1211,7 +1275,7 @@ def _soundness(verdicts, profiles, induced, fields, dim_cap):
                 want_iso = iso_upto == "all" or (
                     isinstance(iso_upto, int) and degree <= iso_upto
                 )
-                if want_iso and not rec["iso"]:
+                if want_iso and not rec.iso:
                     failures.append(
                         f"{v.criterion}: expected isomorphism in degree {degree} "
                         f"over {coeffs}, verification disagrees"
@@ -1220,7 +1284,7 @@ def _soundness(verdicts, profiles, induced, fields, dim_cap):
                     not want_iso
                     and surj_at is not None
                     and degree == surj_at
-                    and not rec["surjective"]
+                    and not rec.surjective
                 ):
                     failures.append(
                         f"{v.criterion}: expected surjection in degree {degree} "
@@ -1241,14 +1305,6 @@ def _census(ctx):
         by_dim[str(c.dim)] += c.size
         by_status[c.obs.status] += c.size
     return {"total": len(ctx.items), "by_dim": dict(by_dim), "by_status": dict(by_status)}
-
-
-#: A report's items as one table: ``labels`` maps vertex ids to labels,
-#: ``records`` maps each obstruction record to the dict of the fields its
-#: cross simplices share (``status``, ``obstruction_vertices``,
-#: ``certificate``, ``profile``), and ``classes`` and ``rows`` are those of
-#: the context: the (simplex, class) pairs of ``rows`` in report order.
-_ItemTable = namedtuple("_ItemTable", "labels records classes rows")
 
 
 def _item_table(ctx, include_profiles):
@@ -1273,14 +1329,6 @@ def _item_table(ctx, include_profiles):
     return _ItemTable(names, records, ctx.classes, ctx.items)
 
 
-def _item_dicts(table):
-    """One dict per cross simplex.  The dicts of one obstruction share its
-    ``obstruction_vertices`` list, ``certificate`` dict and ``profile``."""
-    names = table.labels
-    fields = {c: {"dim": c.dim, **table.records[c.obs]} for c in table.classes}
-    return [{"simplex": [names[v] for v in simplex], **fields[c]} for simplex, c in table.rows]
-
-
 def analyze(complex_, cover, dim_cap=None, fields=("q", "z"), verify=True):
     """Evaluate every decomposition criterion for a complex with a cover.
 
@@ -1291,10 +1339,11 @@ def analyze(complex_, cover, dim_cap=None, fields=("q", "z"), verify=True):
     built from one analysis context: the cross simplices are enumerated once,
     and each distinct obstruction complex among them is certified and
     profiled once, however many cross simplices share it.  The report's
-    ``items`` are built lazily, on first read, from the item table the
-    context leaves (see ``DecompositionReport``); the item dicts of one
-    obstruction share their ``obstruction_vertices`` and ``certificate``
-    objects (and ``profile``), so treat them as read-only.
+    ``items``, ``profiles`` and ``induced`` are built lazily, on first read,
+    from the item table the context leaves and the verification records
+    (see ``DecompositionReport``); the item dicts of one obstruction share
+    their ``obstruction_vertices`` and ``certificate`` objects (and
+    ``profile``), so treat them as read-only.
     """
     if dim_cap is None:
         dim_cap = complex_.dim_cap if complex_.is_flag else 4
@@ -1308,12 +1357,11 @@ def _analyze(ctx, fields, verify, kind="simplicial", radius=None, metric_rules=(
     fields = list(dict.fromkeys(fields))
     complex_, cover, dim_cap = ctx.complex, ctx.cover, ctx.dim_cap
     verdicts = [_verdict(rule, ctx) for rule in [*metric_rules, *_RULES]]
-    profiles = None
-    induced = None
+    profiles = induced = None
     failures = []
     if verify:
         profiles, induced = _verification(complex_, cover, fields, dim_cap)
-        failures = _soundness(verdicts, profiles, induced, fields, dim_cap)
+        failures = _soundness(verdicts, profiles, induced, fields)
     report = DecompositionReport(
         kind=kind,
         cover={
@@ -1326,12 +1374,11 @@ def _analyze(ctx, fields, verify, kind="simplicial", radius=None, metric_rules=(
         fields=fields,
         census=_census(ctx),
         verdicts=verdicts,
-        profiles=profiles,
-        induced=induced,
         soundness={"ok": not failures, "failures": failures},
         notes=list(notes),
     )
     report.item_table = _item_table(ctx, include_profiles=verify)
+    report.profile_records, report.induced_records = profiles, induced
     return report
 
 

@@ -12,7 +12,6 @@ import json
 import os
 import sys
 
-from . import corpus as corpus_mod
 from . import linalg
 from .analyzer import analyze, analyze_metric
 from .errors import InvalidInput, RipsDecompError
@@ -176,6 +175,10 @@ def cmd_decompose(args):
 
 
 def cmd_corpus(args):
+    # imported here: no other command needs the corpus, and importing it
+    # costs every command when no bytecode is cached
+    from . import corpus as corpus_mod
+
     if args.action == "list":
         for case in corpus_mod.CASES:
             print(case.name)

@@ -176,16 +176,18 @@ class Complex:
     the keys of ``_adj``.  Its clique walks are bounded by ``SIMPLEX_BUDGET``
     (module docstring).
 
-    ``_memo`` is a cache that ``homology.py`` fills lazily: the simplex
-    levels, the invariants of each boundary matrix d_n (key n), and, for
-    each subcomplex L it was paired with, those of d_n without L's rows (key
-    ("relative", id(L), n), holding L).  One reduction of a nested chain of
-    complexes writes d_n into the memo of every complex of the chain, so an
-    entry may come from a reduction of a larger complex.  Every entry is a
-    function of the content of the complex (and of L), so the complex stays
-    immutable and thread-safe: fills that race write equal values.  The
-    parts of a cover square also hold the square's pending reduction until
-    one is read.
+    ``_memo`` is a cache filled lazily.  ``homology.py`` keeps the simplex
+    levels there, the invariants of each boundary matrix d_n (key n), and,
+    for each subcomplex L it was paired with, those of d_n without L's rows
+    (key ("relative", id(L), n), holding L).  One reduction of a nested
+    chain of complexes writes d_n into the memo of every complex of the
+    chain, so an entry may come from a reduction of a larger complex.
+    ``good_masks`` keeps its tuple there (key "good_masks"), so an
+    obstruction record and its certificate search share one computation.
+    Every entry is a function of the content of the complex (and of L), so
+    the complex stays immutable and thread-safe: fills that race write equal
+    values.  The parts of a cover square also hold the square's pending
+    reduction until one is read.
     """
 
     __slots__ = ("_simplices", "_adj", "_vertices", "_mask", "dim_cap", "labels", "_memo")
@@ -198,7 +200,7 @@ class Complex:
         self._mask = None if adj is None else _mask_of(self._vertices)  # flag only
         self.dim_cap = dim_cap               # enumeration cap (flag only)
         self.labels = labels                 # optional dict id -> label
-        self._memo = {}                      # filled by homology only
+        self._memo = {}                      # filled lazily (see above)
 
     # ---------------------------------------------------------------- build
 
@@ -602,8 +604,16 @@ def good_masks(complex_):
     the vertices adjacent to every other vertex, as such a vertex extends
     every clique.  In an explicit one, ext(rho) is rho with the vertices of
     its cofacets, and good(k) is the AND of ext over the simplices of at
-    most k vertices.
+    most k vertices.  The tuple is computed once per complex and kept in its
+    memo.
     """
+    goods = complex_._memo.get("good_masks")
+    if goods is None:
+        goods = complex_._memo["good_masks"] = _good_masks(complex_)
+    return goods
+
+
+def _good_masks(complex_):
     if complex_.is_flag:
         mask = complex_._mask
         return (mask, _mask_of(v for v, nb in complex_._adj.items() if nb | 1 << v == mask))

@@ -85,8 +85,9 @@ that has not filled degree n.  ``induced_map`` in degree d reads d_d of K
 and L but not d_d(K, L), so its pair reduces degree d only when K or L
 lacks d_d.  A chain of one keeps the level order, with no depth pass.
 ``homology`` and ``induced_map`` read the chain sizes off the levels and
-the invariants off the memo.  The checks of a call (subcomplex, field,
-degree, flag cap) still run on every call.
+the invariants off the memo, and build their records (``HomologyProfile``,
+``InducedMap``) straight from them.  The checks of a call (subcomplex,
+field, degree, flag cap) still run on every call.
 
 Reduced homology uses the augmented chain complex, so the empty complex has
 rank one in degree -1; that convention makes the suspension-shift
@@ -313,23 +314,6 @@ def _relative(ambient, sub, n):
     return ambient._memo[("relative", id(sub), n)][1] if n >= 1 else (0, ())
 
 
-def _profile(sizes, invariants, coeffs, reduced, lo, max_deg):
-    """Betti numbers, and torsion over z, of chain groups of ranks ``sizes``
-    and boundaries of ``invariants`` in degrees lo..max_deg."""
-    char = 0 if coeffs == "z" else linalg.characteristic(coeffs)
-    ranks = {n: _rank(inv, char) for n, inv in invariants.items()}
-    degrees = range(lo, max_deg + 1)
-    betti = {n: sizes[n] - ranks.get(n, 0) - ranks[n + 1] for n in degrees}
-    torsion = {}
-    if coeffs == "z":
-        torsion = {
-            n: sorted(q for d in invariants[n + 1][1] for q in linalg.prime_power_factors(d))
-            for n in degrees
-            if invariants[n + 1][1]
-        }
-    return HomologyProfile(coeffs, reduced, degrees, betti, torsion)
-
-
 def homology(complex_, coeffs="z", max_deg=None, reduced=True):
     """Homology profile of a complex up to ``max_deg``.
 
@@ -341,11 +325,24 @@ def homology(complex_, coeffs="z", max_deg=None, reduced=True):
     levels = simplex_levels(complex_, max_deg + 1)
     _reduce_chain([complex_], None, range(1, max_deg + 2))
     memo = complex_._memo
+    char = 0 if coeffs == "z" else linalg.characteristic(coeffs)
+    # ranks[n] is the rank of d_n for n = 0..max_deg + 1, d_0 the augmentation
+    ranks = [1 if reduced and levels[0] else 0]
+    ranks.extend(_rank(memo[n], char) for n in range(1, max_deg + 2))
     # the augmented degree -1 holds the empty simplex alone, read when reduced
-    sizes = {-1: 1, **{n: len(levels[n]) for n in range(max_deg + 1)}}
-    invariants = {n: memo[n] for n in range(1, max_deg + 2)}
-    invariants[0] = _boundary(complex_, levels, 0, reduced)
-    return _profile(sizes, invariants, coeffs, reduced, -1 if reduced else 0, max_deg)
+    betti = {-1: 1 - ranks[0]} if reduced else {}
+    for n in range(max_deg + 1):
+        betti[n] = len(levels[n]) - ranks[n] - ranks[n + 1]
+    torsion = {}
+    if coeffs == "z":
+        for n in range(max_deg + 1):
+            factors = memo[n + 1][1]
+            if factors:
+                torsion[n] = tuple(
+                    sorted(q for d in factors for q in linalg.prime_power_factors(d))
+                )
+    degrees = tuple(range(-1 if reduced else 0, max_deg + 1))
+    return HomologyProfile._make((coeffs, reduced, degrees, betti, torsion))
 
 
 def cover_square(complex_, cover, dim_cap):
@@ -437,6 +434,10 @@ class InducedMap(namedtuple("InducedMap", "field degree rank dim_source dim_targ
     @property
     def iso(self):
         return self.injective and self.surjective
+
+    def to_dict(self):
+        return {**self._asdict(), "injective": self.injective, "surjective": self.surjective,
+                "iso": self.iso}
 
 
 def induced_map(sub, ambient, degree, coeffs="q", reduced=False):

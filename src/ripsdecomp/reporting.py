@@ -4,11 +4,10 @@ The JSON form round-trips: ``parse_report(render_json(report)) == report``.
 Both renderings carry exactly the same verdict set.
 
 ``render_json`` is ``json.dumps(report.to_dict(), indent=2, sort_keys=True)``
-byte for byte.  Before CPython 3.13, ``indent`` sends ``json.dumps`` to a
-pure-Python encoder that yields token by token; there one recursive writer,
-``_write(value, depth)``, returns that text for a value nested ``depth``
-deep.  The items of a list, the values of a dict (by sorted key) and one
-field of a record list are each written as one column:
+byte for byte, and one writer makes it on every CPython version.  The
+recursive ``_write(value, depth)`` returns that text for a value nested
+``depth`` deep.  The items of a list, the values of a dict (by sorted key)
+and one field of a record list are each written as one column:
 
 * only ``str``, only ``int``, or only ``True``, ``False`` and ``None``: mapped
   at C level, through the functions the encoder itself calls;
@@ -18,12 +17,19 @@ field of a record list are each written as one column:
 * anything else (a float, a ``str`` or ``int`` subclass, a tuple, a dict
   with other keys): ``json.dumps`` of that value, re-indented to its depth.
 
-The items of a report that keeps the analyzer's item table are written
-from the table, not from item dicts (``_write_items``): each vertex label
-is encoded once, each obstruction record's fields are written once, each
-class of cross simplices (one record, one dimension) gets the text before
-and after its simplex's labels joined from those once, and each cross
-simplex is one join of its class's texts and its labels.
+A field the report still keeps as the analyzer's records
+(``DecompositionReport.kept``) is written from them, with no dict built:
+
+* the items, from the item table (``_write_items``): each vertex label is
+  encoded once, each obstruction record's fields are written once, each
+  class of cross simplices (one record, one dimension) gets the text before
+  and after its simplex's labels joined from those once, and each cross
+  simplex is one join of its class's texts and its labels;
+* the profiles, from their ``HomologyProfile`` records (``_write_profiles``):
+  one ``%`` template per degree list, filled with the Betti numbers, the
+  field and ``reduced``;
+* the induced maps, from their ``InducedMap`` records (``_write_induced``):
+  one eight-key ``%`` template.
 
 That is exact because strings escape control characters: with ``indent``
 set, a raw newline occurs only between tokens, so a subtree written at depth
@@ -31,16 +37,17 @@ set, a raw newline occurs only between tokens, so a subtree written at depth
 writer cannot encode, or nested past its newline table, goes to plain
 ``json.dumps``, which raises its own error or writes it.
 
-From CPython 3.13 on, ``json.dumps`` with ``indent`` runs in C, and there it
-renders every report, though it is not the faster path for every report.
-Per report on CPython 3.13.13, the writer against ``json.dumps``:
-``verify-rips`` 0.45 against 0.29 ms and ``explicit-torsion`` 0.36 against
-0.19 ms, but ``criteria-rips``, whose items the writer takes from the item
-table while ``json.dumps`` needs the item dicts built, 0.99 against 1.81 ms.
+From CPython 3.13 on, ``json.dumps`` with ``indent`` runs in C, but it
+needs every dict built first.  Per report on CPython 3.13.0 (medians of 30
+passes over each benchmark workload's instances, four runs on a shared
+2-vCPU host), the writer against ``json.dumps``: ``criteria-rips``, whose
+items are most of its bytes, 2.1-2.4 against 3.9-4.3 ms; ``verify-rips``
+0.38-0.59 against 0.31-0.49 ms and ``explicit-torsion`` 0.60-0.68 against
+0.50-0.63 ms.  The writer loses less on the last two than it gains on the
+first, so it is the one path.
 """
 
 import json
-import sys
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
@@ -48,9 +55,6 @@ from operator import itemgetter
 from .analyzer import DecompositionReport
 
 __all__ = ["parse_report", "render_json", "render_text"]
-
-#: Render through ``_write`` (see the module docstring).
-_WRITER = sys.version_info < (3, 13)
 
 #: the line break before a token at each depth
 _NEWLINE = ["\n" + "  " * depth for depth in range(32)]
@@ -67,26 +71,88 @@ _ENCODE = {
     frozenset(): None,
 }
 
+#: an induced map at depth 2, its fields in key order
+_INDUCED = "{" + ",".join(
+    _NEWLINE[3] + f'"{key}": %s'
+    for key in (
+        "degree", "dim_source", "dim_target", "field", "injective", "iso", "rank", "surjective"
+    )
+) + _NEWLINE[2] + "}"
+
 
 def render_json(report):
-    if _WRITER:
-        try:
-            return _write_report(report)
-        except (TypeError, ValueError, RecursionError, IndexError):
-            pass  # json.dumps raises its own error, or writes a deep report
+    try:
+        return _write_report(report)
+    except (TypeError, ValueError, RecursionError, IndexError):
+        pass  # json.dumps raises its own error, or writes a deep report
     return json.dumps(report.to_dict(), indent=2, sort_keys=True)
 
 
 def _write_report(report):
-    """``_write(report.to_dict(), 0)``, the items written from the report's
-    item table while it keeps one."""
-    table = report.item_table
-    if table is None:
-        return _write(report.to_dict(), 0)
-    texts = {k: _write(v, 1) for k, v in report.to_dict_without_items().items()}
-    texts["items"] = _write_items(table)
+    """``_write(report.to_dict(), 0)``, each field the report keeps as records
+    written straight from them."""
+    kept = report.kept()
+    texts = {k: _write(v, 1) for k, v in report.to_dict_without(kept).items()}
+    for name, records in kept.items():
+        texts[name] = _FROM_RECORDS[name](records)
     keys = sorted(texts)
     return _braced("{}", [encode_basestring_ascii(k) + ": " + texts[k] for k in keys], 0)
+
+
+def _write_profiles(records):
+    """The profiles at depth 1 from their ``HomologyProfile`` records, by
+    part, then field; each through the template of its degree list."""
+    templates = {}
+    parts = []
+    for name in sorted(records):
+        texts = []
+        for coeffs, p in sorted(records[name].items()):
+            key = p.degrees, tuple(p.betti)
+            if key not in templates:
+                templates[key] = _profile_template(p.degrees, p.betti)
+            template, order = templates[key]
+            torsion = "{}"
+            if p.torsion:
+                torsion = _write({str(d): list(t) for d, t in sorted(p.torsion.items())}, 4)
+            values = (
+                *map(int.__repr__, map(p.betti.__getitem__, order)),
+                encode_basestring_ascii(p.coeffs),
+                _NAMED(p.reduced),
+                torsion,
+            )
+            texts.append(encode_basestring_ascii(coeffs) + ": " + template % values)
+        parts.append(encode_basestring_ascii(name) + ": " + _braced("{}", texts, 2))
+    return _braced("{}", parts, 1)
+
+
+def _profile_template(degrees, betti):
+    """The ``%`` template of a profile at depth 3 with these degrees and
+    Betti keys, and the Betti keys in the order it takes their values: by
+    the text of the degree, then coeffs, reduced and the torsion's text."""
+    order = sorted(betti, key=str)
+    fields = [
+        '"betti": ' + _braced("{}", [encode_basestring_ascii(str(d)) + ": %s" for d in order], 4),
+        '"coeffs": %s',
+        '"degrees": ' + _braced("[]", list(map(int.__repr__, degrees)), 4),
+        '"reduced": %s',
+        '"torsion": %s',
+    ]
+    return _braced("{}", fields, 3), order
+
+
+def _write_induced(records):
+    """The induced maps at depth 1 from their ``InducedMap`` records, each
+    through one template."""
+    number, named = int.__repr__, _NAMED
+    texts = [
+        _INDUCED % (
+            number(r.degree), number(r.dim_source), number(r.dim_target),
+            encode_basestring_ascii(r.field), named(r.injective), named(r.iso),
+            number(r.rank), named(r.surjective),
+        )
+        for r in records
+    ]
+    return _braced("[]", texts, 1)
 
 
 def _write_items(table):
@@ -131,6 +197,8 @@ def _write_items(table):
 
 def _braced(brackets, texts, depth):
     """A list or dict at nesting ``depth`` from the texts of its entries."""
+    if not texts:
+        return brackets
     inner = _NEWLINE[depth + 1]
     return brackets[0] + inner + ("," + inner).join(texts) + _NEWLINE[depth] + brackets[1]
 
@@ -186,6 +254,10 @@ def _record_keys(dicts):
     if set(map(type, keys)) != {str} or not all(map(keys.__eq__, map(dict.keys, dicts))):
         return None
     return sorted(keys)
+
+
+#: the writer of each field a report may keep as records
+_FROM_RECORDS = {"items": _write_items, "profiles": _write_profiles, "induced": _write_induced}
 
 
 def parse_report(text):

@@ -23,13 +23,14 @@ from ripsdecomp import (
     induced_map,
     make_simplex,
 )
-from ripsdecomp import complexes
+from ripsdecomp import analyzer, complexes
 from ripsdecomp.complexes import SIMPLEX_BUDGET, _bits, collapse_edges, good_masks
 from ripsdecomp.corpus import space_for
 from ripsdecomp.metric import MetricCover, vietoris_rips
 
 from conftest import (
     case_by_name,
+    circle_cover,
     cover_shapes,
     random_complex,
     random_cover,
@@ -231,6 +232,29 @@ class TestCentral:
                 assert cert.central == (central[0],)
         assert len(seen) == 8, seen
         assert min(n for (_, _, several), n in seen.items() if several) >= 10, seen
+
+    def test_good_masks_are_computed_once_per_complex(self, monkeypatch):
+        """A second call returns the first call's tuple, so an analysis
+        computes the masks once per obstruction record: the certificate
+        search reads the tuple the record made."""
+        rng = rng_for(107)
+        for k in (
+            random_flag(rng, max_vertices=7, edge_p=0.8),
+            random_complex(rng, max_vertices=7),
+            Complex.from_facets([]),
+            Complex.flag([], [], 2),
+        ):
+            first = good_masks(k)
+            assert good_masks(k) is first
+        computed = []
+        real = complexes._good_masks
+        monkeypatch.setattr(complexes, "_good_masks", lambda k: computed.append(k) or real(k))
+        mc = circle_cover(42)
+        ctx = analyzer._Context(vietoris_rips(mc.space, mc.r, 3), Cover(mc.x, mc.y), 3)
+        records = list(ctx._records.values())
+        assert len(records) == 70
+        assert sorted(map(id, computed)) == sorted(id(obs.complex) for obs in records)
+        assert all(good_masks(obs.complex) is obs.goods for obs in records)
 
 
 class TestSkeleton:

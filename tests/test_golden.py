@@ -28,7 +28,6 @@ from fractions import Fraction
 import pytest
 
 from ripsdecomp import Complex, Cover, DistanceSpace, MetricCover, analyze, analyze_metric
-from ripsdecomp import reporting
 from ripsdecomp.corpus import CASES, run_case, space_for
 from ripsdecomp.reporting import parse_report, render_json
 
@@ -257,33 +256,34 @@ def _golden_text(name):
 
 
 @pytest.mark.parametrize("name,build", GOLDEN, ids=[name for name, _ in GOLDEN])
-def test_every_render_path_gives_the_golden_bytes(monkeypatch, name, build):
-    """The writer from the item table, then plain json.dumps, which builds
-    the item dicts and drops the table, then the writer from the item dicts;
-    the report reads back as itself."""
+def test_every_render_path_gives_the_golden_bytes(name, build):
+    """The writer from the records the report keeps (its item table, and a
+    verified report's profile and induced-map records), then plain
+    json.dumps, which builds their dicts and drops the records, then the
+    writer from those dicts; the report reads back as itself."""
     text = _golden_text(name)
     report = _with_item_table(name, build)
-    assert report.item_table is not None
-    for writer in (True, False, True):
-        monkeypatch.setattr(reporting, "_WRITER", writer)
-        assert render_json(report) == text, f"writer {writer}"
-    assert report.item_table is None
+    verified = json.loads(text)["profiles"] is not None
+    kept = {"items", "profiles", "induced"} if verified else {"items"}
+    assert set(report.kept()) == kept
+    assert render_json(report) == text
+    assert json.dumps(report.to_dict(), indent=2, sort_keys=True) == text
+    assert report.kept() == {}
+    assert render_json(report) == text
     assert parse_report(render_json(report)) == report == parse_report(text)
 
 
 @pytest.mark.parametrize("name,build", GOLDEN, ids=[name for name, _ in GOLDEN])
-def test_assigned_items_replace_the_item_table(monkeypatch, name, build):
-    """Assigning ``items`` drops the table, and both render paths follow the
-    new list."""
+def test_assigned_items_replace_the_item_table(name, build):
+    """Assigning ``items`` drops the table, and the writer follows the new
+    list."""
     items = json.loads(_golden_text(name))["items"][::-1] + [{"dim": 0, "simplex": ["new"]}]
-    for writer in (True, False):
-        monkeypatch.setattr(reporting, "_WRITER", writer)
-        report = _with_item_table(name, build)
-        report.items = items
-        assert report.item_table is None
-        text = render_json(report)
-        assert json.loads(text)["items"] == items
-        assert text == json.dumps(report.to_dict(), indent=2, sort_keys=True)
+    report = _with_item_table(name, build)
+    report.items = items
+    assert report.item_table is None
+    text = render_json(report)
+    assert json.loads(text)["items"] == items
+    assert text == json.dumps(report.to_dict(), indent=2, sort_keys=True)
 
 
 @pytest.mark.parametrize("case", CASES, ids=[c.name for c in CASES])

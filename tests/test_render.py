@@ -1,8 +1,7 @@
 """``render_json`` against plain ``json.dumps(report.to_dict(), indent=2,
-sort_keys=True)`` on seeded hand-built reports, on both sides of the
-interpreter selection (``reporting._WRITER``): the recursive writer on
-CPython 3.10-3.12, plain ``json.dumps`` elsewhere.  Both sides run on every
-interpreter."""
+sort_keys=True)`` on seeded hand-built reports: the writer, and its
+``json.dumps`` fallback for reports it cannot encode or that are nested past
+its newline table."""
 
 import copy
 import json
@@ -47,8 +46,6 @@ class Loud(int):
 
 
 SUBCLASSED = [Bare("1"), Bare("a\nb"), Loud(1), Loud(-5)]
-
-SELECTIONS = [False, True]
 
 
 def plain(report):
@@ -131,9 +128,7 @@ def random_report(seed):
     )
 
 
-@pytest.mark.parametrize("writer", SELECTIONS)
-def test_seeded_reports_render_as_plain_json(monkeypatch, writer):
-    monkeypatch.setattr(reporting, "_WRITER", writer)
+def test_seeded_reports_render_as_plain_json():
     for seed in range(400):
         report = random_report(seed)
         assert render_json(report) == plain(report), f"seed {seed}"
@@ -168,14 +163,12 @@ def circular():
     return out
 
 
-@pytest.mark.parametrize("writer", SELECTIONS)
 @pytest.mark.parametrize(
     "bad",
     [object(), {1, 2}, {(1, 2): 3}, {1: 2, "1": 3}, circular()],
     ids=["object", "set", "tuple key", "unsortable keys", "circular"],
 )
-def test_unencodable_values_raise_as_plain_json(monkeypatch, writer, bad):
-    monkeypatch.setattr(reporting, "_WRITER", writer)
+def test_unencodable_values_raise_as_plain_json(bad):
     report = random_report(0)
     report.items = [{"dim": 1, "certificate": None}, {"dim": 2, "certificate": bad}]
     with pytest.raises(Exception) as expected:
@@ -185,12 +178,10 @@ def test_unencodable_values_raise_as_plain_json(monkeypatch, writer, bad):
     assert str(got.value) == str(expected.value)
 
 
-@pytest.mark.parametrize("writer", SELECTIONS)
-def test_records_that_share_objects_render_as_plain_json(monkeypatch, writer):
+def test_records_that_share_objects_render_as_plain_json():
     """Records share one certificate dict and one vertex list per
     obstruction; shared objects, lookalikes among them, and equal objects
     that are not shared render as plain json.dumps does."""
-    monkeypatch.setattr(reporting, "_WRITER", writer)
     rng = rng_for(71000)
     for _ in range(100):
         pool = [value(rng) for _ in range(2)] + [
@@ -209,10 +200,8 @@ def test_records_that_share_objects_render_as_plain_json(monkeypatch, writer):
         assert render_json(report) == plain(report)
 
 
-@pytest.mark.parametrize("writer", SELECTIONS)
-def test_objects_at_two_depths_render_as_plain_json(monkeypatch, writer):
+def test_objects_at_two_depths_render_as_plain_json():
     """One list or dict object written at two depths is indented for each."""
-    monkeypatch.setattr(reporting, "_WRITER", writer)
     rng = rng_for(72000)
     for _ in range(100):
         shared = rng.choice([[label(rng)], {"kind": label(rng)}, records(rng, 1), {}])
@@ -224,11 +213,9 @@ def test_objects_at_two_depths_render_as_plain_json(monkeypatch, writer):
         assert render_json(report) == plain(report)
 
 
-@pytest.mark.parametrize("writer", SELECTIONS)
-def test_nesting_deeper_than_the_newline_table_renders_as_plain_json(monkeypatch, writer):
+def test_nesting_deeper_than_the_newline_table_renders_as_plain_json():
     """Past the newline table the writer gives up and json.dumps writes the
     report."""
-    monkeypatch.setattr(reporting, "_WRITER", writer)
     table = len(reporting._NEWLINE)
     rng = rng_for(73000)
     for _ in range(40):
@@ -243,11 +230,9 @@ def test_nesting_deeper_than_the_newline_table_renders_as_plain_json(monkeypatch
         reporting._write([[]] * 2, table - 1)
 
 
-@pytest.mark.parametrize("writer", SELECTIONS)
-def test_subclasses_in_a_column_render_as_plain_json(monkeypatch, writer):
+def test_subclasses_in_a_column_render_as_plain_json():
     """``str`` and ``int`` subclasses among the values of a field, the items
     of a list and the strings of a field's lists."""
-    monkeypatch.setattr(reporting, "_WRITER", writer)
     rng = rng_for(74000)
     for _ in range(100):
         def mixed():
@@ -264,11 +249,9 @@ def test_subclasses_in_a_column_render_as_plain_json(monkeypatch, writer):
         assert render_json(report) == plain(report)
 
 
-@pytest.mark.parametrize("writer", SELECTIONS)
-def test_shared_objects_and_equal_copies_render_as_plain_json(monkeypatch, writer):
+def test_shared_objects_and_equal_copies_render_as_plain_json():
     """A column that holds one object several times and equal copies of it
     that are distinct objects."""
-    monkeypatch.setattr(reporting, "_WRITER", writer)
     rng = rng_for(75000)
     for _ in range(100):
         shared = rng.choice([

@@ -19,6 +19,7 @@ from ripsdecomp import (
     DistanceSpace,
     InvalidInput,
     MetricCover,
+    analyze,
     analyzer,
     cli,
     cover_union,
@@ -29,7 +30,9 @@ from ripsdecomp import (
 )
 from ripsdecomp.complexes import MAX_DIM_CAP, collapse_edges
 from ripsdecomp.corpus import space_for
+from ripsdecomp.homology import InducedMap
 from ripsdecomp.io import load_cover, load_input
+from ripsdecomp.reporting import _write_report, render_json
 
 from conftest import (
     PROJECTIVE_PLANE,
@@ -112,20 +115,43 @@ class TestSoundnessGate:
         verdict = CriterionVerdict(
             "no-cross-simplices", analyzer.HOLDS, claim={"iso_upto": "all"}
         )
-        induced = [
-            {
-                "field": "q",
-                "degree": 1,
-                "rank": 0,
-                "dim_source": 1,
-                "dim_target": 0,
-                "injective": False,
-                "surjective": True,
-                "iso": False,
-            }
-        ]
-        failures = analyzer._soundness([verdict], None, induced, ["q"], 3)
+        induced = [InducedMap("q", 1, 0, 1, 0)]
+        assert (induced[0].injective, induced[0].surjective, induced[0].iso) == (False, True, False)
+        failures = analyzer._soundness([verdict], None, induced, ["q"])
         assert failures and "degree 1 over q" in failures[0]
+
+    def test_fires_on_false_claims_against_real_records(self):
+        """The records ``_verification`` keeps for a hollow triangle covered
+        by two of its edges: union -> total misses H_1, so an isomorphism
+        claim fails in degree 1 over q and zp:3, a surjection claim in degree
+        1 fails too, and the integral profiles of the union and the total
+        differ.  A claim that excludes every field but z checks only the
+        integral profiles, which it may not."""
+        k = Complex.from_facets([[0, 1], [1, 2], [0, 2]])
+        fields = ["q", "z", "zp:3"]
+        profiles, induced = analyzer._verification(k, Cover([0, 1], [0, 2]), fields, 2)
+        assert all(isinstance(rec, InducedMap) for rec in induced)
+        assert profiles["union"]["z"].betti[1] == 0 and profiles["total"]["z"].betti[1] == 1
+
+        def failures(claim):
+            verdict = CriterionVerdict("no-cross-simplices", analyzer.HOLDS, claim=claim)
+            return analyzer._soundness([verdict], profiles, induced, fields)
+
+        assert failures({"iso_upto": "all"}) == [
+            "no-cross-simplices: expected isomorphism in degree 1 over q, verification disagrees",
+            "no-cross-simplices: expected isomorphism in degree 1 over zp:3, "
+            "verification disagrees",
+            "no-cross-simplices: integral profiles of the union and the whole complex differ",
+        ]
+        assert failures({"iso_upto": 0, "surj_at": 1}) == [
+            "no-cross-simplices: expected surjection in degree 1 over q, verification disagrees",
+            "no-cross-simplices: expected surjection in degree 1 over zp:3, "
+            "verification disagrees",
+        ]
+        assert failures({"iso_upto": 0, "surj_at": 1, "exclude_char": 3}) == [
+            "no-cross-simplices: expected surjection in degree 1 over q, verification disagrees",
+        ]
+        assert failures({"iso_upto": 0, "surj_at": None}) == []
 
     def test_decompose_exits_one_on_a_false_claim(self, tmp_path, monkeypatch, capsys):
         argv = ["decompose", *write_metric_case(tmp_path, case_by_name("five-pt-gluing"))]
@@ -260,7 +286,8 @@ class TestCoverSquare:
             for name, part in parts.items():
                 for coeffs in self.FIELDS:
                     want = homology(part, coeffs, max_deg=max_deg, reduced=True)
-                    assert profiles[name][coeffs] == want.to_dict(), (k, cover, name)
+                    assert profiles[name][coeffs] == want, (k, cover, name)
+                    assert profiles[name][coeffs].to_dict() == want.to_dict(), (k, cover, name)
             want = []
             for coeffs in self.FIELDS[:1] + self.FIELDS[2:]:
                 for degree in range(max_deg + 1):
@@ -268,16 +295,145 @@ class TestCoverSquare:
                     want.append(
                         (coeffs, degree, rec.rank, rec.dim_source, rec.dim_target)
                     )
-            got = [
-                (r["field"], r["degree"], r["rank"], r["dim_source"], r["dim_target"])
-                for r in induced
-            ]
+            got = [(r.field, r.degree, r.rank, r.dim_source, r.dim_target) for r in induced]
             assert got == want, (k, cover)
             cases += 1
-            torsion += any(profiles[n]["z"]["torsion"] for n in parts)
+            torsion += any(profiles[n]["z"].torsion for n in parts)
             no_cross += all(not (set(s) - cover.x and set(s) - cover.y)
                             for s in k.simplices(max_dim=dim_cap))
         assert cases >= 200 and torsion > 10 and no_cross > 100, (cases, torsion, no_cross)
+
+
+def rp2_and_suspension():
+    """A projective plane wedged at vertex 0 with the suspension of another:
+    integral torsion Z/2 in degrees 1 and 2."""
+    suspended = [[v + 6 for v in f] for f in PROJECTIVE_PLANE]
+    return Complex.from_facets(
+        PROJECTIVE_PLANE + [f + [0] for f in suspended] + [f + [12] for f in suspended]
+    )
+
+
+def records_cases(rng, cap):
+    """(complex, cover) pairs for one cap: random explicit and flag
+    complexes, RP^2 wedges, and RP^2 wedged with a suspended RP^2, each
+    under a random cover or with an empty intersection."""
+    several = rp2_and_suspension()
+    for i in range(16):
+        kind = i % 4
+        if kind == 0:
+            k = random_complex(rng, max_vertices=8, max_facets=7, max_facet_size=5)
+        elif kind == 1:
+            k = random_flag(rng, max_vertices=8, edge_p=0.6, dim_cap=cap)
+        else:
+            k = rp2_wedge(rng) if kind == 2 else several
+        vertices = list(k.vertices)
+        if i // 4 % 2 and len(vertices) > 1:
+            some = rng.sample(vertices, rng.randint(1, len(vertices) - 1))
+            cover = Cover(some, set(vertices) - set(some))
+        else:
+            cover = random_cover(rng, k)
+        yield k, cover
+
+
+#: caps 1, 2 and 4, and 12, whose degrees 10 and 11 sort as text between 1 and 2
+RECORD_CAPS = [1, 2, 4, 12]
+
+
+class TestRecordsPath:
+    """A verified report keeps a ``HomologyProfile`` per part and field and
+    an ``InducedMap`` per field and degree, and builds their dicts only when
+    read."""
+
+    FIELDS = ("q", "z", "zp:2", "zp:3")
+    #: the keys of the induced-map dicts reports have always carried
+    INDUCED_KEYS = (
+        "field", "degree", "rank", "dim_source", "dim_target", "injective", "surjective", "iso"
+    )
+
+    @pytest.mark.parametrize("cap", RECORD_CAPS)
+    def test_reports_render_from_records_as_plain_json(self, cap):
+        """The writer, with no json.dumps fallback, writes the profiles and
+        induced maps from the records, and the text is plain json.dumps of
+        the report's dicts."""
+        rng = rng_for(5501 + cap)
+        seen = Counter()
+        for k, cover in records_cases(rng, cap):
+            report = analyze(k, cover, dim_cap=cap, fields=self.FIELDS)
+            assert set(report.kept()) == {"items", "profiles", "induced"}
+            profiles = report.profile_records
+            text = _write_report(report)
+            assert set(report.kept()) == {"items", "profiles", "induced"}
+            assert text == json.dumps(report.to_dict(), indent=2, sort_keys=True), (k, cover)
+            seen["torsion"] += any(p["z"].torsion for p in profiles.values())
+            seen["torsion in several degrees"] += any(
+                len(p["z"].torsion) > 1 for p in profiles.values()
+            )
+            seen["empty intersection"] += profiles["a"]["q"].betti[-1] == 1
+            seen["zp:2 differs from q"] += any(
+                p["zp:2"].betti != p["q"].betti for p in profiles.values()
+            )
+            seen["degrees"] = len(profiles["x"]["q"].degrees)
+        assert seen["empty intersection"] >= 4 and seen["degrees"] == cap + 1, seen
+        if cap > 1:
+            assert seen["torsion"] >= 4 and seen["zp:2 differs from q"] >= 4, seen
+        if cap > 2:
+            assert seen["torsion in several degrees"] >= 2, seen
+
+    @pytest.mark.parametrize("cap", RECORD_CAPS)
+    def test_lazy_dicts_match_the_records(self, cap):
+        """The first read builds the dicts of ``homology(...).to_dict()`` and
+        the eight-key induced dicts, caches them and drops the records."""
+        rng = rng_for(5502 + cap)
+        for k, cover in records_cases(rng, cap):
+            report = analyze(k, cover, dim_cap=cap, fields=self.FIELDS)
+            total = fresh(k)
+            parts = {
+                "x": total.restrict(cover.x),
+                "y": total.restrict(cover.y),
+                "a": total.restrict(cover.a),
+                "union": cover_union(total, cover),
+                "total": total,
+            }
+            profiles = report.profiles
+            assert report.profile_records is None and report.profiles is profiles
+            assert profiles == {
+                name: {
+                    coeffs: homology(part, coeffs, max_deg=cap - 1, reduced=True).to_dict()
+                    for coeffs in self.FIELDS
+                }
+                for name, part in parts.items()
+            }, (k, cover)
+            induced = report.induced
+            assert report.induced_records is None and report.induced is induced
+            assert induced == [
+                {key: getattr(rec, key) for key in self.INDUCED_KEYS}
+                for coeffs in self.FIELDS
+                if coeffs != "z"
+                for rec in (
+                    induced_map(parts["union"], total, degree, coeffs) for degree in range(cap)
+                )
+            ], (k, cover)
+            assert all(list(rec) == list(self.INDUCED_KEYS) for rec in induced)
+
+    @pytest.mark.parametrize("field", ["profiles", "induced"])
+    def test_assigning_a_field_drops_its_records(self, field):
+        """Assigning ``profiles`` or ``induced`` drops that field's records
+        alone, and the writer follows the new value."""
+        k = rp2_and_suspension()
+        cover = Cover(range(9), [0, *range(6, 13)])
+        assert analyze(k, cover, dim_cap=4, verify=False).kept().keys() == {"items"}
+        report = analyze(k, cover, dim_cap=4, fields=self.FIELDS)
+        source, other, value = {
+            "profiles": ("profile_records", "induced", {"x": {"q": {"betti": {"-1": 0}}}}),
+            "induced": ("induced_records", "profiles", [{"field": "q"}]),
+        }[field]
+        assert getattr(report, source) is not None
+        setattr(report, field, value)
+        assert getattr(report, field) is value and getattr(report, source) is None
+        assert report.kept().keys() == {"items", other}
+        text = render_json(report)
+        assert json.loads(text)[field] == value
+        assert text == json.dumps(report.to_dict(), indent=2, sort_keys=True)
 
 
 def with_apex(k):
@@ -333,27 +489,25 @@ class TestCollapsedSquare:
             max_deg = dim_cap - 1
             want = {
                 name: {
-                    coeffs: homology(part, coeffs, max_deg=max_deg, reduced=True).to_dict()
+                    coeffs: homology(part, coeffs, max_deg=max_deg, reduced=True)
                     for coeffs in self.FIELDS
                 }
                 for name, part in parts.items()
             }
             assert profiles == want, (k, cover)
             want = [
-                {name: getattr(rec, name) for name in analyzer._INDUCED_FIELDS}
+                induced_map(parts["union"], total, degree, coeffs)
                 for coeffs in self.FIELDS
                 if coeffs != "z"
-                for rec in (
-                    induced_map(parts["union"], total, degree, coeffs)
-                    for degree in range(max_deg + 1)
-                )
+                for degree in range(max_deg + 1)
             ]
             assert induced == want, (k, cover)
+            assert [rec.to_dict() for rec in induced] == [rec.to_dict() for rec in want]
             removed = collapse_edges(k, cover)[1]
             seen["cases"] += 1
             seen["collapsed"] += bool(removed)
             seen["z/2 collapsed"] += bool(removed) and any(
-                2 in t for p in profiles.values() for t in p["z"]["torsion"].values()
+                2 in t for p in profiles.values() for t in p["z"].torsion.values()
             )
         assert seen["cases"] == 161 and seen["collapsed"] > 100, seen
         assert seen["z/2 collapsed"] >= 8, seen
