@@ -12,16 +12,17 @@ when mu is in obs(sigma)), so a witness, the first failing cross simplex in
 report order, is the first one of the first failing class.
 
 Each distinct obstruction complex is one record (``_Obstruction``), made
-when the classes are, and it classifies itself: it searches for its
-certificate when it is made, which sets its status, and answers its own
-profile, connectivity and rank, each computed once.  It holds its vertices
-and its good(k) sets (``complexes.good_masks``, the last of them its central
-vertices) as int bitmasks, so the criteria intersect masks, not sets.  The
-classes are read through one class table per context (``_Context``): the
-connectivity ranks of their records as prefix minima, the first class
-whose record fails each record test, and prefix ANDs of the good(k) masks.
-So an n-indexed criterion looks its answer up at each n instead of
-scanning the classes again.
+from its content key when the classes are, and it classifies itself: it
+searches for its certificate when it is made, which sets its status, and
+answers its own profile, connectivity and rank, each computed once.  It
+holds its vertices and its good(k) sets (``complexes.good_masks``, the last
+of them its central vertices) as int bitmasks, so the criteria intersect
+masks, not sets; a flag record reads them off the whole complex's graph,
+with no ``Complex`` built.  The classes are read through one class table
+per context (``_Context``): the connectivity ranks of their records as
+prefix minima, the first class whose record fails each record test, and
+prefix ANDs of the good(k) masks.  So an n-indexed criterion looks its
+answer up at each n instead of scanning the classes again.
 
 The catalog is a table of rules (``_RULES`` and ``_METRIC_RULES``): each
 row names a criterion, its applicability guards and its hypothesis test.
@@ -46,8 +47,8 @@ Verification (``_verification``) keeps the records the homology layer
 returns: a ``HomologyProfile`` per part of the cover square and field, and
 an ``InducedMap`` of union -> total per field and degree.  The gate
 (``_soundness``) reads those records, and the report keeps them, with its
-item table, until a field is read (``DecompositionReport``), so a rendered
-report builds none of their dicts.
+item table of obstruction records, until a field is read
+(``DecompositionReport``), so a rendered report builds none of their dicts.
 """
 
 import math
@@ -119,48 +120,38 @@ class CriterionVerdict(
 
 #: the fields of a report, as ``to_dict`` gives them
 _REPORT_FIELDS = (
-    "kind",
-    "cover",
-    "radius",
-    "dim_cap",
-    "fields",
-    "census",
-    "items",
-    "verdicts",
-    "profiles",
-    "induced",
-    "soundness",
-    "notes",
+    "kind", "cover", "radius", "dim_cap", "fields", "census",
+    "items", "verdicts", "profiles", "induced", "soundness", "notes",
 )
 
 
 #: A report's items as one table: ``labels`` maps vertex ids to labels,
-#: ``records`` maps each obstruction record to the dict of the fields its
-#: cross simplices share (``status``, ``obstruction_vertices``,
-#: ``certificate``, ``profile``), and ``classes`` and ``rows`` are those of
-#: the context: the (simplex, class) pairs of ``rows`` in report order.
-_ItemTable = namedtuple("_ItemTable", "labels records classes rows")
+#: ``records`` lists the distinct obstruction records in the order of their
+#: first classes, ``profiles`` maps the records whose items carry a profile
+#: (homology-only, in a verified report) to it, and ``classes`` and ``rows``
+#: are those of the context: the (simplex, class) pairs in report order.
+_ItemTable = namedtuple("_ItemTable", "labels records profiles classes rows")
 
 
 def _item_dicts(table):
     """One dict per cross simplex.  The dicts of one obstruction share its
     ``obstruction_vertices`` list, ``certificate`` dict and ``profile``."""
     names = table.labels
-    fields = {c: {"dim": c.dim, **table.records[c.obs]} for c in table.classes}
+    shared = {}
+    for obs in table.records:
+        cert, profile = obs.certificate, table.profiles.get(obs)
+        if cert is not None and cert.kind == ContractibilityCertificate.CENTRAL:
+            cert = {"kind": "central", "simplex": [names[v] for v in cert.central]}
+        elif cert is not None:
+            cert = {"kind": "collapse", "steps": cert.steps}
+        shared[obs] = {
+            "status": obs.status,
+            "obstruction_vertices": [names[v] for v in _bits(obs.mask)],
+            "certificate": cert,
+            "profile": None if profile is None else profile.to_dict(),
+        }
+    fields = {c: {"dim": c.dim, **shared[c.obs]} for c in table.classes}
     return [{"simplex": [names[v] for v in simplex], **fields[c]} for simplex, c in table.rows]
-
-
-def _profile_dicts(records):
-    """The ``HomologyProfile`` records by part and field, as dicts."""
-    return {
-        name: {coeffs: p.to_dict() for coeffs, p in by_field.items()}
-        for name, by_field in records.items()
-    }
-
-
-def _induced_dicts(records):
-    """The ``InducedMap`` records, as dicts."""
-    return [rec.to_dict() for rec in records]
 
 
 #: the fields a report may keep as records, each with the slot of its records
@@ -198,9 +189,9 @@ class DecompositionReport:
     ``items``, ``profiles`` and ``induced`` are built lazily (``_Kept``).
     The analyzer leaves them as records:
 
-    * ``item_table``: the id -> label map, one dict of the fields shared by
-      the cross simplices of each obstruction record, and the (simplex,
-      class) rows;
+    * ``item_table``: the id -> label map, the obstruction records the
+      cross simplices share with the profiles their items carry, and the
+      (simplex, class) rows (``_ItemTable``);
     * ``profile_records``: a ``HomologyProfile`` per part and field;
     * ``induced_records``: an ``InducedMap`` per field and degree.
 
@@ -211,17 +202,17 @@ class DecompositionReport:
     """
 
     __slots__ = tuple(name for name in _REPORT_FIELDS if name not in _KEPT) + (
-        "_items",
-        "item_table",
-        "_profiles",
-        "profile_records",
-        "_induced",
-        "induced_records",
+        "_items", "item_table", "_profiles", "profile_records", "_induced", "induced_records",
     )
 
     items = _Kept(_item_dicts)
-    profiles = _Kept(_profile_dicts)
-    induced = _Kept(_induced_dicts)
+    profiles = _Kept(
+        lambda records: {
+            name: {coeffs: p.to_dict() for coeffs, p in by_field.items()}
+            for name, by_field in records.items()
+        }
+    )
+    induced = _Kept(lambda records: [rec.to_dict() for rec in records])
 
     def __init__(self, **kw):
         for name in _REPORT_FIELDS:
@@ -240,12 +231,7 @@ class DecompositionReport:
         return {name: kept for name, kept in records.items() if kept is not None}
 
     def to_dict(self):
-        return self.to_dict_without(())
-
-    def to_dict_without(self, names):
-        """``to_dict()`` less the fields in ``names``, which this leaves
-        unbuilt."""
-        out = {name: getattr(self, name) for name in _REPORT_FIELDS if name not in names}
+        out = {name: getattr(self, name) for name in _REPORT_FIELDS}
         out["verdicts"] = [v.to_dict() for v in self.verdicts]
         return out
 
@@ -280,26 +266,33 @@ class _Obstruction:
     """One distinct obstruction complex of a report, classified once.
 
     The classes of cross simplices with equal obstructions point to the same
-    record.  It carries the complex's content key and vertex bitmasks:
-    ``mask``, its vertices, and ``goods``, its good(k) sets (``good``), the
-    last of them its central vertices (``complexes.good_masks``).  Its
-    certificate is searched for when it is made, and its integral profile
-    and connectivity are computed once, on demand.
+    record.  It is made from the whole complex (``total``) and the
+    obstruction's content key (``key``, see ``CrossClass``), and carries its
+    vertex bitmasks: ``mask``, its vertices, and ``goods``, its good(k) sets
+    (``good``), the last of them its central vertices
+    (``complexes.good_masks``).  A flag record reads them and its
+    certificate off the total's graph on its mask, and builds its
+    ``complex`` only for a rule that asks (the profile, the torsion rule's
+    existence search, the pair-extension witness).  Its certificate is
+    searched for when it is made, and its integral profile and connectivity
+    are computed once, on demand.
     """
 
-    __slots__ = ("complex", "key", "mask", "goods", "status", "certificate", "_profile", "_conn")
+    __slots__ = (
+        "total", "key", "mask", "goods", "status", "certificate", "_complex", "_profile", "_conn"
+    )
 
-    def __init__(self, complex_, key):
-        self.complex = complex_
-        self.key = key
-        self.goods = good_masks(complex_)
+    def __init__(self, total, key):
+        self.total, self.key, self._complex = total, key, None
+        on = (total, key) if total.is_flag else (self.complex,)
+        self.goods = good_masks(*on)
         self.mask = self.goods[0]
         # empty, or by certificate search: a cone or a collapse, or
         # homology-only when none is found
-        if complex_.is_empty:
+        if not self.mask:
             self.status, self.certificate = STATUS_EMPTY, None
         else:
-            self.certificate = cert = contractibility_certificate(complex_)
+            self.certificate = cert = contractibility_certificate(*on)
             self.status = (
                 STATUS_HOMOLOGY_ONLY if cert is None
                 else STATUS_CONE if cert.kind == ContractibilityCertificate.CENTRAL
@@ -307,6 +300,13 @@ class _Obstruction:
             )
         self._profile = None
         self._conn = None
+
+    @property
+    def complex(self):
+        """The obstruction complex, built on first use."""
+        if self._complex is None:
+            self._complex = self.total.subcomplex(self.key)
+        return self._complex
 
     @property
     def certified(self):
@@ -382,12 +382,13 @@ class _Context:
         self.x_only = cover.x - cover.a
         self.y_only = cover.y - cover.a
         # Obstruction records by Complex.content_key, a full key here: every
-        # complex recorded is a subcomplex of complex_, a full subcomplex when
+        # obstruction is a subcomplex of complex_, a full subcomplex when
         # complex_ is a flag complex.
         self._records = {}
-        self._intersection = None
         # refuses a cover that is not one of complex_ (CoverError)
         self.items = enumerate_p_complement(complex_, cover, dim_cap)
+        # the content key of K[A], recorded only when a rule asks for it
+        self.a_key = complex_.restrict(self.a).content_key()
         self.classes = classes = self.items.classes
         for c in classes:
             c.obs = self.record(c.obs)
@@ -463,18 +464,11 @@ class _Context:
     def label_simplex(self, sigma):
         return "{" + ",".join(self.label(v) for v in sigma) + "}"
 
-    def intersection(self):
-        """K[A], the complex restricted to the intersection, built once."""
-        if self._intersection is None:
-            self._intersection = self.complex.restrict(self.a)
-        return self._intersection
-
-    def record(self, complex_):
-        """The one record of a complex, made on first sight."""
-        key = complex_.content_key()
+    def record(self, key):
+        """The one record of the content key ``key``, made on first sight."""
         obs = self._records.get(key)
         if obs is None:
-            obs = self._records[key] = _Obstruction(complex_, key)
+            obs = self._records[key] = _Obstruction(self.complex, key)
         return obs
 
 
@@ -674,7 +668,7 @@ def _is_leading(ctx, obs):
 
 def _is_intersection(ctx, obs):
     # K[A] is compared by content, so it is classified only as an obstruction
-    return obs.key == ctx.intersection().content_key()
+    return obs.key == ctx.a_key
 
 
 def _first_unconnected(ctx, end, n, why=None):
@@ -912,7 +906,7 @@ def _edge_full_intersection(ctx, n):
             "a cross edge fails to extend by an intersection vertex",
             f"{ctx.label_simplex(c.first)}+{ctx.label(_low(ctx.a_mask & ~c.obs.mask))}",
         )
-    ka = ctx.record(ctx.intersection())
+    ka = ctx.record(ctx.a_key)
     if ka.connectivity() in (None, -1):
         return _fails("the intersection restriction is empty or disconnected")
     return _holds(
@@ -1077,7 +1071,7 @@ def _full_witness_set(ctx, n):
         for v in sorted(ctx.a):
             if not (close[i][v] and close[j][v]):
                 return _fails(None, str((labels[i], labels[j], labels[v])))
-    ka = ctx.record(ctx.intersection())
+    ka = ctx.record(ctx.a_key)
     detail = "the witness set of every close cross pair is the whole intersection"
     return _one_record(ctx, ka, n, detail)
 
@@ -1308,25 +1302,15 @@ def _census(ctx):
 
 
 def _item_table(ctx, include_profiles):
-    """The item table of a context, each record's fields made once."""
+    """The item table of a context: its records, and with
+    ``include_profiles`` the profiles of the homology-only ones."""
     names = {v: ctx.label(v) for v in ctx.complex.vertices}
-    records = {}
-    for obs in dict.fromkeys(c.obs for c in ctx.classes):
-        cert = obs.certificate
-        certificate = profile = None
-        if cert is not None and cert.kind == ContractibilityCertificate.CENTRAL:
-            certificate = {"kind": "central", "simplex": [names[v] for v in cert.central]}
-        elif cert is not None:
-            certificate = {"kind": "collapse", "steps": cert.steps}
-        if include_profiles and obs.status == STATUS_HOMOLOGY_ONLY:
-            profile = obs.profile().to_dict()
-        records[obs] = {
-            "status": obs.status,
-            "obstruction_vertices": [names[v] for v in obs.complex.vertices],
-            "certificate": certificate,
-            "profile": profile,
-        }
-    return _ItemTable(names, records, ctx.classes, ctx.items)
+    records = list(dict.fromkeys(c.obs for c in ctx.classes))
+    profiles = {
+        obs: obs.profile()
+        for obs in records if include_profiles and obs.status == STATUS_HOMOLOGY_ONLY
+    }
+    return _ItemTable(names, records, profiles, ctx.classes, ctx.items)
 
 
 def analyze(complex_, cover, dim_cap=None, fields=("q", "z"), verify=True):
@@ -1340,10 +1324,10 @@ def analyze(complex_, cover, dim_cap=None, fields=("q", "z"), verify=True):
     and each distinct obstruction complex among them is certified and
     profiled once, however many cross simplices share it.  The report's
     ``items``, ``profiles`` and ``induced`` are built lazily, on first read,
-    from the item table the context leaves and the verification records
-    (see ``DecompositionReport``); the item dicts of one obstruction share
-    their ``obstruction_vertices`` and ``certificate`` objects (and
-    ``profile``), so treat them as read-only.
+    from the item table of obstruction records the context leaves and the
+    verification records (see ``DecompositionReport``); the item dicts of
+    one obstruction share their ``obstruction_vertices`` and
+    ``certificate`` objects (and ``profile``), so treat them as read-only.
     """
     if dim_cap is None:
         dim_cap = complex_.dim_cap if complex_.is_flag else 4

@@ -34,10 +34,12 @@ The operations are the ones the pipeline runs: restriction, the union of a
 cover's two sides, the good(k) masks (``good_masks``, the one definition of
 the central vertices), the cover-compatible edge collapse, the strong
 collapse of a flag complex by vertex domination, and the cross simplices of
-a cover, grouped by dimension and obstruction complex in the pass that
-enumerates them.  Both collapses run one domination kernel, ``_dominator``:
-the first candidate w whose closed neighbourhood N[w] holds a given vertex
-set, N[u] & N[v] for an edge uv and N[v] for a vertex v, on bitmasks.
+a cover, grouped by dimension and obstruction in the pass that enumerates
+them.  Given a vertex bitmask of a flag complex, the good(k) masks and the
+strong collapse work on its full subcomplex there, on the complex's graph.
+Both collapses run one domination kernel, ``_dominator``: the first
+candidate w whose closed neighbourhood N[w] holds a given vertex set,
+N[u] & N[v] for an edge uv and N[v] for a vertex v, on bitmasks.
 """
 
 from itertools import combinations, groupby
@@ -182,7 +184,7 @@ class Complex:
     (key ("relative", id(L), n), holding L).  One reduction of a nested
     chain of complexes writes d_n into the memo of every complex of the
     chain, so an entry may come from a reduction of a larger complex.
-    ``good_masks`` keeps its tuple there (key "good_masks"), so an
+    ``good_masks`` keeps its tuples there (key ("good_masks", mask)), so an
     obstruction record and its certificate search share one computation.
     Every entry is a function of the content of the complex (and of L), so
     the complex stays immutable and thread-safe: fills that race write equal
@@ -267,11 +269,12 @@ class Complex:
             return all((adj[v] | 1 << v) & m == m for v in s)
         return s in self._simplices
 
-    def _clique_levels(self, max_dim):
+    def _clique_levels(self, max_dim, mask=None):
         """Cliques by dimension, lexicographic within a level, up to
-        ``max_dim`` (``None``: all of them).  The list ends at the last
-        nonempty level."""
-        walk = _clique_walk(self._adj, self._mask, max_dim)
+        ``max_dim`` (``None``: all of them), of the whole flag complex or of
+        its full subcomplex on the vertex bitmask ``mask``.  The list ends at
+        the last nonempty level."""
+        walk = _clique_walk(self._adj, self._mask if mask is None else mask, max_dim)
         return [[c for c, _, _ in level] for level in walk]
 
     def _within_cap(self, dim):
@@ -347,6 +350,17 @@ class Complex:
         key."""
         return self._mask if self.is_flag else self._simplices
 
+    def subcomplex(self, key):
+        """The subcomplex with content key ``key``: the full subcomplex on a
+        vertex bitmask of a flag complex, the complex of a simplex set (closed
+        under faces) inside an explicit one."""
+        if not self.is_flag:
+            return Complex(simplices=key, vertices={v for t in key for v in t}, labels=self.labels)
+        adj = self._adj
+        return Complex(
+            adj={v: adj[v] & key for v in _bits(key)}, dim_cap=self.dim_cap, labels=self.labels
+        )
+
     def to_explicit(self):
         """Explicit copy of every clique of a flag complex, whatever its cap:
         exponential on dense graphs, so it is meant for small complexes
@@ -379,18 +393,9 @@ class Complex:
         keep = set(subset)
         vertices = [v for v in self._vertices if v in keep]
         if self.is_flag:
-            return self._full(_mask_of(vertices))
+            return self.subcomplex(_mask_of(vertices))
         simplices = frozenset(filter(keep.issuperset, self._simplices))
         return Complex(simplices=simplices, vertices=vertices, labels=self.labels)
-
-    def _full(self, mask):
-        """The full subcomplex of a flag complex on the vertex bitmask ``mask``."""
-        adj = self._adj
-        return Complex(
-            adj={v: adj[v] & mask for v in _bits(mask)},
-            dim_cap=self.dim_cap,
-            labels=self.labels,
-        )
 
     def label_of(self, v):
         if self.labels and v in self.labels:
@@ -556,14 +561,15 @@ def collapse_edges(complex_, cover):
     return Complex(adj=adj, dim_cap=complex_.dim_cap, labels=complex_.labels), removed
 
 
-def strong_collapse(complex_):
+def strong_collapse(complex_, mask=None):
     """Delete, one at a time until none is left, a vertex v of a flag
-    complex dominated by another vertex w: N[v] inside N[w], closed
-    neighbourhoods among the vertices left (Barmak & Minian's strong
-    collapse).  The link of v is then a cone with apex w, so each deletion
-    is a sequence of elementary collapses, and one vertex left certifies
-    the complex collapsible.  Returns the (v, w) pairs in order and the
-    bitmask of the vertices left.
+    complex, or of its full subcomplex on the vertex bitmask ``mask``,
+    dominated by another vertex w: N[v] inside N[w], closed neighbourhoods
+    among the vertices left (Barmak & Minian's strong collapse).  The link
+    of v is then a cone with apex w, so each deletion is a sequence of
+    elementary collapses, and one vertex left certifies the complex
+    collapsible.  Returns the (v, w) pairs in order and the bitmask of the
+    vertices left.
 
     Each pass checks its vertices lowest first, deleting each one found
     dominated at its turn.  After the first pass only the neighbours of a
@@ -573,8 +579,9 @@ def strong_collapse(complex_):
     charged its candidates against ``SIMPLEX_BUDGET``; once the charges pass
     it, the deletions so far are returned.
     """
-    closed = {v: nb | 1 << v for v, nb in complex_._adj.items()}
-    left = dirty = complex_._mask
+    adj = complex_._adj
+    left = dirty = complex_._mask if mask is None else mask
+    closed = {v: adj[v] | 1 << v for v in _bits(left)}  # read only within left
     spent = 0
     dominations = []
     while dirty:
@@ -594,7 +601,7 @@ def strong_collapse(complex_):
     return dominations, left
 
 
-def good_masks(complex_):
+def good_masks(complex_, mask=None):
     """The bitmasks good(0), good(1), ... of a complex, up to the first k
     where good(k) is the central vertices, which it is from then on.
     good(k) holds the vertices v with rho + v a simplex for every simplex
@@ -602,21 +609,23 @@ def good_masks(complex_):
     holds the central vertices: v with sigma + v a simplex for every simplex
     sigma.  In a flag complex good(k) for k >= 1 is the central vertices,
     the vertices adjacent to every other vertex, as such a vertex extends
-    every clique.  In an explicit one, ext(rho) is rho with the vertices of
-    its cofacets, and good(k) is the AND of ext over the simplices of at
-    most k vertices.  The tuple is computed once per complex and kept in its
-    memo.
+    every clique; given a vertex bitmask ``mask``, the two are those of the
+    full subcomplex on ``mask``.  In an explicit one, ext(rho) is rho with
+    the vertices of its cofacets, and good(k) is the AND of ext over the
+    simplices of at most k vertices.  The tuple is computed once per complex
+    and mask and kept in the complex's memo.
     """
-    goods = complex_._memo.get("good_masks")
+    key = ("good_masks", mask)
+    goods = complex_._memo.get(key)
     if goods is None:
-        goods = complex_._memo["good_masks"] = _good_masks(complex_)
+        goods = complex_._memo[key] = _good_masks(complex_, mask)
     return goods
 
 
-def _good_masks(complex_):
+def _good_masks(complex_, mask):
     if complex_.is_flag:
-        mask = complex_._mask
-        return (mask, _mask_of(v for v, nb in complex_._adj.items() if nb | 1 << v == mask))
+        adj, mask = complex_._adj, complex_._mask if mask is None else mask
+        return (mask, _mask_of(v for v in _bits(mask) if (adj[v] | 1 << v) & mask == mask))
     mask = _mask_of(complex_.vertices)
     if not mask:
         return (0,)
@@ -636,9 +645,10 @@ def _good_masks(complex_):
 
 class CrossClass:
     """The cross simplices of one dimension with one obstruction: ``obs``,
-    the obstruction complex, one object per distinct obstruction, which a
-    caller may replace with its own record of that complex; ``dim``;
-    ``first``, the first of them in report order; and ``size``, how many."""
+    the obstruction's content key (``Complex.content_key``, made back into
+    the complex by ``Complex.subcomplex``), which a caller may replace with
+    its own record of the obstruction; ``dim``; ``first``, the first of them
+    in report order; and ``size``, how many."""
 
     __slots__ = ("obs", "dim", "first", "size")
 
@@ -659,10 +669,10 @@ def enumerate_p_complement(complex_, cover, dim_cap):
     Each simplex of dimension <= dim_cap is paired with its class, as a
     ``(simplex, class)`` pair, in deterministic (dimension, lexicographic)
     order, in one pass that groups the simplices into classes of one
-    dimension and one obstruction complex over the intersection (see
-    ``CrossClass``; the list is a ``CrossSimplices``).  Classes whose
-    obstructions are equal share one ``Complex`` object; classifying it is
-    left to the caller.
+    dimension and one obstruction over the intersection (see ``CrossClass``;
+    the list is a ``CrossSimplices``).  A class holds its obstruction's
+    content key, not a built complex, so classes with equal keys have equal
+    obstructions; building and classifying them is left to the caller.
 
     The obstruction of sigma is the set of simplices tau of K[A] with
     sigma + tau in K: the star of sigma restricted to A.  A simplex of K
@@ -687,7 +697,6 @@ def enumerate_p_complement(complex_, cover, dim_cap):
         seed = _mask_of(a) | avoids_x | avoids_y
         walk = _clique_walk(sided, _mask_of(outside), complex_._within_cap(dim_cap), seed)
         levels = ([(sigma, key) for sigma, _, key in level if key < avoids_x] for level in walk)
-        build = complex_._full
     else:
         ka = complex_.restrict(a)._simplices
         whole = complex_._simplices
@@ -700,11 +709,6 @@ def enumerate_p_complement(complex_, cover, dim_cap):
             for _, level in groupby(complex_.restrict(outside).simplices(dim_cap), len)
         )
 
-        def build(key):
-            vertices = {v for t in key for v in t}
-            return Complex(simplices=key, vertices=vertices, labels=complex_.labels)
-
-    obstructions = {}
     items = CrossSimplices()
     items.classes = classes = []
     append = items.append
@@ -713,10 +717,7 @@ def enumerate_p_complement(complex_, cover, dim_cap):
         for sigma, key in level:
             cls = seen.get(key)
             if cls is None:
-                obs = obstructions.get(key)
-                if obs is None:
-                    obs = obstructions[key] = build(key)
-                cls = seen[key] = CrossClass(obs, len(sigma) - 1, sigma)
+                cls = seen[key] = CrossClass(key, len(sigma) - 1, sigma)
                 classes.append(cls)
             cls.size += 1
             append((sigma, cls))

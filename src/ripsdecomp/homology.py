@@ -97,8 +97,10 @@ bookkeeping of the analyzer hold verbatim, empty obstructions included.
 central vertex, read off the last of ``complexes.good_masks`` (the one
 definition of the central vertices), or a collapse sequence down to a
 vertex, which for a flag complex is first sought by strong collapse on its
-vertex bitmasks, with no explicit copy of it made.  Trivial homology
-without a certificate is reported as acyclic, never as contractible.
+vertex bitmasks, with no explicit copy of it made, and given a vertex
+bitmask, on the full subcomplex there, which is never built.  Trivial
+homology without a certificate is reported as acyclic, never as
+contractible.
 """
 
 import heapq
@@ -544,41 +546,44 @@ def _facets(s):
     return [s[:i] + s[i + 1 :] for i in range(len(s))]
 
 
-def contractibility_certificate(complex_):
-    """Search for a central vertex, then for a full collapse sequence.
+def contractibility_certificate(complex_, mask=None):
+    """Search for a central vertex, then for a full collapse sequence, in
+    ``complex_`` or, given a vertex bitmask ``mask`` of a flag complex, in
+    its full subcomplex there, which is never built.
 
     The cone apex is the lowest central vertex, the lowest bit of the last
     of ``complexes.good_masks``.  That search is complete for cones: a
     complex has a central simplex exactly when it has a central vertex,
     since any central simplex makes each of its vertices central.  A flag
-    complex is first strongly collapsed on its vertex bitmasks
-    (``strong_collapse``), and no explicit copy of it is made.  When one
+    complex is first strongly collapsed (``strong_collapse``).  When one
     vertex is left, the certificate is that domination sequence, and its
-    step count is (N - 1) / 2, as for every collapse of N nonempty simplices
-    to one vertex.  N is counted on the clique walk that ``to_explicit``
-    runs, so it is refused past ``SIMPLEX_BUDGET`` exactly where that is.
-    An explicit complex, or a flag one whose strong collapse stops with more
-    than one vertex left, is materialized for the greedy collapse search, so
-    keep those to small complexes.
+    step count is (N - 1) / 2 for its N nonempty cliques, counted on one
+    clique walk, which refuses past ``SIMPLEX_BUDGET``.  Otherwise the
+    simplices go to the greedy collapse search, so keep those complexes
+    small.
 
     ``None`` is inconclusive, not a proof of non-contractibility.
     """
-    if complex_.is_empty:
+    goods = good_masks(complex_, mask)
+    if not goods[0]:
         raise EmptyComplex("the empty complex has no contractibility certificate")
-    central = good_masks(complex_)[-1]
-    if central:
+    if goods[-1]:
         return ContractibilityCertificate(
-            ContractibilityCertificate.CENTRAL, central=(_low(central),)
+            ContractibilityCertificate.CENTRAL, central=(_low(goods[-1]),)
         )
     if complex_.is_flag:
-        dominations, left = strong_collapse(complex_)
+        dominations, left = strong_collapse(complex_, mask)
+        levels = complex_._clique_levels(None, mask)
         if left.bit_count() == 1:
             return ContractibilityCertificate(
                 ContractibilityCertificate.COLLAPSE,
-                steps=(sum(map(len, complex_._clique_levels(None))) - 1) // 2,
+                steps=(sum(map(len, levels)) - 1) // 2,
                 dominations=tuple(dominations),
             )
-    seq = _greedy_collapse(complex_.to_explicit().simplices())
+        simplices = [s for level in levels for s in level]
+    else:
+        simplices = complex_.simplices()
+    seq = _greedy_collapse(simplices)
     if seq is not None:
         return ContractibilityCertificate(
             ContractibilityCertificate.COLLAPSE, collapses=tuple(seq), steps=len(seq)

@@ -367,7 +367,7 @@ def shared_witnesses(mc):
     points of the intersection within r of both ends of every close cross
     pair, in point order."""
     close = mc.space.closeness(mc.r)
-    ends = sorted({u for pair in mc.cross_pairs_within() for u in pair})
+    ends = _cross_edge_vertices(mc)
     return [v for v in mc._ordered(mc.a) if all(close[u][v] for u in ends)]
 
 
@@ -404,11 +404,7 @@ def check_cross_domination(mc):
 
 def _cross_edge_vertices(mc):
     """Vertices of close cross pairs, in point order."""
-    seen = set()
-    for i, j in mc.cross_pairs_within():
-        seen.add(i)
-        seen.add(j)
-    return [v for v in range(len(mc.space)) if v in seen]
+    return sorted({u for pair in mc.cross_pairs_within() for u in pair})
 
 
 def check_simplex_assumption(mc):
@@ -417,17 +413,7 @@ def check_simplex_assumption(mc):
     Equivalent to: the obstruction complex of every such vertex over the
     intersection is a standard simplex.  Witness on failure: (v, a, b).
     """
-    sp = mc.space
-    close = sp.closeness(mc.r)
-    a_idx = mc._ordered(mc.a)
-    for v in _cross_edge_vertices(mc):
-        near = [k for k in a_idx if close[k][v]]
-        for p, q in combinations(near, 2):
-            if not close[p][q]:
-                return CheckResult(
-                    False, witness=(sp.labels[v], sp.labels[p], sp.labels[q])
-                )
-    return CheckResult(True)
+    return _check_near_pairs(mc, strong=False)
 
 
 def check_strong_simplex_assumption(mc):
@@ -440,14 +426,19 @@ def check_strong_simplex_assumption(mc):
     bound only once, so the gap can pass r + tol while the bound holds; the
     nearness test keeps the strong assumption inside the plain one.
     """
+    return _check_near_pairs(mc, strong=True)
+
+
+def _check_near_pairs(mc, strong):
+    """The first (v, a, b), v a cross-edge vertex and a, b shared points
+    near it, with a, b not near, or with ``strong`` the detour bound
+    broken, as a failed check; else a passed one."""
     sp = mc.space
-    close = sp.closeness(mc.r)
+    close, d = sp.closeness(mc.r), sp.matrix
     a_idx = mc._ordered(mc.a)
     for v in _cross_edge_vertices(mc):
         near = [k for k in a_idx if close[k][v]]
         for p, q in combinations(near, 2):
-            if not close[p][q] or 2 * sp.matrix[p][q] > sp.matrix[p][v] + sp.matrix[v][q] + sp.tol:
-                return CheckResult(
-                    False, witness=(sp.labels[v], sp.labels[p], sp.labels[q])
-                )
+            if not close[p][q] or strong and 2 * d[p][q] > d[p][v] + d[v][q] + sp.tol:
+                return CheckResult(False, witness=(sp.labels[v], sp.labels[p], sp.labels[q]))
     return CheckResult(True)

@@ -6,30 +6,32 @@ Both renderings carry exactly the same verdict set.
 ``render_json`` is ``json.dumps(report.to_dict(), indent=2, sort_keys=True)``
 byte for byte, and one writer makes it on every CPython version.  The
 recursive ``_write(value, depth)`` returns that text for a value nested
-``depth`` deep.  The items of a list, the values of a dict (by sorted key)
-and one field of a record list are each written as one column:
+``depth`` deep.  The items of a list and the values of a dict (by sorted
+key) are each written as one column:
 
 * only ``str``, only ``int``, or only ``True``, ``False`` and ``None``: mapped
   at C level, through the functions the encoder itself calls;
 * lists of such scalars: joined line by line;
-* dicts that share one nonempty set of ``str`` keys (verdicts, induced maps,
-  profiles by field): one ``%`` template, each key a column;
-* anything else (a float, a ``str`` or ``int`` subclass, a tuple, a dict
-  with other keys): ``json.dumps`` of that value, re-indented to its depth.
+* anything else: each value by ``_write``, down to ``json.dumps`` of a value
+  it does not take apart (a float, a ``str`` or ``int`` subclass, a tuple,
+  a dict with other keys), re-indented to its depth.
 
-A field the report still keeps as the analyzer's records
-(``DecompositionReport.kept``) is written from them, with no dict built:
+The verdicts, and each field the report still keeps as the analyzer's
+records (``DecompositionReport.kept``), are written from their records, with
+no dict built:
 
-* the items, from the item table (``_write_items``): each vertex label is
-  encoded once, each obstruction record's fields are written once, each
-  class of cross simplices (one record, one dimension) gets the text before
-  and after its simplex's labels joined from those once, and each cross
-  simplex is one join of its class's texts and its labels;
+* the verdicts and the induced maps, from their ``CriterionVerdict`` and
+  ``InducedMap`` records (``_write_records``): each field one column, each
+  record one fill of a template of its keys, and a claim with the keys of a
+  connectivity claim through a template of its own;
+* the items, from the item table's obstruction records (``_write_items``):
+  each vertex label is encoded once, each record fills the item template
+  once, each class of cross simplices (one record, one dimension) joins the
+  texts around its simplex's labels once, and each cross simplex is one
+  join of its class's texts and its labels;
 * the profiles, from their ``HomologyProfile`` records (``_write_profiles``):
   one ``%`` template per degree list, filled with the Betti numbers, the
-  field and ``reduced``;
-* the induced maps, from their ``InducedMap`` records (``_write_induced``):
-  one eight-key ``%`` template.
+  field and ``reduced``.
 
 That is exact because strings escape control characters: with ``indent``
 set, a raw newline occurs only between tokens, so a subtree written at depth
@@ -50,9 +52,10 @@ first, so it is the one path.
 import json
 from itertools import chain
 from json.encoder import encode_basestring_ascii
-from operator import itemgetter
+from operator import attrgetter
 
-from .analyzer import DecompositionReport
+from .analyzer import _REPORT_FIELDS, CriterionVerdict, DecompositionReport
+from .complexes import _bits
 
 __all__ = ["parse_report", "render_json", "render_text"]
 
@@ -71,13 +74,39 @@ _ENCODE = {
     frozenset(): None,
 }
 
-#: an induced map at depth 2, its fields in key order
-_INDUCED = "{" + ",".join(
-    _NEWLINE[3] + f'"{key}": %s'
-    for key in (
-        "degree", "dim_source", "dim_target", "field", "injective", "iso", "rank", "surjective"
-    )
-) + _NEWLINE[2] + "}"
+
+def _braced(brackets, texts, depth):
+    """A list or dict at nesting ``depth`` from the texts of its entries."""
+    if not texts:
+        return brackets
+    inner = _NEWLINE[depth + 1]
+    return brackets[0] + inner + ("," + inner).join(texts) + _NEWLINE[depth] + brackets[1]
+
+
+def _template(keys, depth):
+    """The ``%`` template of a dict at nesting ``depth`` with these keys, in
+    this order, each value one ``%s``."""
+    return _braced("{}", [f'"{key}": %s' for key in keys], depth)
+
+
+#: the fields of an induced map and of a verdict, in key order
+_INDUCED_KEYS = (
+    "degree", "dim_source", "dim_target", "field", "injective", "iso", "rank", "surjective"
+)
+_VERDICT_KEYS = sorted(CriterionVerdict._fields)
+
+#: a connectivity claim at depth 3, its keys in order
+_CLAIM_KEYS = ("exclude_char", "iso_upto", "surj_at")
+_CLAIM = _template(_CLAIM_KEYS, 3)
+
+#: an item at depth 2; its record fills it with a NUL, which no encoded text
+#: holds, where its dimension and its simplex's labels go
+_ITEM = _template(("certificate", "dim", "obstruction_vertices", "profile", "simplex", "status"), 2)
+_SIMPLEX = "[" + _NEWLINE[4] + "\0" + _NEWLINE[3] + "]"
+
+#: a certificate at depth 3: its central simplex, or its step count
+_CENTRAL = _template(("kind", "simplex"), 3) % ('"central"', "%s")
+_COLLAPSE = _template(("kind", "steps"), 3) % ('"collapse"', "%s")
 
 
 def render_json(report):
@@ -89,10 +118,10 @@ def render_json(report):
 
 
 def _write_report(report):
-    """``_write(report.to_dict(), 0)``, each field the report keeps as records
-    written straight from them."""
-    kept = report.kept()
-    texts = {k: _write(v, 1) for k, v in report.to_dict_without(kept).items()}
+    """``_write(report.to_dict(), 0)``, the verdicts and each field the
+    report keeps as records written straight from their records."""
+    kept = {**report.kept(), "verdicts": report.verdicts}
+    texts = {name: _write(getattr(report, name), 1) for name in _REPORT_FIELDS if name not in kept}
     for name, records in kept.items():
         texts[name] = _FROM_RECORDS[name](records)
     keys = sorted(texts)
@@ -101,28 +130,34 @@ def _write_report(report):
 
 def _write_profiles(records):
     """The profiles at depth 1 from their ``HomologyProfile`` records, by
-    part, then field; each through the template of its degree list."""
+    part, then field."""
     templates = {}
     parts = []
     for name in sorted(records):
-        texts = []
-        for coeffs, p in sorted(records[name].items()):
-            key = p.degrees, tuple(p.betti)
-            if key not in templates:
-                templates[key] = _profile_template(p.degrees, p.betti)
-            template, order = templates[key]
-            torsion = "{}"
-            if p.torsion:
-                torsion = _write({str(d): list(t) for d, t in sorted(p.torsion.items())}, 4)
-            values = (
-                *map(int.__repr__, map(p.betti.__getitem__, order)),
-                encode_basestring_ascii(p.coeffs),
-                _NAMED(p.reduced),
-                torsion,
-            )
-            texts.append(encode_basestring_ascii(coeffs) + ": " + template % values)
+        texts = [
+            encode_basestring_ascii(coeffs) + ": " + _write_profile(p, templates)
+            for coeffs, p in sorted(records[name].items())
+        ]
         parts.append(encode_basestring_ascii(name) + ": " + _braced("{}", texts, 2))
     return _braced("{}", parts, 1)
+
+
+def _write_profile(p, templates):
+    """One ``HomologyProfile`` at depth 3, through the template of its
+    degree list, made once into ``templates``."""
+    key = p.degrees, tuple(p.betti)
+    if key not in templates:
+        templates[key] = _profile_template(p.degrees, p.betti)
+    template, order = templates[key]
+    torsion = "{}"
+    if p.torsion:
+        torsion = _write({str(d): list(t) for d, t in sorted(p.torsion.items())}, 4)
+    return template % (
+        *map(int.__repr__, map(p.betti.__getitem__, order)),
+        encode_basestring_ascii(p.coeffs),
+        _NAMED(p.reduced),
+        torsion,
+    )
 
 
 def _profile_template(degrees, betti):
@@ -140,67 +175,60 @@ def _profile_template(degrees, betti):
     return _braced("{}", fields, 3), order
 
 
-def _write_induced(records):
-    """The induced maps at depth 1 from their ``InducedMap`` records, each
-    through one template."""
-    number, named = int.__repr__, _NAMED
-    texts = [
-        _INDUCED % (
-            number(r.degree), number(r.dim_source), number(r.dim_target),
-            encode_basestring_ascii(r.field), named(r.injective), named(r.iso),
-            number(r.rank), named(r.surjective),
-        )
-        for r in records
+def _write_records(records, keys):
+    """Records at depth 1 from their fields, the attributes named by
+    ``keys``: each field one column at depth 3, a claim through ``_CLAIM``
+    when it has the keys of a connectivity claim, and each record one fill
+    of the template of ``keys``."""
+    template = _template(keys, 2)
+    columns = [
+        (_claims if key == "claim" else _column)(list(map(attrgetter(key), records)), 3)
+        for key in keys
     ]
-    return _braced("[]", texts, 1)
+    return _braced("[]", [template % row for row in zip(*columns)], 1)
+
+
+def _claims(claims, depth):
+    """A column of verdict claims at ``depth``, 3, the depth of ``_CLAIM``."""
+    return [
+        _CLAIM % tuple(_write(c[k], 4) for k in _CLAIM_KEYS)
+        if type(c) is dict and c.keys() == set(_CLAIM_KEYS) else _write(c, depth)
+        for c in claims
+    ]
 
 
 def _write_items(table):
     """The items of an item table at depth 1.  Each label is encoded once,
-    and each field of the records is written as one column, so each
-    record's value once; a class's text before and after the labels of its
-    simplex is joined from those texts once, and each item is one join.  A
-    cross simplex is never empty, so its labels always open a line of their
-    own."""
-    if not table.rows:
-        return "[]"
-    line, inner = "," + _NEWLINE[3], _NEWLINE[4]
-    label = {v: encode_basestring_ascii(name) for v, name in table.labels.items()}
-    records = list(table.records.values())
-    members = [{} for _ in records]  # per record: key -> '"key": text'
-    for k in records[0]:
-        key = encode_basestring_ascii(k) + ": "
-        for member, text in zip(members, _column([r[k] for r in records], 3)):
-            member[k] = key + text
-    # an item's sorted keys, cut at "dim" and at "simplex" ("dim" < "simplex")
-    keys = sorted([*records[0], "dim", "simplex"])
-    dim, simplex = keys.index("dim"), keys.index("simplex")
+    and each obstruction record fills ``_ITEM`` once, cut into the text
+    before its dimension, between that and its simplex's labels, and after
+    them; a class joins its record's first two with its dimension once, and
+    each item is one join.  A cross simplex is never empty, so its labels
+    always open a line of their own."""
+    labels = {v: encode_basestring_ascii(name) for v, name in table.labels.items()}.__getitem__
+    templates = {}
     parts = {}
-    for obs, member in zip(table.records, members):
-        before = "".join(member[k] + line for k in keys[:dim])
-        between = "".join(line + member[k] for k in keys[dim + 1 : simplex])
-        after = "".join(line + member[k] for k in keys[simplex + 1 :])
-        parts[obs] = (
-            "{" + _NEWLINE[3] + before + '"dim": ',
-            between + line + '"simplex": [' + inner,
-            _NEWLINE[3] + "]" + after + _NEWLINE[2] + "}",
-        )
+    for obs in table.records:
+        cert, profile = obs.certificate, table.profiles.get(obs)
+        if cert is None:
+            certificate = "null"
+        elif cert.kind == "central":
+            certificate = _CENTRAL % _braced("[]", list(map(labels, cert.central)), 4)
+        else:
+            certificate = _COLLAPSE % int.__repr__(cert.steps)
+        parts[obs] = (_ITEM % (
+            certificate,
+            "\0",
+            _braced("[]", list(map(labels, _bits(obs.mask))), 3),
+            "null" if profile is None else _write_profile(profile, templates),
+            _SIMPLEX,
+            encode_basestring_ascii(obs.status),
+        )).split("\0")
     heads, tails = {}, {}
     for c in table.classes:
         to_dim, to_simplex, tails[c] = parts[c.obs]
         heads[c] = to_dim + int.__repr__(c.dim) + to_simplex
-    join = ("," + inner).join
-    return _braced(
-        "[]", [heads[c] + join(map(label.__getitem__, s)) + tails[c] for s, c in table.rows], 1
-    )
-
-
-def _braced(brackets, texts, depth):
-    """A list or dict at nesting ``depth`` from the texts of its entries."""
-    if not texts:
-        return brackets
-    inner = _NEWLINE[depth + 1]
-    return brackets[0] + inner + ("," + inner).join(texts) + _NEWLINE[depth] + brackets[1]
+    join = ("," + _NEWLINE[4]).join
+    return _braced("[]", [heads[c] + join(map(labels, s)) + tails[c] for s, c in table.rows], 1)
 
 
 def _write(value, depth):
@@ -237,27 +265,16 @@ def _column(values, depth):
             encode, inner, close = _ENCODE[items], _NEWLINE[depth + 1], _NEWLINE[depth] + "]"
             join = ("," + inner).join
             return ["[" + inner + join(map(encode, v)) + close if v else "[]" for v in values]
-    elif kinds == {dict}:
-        keys = _record_keys(values)
-        if keys is not None:
-            inner = _NEWLINE[depth + 1]
-            heads = [encode_basestring_ascii(k).replace("%", "%%") + ": %s" for k in keys]
-            template = "{" + inner + ("," + inner).join(heads) + _NEWLINE[depth] + "}"
-            columns = [_column(list(map(itemgetter(k), values)), depth + 1) for k in keys]
-            return [template % row for row in zip(*columns)]
     return [_write(v, depth) for v in values]
 
 
-def _record_keys(dicts):
-    """The sorted keys that all ``dicts`` share, if nonempty and ``str``."""
-    keys = dicts[0].keys()
-    if set(map(type, keys)) != {str} or not all(map(keys.__eq__, map(dict.keys, dicts))):
-        return None
-    return sorted(keys)
-
-
 #: the writer of each field a report may keep as records
-_FROM_RECORDS = {"items": _write_items, "profiles": _write_profiles, "induced": _write_induced}
+_FROM_RECORDS = {
+    "items": _write_items,
+    "profiles": _write_profiles,
+    "induced": lambda records: _write_records(records, _INDUCED_KEYS),
+    "verdicts": lambda records: _write_records(records, _VERDICT_KEYS),
+}
 
 
 def parse_report(text):

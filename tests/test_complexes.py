@@ -234,9 +234,10 @@ class TestCentral:
         assert min(n for (_, _, several), n in seen.items() if several) >= 10, seen
 
     def test_good_masks_are_computed_once_per_complex(self, monkeypatch):
-        """A second call returns the first call's tuple, so an analysis
-        computes the masks once per obstruction record: the certificate
-        search reads the tuple the record made."""
+        """A second call returns the first call's tuple, for a complex and
+        for each vertex mask of a flag one, so an analysis computes the
+        masks once per obstruction record, on the whole complex's graph: the
+        certificate search reads the tuple the record made."""
         rng = rng_for(107)
         for k in (
             random_flag(rng, max_vertices=7, edge_p=0.8),
@@ -246,15 +247,24 @@ class TestCentral:
         ):
             first = good_masks(k)
             assert good_masks(k) is first
+            if k.is_flag:
+                mask = sum(1 << v for v in k.vertices[::2])
+                first = good_masks(k, mask)
+                assert good_masks(k, mask) is first
+                assert first == good_masks(k.subcomplex(mask))
         computed = []
         real = complexes._good_masks
-        monkeypatch.setattr(complexes, "_good_masks", lambda k: computed.append(k) or real(k))
+        monkeypatch.setattr(
+            complexes, "_good_masks", lambda k, mask: computed.append((k, mask)) or real(k, mask)
+        )
         mc = circle_cover(42)
-        ctx = analyzer._Context(vietoris_rips(mc.space, mc.r, 3), Cover(mc.x, mc.y), 3)
+        total = vietoris_rips(mc.space, mc.r, 3)
+        ctx = analyzer._Context(total, Cover(mc.x, mc.y), 3)
         records = list(ctx._records.values())
         assert len(records) == 70
-        assert sorted(map(id, computed)) == sorted(id(obs.complex) for obs in records)
-        assert all(good_masks(obs.complex) is obs.goods for obs in records)
+        assert all(k is total for k, _ in computed)
+        assert sorted(mask for _, mask in computed) == sorted(obs.mask for obs in records)
+        assert all(good_masks(total, obs.mask) is obs.goods for obs in records)
 
 
 class TestSkeleton:
@@ -458,14 +468,14 @@ class TestBitmaskWalk:
                 items = enumerate_p_complement(k, cover, dim_cap)
                 want = cross_cliques(vertices, edges, x, y, dim_cap)
                 assert [s for s, _ in items] == [s for s, _ in want]
-                objects = {}
+                keys = {}
                 for (_, c), (_, common) in zip(items, want):
-                    obs = c.obs
+                    obs = k.subcomplex(c.obs)
                     assert obs.vertices == common
                     assert obs._clique_levels(cap) == clique_levels(common, edges, cap)
-                    assert objects.setdefault(common, obs) is obs
-                assert len({id(c.obs) for _, c in items}) == len(objects)
-                seen["shared"] += len(items) > len(objects)
+                    assert keys.setdefault(common, c.obs) == c.obs
+                assert len({c.obs for _, c in items}) == len(keys)
+                seen["shared"] += len(items) > len(keys)
             seen["past-64"] += vertices[-1] >= 64 and vertices[0] < 64
             seen[f"cap-{cap}"] += 1
             seen["central"] += bool(central) and len(vertices) > 1
@@ -624,20 +634,25 @@ class TestPComplement:
         assert labels == [("x1", "y"), ("x2", "y")]
 
     def test_obstructions_match_the_definition_and_are_shared(self):
+        """Each class holds the content key of its simplex's obstruction, the
+        complex built from it is the obstruction, and equal obstructions
+        have one key, distinct ones distinct keys."""
         shared = Counter()
         checked = Counter()
         for kind, k, cover in covered_complexes():
             items = enumerate_p_complement(k, cover, 3)
             by_key = {}
             for simplex, c in items:
-                obs = c.obs
+                obs = k.subcomplex(c.obs)
                 expected = obstruction(k, simplex, cover.a)
                 assert obs == expected, (simplex, k.simplices())
                 assert obs.labels is k.labels
-                first_simplex, first = by_key.setdefault(expected.content_key(), (simplex, obs))
-                assert obs is first
+                assert c.obs == expected.content_key() == obs.content_key()
+                first_simplex, first = by_key.setdefault(expected.content_key(), (simplex, c.obs))
+                assert c.obs == first
                 shared[kind] += simplex != first_simplex
                 checked[kind] += 1
+            assert len({c.obs for _, c in items}) == len(by_key)
         assert shared["plain"] > 20 and shared["rips"] > 20, shared
         assert checked["rips"] > 200, checked
 
@@ -678,8 +693,9 @@ class TestPComplement:
                 ]
                 assert [s for s, _ in items] == expected
                 for s, c in items:
-                    assert c.obs == obstruction(k, s, cover.a), (kind, s)
-                    assert c.obs.is_empty or kind == "random"
+                    obs = k.subcomplex(c.obs)
+                    assert obs == obstruction(k, s, cover.a), (kind, s)
+                    assert obs.is_empty or kind == "random"
                 seen[kind] += len(items)
                 seen[f"{kind}-top"] += any(len(s) == dim_cap + 1 for s, _ in items)
         assert seen["all"] == 0

@@ -28,7 +28,9 @@ from fractions import Fraction
 import pytest
 
 from ripsdecomp import Complex, Cover, DistanceSpace, MetricCover, analyze, analyze_metric
+from ripsdecomp.analyzer import CriterionVerdict, DecompositionReport
 from ripsdecomp.corpus import CASES, run_case, space_for
+from ripsdecomp.homology import HomologyProfile, InducedMap
 from ripsdecomp.reporting import parse_report, render_json
 
 from conftest import (
@@ -271,6 +273,42 @@ def test_every_render_path_gives_the_golden_bytes(name, build):
     assert report.kept() == {}
     assert render_json(report) == text
     assert parse_report(render_json(report)) == report == parse_report(text)
+
+
+@pytest.mark.parametrize("name,build", GOLDEN, ids=[name for name, _ in GOLDEN])
+def test_the_writer_builds_no_record_dict_and_items_read_later_share_objects(
+    name, build, monkeypatch
+):
+    """``render_json`` writes the golden bytes from the records a report
+    keeps, its verdicts and its item table's obstruction records, with no
+    dict built for any of them, and leaves the item table in place.  A later
+    read of ``items`` gives the golden items, and the items of one
+    obstruction record share their ``obstruction_vertices``,
+    ``certificate`` and ``profile`` objects."""
+    text = _golden_text(name)
+    report = _with_item_table(name, build)
+
+    def refused(*args):
+        raise AssertionError("a record was turned into a dict")
+
+    for cls in (CriterionVerdict, HomologyProfile, InducedMap):
+        monkeypatch.setattr(cls, "to_dict", refused)
+    monkeypatch.setattr(CriterionVerdict, "_asdict", refused)
+    for field in ("items", "profiles", "induced"):
+        monkeypatch.setattr(vars(DecompositionReport)[field], "build", refused)
+    table = report.item_table
+    assert render_json(report) == text
+    assert report.item_table is table
+    monkeypatch.undo()
+    items = report.items
+    assert report.item_table is None
+    assert items == json.loads(text)["items"]
+    first = {}
+    for (_, c), item in zip(table.rows, items, strict=True):
+        shared = first.setdefault(c.obs, item)
+        for key in ("obstruction_vertices", "certificate", "profile"):
+            assert item[key] is shared[key], key
+    assert len({id(item["obstruction_vertices"]) for item in items}) == len(first)
 
 
 @pytest.mark.parametrize("name,build", GOLDEN, ids=[name for name, _ in GOLDEN])

@@ -391,7 +391,7 @@ class TestCertificates:
                 k = Complex.flag(range(m), [(rng.randrange(j), j) for j in range(1, m)], 4)
             graphs.append(k)
             items = enumerate_p_complement(k, random_cover(rng, k), 1)
-            graphs += [c.obs for c in items.classes if not c.obs.is_empty]
+            graphs += [k.subcomplex(c.obs) for c in items.classes if c.obs]
         seen = Counter()
         for k in graphs:
             if central_vertices(k):

@@ -10,6 +10,7 @@ import pytest
 
 from ripsdecomp import (
     Complex,
+    ContractibilityCertificate,
     Cover,
     CriterionVerdict,
     analyze,
@@ -17,8 +18,8 @@ from ripsdecomp import (
     analyzer,
     vietoris_rips,
 )
-from ripsdecomp.complexes import make_simplex
-from ripsdecomp.homology import homology
+from ripsdecomp.complexes import _bits, make_simplex
+from ripsdecomp.homology import contractibility_certificate, homology
 
 from conftest import (
     PROJECTIVE_PLANE,
@@ -30,13 +31,14 @@ from conftest import (
     rng_for,
     rp2_with_clique,
 )
-from oracles import good_vertices
+from oracles import central_vertices, good_vertices
 
 
 @pytest.fixture
 def obstruction_calls(monkeypatch):
     """Complexes passed to obstruction profiles (homology without max_deg)
-    and to certificate searches, recorded in call order."""
+    and to certificate searches, recorded in call order.  A search on a flag
+    complex's vertex mask is recorded as the full subcomplex on the mask."""
     calls = {"homology": [], "certificate": []}
     homology = analyzer.homology
     certificate = analyzer.contractibility_certificate
@@ -46,9 +48,9 @@ def obstruction_calls(monkeypatch):
             calls["homology"].append(complex_)
         return homology(complex_, *args, **kwargs)
 
-    def counted_certificate(complex_):
-        calls["certificate"].append(complex_)
-        return certificate(complex_)
+    def counted_certificate(complex_, *mask):
+        calls["certificate"].append(complex_.subcomplex(*mask) if mask else complex_)
+        return certificate(complex_, *mask)
 
     monkeypatch.setattr(analyzer, "homology", counted_homology)
     monkeypatch.setattr(analyzer, "contractibility_certificate", counted_certificate)
@@ -93,6 +95,69 @@ def test_intersection_restriction_left_alone_when_an_obstruction_differs(obstruc
             sorted(mc.space.labels[v] for v in c.vertices) != a
             for c in obstruction_calls[kind]
         ), kind
+
+
+def _flag_contexts(seed, count):
+    """Flag contexts with seeded covers, the flag ones of ``_tree_contexts``,
+    then the 80-point circle at r = 20, cap 3, whose records with no
+    central vertex are certified by collapse."""
+    rng = rng_for(seed)
+    for _ in range(count):
+        k = random_flag(rng, max_vertices=12, edge_p=rng.choice((0.3, 0.5, 0.7)), dim_cap=4)
+        cover = _cover(rng, k, rng.choice((0.4, 0.6, 0.8)))
+        yield "random", analyzer._Context(k, cover, rng.randint(1, k.dim_cap))
+    for ctx in _tree_contexts(seed, count):
+        if ctx.complex.is_flag:
+            yield "random", ctx
+    mc = circle_cover(80)
+    yield "circle-80", analyzer._Context(vietoris_rips(mc.space, mc.r, 3), Cover(mc.x, mc.y), 3)
+
+
+def test_flag_records_from_masks_match_the_complex_path():
+    """Each flag obstruction record is made from its vertex mask on the whole
+    complex's graph, with no complex built, and equals the path that builds
+    the full subcomplex on the mask: the same vertex and central masks, and
+    the same certificate (kind, apex, steps and dominations), so the same
+    status."""
+    seen = Counter()
+    for kind, ctx in _flag_contexts(161, 100):
+        for key, obs in ctx._records.items():
+            assert obs._complex is None
+            old = ctx.complex.subcomplex(key)
+            assert obs.mask == key == sum(1 << v for v in old.vertices)
+            assert _bits(obs.central) == central_vertices(old)
+            if old.is_empty:
+                assert (obs.status, obs.certificate) == ("empty", None)
+                seen[kind, "empty"] += 1
+                continue
+            cert = contractibility_certificate(old)
+            assert obs.certificate == cert, (kind, old.edges())
+            status = (
+                "homology-only" if cert is None
+                else "cone" if cert.kind == ContractibilityCertificate.CENTRAL
+                else "collapse"
+            )
+            assert obs.status == status
+            seen[kind, status] += 1
+    assert seen["circle-80", "collapse"] == 14, seen
+    statuses = ("empty", "cone", "collapse", "homology-only")
+    assert min(seen["random", s] for s in statuses) >= 10, seen
+
+
+def test_records_build_no_complex_whatever_their_number(monkeypatch):
+    """``analyze_metric`` on the 30-, 36- and 42-point circles builds the
+    same three complexes however many obstruction records there are: the
+    Vietoris-Rips complex, K[A] and the pair-extension witness's one
+    obstruction."""
+    built = []
+    real = Complex.__init__
+    monkeypatch.setattr(Complex, "__init__", lambda self, **kw: built.append(1) or real(self, **kw))
+    records = {}
+    for n in (30, 36, 42):
+        built.clear()
+        report = analyze_metric(circle_cover(n), dim_cap=3, verify=False)
+        records[len(report.item_table.records)] = len(built)
+    assert records == {40: 3, 48: 3, 70: 3}
 
 
 def test_full_coverage_matches_the_enumerated_dimension():

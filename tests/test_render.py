@@ -53,9 +53,12 @@ def plain(report):
 
 
 def record_keys(value):
-    """The shared keys of a record list, else None."""
+    """The sorted keys of a record list: a nonempty list of dicts that share
+    one nonempty set of ``str`` keys; else None."""
     if type(value) is list and value and set(map(type, value)) == {dict}:
-        return reporting._record_keys(value)
+        keys = value[0].keys()
+        if set(map(type, keys)) == {str} and all(r.keys() == keys for r in value):
+            return sorted(keys)
     return None
 
 
