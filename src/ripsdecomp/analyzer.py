@@ -1048,10 +1048,12 @@ def _cross_domination(ctx, n):
 def _dominates_diameter(ctx, n):
     """Every cross distance is at least the intersection diameter."""
     m = ctx.metric
-    matrix, labels = m.space.matrix, m.space.labels
+    labels, (scale, sentinel, rows) = m.space.labels, m.space.scaled()
+    top = sentinel if m.diameter == math.inf else int(m.diameter * scale)
+    ys = sorted(ctx.y_only)
     for i in sorted(ctx.x_only):
-        for j in sorted(ctx.y_only):
-            if matrix[i][j] < m.diameter:
+        for j in ys:
+            if rows[i][j] < top:
                 return _fails(None, str((labels[i], labels[j])))
     return _holds("all", detail="every cross distance is at least the intersection diameter")
 
@@ -1066,9 +1068,9 @@ def _radius_independence(ctx, n):
 def _full_witness_set(ctx, n):
     """Every intersection point witnesses every close cross pair."""
     m = ctx.metric
-    close, labels = m.close, m.space.labels
+    close, labels, a = m.close, m.space.labels, sorted(ctx.a)
     for i, j in m.close_pairs:
-        for v in sorted(ctx.a):
+        for v in a:
             if not (close[i][v] and close[j][v]):
                 return _fails(None, str((labels[i], labels[j], labels[v])))
     ka = ctx.record(ctx.a_key)

@@ -6,25 +6,19 @@ Distances are exact rationals by default (``fractions.Fraction``), with
 comparison tolerance ``tol`` for the closed threshold test ``d <= r``; the
 exact default is ``tol = 0``, which every shipped example uses.
 
-A space is built from two tables, both made eagerly from one parse of each
-distinct entry.  The entries are keyed by value when the whole matrix has
-one type and by (type, value) otherwise, since equal values of different
-types can parse apart: ``2**60 == float(2**60)``, but the float reads as
-``Fraction("1.152921504606847e+18")``.  Each distinct key is parsed once, in
-row order of first appearance, so the first bad entry is the one refused.
-Every row is then mapped through two small dicts at C level:
-
-* the exact matrix (``DistanceSpace.matrix``), from which everything
-  rendered (diameters, witnesses, radii) is read, and which
-  ``check_strong_simplex_assumption``, ``diam`` and ``DistanceSpace.within``
-  compare;
-* its integer scaling (``DistanceSpace.scaled``), which validation, the
-  closeness tests (Vietoris-Rips, the cross pairs, shared witnesses, the
-  simplex assumption), the triangle screen, the metric gluing test and
-  cross domination read: the finite entries are multiplied by their least
-  common denominator, and ``inf`` stands in as the sentinel S = 2 * max + 1,
-  larger than any sum of two finite entries, which is exact because
-  distances are never negative.
+A space keeps one table, which every predicate compares: the integer
+scaling (``DistanceSpace.scaled``), the finite entries times their least
+common denominator and ``inf`` as the sentinel S = 2 * max + 1, larger than
+any sum of two finite entries, which is exact as distances are never
+negative.  Plain ``int`` entries are their own scaling.  Other entries are
+keyed by value in a one-type matrix and by (type, value) in a mixed one,
+since equal values of different types can parse apart: ``2**60 ==
+float(2**60)``, but the float reads as ``Fraction("1.152921504606847e+18")``.
+Each distinct key is parsed once, in row order of first appearance, so the
+first bad entry is the one refused, and each row is mapped through one dict
+at C level.  Exact values are made on read (``DistanceSpace.exact``): the
+``decompose`` path renders only a diameter, and the exact matrix
+(``DistanceSpace.matrix``) is built when it is first read.
 
 Threshold tests ``d <= r + tol`` read one boolean closeness table per space
 and radius, each row compared as a whole against one bound: a scaled entry
@@ -35,20 +29,22 @@ closeness rows: the neighbours of point i are the close positions of row i
 other than i.
 
 The triangle inequality is screened with packed ints.  Each scaled row is
-one int P_i with a w-bit field per point, w = bitlen(2 T) + 2 for the largest
-scaled entry T (at most S), and G has the top (guard) bit of every field set.
-For a pair (i, j), field k of G - P_i + P_j + d_ij * ONES holds
-2^(w-1) - d_ik + d_jk + d_ij, which lies in [0, 2^w) because every entry is
-in [0, T]; so no field borrows from or carries into its neighbour, and the
-guard bit of field k is clear exactly when d_ik > d_ij + d_jk.  Only a pair
-whose screen fires is scanned point by point, so the first witness in label
-order is unchanged.
+one int P_i, packed at C level, with a w-bit field per point: w is 8, 16, 32
+or 64 (one ``struct.Struct``), or whole bytes past that (``int.to_bytes``),
+the least that holds bitlen(2 T) + 2 bits for the largest scaled entry T (at
+most S).  G has the top (guard) bit of every field set.  For a pair (i, j), field k of
+G - P_i + P_j + d_ij * ONES holds 2^(w-1) - d_ik + d_jk + d_ij, which lies
+in [0, 2^w) because every entry is in [0, T]; so no field borrows from or
+carries into its neighbour, and the guard bit of field k is clear exactly
+when d_ik > d_ij + d_jk.  Only a pair whose screen fires is scanned point by
+point, so the first witness in label order is unchanged.
 
 All predicates are pure functions of immutable inputs.  Failed predicates
 report the first counterexample in the order the points were listed.
 """
 
 import math
+import struct
 from collections import namedtuple
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
@@ -122,12 +118,12 @@ def parse_distance(value):
 class DistanceSpace:
     """Finite labeled point set with a square matrix of extended distances.
 
-    The exact matrix and its integer scaling are built on construction from
-    one parse of each distinct entry (module docstring); the closeness table
-    of a radius is built on its first use.
+    The integer scaling is built on construction from one parse of each
+    distinct entry; the exact matrix is made from it on first read, and the
+    closeness table of a radius on its first use (module docstring).
     """
 
-    __slots__ = ("labels", "matrix", "tol", "_index", "_ints", "_close")
+    __slots__ = ("labels", "tol", "_index", "_ints", "_close", "_matrix")
 
     def __init__(self, labels, matrix, tol=0):
         self.labels = tuple(labels)
@@ -137,32 +133,50 @@ class DistanceSpace:
         if len(matrix) != n or any(len(row) != n for row in matrix):
             raise InvalidInput("distance matrix must be square and match the labels")
         entries = list(chain.from_iterable(matrix))
-        mixed = len(set(map(type, entries))) > 1
-        if mixed:
-            # equal values of different types can parse apart: 2**60 == float(2**60)
-            matrix = [list(zip(map(type, row), row)) for row in matrix]
-            entries = list(chain.from_iterable(matrix))
-        try:
-            distinct = dict.fromkeys(entries)
-        except TypeError:
-            # parse_distance refuses every unhashable value, so this names
-            # the first bad entry in row order
-            for key in entries:
-                parse_distance(key[1] if mixed else key)
-            raise
-        values = [k[1] for k in distinct] if mixed else distinct
-        exact = dict(zip(distinct, map(parse_distance, values)))
-        finite = {k: v for k, v in exact.items() if v is not INF}
-        scale = math.lcm(*{v.denominator for v in finite.values()})
-        ints = {k: v.numerator * (scale // v.denominator) for k, v in finite.items()}
-        sentinel = 2 * max(ints.values(), default=0) + 1
-        ints.update(dict.fromkeys(exact.keys() - finite.keys(), sentinel))
-        self.matrix = tuple(tuple(map(exact.__getitem__, row)) for row in matrix)
-        rows = tuple(tuple(map(ints.__getitem__, row)) for row in matrix)
-        self._ints = (scale, sentinel, rows)
+        types = set(map(type, entries))
+        if types == {int} and min(distinct := set(entries)) >= 0:
+            # plain ints are their own scaling; a negative one is refused below
+            scale, top, rows = 1, max(distinct), tuple(map(tuple, matrix))
+        else:
+            mixed = len(types) > 1
+            if mixed:
+                # equal values of different types can parse apart: 2**60 == float(2**60)
+                matrix = [list(zip(map(type, row), row)) for row in matrix]
+                entries = list(chain.from_iterable(matrix))
+            try:
+                distinct = dict.fromkeys(entries)
+            except TypeError:
+                # parse_distance refuses every unhashable value, so this names
+                # the first bad entry in row order
+                for key in entries:
+                    parse_distance(key[1] if mixed else key)
+                raise
+            values = [k[1] for k in distinct] if mixed else distinct
+            exact = dict(zip(distinct, map(parse_distance, values)))
+            finite = {k: v for k, v in exact.items() if v is not INF}
+            scale = math.lcm(*{v.denominator for v in finite.values()})
+            ints = {k: v.numerator * (scale // v.denominator) for k, v in finite.items()}
+            top = max(ints.values(), default=0)
+            ints.update(dict.fromkeys(exact.keys() - finite.keys(), 2 * top + 1))
+            rows = tuple(tuple(map(ints.__getitem__, row)) for row in matrix)
+        self._ints = (scale, 2 * top + 1, rows)
+        self._matrix = None
         self.tol = parse_distance(tol)
         self._index = {lab: i for i, lab in enumerate(self.labels)}
         self._close = {}        # radius -> closeness table, on demand
+
+    @property
+    def matrix(self):
+        """The exact distances, made from the scaled table on first read."""
+        if self._matrix is None:
+            exact = {v: self.exact(v) for v in set(chain.from_iterable(self._ints[2]))}
+            self._matrix = tuple(tuple(map(exact.__getitem__, row)) for row in self._ints[2])
+        return self._matrix
+
+    def exact(self, value):
+        """The exact distance of a scaled entry: ``inf`` for the sentinel."""
+        scale, sentinel, _ = self._ints
+        return INF if value == sentinel else Fraction(value, scale)
 
     def __len__(self):
         return len(self.labels)
@@ -206,29 +220,34 @@ class DistanceSpace:
 def validate(space):
     """Every (i, j) violating symmetry, plus every (i, i) violating reflexivity."""
     rows = space.scaled()[2]
-    bad = []
-    for i, row in enumerate(rows):
-        if row[i] != 0:
-            bad.append((i, i))
-        for j in range(i + 1, len(rows)):
-            if row[j] != rows[j][i]:
-                bad.append((i, j))
-    return bad
+    n = len(rows)
+    if rows == tuple(zip(*rows)) and not any(map(tuple.__getitem__, rows, range(n))):
+        return []
+    return [
+        (i, j) for i in range(n) for j in range(i, n) if rows[i][j] != (rows[j][i] if i != j else 0)
+    ]
 
 
 def _triangle_screen(rows):
     """The ordered pairs (i, j), in order, with some k where
     rows[i][k] > rows[i][j] + rows[j][k], by the packed test of the module
     docstring; every entry must be a nonnegative int."""
-    top = max((v for row in rows for v in row), default=0)
-    width = (2 * top).bit_length() + 2
-    ones = sum(1 << (width * k) for k in range(len(rows)))
-    guard = ones << (width - 1)
-    packed = [sum(v << (width * k) for k, v in enumerate(row)) for row in rows]
+    n = len(rows)
+    need = ((2 * max(map(max, rows), default=0)).bit_length() + 9) // 8   # bytes a field needs
+    size = next((s for s in (1, 2, 4, 8) if s >= need), need)
+    if size <= 8:
+        pack = struct.Struct(f"<{n}{'BHIQ'[size.bit_length() - 1]}").pack
+    else:
+        def pack(*row):
+            return b"".join([v.to_bytes(size, "little") for v in row])
+    packed = [int.from_bytes(pack(*row), "little") for row in rows]
+    ones = int.from_bytes((b"\1" + bytes(size - 1)) * n, "little")
+    guard = ones << (8 * size - 1)
+    lift = {v: v * ones for v in set(chain.from_iterable(rows))}
     for i, row_i in enumerate(rows):
         lifted = guard - packed[i]
-        for j, p_j in enumerate(packed):
-            if (lifted + p_j + row_i[j] * ones) & guard != guard:
+        for j, p_j in enumerate(map(add, packed, map(lift.__getitem__, row_i))):
+            if (lifted + p_j) & guard != guard:
                 yield i, j
 
 
@@ -255,12 +274,8 @@ def diam(space, points):
     idx = [space.index(p) for p in points]
     if not idx:
         raise InvalidInput("diameter of an empty set")
-    best = Fraction(0)
-    for i, j in combinations(idx, 2):
-        v = space.matrix[i][j]
-        if v > best:
-            best = v
-    return best
+    rows = space.scaled()[2]
+    return space.exact(max((rows[i][j] for i, j in combinations(idx, 2)), default=0))
 
 
 def vietoris_rips(space, r, dim_cap):
@@ -298,9 +313,6 @@ class MetricCover:
     def a(self):
         return self.x & self.y
 
-    def _ordered(self, idx_set):
-        return [i for i in range(len(self.space)) if i in idx_set]
-
     def cross_pairs_within(self):
         """Cross pairs (x outside Y, y outside X) at distance <= r, in order.
 
@@ -309,10 +321,10 @@ class MetricCover:
         """
         if self._cross_pairs is None:
             close = self.space.closeness(self.r)
-            ys = self._ordered(self.y - self.a)
+            ys = sorted(self.y - self.a)
             self._cross_pairs = [
                 (i, j)
-                for i in self._ordered(self.x - self.a)
+                for i in sorted(self.x - self.a)
                 for j in ys
                 if close[i][j]
             ]
@@ -368,7 +380,7 @@ def shared_witnesses(mc):
     pair, in point order."""
     close = mc.space.closeness(mc.r)
     ends = _cross_edge_vertices(mc)
-    return [v for v in mc._ordered(mc.a) if all(close[u][v] for u in ends)]
+    return [v for v in sorted(mc.a) if all(close[u][v] for u in ends)]
 
 
 def check_shared_witness(mc):
@@ -392,13 +404,18 @@ def check_cross_domination(mc):
         return CheckResult(False, note="the intersection is empty")
     sp = mc.space
     m = sp.scaled()[2]
-    for i in mc._ordered(mc.x - mc.a):
-        for j in mc._ordered(mc.y - mc.a):
-            for v in mc._ordered(mc.a):
-                if m[i][j] < m[i][v] or m[i][j] < m[j][v]:
-                    return CheckResult(
-                        False, witness=(sp.labels[i], sp.labels[j], sp.labels[v])
-                    )
+    a, ys = sorted(mc.a), sorted(mc.y - mc.a)
+    legs = {}       # y -> its longest leg into the intersection, on demand
+    for i in sorted(mc.x - mc.a):
+        row = m[i]
+        leg = max(map(row.__getitem__, a))
+        for j in ys:
+            d, leg_j = row[j], legs.get(j)
+            if leg_j is None:
+                leg_j = legs[j] = max(map(m[j].__getitem__, a))
+            if d < leg or d < leg_j:     # below some leg of an end
+                v = next(v for v in a if d < row[v] or d < m[j][v])
+                return CheckResult(False, witness=(sp.labels[i], sp.labels[j], sp.labels[v]))
     return CheckResult(True)
 
 
@@ -434,11 +451,16 @@ def _check_near_pairs(mc, strong):
     near it, with a, b not near, or with ``strong`` the detour bound
     broken, as a failed check; else a passed one."""
     sp = mc.space
-    close, d = sp.closeness(mc.r), sp.matrix
-    a_idx = mc._ordered(mc.a)
+    close = sp.closeness(mc.r)
+    scale, sentinel, d = sp.scaled()
+    slack = INF if sp.tol == INF else math.floor(sp.tol * scale)
+    if strong and mc.r == INF:
+        # near entries are finite below an infinite radius; at one, S is inf
+        d = [[INF if v == sentinel else v for v in row] for row in d]
+    a_idx = sorted(mc.a)
     for v in _cross_edge_vertices(mc):
         near = [k for k in a_idx if close[k][v]]
         for p, q in combinations(near, 2):
-            if not close[p][q] or strong and 2 * d[p][q] > d[p][v] + d[v][q] + sp.tol:
+            if not close[p][q] or strong and 2 * d[p][q] > d[p][v] + d[v][q] + slack:
                 return CheckResult(False, witness=(sp.labels[v], sp.labels[p], sp.labels[q]))
     return CheckResult(True)

@@ -2,10 +2,12 @@
 hypotheses as decidable predicates."""
 
 import math
+import struct
 from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
 from itertools import chain, combinations
+from types import SimpleNamespace
 
 import pytest
 
@@ -28,6 +30,7 @@ from ripsdecomp import (
 from ripsdecomp import cli, metric
 from ripsdecomp.corpus import space_for
 from ripsdecomp.io import load_input
+from ripsdecomp.reporting import render_json
 
 from conftest import (
     case_by_name,
@@ -265,6 +268,65 @@ class TestPseudometric:
             assert list(metric._triangle_screen(rows)) == expected
             fired += bool(expected)
         assert 100 < fired < 550
+
+    @staticmethod
+    def packed_formats(monkeypatch):
+        """The struct formats the screen packs with, in order."""
+        formats = []
+
+        def recorded(fmt):
+            formats.append(fmt[-1])
+            return struct.Struct(fmt)
+
+        monkeypatch.setattr(metric, "struct", SimpleNamespace(Struct=recorded))
+        return formats
+
+    def test_every_field_width_against_the_pair_list(self, monkeypatch):
+        # tops on each side of every byte boundary: 1-, 2-, 4- and 8-byte
+        # fields, then 9 and 10 bytes, packed by to_bytes
+        widths = {31: "B", 32: "H", 2**13 - 1: "H", 2**13: "I", 2**29 - 1: "I",
+                  2**29: "Q", 2**61 - 1: "Q", 2**61: None, 2**70: None}
+        formats = self.packed_formats(monkeypatch)
+        rng = rng_for(315)
+        fired = Counter()
+        for trial in range(450):
+            top = list(widths)[trial % len(widths)]
+            n = rng.randint(1, 8)
+            picks = (0, 1, top // 2, top - 1, top)
+            rows = [[rng.choice((*picks, rng.randint(0, top))) for _ in range(n)] for _ in range(n)]
+            rows[rng.randrange(n)][rng.randrange(n)] = top
+            expected = [
+                (i, j)
+                for i in range(n)
+                for j in range(n)
+                if any(rows[i][k] > rows[i][j] + rows[j][k] for k in range(n))
+            ]
+            del formats[:]
+            assert list(metric._triangle_screen(rows)) == expected
+            assert formats == ([widths[top]] if widths[top] else [])
+            fired[widths[top], bool(expected)] += 1
+        assert min(fired.values()) >= 10 and len(fired) == 10, fired
+
+    def test_the_sentinel_sets_the_field_width(self, monkeypatch):
+        # finite entries up to 20 fit a byte, their sentinel 41 does not;
+        # finite entries up to 2**60 fit 8 bytes, their sentinel does not
+        formats = self.packed_formats(monkeypatch)
+        rng = rng_for(316)
+        seen = Counter()
+        for trial in range(200):
+            top, want = (20, "H") if trial % 2 else (2**60, None)
+            n = rng.randint(2, 7)
+            picks = (0, 1, top // 2, top, math.inf)
+            base = [[rng.choice(picks) for _ in range(n)] for _ in range(n)]
+            base[0][1] = top
+            base[1][0] = math.inf
+            space = DistanceSpace([f"p{i}" for i in range(n)], base)
+            del formats[:]
+            expected = pseudometric_oracle(space)
+            assert is_pseudometric(space) == expected
+            assert formats == ([want] if want else [])
+            seen[want, expected is None] += 1
+        assert min(seen.values()) >= 10 and len(seen) == 4, seen
 
     def test_eight_point_table_is_metric(self):
         assert is_pseudometric(space_for(case_by_name("eight-pt-s3"))) is None
@@ -583,6 +645,36 @@ class TestCrossDomination:
         res = check_cross_domination(MetricCover(space, ["x"], ["y"], 1))
         assert not res.ok and res.note
 
+    @staticmethod
+    def one_point_gluing(rng, n):
+        """Two segments glued at 0: n points at random positions on each
+        side, in shuffled label order, with the glue point v in the middle."""
+        pos = {"v": 0}
+        for i in range(n):
+            pos[f"x{i}"] = -rng.randint(1, 9)
+            pos[f"y{i}"] = rng.randint(1, 9)
+        labels = list(pos)
+        rng.shuffle(labels)
+        rows = [[abs(pos[p] - pos[q]) for q in labels] for p in labels]
+        x = [lab for lab in labels if lab[0] in "xv"]
+        y = [lab for lab in labels if lab[0] in "yv"]
+        return labels, rows, x, y
+
+    def test_one_point_gluing_of_121_points(self):
+        rng = rng_for(207)
+        labels, rows, x, y = self.one_point_gluing(rng, 60)
+        mc = MetricCover(DistanceSpace(labels, rows), x, y, 2)
+        assert cross_domination_oracle(mc) is None
+        assert check_cross_domination(mc) == (True, None, "")
+        # shorten only the last cross pair in scan order below its longer leg
+        i, j = max(mc.x - mc.a), max(mc.y - mc.a)
+        v = labels.index("v")
+        rows[i][j] = rows[j][i] = max(rows[i][v], rows[j][v]) - 1
+        mc = MetricCover(DistanceSpace(labels, rows), x, y, 2)
+        expected = cross_domination_oracle(mc)
+        assert expected == (labels[i], labels[j], "v")
+        assert check_cross_domination(mc) == (False, expected, "")
+
     def test_singleton_domination_implies_shared_witness(self):
         rng = rng_for(206)
         found = 0
@@ -642,6 +734,24 @@ class TestSimplexAssumptions:
         assert check_simplex_assumption(mc).ok
         res = check_strong_simplex_assumption(mc)
         assert not res.ok and res.witness == ("x", "a", "b")
+
+    def test_strong_detour_breaks_by_less_than_the_scale(self):
+        # scaled by 2: 2 * 2 - 1 - 2 = 1 exceeds tol * 2 = 2/7 by a fraction
+        # of one unit, so the slack must round down
+        space = DistanceSpace(
+            ["x", "a", "b", "y"],
+            [
+                [0, 1, 1, "1/2"],
+                [1, 0, 1, "1/2"],
+                [1, 1, 0, 1],
+                ["1/2", "1/2", 1, 0],
+            ],
+            tol=Fraction(1, 7),
+        )
+        mc = MetricCover(space, ["x", "a", "b"], ["a", "b", "y"], 1)
+        assert check_simplex_assumption(mc).ok
+        res = check_strong_simplex_assumption(mc)
+        assert simplex_assumption_oracle(mc, strong=True) == res.witness == ("y", "a", "b")
 
     def test_strong_fails_with_simplex_under_a_tolerance(self):
         # x is within r + tol = 8/7 of p, q and y, but d(p, q) = 6/5 is not:
@@ -728,6 +838,24 @@ class TestAnalyzeMetric:
             assert verdict.detail == "needs a metric gluing along a nonempty intersection"
         assert report.soundness["ok"]
 
+    @pytest.mark.parametrize("kind", ["circle-42", "grid-60"])
+    def test_the_report_path_builds_no_exact_table(self, kind):
+        rng = rng_for(719)
+        if kind == "circle-42":
+            n, r = 42, Fraction(21, 2)
+            rows = [[min(abs(i - j), n - abs(i - j)) for j in range(n)] for i in range(n)]
+        else:
+            n, r = 60, 2
+            pts = rng.sample([(a, b) for a in range(9) for b in range(9)], n)
+            rows = [[max(abs(p[0] - q[0]), abs(p[1] - q[1])) for q in pts] for p in pts]
+        labels = [f"p{i}" for i in range(n)]
+        mc = MetricCover(
+            DistanceSpace(labels, rows), labels[0::3] + labels[1::3], labels[0::3] + labels[2::3], r
+        )
+        render_json(analyze_metric(mc, dim_cap=3, verify=False))
+        assert mc.space._matrix is None
+        assert mc.space.matrix == TestTablesAgainstEachEntry.oracle(rows)
+
     def test_one_enumeration_per_report(self, monkeypatch):
         calls = []
         enumerate_p_complement = analyzer.enumerate_p_complement
@@ -801,6 +929,45 @@ class TestIntegerChecksAgainstFractions:
                     assert full.witness is None and full.status != "fails"
                     seen["full-holds"] += 1
         assert min(seen.values()) >= 3, seen
+
+    def test_cross_distances_against_the_exact_diameter(self):
+        # dominated covers by construction: each cross distance is at least
+        # both ends' legs into the intersection, whose own distances (and
+        # so its diameter) may be larger, fractional or infinite
+        rng = rng_for(317)
+        seen = Counter()
+        for _ in range(200):
+            n_a, n_x, n_y = rng.randint(1, 4), rng.randint(1, 3), rng.randint(1, 3)
+            labels = [f"p{i}" for i in range(n_a + n_x + n_y)]
+            rng.shuffle(labels)
+            a, xs, ys = labels[:n_a], labels[n_a:n_a + n_x], labels[n_a + n_x:]
+            d = {}
+            for p, q in combinations(labels, 2):
+                if p in a and q in a:
+                    v = rng.choice((Fraction(rng.randint(0, 40), rng.choice((1, 3))), math.inf))
+                elif p in a or q in a or (p in xs) == (q in xs):
+                    v = Fraction(rng.randint(0, 10), rng.choice((1, 2)))
+                else:
+                    v = None        # a cross pair, set below
+                d[p, q] = d[q, p] = v
+            leg = {p: max(d[p, v] for v in a) for p in xs + ys}
+            for p in xs:
+                for q in ys:
+                    v = rng.choice((max(leg[p], leg[q]) + rng.randint(0, 30), math.inf))
+                    d[p, q] = d[q, p] = v
+            rows = [[d.get((p, q), 0) for q in labels] for p in labels]
+            mc = MetricCover(DistanceSpace(labels, rows), a + xs, a + ys, 1)
+            assert check_cross_domination(mc).ok
+            m, ids = mc.space.matrix, sorted(mc.a)
+            top = max((m[p][q] for p, q in combinations(ids, 2)), default=0)
+            cross = [(i, j) for i in sorted(mc.x - mc.a) for j in sorted(mc.y - mc.a)]
+            bad = next(((labels[i], labels[j]) for i, j in cross if m[i][j] < top), None)
+            verdict = analyze_metric(mc, dim_cap=1, verify=False).verdict("cross-dominates-diameter")
+            assert (verdict.status, verdict.witness) == (
+                ("holds", None) if bad is None else ("fails", str(bad))
+            )
+            seen[verdict.status, top == math.inf] += 1
+        assert min(seen.values()) >= 10 and len(seen) == 4, seen
 
     def test_validate_on_ints(self):
         rng = rng_for(313)
