@@ -10,10 +10,10 @@ A space keeps one table, which every predicate compares: the integer
 scaling (``DistanceSpace.scaled``), the finite entries times their least
 common denominator and ``inf`` as the sentinel S = 2 * max + 1, larger than
 any sum of two finite entries, which is exact as distances are never
-negative.  Plain ``int`` entries are their own scaling.  Other entries are
-keyed by value in a one-type matrix and by (type, value) in a mixed one,
-since equal values of different types can parse apart: ``2**60 ==
-float(2**60)``, but the float reads as ``Fraction("1.152921504606847e+18")``.
+negative.  Entries are keyed by value in a one-type matrix and by (type,
+value) in a mixed one, since equal values of different types can parse
+apart: ``2**60 == float(2**60)``, but the float reads as
+``Fraction("1.152921504606847e+18")``.
 Each distinct key is parsed once, in row order of first appearance, so the
 first bad entry is the one refused, and each row is mapped through one dict
 at C level.  Exact values are made on read (``DistanceSpace.exact``): the
@@ -36,8 +36,11 @@ most S).  G has the top (guard) bit of every field set.  For a pair (i, j), fiel
 G - P_i + P_j + d_ij * ONES holds 2^(w-1) - d_ik + d_jk + d_ij, which lies
 in [0, 2^w) because every entry is in [0, T]; so no field borrows from or
 carries into its neighbour, and the guard bit of field k is clear exactly
-when d_ik > d_ij + d_jk.  Only a pair whose screen fires is scanned point by
-point, so the first witness in label order is unchanged.
+when d_ik > d_ij + d_jk.  The lifts d * ONES are read from one table of
+the distinct values while there are at most n of them, and made pair by
+pair past that, so the screen never holds more lifts than packed rows.
+Only a pair whose screen fires is scanned point by point, so the first
+witness in label order is unchanged.
 
 All predicates are pure functions of immutable inputs.  Failed predicates
 report the first counterexample in the order the points were listed.
@@ -133,32 +136,27 @@ class DistanceSpace:
         if len(matrix) != n or any(len(row) != n for row in matrix):
             raise InvalidInput("distance matrix must be square and match the labels")
         entries = list(chain.from_iterable(matrix))
-        types = set(map(type, entries))
-        if types == {int} and min(distinct := set(entries)) >= 0:
-            # plain ints are their own scaling; a negative one is refused below
-            scale, top, rows = 1, max(distinct), tuple(map(tuple, matrix))
-        else:
-            mixed = len(types) > 1
-            if mixed:
-                # equal values of different types can parse apart: 2**60 == float(2**60)
-                matrix = [list(zip(map(type, row), row)) for row in matrix]
-                entries = list(chain.from_iterable(matrix))
-            try:
-                distinct = dict.fromkeys(entries)
-            except TypeError:
-                # parse_distance refuses every unhashable value, so this names
-                # the first bad entry in row order
-                for key in entries:
-                    parse_distance(key[1] if mixed else key)
-                raise
-            values = [k[1] for k in distinct] if mixed else distinct
-            exact = dict(zip(distinct, map(parse_distance, values)))
-            finite = {k: v for k, v in exact.items() if v is not INF}
-            scale = math.lcm(*{v.denominator for v in finite.values()})
-            ints = {k: v.numerator * (scale // v.denominator) for k, v in finite.items()}
-            top = max(ints.values(), default=0)
-            ints.update(dict.fromkeys(exact.keys() - finite.keys(), 2 * top + 1))
-            rows = tuple(tuple(map(ints.__getitem__, row)) for row in matrix)
+        mixed = len(set(map(type, entries))) > 1
+        if mixed:
+            # equal values of different types can parse apart: 2**60 == float(2**60)
+            matrix = [list(zip(map(type, row), row)) for row in matrix]
+            entries = list(chain.from_iterable(matrix))
+        try:
+            distinct = dict.fromkeys(entries)
+        except TypeError:
+            # parse_distance refuses every unhashable value, so this names
+            # the first bad entry in row order
+            for key in entries:
+                parse_distance(key[1] if mixed else key)
+            raise
+        values = [k[1] for k in distinct] if mixed else distinct
+        exact = dict(zip(distinct, map(parse_distance, values)))
+        finite = {k: v for k, v in exact.items() if v is not INF}
+        scale = math.lcm(*{v.denominator for v in finite.values()})
+        ints = {k: v.numerator * (scale // v.denominator) for k, v in finite.items()}
+        top = max(ints.values(), default=0)
+        ints.update(dict.fromkeys(exact.keys() - finite.keys(), 2 * top + 1))
+        rows = tuple(tuple(map(ints.__getitem__, row)) for row in matrix)
         self._ints = (scale, 2 * top + 1, rows)
         self._matrix = None
         self.tol = parse_distance(tol)
@@ -243,10 +241,11 @@ def _triangle_screen(rows):
     packed = [int.from_bytes(pack(*row), "little") for row in rows]
     ones = int.from_bytes((b"\1" + bytes(size - 1)) * n, "little")
     guard = ones << (8 * size - 1)
-    lift = {v: v * ones for v in set(chain.from_iterable(rows))}
+    values = set(chain.from_iterable(rows))
+    lift = {v: v * ones for v in values}.__getitem__ if len(values) <= n else ones.__mul__
     for i, row_i in enumerate(rows):
         lifted = guard - packed[i]
-        for j, p_j in enumerate(map(add, packed, map(lift.__getitem__, row_i))):
+        for j, p_j in enumerate(map(add, packed, map(lift, row_i))):
             if (lifted + p_j) & guard != guard:
                 yield i, j
 
@@ -405,14 +404,12 @@ def check_cross_domination(mc):
     sp = mc.space
     m = sp.scaled()[2]
     a, ys = sorted(mc.a), sorted(mc.y - mc.a)
-    legs = {}       # y -> its longest leg into the intersection, on demand
+    legs = [max(map(m[j].__getitem__, a)) for j in ys]     # longest leg into A
     for i in sorted(mc.x - mc.a):
         row = m[i]
         leg = max(map(row.__getitem__, a))
-        for j in ys:
-            d, leg_j = row[j], legs.get(j)
-            if leg_j is None:
-                leg_j = legs[j] = max(map(m[j].__getitem__, a))
+        for j, leg_j in zip(ys, legs):
+            d = row[j]
             if d < leg or d < leg_j:     # below some leg of an end
                 v = next(v for v in a if d < row[v] or d < m[j][v])
                 return CheckResult(False, witness=(sp.labels[i], sp.labels[j], sp.labels[v]))
