@@ -32,18 +32,21 @@ complex keeps the table of its parent.
 
 The operations are the ones the pipeline runs: restriction, the union of a
 cover's two sides, the good(k) masks (``good_masks``, the one definition of
-the central vertices), the cover-compatible edge collapse, the strong
-collapse of a flag complex by vertex domination, and the cross simplices of
-a cover, grouped by dimension and obstruction in the pass that enumerates
-them.  Given a vertex bitmask of a flag complex, the good(k) masks and the
-strong collapse work on its full subcomplex there, on the complex's graph.
-Both collapses run one domination kernel, ``_dominator``: the first
-candidate w whose closed neighbourhood N[w] holds a given vertex set,
-N[u] & N[v] for an edge uv and N[v] for a vertex v, on bitmasks.
+the central vertices), the cover-compatible collapses, by edges of a flag
+complex and by vertices of an explicit one (on its facet bitmasks,
+``facet_masks``), the strong collapse of a flag complex by vertex
+domination, and the cross simplices of a cover, grouped by dimension and
+obstruction in the pass that enumerates them.  Given a vertex bitmask of a
+flag complex, the good(k) masks and the strong collapse work on its full
+subcomplex there, on the complex's graph.  Both flag collapses run one
+domination kernel, ``_dominator``: the first candidate w whose closed
+neighbourhood N[w] holds a given vertex set, N[u] & N[v] for an edge uv
+and N[v] for a vertex v, on bitmasks.
 """
 
-from itertools import combinations, groupby
-from operator import itemgetter
+from functools import reduce
+from itertools import combinations, filterfalse, groupby
+from operator import and_, itemgetter
 
 from .errors import CoverError, EnumerationRefused, InvalidInput
 
@@ -51,8 +54,10 @@ __all__ = [
     "Complex",
     "Cover",
     "collapse_edges",
+    "collapse_vertices",
     "cover_union",
     "enumerate_p_complement",
+    "facet_masks",
     "good_masks",
     "make_simplex",
     "strong_collapse",
@@ -90,23 +95,28 @@ def make_simplex(vertices):
 
 
 def _close_downward(simplices):
-    """The faces of ``simplices``, refused with :class:`EnumerationRefused`
-    as soon as one simplex alone or all the faces so far pass
-    ``SIMPLEX_BUDGET``."""
-    closed = set()
-    for s in simplices:
+    """The faces of ``simplices``, and the maximal ones among them, each
+    once.  Larger simplices go first, so a simplex already closed over is a
+    face of one before it, or a repeat, and makes no face.  Refused with
+    :class:`EnumerationRefused` as soon as one simplex alone or all the faces
+    so far pass ``SIMPLEX_BUDGET``."""
+    closed, facets = set(), []
+    for s in sorted(simplices, key=len, reverse=True):
+        if s in closed:
+            continue
         if len(s) > MAX_DIM_CAP:
             raise EnumerationRefused(
                 f"a facet of {len(s)} vertices has 2^{len(s)} - 1 faces, past the "
                 f"budget of {SIMPLEX_BUDGET} simplices"
             )
+        facets.append(s)
         for k in range(1, len(s) + 1):
             closed.update(combinations(s, k))
         if len(closed) > SIMPLEX_BUDGET:
             raise EnumerationRefused(
                 f"the facets have more than {SIMPLEX_BUDGET} faces, past the budget"
             )
-    return closed
+    return closed, facets
 
 
 def _mask_of(ids):
@@ -185,7 +195,8 @@ class Complex:
     chain of complexes writes d_n into the memo of every complex of the
     chain, so an entry may come from a reduction of a larger complex.
     ``good_masks`` keeps its tuples there (key ("good_masks", mask)), so an
-    obstruction record and its certificate search share one computation.
+    obstruction record and its certificate search share one computation,
+    and ``facet_masks`` an explicit complex's maximal facets (key "facets").
     Every entry is a function of the content of the complex (and of L), so
     the complex stays immutable and thread-safe: fills that race write equal
     values.  The parts of a cover square also hold the square's pending
@@ -209,10 +220,13 @@ class Complex:
     @classmethod
     def from_facets(cls, facets, labels=None):
         """Explicit complex generated by the given facets (downward closure),
-        refused when the closure passes ``SIMPLEX_BUDGET``."""
-        closed = _close_downward(make_simplex(f) for f in facets)
-        vertices = {v for s in closed for v in s}
-        return cls(simplices=frozenset(closed), vertices=vertices, labels=labels)
+        refused when the closure passes ``SIMPLEX_BUDGET``.  Its maximal
+        facets are kept as vertex bitmasks (``facet_masks``)."""
+        closed, maximal = _close_downward(make_simplex(f) for f in facets)
+        vertices = {v for s in maximal for v in s}
+        complex_ = cls(simplices=frozenset(closed), vertices=vertices, labels=labels)
+        complex_._memo["facets"] = frozenset(map(_mask_of, maximal))
+        return complex_
 
     @classmethod
     def flag(cls, vertices, edges, dim_cap, labels=None):
@@ -445,10 +459,10 @@ def cover_union(complex_, cover):
             if xy >> v & 1
         }
         return Complex(adj=adj, dim_cap=complex_.dim_cap, labels=complex_.labels)
-    kx, ky = complex_.restrict(cover.x), complex_.restrict(cover.y)
+    x, y = cover.x, cover.y
     return Complex(
-        simplices=kx._simplices | ky._simplices,
-        vertices=kx.vertices + ky.vertices,
+        simplices=frozenset(s for s in complex_._simplices if x.issuperset(s) or y.issuperset(s)),
+        vertices=[v for v in complex_.vertices if v in x or v in y],
         labels=complex_.labels,
     )
 
@@ -601,6 +615,60 @@ def strong_collapse(complex_, mask=None):
     return dominations, left
 
 
+def collapse_vertices(complex_, cover):
+    """Delete, one at a time until none is left, every vertex v of an
+    explicit complex dominated in each part of the cover square that holds
+    it (Barmak & Minian's strong collapse).  Returns the collapsed complex
+    and the (v, w) pairs in order.
+
+    v is deleted when the AND of the facets through v (``facet_masks``)
+    holds a w other than v, in A if v is, or else in v's side.  That w lies
+    in every part K[S] that held v, so none loses its last vertex, and each
+    simplex of K[S] through v lies in f & S for a facet f through v, which
+    holds w: the link of v there is a cone on w.  The union is implied as in
+    ``collapse_edges``: outside A, v has the same link in the union as in
+    its side; in A, w dominates it in both sides.  A deleted v leaves each
+    facet f through it as f - v, unless a facet through w holds f - v, and
+    only the vertices of those facets are checked again.  Each test is
+    charged the facets it reads against ``SIMPLEX_BUDGET``; past it, the
+    deletions so far are kept.
+    """
+    x, y = _mask_of(cover.x), _mask_of(cover.y)
+    a = x & y
+    through = {v: set() for v in complex_.vertices}
+    for f in facet_masks(complex_):
+        for v in _bits(f):
+            through[v].add(f)
+    left = dirty = _mask_of(complex_.vertices)
+    spent, dominations = 0, []
+    while dirty and spent <= SIMPLEX_BUDGET:
+        touched = 0
+        for v in _bits(dirty):
+            own, bit = through[v], 1 << v
+            spent += len(own)
+            if spent > SIMPLEX_BUDGET:
+                break
+            rest = reduce(and_, own) & ~bit & (a if a & bit else x if x & bit else y)
+            if rest:
+                w = _low(rest)
+                dominations.append((v, w))
+                left ^= bit
+                for f in through.pop(v):
+                    touched |= f
+                    g = f ^ bit
+                    kept = not any(g & h == g for h in through[w] if h != f)
+                    for u in _bits(g):
+                        through[u].discard(f)
+                        if kept:
+                            through[u].add(g)
+        dirty = touched & left
+    if dominations:
+        keep = frozenset(v for v, _ in dominations).isdisjoint
+        simplices = frozenset(filter(keep, complex_._simplices))
+        complex_ = Complex(simplices=simplices, vertices=_bits(left), labels=complex_.labels)
+    return complex_, dominations
+
+
 def good_masks(complex_, mask=None):
     """The bitmasks good(0), good(1), ... of a complex, up to the first k
     where good(k) is the central vertices, which it is from then on.
@@ -643,6 +711,15 @@ def _good_masks(complex_, mask):
     return tuple(goods)
 
 
+def facet_masks(complex_):
+    """The maximal simplices of an explicit complex as vertex bitmasks, kept
+    in its memo by ``Complex.from_facets``, or else found on first use."""
+    if "facets" not in complex_._memo:
+        maximal = _close_downward(complex_._simplices)[1]
+        complex_._memo["facets"] = frozenset(map(_mask_of, maximal))
+    return complex_._memo["facets"]
+
+
 class CrossClass:
     """The cross simplices of one dimension with one obstruction: ``obs``,
     the obstruction's content key (``Complex.content_key``, made back into
@@ -683,14 +760,15 @@ def enumerate_p_complement(complex_, cover, dim_cap):
     flag "avoids Y - A".  So a clique crosses exactly when both flags are
     clear, and its key is then the bitmask of its common neighbours in A,
     whose full subcomplex is its obstruction.  A ``dim_cap`` above the flag
-    complex's own cap is refused.
+    complex's own cap is refused.  An explicit complex splits each simplex s
+    once, into sigma = s - A and tau = s & A, and files tau under sigma.
     """
     cover.validate(complex_)
     x, y, a = cover.x, cover.y, cover.a
-    outside = [v for v in complex_.vertices if v not in a]
 
     if complex_.is_flag:
         adj = complex_._adj
+        outside = [v for v in complex_.vertices if v not in a]
         avoids_x = 1 << complex_._mask.bit_length()
         avoids_y = avoids_x << 1
         sided = {v: adj[v] | (avoids_y if v in x else avoids_x) for v in outside}
@@ -698,15 +776,17 @@ def enumerate_p_complement(complex_, cover, dim_cap):
         walk = _clique_walk(sided, _mask_of(outside), complex_._within_cap(dim_cap), seed)
         levels = ([(sigma, key) for sigma, _, key in level if key < avoids_x] for level in walk)
     else:
-        ka = complex_.restrict(a)._simplices
-        whole = complex_._simplices
+        x_only, y_only = x - a, y - a
+        stars = {}                           # sigma -> its taus, () among them
+        for s in complex_._simplices:
+            if x_only.isdisjoint(s) or y_only.isdisjoint(s):
+                continue
+            sigma = tuple(filterfalse(a.__contains__, s))
+            if len(sigma) <= dim_cap + 1:
+                stars.setdefault(sigma, []).append(tuple(filter(a.__contains__, s)))
         levels = (
-            [
-                (sigma, frozenset(t for t in ka if tuple(sorted(t + sigma)) in whole))
-                for sigma in level
-                if not (x.issuperset(sigma) or y.issuperset(sigma))
-            ]
-            for _, level in groupby(complex_.restrict(outside).simplices(dim_cap), len)
+            [(sigma, frozenset(filter(None, stars[sigma]))) for sigma in level]
+            for _, level in groupby(sorted(sorted(stars), key=len), len)
         )
 
     items = CrossSimplices()

@@ -30,7 +30,7 @@ L_i counts its units by bisection at its first row and d(K, L1) by pivot
 column, and only a block's set-aside columns, usually none, reach the dense
 Smith step.
 
-Each delta_n skips the columns of the n-simplices that are unit pivot rows
+Each delta_n builds no column for the n-simplices that are unit pivot rows
 of the reduced delta_(n-1), when the same chain reduced that degree just
 before (clearing).  Both keep the integer invariant factors, so every field
 and integral torsion stay exact:
@@ -55,25 +55,29 @@ K is the chain [total, union, X, A]: depth 0 holds the cross simplices
 X but not A, 3 those inside A.  Y is handed its levels, filtered from the
 total's, and reduces as the chain [Y] when first read.
 
-A flag total enters the square edge-collapsed: every edge uv dominated in
-each part that holds it (some w other than u and v has N[u] & N[v] inside
-N[w], in that part's graph) is removed, until none is left.  That keeps
-every profile and induced map the square reports, exactly:
+A total enters the square collapsed: every edge uv of a flag total
+(``collapse_edges``), or every vertex v of an explicit one
+(``collapse_vertices``), dominated in each part that holds it is removed,
+until none is left.  An edge is dominated when some w other than u and v
+has N[u] & N[v] inside N[w], in that part's graph; a vertex when some w
+other than v lies in every facet of that part through v, one w serving
+every part.  That keeps every profile and induced map the square reports,
+exactly:
 
 * every clique of the union graph (the edges inside X or inside Y) lies in
   X or in Y, so the union is the flag complex of the union graph, and a
-  domination there is an edge collapse of the union;
+  domination there is an edge collapse of the union; a vertex outside A
+  has the same link in the union as in its side, and one w in A that
+  dominates a vertex of A in both sides dominates it in their union;
 * each part of the collapsed total is still the restriction (or the cover
   union) of it, so ``_reduce_chain`` reads the parts as before;
-* removing an edge dominated in a graph keeps the homotopy type of its flag
-  complex, so each inclusion of a part's new complex into its old one is a
-  homotopy equivalence;
+* removing a dominated edge keeps the homotopy type of a flag complex, and
+  deleting a dominated vertex is a strong collapse, so each inclusion of a
+  part's new complex into its old one is a homotopy equivalence;
 * these inclusions commute with union -> total, so every Betti number,
   torsion group and rank of H(union) -> H(total) is kept;
 * H_n of the cap-skeleton equals H_n of the whole flag complex for
   n <= cap - 1, the degrees a square reports.
-
-Explicit complexes are not collapsed.
 
 Each complex keeps its simplex levels and the invariants of every d_n a
 chain wrote for it in its memo, and K keeps d(K, L1) per subcomplex and
@@ -105,13 +109,15 @@ contractible.
 
 import heapq
 from collections import namedtuple
-from itertools import accumulate, combinations, compress, groupby
+from itertools import accumulate, chain, combinations, compress, groupby
 
 from . import linalg
 from .complexes import (
+    Complex,
     _low,
     check_dim_cap,
     collapse_edges,
+    collapse_vertices,
     cover_union,
     good_masks,
     strong_collapse,
@@ -140,17 +146,20 @@ __all__ = [
 # ----------------------------------------------------------------- chains
 
 
-def coboundary_columns(rows, cols):
+def coboundary_columns(rows, cols, skip=()):
     """Alternating-sign incidence between simplex lists, as one sparse
     column ``{index in cols: +-1}`` per simplex of ``rows``, holding its
-    cofaces: the transpose of the boundary from ``cols`` to ``rows``.
+    cofaces: the transpose of the boundary from ``cols`` to ``rows``.  The
+    rows at the indices in ``skip`` are cleared: their columns stay empty.
 
     Faces absent from ``rows`` contribute nothing, which is exactly the
     boundary of a quotient (relative) chain complex.  The empty simplex
     ``()`` may appear as a row to augment the complex.
     """
     out = [{} for _ in rows]
-    column = dict(zip(rows, out)).get
+    column = dict(zip(rows, out))
+    column.update(dict.fromkeys(map(rows.__getitem__, skip)))  # cleared rows map to None
+    column = column.get
     for j, s in enumerate(cols):
         # ``combinations`` drops the last vertex first, whose sign is
         # (-1)^(len(s) - 1), and the signs alternate from there
@@ -290,7 +299,7 @@ def _reduce_chain(members, depths, degrees):
     for n in todo:
         (faces, face_starts), (cofaces, starts) = order(n - 1), order(n)
         reduction = linalg.reduce_columns(
-            coboundary_columns(faces, cofaces), pivots.get(n - 1, ())
+            coboundary_columns(faces, cofaces, pivots.get(n - 1, ()))
         )
         pivots = {n: reduction[0]}
         blocks = linalg.block_invariants(
@@ -349,54 +358,71 @@ def homology(complex_, coeffs="z", max_deg=None, reduced=True):
 
 def cover_square(complex_, cover, dim_cap):
     """The five complexes of a cover's square, keyed x, y, a, union, total,
-    up to homotopy: a flag complex is first edge-collapsed
-    (``collapse_edges``), and the parts are read off the collapsed total.
+    up to homotopy: the total is first collapsed, a flag one by edges
+    (``collapse_edges``), an explicit one by vertices (``collapse_vertices``),
+    and the parts are read off the collapsed total.
 
     The collapse keeps every profile through degree dim_cap - 1 and every
-    map union -> total there (module docstring): the union is the flag
-    complex of the union graph; each part of the collapsed total is still
-    the restriction (or the cover union) of it; each inclusion of a part's
-    new complex into its old one is a homotopy equivalence, since every
-    removed edge was dominated in that part at its turn; the squares of
-    these inclusions commute; and H_n of the cap-skeleton is H_n of the
-    whole flag complex for n <= dim_cap - 1.  An explicit complex is not
-    collapsed.
+    map union -> total there (module docstring): each part of the collapsed
+    total is still the restriction (or the cover union) of it; each edge or
+    vertex removed was dominated in each part that held it, so each part's
+    new complex includes into its old one by a homotopy equivalence; these
+    inclusions commute with union -> total; and H_n of a flag complex's
+    cap-skeleton is H_n of the whole one for n <= dim_cap - 1.
 
     Their memos share one pending reduction, run by the first call that
-    reads any of them: the levels 0..dim_cap of the parts are filtered from
-    the total's, and d_1..d_dim_cap of the chain total, union, X, A, with
-    d(total, union), are read off one reduction of the total per degree.
-    Y is left its levels, and reduces on its own when first read.
+    reads any of them: d_1..d_dim_cap of the chain total, union, X, A, with
+    d(total, union), come off one reduction of the total per degree.  The
+    levels of the parts are filtered from the total's by one depth pass: an
+    explicit square's parts are built from it, with all their levels, and a
+    flag square's levels 0..dim_cap wait for the reduction.  Y is left its
+    levels, and reduces on its own when first read.
     """
-    if complex_.is_flag:
-        complex_ = collapse_edges(complex_, cover)[0]
-    parts = {
-        "x": complex_.restrict(cover.x),
-        "y": complex_.restrict(cover.y),
-        "a": complex_.restrict(cover.a),
-        "union": cover_union(complex_, cover),
-        "total": complex_,
-    }
     outside_x, outside_y = (cover.x - cover.a).isdisjoint, (cover.y - cover.a).isdisjoint
 
-    def run():
-        for part in parts.values():
-            part._memo.pop("square", None)
-        levels = simplex_levels(complex_, dim_cap)
-        # the parts hold levels 0..dim_cap: complete when the total has none above
-        complete = complex_._memo["levels"][1] and not any(levels[dim_cap + 1 :])
+    def split(levels):
+        """The depths of the total's ``levels``, and their filters to the
+        levels of union, X, A and Y."""
         # the last of total, union, X, A that holds s is [s misses X - A] +
         # 2 [s misses Y - A]: 0 when s meets both, 1 inside Y, 2 inside X, 3 in A
         depths = [
             [dx + 2 * dy for dx, dy in zip(map(outside_x, lv), map(outside_y, lv))]
-            for lv in levels[: dim_cap + 1]
+            for lv in levels
         ]
-        for name, kept in (("union", (1, 2, 3)), ("x", (2, 3)), ("a", (3,)), ("y", (1, 3))):
-            keep = kept.__contains__
-            own = [list(compress(lv, map(keep, ds))) for lv, ds in zip(levels, depths)]
-            parts[name]._memo["levels"] = (own, complete)
-        chain = [complex_, parts["union"], parts["x"], parts["a"]]
-        _reduce_chain(chain, depths.__getitem__, range(1, dim_cap + 1))
+        return depths, {
+            name: [list(compress(lv, map(kept.__contains__, ds))) for lv, ds in zip(levels, depths)]
+            for name, kept in (("union", (1, 2, 3)), ("x", (2, 3)), ("a", (3,)), ("y", (1, 3)))
+        }
+
+    if complex_.is_flag:
+        complex_ = collapse_edges(complex_, cover)[0]
+        parts = {name: complex_.restrict(getattr(cover, name)) for name in "xya"}
+        parts["union"] = cover_union(complex_, cover)
+        depths = None
+    else:
+        complex_ = collapse_vertices(complex_, cover)[0]
+        depths, own = split(simplex_levels(complex_, dim_cap))
+        parts = {}
+        for name in ("x", "y", "a", "union"):
+            simplices = frozenset(chain.from_iterable(own[name]))
+            parts[name] = Complex(simplices=simplices, vertices=[v for v, in own[name][0]],
+                                  labels=complex_.labels)
+            parts[name]._memo["levels"] = (own[name], True)
+    parts["total"] = complex_
+
+    def run():
+        nonlocal depths
+        for part in parts.values():
+            part._memo.pop("square", None)
+        if depths is None:
+            levels = simplex_levels(complex_, dim_cap)
+            # the parts hold levels 0..dim_cap: complete when the total has none above
+            complete = complex_._memo["levels"][1] and not any(levels[dim_cap + 1 :])
+            depths, own = split(levels[: dim_cap + 1])
+            for name, part_levels in own.items():
+                parts[name]._memo["levels"] = (part_levels, complete)
+        members = [complex_, parts["union"], parts["x"], parts["a"]]
+        _reduce_chain(members, depths.__getitem__, range(1, dim_cap + 1))
 
     for part in parts.values():
         part._memo["square"] = run

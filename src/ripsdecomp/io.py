@@ -139,8 +139,12 @@ def parse_distance_csv(text):
 
 
 def _read_text(path):
+    r"""The text of a file, read raw: a leading byte-order mark is skipped, and
+    "\r\n" and "\r" read as "\n", as universal newlines would."""
     try:
-        return path.read_text(encoding="utf-8-sig")
+        with open(path, "rb", buffering=0) as fh:
+            text = fh.read().decode("utf-8-sig")
+        return text.replace("\r\n", "\n").replace("\r", "\n")
     except OSError as exc:
         raise InvalidInput(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:

@@ -3,9 +3,9 @@
 ``reduce_columns`` is the one sparse reduction, after Dumas, Heckenbach,
 Saunders & Welker (2003): integer columns ``{row: value}`` are reduced on
 their lowest rows with unit (+-1) pivots only, so every step is unimodular,
-and a column whose lowest entry is not a unit is set aside.  Columns listed
-as skipped are passed over; the caller vouches that each is an integer
-combination of other columns (clearing).  ``block_invariants`` reads the
+and a column whose lowest entry is not a unit is set aside.  Empty columns
+are passed over: a caller clears a column that is an integer combination
+of other columns by leaving it empty.  ``block_invariants`` reads the
 invariants of several row suffixes and one column prefix of the reduced
 matrix in one pass: the unit block is triangular with a +-1 diagonal, so
 each unit pivot gives one factor 1 and is counted, not visited, and only a
@@ -16,6 +16,7 @@ enters only as its characteristic (``characteristic``).
 """
 
 from bisect import bisect_left
+from functools import lru_cache
 from operator import itemgetter
 
 from .errors import InvalidInput
@@ -129,11 +130,11 @@ def _subtract(col, pivot, c):
             del col[r]
 
 
-def reduce_columns(columns, skip=frozenset()):
+def reduce_columns(columns):
     """Lowest-row reduction of sparse integer columns with unit pivots.
 
-    Columns are read in order and left unmodified; the indices in ``skip``
-    are passed over.  Returns ``(pivots, residual)``: ``pivots`` maps each
+    Columns are read in order and left unmodified; empty ones are passed
+    over.  Returns ``(pivots, residual)``: ``pivots`` maps each
     unit pivot row, in column order, to ``(column index, reduced column)``,
     and ``residual`` lists ``(column index, column)`` for the columns set
     aside on a non-unit lowest entry.  Only earlier columns are ever added
@@ -142,7 +143,7 @@ def reduce_columns(columns, skip=frozenset()):
     pivots = {}
     residual = []
     for j, col in enumerate(columns):
-        if j in skip or not col:
+        if not col:
             continue
         col = dict(col)
         while col:
@@ -228,10 +229,12 @@ def prime_power_factors(n):
 # -------------------------------------------------------------------- fields
 
 
+@lru_cache(maxsize=64)
 def characteristic(name):
     """Characteristic of a field descriptor: 0 for "q", p for "zp:<p>" with p
     a prime below 2**31 written without leading zeros, else InvalidInput.
-    The bound keeps the trial-division primality test quick."""
+    The bound keeps the trial-division primality test quick.  Answers are
+    cached; a bad name is not, and raises on every call."""
     if name == "q":
         return 0
     digits = name[3:] if name.startswith("zp:") else ""

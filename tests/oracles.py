@@ -5,7 +5,8 @@
   ``intersect``, ``union_of``, ``central_vertices`` (the reference for the
   last of ``good_masks``), ``is_central`` and ``good_vertices``, plus
   ``replay_collapses`` and ``replay_dominations`` for collapse
-  certificates.
+  certificates, and ``replay_vertex_collapse``, the reference for
+  ``collapse_vertices``.
 * Flag complexes from their graph alone, by brute force over vertex
   subsets: ``clique_levels`` and ``cross_cliques``, the references for the
   bitmask clique walk and the flag branch of ``enumerate_p_complement``;
@@ -233,6 +234,24 @@ def replay_edge_collapse(edges, x, y, removed):
             raise InvalidInput(f"edge collapse does not replay at {edge}")
         edges.remove(edge)
     return edges
+
+
+def replay_vertex_collapse(k, x, y, dominations):
+    """Delete the vertices of an explicit complex in order, on simplex sets:
+    each (v, w) must have w other than v dominate v in every part of the
+    cover square that holds v (total, K[X], K[Y], K[A] and the union), that
+    is s + w a simplex of the part for each of its simplices s through v;
+    returns the simplices left."""
+    current = set(k.simplices())
+    for v, w in dominations:
+        parts = [current] + [{s for s in current if side.issuperset(s)} for side in (x, y, x & y)]
+        parts.append(parts[1] | parts[2])
+        for part in parts:
+            through = [s for s in part if v in s]
+            if through and (v == w or any(make_simplex(s + (w,)) not in part for s in through)):
+                raise InvalidInput(f"vertex collapse does not replay at {(v, w)}")
+        current = {s for s in current if v not in s}
+    return current
 
 
 # ---------------------------------------------------------- distance spaces

@@ -22,7 +22,7 @@ from ripsdecomp import (
 )
 from ripsdecomp.complexes import MAX_DIM_CAP, SIMPLEX_BUDGET
 from ripsdecomp.corpus import CASES, space_for
-from ripsdecomp.io import load_input
+from ripsdecomp.io import _read_text, load_input
 from ripsdecomp.reporting import parse_report, render_json
 
 from conftest import (
@@ -376,6 +376,31 @@ class TestByteOrderMark:
             assert cli.main(argv) == 0, capsys.readouterr().err
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1]
+
+
+class TestLineEndings:
+    r"""Files are read raw: "\r\n" and a lone "\r" read as "\n", as universal
+    newlines would, behind a byte-order mark or not."""
+
+    FACETS = '{"facets": [\n[0, 1, 4], [0, 1, 5], [0, 2, 3], [0, 2, 4], [0, 3, 5],\n' \
+        '[1, 2, 3], [1, 2, 5], [1, 3, 4], [2, 4, 5], [3, 4, 5]]}\n'
+    CSV = "a,b,c\n1.00000000000000001\n1.5,0.5\n"
+
+    @pytest.mark.parametrize("ending", ["\r\n", "\r"])
+    @pytest.mark.parametrize("mark", ["", "\ufeff"])
+    def test_every_ending_gives_the_plain_output(self, capsys, tmp_path, ending, mark):
+        outputs = []
+        for text, name, argv in (
+            (self.FACETS, "rp2.json", ["homology", "{}", "--format", "json", "--max-dim", "2"]),
+            (self.CSV, "space.csv", ["vr", "{}", "--format", "json", "-r", "1"]),
+        ):
+            for variant in (text, mark + text.replace("\n", ending)):
+                (tmp_path / name).write_bytes(variant.encode())
+                assert _read_text(tmp_path / name) == text
+                assert cli.main([a.format(tmp_path / name) for a in argv]) == 0
+                outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1] and outputs[2] == outputs[3]
+        assert json.loads(outputs[0])["z"]["torsion"] == {"1": [2]}
 
 
 class TestExactNumberLiterals:

@@ -24,7 +24,14 @@ from ripsdecomp import (
     make_simplex,
 )
 from ripsdecomp import analyzer, complexes
-from ripsdecomp.complexes import SIMPLEX_BUDGET, _bits, collapse_edges, good_masks
+from ripsdecomp.complexes import (
+    SIMPLEX_BUDGET,
+    _bits,
+    _mask_of,
+    collapse_edges,
+    facet_masks,
+    good_masks,
+)
 from ripsdecomp.corpus import space_for
 from ripsdecomp.metric import MetricCover, vietoris_rips
 
@@ -80,6 +87,24 @@ class TestFromFacets:
     def test_empty_facet_rejected(self):
         with pytest.raises(InvalidInput):
             Complex.from_facets([[]])
+
+    def test_keeps_the_maximal_facets_as_masks(self):
+        """Repeated and non-maximal input facets are dropped, so the kept
+        facets are a function of the simplices; they are those a complex
+        with the same simplices but no input finds on first use."""
+        k = Complex.from_facets([[1, 2], [3, 2, 1], [1, 2, 3], [4], [2], [4, 5], [1, 3]])
+        assert k._memo["facets"] == {0b1110, 0b110000}
+        rng = rng_for(102)
+        for _ in range(40):
+            k = random_complex(rng, max_vertices=9, max_facets=9, max_facet_size=5)
+            again = Complex.from_facets(k.simplices())
+            assert again._memo["facets"] == k._memo["facets"]
+            copy = k.restrict(k.vertices)
+            assert "facets" not in copy._memo
+            assert facet_masks(copy) == k._memo["facets"]
+            assert {s for s in k.simplices() if _mask_of(s) in k._memo["facets"]} == {
+                s for s in k.simplices() if not any(set(s) < set(t) for t in k.simplices())
+            }
 
 
 class TestRestriction:
@@ -711,6 +736,65 @@ class TestPComplement:
         k = hollow_triangle()
         with pytest.raises(CoverError):
             enumerate_p_complement(k, Cover({1}, {2}), 1)
+
+    def test_cover_union_lists_each_vertex_once(self):
+        """The union of an explicit complex's restrictions holds each vertex
+        once, so a cover of every facet gives the complex back, and its
+        good(0) mask is its five vertices."""
+        k = Complex.from_facets([[0, 1, 2], [2, 3], [3, 4]])
+        union = cover_union(k, Cover({0, 1, 2, 3}, {2, 3, 4}))
+        assert union.vertices == (0, 1, 2, 3, 4)
+        assert union == k
+        assert good_masks(union)[0] == 0b11111
+        rng = rng_for(112)
+        for _ in range(30):
+            k = random_complex(rng)
+            cover = random_cover(rng, k)
+            union = cover_union(k, cover)
+            assert union == union_of(k.restrict(cover.x), k.restrict(cover.y))
+            assert union.vertices == tuple(sorted(cover.x | cover.y))
+
+    def test_explicit_enumeration_matches_a_brute_force_star_oracle(self):
+        """Every cross simplex up to the cap in (dimension, lexicographic)
+        order, each keyed by its star in K[A], the simplices tau of K[A] with
+        sigma + tau in K, and the classes in the order of their first
+        simplices, under covers with no, one and several vertices in A."""
+        rng = rng_for(114)
+        seen = Counter()
+        for i in range(90):
+            k = random_complex(rng, max_vertices=10, max_facets=8, max_facet_size=5)
+            vertices = list(k.vertices)
+            if len(vertices) < 3:
+                continue
+            some = set(rng.sample(vertices, rng.randint(1, len(vertices) - 1)))
+            hinge = rng.choice(vertices)
+            cover = [
+                Cover(some, set(vertices) - some),
+                Cover(some | {hinge}, set(vertices) - some | {hinge}),
+                random_cover(rng, k),
+            ][i % 3]
+            a, dim_cap = cover.a, rng.randint(1, 4)
+            ka = [t for t in k.simplices() if a.issuperset(t)]
+            want = [
+                (s, frozenset(t for t in ka if make_simplex(s + t) in k))
+                for s in k.simplices(max_dim=dim_cap)
+                if not set(s) & a and set(s) - cover.x and set(s) - cover.y
+            ]
+            items = enumerate_p_complement(k, cover, dim_cap)
+            assert [(s, c.obs) for s, c in items] == want
+            firsts = {}
+            for s, key in want:
+                firsts.setdefault((len(s), key), s)
+            assert [(c.first, c.obs) for c in items.classes] == [
+                (s, key) for (_, key), s in firsts.items()
+            ]
+            assert [c.size for c in items.classes] == [
+                sum(len(s) == len(c.first) and key == c.obs for s, key in want)
+                for c in items.classes
+            ]
+            seen[min(len(a), 2)] += len(want)
+            seen["nonempty"] += sum(bool(key) for _, key in want)
+        assert min(seen[n] for n in range(3)) > 40 and seen["nonempty"] > 100, seen
 
     def test_cover_union_flag_matches_explicit(self):
         rng = rng_for(110)

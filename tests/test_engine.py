@@ -218,6 +218,22 @@ class TestCoboundaryColumns:
                 missing += len(faces) - len(rows)
         assert missing > 100, missing
 
+    def test_skipped_rows_get_no_column(self):
+        """With a skip set, every other column is the one the full build
+        gives, and a skipped row's column is empty."""
+        rng = rng_for(4504)
+        skipped = 0
+        for _ in range(40):
+            k = random_complex(rng, max_vertices=8, max_facets=6, max_facet_size=5)
+            for n in range(1, k.dim() + 1):
+                rows, cols = k.n_simplices(n - 1), k.n_simplices(n)
+                skip = {i for i in range(len(rows)) if rng.random() < 0.5}
+                full = coboundary_columns(rows, cols)
+                got = coboundary_columns(rows, cols, skip)
+                assert got == [{} if i in skip else col for i, col in enumerate(full)]
+                skipped += sum(bool(full[i]) for i in skip)
+        assert skipped > 100, skipped
+
     def test_the_augmented_empty_row(self):
         vertices = [(v,) for v in range(5)]
         assert coboundary_columns([()], vertices) == [{j: 1 for j in range(5)}]
@@ -397,6 +413,15 @@ class TestFieldDescriptor:
     def test_long_digit_strings_refused_before_conversion(self, digits):
         with pytest.raises(InvalidInput, match="2\\*\\*31"):
             characteristic("zp:" + digits)
+
+    def test_answers_are_cached_and_bad_names_raise_every_time(self):
+        characteristic.cache_clear()
+        assert [characteristic("zp:3") for _ in range(3)] == [3, 3, 3]
+        assert characteristic.cache_info().hits == 2
+        for _ in range(3):
+            with pytest.raises(InvalidInput, match="9 is not prime"):
+                characteristic("zp:9")
+        assert characteristic.cache_info().currsize == 1
 
     def test_composite_prime_field_rejected(self):
         with pytest.raises(InvalidInput, match="9 is not prime"):

@@ -1,7 +1,8 @@
 """The verification layer: independent theorem checks, the soundness gate,
-the edge-collapsed cover square against fresh uncollapsed parts, and the
-decompose path's freedom from rational elimination; the command line's
-refusal of bad fields and malformed documents."""
+the edge-collapsed and strong-collapsed cover squares against fresh
+uncollapsed parts, and the decompose path's freedom from rational
+elimination; the command line's refusal of bad fields and malformed
+documents."""
 
 import importlib
 import json
@@ -22,15 +23,16 @@ from ripsdecomp import (
     analyze,
     analyzer,
     cli,
+    complexes,
     cover_union,
     homology,
     induced_map,
     linalg,
     vietoris_rips,
 )
-from ripsdecomp.complexes import MAX_DIM_CAP, collapse_edges
+from ripsdecomp.complexes import MAX_DIM_CAP, collapse_edges, collapse_vertices, facet_masks
 from ripsdecomp.corpus import space_for
-from ripsdecomp.homology import InducedMap
+from ripsdecomp.homology import InducedMap, cover_square
 from ripsdecomp.io import load_cover, load_input
 from ripsdecomp.reporting import _write_report, render_json
 
@@ -47,7 +49,7 @@ from conftest import (
     random_flag,
     rng_for,
 )
-from oracles import check_cofiber_shift, mv_check, skeleton
+from oracles import check_cofiber_shift, mv_check, replay_vertex_collapse, skeleton
 
 
 def write_metric_case(tmp_path, case):
@@ -519,6 +521,146 @@ class TestCollapsedSquare:
         betti = report.profiles["total"]["q"]["betti"]
         assert betti == {"-1": 0, "0": 0, "1": 1, "2": 0}
         assert report.soundness["ok"]
+
+
+def strong_collapse_cases(rng):
+    """(explicit complex, cover, dim_cap) triples: random facet complexes,
+    RP^2 wedges and RP^2 wedged with a suspended RP^2, each under a cover
+    with an empty A, one with a single vertex in A, and a random one."""
+    several = rp2_and_suspension()
+    for i in range(90):
+        kind = i % 3
+        if kind == 0:
+            k = random_complex(rng, max_vertices=12, max_facets=10, max_facet_size=5)
+        else:
+            k = rp2_wedge(rng) if kind == 1 else several
+        vertices = list(k.vertices)
+        if len(vertices) < 3:
+            continue
+        hinge = rng.choice(vertices)
+        rest = [v for v in vertices if v != hinge]
+        some = set(rng.sample(rest, rng.randint(1, len(rest) - 1)))
+        covers = [Cover(some, set(vertices) - some), Cover(some | {hinge}, set(rest) - some | {hinge})]
+        covers.append(random_cover(rng, k))
+        for cover in covers:
+            yield k, cover, rng.randint(2, 4)
+
+
+class TestStrongCollapsedSquare:
+    FIELDS = ("q", "z", "zp:2", "zp:3")
+
+    def test_matches_fresh_uncollapsed_parts(self):
+        """The profiles over q, z, zp:2 and zp:3 and the induced records that
+        verification reads off the strong-collapsed explicit square equal
+        those of the uncollapsed parts, each built fresh and read on its
+        own, under covers whose A has no vertex, one, or more."""
+        rng = rng_for(5501)
+        seen = Counter()
+        for k, cover, dim_cap in strong_collapse_cases(rng):
+            profiles, induced = analyzer._verification(k, cover, self.FIELDS, dim_cap)
+            total = fresh(k)
+            parts = {
+                "x": total.restrict(cover.x),
+                "y": total.restrict(cover.y),
+                "a": total.restrict(cover.a),
+                "union": cover_union(total, cover),
+                "total": total,
+            }
+            max_deg = dim_cap - 1
+            want = {
+                name: {
+                    coeffs: homology(part, coeffs, max_deg=max_deg, reduced=True)
+                    for coeffs in self.FIELDS
+                }
+                for name, part in parts.items()
+            }
+            assert profiles == want, (k, cover)
+            want = [
+                induced_map(parts["union"], total, degree, coeffs)
+                for coeffs in self.FIELDS
+                if coeffs != "z"
+                for degree in range(max_deg + 1)
+            ]
+            assert [rec.to_dict() for rec in induced] == [rec.to_dict() for rec in want]
+            removed = collapse_vertices(k, cover)[1]
+            seen["cases"] += 1
+            seen[f"|A| {min(len(cover.a), 2)}"] += bool(removed)
+            seen["z/2 collapsed"] += bool(removed) and any(
+                2 in t for p in profiles.values() for t in p["z"].torsion.values()
+            )
+        assert seen["cases"] > 250, seen
+        assert min(seen[f"|A| {n}"] for n in range(3)) > 20, seen
+        assert seen["z/2 collapsed"] > 10, seen
+
+    def test_each_deletion_is_a_strong_collapse_in_every_part(self):
+        """Each (v, w) of the collapse has w dominate v in every part that
+        holds v at its turn; the parts of the collapsed square are the
+        restrictions of what is left, and none loses its last vertex."""
+        rng = rng_for(5502)
+        deleted = 0
+        for k, cover, dim_cap in strong_collapse_cases(rng):
+            collapsed, dominations = collapse_vertices(k, cover)
+            left = replay_vertex_collapse(k, cover.x, cover.y, dominations)
+            assert set(collapsed.simplices()) == left
+            # and none is left: no vertex has a w in every facet through it
+            facets = [set(s) for s in left if not any(set(s) < set(t) for t in left)]
+            for v in collapsed.vertices:
+                side = cover.a if v in cover.a else cover.x if v in cover.x else cover.y
+                common = set.intersection(*(f for f in facets if v in f))
+                assert not (common - {v}) & side, (v, k, cover)
+            parts = cover_square(k, cover, dim_cap)
+            for name, side in (("x", cover.x), ("y", cover.y), ("a", cover.a)):
+                assert parts[name] == collapsed.restrict(side)
+                assert parts[name].is_empty == (not side), (name, k, cover)
+            assert parts["union"] == cover_union(collapsed, cover)
+            assert parts["total"] == collapsed
+            deleted += len(dominations)
+        assert deleted > 400, deleted
+
+    def test_complexes_not_built_from_facets_collapse_too(self):
+        """A complex from ``to_explicit``, ``restrict`` or ``subcomplex`` has no
+        facets kept from its input: it finds them on first use and collapses
+        as the facet-built complex with the same simplices does."""
+        rng = rng_for(5503)
+        collapsed = 0
+        for k, cover, _ in strong_collapse_cases(rng):
+            copies = [k.restrict(k.vertices), k.subcomplex(k.content_key())]
+            flag = Complex.flag(k.vertices, k.edges(), 3)
+            copies.append(flag.to_explicit())
+            for copy in copies:
+                assert "facets" not in copy._memo
+                built = Complex.from_facets(copy.simplices())
+                assert collapse_vertices(copy, cover) == collapse_vertices(built, cover)
+                assert facet_masks(copy) == built._memo["facets"]
+                collapsed += bool(collapse_vertices(copy, cover)[1])
+        assert collapsed > 300, collapsed
+
+    def test_a_spent_budget_returns_an_exact_prefix(self, monkeypatch):
+        """Budgets of 0 to 40 facets read: the collapse stops at a prefix of
+        the unbounded one, and each deletion made still replays."""
+        rng = rng_for(5504)
+        stopped = 0
+        for k, cover, _ in strong_collapse_cases(rng):
+            dominations = collapse_vertices(k, cover)[1]
+            monkeypatch.setattr(complexes, "SIMPLEX_BUDGET", rng.randint(0, 40))
+            partial, prefix = collapse_vertices(k, cover)
+            monkeypatch.undo()
+            assert prefix == dominations[: len(prefix)]
+            assert set(partial.simplices()) == replay_vertex_collapse(k, cover.x, cover.y, prefix)
+            stopped += 0 < len(prefix) < len(dominations)
+        assert stopped > 20, stopped
+
+    def test_a_cone_collapses_to_its_apex_in_every_part(self):
+        """The cone on RP^2 with its apex in A and everything else split
+        between the sides: it collapses to the apex, the first three
+        vertices onto the apex itself, as RP^2 has no dominated vertex."""
+        cone = Complex.from_facets([f + [9] for f in PROJECTIVE_PLANE])
+        cover = Cover({0, 1, 2, 9}, {3, 4, 5, 9})
+        collapsed, dominations = collapse_vertices(cone, cover)
+        assert [v for v, _ in dominations] == list(range(6))
+        assert dominations[:3] == [(0, 9), (1, 9), (2, 9)]
+        assert collapsed.vertices == (9,)
+        assert replay_vertex_collapse(cone, cover.x, cover.y, dominations) == {(9,)}
 
 
 class TestReductionCount:
