@@ -387,7 +387,8 @@ class _Context:
         self._records = {}
         # refuses a cover that is not one of complex_ (CoverError)
         self.items = enumerate_p_complement(complex_, cover, dim_cap)
-        # the content key of K[A], recorded only when a rule asks for it
+        # the content key of K[A], built eagerly: _is_intersection reads it on
+        # every report with a cross simplex
         self.a_key = complex_.restrict(self.a).content_key()
         self.classes = classes = self.items.classes
         for c in classes:
@@ -1024,7 +1025,7 @@ def _witness_ball(ctx, n):
 
 def _small_diameter(ctx, n):
     m = ctx.metric
-    if m.space.within(m.diameter, m.r):
+    if m.diameter <= m.r:
         return _holds(
             "all", str(m.diameter), "the whole intersection lies within one ball of radius r"
         )

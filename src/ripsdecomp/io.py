@@ -12,8 +12,8 @@ Formats:
 * JSON facet file: ``{"facets": [[...], ...]}``.
 * JSON cover file: ``{"X": [...], "Y": [...]}``.
 
-Every file is UTF-8 text; a leading byte-order mark is skipped.  Labels
-that are JSON numbers keep the float values ``json.loads`` gives them.
+Every file is UTF-8 text; a leading byte-order mark is skipped.  A label
+is a JSON string or number; a number keeps the float ``json.loads`` gives.
 """
 
 import csv
@@ -98,9 +98,10 @@ def parse_distance_json(obj):
         rows = obj["distances"]
     except (KeyError, TypeError) as exc:
         raise InvalidInput("distance JSON needs 'points' and 'distances'") from exc
-    if not isinstance(points, list) or not _list_of(list, rows):
-        raise InvalidInput("'points' must be a list and 'distances' a list of lists")
-    return DistanceSpace([str(_float(p)) for p in points], rows)
+    points = list(map(_float, points)) if isinstance(points, list) else points
+    if not _list_of((str, int, float), points) or not _list_of(list, rows):
+        raise InvalidInput("'points' must be a list of labels and 'distances' a list of lists")
+    return DistanceSpace(list(map(str, points)), rows)
 
 
 def parse_facets_json(obj):
@@ -176,8 +177,8 @@ def load_input(path):
 def load_cover(path):
     path = Path(path)
     obj = _read_json(path, _JSON)
-    if not isinstance(obj, dict) or not all(isinstance(obj.get(s), list) for s in "XY"):
-        raise InvalidInput("cover JSON needs lists 'X' and 'Y'")
+    if not isinstance(obj, dict) or not all(_list_of((str, int, float), obj.get(s)) for s in "XY"):
+        raise InvalidInput("cover JSON needs lists 'X' and 'Y' of point labels")
     return [str(p) for p in obj["X"]], [str(p) for p in obj["Y"]]
 
 

@@ -1,10 +1,8 @@
 """Finite distance spaces, Vietoris-Rips complexes, and the metric hypotheses
 of the decomposition criteria as decidable predicates.
 
-Distances are exact rationals by default (``fractions.Fraction``), with
-``math.inf`` representing an infinite distance.  A space may carry a
-comparison tolerance ``tol`` for the closed threshold test ``d <= r``; the
-exact default is ``tol = 0``, which every shipped example uses.
+Distances are exact rationals (``fractions.Fraction``), with ``math.inf``
+representing an infinite distance, and every predicate compares them exactly.
 
 A space keeps one table, which every predicate compares: the integer
 scaling (``DistanceSpace.scaled``), the finite entries times their least
@@ -20,13 +18,13 @@ at C level.  Exact values are made on read (``DistanceSpace.exact``): the
 ``decompose`` path renders only a diameter, and the exact matrix
 (``DistanceSpace.matrix``) is built when it is first read.
 
-Threshold tests ``d <= r + tol`` read one boolean closeness table per space
-and radius, each row compared as a whole against one bound: a scaled entry
-is close when it is at most min(floor((r + tol) * scale), S - 1), so ``inf``
-is never close to a finite radius; when r + tol is infinite the bound is S
-and every entry is close.  The Vietoris-Rips graph is read straight off the
-closeness rows: the neighbours of point i are the close positions of row i
-other than i.
+Threshold tests ``d <= r`` read one boolean closeness table per space and
+radius, each row compared as a whole against one bound: a scaled entry is
+close when it is at most min(floor(r * scale), S - 1), so ``inf`` is never
+close to a finite radius; when r is infinite the bound is S and every entry
+is close.  The Vietoris-Rips graph is read straight off the closeness
+rows: the neighbours of point i are the close positions of row i other
+than i.
 
 The triangle inequality is screened with packed ints.  Each scaled row is
 one int P_i, packed at C level, with a w-bit field per point: w is 8, 16, 32
@@ -126,9 +124,9 @@ class DistanceSpace:
     closeness table of a radius on its first use (module docstring).
     """
 
-    __slots__ = ("labels", "tol", "_index", "_ints", "_close", "_matrix")
+    __slots__ = ("labels", "_index", "_ints", "_close", "_matrix")
 
-    def __init__(self, labels, matrix, tol=0):
+    def __init__(self, labels, matrix):
         self.labels = tuple(labels)
         if len(set(self.labels)) != len(self.labels):
             raise InvalidInput("duplicate point labels")
@@ -159,7 +157,6 @@ class DistanceSpace:
         rows = tuple(tuple(map(ints.__getitem__, row)) for row in matrix)
         self._ints = (scale, 2 * top + 1, rows)
         self._matrix = None
-        self.tol = parse_distance(tol)
         self._index = {lab: i for i, lab in enumerate(self.labels)}
         self._close = {}        # radius -> closeness table, on demand
 
@@ -185,25 +182,19 @@ class DistanceSpace:
         except KeyError:
             raise InvalidInput(f"unknown point {label!r}") from None
 
-    def within(self, value, r):
-        """Closed threshold test ``value <= r`` honoring the tolerance."""
-        return value <= r + self.tol
-
     def scaled(self):
         """(scale, sentinel, rows): the matrix as ints (module docstring).
         Callers must not modify the rows."""
         return self._ints
 
     def closeness(self, r):
-        """Table whose (i, j) entry is ``within(matrix[i][j], r)``, built once per
+        """Table whose (i, j) entry is ``matrix[i][j] <= r``, built once per
         radius from the scaled matrix; ``r`` is a parsed distance.  Callers
         must not modify it."""
         table = self._close.get(r)
         if table is None:
             scale, sentinel, rows = self._ints
-            limit = r + self.tol
-            # inf + Fraction is a float inf, so compare by value
-            bound = sentinel if limit == INF else min(math.floor(limit * scale), sentinel - 1)
+            bound = sentinel if r == INF else min(math.floor(r * scale), sentinel - 1)
             table = tuple(tuple(map(bound.__ge__, row)) for row in rows)
             self._close[r] = table
         return table
@@ -341,22 +332,17 @@ CheckResult = namedtuple("CheckResult", "ok witness note", defaults=(None, ""))
 
 
 def is_metric_gluing(space, x, y):
-    """None when every cross distance is realized through the intersection,
-    within ``tol``; else the first witness pair of labels.
+    """None when every cross distance is realized through the intersection;
+    else the first witness pair of labels.
 
     Runs on the scaled ints.  A sum of two entries is infinite exactly when
-    it is at least S, and a cross distance d with shortest route b through
-    the intersection is realized when both are infinite, or both are finite
-    with |d - b| * scale at most floor(tol * scale); an infinite ``tol``
-    realizes every pair.
+    it is at least S, so a cross distance d with shortest route b through
+    the intersection is realized when min(b, S) == d.
     """
     xi = [space.index(p) for p in x]
     yi = [space.index(p) for p in y]
     a = sorted(set(xi) & set(yi))
-    if space.tol == INF:
-        return None
-    scale, sentinel, rows = space.scaled()
-    slack = math.floor(space.tol * scale)
+    sentinel, rows = space.scaled()[1:]
     legs = {j: [rows[k][j] for k in a] for j in sorted(set(yi).difference(a))}
     for i in sorted(set(xi).difference(a)):
         row = rows[i]
@@ -364,11 +350,7 @@ def is_metric_gluing(space, x, y):
         for j, back in legs.items():
             # no route through an empty intersection: the sentinel stands in
             best = min(map(add, out, back), default=sentinel)
-            d = row[j]
-            if d >= sentinel:
-                if best < sentinel:
-                    return (space.labels[i], space.labels[j])
-            elif best >= sentinel or abs(d - best) > slack:
+            if min(best, sentinel) != row[j]:
                 return (space.labels[i], space.labels[j])
     return None
 
@@ -434,11 +416,6 @@ def check_strong_simplex_assumption(mc):
     """Shared points near a cross-edge vertex are near each other (the
     simplex assumption), and twice the gap between them is at most the
     detour through the vertex.  Witness on failure: (v, a, b).
-
-    With ``tol`` = 0 the detour bound implies nearness, as each leg is at
-    most r.  A tolerance lets each leg reach r + tol but adds ``tol`` to the
-    bound only once, so the gap can pass r + tol while the bound holds; the
-    nearness test keeps the strong assumption inside the plain one.
     """
     return _check_near_pairs(mc, strong=True)
 
@@ -449,8 +426,7 @@ def _check_near_pairs(mc, strong):
     broken, as a failed check; else a passed one."""
     sp = mc.space
     close = sp.closeness(mc.r)
-    scale, sentinel, d = sp.scaled()
-    slack = INF if sp.tol == INF else math.floor(sp.tol * scale)
+    sentinel, d = sp.scaled()[1:]
     if strong and mc.r == INF:
         # near entries are finite below an infinite radius; at one, S is inf
         d = [[INF if v == sentinel else v for v in row] for row in d]
@@ -458,6 +434,6 @@ def _check_near_pairs(mc, strong):
     for v in _cross_edge_vertices(mc):
         near = [k for k in a_idx if close[k][v]]
         for p, q in combinations(near, 2):
-            if not close[p][q] or strong and 2 * d[p][q] > d[p][v] + d[v][q] + slack:
+            if not close[p][q] or strong and 2 * d[p][q] > d[p][v] + d[v][q]:
                 return CheckResult(False, witness=(sp.labels[v], sp.labels[p], sp.labels[q]))
     return CheckResult(True)

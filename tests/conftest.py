@@ -348,8 +348,8 @@ def label_simplices(complex_, max_dim=None):
 def random_metric_cover(rng, max_points=8):
     """A seeded cover of a random symmetric distance table, not always a
     pseudometric: whole or fractional entries (denominators up to 7), some
-    ``inf`` entries, tolerance 0 or 1/7, and a radius that may be 0, a
-    fraction, ``inf`` or above twice the largest finite entry."""
+    ``inf`` entries, and a radius that may be 0, a fraction, ``inf`` or
+    above twice the largest finite entry."""
     n = rng.randint(1, max_points)
     labels = [f"p{i}" for i in range(n)]
     kind = rng.choice(("whole", "fraction", "inf", "metric"))
@@ -366,7 +366,10 @@ def random_metric_cover(rng, max_points=8):
     finite = [v for row in matrix for v in row if v != math.inf]
     top = max(finite, default=Fraction(0))
     r = rng.choice((Fraction(rng.randint(0, 12), rng.choice((1, 2, 7))), math.inf, 2 * top + 1, top, 0))
-    space = DistanceSpace(labels, matrix, tol=rng.choice((0, 0, Fraction(1, 7))))
+    # an unused draw, once a comparison tolerance: it keeps the seeded stream,
+    # and with it the recorded fuzz digests
+    rng.choice((0, 0, Fraction(1, 7)))
+    space = DistanceSpace(labels, matrix)
     x, y = [], []
     for lab in labels:
         roll = rng.random()
@@ -377,12 +380,12 @@ def random_metric_cover(rng, max_points=8):
     return MetricCover(space, x, y, r)
 
 
-# Fraction references for the metric checks: one ``within`` test, on the
+# Fraction references for the metric checks: one ``d <= r`` test, on the
 # public matrix, at a time.
 
 
 def close_oracle(space, i, j, r):
-    return space.matrix[i][j] <= r + space.tol
+    return space.matrix[i][j] <= r
 
 
 def cross_pairs_oracle(mc):
@@ -415,7 +418,7 @@ def simplex_assumption_oracle(mc, strong=False):
         for p, q in combinations(near, 2):
             bad = not close_oracle(sp, p, q, mc.r)
             if strong:
-                bad = bad or 2 * m[p][q] > m[p][v] + m[v][q] + sp.tol
+                bad = bad or 2 * m[p][q] > m[p][v] + m[v][q]
             if bad:
                 return (sp.labels[v], sp.labels[p], sp.labels[q])
     return None

@@ -266,7 +266,6 @@ def subspace(space, labels):
     return DistanceSpace(
         [space.labels[i] for i in idx],
         [[space.matrix[i][j] for j in idx] for i in idx],
-        tol=space.tol,
     )
 
 
@@ -309,15 +308,14 @@ def glue(dx, dy, shared):
                     p, q = q, p
                 cross = [d_label(dx, p, a) + d_label(dy, a, q) for a in shared]
                 matrix[i][j] = min(cross) if cross else math.inf
-    tol = dx.tol if dx.tol >= dy.tol else dy.tol
-    return DistanceSpace(labels, matrix, tol=tol)
+    return DistanceSpace(labels, matrix)
 
 
 def metric_gluing_oracle(space, x, y):
     """``is_metric_gluing`` on the exact matrix: every cross distance is
     compared with its shortest route through the intersection, in extended
-    rationals, within the space's tolerance.  Infinity minus infinity is
-    NaN, which is within every tolerance."""
+    rationals.  Infinity minus infinity is NaN, neither above nor below 0,
+    so an infinite pair with an infinite route is realized."""
     xi = [space.index(p) for p in x]
     yi = [space.index(p) for p in y]
     a = set(xi) & set(yi)
@@ -326,7 +324,7 @@ def metric_gluing_oracle(space, x, y):
             through = [space.matrix[i][k] + space.matrix[k][j] for k in sorted(a)]
             best = min(through) if through else math.inf
             gap = space.matrix[i][j] - best
-            if gap > space.tol or -gap > space.tol:
+            if gap > 0 or gap < 0:
                 return (space.labels[i], space.labels[j])
     return None
 

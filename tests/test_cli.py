@@ -115,6 +115,54 @@ class TestFacetLabels:
         assert captured.err == f"error: facet labels {named} cannot be told apart\n"
 
 
+class TestNonScalarLabels:
+    """A point label or cover entry that is not a JSON string or number is
+    refused, as a facet's vertex label is: exit 2, nothing on stdout.  A
+    cover entry ``[1]`` would otherwise match a point named "[1]"."""
+
+    @staticmethod
+    def refused(capsys, argv, message):
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "points",
+        [["a", [1]], ["a", {"a": 1}], ["a", None], [[1], {"a": 1}, None]],
+        ids=["list", "object", "null", "all-three"],
+    )
+    def test_a_point_label_that_is_not_a_string_or_number(self, capsys, tmp_path, points):
+        n = len(points)
+        document = {"points": points, "distances": [[int(i != j) for j in range(n)] for i in range(n)]}
+        path = write_json(tmp_path, "points.json", document)
+        cover = write_json(tmp_path, "cover.json", {"X": ["a"], "Y": ["a"]})
+        message = "'points' must be a list of labels and 'distances' a list of lists"
+        for argv in (
+            ["vr", path, "-r", "1"],
+            ["homology", path, "-r", "1"],
+            ["decompose", path, "--cover", cover, "-r", "1"],
+        ):
+            self.refused(capsys, argv, message)
+
+    @pytest.mark.parametrize("entry", [[1], {"a": 1}, None])
+    def test_a_cover_entry_that_is_not_a_string_or_number(self, capsys, tmp_path, entry):
+        path = write_json(tmp_path, "points.json", {"points": ["[1]", "b"], "distances": [[0, 1], [1, 0]]})
+        facets = write_json(tmp_path, "facets.json", {"facets": [["[1]", "b"]]})
+        cover = write_json(tmp_path, "cover.json", {"X": [entry], "Y": ["b"]})
+        message = "cover JSON needs lists 'X' and 'Y' of point labels"
+        for source in (path, facets):
+            self.refused(capsys, ["decompose", source, "--cover", cover, "-r", "1"], message)
+
+    def test_scalar_labels_still_load(self, capsys, tmp_path):
+        distances = [[int(i != j) for j in range(4)] for i in range(4)]
+        path = write_json(tmp_path, "points.json", {"points": ["[1]", 2, 2.5, True], "distances": distances})
+        assert load_input(path).space.labels == ("[1]", "2", "2.5", "True")
+        cover = write_json(tmp_path, "cover.json", {"X": ["[1]", 2, 2.5], "Y": [2.5, True]})
+        assert cli.main(["decompose", path, "--cover", cover, "-r", "1", "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["soundness"]["ok"]
+
+
 class TestCoverErrors:
     """A cover that a facet file cannot take exits 2 with one message and
     nothing on stdout."""

@@ -214,7 +214,7 @@ FUZZ_REACHED = {
 def fuzz_report(seed):
     """Seed s % 3: 0 a flag complex, 1 random facets with an RP^2 wedged on
     over q, z, zp:2 and zp:3, 2 a random metric cover (``inf`` entries,
-    fractions, tolerances, broken triangle inequalities).  Verification is
+    fractions, broken triangle inequalities).  Verification is
     on for s % 9 < 3, a third of each kind."""
     rng = rng_for(50000 + seed)
     verify = seed % 9 < 3

@@ -5,20 +5,23 @@ Each row follows from the definitions of the two rules, so a report where
 the first holds and the second does not is an analyzer bug, one that the
 homology gate may not see: both verdicts can be wrong in the safe
 direction.  The table is checked over the golden reports, the seeded fuzz
-reports, and seeded metric covers with tolerance 1/7, among them a
-four-point cover where the tolerance once let the strong simplex condition
-hold while the simplex condition failed.
+reports, and seeded metric covers: random tables and gluings.
+
+The radius-free metric criteria are also swept over every radius of seeded
+gluings: each keeps its status, and the soundness gate passes, at each one.
 """
 
 import json
 import os
+from collections import Counter
 from fractions import Fraction
+from itertools import chain
 
 from ripsdecomp import DistanceSpace, MetricCover, analyze_metric
 
 from conftest import random_metric_cover, random_pseudometric, rng_for
 from oracles import glue, subspace
-from test_golden import FUZZ_SEEDS, GOLDEN, GOLDEN_DIR, fuzz_report
+from test_golden import FIELDS, FUZZ_SEEDS, GOLDEN, GOLDEN_DIR, fuzz_report
 
 #: (stronger, weaker, why "stronger holds" implies "weaker holds").
 THEOREMS = [
@@ -70,7 +73,10 @@ THEOREMS = [
 ]
 
 STRONGER = {strong for strong, _, _ in THEOREMS}
-TOL = Fraction(1, 7)
+
+#: Metric criteria that read no radius, so a cover has one status for each
+#: at every radius; the paper's cross-domination results claim every radius.
+RADIUS_FREE = ("metric-gluing", "cross-domination", "cross-dominates-diameter")
 
 
 def violations(statuses):
@@ -88,47 +94,20 @@ def statuses_of(report):
     return {v.criterion: v.status for v in report.verdicts}
 
 
-def tolerance_case():
-    """x lies within r + tol = 8/7 of p, q and y, and d(p, q) = 6/5 does
-    not: 2 d(p, q) = 12/5 stays under the detour 16/7 plus one tolerance."""
-    return MetricCover(
-        DistanceSpace(
-            ["x", "p", "q", "y"],
-            [
-                [0, 8 * TOL, 8 * TOL, 8 * TOL],
-                [8 * TOL, 0, "6/5", TOL],
-                [8 * TOL, "6/5", 0, "6/5"],
-                [8 * TOL, TOL, "6/5", 0],
-            ],
-            tol=TOL,
-        ),
-        ["x", "p", "q"],
-        ["p", "q", "y"],
-        1,
-    )
-
-
-def tolerance_covers():
-    """The four-point case, then seeded covers at tolerance 1/7: random
-    tables, and gluings of two random pseudometrics along shared points,
-    where the simplex conditions apply."""
-    yield tolerance_case()
+def seeded_metric_covers():
+    """Seeded covers: random tables, and gluings of two random
+    pseudometrics along shared points, where the simplex conditions
+    apply."""
     rng = rng_for(8101)
     for _ in range(150):
-        mc = random_metric_cover(rng)
-        space = DistanceSpace(mc.space.labels, mc.space.matrix, tol=TOL)
-        labels = space.labels
-        yield MetricCover(
-            space, [labels[i] for i in sorted(mc.x)], [labels[i] for i in sorted(mc.y)], mc.r
-        )
+        yield random_metric_cover(rng)
     for _ in range(150):
         shared = [f"a{i}" for i in range(rng.randint(1, 3))]
         side_x = shared + [f"x{i}" for i in range(rng.randint(1, 3))]
         side_y = shared + [f"y{i}" for i in range(rng.randint(1, 3))]
         labels = side_x + side_y[len(shared) :]
         table = random_pseudometric(rng, labels, max_whole=5, denominators=(1, 2, 5, 7))
-        space = DistanceSpace(labels, table.matrix, tol=TOL)
-        glued = glue(subspace(space, side_x), subspace(space, side_y), shared)
+        glued = glue(subspace(table, side_x), subspace(table, side_y), shared)
         r = Fraction(rng.randint(1, 12), rng.choice((1, 2, 7)))
         yield MetricCover(glued, side_x, side_y, r)
 
@@ -157,10 +136,49 @@ def test_fuzz_reports_keep_the_table():
     assert STRONGER <= held, sorted(STRONGER - held)
 
 
-def test_metric_covers_at_a_tolerance_keep_the_table():
+def test_seeded_metric_covers_keep_the_table():
     held = set()
-    for i, mc in enumerate(tolerance_covers()):
+    for i, mc in enumerate(seeded_metric_covers()):
         statuses = statuses_of(analyze_metric(mc, dim_cap=2, verify=False))
         assert violations(statuses) == [], i
         held.update(c for c, status in statuses.items() if status == "holds")
     assert STRONGER <= held, sorted(STRONGER - held)
+
+
+def grid_gluings():
+    """80 seeded gluings (``oracles.glue``) of two subspaces of a 12-point
+    L-inf cloud on a 5 x 5 grid, along 1-2 shared points, with the two
+    sides as the cover.  Plain grid covers are not gluings: on them the
+    radius-free criteria are never found to hold."""
+    rng = rng_for(8201)
+    labels = [f"g{i}" for i in range(12)]
+    for _ in range(80):
+        cells = rng.sample([(a, b) for a in range(5) for b in range(5)], 12)
+        dist = [[max(abs(p[0] - q[0]), abs(p[1] - q[1])) for q in cells] for p in cells]
+        space = DistanceSpace(labels, dist)
+        k = rng.randint(1, 2)
+        cut = rng.randint(k + 1, 11)
+        side_x, side_y = labels[:cut], labels[:k] + labels[cut:]
+        yield glue(subspace(space, side_x), subspace(space, side_y), labels[:k]), side_x, side_y
+
+
+def test_radius_free_criteria_keep_their_status_at_every_radius():
+    """Each gluing is analyzed at every distinct distance, verified over q,
+    z, zp:2 and zp:3: the radius-free criteria keep one status, the table
+    holds, and the soundness gate passes at every radius."""
+    held, runs = Counter(), 0
+    for glued, side_x, side_y in grid_gluings():
+        seen = set()
+        for r in sorted(set(chain.from_iterable(glued.matrix))):
+            report = analyze_metric(MetricCover(glued, side_x, side_y, r), dim_cap=3, fields=FIELDS)
+            assert report.soundness["ok"], (side_x, side_y, r, report.soundness)
+            statuses = statuses_of(report)
+            assert violations(statuses) == [], (side_x, side_y, r)
+            seen.add(tuple(statuses[c] for c in RADIUS_FREE))
+            runs += 1
+        assert len(seen) == 1, (side_x, side_y, seen)
+        held.update(zip(RADIUS_FREE, seen.pop()))
+    # every instance is a gluing; cross domination goes both ways
+    assert held["metric-gluing", "holds"] == 80, held
+    assert held["cross-domination", "holds"] >= 40 and held["cross-domination", "fails"] >= 10, held
+    assert held["cross-dominates-diameter", "holds"] >= 40 and runs > 400, (held, runs)
