@@ -11,7 +11,6 @@ from .analyzer import (
 from .complexes import (
     Complex,
     Cover,
-    cover_union,
     enumerate_p_complement,
     make_simplex,
 )

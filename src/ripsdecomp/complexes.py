@@ -7,9 +7,9 @@ one of two backings:
 * flag: a graph whose cliques are the simplices, plus an enumeration cap
   ``dim_cap``.  The graph is a dict from each vertex id to the int bitmask
   of its neighbours: bit u is set when uv is an edge, so the ids are bit
-  positions and must be nonnegative ints.  Restriction, the cover union,
-  the good(k) masks, membership and the clique searches all work on these
-  masks.
+  positions and must be nonnegative ints.  Restriction, the good(k)
+  masks, the collapses, membership and the clique searches all work on
+  these masks.
 
 Membership is exact for both backings (for a flag complex it is the
 pairwise-edge test, at any dimension).  Enumeration of a flag complex never
@@ -30,18 +30,20 @@ Vertex labels: user-facing labels are interned to dense integer ids at
 ingestion.  A complex may carry an ``id -> label`` table; every derived
 complex keeps the table of its parent.
 
-The operations are the ones the pipeline runs: restriction, the union of a
-cover's two sides, the good(k) masks (``good_masks``, the one definition of
-the central vertices), the cover-compatible collapses, by edges of a flag
-complex and by vertices of an explicit one (on its facet bitmasks,
-``facet_masks``), the strong collapse of a flag complex by vertex
-domination, and the cross simplices of a cover, grouped by dimension and
-obstruction in the pass that enumerates them.  Given a vertex bitmask of a
-flag complex, the good(k) masks and the strong collapse work on its full
-subcomplex there, on the complex's graph.  Both flag collapses run one
-domination kernel, ``_dominator``: the first candidate w whose closed
-neighbourhood N[w] holds a given vertex set, N[u] & N[v] for an edge uv
-and N[v] for a vertex v, on bitmasks.
+The operations are the ones the pipeline runs: restriction, the good(k)
+masks (``good_masks``, the one definition of the central vertices), the
+cover-compatible collapses, by edges of a flag complex and by vertices of
+an explicit one (on its facet bitmasks, ``facet_masks``), the strong
+collapse of a flag complex by vertex domination, and the cross simplices of
+a cover, grouped by dimension and obstruction in the pass that enumerates
+them.  The cover square's parts, the union K[X] u K[Y] among them, are
+built as explicit complexes from the collapsed total's levels
+(``homology.cover_square``).  Given a vertex bitmask of a flag complex, the
+good(k) masks and the strong collapse work on its full subcomplex there, on
+the complex's graph.  Both flag collapses run one domination kernel,
+``_dominator``: the first candidate w whose closed neighbourhood N[w] holds
+a given vertex set, N[u] & N[v] for an edge uv and N[v] for a vertex v, on
+bitmasks.
 """
 
 from functools import reduce
@@ -55,7 +57,6 @@ __all__ = [
     "Cover",
     "collapse_edges",
     "collapse_vertices",
-    "cover_union",
     "enumerate_p_complement",
     "facet_masks",
     "good_masks",
@@ -441,32 +442,6 @@ class Cover:
         return f"Cover(x={sorted(self.x)}, y={sorted(self.y)})"
 
 
-def cover_union(complex_, cover):
-    """The union of the restrictions to the two sides of a cover.
-
-    For a flag complex the union is again flag, on the edges inside X and
-    the edges inside Y: a clique of that graph cannot meet both sides
-    outside the intersection, so it lies inside one side entirely.
-    """
-    if complex_.is_flag:
-        vertices = complex_.vertices
-        x = _mask_of(v for v in vertices if v in cover.x)
-        y = _mask_of(v for v in vertices if v in cover.y)
-        xy = x | y
-        adj = {
-            v: (nb & x if x >> v & 1 else 0) | (nb & y if y >> v & 1 else 0)
-            for v, nb in complex_._adj.items()
-            if xy >> v & 1
-        }
-        return Complex(adj=adj, dim_cap=complex_.dim_cap, labels=complex_.labels)
-    x, y = cover.x, cover.y
-    return Complex(
-        simplices=frozenset(s for s in complex_._simplices if x.issuperset(s) or y.issuperset(s)),
-        vertices=[v for v in complex_.vertices if v in x or v in y],
-        labels=complex_.labels,
-    )
-
-
 def _dominator(common, candidates, closed):
     """The lowest vertex w of the bitmask ``candidates`` whose closed
     neighbourhood ``closed[w]`` holds every vertex of the bitmask ``common``,
@@ -499,7 +474,7 @@ def collapse_edges(complex_, cover):
     N[u] & N[v] inside N[w], closed neighbourhoods; then the flag complex
     without uv is a deformation retract of the one with it.  The parts are
     the total, X, Y and A, each holding the edges between its vertices, and
-    the union graph of ``cover_union``, holding the edges inside X or inside
+    the graph of the union K[X] u K[Y], holding the edges inside X or inside
     Y, where a vertex's neighbours are masked by its side (by X | Y in A).
     Each part may use its own w.  Returns the collapsed flag complex and the
     removed edges, in order.

@@ -52,8 +52,9 @@ only the degrees it reads, and the one reader of d(K, L).  The cover square
 (``cover_square``) of X, Y, A = X & Y, the union K[X] u K[Y] and the total
 K is the chain [total, union, X, A]: depth 0 holds the cross simplices
 (meeting both X - A and Y - A), 1 those inside Y but not A, 2 those inside
-X but not A, 3 those inside A.  Y is handed its levels, filtered from the
-total's, and reduces as the chain [Y] when first read.
+X but not A, 3 those inside A.  Every part, the total included, is an
+explicit complex built from its levels, filtered from the collapsed total's
+by one depth pass; Y reduces as the chain [Y] when first read.
 
 A total enters the square collapsed: every edge uv of a flag total
 (``collapse_edges``), or every vertex v of an explicit one
@@ -69,15 +70,18 @@ exactly:
   domination there is an edge collapse of the union; a vertex outside A
   has the same link in the union as in its side, and one w in A that
   dominates a vertex of A in both sides dominates it in their union;
-* each part of the collapsed total is still the restriction (or the cover
-  union) of it, so ``_reduce_chain`` reads the parts as before;
+* each part is the full subcomplex of the collapsed total on its side (the
+  union of those of X and Y), read through the total's levels, so
+  ``_reduce_chain`` reads the parts as before;
 * removing a dominated edge keeps the homotopy type of a flag complex, and
   deleting a dominated vertex is a strong collapse, so each inclusion of a
   part's new complex into its old one is a homotopy equivalence;
 * these inclusions commute with union -> total, so every Betti number,
   torsion group and rank of H(union) -> H(total) is kept;
-* H_n of the cap-skeleton equals H_n of the whole flag complex for
-  n <= cap - 1, the degrees a square reports.
+* a flag total is read through its levels 0..cap, so its parts are the
+  cap-skeletons of the collapsed flag parts, and H_n of a cap-skeleton
+  equals H_n of the whole flag complex for n <= cap - 1, the degrees a
+  square reports; an explicit total keeps all its levels.
 
 Each complex keeps its simplex levels and the invariants of every d_n a
 chain wrote for it in its memo, and K keeps d(K, L1) per subcomplex and
@@ -118,7 +122,6 @@ from .complexes import (
     check_dim_cap,
     collapse_edges,
     collapse_vertices,
-    cover_union,
     good_masks,
     strong_collapse,
 )
@@ -236,10 +239,6 @@ class HomologyProfile(namedtuple("HomologyProfile", "coeffs reduced degrees bett
 
     __slots__ = ()
 
-    def __new__(cls, coeffs, reduced, degrees, betti, torsion=None):
-        torsion = {d: tuple(t) for d, t in (torsion or {}).items() if t}
-        return tuple.__new__(cls, (coeffs, reduced, tuple(degrees), dict(betti), torsion))
-
     def betti_vector(self, lo, hi):
         return tuple(self.betti.get(d, 0) for d in range(lo, hi + 1))
 
@@ -353,79 +352,60 @@ def homology(complex_, coeffs="z", max_deg=None, reduced=True):
                     sorted(q for d in factors for q in linalg.prime_power_factors(d))
                 )
     degrees = tuple(range(-1 if reduced else 0, max_deg + 1))
-    return HomologyProfile._make((coeffs, reduced, degrees, betti, torsion))
+    return HomologyProfile(coeffs, reduced, degrees, betti, torsion)
 
 
 def cover_square(complex_, cover, dim_cap):
     """The five complexes of a cover's square, keyed x, y, a, union, total,
-    up to homotopy: the total is first collapsed, a flag one by edges
-    (``collapse_edges``), an explicit one by vertices (``collapse_vertices``),
-    and the parts are read off the collapsed total.
+    up to homotopy through degree dim_cap - 1: the total is first collapsed,
+    a flag one by edges (``collapse_edges``), an explicit one by vertices
+    (``collapse_vertices``), and every part, the total included, is an
+    explicit complex built from the collapsed total's levels by one depth
+    pass.
 
     The collapse keeps every profile through degree dim_cap - 1 and every
-    map union -> total there (module docstring): each part of the collapsed
-    total is still the restriction (or the cover union) of it; each edge or
-    vertex removed was dominated in each part that held it, so each part's
-    new complex includes into its old one by a homotopy equivalence; these
-    inclusions commute with union -> total; and H_n of a flag complex's
-    cap-skeleton is H_n of the whole one for n <= dim_cap - 1.
+    map union -> total there (module docstring): each edge or vertex removed
+    was dominated in each part that held it, so each part's new complex
+    includes into its old one by a homotopy equivalence, and these
+    inclusions commute with union -> total.  A flag total is read through
+    its levels 0..dim_cap, so its parts are the dim_cap-skeletons of the
+    collapsed flag parts, whose H_n is theirs for n <= dim_cap - 1; an
+    explicit total keeps all its levels.
 
-    Their memos share one pending reduction, run by the first call that
-    reads any of them: d_1..d_dim_cap of the chain total, union, X, A, with
-    d(total, union), come off one reduction of the total per degree.  The
-    levels of the parts are filtered from the total's by one depth pass: an
-    explicit square's parts are built from it, with all their levels, and a
-    flag square's levels 0..dim_cap wait for the reduction.  Y is left its
-    levels, and reduces on its own when first read.
+    The memos share one pending reduction, run by the first call that reads
+    any of them: d_1..d_dim_cap of the chain total, union, X, A, with
+    d(total, union), come off one reduction of the total per degree.  Y
+    keeps its levels, and reduces on its own when first read.
     """
+    collapse = collapse_edges if complex_.is_flag else collapse_vertices
+    complex_ = collapse(complex_, cover)[0]
+    levels = simplex_levels(complex_, dim_cap)
     outside_x, outside_y = (cover.x - cover.a).isdisjoint, (cover.y - cover.a).isdisjoint
-
-    def split(levels):
-        """The depths of the total's ``levels``, and their filters to the
-        levels of union, X, A and Y."""
-        # the last of total, union, X, A that holds s is [s misses X - A] +
-        # 2 [s misses Y - A]: 0 when s meets both, 1 inside Y, 2 inside X, 3 in A
-        depths = [
-            [dx + 2 * dy for dx, dy in zip(map(outside_x, lv), map(outside_y, lv))]
-            for lv in levels
-        ]
-        return depths, {
-            name: [list(compress(lv, map(kept.__contains__, ds))) for lv, ds in zip(levels, depths)]
-            for name, kept in (("union", (1, 2, 3)), ("x", (2, 3)), ("a", (3,)), ("y", (1, 3)))
-        }
-
-    if complex_.is_flag:
-        complex_ = collapse_edges(complex_, cover)[0]
-        parts = {name: complex_.restrict(getattr(cover, name)) for name in "xya"}
-        parts["union"] = cover_union(complex_, cover)
-        depths = None
-    else:
-        complex_ = collapse_vertices(complex_, cover)[0]
-        depths, own = split(simplex_levels(complex_, dim_cap))
-        parts = {}
-        for name in ("x", "y", "a", "union"):
-            simplices = frozenset(chain.from_iterable(own[name]))
-            parts[name] = Complex(simplices=simplices, vertices=[v for v, in own[name][0]],
-                                  labels=complex_.labels)
-            parts[name]._memo["levels"] = (own[name], True)
-    parts["total"] = complex_
+    # the last of total, union, X, A that holds s is [s misses X - A] +
+    # 2 [s misses Y - A]: 0 when s meets both, 1 inside Y, 2 inside X, 3 in A
+    depths = [
+        [dx + 2 * dy for dx, dy in zip(map(outside_x, lv), map(outside_y, lv))] for lv in levels
+    ]
+    parts = {}
 
     def run():
-        nonlocal depths
         for part in parts.values():
             part._memo.pop("square", None)
-        if depths is None:
-            levels = simplex_levels(complex_, dim_cap)
-            # the parts hold levels 0..dim_cap: complete when the total has none above
-            complete = complex_._memo["levels"][1] and not any(levels[dim_cap + 1 :])
-            depths, own = split(levels[: dim_cap + 1])
-            for name, part_levels in own.items():
-                parts[name]._memo["levels"] = (part_levels, complete)
-        members = [complex_, parts["union"], parts["x"], parts["a"]]
+        members = [parts["total"], parts["union"], parts["x"], parts["a"]]
         _reduce_chain(members, depths.__getitem__, range(1, dim_cap + 1))
 
-    for part in parts.values():
-        part._memo["square"] = run
+    # the depths each part holds; the total keeps the collapsed total's levels
+    held = {"x": (2, 3), "y": (1, 3), "a": (3,), "union": (1, 2, 3), "total": None}
+    for name, kept in held.items():
+        own = levels if kept is None else [
+            list(compress(lv, map(kept.__contains__, ds))) for lv, ds in zip(levels, depths)
+        ]
+        part = parts[name] = Complex(
+            simplices=frozenset(chain.from_iterable(own)),
+            vertices=[v for v, in own[0]],
+            labels=complex_.labels,
+        )
+        part._memo.update(levels=(own, True), square=run)
     return parts
 
 

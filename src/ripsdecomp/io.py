@@ -19,7 +19,7 @@ is a JSON string or number; a number keeps the float ``json.loads`` gives.
 import csv
 import io as io_mod
 import json
-from decimal import Decimal
+from decimal import Decimal, InvalidOperation
 from pathlib import Path
 
 from .complexes import Complex, Cover
@@ -51,8 +51,8 @@ class InputDocument:
         self.facet_labels = facet_labels
 
 
-_JSON = json.JSONDecoder()
-#: number literals as Decimal, so a distance keeps every digit of its text
+#: the one JSON decoder: number literals as Decimal, so a distance keeps
+#: every digit of its text, and a label maps back through ``_float``
 _EXACT_JSON = json.JSONDecoder(parse_float=Decimal)
 
 
@@ -152,12 +152,13 @@ def _read_text(path):
         raise InvalidInput(f"{path}: not UTF-8 text: {exc}") from exc
 
 
-def _read_json(path, decoder):
+def _read_json(path):
     try:
-        return decoder.decode(_read_text(path))
-    except (ValueError, RecursionError) as exc:
-        # bad JSON, an integer literal past Python's digit limit, or arrays
-        # nested past its recursion limit
+        return _EXACT_JSON.decode(_read_text(path))
+    except (ValueError, RecursionError, InvalidOperation) as exc:
+        # bad JSON, an integer literal past Python's digit limit, a number
+        # literal whose exponent Decimal cannot hold, or arrays nested past
+        # the recursion limit
         raise InvalidInput(f"{path}: cannot decode JSON: {exc}") from exc
 
 
@@ -165,7 +166,7 @@ def load_input(path):
     path = Path(path)
     if path.suffix.lower() == ".csv":
         return InputDocument(space=parse_distance_csv(_read_text(path)))
-    obj = _read_json(path, _EXACT_JSON)
+    obj = _read_json(path)
     if isinstance(obj, dict) and "facets" in obj:
         complex_, labels = intern_facets(parse_facets_json(obj))
         return InputDocument(facet_complex=complex_, facet_labels=labels)
@@ -176,10 +177,12 @@ def load_input(path):
 
 def load_cover(path):
     path = Path(path)
-    obj = _read_json(path, _JSON)
-    if not isinstance(obj, dict) or not all(_list_of((str, int, float), obj.get(s)) for s in "XY"):
+    obj = _read_json(path)
+    sides = [obj.get(s) for s in "XY"] if isinstance(obj, dict) else [None, None]
+    sides = [list(map(_float, side)) if isinstance(side, list) else side for side in sides]
+    if not all(_list_of((str, int, float), side) for side in sides):
         raise InvalidInput("cover JSON needs lists 'X' and 'Y' of point labels")
-    return [str(p) for p in obj["X"]], [str(p) for p in obj["Y"]]
+    return [str(p) for p in sides[0]], [str(p) for p in sides[1]]
 
 
 def cover_for_labels(document, x_labels, y_labels):

@@ -2,8 +2,9 @@
 
 * Complex operations the pipeline does not run: ``star``, ``obstruction``
   (the reference for ``enumerate_p_complement``), ``skeleton``, ``join``,
-  ``intersect``, ``union_of``, ``central_vertices`` (the reference for the
-  last of ``good_masks``), ``is_central`` and ``good_vertices``, plus
+  ``intersect``, ``union_of``, ``cover_union`` (the reference for the cover
+  square's union), ``central_vertices`` (the reference for the last of
+  ``good_masks``), ``is_central`` and ``good_vertices``, plus
   ``replay_collapses`` and ``replay_dominations`` for collapse
   certificates, and ``replay_vertex_collapse``, the reference for
   ``collapse_vertices``.
@@ -124,6 +125,23 @@ def union_of(*complexes):
         labels.update(c.labels or {})
     simplices = [s for c in complexes for s in c.to_explicit().simplices()]
     return Complex.from_facets(simplices, labels=labels or None)
+
+
+def cover_union(k, cover):
+    """The union K[X] u K[Y] of the restrictions to a cover's two sides.  A
+    flag complex's is again flag, on the edges inside X and those inside Y:
+    a clique of that graph cannot meet both sides outside the intersection,
+    so it lies inside one side entirely."""
+    x, y = cover.x, cover.y
+
+    def inside(s):
+        return x.issuperset(s) or y.issuperset(s)
+
+    vertices = [v for v in k.vertices if v in x or v in y]
+    if k.is_flag:
+        return Complex.flag(vertices, filter(inside, k.edges()), k.dim_cap, labels=k.labels)
+    simplices = frozenset(filter(inside, k.simplices()))
+    return Complex(simplices=simplices, vertices=vertices, labels=k.labels)
 
 
 def replay_collapses(k, collapses):
@@ -496,14 +514,14 @@ def relative_homology(k, l, coeffs="z", max_deg=None):
         rank = {n: len(f) for n, f in factors.items()}
     else:
         rank = {n: rank_over(m, coeffs) for n, m in boundary.items()}
-    degrees = range(max_deg + 1)
+    degrees = tuple(range(max_deg + 1))
     betti = {n: len(chains[n]) - rank[n] - rank[n + 1] for n in degrees}
     torsion = {}
     if coeffs == "z":
-        torsion = {
-            n: sorted(q for d in factors[n + 1] if d > 1 for q in prime_power_factors(d))
-            for n in degrees
-        }
+        for n in degrees:
+            powers = sorted(q for d in factors[n + 1] if d > 1 for q in prime_power_factors(d))
+            if powers:
+                torsion[n] = tuple(powers)
     return HomologyProfile(coeffs, False, degrees, betti, torsion)
 
 

