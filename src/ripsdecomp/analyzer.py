@@ -31,8 +31,8 @@ alone enforces the honesty rules:
 
 * a claim above degree 0 that rests on the connectivity of obstruction
   complexes stands only when every one of them is certified contractible
-  by a central simplex or a collapse sequence (``_certified``).  An
-  n-indexed criterion then falls back to a lower n, down to n = 0, which
+  by a central simplex or a strong collapse to a vertex (``_certified``).
+  An n-indexed criterion then falls back to a lower n, down to n = 0, which
   needs no certificate; a claim with no lower degree to fall back to is
   ``inconclusive``, with its test's witness and detail, whatever the rule.
   So "contractible" is claimed only on a certificate, and trivial integral
@@ -85,7 +85,7 @@ INCONCLUSIVE = "inconclusive"
 NOT_APPLICABLE = "not_applicable"
 
 # Status of an obstruction record: empty, certified as a cone or by a
-# collapse sequence, or homology-only when no certificate was found.
+# strong collapse to a vertex, or homology-only when no certificate was found.
 STATUS_EMPTY = "empty"
 STATUS_CONE = "cone"
 STATUS_COLLAPSE = "collapse"

@@ -284,12 +284,11 @@ class Complex:
             return all((adj[v] | 1 << v) & m == m for v in s)
         return s in self._simplices
 
-    def _clique_levels(self, max_dim, mask=None):
+    def _clique_levels(self, max_dim):
         """Cliques by dimension, lexicographic within a level, up to
-        ``max_dim`` (``None``: all of them), of the whole flag complex or of
-        its full subcomplex on the vertex bitmask ``mask``.  The list ends at
-        the last nonempty level."""
-        walk = _clique_walk(self._adj, self._mask if mask is None else mask, max_dim)
+        ``max_dim`` (``None``: all of them).  The list ends at the last
+        nonempty level."""
+        walk = _clique_walk(self._adj, self._mask, max_dim)
         return [[c for c, _, _ in level] for level in walk]
 
     def _within_cap(self, dim):
@@ -379,7 +378,7 @@ class Complex:
     def to_explicit(self):
         """Explicit copy of every clique of a flag complex, whatever its cap:
         exponential on dense graphs, so it is meant for small complexes
-        (obstructions, certificate search)."""
+        (the profiles of obstructions)."""
         if not self.is_flag:
             return self
         levels = self._clique_levels(None)

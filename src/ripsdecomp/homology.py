@@ -103,21 +103,23 @@ bookkeeping of the analyzer hold verbatim, empty obstructions included.
 
 "Contractible" is always a sufficient certificate here: a cone on the lowest
 central vertex, read off the last of ``complexes.good_masks`` (the one
-definition of the central vertices), or a collapse sequence down to a
-vertex, which for a flag complex is first sought by strong collapse on its
-vertex bitmasks, with no explicit copy of it made, and given a vertex
-bitmask, on the full subcomplex there, which is never built.  Trivial
+definition of the central vertices), or a strong collapse down to a vertex
+(Barmak & Minian), by vertex domination: on the vertex bitmasks of a flag
+complex (``strong_collapse``), with no explicit copy of it made, and given
+a vertex bitmask, on the full subcomplex there, which is never built; on
+the facet bitmasks of an explicit one (``collapse_vertices``).  Trivial
 homology without a certificate is reported as acyclic, never as
 contractible.
 """
 
-import heapq
 from collections import namedtuple
 from itertools import accumulate, chain, combinations, compress, groupby
 
-from . import linalg
+from . import complexes, linalg
 from .complexes import (
     Complex,
+    Cover,
+    _bits,
     _low,
     check_dim_cap,
     collapse_edges,
@@ -493,15 +495,14 @@ def induced_map(sub, ambient, degree, coeffs="q", reduced=False):
 class ContractibilityCertificate(
     namedtuple(
         "ContractibilityCertificate",
-        "kind central collapses steps dominations",
-        defaults=(None,) * 4,
+        "kind central steps dominations",
+        defaults=(None,) * 3,
     )
 ):
-    """Sufficient evidence of contractibility: a central simplex, or a
-    collapse to one vertex of ``steps`` elementary collapses.  A collapse
-    carries its sequence: the (face, coface) pairs of ``collapses``, or for
-    a flag complex the (v, w) vertex dominations of ``dominations`` (see
-    ``complexes.strong_collapse``), each a run of elementary collapses."""
+    """Sufficient evidence of contractibility: a central simplex, or a strong
+    collapse to one vertex of ``steps`` elementary collapses, carried as its
+    (v, w) vertex dominations, each deleting v with w in every simplex
+    through it (``complexes.strong_collapse``)."""
 
     __slots__ = ()
 
@@ -509,66 +510,44 @@ class ContractibilityCertificate(
     COLLAPSE = "collapse"
 
 
-def _greedy_collapse(simplices):
-    """Greedy elementary collapses of a downward-closed family; returns the
-    pair sequence or None when no free face is left.
-
-    Each step removes the smallest free face in (size, lexicographic) order
-    with its one proper coface.  In a simplicial complex a face is free
-    exactly when it has one cofacet (a second coface would contain two), so
-    removing a pair changes the freeness only of the facets of the pair.
-    Those are pushed again; stale heap entries are skipped when popped.
-    """
-    current = set(simplices)
-    cofacets = {s: set() for s in current}
-    for t in current:
-        for s in _facets(t):
-            cofacets[s].add(t)
-    heap = [(len(s), s) for s in current if len(cofacets[s]) == 1]
-    heapq.heapify(heap)
-    seq = []
-    while len(current) > 1:
-        while heap:
-            s = heapq.heappop(heap)[1]
-            if s in current and len(cofacets[s]) == 1:
-                break
-        else:
-            return None
-        t = next(iter(cofacets[s]))
-        seq.append((s, t))
-        for u in (s, t):
-            current.discard(u)
-            for f in _facets(u):
-                cofacets[f].discard(u)
-                if f in current and len(cofacets[f]) == 1:
-                    heapq.heappush(heap, (len(f), f))
-    return seq
-
-
-def _facets(s):
-    """The codimension-one faces of a simplex (none for a vertex)."""
-    if len(s) == 1:
-        return ()
-    return [s[:i] + s[i + 1 :] for i in range(len(s))]
+def _count_cliques(adj, mask):
+    """The number of cliques of the graph ``adj`` on the vertex bitmask
+    ``mask``, the empty one included, without listing them: f(M) = 1 + the
+    sum over v in M of f(N(v) & M above v), memoized on the mask.  The memo
+    fills from a stack, not by recursion, so no clique is too large for the
+    interpreter; past ``SIMPLEX_BUDGET`` entries it is refused."""
+    counts, stack = {0: 1}, [mask]
+    while stack:
+        m = stack[-1]
+        terms = [adj[v] & m >> v + 1 << v + 1 for v in _bits(m)]
+        todo = [t for t in terms if t not in counts]
+        if todo:
+            stack += todo
+            continue
+        if len(counts) > complexes.SIMPLEX_BUDGET:
+            raise EnumerationRefused(
+                f"counting the cliques passes the budget of {complexes.SIMPLEX_BUDGET} masks"
+            )
+        counts[stack.pop()] = 1 + sum(map(counts.__getitem__, terms))
+    return counts[mask]
 
 
 def contractibility_certificate(complex_, mask=None):
-    """Search for a central vertex, then for a full collapse sequence, in
-    ``complex_`` or, given a vertex bitmask ``mask`` of a flag complex, in
-    its full subcomplex there, which is never built.
+    """Search for a central vertex, then for a strong collapse to a vertex,
+    in ``complex_`` or, given a vertex bitmask ``mask`` of a flag complex,
+    in its full subcomplex there, which is never built.
 
     The cone apex is the lowest central vertex, the lowest bit of the last
     of ``complexes.good_masks``.  That search is complete for cones: a
     complex has a central simplex exactly when it has a central vertex,
-    since any central simplex makes each of its vertices central.  A flag
-    complex is first strongly collapsed (``strong_collapse``).  When one
-    vertex is left, the certificate is that domination sequence, and its
-    step count is (N - 1) / 2 for its N nonempty cliques, counted on one
-    clique walk, which refuses past ``SIMPLEX_BUDGET``.  Otherwise the
-    simplices go to the greedy collapse search, so keep those complexes
-    small.
-
-    ``None`` is inconclusive, not a proof of non-contractibility.
+    since any central simplex makes each of its vertices central.  Else a
+    flag complex is strongly collapsed on its graph (``strong_collapse``),
+    an explicit one on its facets (``collapse_vertices`` with X = Y = every
+    vertex: plain facet domination), and one vertex left certifies it.  That
+    collapse takes (N - 1) / 2 elementary collapses for N nonempty simplices,
+    as every collapse to a vertex does, so a flag complex counts its cliques
+    (``_count_cliques``).  Some collapsible complexes have no dominated
+    vertex, so ``None`` is inconclusive, not a proof of non-contractibility.
     """
     goods = good_masks(complex_, mask)
     if not goods[0]:
@@ -579,19 +558,15 @@ def contractibility_certificate(complex_, mask=None):
         )
     if complex_.is_flag:
         dominations, left = strong_collapse(complex_, mask)
-        levels = complex_._clique_levels(None, mask)
-        if left.bit_count() == 1:
-            return ContractibilityCertificate(
-                ContractibilityCertificate.COLLAPSE,
-                steps=(sum(map(len, levels)) - 1) // 2,
-                dominations=tuple(dominations),
-            )
-        simplices = [s for level in levels for s in level]
+        if left.bit_count() != 1:
+            return None
+        steps = (_count_cliques(complex_._adj, goods[0]) - 2) // 2
     else:
-        simplices = complex_.simplices()
-    seq = _greedy_collapse(simplices)
-    if seq is not None:
-        return ContractibilityCertificate(
-            ContractibilityCertificate.COLLAPSE, collapses=tuple(seq), steps=len(seq)
-        )
-    return None
+        vertices = complex_.vertices
+        dominations = collapse_vertices(complex_, Cover(vertices, vertices))[1]
+        if len(dominations) != len(vertices) - 1:
+            return None
+        steps = (len(complex_._simplices) - 1) // 2
+    return ContractibilityCertificate(
+        ContractibilityCertificate.COLLAPSE, steps=steps, dominations=tuple(dominations)
+    )

@@ -5,9 +5,8 @@
   ``intersect``, ``union_of``, ``cover_union`` (the reference for the cover
   square's union), ``central_vertices`` (the reference for the last of
   ``good_masks``), ``is_central`` and ``good_vertices``, plus
-  ``replay_collapses`` and ``replay_dominations`` for collapse
-  certificates, and ``replay_vertex_collapse``, the reference for
-  ``collapse_vertices``.
+  ``replay_dominations`` for collapse certificates, and
+  ``replay_vertex_collapse``, the reference for ``collapse_vertices``.
 * Flag complexes from their graph alone, by brute force over vertex
   subsets: ``clique_levels`` and ``cross_cliques``, the references for the
   bitmask clique walk and the flag branch of ``enumerate_p_complement``;
@@ -144,30 +143,25 @@ def cover_union(k, cover):
     return Complex(simplices=simplices, vertices=vertices, labels=k.labels)
 
 
-def replay_collapses(k, collapses):
-    """Replay a collapse sequence; returns the surviving simplices."""
-    current = set(k.to_explicit().simplices())
-    for s, t in collapses:
-        cofaces = [u for u in current if len(u) > len(s) and set(s) < set(u)]
-        if s not in current or cofaces != [t]:
-            raise InvalidInput("collapse sequence does not replay")
-        current.discard(s)
-        current.discard(t)
-    return current
-
-
 def replay_dominations(k, dominations):
-    """Replay a strong collapse of a flag complex, on vertex sets: each
-    (v, w) deletes v, which must be dominated by w among the vertices left
-    (w other than v, and N[v] inside N[w], closed neighbourhoods within
-    them), and one vertex must be left; returns it."""
+    """Replay a strong collapse, on vertex sets: each (v, w) deletes v,
+    which must be dominated by w among the vertices left: w other than v,
+    and for a flag complex N[v] inside N[w], closed neighbourhoods within
+    them, for an explicit one w in every facet through v of the simplices
+    left.  One vertex must be left; returns it."""
     left = set(k.vertices)
 
     def closed(u):
         return {u} | {t for t in left if (u, t) in k}
 
+    def dominated(v, w):
+        if k.is_flag:
+            return closed(v) <= closed(w)
+        through = [set(s) for s in k.simplices() if v in s and left.issuperset(s)]
+        return all(w in f for f in through if not any(f < g for g in through))
+
     for v, w in dominations:
-        if v not in left or w not in left or v == w or not closed(v) <= closed(w):
+        if v not in left or w not in left or v == w or not dominated(v, w):
             raise InvalidInput(f"vertex domination does not replay at {(v, w)}")
         left.remove(v)
     if len(left) != 1:

@@ -3,7 +3,6 @@ homology oracle, induced maps, and contractibility certificates."""
 
 from collections import Counter
 from fractions import Fraction
-from importlib import import_module
 from itertools import combinations
 
 import pytest
@@ -11,18 +10,21 @@ import pytest
 from ripsdecomp import (
     Complex,
     ContractibilityCertificate,
+    Cover,
     EmptyComplex,
     EnumerationRefused,
+    analyze,
     boundary_matrix,
     contractibility_certificate,
     homology,
     induced_map,
     vietoris_rips,
 )
+from ripsdecomp import complexes
 from ripsdecomp.linalg import smith_invariants
-from ripsdecomp.complexes import enumerate_p_complement
+from ripsdecomp.complexes import enumerate_p_complement, strong_collapse
 from ripsdecomp.corpus import space_for
-from ripsdecomp.homology import _greedy_collapse, is_subcomplex
+from ripsdecomp.homology import _count_cliques, is_subcomplex
 
 from conftest import (
     PROJECTIVE_PLANE,
@@ -41,12 +43,54 @@ from oracles import (
     is_central,
     obstruction,
     relative_homology,
-    replay_collapses,
     replay_dominations,
     skeleton,
     star,
     union_of,
 )
+
+#: A collapsible complex in which no vertex is dominated.
+ELEVEN_TRIANGLES = [
+    (0, 2, 4), (0, 2, 6), (0, 3, 6), (1, 3, 4), (1, 4, 5), (1, 5, 6),
+    (2, 4, 5), (2, 4, 6), (2, 5, 6), (3, 4, 6), (3, 5, 6),
+]
+
+
+def flag_graphs_and_obstructions(rng, count):
+    """Random flag graphs and random trees, alternately, each followed by
+    the obstructions of a random cover of it, as (graph, vertex mask)
+    pairs."""
+    out = []
+    for i in range(count):
+        if i % 2:
+            k = random_flag(rng, max_vertices=10, edge_p=rng.choice((0.3, 0.5, 0.7)))
+        else:
+            m = rng.randint(3, 10)
+            k = Complex.flag(range(m), [(rng.randrange(j), j) for j in range(1, m)], 4)
+        out.append((k, k._mask))
+        items = enumerate_p_complement(k, random_cover(rng, k), 1)
+        out += [(k, c.obs) for c in items.classes if c.obs]
+    return out
+
+
+def simplex_tree(rng, count):
+    """``count`` simplices, each glued to one before it along a face and
+    given one or two new vertices: collapsible, and strongly collapsible,
+    as the last simplex's new vertices lie in no other."""
+    facets = [tuple(range(rng.randint(2, 4)))]
+    for _ in range(count - 1):
+        face = rng.sample(rng.choice(facets), rng.randint(1, 2))
+        top = max(map(max, facets))
+        facets.append(tuple(face) + tuple(range(top + 1, top + rng.randint(2, 3))))
+    return Complex.from_facets(facets)
+
+
+def status_of(cert):
+    """The obstruction status a certificate gives."""
+    if cert is None:
+        return "homology-only"
+    return "cone" if cert.kind == ContractibilityCertificate.CENTRAL else "collapse"
+
 
 def hollow_triangle():
     return Complex.from_facets([[1, 2], [2, 3], [1, 3]])
@@ -323,14 +367,14 @@ class TestCertificates:
             contractibility_certificate(Complex.from_facets([]))
 
     def test_collapse_found_beyond_cones(self):
-        # two triangles sharing an edge, one barycentrically split: no
-        # central vertex, still collapsible
+        # two triangles sharing an edge, then a path: no central vertex,
+        # still strongly collapsible, in 5 dominations and 7 collapses
         k = Complex.from_facets([[0, 1, 2], [1, 2, 3], [3, 4], [4, 5]])
         assert not central_vertices(k)
         cert = contractibility_certificate(k)
         assert cert is not None and cert.kind == ContractibilityCertificate.COLLAPSE
-        survivors = replay_collapses(k, cert.collapses)
-        assert len(survivors) == 1 and len(next(iter(survivors))) == 1
+        assert replay_dominations(k, cert.dominations) in k.vertices
+        assert (len(cert.dominations), cert.steps) == (5, 7)
 
     def test_certificate_implies_trivial_reduced_homology(self):
         rng = rng_for(308)
@@ -349,20 +393,6 @@ class TestCertificates:
                 )
         assert certified > 5
 
-    def test_greedy_collapse_matches_the_rescan_oracle(self):
-        rng = rng_for(311)
-        outcomes = {"collapsed": 0, "stuck": 0}
-        for i in range(150):
-            if i % 2:
-                k = random_flag(rng, max_vertices=8, edge_p=rng.choice((0.4, 0.6, 0.8)))
-            else:
-                k = random_complex(rng, max_vertices=8, max_facets=7, max_facet_size=5)
-            simplices = k.to_explicit().simplices()
-            seq = _greedy_collapse(simplices)
-            assert seq == greedy_collapse_oracle(simplices), simplices
-            outcomes["stuck" if seq is None else "collapsed"] += 1
-        assert min(outcomes.values()) > 20, outcomes
-
     def test_flag_certificates_match_explicit(self):
         rng = rng_for(309)
         for _ in range(15):
@@ -377,44 +407,122 @@ class TestCertificates:
         covers of both.  A flag complex with no central vertex is certified
         by strong collapse when one vertex is left: its stored domination
         sequence replays, its step count is (N - 1) / 2 for its N nonempty
-        cliques, and it is certified again with neither ``to_explicit`` nor
-        ``_greedy_collapse`` reachable.  Every status equals the old
-        search's: a central vertex, else a greedy collapse of the
-        materialized complex, else none."""
-        rng = rng_for(312)
-        graphs = []
-        for i in range(120):
-            if i % 2:
-                k = random_flag(rng, max_vertices=10, edge_p=rng.choice((0.3, 0.5, 0.7)))
-            else:
-                m = rng.randint(3, 10)
-                k = Complex.flag(range(m), [(rng.randrange(j), j) for j in range(1, m)], 4)
-            graphs.append(k)
-            items = enumerate_p_complement(k, random_cover(rng, k), 1)
-            graphs += [k.subcomplex(c.obs) for c in items.classes if c.obs]
+        cliques, and it is certified again with ``to_explicit``
+        unreachable.  Every status equals the greedy search's: a central
+        vertex, else a greedy collapse of the materialized complex
+        (``greedy_collapse_oracle``), else none."""
         seen = Counter()
-        for k in graphs:
+        for total, mask in flag_graphs_and_obstructions(rng_for(312), 120):
+            k = total.subcomplex(mask)
             if central_vertices(k):
                 old = "cone"
-            elif _greedy_collapse(k.to_explicit().simplices()) is not None:
+            elif greedy_collapse_oracle(k.to_explicit().simplices()) is not None:
                 old = "collapse"
             else:
                 old = "homology-only"
             cert = contractibility_certificate(k)
-            if cert is None:
-                new = "homology-only"
-            else:
-                new = "cone" if cert.kind == ContractibilityCertificate.CENTRAL else "collapse"
-            assert new == old, k.edges()
-            seen[new] += 1
-            if new == "collapse":
-                assert cert.dominations is not None and cert.collapses is None
+            assert status_of(cert) == old, k.edges()
+            seen[old] += 1
+            if old == "collapse":
                 assert replay_dominations(k, cert.dominations) in k.vertices
                 cliques = clique_levels(k.vertices, set(k.edges()), len(k.vertices))
                 assert cert.steps == (sum(map(len, cliques)) - 1) / 2
                 with monkeypatch.context() as m:
                     m.setattr(Complex, "to_explicit", None)
-                    m.setattr(import_module("ripsdecomp.homology"), "_greedy_collapse", None)
                     assert contractibility_certificate(k) == cert
                 seen["long"] += len(cert.dominations) >= 4
         assert min(seen[s] for s in ("cone", "collapse", "homology-only", "long")) >= 10, seen
+
+    def test_explicit_certificates_replay_and_never_claim_more_than_the_greedy_search(self):
+        """Random explicit complexes and the obstructions of random covers of
+        them.  One with no central vertex is certified by the strong collapse
+        of its facets when one vertex is left: its dominations replay, and
+        its step count is (N - 1) / 2 for its N simplices.  A cone is
+        certified exactly where there is a central vertex, and a collapse
+        only where the greedy search (``greedy_collapse_oracle``) collapses
+        the complex too."""
+        rng = rng_for(313)
+        seen = Counter()
+        for i in range(100):
+            if i % 2:
+                total = random_complex(rng, max_vertices=8, max_facets=7, max_facet_size=5)
+            else:
+                total = simplex_tree(rng, rng.randint(2, 6))
+            items = enumerate_p_complement(total, random_cover(rng, total), 2)
+            for k in [total] + [total.subcomplex(c.obs) for c in items.classes if c.obs]:
+                if central_vertices(k):
+                    old = "cone"
+                elif greedy_collapse_oracle(k.simplices()) is not None:
+                    old = "collapse"
+                else:
+                    old = "homology-only"
+                cert = contractibility_certificate(k)
+                new = status_of(cert)
+                assert new == old or (new, old) == ("homology-only", "collapse"), k.simplices()
+                seen[old, new] += 1
+                if new == "collapse":
+                    assert replay_dominations(k, cert.dominations) in k.vertices
+                    assert cert.steps == (len(k.simplices()) - 1) / 2
+        assert min(seen[s, s] for s in ("cone", "collapse", "homology-only")) >= 10, seen
+
+    def test_a_collapsible_complex_with_no_dominated_vertex_is_homology_only(self):
+        """Eleven triangles on seven vertices collapse to a vertex, but no
+        vertex is dominated, so the strong collapse finds no certificate.
+        As the obstruction of the edge {7, 8} (facets {7, 8} + t) the record
+        reads homology-only, and the report stays sound."""
+        k = Complex.from_facets(ELEVEN_TRIANGLES)
+        assert not central_vertices(k)
+        assert greedy_collapse_oracle(k.simplices()) is not None
+        assert contractibility_certificate(k) is None
+        total = Complex.from_facets([t + (7, 8) for t in ELEVEN_TRIANGLES])
+        a = set(range(7))
+        report = analyze(total, Cover(a | {7}, a | {8}))
+        assert [(item["simplex"], item["status"]) for item in report.items] == [
+            (["7", "8"], "homology-only")
+        ]
+        assert report.soundness["ok"], report.soundness
+
+
+class TestCliqueCount:
+    def test_the_count_matches_the_oracle(self):
+        """The graphs and obstruction masks of the domination test: the count
+        is one (the empty clique) plus the cliques listed by brute force."""
+        for total, mask in flag_graphs_and_obstructions(rng_for(312), 120):
+            k = total.subcomplex(mask)
+            cliques = clique_levels(k.vertices, set(k.edges()), len(k.vertices))
+            assert _count_cliques(total._adj, mask) == 1 + sum(map(len, cliques)), k.edges()
+
+    def test_a_long_path_is_certified(self):
+        """The 2,000-vertex path collapses in 1,999 dominations and 1,999
+        elementary collapses."""
+        k = Complex.flag(range(2000), [(j, j + 1) for j in range(1999)], 1)
+        cert = contractibility_certificate(k)
+        assert cert.kind == ContractibilityCertificate.COLLAPSE
+        assert (len(cert.dominations), cert.steps) == (1999, 1999)
+
+    def test_a_clique_past_the_recursion_limit_is_counted(self):
+        """A 1,100-clique with pendant vertices at 0 and at 1: no central
+        vertex, strongly collapsible, and its 2^1100 + 4 cliques, the empty
+        one and the pendants' vertices and edges among them, are counted
+        with no recursion as deep as the clique."""
+        n = 1100
+        edges = list(combinations(range(n), 2)) + [(0, n), (1, n + 1)]
+        cert = contractibility_certificate(Complex.flag(range(n + 2), edges, 1))
+        assert cert.kind == ContractibilityCertificate.COLLAPSE
+        assert cert.steps == (2**n + 4 - 2) // 2
+
+    def test_a_count_past_the_budget_is_refused(self, monkeypatch):
+        """A dense random graph on 40 vertices, plus a vertex joined to all
+        of it and a pendant vertex at 0, strongly collapses to one vertex.
+        Its count fills about 2,000 memo entries: it is certified under the
+        budget, and refused under a budget of 1,000."""
+        rng, n = rng_for(314), 40
+        edges = [(u, v) for u, v in combinations(range(n), 2) if rng.random() < 0.7]
+        edges += [(v, n) for v in range(n)] + [(0, n + 1)]
+        k = Complex.flag(range(n + 2), edges, 4)
+        assert all(sum(v in e for e in edges) < n + 1 for v in k.vertices)  # none central
+        assert strong_collapse(k)[1].bit_count() == 1
+        assert contractibility_certificate(k).kind == ContractibilityCertificate.COLLAPSE
+        monkeypatch.setattr(complexes, "SIMPLEX_BUDGET", 1000)
+        with pytest.raises(EnumerationRefused, match="counting the cliques"):
+            contractibility_certificate(k)

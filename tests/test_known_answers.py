@@ -36,6 +36,7 @@ CIRCLES = [
     (60, 15, 3, 1, 1),
     (70, 20, 3, 1, 1),
     (50, 20, 4, 4, 9),
+    (200, 50, 3, 1, 1),
 ]
 
 #: (n, m, r, cap): circles of n and m points glued at one point, at radius r.
