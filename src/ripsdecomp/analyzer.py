@@ -1235,7 +1235,8 @@ def _verification(complex_, cover, fields, dim_cap):
     complexes of the cover square per field, keyed part, then field, and the
     ``InducedMap`` of union -> total per field (z excepted) and degree.
 
-    The parts share one reduction, run by the first ``homology`` call.
+    ``cover_square`` returns the parts reduced, so each call here reads
+    filled memos.
     """
     parts = cover_square(complex_, cover, dim_cap)
     max_deg = dim_cap - 1

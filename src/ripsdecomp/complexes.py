@@ -200,8 +200,8 @@ class Complex:
     and ``facet_masks`` an explicit complex's maximal facets (key "facets").
     Every entry is a function of the content of the complex (and of L), so
     the complex stays immutable and thread-safe: fills that race write equal
-    values.  The parts of a cover square also hold the square's pending
-    reduction until one is read.
+    values.  ``homology.cover_square`` returns its parts with these entries
+    filled.
     """
 
     __slots__ = ("_simplices", "_adj", "_vertices", "_mask", "dim_cap", "labels", "_memo")

@@ -54,7 +54,8 @@ K is the chain [total, union, X, A]: depth 0 holds the cross simplices
 (meeting both X - A and Y - A), 1 those inside Y but not A, 2 those inside
 X but not A, 3 those inside A.  Every part, the total included, is an
 explicit complex built from its levels, filtered from the collapsed total's
-by one depth pass; Y reduces as the chain [Y] when first read.
+by one depth pass, and ``cover_square`` reduces this chain and the chain
+[Y] before it returns.
 
 A total enters the square collapsed: every edge uv of a flag total
 (``collapse_edges``), or every vertex v of an explicit one
@@ -186,13 +187,9 @@ def simplex_levels(complex_, need):
     Otherwise downward closure leaves every higher level empty, and they
     are padded in.  The levels are enumerated and padded once per complex
     and shared: callers must not modify them.  The refusal is decided on
-    every call.  A part of a cover square runs the square's pending
-    reduction first.
+    every call.
     """
     memo = complex_._memo
-    pending = memo.get("square")
-    if pending is not None:
-        pending()
     cap = complex_.dim_cap if complex_.is_flag else None
     top = need if cap is None else min(need, cap)
     levels, complete = memo.get("levels", ([], False))
@@ -330,17 +327,17 @@ def homology(complex_, coeffs="z", max_deg=None, reduced=True):
     """Homology profile of a complex up to ``max_deg``.
 
     Integral coefficients ("z") also report torsion; field coefficients
-    ("q", "zp:<p>") report ranks only.  A ``max_deg`` past
+    ("q", "zp:<p>") report ranks only.  A ``max_deg`` below -1 or past
     ``MAX_DIM_CAP`` is refused.
     """
+    if max_deg is not None and max_deg < -1:
+        raise InvalidInput(f"degree {max_deg} below -1")
     max_deg = max(complex_.dim(), 0) if max_deg is None else check_dim_cap(max_deg)
     levels = simplex_levels(complex_, max_deg + 1)
     _reduce_chain([complex_], None, range(1, max_deg + 2))
-    memo = complex_._memo
     char = 0 if coeffs == "z" else linalg.characteristic(coeffs)
     # ranks[n] is the rank of d_n for n = 0..max_deg + 1, d_0 the augmentation
-    ranks = [1 if reduced and levels[0] else 0]
-    ranks.extend(_rank(memo[n], char) for n in range(1, max_deg + 2))
+    ranks = [_rank(_boundary(complex_, levels, n, reduced), char) for n in range(max_deg + 2)]
     # the augmented degree -1 holds the empty simplex alone, read when reduced
     betti = {-1: 1 - ranks[0]} if reduced else {}
     for n in range(max_deg + 1):
@@ -348,7 +345,7 @@ def homology(complex_, coeffs="z", max_deg=None, reduced=True):
     torsion = {}
     if coeffs == "z":
         for n in range(max_deg + 1):
-            factors = memo[n + 1][1]
+            factors = complex_._memo[n + 1][1]
             if factors:
                 torsion[n] = tuple(
                     sorted(q for d in factors for q in linalg.prime_power_factors(d))
@@ -374,11 +371,12 @@ def cover_square(complex_, cover, dim_cap):
     collapsed flag parts, whose H_n is theirs for n <= dim_cap - 1; an
     explicit total keeps all its levels.
 
-    The memos share one pending reduction, run by the first call that reads
-    any of them: d_1..d_dim_cap of the chain total, union, X, A, with
-    d(total, union), come off one reduction of the total per degree.  Y
-    keeps its levels, and reduces on its own when first read.
+    The parts come back reduced: d_1..d_dim_cap of the chain total, union,
+    X, A, with d(total, union), come off one reduction of the total per
+    degree, and those of Y off the chain [Y].  A ``dim_cap`` past
+    ``MAX_DIM_CAP`` is refused.
     """
+    check_dim_cap(dim_cap)
     collapse = collapse_edges if complex_.is_flag else collapse_vertices
     complex_ = collapse(complex_, cover)[0]
     levels = simplex_levels(complex_, dim_cap)
@@ -389,13 +387,6 @@ def cover_square(complex_, cover, dim_cap):
         [dx + 2 * dy for dx, dy in zip(map(outside_x, lv), map(outside_y, lv))] for lv in levels
     ]
     parts = {}
-
-    def run():
-        for part in parts.values():
-            part._memo.pop("square", None)
-        members = [parts["total"], parts["union"], parts["x"], parts["a"]]
-        _reduce_chain(members, depths.__getitem__, range(1, dim_cap + 1))
-
     # the depths each part holds; the total keeps the collapsed total's levels
     held = {"x": (2, 3), "y": (1, 3), "a": (3,), "union": (1, 2, 3), "total": None}
     for name, kept in held.items():
@@ -407,7 +398,10 @@ def cover_square(complex_, cover, dim_cap):
             vertices=[v for v, in own[0]],
             labels=complex_.labels,
         )
-        part._memo.update(levels=(own, True), square=run)
+        part._memo["levels"] = (own, True)
+    members = [parts[name] for name in ("total", "union", "x", "a")]
+    _reduce_chain(members, depths.__getitem__, range(1, dim_cap + 1))
+    _reduce_chain([parts["y"]], None, range(1, dim_cap + 1))
     return parts
 
 
@@ -455,7 +449,8 @@ def induced_map(sub, ambient, degree, coeffs="q", reduced=False):
     rank and dimensions, read off the boundary invariants (module docstring).
 
     Field coefficients only.  With ``reduced`` both complexes are augmented,
-    which matters in degree 0 and for empty complexes in degree -1.
+    which matters in degree 0 and for empty complexes in degree -1.  A
+    degree below that floor or past ``MAX_DIM_CAP`` is refused.
     """
     if not is_subcomplex(sub, ambient):
         raise NotASubcomplex("second complex is not a subcomplex of the first")
@@ -463,6 +458,7 @@ def induced_map(sub, ambient, degree, coeffs="q", reduced=False):
     lo = -1 if reduced else 0
     if degree < lo:
         raise InvalidInput(f"degree {degree} below {lo}")
+    check_dim_cap(degree)
     need = degree + 1
     levels_l, levels_k = simplex_levels(sub, need), simplex_levels(ambient, need)
     # d_degree(K, L) is not read: degree is reduced only where a complex lacks d_degree

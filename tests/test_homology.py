@@ -13,6 +13,7 @@ from ripsdecomp import (
     Cover,
     EmptyComplex,
     EnumerationRefused,
+    InvalidInput,
     analyze,
     boundary_matrix,
     contractibility_certificate,
@@ -24,7 +25,7 @@ from ripsdecomp import complexes
 from ripsdecomp.linalg import smith_invariants
 from ripsdecomp.complexes import enumerate_p_complement, strong_collapse
 from ripsdecomp.corpus import space_for
-from ripsdecomp.homology import _count_cliques, is_subcomplex
+from ripsdecomp.homology import _count_cliques, cover_square, is_subcomplex
 
 from conftest import (
     PROJECTIVE_PLANE,
@@ -312,6 +313,37 @@ class TestInducedMap:
         sk = skeleton(rp2, 1)
         rec = induced_map(sk, rp2, 1, "zp:2")
         assert rec.dim_target == 1 and rec.surjective
+
+
+class TestDegreeRefusals:
+    """``homology``, ``induced_map`` and ``cover_square`` refuse a degree
+    below the floor with ``InvalidInput`` and one past ``MAX_DIM_CAP`` with
+    ``EnumerationRefused``, before any level is enumerated or padded."""
+
+    def test_homology_refuses_a_max_deg_below_minus_one(self):
+        triangle = Complex.from_facets([[0, 1, 2]])
+        with pytest.raises(InvalidInput, match="degree -2 below -1"):
+            homology(triangle, "q", max_deg=-2)
+        assert homology(triangle, "q", max_deg=-1).betti == {-1: 0}
+
+    @pytest.mark.parametrize("reduced, floor", [(False, 0), (True, -1)])
+    def test_induced_map_refuses_a_degree_below_its_floor(self, reduced, floor):
+        k = hollow_triangle()
+        with pytest.raises(InvalidInput, match=f"degree {floor - 1} below {floor}"):
+            induced_map(k, k, floor - 1, "q", reduced=reduced)
+
+    def test_induced_map_refuses_a_degree_past_the_cap_bound(self):
+        rp2 = Complex.from_facets(PROJECTIVE_PLANE)
+        sk = skeleton(rp2, 1)
+        with pytest.raises(EnumerationRefused, match="past"):
+            induced_map(sk, rp2, complexes.MAX_DIM_CAP + 1, "q")
+        assert "levels" not in rp2._memo and "levels" not in sk._memo
+
+    def test_cover_square_refuses_a_cap_past_the_bound(self):
+        rp2 = Complex.from_facets(PROJECTIVE_PLANE)
+        with pytest.raises(EnumerationRefused, match="past"):
+            cover_square(rp2, Cover([0, 1, 2, 3], [2, 3, 4, 5]), complexes.MAX_DIM_CAP + 1)
+        assert "levels" not in rp2._memo
 
 
 class TestIsSubcomplex:

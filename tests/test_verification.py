@@ -733,22 +733,26 @@ class TestStrongCollapsedSquare:
 
 
 class TestReductionCount:
+    FIELDS = ("q", "z", "zp:2", "zp:3")
+
+    @staticmethod
+    def rp2_wedge():
+        """Ten random facets on 12 vertices with an RP^2 wedged on at
+        vertex 0, and a random cover of them."""
+        rng = rng_for(5201)
+        facets = [rng.sample(range(12), rng.randint(2, 5)) for _ in range(10)]
+        facets += [[v and 20 + v for v in f] for f in PROJECTIVE_PLANE]
+        return facets, random_cover(rng, Complex.from_facets(facets))
+
     def test_each_boundary_matrix_is_reduced_once_per_report(self, monkeypatch):
         """Four fields of verification read every boundary matrix of the five
         cover-square complexes, and d(total, union), off one reduction of the
         total and one of Y per degree: at most 2 * dim_cap reductions over
         the run without verification."""
-        rng = rng_for(5201)
-        facets = [rng.sample(range(12), rng.randint(2, 5)) for _ in range(10)]
-        facets += [[v and 20 + v for v in f] for f in PROJECTIVE_PLANE]
-        cover = random_cover(rng, Complex.from_facets(facets))
-        fields = ("q", "z", "zp:2", "zp:3")
+        facets, cover = self.rp2_wedge()
+        fields = self.FIELDS
         dim_cap = 4
-        calls = []
-        real = linalg.reduce_columns
-        monkeypatch.setattr(
-            linalg, "reduce_columns", lambda *a, **kw: calls.append(1) or real(*a, **kw)
-        )
+        calls = self.counted_reductions(monkeypatch)
         counts = {}
         for verify in (False, True):
             calls.clear()
@@ -758,6 +762,34 @@ class TestReductionCount:
         assert report.soundness["ok"] and len(report.induced) == 3 * dim_cap
         assert report.profiles["total"]["z"]["torsion"] == {"1": [2]}
         assert 0 < counts[True] - counts[False] <= 2 * dim_cap, counts
+
+    def test_the_square_comes_back_reduced(self, monkeypatch):
+        """``cover_square`` returns every part with d_1..d_dim_cap in its
+        memo, and the total also with d(total, union), so the ``homology``
+        and ``induced_map`` calls of verification reduce nothing more."""
+        facets, cover = self.rp2_wedge()
+        dim_cap = 4
+        calls = self.counted_reductions(monkeypatch)
+        squares = []
+
+        def square(*args):
+            parts = cover_square(*args)
+            squares.append((parts, len(calls)))
+            calls.clear()
+            return parts
+
+        monkeypatch.setattr(analyzer, "cover_square", square)
+        k = Complex.from_facets(facets)
+        profiles, induced = analyzer._verification(k, cover, self.FIELDS, dim_cap)
+        assert calls == []
+        (parts, reductions), = squares
+        assert reductions == 2 * dim_cap
+        degrees = range(1, dim_cap + 1)
+        for name, part in parts.items():
+            assert all(n in part._memo for n in degrees), name
+        union = parts["union"]
+        assert all(("relative", id(union), n) in parts["total"]._memo for n in degrees)
+        assert profiles["total"]["z"].torsion == {1: (2,)} and len(induced) == 3 * dim_cap
 
     @staticmethod
     def counted_reductions(monkeypatch):
