@@ -54,8 +54,9 @@ item table of obstruction records, until a field is read
 import math
 from bisect import bisect_right
 from collections import Counter, namedtuple
+from functools import reduce
 from itertools import accumulate
-from operator import and_
+from operator import and_, or_
 
 from . import linalg
 from . import metric as metric_mod
@@ -1007,14 +1008,14 @@ def _shared_witness(ctx, n):
 def _witness_ball(ctx, n):
     """A shared witness whose ball absorbs every other witness of every
     close cross pair."""
-    m = ctx.metric
-    close, pairs, a = m.close, m.close_pairs, sorted(ctx.a)
+    close, a = ctx.metric.close, sorted(ctx.a)
+    ends = [_mask_of(pair) for pair in ctx.metric.close_pairs]
     # shared points within r of both ends of some close cross pair
-    pair_witnesses = [w for w in a if any(close[w][i] and close[w][j] for i, j in pairs)]
+    pair_witnesses = [w for w in a if any(close[w] & e == e for e in ends)]
     # a shared witness is within r of both ends of every close cross pair
-    targets = {u for pair in pairs for u in pair}.union(pair_witnesses)
+    targets = reduce(or_, ends, _mask_of(pair_witnesses))
     for v in a:
-        if all(close[v][w] for w in targets):
+        if close[v] & targets == targets:
             return _holds(
                 "all",
                 ctx.label(v),
@@ -1069,11 +1070,11 @@ def _radius_independence(ctx, n):
 def _full_witness_set(ctx, n):
     """Every intersection point witnesses every close cross pair."""
     m = ctx.metric
-    close, labels, a = m.close, m.space.labels, sorted(ctx.a)
+    close, labels = m.close, m.space.labels
     for i, j in m.close_pairs:
-        for v in a:
-            if not (close[i][v] and close[j][v]):
-                return _fails(None, str((labels[i], labels[j], labels[v])))
+        missed = ctx.a_mask & ~(close[i] & close[j])
+        if missed:
+            return _fails(None, str((labels[i], labels[j], labels[_low(missed)])))
     ka = ctx.record(ctx.a_key)
     detail = "the witness set of every close cross pair is the whole intersection"
     return _one_record(ctx, ka, n, detail)

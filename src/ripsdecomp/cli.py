@@ -94,14 +94,19 @@ def _parser():
     return _PARSER
 
 
+def _radius(args):
+    """The parsed ``--radius``, which a distance input needs."""
+    if args.radius is None:
+        raise RipsDecompError("distance input needs --radius")
+    return parse_distance(args.radius)
+
+
 def _complex_from(args, document, cap):
     """The input's complex: a distance input's flag complex is capped at ``cap``."""
     if args.max_dim < 0:
         raise InvalidInput("--max-dim must be nonnegative")
     if document.space is not None:
-        if args.radius is None:
-            raise RipsDecompError("distance input needs --radius")
-        return vietoris_rips(document.space, parse_distance(args.radius), cap)
+        return vietoris_rips(document.space, _radius(args), cap)
     return document.facet_complex
 
 
@@ -153,11 +158,7 @@ def cmd_decompose(args):
     x_labels, y_labels = load_cover(args.cover)
     fields = args.field or ["q", "z"]
     if document.space is not None:
-        if args.radius is None:
-            raise RipsDecompError("distance input needs --radius")
-        mc = MetricCover(
-            document.space, x_labels, y_labels, parse_distance(args.radius)
-        )
+        mc = MetricCover(document.space, x_labels, y_labels, _radius(args))
         report = analyze_metric(
             mc, dim_cap=args.max_dim, fields=fields, verify=args.verify
         )

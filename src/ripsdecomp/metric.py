@@ -18,13 +18,14 @@ at C level.  Exact values are made on read (``DistanceSpace.exact``): the
 ``decompose`` path renders only a diameter, and the exact matrix
 (``DistanceSpace.matrix``) is built when it is first read.
 
-Threshold tests ``d <= r`` read one boolean closeness table per space and
-radius, each row compared as a whole against one bound: a scaled entry is
-close when it is at most min(floor(r * scale), S - 1), so ``inf`` is never
-close to a finite radius; when r is infinite the bound is S and every entry
-is close.  The Vietoris-Rips graph is read straight off the closeness
-rows: the neighbours of point i are the close positions of row i other
-than i.
+Threshold tests ``d <= r`` read one neighbour bitmask per point, built once
+per space and radius (``DistanceSpace.closeness``): bit j of the mask of
+point i is set when the scaled entry (i, j) is at most one bound,
+min(floor(r * scale), S - 1), so ``inf`` is never close to a finite radius;
+when r is infinite the bound is S and every entry is close.  Every test
+reads mask i at bit j, so an asymmetric space answers as its table reads.
+The Vietoris-Rips graph is the masks without their own bits, and the
+witness checks intersect the masks with the cover's masks.
 
 The triangle inequality is screened with packed ints.  Each scaled row is
 one int P_i, packed at C level, with a w-bit field per point: w is 8, 16, 32
@@ -49,10 +50,11 @@ import struct
 from collections import namedtuple
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
+from functools import reduce
 from itertools import chain, combinations, compress
-from operator import add
+from operator import add, and_
 
-from .complexes import Complex
+from .complexes import Complex, _bits, _mask_of
 from .errors import CoverError, InvalidInput
 
 __all__ = [
@@ -121,7 +123,7 @@ class DistanceSpace:
 
     The integer scaling is built on construction from one parse of each
     distinct entry; the exact matrix is made from it on first read, and the
-    closeness table of a radius on its first use (module docstring).
+    closeness masks of a radius on their first use (module docstring).
     """
 
     __slots__ = ("labels", "_index", "_ints", "_close", "_matrix")
@@ -158,7 +160,7 @@ class DistanceSpace:
         self._ints = (scale, 2 * top + 1, rows)
         self._matrix = None
         self._index = {lab: i for i, lab in enumerate(self.labels)}
-        self._close = {}        # radius -> closeness table, on demand
+        self._close = {}        # radius -> closeness masks, on demand
 
     @property
     def matrix(self):
@@ -188,16 +190,17 @@ class DistanceSpace:
         return self._ints
 
     def closeness(self, r):
-        """Table whose (i, j) entry is ``matrix[i][j] <= r``, built once per
-        radius from the scaled matrix; ``r`` is a parsed distance.  Callers
-        must not modify it."""
-        table = self._close.get(r)
-        if table is None:
+        """One int per point, with bit j of entry i set when
+        ``matrix[i][j] <= r``; built once per radius from the scaled rows,
+        against one bound (module docstring).  ``r`` is a parsed distance."""
+        masks = self._close.get(r)
+        if masks is None:
             scale, sentinel, rows = self._ints
             bound = sentinel if r == INF else min(math.floor(r * scale), sentinel - 1)
-            table = tuple(tuple(map(bound.__ge__, row)) for row in rows)
-            self._close[r] = table
-        return table
+            bits = [1 << j for j in range(len(rows))]
+            masks = tuple(sum(compress(bits, map(bound.__ge__, row))) for row in rows)
+            self._close[r] = masks
+        return masks
 
     def require_valid(self):
         bad = validate(self)
@@ -270,18 +273,16 @@ def diam(space, points):
 
 def vietoris_rips(space, r, dim_cap):
     """Flag complex with an edge between every pair at distance <= r: the
-    neighbour bitmask of a point is read off its closeness row.
+    neighbour bitmask of a point is its closeness mask without its own bit.
 
     Vertex ids are positions in the space's label order; the complex carries
     the id-to-label table.
     """
-    space.require_valid()
-    close = space.closeness(parse_distance(r))
     if dim_cap < 0:
         raise InvalidInput("dim_cap must be nonnegative")
-    ids = range(len(space))
-    bits = [1 << i for i in ids]
-    adj = {i: sum(compress(bits, row)) & ~bit for i, bit, row in zip(ids, bits, close)}
+    space.require_valid()
+    close = space.closeness(parse_distance(r))
+    adj = {i: row & ~(1 << i) for i, row in enumerate(close)}
     return Complex(adj=adj, dim_cap=dim_cap, labels=dict(enumerate(space.labels)))
 
 
@@ -311,12 +312,9 @@ class MetricCover:
         """
         if self._cross_pairs is None:
             close = self.space.closeness(self.r)
-            ys = sorted(self.y - self.a)
+            ys = _mask_of(self.y - self.x)
             self._cross_pairs = [
-                (i, j)
-                for i in sorted(self.x - self.a)
-                for j in ys
-                if close[i][j]
+                (i, j) for i in sorted(self.x - self.y) for j in _bits(close[i] & ys)
             ]
         return self._cross_pairs
 
@@ -360,8 +358,7 @@ def shared_witnesses(mc):
     points of the intersection within r of both ends of every close cross
     pair, in point order."""
     close = mc.space.closeness(mc.r)
-    ends = _cross_edge_vertices(mc)
-    return [v for v in sorted(mc.a) if all(close[u][v] for u in ends)]
+    return _bits(reduce(and_, map(close.__getitem__, _cross_edge_vertices(mc)), _mask_of(mc.a)))
 
 
 def check_shared_witness(mc):
@@ -432,8 +429,8 @@ def _check_near_pairs(mc, strong):
         d = [[INF if v == sentinel else v for v in row] for row in d]
     a_idx = sorted(mc.a)
     for v in _cross_edge_vertices(mc):
-        near = [k for k in a_idx if close[k][v]]
+        near = [k for k in a_idx if close[k] >> v & 1]
         for p, q in combinations(near, 2):
-            if not close[p][q] or strong and 2 * d[p][q] > d[p][v] + d[v][q]:
+            if not close[p] >> q & 1 or strong and 2 * d[p][q] > d[p][v] + d[v][q]:
                 return CheckResult(False, witness=(sp.labels[v], sp.labels[p], sp.labels[q]))
     return CheckResult(True)

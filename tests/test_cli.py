@@ -163,6 +163,31 @@ class TestNonScalarLabels:
         assert json.loads(capsys.readouterr().out)["soundness"]["ok"]
 
 
+class TestDecomposeInputErrors:
+    """``decompose`` refuses these inputs: exit 2, nothing on stdout, and one
+    error line on stderr."""
+
+    @pytest.mark.parametrize(
+        "case, message",
+        [
+            ("no radius", "error: distance input needs --radius"),
+            ("missing file", "error: cannot read "),
+            ("cap 0", "error: the dimension cap must be at least 1"),
+        ],
+    )
+    def test_exits_2(self, capsys, tmp_path, circle_files, case, message):
+        points, cover, r = circle_files
+        argv = {
+            "no radius": ["decompose", points, "--cover", cover],
+            "missing file": ["decompose", str(tmp_path / "missing.json"), "--cover", cover, "-r", r],
+            "cap 0": ["decompose", points, "--cover", cover, "-r", r, "--max-dim", "0"],
+        }[case]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(message) and captured.err.count("\n") == 1
+
+
 class TestCoverErrors:
     """A cover that a facet file cannot take exits 2 with one message and
     nothing on stdout."""
@@ -621,23 +646,39 @@ class TestOneParser:
 
 
 class TestClosedStdout:
-    """A reader that is gone before the output is written: exit 141 and
-    nothing on stderr, neither a traceback nor an error in the flush at exit."""
+    """A reader that is gone before the output is written, or that stops
+    reading part way: exit 141 and nothing on stderr, neither a traceback
+    nor an error in the flush at exit."""
 
-    def run(self, argv):
+    @staticmethod
+    def command(argv):
+        """The command line of ``ripsdecomp argv`` and its environment."""
         src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
         env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        return [sys.executable, "-m", "ripsdecomp.cli", *argv], dict(env, PYTHONPATH=src)
+
+    def run(self, argv):
+        cmd, env = self.command(argv)
         read, write = os.pipe()
         os.close(read)
         try:
-            return subprocess.run(
-                [sys.executable, "-m", "ripsdecomp.cli", *argv],
-                env=dict(env, PYTHONPATH=src),
-                stdout=write,
-                stderr=subprocess.PIPE,
-            )
+            return subprocess.run(cmd, env=env, stdout=write, stderr=subprocess.PIPE)
         finally:
             os.close(write)
+
+    def test_a_reader_that_stops_after_300_bytes(self, tmp_path):
+        points, cover, r = write_circle(tmp_path, 40)  # a report of about 400 KB
+        argv = ["decompose", points, "--cover", cover, "-r", r, "--no-verify", "--format", "json"]
+        cmd, env = self.command(argv)
+        with subprocess.Popen(cmd, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            try:
+                head = proc.stdout.read(300)
+                proc.stdout.close()
+                _, err = proc.communicate(timeout=60)
+            finally:
+                proc.kill()
+        assert head.startswith(b"{") and len(head) == 300
+        assert (proc.returncode, err) == (141, b"")
 
     def test_a_report_past_the_buffer_fails_in_its_write(self, tmp_path):
         points, cover, r = write_circle(tmp_path, 40)  # a report of about 400 KB

@@ -382,6 +382,19 @@ class TestFlagRepresentation:
             with pytest.raises(InvalidInput, match="nonnegative int"):
                 Complex.flag([-1, 0, 1], [(-1, 0), (0, 1)], 2)
 
+    @pytest.mark.parametrize(
+        "edges, dim_cap, message",
+        [
+            ([(0, 1)], -1, "dim_cap must be nonnegative"),
+            ([(0, 1, 2)], 2, r"not an edge: \(0, 1, 2\)"),
+            ([(1, 1)], 2, r"not an edge: \(1, 1\)"),
+            ([(0, 3)], 2, r"edge \(0, 3\) uses unknown vertices"),
+        ],
+    )
+    def test_refuses_a_negative_cap_a_non_edge_and_an_unknown_vertex(self, edges, dim_cap, message):
+        with pytest.raises(InvalidInput, match=message):
+            Complex.flag([0, 1, 2], edges, dim_cap)
+
     def test_enumeration_cap_refused(self):
         flag = Complex.flag(range(5), combinations(range(5), 2), dim_cap=2)
         with pytest.raises(EnumerationRefused):
@@ -734,8 +747,10 @@ class TestPComplement:
 
     def test_cover_validation(self):
         k = hollow_triangle()
-        with pytest.raises(CoverError):
+        with pytest.raises(CoverError, match="must use every vertex"):
             enumerate_p_complement(k, Cover({1}, {2}), 1)
+        with pytest.raises(CoverError, match="uses vertices the complex does not have"):
+            Cover({0, 1, 2}, {2, 7}).validate(k)
 
     def test_cover_union_lists_each_vertex_once(self):
         """The reference union of an explicit complex's restrictions

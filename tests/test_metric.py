@@ -198,7 +198,10 @@ class TestTablesAgainstEachEntry:
             assert all((v * scale).denominator == 1 for v in finite)
             for r in (*map(Fraction, (0, "1/4", "2/3", 1, 2**60)), math.inf):
                 close = space.closeness(r)
-                assert close == tuple(tuple(v <= r for v in row) for row in exact)
+                assert len(close) == n and all(type(m) is int and m >> n == 0 for m in close)
+                assert [[bool(mask >> j & 1) for j in range(n)] for mask in close] == [
+                    [v <= r for v in row] for row in exact
+                ]
                 if validate(space):
                     continue
                 pairs = combinations(range(n), 2)
@@ -448,6 +451,16 @@ class TestVietorisRips:
         space = space_for(case_by_name("nine-pt-circle"))
         k = vietoris_rips(space, 3, 4)
         assert homology(k, "q", max_deg=4).betti_vector(0, 4) == (0, 0, 2, 0, 0)
+
+    def test_a_negative_cap_is_refused_before_the_closeness_masks(self, monkeypatch):
+        space = space_for(case_by_name("nine-pt-circle"))
+
+        def built(self, r):
+            raise AssertionError("closeness masks built for a refused cap")
+
+        monkeypatch.setattr(DistanceSpace, "closeness", built)
+        with pytest.raises(InvalidInput, match="dim_cap must be nonnegative"):
+            vietoris_rips(space, 3, -1)
 
     def test_threshold_monotone(self):
         space = space_for(case_by_name("nine-pt-circle"))
@@ -842,9 +855,11 @@ class TestIntegerChecksAgainstFractions:
             sp = mc.space
             n = len(sp)
             close = sp.closeness(mc.r)
-            assert close == tuple(
-                tuple(close_oracle(sp, i, j, mc.r) for j in range(n)) for i in range(n)
-            )
+            assert len(close) == n and all(type(m) is int and m >> n == 0 for m in close)
+            for i, mask in enumerate(close):
+                assert [bool(mask >> j & 1) for j in range(n)] == [
+                    close_oracle(sp, i, j, mc.r) for j in range(n)
+                ]
             assert sp.closeness(mc.r) is close
             assert mc.cross_pairs_within() == cross_pairs_oracle(mc)
             witnesses = shared_witnesses_oracle(mc)
@@ -865,6 +880,29 @@ class TestIntegerChecksAgainstFractions:
             seen["shared" if shared.ok else "no-shared"] += 1
             seen["simplex-fails"] += not check_simplex_assumption(mc).ok
             seen["inf-radius"] += mc.r == math.inf
+        assert min(seen.values()) >= 5, seen
+
+    def test_asymmetric_tables_are_read_by_row(self):
+        """An unvalidated table answers each test at (row, column), as the
+        Fraction references read it."""
+        rng = rng_for(313)
+        seen = Counter()
+        for _ in range(400):
+            mc = random_metric_cover(rng, max_points=8)
+            rows = [list(row) for row in mc.space.matrix]
+            values = sorted({v for row in rows for v in row}, key=str)
+            for i, j in combinations(range(len(rows)), 2):
+                if rng.random() < 0.4:
+                    rows[rng.choice((i, j))][rng.choice((i, j))] = rng.choice(values)
+            sp = DistanceSpace(mc.space.labels, rows)
+            mc = MetricCover(sp, mc.labels_of(sorted(mc.x)), mc.labels_of(sorted(mc.y)), mc.r)
+            assert mc.cross_pairs_within() == cross_pairs_oracle(mc)
+            assert metric.shared_witnesses(mc) == shared_witnesses_oracle(mc)
+            for strong, check in ((False, check_simplex_assumption), (True, check_strong_simplex_assumption)):
+                expected = simplex_assumption_oracle(mc, strong)
+                assert check(mc).witness == expected
+                seen[f"strong={strong} fails"] += expected is not None
+            seen["asymmetric"] += bool(validate(sp))
         assert min(seen.values()) >= 5, seen
 
     def test_witness_loops_of_the_report(self):

@@ -9,11 +9,11 @@ import math
 
 import pytest
 
-from ripsdecomp import reporting
+from ripsdecomp import Complex, Cover, analyze, reporting
 from ripsdecomp.analyzer import CriterionVerdict, DecompositionReport
-from ripsdecomp.reporting import render_json
+from ripsdecomp.reporting import render_json, render_text
 
-from conftest import rng_for
+from conftest import PROJECTIVE_PLANE, rng_for
 
 # quotes, backslashes, control characters, a template's "%s", non-ASCII and
 # astral characters
@@ -273,3 +273,26 @@ def test_shared_objects_and_equal_copies_render_as_plain_json():
         ]
         report.notes = [pick() for _ in range(rng.randint(1, 5))]
         assert render_json(report) == plain(report)
+
+
+def rp2_report():
+    """The verified report of RP^2 under the cover X = {0,1,2,3}, Y = {2,3,4,5}."""
+    return analyze(Complex.from_facets(PROJECTIVE_PLANE), Cover({0, 1, 2, 3}, {2, 3, 4, 5}), 3)
+
+
+def test_text_report_shows_torsion_in_its_field():
+    lines = render_text(rp2_report()).splitlines()
+    z = lines.index("   coefficients z:")
+    assert lines[lines.index("   coefficients q:") + 5] == "    total   -1:0 0:0 1:0 2:0"
+    assert lines[z + 5] == "    total   -1:0 0:0 1:0+t2 2:0"
+    assert lines[-1] == "  soundness: ok"
+
+
+def test_text_report_lists_each_soundness_failure():
+    report = rp2_report()
+    report.soundness = {"ok": False, "failures": ["union H_1 over q: claimed iso, got rank 0"]}
+    lines = render_text(report).splitlines()
+    assert lines[-2:] == [
+        "  soundness: FAILED",
+        "    !! union H_1 over q: claimed iso, got rank 0",
+    ]
