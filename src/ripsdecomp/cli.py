@@ -74,9 +74,7 @@ def build_parser():
         type=_check_field,
         help=FIELD_CHOICES_HELP + " (repeatable; default q and z)",
     )
-    verify = p_dec.add_mutually_exclusive_group()
-    verify.add_argument("--verify", dest="verify", action="store_true", default=True)
-    verify.add_argument("--no-verify", dest="verify", action="store_false")
+    p_dec.add_argument("--no-verify", dest="verify", action="store_false")
 
     p_cor = sub.add_parser("corpus", help="run or list the embedded example corpus")
     p_cor.add_argument("action", choices=("run", "list"))

@@ -289,7 +289,7 @@ def vietoris_rips(space, r, dim_cap):
 class MetricCover:
     """A distance space with a two-set cover of its points and a radius."""
 
-    __slots__ = ("space", "x", "y", "r", "_cross_pairs")
+    __slots__ = ("space", "x", "y", "r", "_cross_pairs", "_near_pairs")
 
     def __init__(self, space, x, y, r):
         self.space = space
@@ -298,7 +298,7 @@ class MetricCover:
         if self.x | self.y != set(range(len(space))):
             raise CoverError("cover must use every point of the space")
         self.r = parse_distance(r)
-        self._cross_pairs = None
+        self._cross_pairs = self._near_pairs = None
 
     @property
     def a(self):
@@ -406,7 +406,7 @@ def check_simplex_assumption(mc):
     Equivalent to: the obstruction complex of every such vertex over the
     intersection is a standard simplex.  Witness on failure: (v, a, b).
     """
-    return _check_near_pairs(mc, strong=False)
+    return _check_near_pairs(mc)[0]
 
 
 def check_strong_simplex_assumption(mc):
@@ -414,23 +414,38 @@ def check_strong_simplex_assumption(mc):
     simplex assumption), and twice the gap between them is at most the
     detour through the vertex.  Witness on failure: (v, a, b).
     """
-    return _check_near_pairs(mc, strong=True)
+    return _check_near_pairs(mc)[1]
 
 
-def _check_near_pairs(mc, strong):
-    """The first (v, a, b), v a cross-edge vertex and a, b shared points
-    near it, with a, b not near, or with ``strong`` the detour bound
-    broken, as a failed check; else a passed one."""
+def _check_near_pairs(mc):
+    """The simplex check and the strong one, from one pass over the (v, a,
+    b), v a cross-edge vertex and a, b shared points near it.  The first
+    with a, b not near fails both; the strong check fails at the first with
+    a, b not near or the detour bound broken.  Computed on the first call
+    and kept on ``mc``."""
+    if mc._near_pairs is not None:
+        return mc._near_pairs
     sp = mc.space
     close = sp.closeness(mc.r)
     sentinel, d = sp.scaled()[1:]
-    if strong and mc.r == INF:
+    if mc.r == INF:
         # near entries are finite below an infinite radius; at one, S is inf
         d = [[INF if v == sentinel else v for v in row] for row in d]
     a_idx = sorted(mc.a)
-    for v in _cross_edge_vertices(mc):
-        near = [k for k in a_idx if close[k] >> v & 1]
-        for p, q in combinations(near, 2):
-            if not close[p] >> q & 1 or strong and 2 * d[p][q] > d[p][v] + d[v][q]:
-                return CheckResult(False, witness=(sp.labels[v], sp.labels[p], sp.labels[q]))
-    return CheckResult(True)
+    triples = (
+        (v, p, q)
+        for v in _cross_edge_vertices(mc)
+        for p, q in combinations([k for k in a_idx if close[k] >> v & 1], 2)
+    )
+    simplex = strong = CheckResult(True)
+    for v, p, q in triples:
+        near = close[p] >> q & 1
+        if near and (not strong.ok or 2 * d[p][q] <= d[p][v] + d[v][q]):
+            continue
+        failed = CheckResult(False, witness=(sp.labels[v], sp.labels[p], sp.labels[q]))
+        strong = failed if strong.ok else strong
+        if not near:
+            simplex = failed
+            break
+    mc._near_pairs = simplex, strong
+    return mc._near_pairs

@@ -4,21 +4,9 @@ The JSON form round-trips: ``parse_report(render_json(report)) == report``.
 Both renderings carry exactly the same verdict set.
 
 ``render_json`` is ``json.dumps(report.to_dict(), indent=2, sort_keys=True)``
-byte for byte, and one writer makes it on every CPython version.  The
-recursive ``_write(value, depth)`` returns that text for a value nested
-``depth`` deep.  The items of a list and the values of a dict (by sorted
-key) are each written as one column:
-
-* only ``str``, only ``int``, or only ``True``, ``False`` and ``None``: mapped
-  at C level, through the functions the encoder itself calls;
-* lists of such scalars: joined line by line;
-* anything else: each value by ``_write``, down to ``json.dumps`` of a value
-  it does not take apart (a float, a ``str`` or ``int`` subclass, a tuple,
-  a dict with other keys), re-indented to its depth.
-
-The verdicts, and each field the report still keeps as the analyzer's
-records (``DecompositionReport.kept``), are written from their records, with
-no dict built:
+byte for byte.  The verdicts, and each field the report still keeps as the
+analyzer's records (``DecompositionReport.kept``), are written from their
+records, with no dict built:
 
 * the verdicts and the induced maps, from their ``CriterionVerdict`` and
   ``InducedMap`` records (``_write_records``): each field one column, each
@@ -33,24 +21,16 @@ no dict built:
   one ``%`` template per degree list, filled with the Betti numbers, the
   field and ``reduced``.
 
-That is exact because strings escape control characters: with ``indent``
-set, a raw newline occurs only between tokens, so a subtree written at depth
-0 is at depth d after ``.replace("\n", "\n" + "  " * d)``.  A report the
-writer cannot encode, or nested past its newline table, goes to plain
-``json.dumps``, which raises its own error or writes it.
-
-From CPython 3.13 on, ``json.dumps`` with ``indent`` runs in C, but it
-needs every dict built first.  Per report on CPython 3.13.0 (medians of 30
-passes over each benchmark workload's instances, four runs on a shared
-2-vCPU host), the writer against ``json.dumps``: ``criteria-rips``, whose
-items are most of its bytes, 2.1-2.4 against 3.9-4.3 ms; ``verify-rips``
-0.38-0.59 against 0.31-0.49 ms and ``explicit-torsion`` 0.60-0.68 against
-0.50-0.63 ms.  The writer loses less on the last two than it gains on the
-first, so it is the one path.
+Every other value (``_write``) is a scalar, mapped through the functions
+the encoder itself calls, or is written by the one encoder ``json.dumps``
+would build, which raises its own error on a value it cannot encode.  Its
+text is written at depth 0 and shifted to its depth d by
+``.replace("\n", "\n" + "  " * d)``: that is exact because strings escape
+control characters, so with ``indent`` set a raw newline occurs only
+between tokens.
 """
 
 import json
-from itertools import chain
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter
 
@@ -62,17 +42,14 @@ __all__ = ["parse_report", "render_json", "render_text"]
 #: the line break before a token at each depth
 _NEWLINE = ["\n" + "  " * depth for depth in range(32)]
 
-#: the encoder of a column by the exact types of its values; the empty
-#: column, the items of lists that are all empty, is never encoded
+#: the encoder of a scalar by its exact type
 _NAMED = {True: "true", False: "false", None: "null"}.__getitem__
-_ENCODE = {
-    frozenset({str}): encode_basestring_ascii,
-    frozenset({int}): int.__repr__,
-    frozenset({bool}): _NAMED,
-    frozenset({type(None)}): _NAMED,
-    frozenset({bool, type(None)}): _NAMED,
-    frozenset(): None,
+_SCALAR = {
+    str: encode_basestring_ascii, int: int.__repr__, bool: _NAMED, type(None): _NAMED
 }
+
+#: the encoder ``json.dumps(value, indent=2, sort_keys=True)`` builds
+_ENCODER = json.JSONEncoder(indent=2, sort_keys=True).encode
 
 
 def _braced(brackets, texts, depth):
@@ -110,22 +87,18 @@ _COLLAPSE = _template(("kind", "steps"), 3) % ('"collapse"', "%s")
 
 
 def render_json(report):
-    try:
-        return _write_report(report)
-    except (TypeError, ValueError, RecursionError, IndexError):
-        pass  # json.dumps raises its own error, or writes a deep report
-    return json.dumps(report.to_dict(), indent=2, sort_keys=True)
-
-
-def _write_report(report):
-    """``_write(report.to_dict(), 0)``, the verdicts and each field the
-    report keeps as records written straight from their records."""
+    """``json.dumps(report.to_dict(), indent=2, sort_keys=True)``, the
+    verdicts and each field the report keeps as records written straight
+    from their records.  The fields are written in key order, so of values
+    in two fields that cannot be encoded, the one ``json.dumps`` meets
+    first raises."""
     kept = {**report.kept(), "verdicts": report.verdicts}
-    texts = {name: _write(getattr(report, name), 1) for name in _REPORT_FIELDS if name not in kept}
-    for name, records in kept.items():
-        texts[name] = _FROM_RECORDS[name](records)
-    keys = sorted(texts)
-    return _braced("{}", [encode_basestring_ascii(k) + ": " + texts[k] for k in keys], 0)
+    texts = [
+        f'"{name}": '
+        + (_FROM_RECORDS[name](kept[name]) if name in kept else _write(getattr(report, name), 1))
+        for name in sorted(_REPORT_FIELDS)
+    ]
+    return _braced("{}", texts, 0)
 
 
 def _write_profiles(records):
@@ -233,38 +206,18 @@ def _write_items(table):
 
 def _write(value, depth):
     """``json.dumps(value, indent=2, sort_keys=True)`` at nesting ``depth``."""
-    kind = type(value)
-    if kind is str:
-        return encode_basestring_ascii(value)
-    if kind is int:
-        return int.__repr__(value)
-    if kind is bool or value is None:
-        return _NAMED(value)
-    if kind is list or kind is dict and set(map(type, value)) <= {str}:
-        brackets = "[]" if kind is list else "{}"
-        if not value:
-            return brackets
-        if kind is list:
-            items = _column(value, depth + 1)
-        else:
-            keys = sorted(value)
-            texts = _column(list(map(value.__getitem__, keys)), depth + 1)
-            items = [k + ": " + t for k, t in zip(map(encode_basestring_ascii, keys), texts)]
-        return _braced(brackets, items, depth)
-    return json.dumps(value, indent=2, sort_keys=True).replace("\n", _NEWLINE[depth])
+    encode = _SCALAR.get(type(value))
+    if encode is not None:
+        return encode(value)
+    return _ENCODER(value).replace("\n", _NEWLINE[depth])
 
 
 def _column(values, depth):
-    """The texts of ``values``, each at nesting ``depth``."""
-    kinds = frozenset(map(type, values))
-    if kinds in _ENCODE:
-        return list(map(_ENCODE[kinds], values))
-    if kinds == {list}:
-        items = frozenset(map(type, chain.from_iterable(values)))
-        if items in _ENCODE:
-            encode, inner, close = _ENCODE[items], _NEWLINE[depth + 1], _NEWLINE[depth] + "]"
-            join = ("," + inner).join
-            return ["[" + inner + join(map(encode, v)) + close if v else "[]" for v in values]
+    """The texts of ``values``, each at nesting ``depth``: a column of one
+    scalar type mapped at C level, any other value by ``_write``."""
+    kinds = set(map(type, values))
+    if len(kinds) == 1 and (kind := kinds.pop()) in _SCALAR:
+        return list(map(_SCALAR[kind], values))
     return [_write(v, depth) for v in values]
 
 

@@ -28,8 +28,10 @@ from ripsdecomp.complexes import (
     _bits,
     _mask_of,
     collapse_edges,
+    collapse_vertices,
     facet_masks,
     good_masks,
+    strong_collapse,
 )
 from ripsdecomp.corpus import space_for
 from ripsdecomp.metric import MetricCover, vietoris_rips
@@ -564,30 +566,69 @@ class TestEdgeCollapse:
         assert collapse_edges(k, Cover(range(3), y))[1][0] == (0, 1)
 
     def test_a_spent_budget_returns_an_exact_prefix(self, monkeypatch):
-        """Budgets of 0 to 60 candidates: the collapse stops at a
-        prefix of the unbounded one, and the cover square it leaves has the
-        homology over q and z of every part, and the maps union -> total,
-        of the square of the graph itself, through degree cap - 1."""
+        """Budgets of 0 to 60 candidates, or 0 to 30 facets: the edge
+        collapse and the strong collapse of a flag complex, and the vertex
+        collapse of an explicit one, stop at a prefix of the unbounded one.  The cover
+        square the edge or vertex collapse leaves has the homology over q
+        and z of every part, and the maps union -> total, of the square of
+        the complex itself, through degree cap - 1; and a certificate found
+        under the budget is the one found without it."""
         rng = rng_for(162)
-        stopped = 0
+        stopped = Counter()
+
+        def budgeted(budget, search, *args):
+            monkeypatch.setattr(complexes, "SIMPLEX_BUDGET", budget)
+            try:
+                return search(*args)
+            finally:
+                monkeypatch.undo()
+
+        def certificates(k, budget):
+            """Under the budget, ``k`` has no certificate or the one it has
+            without it; count the collapse certificates kept and lost."""
+            certificate = contractibility_certificate(k)
+            got = budgeted(budget, contractibility_certificate, k)
+            assert got in (None, certificate)
+            if certificate is not None and certificate.kind == "collapse":
+                stopped["certificate " + ("kept" if got else "lost")] += 1
+
         for i in range(120):
             k = random_flag(rng, max_vertices=9, edge_p=rng.choice((0.5, 0.7, 0.9)), dim_cap=3)
             cover = cover_shapes(rng, k)[i % 4]
             removed = collapse_edges(k, cover)[1]
-            monkeypatch.setattr(complexes, "SIMPLEX_BUDGET", rng.randint(0, 60))
-            partial, prefix = collapse_edges(k, cover)
-            monkeypatch.undo()
+            budget = rng.randint(0, 60)
+            partial, prefix = budgeted(budget, collapse_edges, k, cover)
             assert prefix == removed[: len(prefix)]
             assert square_invariants(partial, cover) == square_invariants(k, cover)
-            stopped += 0 < len(prefix) < len(removed)
-        assert stopped > 20, stopped
+            stopped["edges"] += 0 < len(prefix) < len(removed)
+            dominations = strong_collapse(k)[0]
+            prefix = budgeted(budget, strong_collapse, k)[0]
+            assert prefix == dominations[: len(prefix)]
+            stopped["strong"] += 0 < len(prefix) < len(dominations)
+            certificates(k, budget)
+        explicit_rng = rng_for(163)
+        for i in range(120):
+            k = random_complex(explicit_rng, max_vertices=9, max_facets=8)
+            if len(k.vertices) < 2:
+                continue
+            cover = cover_shapes(explicit_rng, k)[i % 4]
+            dominations = collapse_vertices(k, cover)[1]
+            budget = explicit_rng.randint(0, 30)
+            partial, prefix = budgeted(budget, collapse_vertices, k, cover)
+            assert prefix == dominations[: len(prefix)]
+            # facets of at most 4 vertices: no homology past degree 3
+            assert square_invariants(partial, cover, 3) == square_invariants(k, cover, 3)
+            stopped["vertices"] += 0 < len(prefix) < len(dominations)
+            certificates(k, budget)
+        assert stopped["edges"] > 20 and len(stopped) == 5, stopped
+        assert min(stopped.values()) >= 5, stopped
 
 
-def square_invariants(total, cover):
+def square_invariants(total, cover, top=None):
     """The reduced homology over q and z of X, Y, A, the cover union and the
-    total of a flag complex through degree cap - 1, and the rank and
-    dimensions of union -> total over q there."""
-    top = total.dim_cap - 1
+    total through degree ``top``, by default a flag complex's cap - 1, and
+    the rank and dimensions of union -> total over q there."""
+    top = total.dim_cap - 1 if top is None else top
     union = cover_union(total, cover)
     parts = [total.restrict(s) for s in (cover.x, cover.y, cover.a)] + [union, total]
     profiles = [homology(p, c, max_deg=top).to_dict() for p in parts for c in ("q", "z")]

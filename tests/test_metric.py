@@ -720,6 +720,18 @@ class TestSimplexAssumptions:
         assert not strong.ok
         assert strong.witness == ("y", "a1", "a2")
 
+    def test_both_checks_share_one_scan(self, monkeypatch):
+        """One pass over the near pairs answers both checks, kept on the
+        cover: a second call of either scans nothing."""
+        calls = []
+        real = metric._cross_edge_vertices
+        monkeypatch.setattr(metric, "_cross_edge_vertices", lambda mc: calls.append(1) or real(mc))
+        mc = mc_for("five-pt-gluing")
+        simplex, strong = check_simplex_assumption(mc), check_strong_simplex_assumption(mc)
+        assert check_simplex_assumption(mc) is simplex
+        assert check_strong_simplex_assumption(mc) is strong
+        assert calls == [1]
+
     def test_far_apart_intersection_witness(self):
         # both intersection points sit within r of the cross edge's ends but
         # lie 2r apart from each other

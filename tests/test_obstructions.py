@@ -446,6 +446,40 @@ def test_torsion_holds_through_the_degree_of_a_certified_obstruction():
     assert report.soundness["ok"]
 
 
+def moore_space_mod_3(base):
+    """A 13-vertex mod-3 Moore space on ids base..base+12, H_1 = Z/3: the
+    apex o, a ring u0..u8 coned off from o, and a boundary c0..c2 the ring
+    wraps three times."""
+    o, u, c = base, [base + 1 + i for i in range(9)], [base + 10 + i for i in range(3)]
+    return [
+        facet
+        for i in range(9)
+        for facet in (
+            [o, u[i], u[(i + 1) % 9]],
+            [u[i], u[(i + 1) % 9], c[i % 3]],
+            [u[(i + 1) % 9], c[i % 3], c[(i + 1) % 3]],
+        )
+    ]
+
+
+def test_torsion_at_two_primes_fails():
+    """Two cross edges, one with RP^2 (Z/2) as its obstruction, the other a
+    mod-3 Moore space (Z/3): no single prime is excluded."""
+    moore = moore_space_mod_3(10)
+    profile = homology(Complex.from_facets(moore), coeffs="z")
+    assert profile.torsion == {1: (3,)} and not any(profile.betti.values())
+    x1, y1, x2, y2 = 30, 31, 32, 33
+    facets = [f + [x1, y1] for f in PROJECTIVE_PLANE] + [f + [x2, y2] for f in moore]
+    k = Complex.from_facets(facets)
+    a = set(range(6)) | set(range(10, 23))
+    report = analyze(k, Cover(a | {x1, x2}, a | {y1, y2}), dim_cap=4)
+    assert report.census["by_status"] == {"homology-only": 2}
+    verdict = report.verdict("torsion-obstructions")
+    assert verdict.status == "fails"
+    assert verdict.detail == "torsion at several primes [2, 3]; no single excluded prime"
+    assert report.soundness["ok"]
+
+
 @pytest.mark.parametrize("size", [8, 21])
 def test_torsion_reads_the_top_degree_of_a_big_cone_without_enumerating_it(size):
     """The cross edge x1 y1 has the barycentric RP^2 as its obstruction, and

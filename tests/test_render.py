@@ -1,7 +1,7 @@
 """``render_json`` against plain ``json.dumps(report.to_dict(), indent=2,
-sort_keys=True)`` on seeded hand-built reports: the writer, and its
-``json.dumps`` fallback for reports it cannot encode or that are nested past
-its newline table."""
+sort_keys=True)`` on seeded hand-built reports: the templates of the verdicts,
+the encoder shifted to each depth for every other field, and the errors of
+values neither can encode."""
 
 import copy
 import json
@@ -50,16 +50,6 @@ SUBCLASSED = [Bare("1"), Bare("a\nb"), Loud(1), Loud(-5)]
 
 def plain(report):
     return json.dumps(report.to_dict(), indent=2, sort_keys=True)
-
-
-def record_keys(value):
-    """The sorted keys of a record list: a nonempty list of dicts that share
-    one nonempty set of ``str`` keys; else None."""
-    if type(value) is list and value and set(map(type, value)) == {dict}:
-        keys = value[0].keys()
-        if set(map(type, keys)) == {str} and all(r.keys() == keys for r in value):
-            return sorted(keys)
-    return None
 
 
 def label(rng):
@@ -137,29 +127,6 @@ def test_seeded_reports_render_as_plain_json():
         assert render_json(report) == plain(report), f"seed {seed}"
 
 
-def test_templates_render_as_plain_json():
-    """The writer itself, without the error fallback; the seeds reach each
-    kind of record list."""
-    reached = set()
-    for seed in range(400):
-        report = random_report(seed)
-        data = report.to_dict()
-        assert reporting._write(data, 0) == plain(report), f"seed {seed}"
-        for name in ("items", "induced"):
-            keys = record_keys(data[name])
-            reached.add("empty" if not data[name] else "mixed" if keys is None else "records")
-            for k in keys or ():
-                column = {repr(r[k]) for r in data[name]}
-                if {"True", "1", "1.0"} <= column:
-                    reached.add("true, 1 and 1.0 in one field")
-            nested = [v for r in data[name] if isinstance(r, dict) for v in r.values()]
-            reached.update("nested" for v in nested if record_keys(v))
-            reached.update("shared" for v in nested if isinstance(v, list) and nested.count(v) > 1)
-    assert reached == {
-        "empty", "mixed", "records", "nested", "shared", "true, 1 and 1.0 in one field"
-    }
-
-
 def circular():
     out = [1]
     out.append({"back": out})
@@ -172,13 +139,17 @@ def circular():
     ids=["object", "set", "tuple key", "unsortable keys", "circular"],
 )
 def test_unencodable_values_raise_as_plain_json(bad):
+    """Alone in the items, and beside a field that sorts after them and
+    holds another: the error json.dumps meets first."""
     report = random_report(0)
     report.items = [{"dim": 1, "certificate": None}, {"dim": 2, "certificate": bad}]
-    with pytest.raises(Exception) as expected:
-        plain(report)
-    with pytest.raises(expected.type) as got:
-        render_json(report)
-    assert str(got.value) == str(expected.value)
+    for kind in (report.kind, b"kind"):
+        report.kind = kind
+        with pytest.raises(Exception) as expected:
+            plain(report)
+        with pytest.raises(expected.type) as got:
+            render_json(report)
+        assert str(got.value) == str(expected.value)
 
 
 def test_records_that_share_objects_render_as_plain_json():
@@ -217,8 +188,8 @@ def test_objects_at_two_depths_render_as_plain_json():
 
 
 def test_nesting_deeper_than_the_newline_table_renders_as_plain_json():
-    """Past the newline table the writer gives up and json.dumps writes the
-    report."""
+    """Values nested past the newline table, shifted by one replace, render
+    as plain json.dumps."""
     table = len(reporting._NEWLINE)
     rng = rng_for(73000)
     for _ in range(40):
@@ -229,8 +200,6 @@ def test_nesting_deeper_than_the_newline_table_renders_as_plain_json():
         report = random_report(rng.randrange(400))
         report.items = [{"dim": 1, "certificate": value}]
         assert render_json(report) == plain(report)
-    with pytest.raises(IndexError):
-        reporting._write([[]] * 2, table - 1)
 
 
 def test_subclasses_in_a_column_render_as_plain_json():

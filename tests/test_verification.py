@@ -33,7 +33,7 @@ from ripsdecomp.complexes import MAX_DIM_CAP, collapse_edges, collapse_vertices,
 from ripsdecomp.corpus import space_for
 from ripsdecomp.homology import InducedMap, cover_square
 from ripsdecomp.io import load_cover, load_input
-from ripsdecomp.reporting import _write_report, render_json
+from ripsdecomp.reporting import render_json
 
 from conftest import (
     PROJECTIVE_PLANE,
@@ -397,16 +397,15 @@ class TestRecordsPath:
 
     @pytest.mark.parametrize("cap", RECORD_CAPS)
     def test_reports_render_from_records_as_plain_json(self, cap):
-        """The writer, with no json.dumps fallback, writes the profiles and
-        induced maps from the records, and the text is plain json.dumps of
-        the report's dicts."""
+        """The writer writes the profiles and induced maps from the records,
+        and the text is plain json.dumps of the report's dicts."""
         rng = rng_for(5501 + cap)
         seen = Counter()
         for k, cover in records_cases(rng, cap):
             report = analyze(k, cover, dim_cap=cap, fields=self.FIELDS)
             assert set(report.kept()) == {"items", "profiles", "induced"}
             profiles = report.profile_records
-            text = _write_report(report)
+            text = render_json(report)
             assert set(report.kept()) == {"items", "profiles", "induced"}
             assert text == json.dumps(report.to_dict(), indent=2, sort_keys=True), (k, cover)
             seen["torsion"] += any(p["z"].torsion for p in profiles.values())
