@@ -112,16 +112,14 @@ def cmd_vr(args):
     document = load_input(args.input)
     if document.space is None:
         raise RipsDecompError("vr needs a distance input")
-    complex_ = _complex_from(args, document, args.max_dim)
-    counts = {}
-    for s in complex_.simplices(max_dim=args.max_dim):
-        counts[len(s) - 1] = counts.get(len(s) - 1, 0) + 1
+    levels = _complex_from(args, document, args.max_dim).levels(args.max_dim)
+    counts = {d: len(level) for d, level in enumerate(levels) if level}
     if args.format == "json":
-        print(json.dumps({"counts_by_dim": {str(d): c for d, c in sorted(counts.items())}}))
+        print(json.dumps({"counts_by_dim": {str(d): c for d, c in counts.items()}}))
     else:
         print(f"Vietoris-Rips complex at radius {args.radius}:")
-        for d in sorted(counts):
-            print(f"  dim {d}: {counts[d]}")
+        for d, c in counts.items():
+            print(f"  dim {d}: {c}")
         if not counts:
             print("  (empty)")
     return 0

@@ -47,7 +47,7 @@ bitmasks.
 """
 
 from functools import reduce
-from itertools import combinations, filterfalse, groupby
+from itertools import chain, combinations, filterfalse, groupby
 from operator import and_, itemgetter
 
 from .errors import CoverError, EnumerationRefused, InvalidInput
@@ -189,8 +189,9 @@ class Complex:
     the keys of ``_adj``.  Its clique walks are bounded by ``SIMPLEX_BUDGET``
     (module docstring).
 
-    ``_memo`` is a cache filled lazily.  ``homology.py`` keeps the simplex
-    levels there, the invariants of each boundary matrix d_n (key n), and,
+    ``_memo`` is a cache filled lazily.  ``levels`` keeps the simplex levels
+    there (key "levels", written only here, by it and ``from_levels``);
+    ``homology.py`` the invariants of each boundary matrix d_n (key n), and,
     for each subcomplex L it was paired with, those of d_n without L's rows
     (key ("relative", id(L), n), holding L).  One reduction of a nested
     chain of complexes writes d_n into the memo of every complex of the
@@ -201,7 +202,7 @@ class Complex:
     Every entry is a function of the content of the complex (and of L), so
     the complex stays immutable and thread-safe: fills that race write equal
     values.  ``homology.cover_square`` returns its parts with these entries
-    filled.
+    filled, and ``to_explicit`` keeps the levels of its walk.
     """
 
     __slots__ = ("_simplices", "_adj", "_vertices", "_mask", "dim_cap", "labels", "_memo")
@@ -227,6 +228,15 @@ class Complex:
         vertices = {v for s in maximal for v in s}
         complex_ = cls(simplices=frozenset(closed), vertices=vertices, labels=labels)
         complex_._memo["facets"] = frozenset(map(_mask_of, maximal))
+        return complex_
+
+    @classmethod
+    def from_levels(cls, levels, labels=None):
+        """Explicit complex of ``levels`` (as ``levels`` returns them, closed
+        under faces), kept as its levels."""
+        vertices = [v for level in levels[:1] for v, in level]
+        complex_ = cls(simplices=frozenset(chain(*levels)), vertices=vertices, labels=labels)
+        complex_._memo["levels"] = (levels, True)
         return complex_
 
     @classmethod
@@ -264,11 +274,12 @@ class Complex:
         return self._vertices
 
     def edges(self):
-        """Sorted list of 1-simplices."""
+        """Sorted list of 1-simplices, read off the graph of a flag complex,
+        whose levels stop at its cap."""
         if self.is_flag:
             adj = self._adj
             return [(a, b) for a in self._vertices for b in _bits(adj[a] >> a + 1 << a + 1)]
-        return sorted(s for s in self._simplices if len(s) == 2)
+        return self.n_simplices(1)
 
     def __contains__(self, sigma):
         try:
@@ -299,6 +310,38 @@ class Complex:
             )
         return dim
 
+    def levels(self, need):
+        """Simplices bucketed by dimension, each level lexicographic: levels
+        0..need, and any the complex enumerated beyond them.
+
+        A flag complex refuses when simplices beyond its cap are needed and it
+        has a clique one dimension above the cap: ``has_simplex_of_dim``, asked
+        only when the level at the cap is nonempty, stops at the first one.
+        Otherwise downward closure leaves every higher level empty, and they
+        are padded in.  The levels are enumerated and padded once per complex,
+        kept in its memo and shared: callers must not modify them.  The
+        refusal is decided on every call.
+        """
+        cap = self.dim_cap if self.is_flag else None
+        top = need if cap is None else min(need, cap)
+        levels, complete = self._memo.get("levels", ([], False))
+        if len(levels) <= top and not complete:
+            if cap is None:
+                ordered = sorted(sorted(self._simplices), key=len)
+                levels = [list(level) for _, level in groupby(ordered, len)]
+            else:
+                levels = self._clique_levels(top)
+            # fewer levels than asked for: every higher level is empty
+            complete = cap is None or len(levels) <= top
+            self._memo["levels"] = (levels, complete)
+        if cap is not None and need > cap:
+            if len(levels) > cap and levels[cap] and self.has_simplex_of_dim(cap + 1):
+                raise EnumerationRefused(
+                    f"need simplices of dimension {need}, flag complex capped at {cap}"
+                )
+        levels.extend([] for _ in range(need + 1 - len(levels)))
+        return levels
+
     def simplices(self, max_dim=None):
         """All simplices of dimension <= max_dim, ordered by (dim, lex).
 
@@ -307,31 +350,25 @@ class Complex:
         """
         if self.is_flag:
             max_dim = self._within_cap(self.dim_cap if max_dim is None else max_dim)
-            return [s for level in self._clique_levels(max_dim) for s in level]
-        out = sorted(sorted(self._simplices), key=len)
+        levels = self.levels(max_dim if self.is_flag else 0)
         if max_dim is not None:
-            out = [s for s in out if len(s) <= max_dim + 1]
-        return out
+            levels = levels[: max(max_dim + 1, 0)]
+        return list(chain(*levels))
 
     def n_simplices(self, n):
         """The n-dimensional simplices, lexicographically ordered."""
         if n < 0:
             return []
-        if self.is_flag:
-            levels = self._clique_levels(self._within_cap(n))
-            return levels[n] if n < len(levels) else []
-        return sorted(s for s in self._simplices if len(s) == n + 1)
+        levels = self.levels(self._within_cap(n) if self.is_flag else 0)
+        return list(levels[n]) if n < len(levels) else []
 
     def dim(self):
         """Largest dimension with a simplex (-1 for the empty complex).
 
         For a flag complex this is the enumerated dimension, at most the cap.
         """
-        if self.is_empty:
-            return -1
-        if self.is_flag:
-            return len(self._clique_levels(self.dim_cap)) - 1
-        return max(len(s) for s in self._simplices) - 1
+        levels = self.levels(self.dim_cap if self.is_flag else 0)
+        return max((d for d, level in enumerate(levels) if level), default=-1)
 
     def has_simplex_of_dim(self, d):
         """True when the complex has a simplex of dimension ``d`` (d >= 0).
@@ -376,14 +413,12 @@ class Complex:
         )
 
     def to_explicit(self):
-        """Explicit copy of every clique of a flag complex, whatever its cap:
-        exponential on dense graphs, so it is meant for small complexes
-        (the profiles of obstructions)."""
+        """Explicit copy of every clique of a flag complex, whatever its cap,
+        keeping the levels of its walk: exponential on dense graphs, so it is
+        meant for small complexes (the profiles of obstructions)."""
         if not self.is_flag:
             return self
-        levels = self._clique_levels(None)
-        simplices = frozenset(s for level in levels for s in level)
-        return Complex(simplices=simplices, vertices=self._vertices, labels=self.labels)
+        return Complex.from_levels(self._clique_levels(None), self.labels)
 
     def __eq__(self, other):
         if not isinstance(other, Complex):

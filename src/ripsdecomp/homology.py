@@ -53,9 +53,9 @@ only the degrees it reads, and the one reader of d(K, L).  The cover square
 K is the chain [total, union, X, A]: depth 0 holds the cross simplices
 (meeting both X - A and Y - A), 1 those inside Y but not A, 2 those inside
 X but not A, 3 those inside A.  Every part, the total included, is an
-explicit complex built from its levels, filtered from the collapsed total's
-by one depth pass, and ``cover_square`` reduces this chain and the chain
-[Y] before it returns.
+explicit complex built from its levels (``Complex.from_levels``), filtered
+from the collapsed total's by one depth pass, and ``cover_square`` reduces
+this chain and the chain [Y] before it returns.
 
 A total enters the square collapsed: every edge uv of a flag total
 (``collapse_edges``), or every vertex v of an explicit one
@@ -84,18 +84,19 @@ exactly:
   equals H_n of the whole flag complex for n <= cap - 1, the degrees a
   square reports; an explicit total keeps all its levels.
 
-Each complex keeps its simplex levels and the invariants of every d_n a
-chain wrote for it in its memo, and K keeps d(K, L1) per subcomplex and
-degree, which only ``induced_map`` reads.  A chain writes d_n(K, L1) after
-every member's d_n, so that entry (d_n(K) in a chain of one) marks degree n
-filled: a repeated call reduces nothing and every field reads the same
-invariants.  A complex's d_n is reduced again only inside another chain
-that has not filled degree n.  ``induced_map`` in degree d reads d_d of K
-and L but not d_d(K, L), so its pair reduces degree d only when K or L
-lacks d_d.  A chain of one keeps the level order, with no depth pass.
-``homology`` and ``induced_map`` read the chain sizes off the levels and
-the invariants off the memo, and build their records (``HomologyProfile``,
-``InducedMap``) straight from them.  The checks of a call (subcomplex,
+Each complex keeps its simplex levels (``Complex.levels``, the one owner of
+that memo entry) and the invariants of every d_n a chain wrote for it in
+its memo, and K keeps d(K, L1) per subcomplex and degree, which only
+``induced_map`` reads.  A chain writes d_n(K, L1) after every member's d_n,
+so that entry (d_n(K) in a chain of one) marks degree n filled: a repeated
+call reduces nothing and every field reads the same invariants.  A
+complex's d_n is reduced again only inside another chain that has not
+filled degree n.  ``induced_map`` in degree d reads d_d of K and L but not
+d_d(K, L), so its pair reduces degree d only when K or L lacks d_d.  A
+chain of one keeps the level order, with no depth pass.  ``homology`` and
+``induced_map`` read the chain sizes off the levels, hand K's levels to
+``_reduce_chain``, read the invariants off the memo, and build their
+records (``HomologyProfile``, ``InducedMap``) straight from them.  The checks of a call (subcomplex,
 field, degree, flag cap) still run on every call.
 
 Reduced homology uses the augmented chain complex, so the empty complex has
@@ -114,7 +115,7 @@ contractible.
 """
 
 from collections import namedtuple
-from itertools import accumulate, chain, combinations, compress, groupby
+from itertools import accumulate, combinations, compress
 
 from . import complexes, linalg
 from .complexes import (
@@ -177,39 +178,6 @@ def coboundary_columns(rows, cols, skip=()):
     return out
 
 
-def simplex_levels(complex_, need):
-    """Simplices bucketed by dimension, each level lexicographic: levels
-    0..need, and any the complex enumerated beyond them.
-
-    A flag complex refuses when simplices beyond its cap are needed and it
-    has a clique one dimension above the cap: ``has_simplex_of_dim``, asked
-    only when the level at the cap is nonempty, stops at the first one.
-    Otherwise downward closure leaves every higher level empty, and they
-    are padded in.  The levels are enumerated and padded once per complex
-    and shared: callers must not modify them.  The refusal is decided on
-    every call.
-    """
-    memo = complex_._memo
-    cap = complex_.dim_cap if complex_.is_flag else None
-    top = need if cap is None else min(need, cap)
-    levels, complete = memo.get("levels", ([], False))
-    if len(levels) <= top and not complete:
-        if cap is None:
-            levels = [list(level) for _, level in groupby(complex_.simplices(), len)]
-        else:
-            levels = complex_._clique_levels(top)
-        # fewer levels than asked for: every higher level is empty
-        complete = cap is None or len(levels) <= top
-        memo["levels"] = (levels, complete)
-    if cap is not None and need > cap:
-        if len(levels) > cap and levels[cap] and complex_.has_simplex_of_dim(cap + 1):
-            raise EnumerationRefused(
-                f"need simplices of dimension {need}, flag complex capped at {cap}"
-            )
-    levels.extend([] for _ in range(need + 1 - len(levels)))
-    return levels
-
-
 #: Boundary operator of one degree over the deterministic simplex order.
 BoundaryMatrix = namedtuple("BoundaryMatrix", "degree rows cols entries")
 
@@ -260,15 +228,15 @@ def _rank(invariants, char):
     return rank - sum(d % char == 0 for d in factors) if char and factors else rank
 
 
-def _reduce_chain(members, depths, degrees):
+def _reduce_chain(members, levels, depths, degrees):
     """Fill the memos of nested complexes K, L1, L2, ... (``members``) with
     d_n of each and d_n(K, L1), for every n >= 1 of the ascending
     ``degrees`` not yet filled, from one reduction of K per degree (module
-    docstring).  ``depths(n)`` yields the depth of each n-simplex of K, in
-    level order: the index of the last member that holds it; a chain of one
-    passes ``None`` and keeps the level order.  The caller
-    has read ``simplex_levels(K, n)`` for the largest n, so its checks run
-    once per call.  The entry of d_n(K, L1) holds L1, so its id cannot be
+    docstring).  ``levels`` is ``K.levels(n)`` for the largest n, read by
+    the caller, so its checks run once per call.  ``depths(n)`` yields the
+    depth of each n-simplex of K, in level order: the index of the last
+    member that holds it; a chain of one passes ``None`` and keeps the
+    level order.  The entry of d_n(K, L1) holds L1, so its id cannot be
     reused while the entry lives.
     """
     ambient = members[0]
@@ -278,7 +246,6 @@ def _reduce_chain(members, depths, degrees):
     todo = [n for n in degrees if (n if sub is None else ("relative", id(sub), n)) not in memo]
     if not todo:
         return
-    levels = memo["levels"][0]
     ordered = {}
 
     def order(n):
@@ -333,8 +300,8 @@ def homology(complex_, coeffs="z", max_deg=None, reduced=True):
     if max_deg is not None and max_deg < -1:
         raise InvalidInput(f"degree {max_deg} below -1")
     max_deg = max(complex_.dim(), 0) if max_deg is None else check_dim_cap(max_deg)
-    levels = simplex_levels(complex_, max_deg + 1)
-    _reduce_chain([complex_], None, range(1, max_deg + 2))
+    levels = complex_.levels(max_deg + 1)
+    _reduce_chain([complex_], levels, None, range(1, max_deg + 2))
     char = 0 if coeffs == "z" else linalg.characteristic(coeffs)
     # ranks[n] is the rank of d_n for n = 0..max_deg + 1, d_0 the augmentation
     ranks = [_rank(_boundary(complex_, levels, n, reduced), char) for n in range(max_deg + 2)]
@@ -379,29 +346,24 @@ def cover_square(complex_, cover, dim_cap):
     check_dim_cap(dim_cap)
     collapse = collapse_edges if complex_.is_flag else collapse_vertices
     complex_ = collapse(complex_, cover)[0]
-    levels = simplex_levels(complex_, dim_cap)
+    levels = complex_.levels(dim_cap)
     outside_x, outside_y = (cover.x - cover.a).isdisjoint, (cover.y - cover.a).isdisjoint
     # the last of total, union, X, A that holds s is [s misses X - A] +
     # 2 [s misses Y - A]: 0 when s meets both, 1 inside Y, 2 inside X, 3 in A
     depths = [
         [dx + 2 * dy for dx, dy in zip(map(outside_x, lv), map(outside_y, lv))] for lv in levels
     ]
-    parts = {}
     # the depths each part holds; the total keeps the collapsed total's levels
     held = {"x": (2, 3), "y": (1, 3), "a": (3,), "union": (1, 2, 3), "total": None}
+    parts = {}
     for name, kept in held.items():
         own = levels if kept is None else [
             list(compress(lv, map(kept.__contains__, ds))) for lv, ds in zip(levels, depths)
         ]
-        part = parts[name] = Complex(
-            simplices=frozenset(chain.from_iterable(own)),
-            vertices=[v for v, in own[0]],
-            labels=complex_.labels,
-        )
-        part._memo["levels"] = (own, True)
+        parts[name] = Complex.from_levels(own, complex_.labels)
     members = [parts[name] for name in ("total", "union", "x", "a")]
-    _reduce_chain(members, depths.__getitem__, range(1, dim_cap + 1))
-    _reduce_chain([parts["y"]], None, range(1, dim_cap + 1))
+    _reduce_chain(members, levels, depths.__getitem__, range(1, dim_cap + 1))
+    _reduce_chain([parts["y"]], parts["y"].levels(dim_cap), None, range(1, dim_cap + 1))
     return parts
 
 
@@ -460,11 +422,12 @@ def induced_map(sub, ambient, degree, coeffs="q", reduced=False):
         raise InvalidInput(f"degree {degree} below {lo}")
     check_dim_cap(degree)
     need = degree + 1
-    levels_l, levels_k = simplex_levels(sub, need), simplex_levels(ambient, need)
+    levels_l, levels_k = sub.levels(need), ambient.levels(need)
     # d_degree(K, L) is not read: degree is reduced only where a complex lacks d_degree
     filled = degree < 1 or degree in ambient._memo and degree in sub._memo
     _reduce_chain(
         [ambient, sub],
+        levels_k,
         lambda n: map(sub.__contains__, levels_k[n]),
         [need] if filled else [degree, need],
     )

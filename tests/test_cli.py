@@ -1,6 +1,7 @@
 """The command line: every subcommand's exit code and output shape, one
 parser for the whole process, and the JSON round trip of reports."""
 
+import copy
 import json
 import math
 import os
@@ -16,17 +17,19 @@ from ripsdecomp import (
     analyze_metric,
     cli,
     complexes,
+    corpus,
     homology,
     metric,
     vietoris_rips,
 )
 from ripsdecomp.complexes import MAX_DIM_CAP, SIMPLEX_BUDGET
-from ripsdecomp.corpus import CASES, space_for
+from ripsdecomp.corpus import CASES, compare, run_case, space_for
 from ripsdecomp.io import _read_text, load_cover, load_input
 from ripsdecomp.reporting import parse_report, render_json
 
 from conftest import (
     PROJECTIVE_PLANE,
+    case_by_name,
     circle_cover,
     cliques_oracle,
     random_complex,
@@ -92,6 +95,16 @@ class TestVr:
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == f"Vietoris-Rips complex at radius {r}:"
         assert [line.split(":")[0].strip() for line in lines[1:]] == ["dim 0", "dim 1", "dim 2"]
+
+    def test_an_empty_space_has_no_simplices(self, capsys, tmp_path):
+        points = write_json(tmp_path, "empty.json", {"points": [], "distances": []})
+        assert cli.main(["vr", points, "-r", "1"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "Vietoris-Rips complex at radius 1:",
+            "  (empty)",
+        ]
+        assert cli.main(["vr", points, "-r", "1", "--format", "json"]) == 0
+        assert capsys.readouterr().out == '{"counts_by_dim": {}}\n'
 
     def test_needs_a_distance_input_and_a_radius(self, capsys, circle_files, facet_file):
         assert cli.main(["vr", facet_file]) == 2
@@ -612,6 +625,50 @@ class TestCorpus:
         lines = capsys.readouterr().out.splitlines()
         assert lines[:-1] == [f"{case.name}: ok" for case in CASES]
         assert lines[-1] == f"{len(CASES)}/{len(CASES)} cases pass"
+
+    @staticmethod
+    def perturbed_square():
+        """square-4pt with one expectation of each kind that ``compare`` reads
+        made false: a Betti tuple, a verdict, a witness, an induced rank and
+        degree, the census, and an item's fields and key."""
+        case = case_by_name("square-4pt")
+        expect = copy.deepcopy(case.expect)
+        expect["reduced_betti"]["union"]["q"] = (0, 2, 0, 0)
+        expect["verdicts"]["shared-witness"] = "fails"
+        expect["witness"]["edge-intersection-nonempty"] = "b"
+        expect["induced"][1]["rank"] = 1
+        expect["induced"].append({"field": "q", "degree": 4})
+        expect["census"] = {"total": 2, "by_status": {"homology-only": 1, "cone": 1}}
+        expect["items"] = {
+            "x,y": {"status": "cone", "obstruction": ["a"], "certificate": ["a"]},
+            "y,x": {},
+        }
+        return case._replace(expect=expect)
+
+    def test_compare_reports_every_mismatch(self):
+        report, mismatches = run_case(case_by_name("square-4pt"))
+        assert mismatches == []
+        assert compare(report, self.perturbed_square().expect) == [
+            "betti[union,q]: expected (0, 2, 0, 0), got (0, 1, 0, 0)",
+            "verdict[shared-witness]: expected fails, got holds",
+            "witness[edge-intersection-nonempty]: expected b, got a",
+            "induced[q,1].rank: expected 1, got 0",
+            "induced[q,4]: missing",
+            "census.total: expected 2, got 1",
+            "census[cone]: expected 1, got 0",
+            "item[x,y].status: expected cone, got homology-only",
+            "item[x,y].obstruction: expected ['a'], got ['a', 'b']",
+            "item[x,y].certificate: expected ['a'], got None",
+            "item[y,x]: missing",
+        ]
+
+    def test_run_prints_the_mismatches_and_exits_one(self, capsys, monkeypatch):
+        case = self.perturbed_square()
+        monkeypatch.setattr(corpus, "CASES", [case])
+        assert cli.main(["corpus", "run"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        mismatches = compare(run_case(case)[0], case.expect)
+        assert lines == ["square-4pt: FAIL", *(f"  {m}" for m in mismatches), "0/1 cases pass"]
 
 
 class TestOneParser:

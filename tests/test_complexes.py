@@ -375,6 +375,12 @@ class TestFlagRepresentation:
                 probe = tuple(sorted(rng.sample(flag.vertices, size)))
                 assert (probe in flag) == (probe in explicit)
 
+    def test_the_empty_simplex_is_not_a_member(self):
+        explicit = Complex.from_facets([[0, 1, 2]])
+        flag = Complex.flag([0, 1, 2], combinations(range(3), 2), 2)
+        assert (0, 1, 2) in explicit and (0, 1, 2) in flag
+        assert () not in explicit and () not in flag
+
     @pytest.mark.parametrize("bad", [-1, "a", 1.0, True, None])
     def test_refuses_a_vertex_id_that_is_not_a_nonnegative_int(self, bad):
         """Flag vertex ids are bit positions."""
@@ -649,14 +655,18 @@ class TestSimplexBudget:
         assert len(k.simplices(max_dim=1)) == 200 + 19900
 
     def test_the_budget_counts_every_clique_of_the_walk(self, monkeypatch):
-        """K_6 has 63 cliques: a budget of 63 walks them all, 62 refuses."""
-        k = Complex.flag(range(6), combinations(range(6), 2), dim_cap=5)
+        """K_6 has 63 cliques: a budget of 63 walks them all, 62 refuses.  A
+        walked complex keeps its levels, so each budget walks a fresh K_6."""
+
+        def k6():
+            return Complex.flag(range(6), combinations(range(6), 2), dim_cap=5)
+
         monkeypatch.setattr(complexes, "SIMPLEX_BUDGET", 63)
-        assert len(k.simplices()) == 63
+        assert len(k6().simplices()) == 63
         monkeypatch.setattr(complexes, "SIMPLEX_BUDGET", 62)
         with pytest.raises(EnumerationRefused):
-            k.simplices()
-        assert len(k.simplices(max_dim=4)) == 62
+            k6().simplices()
+        assert len(k6().simplices(max_dim=4)) == 62
 
 
 class TestSimplexOfDim:

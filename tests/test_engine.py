@@ -13,7 +13,7 @@ from ripsdecomp import (
     induced_map,
     linalg,
 )
-from ripsdecomp.homology import _reduce_chain, coboundary_columns, simplex_levels
+from ripsdecomp.homology import _reduce_chain, coboundary_columns
 from ripsdecomp.linalg import (
     block_invariants,
     characteristic,
@@ -176,9 +176,10 @@ class TestOnePassRead:
         for members in nested_chains(rng):
             k, sub = members[0], members[1]
             top = k.dim() + 1
-            levels = simplex_levels(k, top)
+            levels = k.levels(top)
             _reduce_chain(
                 members,
+                levels,
                 lambda n: [sum(s in m for m in members[1:]) for s in levels[n]],
                 range(1, top + 1),
             )
@@ -412,6 +413,11 @@ class TestFieldDescriptor:
     def test_long_digit_strings_refused_before_conversion(self, digits):
         with pytest.raises(InvalidInput, match="2\\*\\*31"):
             characteristic("zp:" + digits)
+
+    def test_ten_digits_past_2_31_refused(self):
+        """2**31 has ten digits, so the length check passes it to the bound."""
+        with pytest.raises(InvalidInput, match=r"prime fields need p < 2\*\*31"):
+            characteristic("zp:2147483648")
 
     def test_answers_are_cached_and_bad_names_raise_every_time(self):
         characteristic.cache_clear()

@@ -334,7 +334,8 @@ class TestDegreeRefusals:
 
     def test_induced_map_refuses_a_degree_past_the_cap_bound(self):
         rp2 = Complex.from_facets(PROJECTIVE_PLANE)
-        sk = skeleton(rp2, 1)
+        # the skeleton reads the simplices of its own copy, filling its levels
+        sk = skeleton(Complex.from_facets(PROJECTIVE_PLANE), 1)
         with pytest.raises(EnumerationRefused, match="past"):
             induced_map(sk, rp2, complexes.MAX_DIM_CAP + 1, "q")
         assert "levels" not in rp2._memo and "levels" not in sk._memo
@@ -365,6 +366,14 @@ class TestIsSubcomplex:
             assert is_subcomplex(sub, k) == old
             verdicts.add(old)
         assert verdicts == {True, False}
+
+    def test_a_flag_triangle_is_not_in_an_explicit_path(self):
+        """Mixed backings compare simplex by simplex: the path 0-1-2 lacks the
+        edge 02 and the triangle, and holds each of its own simplices."""
+        triangle = Complex.flag([0, 1, 2], combinations(range(3), 2), 2)
+        path = Complex.from_facets([[0, 1], [1, 2]])
+        assert not is_subcomplex(triangle, path)
+        assert is_subcomplex(Complex.flag([0, 1, 2], [(0, 1), (1, 2)], 2), path)
 
 
 class TestCertificates:

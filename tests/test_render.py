@@ -257,6 +257,13 @@ def test_text_report_shows_torsion_in_its_field():
     assert lines[-1] == "  soundness: ok"
 
 
+def test_text_report_with_no_cross_simplices_has_no_census_tail():
+    """A path 0-1-2 covered by its two edges: no simplex meets both 0 and 2."""
+    report = analyze(Complex.from_facets([[0, 1], [1, 2]]), Cover({0, 1}, {1, 2}), 2)
+    assert report.census["total"] == 0
+    assert "  cross simplices: 0" in render_text(report).splitlines()
+
+
 def test_text_report_lists_each_soundness_failure():
     report = rp2_report()
     report.soundness = {"ok": False, "failures": ["union H_1 over q: claimed iso, got rank 0"]}

@@ -192,6 +192,47 @@ class TestSoundnessGate:
     def test_fires_on_a_map_that_is_multiplication_by_two(self):
         assert self.moebius_failures(["q", "z"])
 
+    @staticmethod
+    def decompose_with_a_false_degree_1_claim(tmp_path, monkeypatch, capsys, field):
+        """``decompose`` of the five-point gluing case over one field, with
+        ``no-cross-simplices`` patched to claim an isomorphism through degree
+        1, which is false: the exit code and the report's soundness block."""
+        argv = ["decompose", *write_metric_case(tmp_path, case_by_name("five-pt-gluing"))]
+        argv += ["--field", field, "--format", "json"]
+        rows = [
+            rule._replace(test=lambda ctx, n: analyzer._holds(1))
+            if rule.id == "no-cross-simplices"
+            else rule
+            for rule in analyzer._RULES
+        ]
+        monkeypatch.setattr(analyzer, "_RULES", rows)
+        code = cli.main(argv)
+        return code, json.loads(capsys.readouterr().out)["soundness"]
+
+    @pytest.mark.parametrize("field", ["q", "zp:3"])
+    def test_fires_on_a_false_degree_1_claim_over_a_field(
+        self, tmp_path, monkeypatch, capsys, field
+    ):
+        code, soundness = self.decompose_with_a_false_degree_1_claim(
+            tmp_path, monkeypatch, capsys, field
+        )
+        assert code == 1 and not soundness["ok"]
+        assert soundness["failures"] == [
+            f"no-cross-simplices: expected isomorphism in degree 1 over {field}, "
+            "verification disagrees"
+        ]
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 2: over z alone no induced map is kept, and the "
+        "gate checks integral profiles only for claims of every degree",
+    )
+    def test_fires_on_a_false_degree_1_claim_over_z_alone(self, tmp_path, monkeypatch, capsys):
+        code, soundness = self.decompose_with_a_false_degree_1_claim(
+            tmp_path, monkeypatch, capsys, "z"
+        )
+        assert code == 1 and not soundness["ok"]
+
     def test_fires_on_a_map_that_is_multiplication_by_two_once_zp2_is_read(self):
         assert self.moebius_failures(["q", "z", "zp:2"]) == [
             "no-cross-simplices: expected isomorphism in degree 1 over zp:2, "
@@ -849,8 +890,7 @@ class TestReductionCount:
         own: the bucket lists it is handed stay linear in the cap (one list
         per complex of the cover square), not one fresh list per call.  The
         highest cap not refused has 19 induced maps over q."""
-        homology_module = importlib.import_module("ripsdecomp.homology")
-        real = homology_module.simplex_levels
+        real = Complex.levels
         dim_cap = MAX_DIM_CAP
         bound = 6 * (dim_cap + 1)
         handed = {}  # id -> list, held so that no id is reused
@@ -866,7 +906,7 @@ class TestReductionCount:
                 check()
             return levels
 
-        monkeypatch.setattr(homology_module, "simplex_levels", counted)
+        monkeypatch.setattr(Complex, "levels", counted)
         space = DistanceSpace(["a", "b"], [[0, 1], [1, 0]])
         mc = MetricCover(space, ["a"], ["b"], Fraction(1))
         report = analyzer.analyze_metric(mc, dim_cap=dim_cap, fields=["q", "z"], verify=True)
