@@ -48,9 +48,12 @@ returns: a ``HomologyProfile`` per part of the cover square and field, and
 an ``InducedMap`` of union -> total per field and degree.  The gate
 (``_soundness``) reads those records, and the report keeps them, with its
 item table of obstruction records, until a field is read
-(``DecompositionReport``), so a rendered report builds none of their dicts.
+(``DecompositionReport``).  ``reporting``'s writers are the one encoder of
+these fields: a rendered report is written straight from the records, and
+the first read of a field parses the writer's text for that field.
 """
 
+import json
 import math
 from bisect import bisect_right
 from collections import Counter, namedtuple
@@ -134,49 +137,28 @@ _REPORT_FIELDS = (
 _ItemTable = namedtuple("_ItemTable", "labels records profiles classes rows")
 
 
-def _item_dicts(table):
-    """One dict per cross simplex.  The dicts of one obstruction share its
-    ``obstruction_vertices`` list, ``certificate`` dict and ``profile``."""
-    names = table.labels
-    shared = {}
-    for obs in table.records:
-        cert, profile = obs.certificate, table.profiles.get(obs)
-        if cert is not None and cert.kind == ContractibilityCertificate.CENTRAL:
-            cert = {"kind": "central", "simplex": [names[v] for v in cert.central]}
-        elif cert is not None:
-            cert = {"kind": "collapse", "steps": cert.steps}
-        shared[obs] = {
-            "status": obs.status,
-            "obstruction_vertices": [names[v] for v in _bits(obs.mask)],
-            "certificate": cert,
-            "profile": None if profile is None else profile.to_dict(),
-        }
-    fields = {c: {"dim": c.dim, **shared[c.obs]} for c in table.classes}
-    return [{"simplex": [names[v] for v in simplex], **fields[c]} for simplex, c in table.rows]
-
-
 #: the fields a report may keep as records, each with the slot of its records
 _KEPT = {"items": "item_table", "profiles": "profile_records", "induced": "induced_records"}
 
 
 class _Kept:
     """A report field that the analyzer leaves as records, in the slot
-    ``_KEPT[name]``.  The first read builds the field's plain data from them
-    (``build``), caches it and drops the records; assigning the field drops
-    them too."""
-
-    def __init__(self, build):
-        self.build = build
+    ``_KEPT[name]``.  The first read parses the text ``reporting`` writes
+    for the field from them, caches it and drops the records; assigning the
+    field drops them too."""
 
     def __set_name__(self, owner, name):
-        self.slot, self.source = "_" + name, _KEPT[name]
+        self.name, self.slot, self.source = name, "_" + name, _KEPT[name]
 
     def __get__(self, report, owner=None):
         if report is None:
             return self
         records = getattr(report, self.source)
         if records is not None:
-            self.__set__(report, self.build(records))
+            # imported here: reporting imports this module when it loads
+            from .reporting import _FROM_RECORDS
+
+            self.__set__(report, json.loads(_FROM_RECORDS[self.name](records)))
         return getattr(report, self.slot)
 
     def __set__(self, report, value):
@@ -196,24 +178,20 @@ class DecompositionReport:
     * ``profile_records``: a ``HomologyProfile`` per part and field;
     * ``induced_records``: an ``InducedMap`` per field and degree.
 
-    The first read of a field builds its plain data from its records, caches
-    it and drops the records; assigning the field drops them too.  While a
-    report keeps a field's records, ``render_json`` writes the field
-    straight from them (``kept``).
+    While a report keeps a field's records, ``render_json`` writes the field
+    straight from them (``kept``).  The first read of a field parses that
+    text, caches it and drops the records, so its value is what
+    ``parse_report`` reads back, key order included, with no object shared
+    between items; assigning the field drops the records too.
     """
 
     __slots__ = tuple(name for name in _REPORT_FIELDS if name not in _KEPT) + (
         "_items", "item_table", "_profiles", "profile_records", "_induced", "induced_records",
     )
 
-    items = _Kept(_item_dicts)
-    profiles = _Kept(
-        lambda records: {
-            name: {coeffs: p.to_dict() for coeffs, p in by_field.items()}
-            for name, by_field in records.items()
-        }
-    )
-    induced = _Kept(lambda records: [rec.to_dict() for rec in records])
+    items = _Kept()
+    profiles = _Kept()
+    induced = _Kept()
 
     def __init__(self, **kw):
         for name in _REPORT_FIELDS:
@@ -1330,9 +1308,7 @@ def analyze(complex_, cover, dim_cap=None, fields=("q", "z"), verify=True):
     profiled once, however many cross simplices share it.  The report's
     ``items``, ``profiles`` and ``induced`` are built lazily, on first read,
     from the item table of obstruction records the context leaves and the
-    verification records (see ``DecompositionReport``); the item dicts of
-    one obstruction share their ``obstruction_vertices`` and
-    ``certificate`` objects (and ``profile``), so treat them as read-only.
+    verification records (see ``DecompositionReport``).
     """
     if dim_cap is None:
         dim_cap = complex_.dim_cap if complex_.is_flag else 4

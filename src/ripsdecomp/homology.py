@@ -401,10 +401,6 @@ class InducedMap(namedtuple("InducedMap", "field degree rank dim_source dim_targ
     def iso(self):
         return self.injective and self.surjective
 
-    def to_dict(self):
-        return {**self._asdict(), "injective": self.injective, "surjective": self.surjective,
-                "iso": self.iso}
-
 
 def induced_map(sub, ambient, degree, coeffs="q", reduced=False):
     """The map on homology of one degree induced by an inclusion, as its

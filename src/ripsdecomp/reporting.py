@@ -21,6 +21,9 @@ records, with no dict built:
   one ``%`` template per degree list, filled with the Betti numbers, the
   field and ``reduced``.
 
+A kept field's plain view (``report.items``, ``.profiles``, ``.induced``)
+is this text, parsed (``analyzer._Kept``).
+
 Every other value (``_write``) is a scalar, mapped through the functions
 the encoder itself calls, or is written by the one encoder ``json.dumps``
 would build, which raises its own error on a value it cannot encode.  Its
@@ -152,12 +155,19 @@ def _write_records(records, keys):
     """Records at depth 1 from their fields, the attributes named by
     ``keys``: each field one column at depth 3, a claim through ``_CLAIM``
     when it has the keys of a connectivity claim, and each record one fill
-    of the template of ``keys``."""
+    of the template of ``keys``.  When a value cannot be encoded, the
+    records are encoded again one by one, as ``json.dumps`` walks them, so
+    that its error is the one raised."""
     template = _template(keys, 2)
-    columns = [
-        (_claims if key == "claim" else _column)(list(map(attrgetter(key), records)), 3)
-        for key in keys
-    ]
+    try:
+        columns = [
+            (_claims if key == "claim" else _column)(list(map(attrgetter(key), records)), 3)
+            for key in keys
+        ]
+    except (TypeError, ValueError):
+        for record in records:
+            _ENCODER({key: getattr(record, key) for key in keys})
+        raise
     return _braced("[]", [template % row for row in zip(*columns)], 1)
 
 

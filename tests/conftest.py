@@ -1,5 +1,6 @@
 """Shared helpers: seeded random generators and independent oracles."""
 
+import json
 import math
 import random
 from fractions import Fraction
@@ -7,6 +8,7 @@ from itertools import combinations
 
 from ripsdecomp import Complex, Cover, DistanceSpace, MetricCover
 from ripsdecomp.corpus import CASES
+from ripsdecomp.reporting import parse_report, render_json
 
 # the standard 6-vertex triangulation of the real projective plane
 PROJECTIVE_PLANE = [
@@ -118,6 +120,17 @@ def hop_metric_cover(k, cover):
 def case_by_name(name):
     """The corpus case of that name."""
     return next(c for c in CASES if c.name == name)
+
+
+def assert_views_read_as_parsed(report):
+    """Each field a report keeps as records reads as the same field of the
+    report its JSON parses to: the same ``json.dumps`` text without
+    ``sort_keys``, so key order included.  The report must keep records."""
+    assert report.kept(), "the report keeps no records"
+    parsed = parse_report(render_json(report))
+    for field in ("items", "profiles", "induced"):
+        assert json.dumps(getattr(report, field)) == json.dumps(getattr(parsed, field)), field
+    assert report.kept() == {}
 
 
 def rng_for(seed):

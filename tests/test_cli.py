@@ -13,6 +13,7 @@ import pytest
 
 from ripsdecomp import (
     Cover,
+    InvalidInput,
     analyze,
     analyze_metric,
     cli,
@@ -24,7 +25,7 @@ from ripsdecomp import (
 )
 from ripsdecomp.complexes import MAX_DIM_CAP, SIMPLEX_BUDGET
 from ripsdecomp.corpus import CASES, compare, run_case, space_for
-from ripsdecomp.io import _read_text, load_cover, load_input
+from ripsdecomp.io import InputDocument, _read_text, load_cover, load_input
 from ripsdecomp.reporting import parse_report, render_json
 
 from conftest import (
@@ -174,6 +175,12 @@ class TestNonScalarLabels:
         cover = write_json(tmp_path, "cover.json", {"X": ["[1]", 2, 2.5], "Y": [2.5, True]})
         assert cli.main(["decompose", path, "--cover", cover, "-r", "1", "--format", "json"]) == 0
         assert json.loads(capsys.readouterr().out)["soundness"]["ok"]
+
+
+class TestInputDocument:
+    def test_neither_distances_nor_facets_refused(self):
+        with pytest.raises(InvalidInput, match="exactly one of distances / facets must be present"):
+            InputDocument()
 
 
 class TestDecomposeInputErrors:

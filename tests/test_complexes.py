@@ -375,6 +375,11 @@ class TestFlagRepresentation:
                 probe = tuple(sorted(rng.sample(flag.vertices, size)))
                 assert (probe in flag) == (probe in explicit)
 
+    def test_a_complex_equals_only_a_complex(self):
+        for k in (Complex.from_facets([[0, 1]]), Complex.flag([0, 1], [(0, 1)], 1)):
+            assert k.__eq__(object()) is NotImplemented
+            assert (k == object()) is False
+
     def test_the_empty_simplex_is_not_a_member(self):
         explicit = Complex.from_facets([[0, 1, 2]])
         flag = Complex.flag([0, 1, 2], combinations(range(3), 2), 2)

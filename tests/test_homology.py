@@ -160,6 +160,10 @@ class TestBoundary:
                 nonzero += sum(1 for row in b.entries for v in row if v)
         assert nonzero > 500
 
+    def test_degree_below_one_refused(self):
+        with pytest.raises(InvalidInput, match="boundary degree must be at least 1"):
+            boundary_matrix(hollow_triangle(), 0)
+
     def test_cap_refusal(self):
         flag = Complex.flag(range(4), combinations(range(4), 2), dim_cap=1)
         with pytest.raises(EnumerationRefused):

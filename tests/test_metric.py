@@ -842,6 +842,33 @@ class TestAnalyzeMetric:
         assert mc.space._matrix is None
         assert mc.space.matrix == TestTablesAgainstEachEntry.oracle(rows)
 
+    @staticmethod
+    def two_point_intersection():
+        """A = {a1, a2} at distance 3, X = A + x, Y = A + y, r = 2: the
+        gluing holds, but the cross edge {x, y} sees both of a1 and a2, which
+        are not close, so both simplex conditions fail."""
+        rows = [[0, 3, 1, 1], [3, 0, 2, 2], [1, 2, 0, 2], [1, 2, 2, 0]]
+        space = DistanceSpace(["a1", "a2", "x", "y"], rows)
+        return MetricCover(space, ["a1", "a2", "x"], ["a1", "a2", "y"], 2)
+
+    @pytest.mark.parametrize(
+        "check, criterion",
+        [
+            ("check_simplex_assumption", "gluing-simplex-condition"),
+            ("check_strong_simplex_assumption", "gluing-strong-simplex-condition"),
+        ],
+    )
+    def test_a_simplex_check_that_passes_wrongly_trips_the_self_check(
+        self, monkeypatch, check, criterion
+    ):
+        report = analyze_metric(self.two_point_intersection(), dim_cap=3)
+        assert report.verdict("metric-gluing").status == "holds"
+        verdict = report.verdict(criterion)
+        assert (verdict.status, verdict.witness) == ("fails", "('x', 'a1', 'a2')")
+        monkeypatch.setattr(metric, check, lambda mc: metric.CheckResult(True))
+        with pytest.raises(AssertionError, match=r"certified but .* at \{x,y\}"):
+            analyze_metric(self.two_point_intersection(), dim_cap=3)
+
     def test_one_enumeration_per_report(self, monkeypatch):
         calls = []
         enumerate_p_complement = analyzer.enumerate_p_complement

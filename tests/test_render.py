@@ -152,6 +152,22 @@ def test_unencodable_values_raise_as_plain_json(bad):
         assert str(got.value) == str(expected.value)
 
 
+def test_unencodable_values_in_two_verdicts_raise_as_plain_json():
+    """The verdicts are written column by column, the claims first, but
+    json.dumps walks them verdict by verdict: of a witness and a later
+    claim that neither can encode, the witness raises."""
+    report = random_report(0)
+    report.verdicts = [
+        CriterionVerdict("first", "holds", witness=b"w"),
+        CriterionVerdict("second", "holds", claim=object()),
+    ]
+    with pytest.raises(TypeError, match="bytes") as expected:
+        plain(report)
+    with pytest.raises(TypeError) as got:
+        render_json(report)
+    assert str(got.value) == str(expected.value)
+
+
 def test_records_that_share_objects_render_as_plain_json():
     """Records share one certificate dict and one vertex list per
     obstruction; shared objects, lookalikes among them, and equal objects
@@ -255,6 +271,14 @@ def test_text_report_shows_torsion_in_its_field():
     assert lines[lines.index("   coefficients q:") + 5] == "    total   -1:0 0:0 1:0 2:0"
     assert lines[z + 5] == "    total   -1:0 0:0 1:0+t2 2:0"
     assert lines[-1] == "  soundness: ok"
+
+
+def test_an_unknown_criterion_raises_and_a_report_equals_only_a_report():
+    report = rp2_report()
+    with pytest.raises(KeyError, match="no-such-criterion"):
+        report.verdict("no-such-criterion")
+    assert report.__eq__(object()) is NotImplemented
+    assert (report == object()) is False
 
 
 def test_text_report_with_no_cross_simplices_has_no_census_tail():
