@@ -28,7 +28,7 @@ from fractions import Fraction
 import pytest
 
 from ripsdecomp import Complex, Cover, DistanceSpace, MetricCover, analyze, analyze_metric
-from ripsdecomp.analyzer import CriterionVerdict, DecompositionReport
+from ripsdecomp.analyzer import CriterionVerdict
 from ripsdecomp.corpus import CASES, run_case, space_for
 from ripsdecomp.homology import HomologyProfile
 from ripsdecomp.reporting import parse_report, render_json
