@@ -1,13 +1,7 @@
 """Decompositions of simplicial and Vietoris-Rips complexes over a vertex
 cover, with exact homological verification."""
 
-from .analyzer import (
-    CRITERIA,
-    CriterionVerdict,
-    DecompositionReport,
-    analyze,
-    analyze_metric,
-)
+from .analyzer import CRITERIA, analyze, analyze_metric
 from .complexes import (
     Complex,
     Cover,
@@ -44,5 +38,6 @@ from .metric import (
     validate,
     vietoris_rips,
 )
+from .reporting import CriterionVerdict, DecompositionReport
 
 __version__ = "0.1.0"

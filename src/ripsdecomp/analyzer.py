@@ -46,14 +46,11 @@ report if any certified conclusion disagrees with the verification.
 Verification (``_verification``) keeps the records the homology layer
 returns: a ``HomologyProfile`` per part of the cover square and field, and
 an ``InducedMap`` of union -> total per field and degree.  The gate
-(``_soundness``) reads those records, and the report keeps them, with its
-item table of obstruction records, until a field is read
-(``DecompositionReport``).  ``reporting``'s writers are the one encoder of
-these fields: a rendered report is written straight from the records, and
-the first read of a field parses the writer's text for that field.
+(``_soundness``) reads those records.  The report is built with them, and
+with its item table of obstruction records, as its ``records``; the report
+model and its writers are ``reporting``'s, which imports nothing from here.
 """
 
-import json
 import math
 from bisect import bisect_right
 from collections import Counter, namedtuple
@@ -74,11 +71,10 @@ from .homology import (
     homology,
     induced_map,
 )
+from .reporting import CriterionVerdict, DecompositionReport, _ItemTable
 
 __all__ = [
     "CRITERIA",
-    "CriterionVerdict",
-    "DecompositionReport",
     "analyze",
     "analyze_metric",
 ]
@@ -94,136 +90,6 @@ STATUS_EMPTY = "empty"
 STATUS_CONE = "cone"
 STATUS_COLLAPSE = "collapse"
 STATUS_HOMOLOGY_ONLY = "homology-only"
-
-
-class CriterionVerdict(
-    namedtuple(
-        "CriterionVerdict",
-        "criterion status witness conclusion claim detail verified_up_to",
-        defaults=(None,) * 5,
-    )
-):
-    """Outcome of one criterion: hypothesis status, witness, conclusion.
-
-    ``claim`` is the machine-checkable consequence for the inclusion of the
-    cover union into the whole complex: which homology degrees must be
-    isomorphisms ("all" or an upper bound), where a surjection is promised,
-    and which coefficient characteristic is excluded, if any.
-    """
-
-    __slots__ = ()
-
-    def to_dict(self):
-        return self._asdict()
-
-    @classmethod
-    def from_dict(cls, data):
-        optional = {name: data.get(name) for name in cls._fields[2:]}
-        return cls(data["criterion"], data["status"], **optional)
-
-
-#: the fields of a report, as ``to_dict`` gives them
-_REPORT_FIELDS = (
-    "kind", "cover", "radius", "dim_cap", "fields", "census",
-    "items", "verdicts", "profiles", "induced", "soundness", "notes",
-)
-
-
-#: A report's items as one table: ``labels`` maps vertex ids to labels,
-#: ``records`` lists the distinct obstruction records in the order of their
-#: first classes, ``profiles`` maps the records whose items carry a profile
-#: (homology-only, in a verified report) to it, and ``classes`` and ``rows``
-#: are those of the context: the (simplex, class) pairs in report order.
-_ItemTable = namedtuple("_ItemTable", "labels records profiles classes rows")
-
-
-#: the fields a report may keep as records, each with the slot of its records
-_KEPT = {"items": "item_table", "profiles": "profile_records", "induced": "induced_records"}
-
-
-class _Kept:
-    """A report field that the analyzer leaves as records, in the slot
-    ``_KEPT[name]``.  The first read parses the text ``reporting`` writes
-    for the field from them, caches it and drops the records; assigning the
-    field drops them too."""
-
-    def __set_name__(self, owner, name):
-        self.name, self.slot, self.source = name, "_" + name, _KEPT[name]
-
-    def __get__(self, report, owner=None):
-        if report is None:
-            return self
-        records = getattr(report, self.source)
-        if records is not None:
-            # imported here: reporting imports this module when it loads
-            from .reporting import _FROM_RECORDS
-
-            self.__set__(report, json.loads(_FROM_RECORDS[self.name](records)))
-        return getattr(report, self.slot)
-
-    def __set__(self, report, value):
-        setattr(report, self.slot, value)
-        setattr(report, self.source, None)
-
-
-class DecompositionReport:
-    """Everything the analyzer decided, as JSON-ready plain data.
-
-    ``items``, ``profiles`` and ``induced`` are built lazily (``_Kept``).
-    The analyzer leaves them as records:
-
-    * ``item_table``: the id -> label map, the obstruction records the
-      cross simplices share with the profiles their items carry, and the
-      (simplex, class) rows (``_ItemTable``);
-    * ``profile_records``: a ``HomologyProfile`` per part and field;
-    * ``induced_records``: an ``InducedMap`` per field and degree.
-
-    While a report keeps a field's records, ``render_json`` writes the field
-    straight from them (``kept``).  The first read of a field parses that
-    text, caches it and drops the records, so its value is what
-    ``parse_report`` reads back, key order included, with no object shared
-    between items; assigning the field drops the records too.
-    """
-
-    __slots__ = tuple(name for name in _REPORT_FIELDS if name not in _KEPT) + (
-        "_items", "item_table", "_profiles", "profile_records", "_induced", "induced_records",
-    )
-
-    items = _Kept()
-    profiles = _Kept()
-    induced = _Kept()
-
-    def __init__(self, **kw):
-        for name in _REPORT_FIELDS:
-            setattr(self, name, kw.get(name))
-        self.notes = self.notes or []
-
-    def verdict(self, criterion):
-        for v in self.verdicts:
-            if v.criterion == criterion:
-                return v
-        raise KeyError(criterion)
-
-    def kept(self):
-        """The fields still kept as records, by name, each with its records."""
-        records = {name: getattr(self, source) for name, source in _KEPT.items()}
-        return {name: kept for name, kept in records.items() if kept is not None}
-
-    def to_dict(self):
-        out = {name: getattr(self, name) for name in _REPORT_FIELDS}
-        out["verdicts"] = [v.to_dict() for v in self.verdicts]
-        return out
-
-    @classmethod
-    def from_dict(cls, data):
-        kw = dict(data)
-        kw["verdicts"] = [CriterionVerdict.from_dict(v) for v in data["verdicts"]]
-        return cls(**kw)
-
-    def __eq__(self, other):
-        if not isinstance(other, DecompositionReport):
-            return NotImplemented
-        return self.to_dict() == other.to_dict()
 
 
 # ------------------------------------------------------------------ context
@@ -1284,7 +1150,7 @@ def _census(ctx):
     return {"total": len(ctx.items), "by_dim": dict(by_dim), "by_status": dict(by_status)}
 
 
-def _item_table(ctx, include_profiles):
+def _item_records(ctx, include_profiles):
     """The item table of a context: its records, and with
     ``include_profiles`` the profiles of the homology-only ones."""
     names = {v: ctx.label(v) for v in ctx.complex.vertices}
@@ -1322,12 +1188,12 @@ def _analyze(ctx, fields, verify, kind="simplicial", radius=None, metric_rules=(
     fields = list(dict.fromkeys(fields))
     complex_, cover, dim_cap = ctx.complex, ctx.cover, ctx.dim_cap
     verdicts = [_verdict(rule, ctx) for rule in [*metric_rules, *_RULES]]
-    profiles = induced = None
-    failures = []
+    records, failures = {}, []
     if verify:
         profiles, induced = _verification(complex_, cover, fields, dim_cap)
         failures = _soundness(verdicts, profiles, induced, fields)
-    report = DecompositionReport(
+        records = {"profiles": profiles, "induced": induced}
+    return DecompositionReport(
         kind=kind,
         cover={
             "X": [ctx.label(v) for v in sorted(cover.x)],
@@ -1341,10 +1207,8 @@ def _analyze(ctx, fields, verify, kind="simplicial", radius=None, metric_rules=(
         verdicts=verdicts,
         soundness={"ok": not failures, "failures": failures},
         notes=list(notes),
+        records={**records, "items": _item_records(ctx, include_profiles=verify)},
     )
-    report.item_table = _item_table(ctx, include_profiles=verify)
-    report.profile_records, report.induced_records = profiles, induced
-    return report
 
 
 def analyze_metric(mc, dim_cap=4, fields=("q", "z"), verify=True):

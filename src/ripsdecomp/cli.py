@@ -14,6 +14,7 @@ import sys
 
 from . import linalg
 from .analyzer import analyze, analyze_metric
+from .complexes import check_dim_cap
 from .errors import InvalidInput, RipsDecompError
 from .homology import homology
 from .io import cover_for_labels, load_cover, load_input
@@ -100,9 +101,11 @@ def _radius(args):
 
 
 def _complex_from(args, document, cap):
-    """The input's complex: a distance input's flag complex is capped at ``cap``."""
+    """The input's complex, a distance input's flag complex capped at
+    ``cap``; ``--max-dim`` past ``MAX_DIM_CAP`` is refused before either."""
     if args.max_dim < 0:
         raise InvalidInput("--max-dim must be nonnegative")
+    check_dim_cap(args.max_dim)
     if document.space is not None:
         return vietoris_rips(document.space, _radius(args), cap)
     return document.facet_complex

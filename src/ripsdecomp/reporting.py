@@ -1,12 +1,21 @@
-r"""Text and JSON renderings of decomposition reports.
+r"""The decomposition report: its model, and its text and JSON renderings.
+
+A report (``DecompositionReport``) holds every field as plain data, but the
+analyzer leaves three as records, in ``report.records`` by field name:
+
+* ``items``: the id -> label map, the obstruction records the cross
+  simplices share with the profiles their items carry, and the (simplex,
+  class) rows (``_ItemTable``);
+* ``profiles``: a ``HomologyProfile`` per part and field;
+* ``induced``: an ``InducedMap`` per field and degree.
 
 The JSON form round-trips: ``parse_report(render_json(report)) == report``.
 Both renderings carry exactly the same verdict set.
 
 ``render_json`` is ``json.dumps(report.to_dict(), indent=2, sort_keys=True)``
-byte for byte.  The verdicts, and each field the report still keeps as the
-analyzer's records (``DecompositionReport.kept``), are written from their
-records, with no dict built:
+byte for byte.  The verdicts, and each field the report still keeps as
+records, are written from their records by the field's writer
+(``_WRITERS``), with no dict built:
 
 * the verdicts and the induced maps, from their ``CriterionVerdict`` and
   ``InducedMap`` records (``_write_records``): each field one column, each
@@ -22,7 +31,7 @@ records, with no dict built:
   field and ``reduced``.
 
 A kept field's plain view (``report.items``, ``.profiles``, ``.induced``)
-is this text, parsed (``analyzer._Kept``).
+is this text, parsed on the first read (``_Kept``).
 
 Every other value (``_write``) is a scalar, mapped through the functions
 the encoder itself calls, or is written by the one encoder ``json.dumps``
@@ -34,13 +43,55 @@ between tokens.
 """
 
 import json
+from collections import namedtuple
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter
 
-from .analyzer import _REPORT_FIELDS, CriterionVerdict, DecompositionReport
 from .complexes import _bits
 
-__all__ = ["parse_report", "render_json", "render_text"]
+__all__ = ["CriterionVerdict", "DecompositionReport", "parse_report", "render_json", "render_text"]
+
+
+class CriterionVerdict(
+    namedtuple(
+        "CriterionVerdict",
+        "criterion status witness conclusion claim detail verified_up_to",
+        defaults=(None,) * 5,
+    )
+):
+    """Outcome of one criterion: hypothesis status, witness, conclusion.
+
+    ``claim`` is the machine-checkable consequence for the inclusion of the
+    cover union into the whole complex: which homology degrees must be
+    isomorphisms ("all" or an upper bound), where a surjection is promised,
+    and which coefficient characteristic is excluded, if any.
+    """
+
+    __slots__ = ()
+
+    def to_dict(self):
+        return self._asdict()
+
+    @classmethod
+    def from_dict(cls, data):
+        optional = {name: data.get(name) for name in cls._fields[2:]}
+        return cls(data["criterion"], data["status"], **optional)
+
+
+#: the fields of a report, as ``to_dict`` gives them
+_REPORT_FIELDS = (
+    "kind", "cover", "radius", "dim_cap", "fields", "census",
+    "items", "verdicts", "profiles", "induced", "soundness", "notes",
+)
+
+
+#: A report's items as one table: ``labels`` maps vertex ids to labels,
+#: ``records`` lists the distinct obstruction records in the order of their
+#: first classes, ``profiles`` maps the records whose items carry a profile
+#: (homology-only, in a verified report) to it, and ``classes`` and ``rows``
+#: are those of the context: the (simplex, class) pairs in report order.
+_ItemTable = namedtuple("_ItemTable", "labels records profiles classes rows")
+
 
 #: the line break before a token at each depth
 _NEWLINE = ["\n" + "  " * depth for depth in range(32)]
@@ -87,21 +138,6 @@ _SIMPLEX = "[" + _NEWLINE[4] + "\0" + _NEWLINE[3] + "]"
 #: a certificate at depth 3: its central simplex, or its step count
 _CENTRAL = _template(("kind", "simplex"), 3) % ('"central"', "%s")
 _COLLAPSE = _template(("kind", "steps"), 3) % ('"collapse"', "%s")
-
-
-def render_json(report):
-    """``json.dumps(report.to_dict(), indent=2, sort_keys=True)``, the
-    verdicts and each field the report keeps as records written straight
-    from their records.  The fields are written in key order, so of values
-    in two fields that cannot be encoded, the one ``json.dumps`` meets
-    first raises."""
-    kept = {**report.kept(), "verdicts": report.verdicts}
-    texts = [
-        f'"{name}": '
-        + (_FROM_RECORDS[name](kept[name]) if name in kept else _write(getattr(report, name), 1))
-        for name in sorted(_REPORT_FIELDS)
-    ]
-    return _braced("{}", texts, 0)
 
 
 def _write_profiles(records):
@@ -231,13 +267,97 @@ def _column(values, depth):
     return [_write(v, depth) for v in values]
 
 
-#: the writer of each field a report may keep as records
-_FROM_RECORDS = {
+#: the writer of the verdicts and of each field a report may keep as records
+_WRITERS = {
     "items": _write_items,
     "profiles": _write_profiles,
     "induced": lambda records: _write_records(records, _INDUCED_KEYS),
     "verdicts": lambda records: _write_records(records, _VERDICT_KEYS),
 }
+
+
+class _Kept:
+    """A report field that the analyzer may leave as records, in
+    ``report.records``.  The first read parses the text the field's writer
+    writes from them, caches it and drops the records; assigning the field
+    drops them too."""
+
+    def __set_name__(self, owner, name):
+        self.name, self.slot = name, "_" + name
+
+    def __get__(self, report, owner=None):
+        if report is None:
+            return self
+        if self.name in report.records:
+            self.__set__(report, json.loads(_WRITERS[self.name](report.records[self.name])))
+        return getattr(report, self.slot)
+
+    def __set__(self, report, value):
+        setattr(report, self.slot, value)
+        report.records.pop(self.name, None)
+
+
+class DecompositionReport:
+    """Everything the analyzer decided, as JSON-ready plain data.
+
+    ``records`` maps each field still kept as records to them.  The first
+    read of ``items``, ``profiles`` or ``induced`` parses its writer's text
+    (``_Kept``), so its value is what ``parse_report`` reads back, key order
+    included, with no object shared between items.
+    """
+
+    __slots__ = (
+        "kind", "cover", "radius", "dim_cap", "fields", "census", "verdicts", "soundness",
+        "notes", "records", "_items", "_profiles", "_induced",
+    )
+
+    items = _Kept()
+    profiles = _Kept()
+    induced = _Kept()
+
+    def __init__(self, records=(), **kw):
+        self.records = {}
+        for name in _REPORT_FIELDS:
+            setattr(self, name, kw.get(name))
+        self.notes = self.notes or []
+        self.records.update(records)
+
+    def verdict(self, criterion):
+        for v in self.verdicts:
+            if v.criterion == criterion:
+                return v
+        raise KeyError(criterion)
+
+    def to_dict(self):
+        out = {name: getattr(self, name) for name in _REPORT_FIELDS}
+        out["verdicts"] = [v.to_dict() for v in self.verdicts]
+        return out
+
+    @classmethod
+    def from_dict(cls, data):
+        kw = {name: data.get(name) for name in _REPORT_FIELDS}
+        kw["verdicts"] = [CriterionVerdict.from_dict(v) for v in data["verdicts"]]
+        return cls(**kw)
+
+    def __eq__(self, other):
+        if not isinstance(other, DecompositionReport):
+            return NotImplemented
+        return self.to_dict() == other.to_dict()
+
+
+def render_json(report):
+    """``json.dumps(report.to_dict(), indent=2, sort_keys=True)``, the
+    verdicts and each field the report keeps as records written straight
+    from their records.  The fields are written in key order, so of values
+    in two fields that cannot be encoded, the one ``json.dumps`` meets
+    first raises."""
+    records = {**report.records, "verdicts": report.verdicts}
+    texts = [
+        f'"{name}": '
+        + (_WRITERS[name](records[name]) if name in records else _write(getattr(report, name), 1))
+        for name in sorted(_REPORT_FIELDS)
+    ]
+    return _braced("{}", texts, 0)
 
 
 def parse_report(text):

@@ -126,11 +126,11 @@ def assert_views_read_as_parsed(report):
     """Each field a report keeps as records reads as the same field of the
     report its JSON parses to: the same ``json.dumps`` text without
     ``sort_keys``, so key order included.  The report must keep records."""
-    assert report.kept(), "the report keeps no records"
+    assert report.records, "the report keeps no records"
     parsed = parse_report(render_json(report))
     for field in ("items", "profiles", "induced"):
         assert json.dumps(getattr(report, field)) == json.dumps(getattr(parsed, field)), field
-    assert report.kept() == {}
+    assert report.records == {}
 
 
 def rng_for(seed):

@@ -16,6 +16,7 @@ from ripsdecomp import (
     InvalidInput,
     analyze,
     analyze_metric,
+    analyzer,
     cli,
     complexes,
     corpus,
@@ -424,22 +425,30 @@ class TestDimensionCapBound:
     def test_the_bound_follows_the_budget(self):
         assert 2**MAX_DIM_CAP - 1 <= SIMPLEX_BUDGET < 2 ** (MAX_DIM_CAP + 1) - 1
 
-    @pytest.mark.parametrize("command", ["decompose", "homology"])
+    @pytest.mark.parametrize("command", ["decompose", "homology", "homology of distances", "vr"])
     def test_the_bound_runs_and_one_past_it_exits_2(self, capsys, tmp_path, command):
-        """``decompose`` on the 3-point path at radius 1, ``homology`` on RP^2."""
-        if command == "decompose":
-            points = write_json(
-                tmp_path, "path.json",
-                {"points": ["a", "b", "c"], "distances": [[0, 1, 2], [1, 0, 1], [2, 1, 0]]},
-            )
-            cover = write_json(tmp_path, "cover.json", {"X": ["a", "b"], "Y": ["b", "c"]})
-            argv = ["decompose", points, "--cover", cover, "-r", "1"]
-        else:
-            argv = ["homology", write_json(tmp_path, "rp2.json", {"facets": PROJECTIVE_PLANE})]
+        """``decompose``, ``vr`` and ``homology`` on the 3-point path at
+        radius 1, and ``homology`` on RP^2.  ``homology`` of distances at
+        the bound builds its Vietoris-Rips complex one past it."""
+        points = write_json(
+            tmp_path, "path.json",
+            {"points": ["a", "b", "c"], "distances": [[0, 1, 2], [1, 0, 1], [2, 1, 0]]},
+        )
+        cover = write_json(tmp_path, "cover.json", {"X": ["a", "b"], "Y": ["b", "c"]})
+        rp2 = write_json(tmp_path, "rp2.json", {"facets": PROJECTIVE_PLANE})
+        argv = {
+            "decompose": ["decompose", points, "--cover", cover, "-r", "1"],
+            "homology": ["homology", rp2],
+            "homology of distances": ["homology", points, "-r", "1"],
+            "vr": ["vr", points, "-r", "1"],
+        }[command]
         assert cli.main([*argv, "--max-dim", str(MAX_DIM_CAP), "--format", "json"]) == 0
         out = json.loads(capsys.readouterr().out)
-        degrees = out["profiles"]["total"]["z"] if command == "decompose" else out["z"]
-        assert degrees["degrees"][-1] == MAX_DIM_CAP - (command == "decompose")
+        if command == "vr":
+            assert out == {"counts_by_dim": {"0": 3, "1": 2}}
+        else:
+            degrees = out["profiles"]["total"]["z"] if command == "decompose" else out["z"]
+            assert degrees["degrees"][-1] == MAX_DIM_CAP - (command == "decompose")
         assert cli.main([*argv, "--max-dim", str(MAX_DIM_CAP + 1)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -676,6 +685,29 @@ class TestCorpus:
         lines = capsys.readouterr().out.splitlines()
         mismatches = compare(run_case(case)[0], case.expect)
         assert lines == ["square-4pt: FAIL", *(f"  {m}" for m in mismatches), "0/1 cases pass"]
+
+    def test_a_report_that_fails_soundness_is_a_mismatch(self, capsys, monkeypatch):
+        """five-pt-gluing with ``no-cross-simplices`` patched to claim an
+        isomorphism through degree 1, which is false over q: ``compare``
+        names the gate's failures, and ``corpus run`` prints them and exits
+        1."""
+        case = case_by_name("five-pt-gluing")
+        rows = [
+            rule._replace(test=lambda ctx, n: analyzer._holds(1))
+            if rule.id == "no-cross-simplices"
+            else rule
+            for rule in analyzer._RULES
+        ]
+        monkeypatch.setattr(analyzer, "_RULES", rows)
+        report, mismatches = run_case(case)
+        assert report.soundness["failures"] == [
+            "no-cross-simplices: expected isomorphism in degree 1 over q, verification disagrees"
+        ]
+        assert mismatches == [f"soundness failed: {report.soundness['failures']}"]
+        monkeypatch.setattr(corpus, "CASES", [case])
+        assert cli.main(["corpus", "run"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines == ["five-pt-gluing: FAIL", f"  {mismatches[0]}", "0/1 cases pass"]
 
 
 class TestOneParser:

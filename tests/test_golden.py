@@ -28,10 +28,9 @@ from fractions import Fraction
 import pytest
 
 from ripsdecomp import Complex, Cover, DistanceSpace, MetricCover, analyze, analyze_metric
-from ripsdecomp.analyzer import CriterionVerdict
 from ripsdecomp.corpus import CASES, run_case, space_for
 from ripsdecomp.homology import HomologyProfile
-from ripsdecomp.reporting import parse_report, render_json
+from ripsdecomp.reporting import CriterionVerdict, parse_report, render_json
 
 from conftest import (
     PROJECTIVE_PLANE,
@@ -268,10 +267,10 @@ def test_every_render_path_gives_the_golden_bytes(name, build):
     report = _with_item_table(name, build)
     verified = json.loads(text)["profiles"] is not None
     kept = {"items", "profiles", "induced"} if verified else {"items"}
-    assert set(report.kept()) == kept
+    assert set(report.records) == kept
     assert render_json(report) == text
     assert json.dumps(report.to_dict(), indent=2, sort_keys=True) == text
-    assert report.kept() == {}
+    assert report.records == {}
     assert render_json(report) == text
     assert parse_report(render_json(report)) == report == parse_report(text)
 
@@ -291,12 +290,12 @@ def test_the_writer_builds_no_record_dict_and_leaves_the_item_table(name, build,
     for cls in (CriterionVerdict, HomologyProfile):
         monkeypatch.setattr(cls, "to_dict", refused)
     monkeypatch.setattr(CriterionVerdict, "_asdict", refused)
-    table = report.item_table
+    table = report.records["items"]
     assert render_json(report) == text
-    assert report.item_table is table
+    assert report.records["items"] is table
     monkeypatch.undo()
     items = report.items
-    assert report.item_table is None
+    assert "items" not in report.records
     assert items == json.loads(text)["items"]
 
 
@@ -315,7 +314,7 @@ def test_assigned_items_replace_the_item_table(name, build):
     items = json.loads(_golden_text(name))["items"][::-1] + [{"dim": 0, "simplex": ["new"]}]
     report = _with_item_table(name, build)
     report.items = items
-    assert report.item_table is None
+    assert "items" not in report.records
     text = render_json(report)
     assert json.loads(text)["items"] == items
     assert text == json.dumps(report.to_dict(), indent=2, sort_keys=True)

@@ -156,7 +156,7 @@ def test_records_build_no_complex_whatever_their_number(monkeypatch):
     for n in (30, 36, 42):
         built.clear()
         report = analyze_metric(circle_cover(n), dim_cap=3, verify=False)
-        records[len(report.item_table.records)] = len(built)
+        records[len(report.records["items"].records)] = len(built)
     assert records == {40: 3, 48: 3, 70: 3}
 
 

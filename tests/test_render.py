@@ -3,15 +3,15 @@ sort_keys=True)`` on seeded hand-built reports: the templates of the verdicts,
 the encoder shifted to each depth for every other field, and the errors of
 values neither can encode."""
 
+import ast
 import copy
 import json
 import math
 
 import pytest
 
-from ripsdecomp import Complex, Cover, analyze, reporting
-from ripsdecomp.analyzer import CriterionVerdict, DecompositionReport
-from ripsdecomp.reporting import render_json, render_text
+from ripsdecomp import Complex, Cover, analyze, analyzer, reporting
+from ripsdecomp.reporting import CriterionVerdict, DecompositionReport, render_json, render_text
 
 from conftest import PROJECTIVE_PLANE, rng_for
 
@@ -281,6 +281,15 @@ def test_an_unknown_criterion_raises_and_a_report_equals_only_a_report():
     assert (report == object()) is False
 
 
+def test_a_parsed_report_keeps_no_records_whatever_its_keys():
+    """``from_dict`` reads the report's fields alone: a ``records`` key in
+    the data is not taken for the analyzer's records."""
+    report = rp2_report()
+    data = json.loads(render_json(report))
+    parsed = DecompositionReport.from_dict({**data, "records": {"items": None}})
+    assert parsed.records == {} and parsed == report
+
+
 def test_text_report_with_no_cross_simplices_has_no_census_tail():
     """A path 0-1-2 covered by its two edges: no simplex meets both 0 and 2."""
     report = analyze(Complex.from_facets([[0, 1], [1, 2]]), Cover({0, 1}, {1, 2}), 2)
@@ -296,3 +305,36 @@ def test_text_report_lists_each_soundness_failure():
         "  soundness: FAILED",
         "    !! union H_1 over q: claimed iso, got rank 0",
     ]
+
+
+def _syntax(module):
+    with open(module.__file__, encoding="utf-8") as fh:
+        return ast.parse(fh.read())
+
+
+def _imported(node):
+    """The modules an import statement names, its relative ones resolved
+    in ``ripsdecomp``."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    base = ".".join(filter(None, ["ripsdecomp" * bool(node.level), node.module]))
+    return [base, *(f"{base}.{alias.name}" for alias in node.names)]
+
+
+def test_the_report_model_has_one_owner_and_no_import_cycle():
+    """``reporting`` owns the report model and its writers and imports
+    nothing from ``analyzer``, so ``analyzer`` defers no import to break a
+    cycle: none of its functions imports."""
+    imports = (ast.Import, ast.ImportFrom)
+    reporting_imports = [
+        name for node in ast.walk(_syntax(reporting)) if isinstance(node, imports)
+        for name in _imported(node)
+    ]
+    assert "ripsdecomp.analyzer" not in reporting_imports
+    deferred = [
+        (function.name, node.lineno)
+        for function in ast.walk(_syntax(analyzer))
+        if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(function) if isinstance(node, imports)
+    ]
+    assert deferred == []

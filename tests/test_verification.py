@@ -445,10 +445,10 @@ class TestRecordsPath:
         seen = Counter()
         for k, cover in records_cases(rng, cap):
             report = analyze(k, cover, dim_cap=cap, fields=self.FIELDS)
-            assert set(report.kept()) == {"items", "profiles", "induced"}
-            profiles = report.profile_records
+            assert set(report.records) == {"items", "profiles", "induced"}
+            profiles = report.records["profiles"]
             text = render_json(report)
-            assert set(report.kept()) == {"items", "profiles", "induced"}
+            assert set(report.records) == {"items", "profiles", "induced"}
             assert text == json.dumps(report.to_dict(), indent=2, sort_keys=True), (k, cover)
             seen["torsion"] += any(p["z"].torsion for p in profiles.values())
             seen["torsion in several degrees"] += any(
@@ -481,7 +481,7 @@ class TestRecordsPath:
                 "total": total,
             }
             profiles = report.profiles
-            assert report.profile_records is None and report.profiles is profiles
+            assert "profiles" not in report.records and report.profiles is profiles
             assert profiles == {
                 name: {
                     coeffs: homology(part, coeffs, max_deg=cap - 1, reduced=True).to_dict()
@@ -490,7 +490,7 @@ class TestRecordsPath:
                 for name, part in parts.items()
             }, (k, cover)
             induced = report.induced
-            assert report.induced_records is None and report.induced is induced
+            assert "induced" not in report.records and report.induced is induced
             assert induced == [
                 {key: getattr(rec, key) for key in self.INDUCED_KEYS}
                 for coeffs in self.FIELDS
@@ -513,16 +513,16 @@ class TestRecordsPath:
         alone, and the writer follows the new value."""
         k = rp2_and_suspension()
         cover = Cover(range(9), [0, *range(6, 13)])
-        assert analyze(k, cover, dim_cap=4, verify=False).kept().keys() == {"items"}
+        assert analyze(k, cover, dim_cap=4, verify=False).records.keys() == {"items"}
         report = analyze(k, cover, dim_cap=4, fields=self.FIELDS)
-        source, other, value = {
-            "profiles": ("profile_records", "induced", {"x": {"q": {"betti": {"-1": 0}}}}),
-            "induced": ("induced_records", "profiles", [{"field": "q"}]),
+        other, value = {
+            "profiles": ("induced", {"x": {"q": {"betti": {"-1": 0}}}}),
+            "induced": ("profiles", [{"field": "q"}]),
         }[field]
-        assert getattr(report, source) is not None
+        assert report.records[field] is not None
         setattr(report, field, value)
-        assert getattr(report, field) is value and getattr(report, source) is None
-        assert report.kept().keys() == {"items", other}
+        assert getattr(report, field) is value and field not in report.records
+        assert report.records.keys() == {"items", other}
         text = render_json(report)
         assert json.loads(text)[field] == value
         assert text == json.dumps(report.to_dict(), indent=2, sort_keys=True)
