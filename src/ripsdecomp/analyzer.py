@@ -42,13 +42,15 @@ alone enforces the honesty rules:
 
 Conclusions at the homotopy level are reported together with the
 machine-checked homological shadow, and the soundness gate fails the whole
-report if any certified conclusion disagrees with the verification.
+report if any certified conclusion disagrees with exact homology.
 Verification (``_verification``) keeps the records the homology layer
 returns: a ``HomologyProfile`` per part of the cover square and field, and
 an ``InducedMap`` of union -> total per field and degree.  The gate
-(``_soundness``) reads those records.  The report is built with them, and
-with its item table of obstruction records, as its ``records``; the report
-model and its writers are ``reporting``'s, which imports nothing from here.
+(``_soundness``) reads no field and no record: it checks each claim against
+the integral homology of (total, union), which settles every field.  The
+report is built with the records, and with its item table of obstruction
+records, as its ``records``; the report model and its writers are
+``reporting``'s, which imports nothing from here.
 """
 
 import math
@@ -70,6 +72,7 @@ from .homology import (
     cover_square,
     homology,
     induced_map,
+    relative_profile,
 )
 from .reporting import CriterionVerdict, DecompositionReport, _ItemTable
 
@@ -1075,70 +1078,65 @@ METRIC_CRITERIA = [rule.id for rule in _METRIC_RULES]
 # ------------------------------------------------------------- verification
 
 
-def _verification(complex_, cover, fields, dim_cap):
-    """The verification records: the ``HomologyProfile`` of each of the five
-    complexes of the cover square per field, keyed part, then field, and the
-    ``InducedMap`` of union -> total per field (z excepted) and degree.
+def _verification(parts, fields, top):
+    """The verification records of the square ``parts``: the
+    ``HomologyProfile`` of each of its five complexes per field, keyed part,
+    then field, and the ``InducedMap`` of union -> total per field (z
+    excepted) and degree.
 
     ``cover_square`` returns the parts reduced, so each call here reads
     filled memos.
     """
-    parts = cover_square(complex_, cover, dim_cap)
-    max_deg = dim_cap - 1
     profiles = {
-        name: {coeffs: homology(part, coeffs, max_deg=max_deg, reduced=True) for coeffs in fields}
+        name: {coeffs: homology(part, coeffs, max_deg=top, reduced=True) for coeffs in fields}
         for name, part in parts.items()
     }
     induced = [
         induced_map(parts["union"], parts["total"], degree, coeffs)
         for coeffs in fields
         if coeffs != "z"
-        for degree in range(0, max_deg + 1)
+        for degree in range(0, top + 1)
     ]
     return profiles, induced
 
 
-def _soundness(verdicts, profiles, induced, fields):
-    """Certified conclusions must agree with the homological verification
-    records (``_verification``)."""
+def _soundness(verdicts, union, total, top):
+    """The failures of the held claims against integral homology through
+    degree ``top`` (``relative_profile``), which settles every field.  By
+    the long exact sequence of (total, union), a claim of isomorphism
+    through degree k ("all": ``top``) and surjection at s, away from p
+    (``exclude_char``), holds over Z[1/p] (Z without p) exactly when
+    H_n(total, union; Z) is 0, or p-primary, for n up to
+    min(k + 1 if s = k + 1 else k, top), and, unless s = k + 1 <= top, the
+    union and the total agree in degree min(k, top) up to p-power torsion:
+    d_(top + 2) is not reduced, and a surjection between isomorphic finitely
+    generated groups is one-to-one.
+    """
+
+    def group(profile, n, p):  # H_n as (Betti number, torsion), less p-power torsion
+        return profile.betti.get(n, 0), tuple(q for q in profile.torsion_at(n) if not p or q % p)
+
+    relative = relative_profile(total, union, top)
+    sides = relative_profile(union, None, top), relative_profile(total, None, top)
     failures = []
-    by_field = {}
-    for rec in induced:
-        by_field.setdefault(rec.field, {})[rec.degree] = rec
     for v in verdicts:
         if v.status != HOLDS or not v.claim:
             continue
-        iso_upto = v.claim.get("iso_upto")
-        surj_at = v.claim.get("surj_at")
-        exclude = v.claim.get("exclude_char")
-        for coeffs, recs in by_field.items():
-            if exclude is not None and linalg.characteristic(coeffs) == exclude:
-                continue
-            for degree, rec in recs.items():
-                want_iso = iso_upto == "all" or (
-                    isinstance(iso_upto, int) and degree <= iso_upto
-                )
-                if want_iso and not rec.iso:
-                    failures.append(
-                        f"{v.criterion}: expected isomorphism in degree {degree} "
-                        f"over {coeffs}, verification disagrees"
-                    )
-                elif (
-                    not want_iso
-                    and surj_at is not None
-                    and degree == surj_at
-                    and not rec.surjective
-                ):
-                    failures.append(
-                        f"{v.criterion}: expected surjection in degree {degree} "
-                        f"over {coeffs}, verification disagrees"
-                    )
-        if iso_upto == "all" and exclude is None and "z" in fields and profiles:
-            if profiles["union"]["z"] != profiles["total"]["z"]:
+        k, s, p = map(v.claim.get, ("iso_upto", "surj_at", "exclude_char"))
+        k = top if k == "all" else k
+        for n in range(min(k + 1 if s == k + 1 else k, top) + 1):
+            if group(relative, n, p) != (0, ()):
+                want = "= 0" if p is None else f"to be {p}-primary torsion"
                 failures.append(
-                    f"{v.criterion}: integral profiles of the union and the whole "
-                    "complex differ"
+                    f"{v.criterion}: expected H_{n}(total, union; Z) {want}, verification "
+                    f"reads betti {relative.betti[n]}, torsion {list(relative.torsion_at(n))}"
                 )
+        d = min(k, top)
+        if (s != k + 1 or s > top) and group(sides[0], d, p) != group(sides[1], d, p):
+            failures.append(
+                f"{v.criterion}: integral profiles of the union and the whole complex "
+                f"differ in degree {d}" + (f" beyond {p}-power torsion" if p else "")
+            )
     return failures
 
 
@@ -1167,8 +1165,8 @@ def analyze(complex_, cover, dim_cap=None, fields=("q", "z"), verify=True):
 
     When ``verify`` is set the report also carries exact homology profiles of
     the five complexes in the cover square, the induced maps of the union
-    inclusion over each requested field, and a soundness block that
-    cross-checks every certified conclusion against them.  The report is
+    inclusion over each requested field, and a soundness block that checks
+    every certified conclusion against integral homology.  The report is
     built from one analysis context: the cross simplices are enumerated once,
     and each distinct obstruction complex among them is certified and
     profiled once, however many cross simplices share it.  The report's
@@ -1190,8 +1188,9 @@ def _analyze(ctx, fields, verify, kind="simplicial", radius=None, metric_rules=(
     verdicts = [_verdict(rule, ctx) for rule in [*metric_rules, *_RULES]]
     records, failures = {}, []
     if verify:
-        profiles, induced = _verification(complex_, cover, fields, dim_cap)
-        failures = _soundness(verdicts, profiles, induced, fields)
+        parts = cover_square(complex_, cover, dim_cap)
+        profiles, induced = _verification(parts, fields, dim_cap - 1)
+        failures = _soundness(verdicts, parts["union"], parts["total"], dim_cap - 1)
         records = {"profiles": profiles, "induced": induced}
     return DecompositionReport(
         kind=kind,

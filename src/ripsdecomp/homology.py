@@ -48,14 +48,16 @@ and integral torsion stay exact:
   before a simplex of depth 0 have depth 0.
 
 ``homology`` is the chain [K]; ``induced_map`` is the pair [K, L], over
-only the degrees it reads, and the one reader of d(K, L).  The cover square
-(``cover_square``) of X, Y, A = X & Y, the union K[X] u K[Y] and the total
-K is the chain [total, union, X, A]: depth 0 holds the cross simplices
-(meeting both X - A and Y - A), 1 those inside Y but not A, 2 those inside
-X but not A, 3 those inside A.  Every part, the total included, is an
-explicit complex built from its levels (``Complex.from_levels``), filtered
-from the collapsed total's by one depth pass, and ``cover_square`` reduces
-this chain and the chain [Y] before it returns.
+only the degrees it reads; ``relative_profile`` reads H(K, L; Z) off the
+pair's d(K, L), through the builder ``homology`` uses (``_profile``).  The
+cover square (``cover_square``) of X, Y, A = X & Y, the union K[X] u K[Y]
+and the total K is the chain [total, union, X, A]: depth 0 holds the cross
+simplices (meeting both X - A and Y - A), 1 those inside Y but not A, 2
+those inside X but not A, 3 those inside A.  Every part, the total
+included, is an explicit complex built from its levels
+(``Complex.from_levels``), filtered from the collapsed total's by one depth
+pass, and ``cover_square`` reduces this chain and the chain [Y] before it
+returns.
 
 A total enters the square collapsed: every edge uv of a flag total
 (``collapse_edges``), or every vertex v of an explicit one
@@ -78,25 +80,28 @@ exactly:
   deleting a dominated vertex is a strong collapse, so each inclusion of a
   part's new complex into its old one is a homotopy equivalence;
 * these inclusions commute with union -> total, so every Betti number,
-  torsion group and rank of H(union) -> H(total) is kept;
+  torsion group and rank of H(union) -> H(total) is kept, and by the five
+  lemma every group H(total, union);
 * a flag total is read through its levels 0..cap, so its parts are the
-  cap-skeletons of the collapsed flag parts, and H_n of a cap-skeleton
-  equals H_n of the whole flag complex for n <= cap - 1, the degrees a
-  square reports; an explicit total keeps all its levels.
+  cap-skeletons of the collapsed flag parts, and H_n of a cap-skeleton, or
+  of a pair of them, equals that of the whole flag complexes for
+  n <= cap - 1, the degrees a square reports; an explicit total keeps all
+  its levels.
 
 Each complex keeps its simplex levels (``Complex.levels``, the one owner of
 that memo entry) and the invariants of every d_n a chain wrote for it in
-its memo, and K keeps d(K, L1) per subcomplex and degree, which only
-``induced_map`` reads.  A chain writes d_n(K, L1) after every member's d_n,
-so that entry (d_n(K) in a chain of one) marks degree n filled: a repeated
-call reduces nothing and every field reads the same invariants.  A
-complex's d_n is reduced again only inside another chain that has not
-filled degree n.  ``induced_map`` in degree d reads d_d of K and L but not
-d_d(K, L), so its pair reduces degree d only when K or L lacks d_d.  A
-chain of one keeps the level order, with no depth pass.  ``homology`` and
-``induced_map`` read the chain sizes off the levels, hand K's levels to
-``_reduce_chain``, read the invariants off the memo, and build their
-records (``HomologyProfile``, ``InducedMap``) straight from them.  The checks of a call (subcomplex,
+its memo, and K keeps d(K, L1) per subcomplex and degree, which
+``induced_map`` and ``relative_profile`` read.  A chain writes d_n(K, L1)
+after every member's d_n, so that entry (d_n(K) in a chain of one) marks
+degree n filled: a repeated call reduces nothing and every field reads the
+same invariants.  A complex's d_n is reduced again only inside another
+chain that has not filled degree n.  ``induced_map`` in degree d reads d_d
+of K and L but not d_d(K, L), so its pair reduces degree d only when K or L
+lacks d_d.  A chain of one keeps the level order, with no depth pass.
+``homology``, ``relative_profile`` and ``induced_map`` read the chain sizes
+off the levels, hand K's levels to ``_reduce_chain``, read the invariants
+off the memo, and build their records (``HomologyProfile``,
+``InducedMap``) straight from them.  The checks of a call (subcomplex,
 field, degree, flag cap) still run on every call.
 
 Reduced homology uses the augmented chain complex, so the empty complex has
@@ -147,6 +152,7 @@ __all__ = [
     "homology",
     "induced_map",
     "is_subcomplex",
+    "relative_profile",
 ]
 
 
@@ -290,6 +296,23 @@ def _relative(ambient, sub, n):
     return ambient._memo[("relative", id(sub), n)][1] if n >= 1 else (0, ())
 
 
+def _profile(coeffs, reduced, sizes, invariants):
+    """The profile of a chain complex with ``sizes[n]`` n-chains from the
+    invariants of its d_n, d_0 the augmentation when ``reduced``."""
+    char = 0 if coeffs == "z" else linalg.characteristic(coeffs)
+    ranks = [_rank(inv, char) for inv in invariants]
+    # the augmented degree -1 holds the empty simplex alone, read when reduced
+    betti = {-1: 1 - ranks[0]} if reduced else {}
+    torsion = {}
+    for n, size in enumerate(sizes):
+        betti[n] = size - ranks[n] - ranks[n + 1]
+        factors = invariants[n + 1][1]
+        if coeffs == "z" and factors:
+            torsion[n] = tuple(sorted(q for d in factors for q in linalg.prime_power_factors(d)))
+    degrees = tuple(range(-1 if reduced else 0, len(sizes)))
+    return HomologyProfile(coeffs, reduced, degrees, betti, torsion)
+
+
 def homology(complex_, coeffs="z", max_deg=None, reduced=True):
     """Homology profile of a complex up to ``max_deg``.
 
@@ -302,41 +325,39 @@ def homology(complex_, coeffs="z", max_deg=None, reduced=True):
     max_deg = max(complex_.dim(), 0) if max_deg is None else check_dim_cap(max_deg)
     levels = complex_.levels(max_deg + 1)
     _reduce_chain([complex_], levels, None, range(1, max_deg + 2))
-    char = 0 if coeffs == "z" else linalg.characteristic(coeffs)
-    # ranks[n] is the rank of d_n for n = 0..max_deg + 1, d_0 the augmentation
-    ranks = [_rank(_boundary(complex_, levels, n, reduced), char) for n in range(max_deg + 2)]
-    # the augmented degree -1 holds the empty simplex alone, read when reduced
-    betti = {-1: 1 - ranks[0]} if reduced else {}
-    for n in range(max_deg + 1):
-        betti[n] = len(levels[n]) - ranks[n] - ranks[n + 1]
-    torsion = {}
-    if coeffs == "z":
-        for n in range(max_deg + 1):
-            factors = complex_._memo[n + 1][1]
-            if factors:
-                torsion[n] = tuple(
-                    sorted(q for d in factors for q in linalg.prime_power_factors(d))
-                )
-    degrees = tuple(range(-1 if reduced else 0, max_deg + 1))
-    return HomologyProfile(coeffs, reduced, degrees, betti, torsion)
+    sizes = [len(levels[n]) for n in range(max_deg + 1)]
+    invariants = [_boundary(complex_, levels, n, reduced) for n in range(max_deg + 2)]
+    return _profile(coeffs, reduced, sizes, invariants)
+
+
+def relative_profile(ambient, sub, max_deg):
+    """H_n(K, L; Z) of ``ambient`` K and its subcomplex ``sub`` L for
+    n = 0..max_deg, read off d(K, L) of the chain [K, L] (``cover_square``
+    fills (total, union)); with ``sub`` None, L is empty: K's unreduced
+    ``homology``.  Degrees are refused as ``homology`` refuses them."""
+    if sub is None:
+        return homology(ambient, "z", max_deg, reduced=False)
+    if not is_subcomplex(sub, ambient):
+        raise NotASubcomplex("second complex is not a subcomplex of the first")
+    if max_deg < -1:
+        raise InvalidInput(f"degree {max_deg} below -1")
+    need = check_dim_cap(max_deg) + 1
+    levels, levels_l = ambient.levels(need), sub.levels(need)
+    _reduce_chain(
+        [ambient, sub], levels, lambda n: map(sub.__contains__, levels[n]), range(1, need + 1)
+    )
+    sizes = [len(levels[n]) - len(levels_l[n]) for n in range(need)]
+    return _profile("z", False, sizes, [_relative(ambient, sub, n) for n in range(need + 1)])
 
 
 def cover_square(complex_, cover, dim_cap):
     """The five complexes of a cover's square, keyed x, y, a, union, total,
     up to homotopy through degree dim_cap - 1: the total is first collapsed,
     a flag one by edges (``collapse_edges``), an explicit one by vertices
-    (``collapse_vertices``), and every part, the total included, is an
-    explicit complex built from the collapsed total's levels by one depth
-    pass.
-
-    The collapse keeps every profile through degree dim_cap - 1 and every
-    map union -> total there (module docstring): each edge or vertex removed
-    was dominated in each part that held it, so each part's new complex
-    includes into its old one by a homotopy equivalence, and these
-    inclusions commute with union -> total.  A flag total is read through
-    its levels 0..dim_cap, so its parts are the dim_cap-skeletons of the
-    collapsed flag parts, whose H_n is theirs for n <= dim_cap - 1; an
-    explicit total keeps all its levels.
+    (``collapse_vertices``), which keeps every profile, map union -> total
+    and group H_n(total, union) there (module docstring); every part, the
+    total included, is an explicit complex built from the collapsed total's
+    levels, 0..dim_cap for a flag total, by one depth pass.
 
     The parts come back reduced: d_1..d_dim_cap of the chain total, union,
     X, A, with d(total, union), come off one reduction of the total per

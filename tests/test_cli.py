@@ -688,9 +688,9 @@ class TestCorpus:
 
     def test_a_report_that_fails_soundness_is_a_mismatch(self, capsys, monkeypatch):
         """five-pt-gluing with ``no-cross-simplices`` patched to claim an
-        isomorphism through degree 1, which is false over q: ``compare``
-        names the gate's failures, and ``corpus run`` prints them and exits
-        1."""
+        isomorphism through degree 1, which is false, as H_2(total, union; Z)
+        = Z: ``compare`` names the gate's failures, and ``corpus run`` prints
+        them and exits 1."""
         case = case_by_name("five-pt-gluing")
         rows = [
             rule._replace(test=lambda ctx, n: analyzer._holds(1))
@@ -701,7 +701,8 @@ class TestCorpus:
         monkeypatch.setattr(analyzer, "_RULES", rows)
         report, mismatches = run_case(case)
         assert report.soundness["failures"] == [
-            "no-cross-simplices: expected isomorphism in degree 1 over q, verification disagrees"
+            "no-cross-simplices: expected H_2(total, union; Z) = 0, verification reads "
+            "betti 1, torsion []"
         ]
         assert mismatches == [f"soundness failed: {report.soundness['failures']}"]
         monkeypatch.setattr(corpus, "CASES", [case])

@@ -14,6 +14,7 @@ from ripsdecomp import (
     EmptyComplex,
     EnumerationRefused,
     InvalidInput,
+    NotASubcomplex,
     analyze,
     boundary_matrix,
     contractibility_certificate,
@@ -25,7 +26,7 @@ from ripsdecomp import complexes
 from ripsdecomp.linalg import smith_invariants
 from ripsdecomp.complexes import enumerate_p_complement, strong_collapse
 from ripsdecomp.corpus import space_for
-from ripsdecomp.homology import _count_cliques, cover_square, is_subcomplex
+from ripsdecomp.homology import _count_cliques, cover_square, is_subcomplex, relative_profile
 
 from conftest import (
     PROJECTIVE_PLANE,
@@ -274,6 +275,29 @@ class TestRelativeHomologyOracle:
         unreduced = homology(k, "z", max_deg=1, reduced=False)
         assert profile.betti_vector(0, 1) == unreduced.betti_vector(0, 1)
 
+    def test_relative_profile_matches_the_oracle_on_fresh_pairs(self):
+        """``relative_profile`` reduces a pair no chain filled, and equals
+        the oracle; with no subcomplex it is the unreduced profile."""
+        rng = rng_for(3501)
+        torsion = 0
+        for i in range(60):
+            facets = [rng.sample(range(9), rng.randint(1, 4)) for _ in range(rng.randint(1, 7))]
+            if i % 3 == 0:
+                facets += [[v and 10 + v for v in f] for f in PROJECTIVE_PLANE]
+            k = Complex.from_facets(facets)
+            simplices = k.simplices()
+            l = Complex.from_facets(rng.sample(simplices, rng.randint(0, min(8, len(simplices)))))
+            max_deg = rng.randint(-1, 3)
+            got = relative_profile(k, l, max_deg)
+            assert got == relative_homology(k, l, "z", max_deg), (facets, l.simplices())
+            assert relative_profile(k, None, max_deg) == homology(k, "z", max_deg, reduced=False)
+            torsion += bool(got.torsion)
+        assert torsion > 5, torsion
+
+    def test_relative_profile_refuses_a_pair_that_is_not_one(self):
+        with pytest.raises(NotASubcomplex):
+            relative_profile(hollow_triangle(), Complex.from_facets([[0, 1, 2]]), 1)
+
 
 class TestInducedMap:
     def test_identity_inclusion(self):
@@ -335,6 +359,16 @@ class TestDegreeRefusals:
         k = hollow_triangle()
         with pytest.raises(InvalidInput, match=f"degree {floor - 1} below {floor}"):
             induced_map(k, k, floor - 1, "q", reduced=reduced)
+
+    def test_relative_profile_refuses_a_max_deg_out_of_range(self):
+        rp2 = Complex.from_facets(PROJECTIVE_PLANE)
+        with pytest.raises(InvalidInput, match="degree -2 below -1"):
+            relative_profile(rp2, None, -2)
+        with pytest.raises(EnumerationRefused, match="past"):
+            relative_profile(
+                rp2, skeleton(Complex.from_facets(PROJECTIVE_PLANE), 1), complexes.MAX_DIM_CAP + 1
+            )
+        assert "levels" not in rp2._memo
 
     def test_induced_map_refuses_a_degree_past_the_cap_bound(self):
         rp2 = Complex.from_facets(PROJECTIVE_PLANE)

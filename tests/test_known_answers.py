@@ -1,6 +1,7 @@
 """Known-answer families: Vietoris-Rips complexes whose homotopy type a
 theorem gives at any size, run end to end through ``analyze_metric`` with
-verification on, over q and z.
+verification on, over q and z, and every radius of the circles up to 40
+points over z alone.
 
 * Circles (Adamaszek & Adams, *The Vietoris-Rips complexes of a circle*,
   Pacific J. Math. 2017): n evenly spaced points at hop radius k give
@@ -77,15 +78,34 @@ def check_profiles(report, part, want):
         assert profile["torsion"] == {}, (part, coeffs)
 
 
-@pytest.mark.parametrize("n, k, cap, degree, copies", CIRCLES)
-def test_circle(n, k, cap, degree, copies):
-    assert circle_answer(n, k) == (degree, copies)
+def circle_thirds(n, k):
+    """The circle n at hop radius k, with X = {i mod 3 != 2} and
+    Y = {i mod 3 != 1}."""
     space = circle(n, "c")
     x = [p for i, p in enumerate(space.labels) if i % 3 != 2]
     y = [p for i, p in enumerate(space.labels) if i % 3 != 1]
-    report = analyze_metric(MetricCover(space, x, y, k), dim_cap=cap, fields=FIELDS)
+    return MetricCover(space, x, y, k)
+
+
+@pytest.mark.parametrize("n, k, cap, degree, copies", CIRCLES)
+def test_circle(n, k, cap, degree, copies):
+    assert circle_answer(n, k) == (degree, copies)
+    report = analyze_metric(circle_thirds(n, k), dim_cap=cap, fields=FIELDS)
     assert report.soundness["ok"], report.soundness
     check_profiles(report, "total", betti(cap, (degree, copies)))
+
+
+@pytest.mark.parametrize("n", range(5, 41))
+def test_every_circle_radius_over_z_alone(n):
+    """Every hop radius 0 < k < n/2 of the circle n, at cap 3 over z alone,
+    where no induced map is kept: the gate still checks every claim, and
+    the total reads the theorem's Betti numbers with no torsion."""
+    for k in range(1, (n + 1) // 2):
+        report = analyze_metric(circle_thirds(n, k), dim_cap=3, fields=["z"])
+        assert report.soundness["ok"], (n, k, report.soundness)
+        profile = report.profiles["total"]["z"]
+        got = [profile["betti"][str(d)] for d in profile["degrees"]]
+        assert got == betti(3, circle_answer(n, k)) and profile["torsion"] == {}, (n, k)
 
 
 @pytest.mark.parametrize("n, m, r, cap", WEDGES)

@@ -9,6 +9,7 @@ import json
 import time
 from collections import Counter
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 
@@ -31,7 +32,7 @@ from ripsdecomp import (
 )
 from ripsdecomp.complexes import MAX_DIM_CAP, collapse_edges, collapse_vertices, facet_masks
 from ripsdecomp.corpus import space_for
-from ripsdecomp.homology import InducedMap, cover_square
+from ripsdecomp.homology import HomologyProfile, cover_square, relative_profile
 from ripsdecomp.io import load_cover, load_input
 from ripsdecomp.reporting import render_json
 
@@ -53,6 +54,7 @@ from oracles import (
     check_cofiber_shift,
     cover_union,
     mv_check,
+    relative_homology,
     replay_vertex_collapse,
     skeleton,
 )
@@ -118,86 +120,120 @@ class TestTheoremChecks:
             assert check_cofiber_shift(rp2, sigma, "z")["consistent"]
 
 
+def gate(union, total, top, claim):
+    """The soundness gate's failures for one held ``no-cross-simplices``
+    claim on the pair union -> total, read through degree ``top``."""
+    verdict = CriterionVerdict("no-cross-simplices", analyzer.HOLDS, claim=claim)
+    return analyzer._soundness([verdict], union, total, top)
+
+
+#: The failure of a claim whose pair has H_n(total, union; Z) = Z.
+NOT_ZERO = (
+    "no-cross-simplices: expected H_{}(total, union; Z) = 0, verification reads "
+    "betti 1, torsion []"
+)
+
+
 class TestSoundnessGate:
     def test_fires_on_a_false_isomorphism_claim(self):
-        verdict = CriterionVerdict(
-            "no-cross-simplices", analyzer.HOLDS, claim={"iso_upto": "all"}
-        )
-        induced = [InducedMap("q", 1, 0, 1, 0)]
-        assert (induced[0].injective, induced[0].surjective, induced[0].iso) == (False, True, False)
-        failures = analyzer._soundness([verdict], None, induced, ["q"])
-        assert failures and "degree 1 over q" in failures[0]
+        """A path of two edges in a hollow triangle: H_1 goes 0 -> Z, so
+        H_1(total, union; Z) = Z and the integral profiles differ in degree
+        1.  The map is injective and not onto, as its record reads too."""
+        total = Complex.from_facets([[0, 1], [1, 2], [0, 2]])
+        union = Complex.from_facets([[0, 1], [1, 2]])
+        rec = induced_map(union, total, 1, "q")
+        assert (rec.injective, rec.surjective, rec.iso) == (True, False, False)
+        assert gate(union, total, 1, {"iso_upto": "all"}) == [
+            NOT_ZERO.format(1),
+            "no-cross-simplices: integral profiles of the union and the whole complex "
+            "differ in degree 1",
+        ]
 
     def test_fires_on_false_claims_against_real_records(self):
-        """The records ``_verification`` keeps for a hollow triangle covered
-        by two of its edges: union -> total misses H_1, so an isomorphism
-        claim fails in degree 1 over q and zp:3, a surjection claim in degree
-        1 fails too, and the integral profiles of the union and the total
-        differ.  A claim that excludes every field but z checks only the
-        integral profiles, which it may not."""
+        """The square of a hollow triangle covered by two of its edges:
+        union -> total misses H_1, as the records ``_verification`` keeps
+        read, so H_1(total, union; Z) = Z.  An isomorphism claim fails there
+        and on the integral profiles in degree 1, a surjection claim in
+        degree 1 fails there alone, and so does one that excludes
+        characteristic 3, as Z is not 3-primary; a claim of degree 0 alone
+        holds."""
         k = Complex.from_facets([[0, 1], [1, 2], [0, 2]])
-        fields = ["q", "z", "zp:3"]
-        profiles, induced = analyzer._verification(k, Cover([0, 1], [0, 2]), fields, 2)
-        assert all(isinstance(rec, InducedMap) for rec in induced)
+        parts = cover_square(k, Cover([0, 1], [0, 2]), 2)
+        profiles, induced = analyzer._verification(parts, ["q", "z", "zp:3"], 1)
         assert profiles["union"]["z"].betti[1] == 0 and profiles["total"]["z"].betti[1] == 1
+        assert [rec.surjective for rec in induced] == [True, False, True, False]
 
         def failures(claim):
-            verdict = CriterionVerdict("no-cross-simplices", analyzer.HOLDS, claim=claim)
-            return analyzer._soundness([verdict], profiles, induced, fields)
+            return gate(parts["union"], parts["total"], 1, claim)
 
         assert failures({"iso_upto": "all"}) == [
-            "no-cross-simplices: expected isomorphism in degree 1 over q, verification disagrees",
-            "no-cross-simplices: expected isomorphism in degree 1 over zp:3, "
-            "verification disagrees",
-            "no-cross-simplices: integral profiles of the union and the whole complex differ",
+            NOT_ZERO.format(1),
+            "no-cross-simplices: integral profiles of the union and the whole complex "
+            "differ in degree 1",
         ]
-        assert failures({"iso_upto": 0, "surj_at": 1}) == [
-            "no-cross-simplices: expected surjection in degree 1 over q, verification disagrees",
-            "no-cross-simplices: expected surjection in degree 1 over zp:3, "
-            "verification disagrees",
-        ]
+        assert failures({"iso_upto": 0, "surj_at": 1}) == [NOT_ZERO.format(1)]
         assert failures({"iso_upto": 0, "surj_at": 1, "exclude_char": 3}) == [
-            "no-cross-simplices: expected surjection in degree 1 over q, verification disagrees",
+            "no-cross-simplices: expected H_1(total, union; Z) to be 3-primary torsion, "
+            "verification reads betti 1, torsion []",
         ]
         assert failures({"iso_upto": 0, "surj_at": None}) == []
 
     @staticmethod
-    def moebius_failures(fields):
-        """The gate on an integral isomorphism claim, fed the records of the
-        boundary circle L (edges {i, i + 2}) of the 5-vertex Moebius band K
-        (facets {i, i + 1, i + 2}) as union -> total: H_1 L = Z -> H_1 K = Z
-        is multiplication by 2, an isomorphism over q but not over zp:2, and
-        both integral profiles read H_1 = Z."""
+    def moebius_failures(exclude=None):
+        """The gate on an isomorphism claim of every degree, away from
+        ``exclude``, for the boundary circle L (edges {i, i + 2}) of the
+        5-vertex Moebius band K (facets {i, i + 1, i + 2}) as union -> total:
+        H_1 L = Z -> H_1 K = Z is multiplication by 2, an isomorphism over q
+        but not over zp:2, and both integral profiles read H_1 = Z, so
+        H_1(K, L; Z) = Z/2."""
         k = Complex.from_facets([[i, (i + 1) % 5, (i + 2) % 5] for i in range(5)])
         l = Complex.from_facets([[i, (i + 2) % 5] for i in range(5)])
-        profiles = {
-            "union": {coeffs: homology(l, coeffs, max_deg=1) for coeffs in fields},
-            "total": {coeffs: homology(k, coeffs, max_deg=1) for coeffs in fields},
-        }
-        assert profiles["union"]["z"] == profiles["total"]["z"]
-        induced = [
-            induced_map(l, k, degree, coeffs)
-            for coeffs in fields
-            if coeffs != "z"
-            for degree in range(2)
-        ]
-        claim = {"iso_upto": "all", "surj_at": None, "exclude_char": None}
-        verdict = CriterionVerdict("no-cross-simplices", analyzer.HOLDS, claim=claim)
-        return analyzer._soundness([verdict], profiles, induced, fields)
+        assert homology(l, "z", max_deg=1) == homology(k, "z", max_deg=1)
+        assert relative_profile(k, l, 1) == HomologyProfile(
+            "z", False, (0, 1), {0: 0, 1: 0}, {1: (2,)}
+        )
+        claim = {"iso_upto": "all", "surj_at": None, "exclude_char": exclude}
+        return gate(l, k, 1, claim)
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="ROADMAP item 2: the gate reads the integral profiles of union "
-        "and total, not the integral map between them",
-    )
     def test_fires_on_a_map_that_is_multiplication_by_two(self):
-        assert self.moebius_failures(["q", "z"])
+        assert self.moebius_failures() == [
+            "no-cross-simplices: expected H_1(total, union; Z) = 0, verification reads "
+            "betti 0, torsion [2]",
+        ]
+
+    @pytest.mark.parametrize(
+        "exclude, want",
+        [
+            (2, []),
+            (3, [
+                "no-cross-simplices: expected H_1(total, union; Z) to be 3-primary torsion, "
+                "verification reads betti 0, torsion [2]",
+            ]),
+        ],
+    )
+    def test_a_p_primary_relative_group_passes_only_away_from_p(self, exclude, want):
+        """Z/2 is 2-primary: a claim away from characteristic 2 holds, and
+        one away from 3 does not."""
+        assert self.moebius_failures(exclude) == want
+
+    def test_fires_on_the_top_degree_by_the_profiles_alone(self):
+        """A filled triangle over its boundary circle at cap 2: the relative
+        groups vanish through degree 1, but H_1 goes Z -> 0, and d_3 is not
+        read, so only the profile clause sees it."""
+        total = Complex.from_facets([[0, 1, 2]])
+        union = Complex.from_facets([[0, 1], [1, 2], [0, 2]])
+        assert relative_profile(total, union, 1).betti == {0: 0, 1: 0}
+        assert gate(union, total, 1, {"iso_upto": "all", "surj_at": None}) == [
+            "no-cross-simplices: integral profiles of the union and the whole complex "
+            "differ in degree 1",
+        ]
 
     @staticmethod
     def decompose_with_a_false_degree_1_claim(tmp_path, monkeypatch, capsys, field):
         """``decompose`` of the five-point gluing case over one field, with
         ``no-cross-simplices`` patched to claim an isomorphism through degree
-        1, which is false: the exit code and the report's soundness block."""
+        1, which is false: the exit code and the report's soundness block.
+        H_2(total, union; Z) = Z, whatever the field."""
         argv = ["decompose", *write_metric_case(tmp_path, case_by_name("five-pt-gluing"))]
         argv += ["--field", field, "--format", "json"]
         rows = [
@@ -218,27 +254,22 @@ class TestSoundnessGate:
             tmp_path, monkeypatch, capsys, field
         )
         assert code == 1 and not soundness["ok"]
-        assert soundness["failures"] == [
-            f"no-cross-simplices: expected isomorphism in degree 1 over {field}, "
-            "verification disagrees"
-        ]
+        assert soundness["failures"] == [NOT_ZERO.format(2)]
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="ROADMAP item 2: over z alone no induced map is kept, and the "
-        "gate checks integral profiles only for claims of every degree",
-    )
     def test_fires_on_a_false_degree_1_claim_over_z_alone(self, tmp_path, monkeypatch, capsys):
         code, soundness = self.decompose_with_a_false_degree_1_claim(
             tmp_path, monkeypatch, capsys, "z"
         )
         assert code == 1 and not soundness["ok"]
+        assert soundness["failures"] == [NOT_ZERO.format(2)]
 
     def test_fires_on_a_map_that_is_multiplication_by_two_once_zp2_is_read(self):
-        assert self.moebius_failures(["q", "z", "zp:2"]) == [
-            "no-cross-simplices: expected isomorphism in degree 1 over zp:2, "
-            "verification disagrees",
-        ]
+        """The gate reads no field: its failure is the same whether or not
+        the report's records hold zp:2, where the map is not onto."""
+        k = Complex.from_facets([[i, (i + 1) % 5, (i + 2) % 5] for i in range(5)])
+        l = Complex.from_facets([[i, (i + 2) % 5] for i in range(5)])
+        assert induced_map(l, k, 1, "q").iso and not induced_map(l, k, 1, "zp:2").surjective
+        assert self.moebius_failures() == gate(l, k, 1, {"iso_upto": "all"})
 
     def test_decompose_exits_one_on_a_false_claim(self, tmp_path, monkeypatch, capsys):
         argv = ["decompose", *write_metric_case(tmp_path, case_by_name("five-pt-gluing"))]
@@ -360,7 +391,9 @@ class TestCoverSquare:
         rng = rng_for(5301)
         torsion = cases = no_cross = 0
         for k, cover, dim_cap in square_cases(rng):
-            profiles, induced = analyzer._verification(k, cover, self.FIELDS, dim_cap)
+            profiles, induced = analyzer._verification(
+                cover_square(k, cover, dim_cap), self.FIELDS, dim_cap - 1
+            )
             total = fresh(k)
             parts = {
                 "x": total.restrict(cover.x),
@@ -389,6 +422,26 @@ class TestCoverSquare:
             no_cross += all(not (set(s) - cover.x and set(s) - cover.y)
                             for s in k.simplices(max_dim=dim_cap))
         assert cases >= 200 and torsion > 10 and no_cross > 100, (cases, torsion, no_cross)
+
+
+    def test_relative_profile_matches_the_oracle(self):
+        """H(total, union; Z), read off the square's memos through degree
+        dim_cap - 1, equals the dense oracle's on the uncollapsed pair, on
+        flag and explicit complexes, RP^2 wedges and cones, and RP^2 wedged
+        with a suspended one, under random covers and covers with A empty,
+        one vertex, or X or Y whole."""
+        rng = rng_for(5302)
+        seen = Counter()
+        for k, cover, dim_cap in chain(square_cases(rng), strong_collapse_cases(rng)):
+            parts = cover_square(k, cover, dim_cap)
+            got = relative_profile(parts["total"], parts["union"], dim_cap - 1)
+            total = fresh(k)
+            want = relative_homology(total, cover_union(total, cover), "z", dim_cap - 1)
+            assert got == want, (k, cover, dim_cap)
+            seen["flag"] += k.is_flag
+            seen["nonzero"] += any(got.betti.values()) or bool(got.torsion)
+            seen["torsion"] += bool(got.torsion)
+        assert seen["flag"] == 60 and seen["nonzero"] > 200 and seen["torsion"] > 20, seen
 
 
 def rp2_and_suspension():
@@ -569,7 +622,9 @@ class TestCollapsedSquare:
         rng = rng_for(5401)
         seen = Counter()
         for k, cover, dim_cap in collapse_cases(rng):
-            profiles, induced = analyzer._verification(k, cover, self.FIELDS, dim_cap)
+            profiles, induced = analyzer._verification(
+                cover_square(k, cover, dim_cap), self.FIELDS, dim_cap - 1
+            )
             total = fresh(k)
             parts = {
                 "x": total.restrict(cover.x),
@@ -672,7 +727,9 @@ class TestStrongCollapsedSquare:
         rng = rng_for(5501)
         seen = Counter()
         for k, cover, dim_cap in strong_collapse_cases(rng):
-            profiles, induced = analyzer._verification(k, cover, self.FIELDS, dim_cap)
+            profiles, induced = analyzer._verification(
+                cover_square(k, cover, dim_cap), self.FIELDS, dim_cap - 1
+            )
             total = fresh(k)
             parts = {
                 "x": total.restrict(cover.x),
@@ -812,24 +869,17 @@ class TestReductionCount:
     def test_the_square_comes_back_reduced(self, monkeypatch):
         """``cover_square`` returns every part with d_1..d_dim_cap in its
         memo, and the total also with d(total, union), so the ``homology``
-        and ``induced_map`` calls of verification reduce nothing more."""
+        and ``induced_map`` calls of verification, and the soundness gate's
+        reads, reduce nothing more."""
         facets, cover = self.rp2_wedge()
         dim_cap = 4
         calls = self.counted_reductions(monkeypatch)
-        squares = []
-
-        def square(*args):
-            parts = cover_square(*args)
-            squares.append((parts, len(calls)))
-            calls.clear()
-            return parts
-
-        monkeypatch.setattr(analyzer, "cover_square", square)
-        k = Complex.from_facets(facets)
-        profiles, induced = analyzer._verification(k, cover, self.FIELDS, dim_cap)
+        parts = cover_square(Complex.from_facets(facets), cover, dim_cap)
+        assert len(calls) == 2 * dim_cap
+        calls.clear()
+        profiles, induced = analyzer._verification(parts, self.FIELDS, dim_cap - 1)
+        assert analyzer._soundness([], parts["union"], parts["total"], dim_cap - 1) == []
         assert calls == []
-        (parts, reductions), = squares
-        assert reductions == 2 * dim_cap
         degrees = range(1, dim_cap + 1)
         for name, part in parts.items():
             assert all(n in part._memo for n in degrees), name
